@@ -35,7 +35,7 @@ from .cyclic import (
     milnor_hc1,
 )
 from .fields import FieldError
-from .freelie import DegreeOverflow, FieldUnsupported
+from .freelie import DegreeOverflow, FieldUnsupported, TruncationOutOfRange
 from .homology import (
     ClassExceeded,
     ComplexInconsistent,
@@ -245,6 +245,8 @@ def cmd_homology(args) -> int:
     from .homology import ce_complex
 
     max_n = args.degree
+    if max_n < 0:
+        raise ParseError(f"--degree must be non-negative, got {max_n}")
     cx = ce_complex(P, module, max_n + 1)
     dims_table = []
     for n in range(max_n + 1):
@@ -416,7 +418,7 @@ def main(argv: list[str] | None = None) -> int:
     args = ap.parse_args(argv)
     try:
         return args.func(args)
-    except (ParseError, FieldError) as exc:
+    except (ParseError, FieldError, TruncationOutOfRange) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
     except MATH_ERRORS as exc:

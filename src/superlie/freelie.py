@@ -27,6 +27,11 @@ class DegreeOverflow(ValueError):
     """A bracket word exceeds the truncation degree."""
 
 
+class TruncationOutOfRange(ValueError):
+    """A requested truncation exceeds the supported generator count or degree
+    range (an input limit, not a mathematical failure)."""
+
+
 MAX_GENERATORS = 4
 MAX_DEGREE = 5
 
@@ -95,9 +100,10 @@ class FreeTruncation:
         if field.p is not None:
             raise FieldUnsupported("free Lie superalgebras require characteristic 0")
         if gens.count > MAX_GENERATORS:
-            raise ValueError(f"at most {MAX_GENERATORS} generators supported")
+            raise TruncationOutOfRange(
+                f"{gens.count} generators given; at most {MAX_GENERATORS} are supported")
         if not 1 <= max_degree <= MAX_DEGREE:
-            raise ValueError(f"degree must be between 1 and {MAX_DEGREE}")
+            raise TruncationOutOfRange(f"degree must be between 1 and {MAX_DEGREE}")
         self.gens = gens
         self.max_degree = max_degree
         self.field = field

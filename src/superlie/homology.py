@@ -29,7 +29,9 @@ from .algebras import (
 )
 from .fields import Field
 from .freelie import (
+    MAX_DEGREE,
     Presentation,
+    TruncationOutOfRange,
     free_truncated,
     word_degree,
 )
@@ -496,11 +498,10 @@ def hopf_formula(pres: Presentation, class_bound: int, field: Field | None = Non
     the quotient already lives in F/gamma_{c+2} because gamma_{c+2} =
     [F, gamma_{c+1}] is contained in [F, R].
     """
-    field = field or Field()
-    try:
-        trunc = free_truncated(pres.gens, class_bound + 1, field)
-    except ValueError as exc:
-        raise ClassExceeded(str(exc)) from exc
+    if not 0 <= class_bound < MAX_DEGREE:
+        raise TruncationOutOfRange(
+            f"class bound {class_bound} is outside the supported range 0..{MAX_DEGREE - 1}")
+    trunc = free_truncated(pres.gens, class_bound + 1, field or Field())
     cover = trunc.algebra()
     rel_vecs = []
     for w in pres.relators:

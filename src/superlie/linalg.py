@@ -7,11 +7,6 @@ elimination is fraction-free (cross multiplication followed by content
 reduction), which bounds coefficient growth on the large sparse generator
 families produced elsewhere in the package.  Canonical reduced row echelon
 form, with pivots normalized to 1, is the equality test for subspaces.
-
-Membership testing against a growing span is the hot operation when
-streaming relation generators, so :class:`Echelon` also maintains a basis
-of the annihilator of its row space: ``v`` lies in the span iff it pairs
-to zero with every annihilator vector, which avoids elimination fill-in.
 """
 
 from __future__ import annotations
@@ -73,17 +68,6 @@ def vec_sub(a: dict, b: dict) -> dict:
     return out
 
 
-def vec_dot(a: dict, b: dict):
-    if len(a) > len(b):
-        a, b = b, a
-    total = 0
-    for k, c in a.items():
-        d = b.get(k)
-        if d is not None:
-            total += c * d
-    return total
-
-
 def _to_int_row(field: Field, v: dict) -> dict:
     """Clear denominators (Q) or reduce mod p, returning an int dict."""
     if field.p is not None:
@@ -127,7 +111,6 @@ class Echelon:
         self.field = field
         self.ambient = ambient
         self.rows: dict[int, dict] = {}  # pivot -> int row
-        self._annihilator: list[dict] | None = None
 
     @property
     def rank(self) -> int:
@@ -200,51 +183,14 @@ class Echelon:
                         row[k] = new
                 self.rows[other_piv] = _primitive(row)
         self.rows[piv] = work
-        self._annihilator = None
         return True
-
-    def contains(self, v: dict) -> bool:
-        work = _to_int_row(self.field, v)
-        if not work:
-            return True
-        ann = self._get_annihilator()
-        p = self.field.p
-        for w in ann:
-            d = vec_dot(work, w)
-            if (d % p if p is not None else d) != 0:
-                return False
-        return True
-
-    def _get_annihilator(self) -> list[dict]:
-        if self._annihilator is None:
-            free = [j for j in range(self.ambient) if j not in self.rows]
-            p = self.field.p
-            ann = []
-            for j in free:
-                if p is not None:
-                    w = {j: 1}
-                    for piv, row in self.rows.items():
-                        c = row.get(j, 0)
-                        if c:
-                            w[piv] = -c % p
-                else:
-                    scale = 1
-                    for piv, row in self.rows.items():
-                        if row.get(j, 0):
-                            scale = lcm(scale, row[piv])
-                    w = {j: scale}
-                    for piv, row in self.rows.items():
-                        c = row.get(j, 0)
-                        if c:
-                            w[piv] = -c * (scale // row[piv])
-                    w = _primitive(w)
-                ann.append(w)
-            self._annihilator = ann
-        return self._annihilator
 
     def residual(self, v: dict) -> dict:
         """The reduction of v against the span (zero dict iff contained)."""
         return self._reduce_int(_to_int_row(self.field, v))
+
+    def contains(self, v: dict) -> bool:
+        return not self.residual(v)
 
     def subspace(self) -> "Subspace":
         rows = []

@@ -1,9 +1,11 @@
 """Independent oracles used by the tests.
 
 These deliberately avoid the production code paths: the free Lie
-superalgebra dimensions come from a magma-quotient construction, and the
+superalgebra dimensions come from a magma-quotient construction, the
 matrix superalgebra bracket is recomputed by multiplying explicit
-matrices entry by entry.
+matrices entry by entry, and the relation space of the non-abelian tensor
+product is spanned by all five generator families, including the cyclic
+Jacobi-type family (v) that the production construction omits.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from itertools import product
 
 from superlie.algebras import AssocSuperAlgebra
 from superlie.fields import QQ
-from superlie.linalg import Echelon
+from superlie.linalg import Echelon, Subspace, field_clean
 
 
 # ---------------------------------------------------------------------------
@@ -192,3 +194,97 @@ def count_wedge_monomials(parities: list[int], n: int) -> int:
         if ok:
             count += 1
     return count
+
+
+# ---------------------------------------------------------------------------
+# relation space of the non-abelian tensor product, all five families
+
+
+FAMILIES = ("i", "ii", "iii", "iv", "v")
+
+
+def tensor_relations_oracle(M, N, act_mn, act_nm, families=FAMILIES) -> Subspace:
+    """D(M, N) inside the plain M (x) N (row-major pair basis), spanned by
+    generator families (i)-(iv) and the cyclic Jacobi-type family (v), or
+    by the named subset of them:
+
+      (i)   [m,m'] (x) n - m (x) m'.n + (-1)^{|m||m'|} m' (x) m.n
+      (ii)  m (x) [n,n'] - (-1)^{|n'|(|m|+|n|)} n'.m (x) n + (-1)^{|m||n|} n.m (x) n'
+      (iii) (n.m) (x) (m.n) for |m| = |n|
+      (iv)  (-1)^{|m||n|} n.m (x) m'.n'
+            + (-1)^{(|m|+|n|)(|m'|+|n'|)+|m'||n'|} n'.m' (x) m.n
+      (v)   the cyclic sum over three pairs (m,n), (m',n'), (m'',n'') of
+            (-1)^{(|m|+|n|)(|m''|+|n''|)+|m||n|+|m'||n'|} [n.m, n'.m'] (x) m''.n''
+    """
+    field = M.field
+    dm, dn = M.dim, N.dim
+    pm, pn = M.space.parities, N.space.parities
+    pairs = [(i, j) for i in range(dm) for j in range(dn)]
+    npairs = len(pairs)
+
+    def ten(u: dict, v: dict) -> dict:
+        return {i * dn + j: a * b for i, a in u.items() for j, b in v.items()}
+
+    def add(dst: dict, coeff, src: dict) -> None:
+        for k, c in src.items():
+            dst[k] = dst.get(k, 0) + coeff * c
+
+    def sign(e: int) -> int:
+        return -1 if e % 2 else 1
+
+    acc = Echelon(field, dm * dn)
+
+    def feed(g: dict) -> None:
+        g = field_clean(field, g)
+        if g:
+            acc.insert(g)
+
+    nm = [act_nm.act_basis(j, i) for (i, j) in pairs]  # n.m in M
+    mn = [act_mn.act_basis(i, j) for (i, j) in pairs]  # m.n in N
+    par = [pm[i] + pn[j] for (i, j) in pairs]
+    sig = [pm[i] * pn[j] for (i, j) in pairs]
+
+    if "i" in families:
+        for i in range(dm):
+            for i2 in range(dm):
+                for j in range(dn):
+                    g = ten(M.bracket_basis(i, i2), {j: 1})
+                    add(g, -1, ten({i: 1}, act_mn.act_basis(i2, j)))
+                    add(g, sign(pm[i] * pm[i2]), ten({i2: 1}, act_mn.act_basis(i, j)))
+                    feed(g)
+    if "ii" in families:
+        for i in range(dm):
+            for j in range(dn):
+                for j2 in range(dn):
+                    g = ten({i: 1}, N.bracket_basis(j, j2))
+                    add(g, -sign(pn[j2] * (pm[i] + pn[j])), ten(act_nm.act_basis(j2, i), {j: 1}))
+                    add(g, sign(pm[i] * pn[j]), ten(act_nm.act_basis(j, i), {j2: 1}))
+                    feed(g)
+    if "iii" in families:
+        for t, (i, j) in enumerate(pairs):
+            if pm[i] == pn[j]:
+                feed(ten(nm[t], mn[t]))
+    if "iv" in families:
+        for t1 in range(npairs):
+            for t2 in range(npairs):
+                g = {}
+                add(g, sign(sig[t1]), ten(nm[t1], mn[t2]))
+                add(g, sign(par[t1] * par[t2] + sig[t2]), ten(nm[t2], mn[t1]))
+                feed(g)
+    if "v" in families:
+        # the generator is invariant under rotating the triple, so one
+        # rotation of each triple suffices; it vanishes unless every pair
+        # acts in some direction
+        live = [t for t in range(npairs) if nm[t] or mn[t]]
+        for k, t1 in enumerate(live):
+            for t2 in live[k:]:
+                for t3 in live[k:]:
+                    if (t1, t2, t3) > (t2, t3, t1) or (t1, t2, t3) > (t3, t1, t2):
+                        continue
+                    g = {}
+                    for a, b, c in ((t1, t2, t3), (t2, t3, t1), (t3, t1, t2)):
+                        if nm[a] and nm[b] and mn[c]:
+                            add(g, sign(par[a] * par[c] + sig[a] + sig[b]),
+                                ten(M.bracket(nm[a], nm[b]), mn[c]))
+                    feed(g)
+    return acc.subspace()

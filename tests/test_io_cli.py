@@ -309,3 +309,25 @@ def test_reports_round_trip_quotients(tmp_path):
     back = load_algebra(p)
     assert check_lie_axioms(back).ok
     assert algebra_to_json(back) == algebra_to_json(q)
+
+
+def test_cli_negative_degree_is_input_error():
+    r = run_cli("homology", "@heis", "-n", "-1")
+    assert r.returncode == 2
+    assert "--degree" in r.stderr
+    assert "Traceback" not in r.stderr
+    assert r.stdout == ""
+
+
+def test_cli_hopf_truncation_limits_are_input_errors(tmp_path):
+    r = run_cli("homology", "@heis", "--hopf", "@heis_pres", "--class", "9")
+    assert r.returncode == 2
+    assert "class bound 9" in r.stderr
+    assert "Traceback" not in r.stderr
+    five = {"name": "five", "generators": [[f"g{i}", 0] for i in range(5)], "relators": []}
+    p = tmp_path / "five.json"
+    p.write_text(json.dumps(five), encoding="utf-8")
+    r = run_cli("homology", "@heis", "--hopf", str(p))
+    assert r.returncode == 2
+    assert "5 generators given" in r.stderr
+    assert "Traceback" not in r.stderr

@@ -11,6 +11,7 @@ from superlie.linalg import (
     Matrix,
     Subquotient,
     Subspace,
+    vec_axpy,
 )
 
 F5 = Field(5)
@@ -230,16 +231,34 @@ def test_lift_reduce_differs_by_bottom(m):
         assert ker.contains_vec(diff)
 
 
-@settings(max_examples=40, deadline=None)
-@given(matrices_q())
-def test_echelon_membership_matches_reduction(m):
-    acc = Echelon(QQ, m.ncols)
+@st.composite
+def spans_and_probes(draw):
+    """A field, rows spanning a subspace, and probe vectors: combinations of
+    the rows (inside the span) and arbitrary vectors (mostly outside)."""
+    field = draw(st.sampled_from([QQ, F5]))
+    m = _matrix_strategy(draw, field)
     rows = m.row_list()
+    probes = []
+    for _ in range(draw(st.integers(min_value=0, max_value=3))):
+        v: dict = {}
+        for r in rows:
+            vec_axpy(v, draw(small_scalar), r)
+        probes.append(v)
+    for _ in range(draw(st.integers(min_value=0, max_value=3))):
+        probes.append({j: c for j in range(m.ncols) if (c := draw(small_scalar))})
+    return field, m.ncols, rows, probes
+
+
+@settings(max_examples=80, deadline=None)
+@given(spans_and_probes())
+def test_echelon_membership_matches_reduction(case):
+    field, ambient, rows, probes = case
+    acc = Echelon(field, ambient)
     for r in rows:
         acc.insert(r)
     sub = acc.subspace()
     for r in rows:
         assert acc.contains(r)
         assert sub.contains_vec(r)
-    probe = {j: 1 for j in range(m.ncols)}
-    assert acc.contains(probe) == sub.contains_vec(probe)
+    for v in probes + [{j: 1 for j in range(ambient)}]:
+        assert acc.contains(v) == sub.contains_vec(v)
