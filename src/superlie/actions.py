@@ -21,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dfield
 
 from .algebras import (
+    MAX_VIOLATIONS,
     AxiomReport,
     LieSuperAlgebra,
     Violation,
@@ -66,9 +67,7 @@ class Action:
                 b = self.act_basis(p, m)
                 if b:
                     vec_axpy(out, c, b)
-        if self.field.p is not None:
-            out = {k: d % self.field.p for k, d in out.items() if d % self.field.p}
-        return out
+        return self.field.clean(out)
 
     def is_trivial(self) -> bool:
         return not self.table
@@ -111,7 +110,7 @@ def subspace_bracket_action(L: LieSuperAlgebra, actor_view, target_view) -> Acti
     return Action(actor_view.algebra, target_view.algebra, table, name="bracket")
 
 
-def check_action(a: Action, max_violations: int = 16) -> AxiomReport:
+def check_action(a: Action) -> AxiomReport:
     violations: list[Violation] = []
     P, M = a.actor, a.target
     pp, pm = P.space.parities, M.space.parities
@@ -127,12 +126,10 @@ def check_action(a: Action, max_violations: int = 16) -> AxiomReport:
                 lhs = a.act(P.bracket_basis(p, q), {m: 1})
                 rhs = a.act({p: 1}, a.act_basis(q, m))
                 vec_axpy(rhs, -sgn, a.act({q: 1}, a.act_basis(p, m)))
-                defect = vec_sub(lhs, rhs)
-                if a.field.p is not None:
-                    defect = {k: c % a.field.p for k, c in defect.items() if c % a.field.p}
-                if vec_clean(defect):
+                defect = a.field.clean(vec_sub(lhs, rhs))
+                if defect:
                     violations.append(Violation("action-i", (p, q, m), defect))
-                    if len(violations) >= max_violations:
+                    if len(violations) >= MAX_VIOLATIONS:
                         return AxiomReport(False, violations)
     for p in range(P.dim):
         for m in range(M.dim):
@@ -141,17 +138,15 @@ def check_action(a: Action, max_violations: int = 16) -> AxiomReport:
                 lhs = a.act({p: 1}, M.bracket_basis(m, m2))
                 rhs = M.bracket(a.act_basis(p, m), {m2: 1})
                 vec_axpy(rhs, sgn, M.bracket({m: 1}, a.act_basis(p, m2)))
-                defect = vec_sub(lhs, rhs)
-                if a.field.p is not None:
-                    defect = {k: c % a.field.p for k, c in defect.items() if c % a.field.p}
-                if vec_clean(defect):
+                defect = a.field.clean(vec_sub(lhs, rhs))
+                if defect:
                     violations.append(Violation("action-ii", (p, m, m2), defect))
-                    if len(violations) >= max_violations:
+                    if len(violations) >= MAX_VIOLATIONS:
                         return AxiomReport(False, violations)
     return AxiomReport(not violations, violations)
 
 
-def check_compatible(a_mn: Action, a_nm: Action, max_violations: int = 16) -> AxiomReport:
+def check_compatible(a_mn: Action, a_nm: Action) -> AxiomReport:
     """Compatibility of mutual actions: a_mn is the action of M on N and
     a_nm the action of N on M."""
     M, N = a_mn.actor, a_mn.target
@@ -167,22 +162,18 @@ def check_compatible(a_mn: Action, a_nm: Action, max_violations: int = 16) -> Ax
             for n2 in range(N.dim):
                 lhs = a_mn.act(nm, {n2: 1})
                 rhs = vec_scale(N.bracket(mn, {n2: 1}), -sgn)
-                defect = vec_sub(lhs, rhs)
-                if M.field.p is not None:
-                    defect = {k: c % M.field.p for k, c in defect.items() if c % M.field.p}
-                if vec_clean(defect):
+                defect = M.field.clean(vec_sub(lhs, rhs))
+                if defect:
                     violations.append(Violation("compat-i", (m, n, n2), defect))
-                    if len(violations) >= max_violations:
+                    if len(violations) >= MAX_VIOLATIONS:
                         return AxiomReport(False, violations)
             for m2 in range(M.dim):
                 lhs = a_nm.act(mn, {m2: 1})
                 rhs = vec_scale(M.bracket(nm, {m2: 1}), -sgn)
-                defect = vec_sub(lhs, rhs)
-                if M.field.p is not None:
-                    defect = {k: c % M.field.p for k, c in defect.items() if c % M.field.p}
-                if vec_clean(defect):
+                defect = M.field.clean(vec_sub(lhs, rhs))
+                if defect:
                     violations.append(Violation("compat-ii", (m, n, m2), defect))
-                    if len(violations) >= max_violations:
+                    if len(violations) >= MAX_VIOLATIONS:
                         return AxiomReport(False, violations)
     return AxiomReport(not violations, violations)
 
@@ -243,7 +234,7 @@ class CrossedReport:
         return self.ok
 
 
-def check_crossed(c: CrossedModule, max_violations: int = 16) -> CrossedReport:
+def check_crossed(c: CrossedModule) -> CrossedReport:
     """Certify the crossed module axioms together with their structural
     consequences: the kernel of the boundary is central, its image is a
     graded ideal, and the kernel carries a well-defined module structure
@@ -251,7 +242,7 @@ def check_crossed(c: CrossedModule, max_violations: int = 16) -> CrossedReport:
     violations: list[Violation] = []
     M, P, d, act = c.m, c.p, c.boundary, c.action
 
-    rep = check_action(act, max_violations)
+    rep = check_action(act)
     violations.extend(rep.violations)
 
     # boundary is a Lie homomorphism
@@ -259,29 +250,23 @@ def check_crossed(c: CrossedModule, max_violations: int = 16) -> CrossedReport:
         for j in range(M.dim):
             lhs = d.apply(M.bracket_basis(i, j))
             rhs = P.bracket(d.apply({i: 1}), d.apply({j: 1}))
-            defect = vec_sub(lhs, rhs)
-            if M.field.p is not None:
-                defect = {k: v % M.field.p for k, v in defect.items() if v % M.field.p}
-            if vec_clean(defect):
+            defect = M.field.clean(vec_sub(lhs, rhs))
+            if defect:
                 violations.append(Violation("boundary-hom", (i, j), defect))
     # (i) equivariance, (ii) Peiffer
     for p in range(P.dim):
         for m in range(M.dim):
             lhs = d.apply(act.act_basis(p, m))
             rhs = P.bracket({p: 1}, d.apply({m: 1}))
-            defect = vec_sub(lhs, rhs)
-            if M.field.p is not None:
-                defect = {k: v % M.field.p for k, v in defect.items() if v % M.field.p}
-            if vec_clean(defect):
+            defect = M.field.clean(vec_sub(lhs, rhs))
+            if defect:
                 violations.append(Violation("equivariance", (p, m), defect))
     for m in range(M.dim):
         for m2 in range(M.dim):
             lhs = act.act(d.apply({m: 1}), {m2: 1})
             rhs = M.bracket_basis(m, m2)
-            defect = vec_sub(lhs, rhs)
-            if M.field.p is not None:
-                defect = {k: v % M.field.p for k, v in defect.items() if v % M.field.p}
-            if vec_clean(defect):
+            defect = M.field.clean(vec_sub(lhs, rhs))
+            if defect:
                 violations.append(Violation("peiffer", (m, m2), defect))
 
     if violations:

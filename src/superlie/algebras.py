@@ -26,6 +26,10 @@ from .linalg import (
 from .spaces import GradedMap, SuperSpace, superspace
 
 
+MAX_VIOLATIONS = 16
+"""Axiom checkers stop after this many violations."""
+
+
 class SizeError(ValueError):
     """A matrix-algebra size constraint fails."""
 
@@ -109,9 +113,7 @@ class LieSuperAlgebra:
                 b = self.bracket_basis(i, j)
                 if b:
                     vec_axpy(out, c, b)
-        if self.field.p is not None:
-            out = {k: d % self.field.p for k, d in out.items() if d % self.field.p}
-        return out
+        return self.field.clean(out)
 
     def ad(self, i: int) -> Matrix:
         if self._ad_cache is None:
@@ -120,12 +122,6 @@ class LieSuperAlgebra:
                 for a in range(self.dim)
             ]
         return self._ad_cache[i]
-
-    def ad_vec(self, v: dict) -> Matrix:
-        m = Matrix.zero(self.field, self.dim, self.dim)
-        for i, c in v.items():
-            m = m.add(self.ad(i).scale(c))
-        return m
 
     # -- subspace machinery ---------------------------------------------
 
@@ -154,7 +150,7 @@ class LieSuperAlgebra:
         return not self.table
 
 
-def check_lie_axioms(L: LieSuperAlgebra, max_violations: int = 16) -> AxiomReport:
+def check_lie_axioms(L: LieSuperAlgebra) -> AxiomReport:
     """Certify parity consistency, graded antisymmetry (structural), the
     vanishing of [x, x] for general even x, and the graded Jacobi identity
     on all basis triples."""
@@ -184,12 +180,10 @@ def check_lie_axioms(L: LieSuperAlgebra, max_violations: int = 16) -> AxiomRepor
                 lhs = L.bracket({i: 1}, L.bracket_basis(j, k))
                 rhs = L.bracket(L.bracket_basis(i, j), {k: 1})
                 vec_axpy(rhs, sgn, L.bracket({j: 1}, L.bracket_basis(i, k)))
-                defect = vec_sub(lhs, rhs)
-                if L.field.p is not None:
-                    defect = {a: c % L.field.p for a, c in defect.items() if c % L.field.p}
-                if vec_clean(defect):
+                defect = L.field.clean(vec_sub(lhs, rhs))
+                if defect:
                     violations.append(Violation("jacobi", (i, j, k), defect))
-                    if len(violations) >= max_violations:
+                    if len(violations) >= MAX_VIOLATIONS:
                         return AxiomReport(False, violations)
     return AxiomReport(not violations, violations)
 
@@ -229,9 +223,7 @@ class AssocSuperAlgebra:
                 b = self.product_basis(i, j)
                 if b:
                     vec_axpy(out, c, b)
-        if self.field.p is not None:
-            out = {k: d % self.field.p for k, d in out.items() if d % self.field.p}
-        return out
+        return self.field.clean(out)
 
     def is_supercommutative(self) -> bool:
         par = self.space.parities
@@ -239,14 +231,12 @@ class AssocSuperAlgebra:
             for j in range(self.dim):
                 sgn = -1 if par[i] * par[j] else 1
                 d = vec_sub(self.product_basis(i, j), vec_scale(self.product_basis(j, i), sgn))
-                if self.field.p is not None:
-                    d = {k: c % self.field.p for k, c in d.items() if c % self.field.p}
-                if vec_clean(d):
+                if self.field.clean(d):
                     return False
         return True
 
 
-def check_assoc_axioms(A: AssocSuperAlgebra, max_violations: int = 16) -> AxiomReport:
+def check_assoc_axioms(A: AssocSuperAlgebra) -> AxiomReport:
     violations: list[Violation] = []
     par = A.space.parities
     for (i, j), v in A.table.items():
@@ -259,22 +249,18 @@ def check_assoc_axioms(A: AssocSuperAlgebra, max_violations: int = 16) -> AxiomR
             for k in range(A.dim):
                 lhs = A.product(A.product_basis(i, j), {k: 1})
                 rhs = A.product({i: 1}, A.product_basis(j, k))
-                defect = vec_sub(lhs, rhs)
-                if A.field.p is not None:
-                    defect = {a: c % A.field.p for a, c in defect.items() if c % A.field.p}
-                if vec_clean(defect):
+                defect = A.field.clean(vec_sub(lhs, rhs))
+                if defect:
                     violations.append(Violation("assoc", (i, j, k), defect))
-                    if len(violations) >= max_violations:
+                    if len(violations) >= MAX_VIOLATIONS:
                         return AxiomReport(False, violations)
     if A.unit is not None:
         for i in range(A.dim):
             left = A.product(A.unit, {i: 1})
             right = A.product({i: 1}, A.unit)
             for got, side in ((left, "unit-left"), (right, "unit-right")):
-                defect = vec_sub(got, {i: 1})
-                if A.field.p is not None:
-                    defect = {a: c % A.field.p for a, c in defect.items() if c % A.field.p}
-                if vec_clean(defect):
+                defect = A.field.clean(vec_sub(got, {i: 1}))
+                if defect:
                     violations.append(Violation(side, (i,), defect))
     return AxiomReport(not violations, violations)
 
@@ -424,14 +410,6 @@ class SeriesReport:
     derived_length: int | None
     is_perfect: bool
 
-    @property
-    def is_nilpotent(self) -> bool:
-        return self.nil_class is not None
-
-    @property
-    def is_solvable(self) -> bool:
-        return self.derived_length is not None
-
 
 def series(L: LieSuperAlgebra) -> SeriesReport:
     full = L.full_subspace()
@@ -547,26 +525,91 @@ def subalgebra_on(L: LieSuperAlgebra, S: Subspace, name: str = "") -> AlgebraVie
     return AlgebraView(alg, incl, S)
 
 
-def quotient_algebra(L: LieSuperAlgebra, I: Subspace, name: str = "") -> tuple[LieSuperAlgebra, GradedMap]:
+@dataclass
+class QuotientSpace:
+    """A subquotient top/bottom of a space, with a labeled basis on its section."""
+
+    space: SuperSpace
+    sq: Subquotient
+    parent: SuperSpace
+
+    @property
+    def dims(self) -> tuple[int, int]:
+        return self.space.dim_pair
+
+    @property
+    def section(self) -> list[dict]:
+        return self.sq.section
+
+    def reduce(self, v: dict) -> dict:
+        return vec_clean(dict(enumerate(self.sq.reduce(v))))
+
+    def lift(self, v: dict) -> dict:
+        return self.sq.lift(v)
+
+
+def quotient_space(parent: SuperSpace, top: Subspace, bottom: Subspace,
+                   prefix: str) -> QuotientSpace:
+    """top/bottom with basis labels ``{prefix}{k}:{leading label}``."""
+    sq = Subquotient(top, bottom)
+    labels = tuple(f"{prefix}{k}:{parent.labels[min(s)]}" for k, s in enumerate(sq.section))
+    parities = []
+    for s in sq.section:
+        par = parent.parity_of_vec(s)
+        if par is None:
+            raise NotAnIdeal("section is not parity homogeneous")
+        parities.append(par)
+    return QuotientSpace(SuperSpace(parent.field, labels, tuple(parities)), sq, parent)
+
+
+class Projection(GradedMap):
+    """The projection of a space onto a quotient of all of it; keeps the quotient."""
+
+    __slots__ = ("quotient",)
+
+    def __init__(self, quotient: QuotientSpace):
+        cols = [quotient.reduce({i: 1}) for i in range(quotient.parent.dim)]
+        super().__init__(quotient.parent, quotient.space, 0,
+                         Matrix(quotient.parent.field, quotient.space.dim, cols))
+        self.quotient = quotient
+
+
+def quotient_table(q: QuotientSpace, bracket) -> dict[tuple[int, int], dict]:
+    """Structure constants on the section basis of q of a bracket of the
+    parent that preserves the bottom of q."""
+    section, parities = q.section, q.space.parities
+    table: dict[tuple[int, int], dict] = {}
+    for a, u in enumerate(section):
+        for b in range(a, len(section)):
+            if a == b and parities[a] == 0:
+                continue
+            v = q.reduce(bracket(u, section[b]))
+            if v:
+                table[(a, b)] = v
+    return table
+
+
+def induced_action_table(q: QuotientSpace, actor_dim: int, act) -> dict[tuple[int, int], dict]:
+    """Action constants on the section basis of q of ``act(a, v)``, the
+    action of basis element a on parent vectors, which preserves the bottom."""
+    table: dict[tuple[int, int], dict] = {}
+    for k, s in enumerate(q.section):
+        for a in range(actor_dim):
+            v = q.reduce(act(a, s))
+            if v:
+                table[(a, k)] = v
+    return table
+
+
+def quotient_algebra(L: LieSuperAlgebra, I: Subspace, name: str = "") -> tuple[LieSuperAlgebra, Projection]:
     """Quotient by a graded ideal, with the projection as a graded map."""
     if not is_graded_ideal(L, I):
         raise NotAnIdeal("quotient requires a graded ideal")
     sq = Subquotient(L.full_subspace(), I)
-    basis = _view_labels(L.space, sq.section, "[{}]")
-    sp = superspace(L.field, basis)
-    table: dict[tuple[int, int], dict] = {}
-    for a in range(sq.dim):
-        for b in range(a, sq.dim):
-            if a == b and sp.parities[a] == 0:
-                continue
-            prod = L.bracket(sq.section[a], sq.section[b])
-            v = vec_clean(dict(enumerate(sq.reduce(prod))))
-            if v:
-                table[(a, b)] = v
-    alg = LieSuperAlgebra(sp, table, name=name or (L.name and f"{L.name}/I"))
-    cols = [vec_clean(dict(enumerate(sq.reduce({i: 1})))) for i in range(L.dim)]
-    proj = GradedMap.from_columns(L.space, sp, cols)
-    return alg, proj
+    q = QuotientSpace(superspace(L.field, _view_labels(L.space, sq.section, "[{}]")), sq, L.space)
+    alg = LieSuperAlgebra(q.space, quotient_table(q, L.bracket),
+                          name=name or (L.name and f"{L.name}/I"))
+    return alg, Projection(q)
 
 
 def abelianization(L: LieSuperAlgebra) -> tuple[LieSuperAlgebra, GradedMap]:

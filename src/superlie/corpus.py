@@ -75,14 +75,6 @@ LIE_NAMES = ("abelian10", "abelian01", "abelian11", "abelian21",
 ASSOC_NAMES = ("q", "dual", "grassmann", "m11")
 
 
-def all_lie() -> list[LieSuperAlgebra]:
-    return [lie_algebra(n) for n in LIE_NAMES]
-
-
-def all_assoc() -> list[AssocSuperAlgebra]:
-    return [assoc_algebra(n) for n in ASSOC_NAMES]
-
-
 def write_bundle(directory) -> list[str]:
     """Materialize the corpus as JSON files: all algebras, the adjoint
     action files, a crossed module example, and two presentations."""

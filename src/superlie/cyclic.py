@@ -22,18 +22,20 @@ from .actions import Action, CrossedModule, check_crossed
 from .algebras import (
     AssocSuperAlgebra,
     LieSuperAlgebra,
+    QuotientSpace,
     check_lie_axioms,
+    induced_action_table,
     lie_from_assoc,
+    quotient_space,
+    quotient_table,
     subalgebra_on,
 )
 from .homology import (
     ComplexInconsistent,
     CrossedSES,
     HomologyResult,
-    QuotientSpace,
     SixTermReport,
     nh,
-    quotient_space,
     snake_sequence,
     sub_space,
 )
@@ -41,11 +43,11 @@ from .linalg import (
     Echelon,
     Subquotient,
     Subspace,
-    field_clean,
     vec_axpy,
     vec_clean,
+    vec_sub,
 )
-from .spaces import GradedMap, SuperSpace, tensor_power_space
+from .spaces import GradedMap, SuperSpace, tensor_power_space, tensor_vec
 
 
 class NotUnital(ValueError):
@@ -129,9 +131,7 @@ def connes(A: AssocSuperAlgebra, max_n: int = 2) -> ConnesComplex:
                 for k in (e,) + t[1:n]:
                     idx = idx * d + k
                 out[idx] = out.get(idx, 0) + sgn * c
-        if field.p is not None:
-            out = {k: c % field.p for k, c in out.items() if c % field.p}
-        return vec_clean(out)
+        return field.clean(out)
 
     boundaries: list[GradedMap | None] = [None]
     for n in range(1, max_n + 1):
@@ -278,7 +278,7 @@ def hc1_kernel_model(A: AssocSuperAlgebra) -> HC1KernelModel:
         for idx, c in v.items():
             a, b = divmod(idx, d)
             vec_axpy(out, c, lie.bracket_basis(a, b))
-        return field_clean(field, out)
+        return field.clean(out)
 
     # the map must kill I(A)
     for r in ideal.rows:
@@ -335,15 +335,6 @@ def v_algebra(A: AssocSuperAlgebra) -> VAlgebra:
     ideal = relation_ideal(A)
     quot = quotient_space(sp, Subspace.full(field, sp.dim), ideal, "v")
 
-    def ten(u: dict, v: dict) -> dict:
-        out = {}
-        for i, ci in u.items():
-            for j, cj in v.items():
-                c = ci * cj
-                if c != 0:
-                    out[i * d + j] = out.get(i * d + j, 0) + c
-        return out
-
     def bracket_plain(u: dict, v: dict) -> dict:
         out: dict = {}
         for i1, c1 in u.items():
@@ -355,7 +346,7 @@ def v_algebra(A: AssocSuperAlgebra) -> VAlgebra:
                 x, y = divmod(i2, d)
                 right = lie.bracket_basis(x, y)
                 if right:
-                    vec_axpy(out, c1 * c2, ten(left, right))
+                    vec_axpy(out, c1 * c2, tensor_vec(A.space, A.space, left, right))
         return out
 
     # the bracket must preserve I(A) in both slots
@@ -364,24 +355,16 @@ def v_algebra(A: AssocSuperAlgebra) -> VAlgebra:
             if quot.reduce(bracket_plain(r, {k: 1})) or quot.reduce(bracket_plain({k: 1}, r)):
                 raise ComplexInconsistent("the bracket of V(A) does not preserve I(A)")
 
-    qdim = quot.space.dim
-    table: dict[tuple[int, int], dict] = {}
-    for i in range(qdim):
-        for j in range(i, qdim):
-            if i == j and quot.space.parities[i] == 0:
-                continue
-            v = quot.reduce(bracket_plain(quot.lift({i: 1}), quot.lift({j: 1})))
-            if v:
-                table[(i, j)] = v
-    algebra = LieSuperAlgebra(quot.space, table, name=f"V({A.name or 'A'})")
+    algebra = LieSuperAlgebra(quot.space, quotient_table(quot, bracket_plain),
+                              name=f"V({A.name or 'A'})")
     rep = check_lie_axioms(algebra)
     if not rep.ok:
         raise ComplexInconsistent(f"V(A) fails the Lie axioms: {rep.violations[:3]}")
 
     cols = []
-    for k in range(qdim):
+    for s in quot.section:
         out: dict = {}
-        for idx, c in quot.lift({k: 1}).items():
+        for idx, c in s.items():
             a, b = divmod(idx, d)
             vec_axpy(out, c, lie.bracket_basis(a, b))
         cols.append(vec_clean(out))
@@ -390,25 +373,22 @@ def v_algebra(A: AssocSuperAlgebra) -> VAlgebra:
     # action of A on V(A): a.(x (x) y) = [a,x] (x) y + (-1)^{|a||x|} x (x) [a,y],
     # certified to coincide with a (x) [x,y] on the quotient
     par = A.space.parities
-    act_table: dict[tuple[int, int], dict] = {}
-    for p in range(d):
-        for k in range(qdim):
-            out = {}
-            direct = {}
-            for idx, c in quot.lift({k: 1}).items():
-                x, y = divmod(idx, d)
-                g = ten(lie.bracket_basis(p, x), {y: 1})
-                s = -1 if par[p] * par[x] else 1
-                vec_axpy(g, s, ten({x: 1}, lie.bracket_basis(p, y)))
-                vec_axpy(out, c, g)
-                vec_axpy(direct, c, ten({p: 1}, lie.bracket_basis(x, y)))
-            v = quot.reduce(out)
-            if quot.reduce({k2: out.get(k2, 0) - direct.get(k2, 0)
-                            for k2 in set(out) | set(direct)}):
-                raise ComplexInconsistent("the action of A on V(A) has two unequal forms")
-            if v:
-                act_table[(p, k)] = v
-    action_a = Action(lie, algebra, act_table, name="on-V")
+
+    def act(p: int, v: dict) -> dict:
+        out: dict = {}
+        direct: dict = {}
+        for idx, c in v.items():
+            x, y = divmod(idx, d)
+            g = tensor_vec(A.space, A.space, lie.bracket_basis(p, x), {y: 1})
+            s = -1 if par[p] * par[x] else 1
+            vec_axpy(g, s, tensor_vec(A.space, A.space, {x: 1}, lie.bracket_basis(p, y)))
+            vec_axpy(out, c, g)
+            vec_axpy(direct, c, tensor_vec(A.space, A.space, {p: 1}, lie.bracket_basis(x, y)))
+        if quot.reduce(vec_sub(out, direct)):
+            raise ComplexInconsistent("the action of A on V(A) has two unequal forms")
+        return out
+
+    action_a = Action(lie, algebra, induced_action_table(quot, d, act), name="on-V")
     crossed = CrossedModule(algebra, lie, to_a, action_a, name="V(A)")
     crep = check_crossed(crossed)
     if not crep.ok:
@@ -514,38 +494,6 @@ def hc0_direct(A: AssocSuperAlgebra) -> tuple[int, int]:
     comm = commutator_subspace(A)
     q = quotient_space(A.space, Subspace.full(A.field, A.dim), comm, "h0.")
     return q.dims
-
-
-@dataclass
-class PerfectCorollaryReport:
-    applicable: bool
-    ok: bool | None
-    dims: dict
-
-
-def perfect_corollary(A: AssocSuperAlgebra) -> PerfectCorollaryReport:
-    """For A perfect as a Lie superalgebra, certify the short exact sequence
-
-        0 -> nh1(A, V(A)) -> H2(A) -> HC1(A) -> 0.
-
-    None of the bundled unital examples is perfect as a Lie superalgebra,
-    so this check only runs on qualifying user-supplied algebras."""
-    from .algebras import series
-    from .homology import homology
-
-    lie = lie_from_assoc(A)
-    if not series(lie).is_perfect:
-        return PerfectCorollaryReport(False, None, {})
-    va = v_algebra(A)
-    r_v = nh(lie, va.crossed)
-    h2 = homology(lie, None, 2)
-    km = hc1_kernel_model(A)
-    dims = {"nh1(A,V(A))": r_v.nh1.dims, "H2(A)": h2.dims, "HC1(A)": km.dims}
-    ok = (r_v.nh1.dims[0] + km.dims[0] == h2.dims[0]
-          and r_v.nh1.dims[1] + km.dims[1] == h2.dims[1])
-    st = cyclic_sixterm(A)
-    ok = ok and st.ok and st.report.dims[0] == (0, 0)
-    return PerfectCorollaryReport(True, ok, dims)
 
 
 # standard small associative superalgebras

@@ -4,7 +4,8 @@ Scalars are plain Python objects: ``fractions.Fraction`` (or ``int``) over
 the rationals, canonical residues ``0..p-1`` over a prime field.  A
 :class:`Field` value carries the choice and provides parsing, formatting
 and the few operations that are not just ``+``/``*`` on the scalars
-themselves (inversion, canonicalization).
+themselves (inversion, canonicalization of scalars and of sparse
+vectors).
 """
 
 from __future__ import annotations
@@ -42,10 +43,6 @@ class Field:
                 raise FieldError(f"modulus {self.p} is not prime")
             if self.p == 2:
                 raise FieldError("characteristic 2 is not supported")
-
-    @property
-    def is_rational(self) -> bool:
-        return self.p is None
 
     def __str__(self) -> str:
         return "Q" if self.p is None else f"F{self.p}"
@@ -94,6 +91,13 @@ class Field:
 
     def is_zero(self, a) -> bool:
         return a == 0 if self.p is None else a % self.p == 0
+
+    def clean(self, v: dict) -> dict:
+        """A sparse vector in normal form: scalars reduced, zero entries dropped."""
+        if self.p is None:
+            return {k: c for k, c in v.items() if c}
+        p = self.p
+        return {k: c % p for k, c in v.items() if c % p}
 
     # -- string round trip --------------------------------------------
 

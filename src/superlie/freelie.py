@@ -172,10 +172,6 @@ class FreeTruncation:
     def degree_offset(self, k: int) -> int:
         return sum(self.components[d].dim for d in range(1, k))
 
-    @property
-    def total_dim(self) -> int:
-        return self.degree_offset(self.max_degree + 1)
-
     def algebra(self) -> LieSuperAlgebra:
         """The free nilpotent quotient of class max_degree (memoized)."""
         if self._algebra is not None:

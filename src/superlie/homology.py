@@ -18,13 +18,16 @@ from dataclasses import dataclass
 
 from .actions import Action, CrossedModule, identity_crossed, ideal_crossed
 from .algebras import (
+    MAX_VIOLATIONS,
     AxiomReport,
     LieSuperAlgebra,
     NotAnIdeal,
+    QuotientSpace,
     Violation,
     ideal_closure,
     is_graded_ideal,
     quotient_algebra,
+    quotient_space,
     subalgebra_on,
 )
 from .fields import Field
@@ -40,6 +43,7 @@ from .linalg import (
     Subspace,
     vec_axpy,
     vec_clean,
+    vec_sub,
 )
 from .spaces import (
     GradedMap,
@@ -101,9 +105,7 @@ class Supermodule:
                 b = self.act_basis(p, m)
                 if b:
                     vec_axpy(out, c, b)
-        if self.field.p is not None:
-            out = {k: d % self.field.p for k, d in out.items() if d % self.field.p}
-        return out
+        return self.field.clean(out)
 
     def as_abelian_algebra(self, prefix: str = "") -> LieSuperAlgebra:
         sp = self.space
@@ -111,11 +113,8 @@ class Supermodule:
             sp = SuperSpace(sp.field, tuple(prefix + l for l in sp.labels), sp.parities)
         return LieSuperAlgebra(sp, {}, name=self.name or "module")
 
-    def as_action(self, target: LieSuperAlgebra) -> Action:
-        return Action(self.p, target, dict(self.table), name=self.name or "module")
 
-
-def check_supermodule(m: Supermodule, max_violations: int = 16) -> AxiomReport:
+def check_supermodule(m: Supermodule) -> AxiomReport:
     violations: list[Violation] = []
     P = m.p
     pp = P.space.parities
@@ -132,12 +131,10 @@ def check_supermodule(m: Supermodule, max_violations: int = 16) -> AxiomReport:
                 lhs = m.act(P.bracket_basis(p, q), {i: 1})
                 rhs = m.act({p: 1}, m.act_basis(q, i))
                 vec_axpy(rhs, -sgn, m.act({q: 1}, m.act_basis(p, i)))
-                defect = {k: lhs.get(k, 0) - rhs.get(k, 0) for k in set(lhs) | set(rhs)}
-                if m.field.p is not None:
-                    defect = {k: c % m.field.p for k, c in defect.items()}
-                if vec_clean(defect):
+                defect = m.field.clean(vec_sub(lhs, rhs))
+                if defect:
                     violations.append(Violation("module-axiom", (p, q, i), defect))
-                    if len(violations) >= max_violations:
+                    if len(violations) >= MAX_VIOLATIONS:
                         return AxiomReport(False, violations)
     return AxiomReport(not violations, violations)
 
@@ -236,9 +233,7 @@ def ce_complex(P: LieSuperAlgebra, M: Supermodule, max_n: int = DEFAULT_MAX_DEGR
                                 continue
                             key = index_of[n - 1][mono.factors] * dm + t
                             col[key] = col.get(key, 0) + s * s2 * c
-                if field.p is not None:
-                    col = {k: c % field.p for k, c in col.items() if c % field.p}
-                cols.append(vec_clean(col))
+                cols.append(field.clean(col))
         boundaries.append(GradedMap.from_columns(spaces[n], spaces[n - 1], cols))
 
     for n in range(2, max_n + 1):
@@ -282,38 +277,6 @@ def homology(P: LieSuperAlgebra, M: Supermodule | None, n: int,
 
 # ---------------------------------------------------------------------------
 # labeled subquotient spaces and maps between them (sequence plumbing)
-
-
-@dataclass
-class QuotientSpace:
-    """An ambient quotient (or sub-then-quotient) with a labeled basis."""
-
-    space: SuperSpace
-    sq: Subquotient
-    parent: SuperSpace
-
-    @property
-    def dims(self) -> tuple[int, int]:
-        return self.space.dim_pair
-
-    def reduce(self, v: dict) -> dict:
-        return vec_clean(dict(enumerate(self.sq.reduce(v))))
-
-    def lift(self, v: dict) -> dict:
-        return self.sq.lift(v)
-
-
-def quotient_space(parent: SuperSpace, top: Subspace, bottom: Subspace,
-                   prefix: str) -> QuotientSpace:
-    sq = Subquotient(top, bottom)
-    labels = tuple(f"{prefix}{k}:{parent.labels[min(s)]}" for k, s in enumerate(sq.section))
-    parities = []
-    for s in sq.section:
-        par = parent.parity_of_vec(s)
-        if par is None:
-            raise NotAnIdeal("section is not parity homogeneous")
-        parities.append(par)
-    return QuotientSpace(SuperSpace(parent.field, labels, tuple(parities)), sq, parent)
 
 
 def sub_space(parent: SuperSpace, rows: Subspace, prefix: str) -> QuotientSpace:
@@ -436,14 +399,13 @@ def d3_lemma_check(P: LieSuperAlgebra) -> D3LemmaReport:
 
     # canonical map: the class of x^y goes to the class of x(x)y
     t = ext.tensor
-    esq = Subquotient(Subspace.full(P.field, t.algebra.dim), ext.square)
 
     def to_exterior(v: dict) -> dict:
         out: dict = {}
         for a, c in v.items():
             i, j = monos2[a].factors
             vec_axpy(out, c, t.embed(i, j))
-        return vec_clean(dict(enumerate(esq.reduce(out))))
+        return ext.projection.apply(out)
 
     cols = [to_exterior(lhs.lift({i: 1})) for i in range(lhs.space.dim)]
     phi = GradedMap.from_columns(lhs.space, ext.algebra.space, cols)
@@ -456,10 +418,7 @@ def d3_lemma_check(P: LieSuperAlgebra) -> D3LemmaReport:
             v = lhs.lift({b: 1})
             lhs_br = phi.apply(lhs.reduce(bracket2(u, v)))
             rhs_br = ext.algebra.bracket(phi.apply({a: 1}), phi.apply({b: 1}))
-            defect = {k: lhs_br.get(k, 0) - rhs_br.get(k, 0) for k in set(lhs_br) | set(rhs_br)}
-            if P.field.p is not None:
-                defect = {k: c % P.field.p for k, c in defect.items()}
-            if vec_clean(defect):
+            if P.field.clean(vec_sub(lhs_br, rhs_br)):
                 return D3LemmaReport(False, lhs_dims, rhs_dims,
                                      f"bracket mismatch at ({a},{b})")
     return D3LemmaReport(True, lhs_dims, rhs_dims)

@@ -1,12 +1,25 @@
 """Exact sparse linear algebra over Q and GF(p).
 
-Vectors are sparse dicts ``{coordinate: scalar}`` with zero entries absent.
+Vectors are sparse dicts ``{coordinate: scalar}`` with zero entries absent;
+``Field.clean`` puts a vector in the field's normal form.
+
 The workhorse is :class:`Echelon`, an incremental reduced-echelon
-accumulator.  Over Q its rows are kept as primitive integer vectors and
-elimination is fraction-free (cross multiplication followed by content
-reduction), which bounds coefficient growth on the large sparse generator
-families produced elsewhere in the package.  Canonical reduced row echelon
-form, with pivots normalized to 1, is the equality test for subspaces.
+accumulator with one elimination step per backend, chosen once per
+accumulator from the field:
+
+- over Q, rows are primitive integer vectors and elimination is fraction
+  free (cross multiplication followed by content reduction), which bounds
+  coefficient growth on the large sparse generator families produced
+  elsewhere in the package;
+- over GF(p), rows are monic vectors of residues and elimination subtracts
+  a multiple of the row mod p.
+
+A :class:`Subspace` is the canonical reduced row echelon form (RREF) of a
+span, with pivots normalized to 1; it is the equality test for subspaces.
+Every RREF row is zero at the pivot of every other row, so subtracting
+one row never changes the entry of a vector at another pivot.  Reducing
+a vector is therefore one pass over its own pivot entries: subtract
+``v[piv]`` times the row of each pivot present in ``v``.
 """
 
 from __future__ import annotations
@@ -25,23 +38,12 @@ class ContainmentError(ValueError):
     """A required subspace containment fails."""
 
 
-class SolveError(ValueError):
-    """An inconsistent linear system was given to a solver."""
-
-
 # ---------------------------------------------------------------------------
 # sparse vector helpers
 
 
 def vec_clean(v: dict) -> dict:
     return {k: c for k, c in v.items() if c != 0}
-
-
-def field_clean(field: Field, v: dict) -> dict:
-    """Drop zeros in the field's normal form (residues canonical mod p)."""
-    if field.p is None:
-        return vec_clean(v)
-    return {k: c % field.p for k, c in v.items() if c % field.p}
 
 
 def vec_axpy(dst: dict, coeff, src: dict) -> None:
@@ -68,31 +70,82 @@ def vec_sub(a: dict, b: dict) -> dict:
     return out
 
 
-def _to_int_row(field: Field, v: dict) -> dict:
-    """Clear denominators (Q) or reduce mod p, returning an int dict."""
-    if field.p is not None:
-        return {k: c % field.p for k, c in v.items() if c % field.p != 0}
-    den = 1
-    for c in v.values():
-        if isinstance(c, Fraction) and c.denominator != 1:
-            den = lcm(den, c.denominator)
-    if den == 1:
-        return {k: int(c) for k, c in v.items() if c != 0}
-    return {k: int(c * den) for k, c in v.items() if c != 0}
+# ---------------------------------------------------------------------------
+# elimination backends: integer rows over Q, residue rows over GF(p)
 
 
-def _primitive(row: dict) -> dict:
-    """Divide an int row by its content; make the pivot (min index) positive."""
-    if not row:
+class _RationalRows:
+    """Primitive integer rows (content 1, positive pivot) over Q."""
+
+    @staticmethod
+    def row(v: dict) -> dict:
+        """Clear denominators."""
+        den = 1
+        for c in v.values():
+            if isinstance(c, Fraction) and c.denominator != 1:
+                den = lcm(den, c.denominator)
+        return {k: int(c * den) for k, c in v.items() if c != 0}
+
+    @staticmethod
+    def normalize(row: dict) -> dict:
+        """Divide by the content; make the pivot (min index) positive."""
+        if not row:
+            return row
+        g = 0
+        for c in row.values():
+            g = gcd(g, c)
+        if row[min(row)] < 0:
+            g = -g
+        if g != 1:
+            row = {k: c // g for k, c in row.items()}
         return row
-    g = 0
-    for c in row.values():
-        g = gcd(g, c)
-    if row[min(row)] < 0:
-        g = -g
-    if g != 1:
-        row = {k: c // g for k, c in row.items()}
-    return row
+
+    @staticmethod
+    def eliminate(work: dict, row: dict, piv: int) -> dict:
+        """Clear column piv of work with row, fraction free: a*work - c*row."""
+        a, c = row[piv], work[piv]
+        for k in work:
+            work[k] = a * work[k]
+        for k, d in row.items():
+            new = work.get(k, 0) - c * d
+            if new == 0:
+                work.pop(k, None)
+            else:
+                work[k] = new
+        return _RationalRows.normalize(work)
+
+    @staticmethod
+    def to_field(row: dict, piv: int) -> dict:
+        a = row[piv]
+        return {k: Fraction(c, a) for k, c in row.items()}
+
+
+class _ResidueRows:
+    """Residues 0..p-1 over GF(p); stored rows are monic (pivot entry 1)."""
+
+    def __init__(self, field: Field):
+        self.p = field.p
+        self.row = field.clean
+
+    def normalize(self, row: dict) -> dict:
+        p = self.p
+        inv = pow(row[min(row)], -1, p)
+        return {k: c * inv % p for k, c in row.items()}
+
+    def eliminate(self, work: dict, row: dict, piv: int) -> dict:
+        """Clear column piv of work with the monic row: work - c*row."""
+        p, c = self.p, work[piv]
+        for k, d in row.items():
+            new = (work.get(k, 0) - c * d) % p
+            if new == 0:
+                work.pop(k, None)
+            else:
+                work[k] = new
+        return work
+
+    @staticmethod
+    def to_field(row: dict, piv: int) -> dict:
+        return dict(row)
 
 
 # ---------------------------------------------------------------------------
@@ -100,107 +153,49 @@ def _primitive(row: dict) -> dict:
 
 
 class Echelon:
-    """Incrementally reduced span of integer-normalized rows.
+    """Incrementally reduced span of backend-normalized rows.
 
     Rows are mutually reduced (each pivot column is zero in every other
-    row) but not pivot-normalized; :meth:`subspace` produces the canonical
-    pivot-1 form over the field.
+    row); over Q they are primitive integer rows, not pivot-normalized.
+    :meth:`subspace` produces the canonical pivot-1 form over the field.
     """
 
     def __init__(self, field: Field, ambient: int):
         self.field = field
         self.ambient = ambient
-        self.rows: dict[int, dict] = {}  # pivot -> int row
+        self.rows: dict[int, dict] = {}  # pivot -> backend row
+        self._ops = _RationalRows if field.p is None else _ResidueRows(field)
 
     @property
     def rank(self) -> int:
         return len(self.rows)
 
-    def _reduce_int(self, v: dict) -> dict:
-        p = self.field.p
-        work = dict(v)
+    def _reduce(self, work: dict) -> dict:
+        """Eliminate every pivot column from a backend row (one pass: the
+        stored rows are zero at each other's pivots)."""
         for piv in sorted(work.keys() & self.rows.keys()):
-            c = work.get(piv, 0)
-            if c == 0:
-                continue
-            row = self.rows[piv]
-            if p is not None:
-                factor = c * pow(row[piv], -1, p) % p
-                for k, d in row.items():
-                    new = (work.get(k, 0) - factor * d) % p
-                    if new == 0:
-                        work.pop(k, None)
-                    else:
-                        work[k] = new
-            else:
-                a = row[piv]
-                for k in list(work):
-                    work[k] = a * work[k]
-                for k, d in row.items():
-                    new = work.get(k, 0) - c * d
-                    if new == 0:
-                        work.pop(k, None)
-                    else:
-                        work[k] = new
-                work = _primitive(work)
+            work = self._ops.eliminate(work, self.rows[piv], piv)
         return work
 
     def insert(self, v: dict) -> bool:
         """Add a vector to the span; True iff the rank grew."""
-        work = _to_int_row(self.field, v)
+        work = self._reduce(self._ops.row(v))
         if not work:
             return False
-        work = self._reduce_int(work)
-        if not work:
-            return False
+        work = self._ops.normalize(work)
         piv = min(work)
-        if self.field.p is not None:
-            inv = pow(work[piv], -1, self.field.p)
-            work = {k: c * inv % self.field.p for k, c in work.items()}
-        else:
-            work = _primitive(work)
         # clear the new pivot column from existing rows
         for other_piv, row in self.rows.items():
-            c = row.get(piv, 0)
-            if c == 0:
-                continue
-            if self.field.p is not None:
-                for k, d in work.items():
-                    new = (row.get(k, 0) - c * d) % self.field.p
-                    if new == 0:
-                        row.pop(k, None)
-                    else:
-                        row[k] = new
-            else:
-                a = work[piv]
-                for k in list(row):
-                    row[k] = a * row[k]
-                for k, d in work.items():
-                    new = row.get(k, 0) - c * d
-                    if new == 0:
-                        row.pop(k, None)
-                    else:
-                        row[k] = new
-                self.rows[other_piv] = _primitive(row)
+            if piv in row:
+                self.rows[other_piv] = self._ops.eliminate(row, work, piv)
         self.rows[piv] = work
         return True
 
-    def residual(self, v: dict) -> dict:
-        """The reduction of v against the span (zero dict iff contained)."""
-        return self._reduce_int(_to_int_row(self.field, v))
-
     def contains(self, v: dict) -> bool:
-        return not self.residual(v)
+        return not self._reduce(self._ops.row(v))
 
     def subspace(self) -> "Subspace":
-        rows = []
-        for piv in sorted(self.rows):
-            row = self.rows[piv]
-            if self.field.p is not None:
-                rows.append(dict(row))
-            else:
-                a = row[piv]
-                rows.append({k: Fraction(c, a) for k, c in row.items()})
+        rows = [self._ops.to_field(self.rows[piv], piv) for piv in sorted(self.rows)]
         return Subspace(self.field, self.ambient, rows, _canonical=True)
 
 
@@ -211,7 +206,7 @@ class Echelon:
 class Subspace:
     """A subspace in canonical reduced row echelon form (pivots = 1)."""
 
-    __slots__ = ("field", "ambient", "rows", "pivots")
+    __slots__ = ("field", "ambient", "rows", "pivots", "_row_at")
 
     def __init__(self, field: Field, ambient: int, vectors, _canonical=False):
         self.field = field
@@ -224,7 +219,8 @@ class Subspace:
                 acc.insert(v)
             rows = acc.subspace().rows
         self.rows: list[dict] = rows
-        self.pivots: list[int] = [min(r) for r in rows] if rows else []
+        self.pivots: list[int] = [min(r) for r in rows]
+        self._row_at = dict(zip(self.pivots, rows))
 
     @property
     def dim(self) -> int:
@@ -248,17 +244,11 @@ class Subspace:
 
     def reduce_vec(self, v: dict) -> dict:
         """Residual of v after eliminating all pivot coordinates (field scalars)."""
-        p = self.field.p
-        work = {k: (c % p if p is not None else c) for k, c in v.items()}
-        work = vec_clean(work)
-        for row in self.rows:
-            piv = min(row)
-            c = work.get(piv)
-            if c:
-                vec_axpy(work, -c, row)
-                if p is not None:
-                    work = {k: d % p for k, d in work.items() if d % p}
-        return vec_clean(work)
+        work = self.field.clean(v)
+        row_at = self._row_at
+        for piv in [k for k in work if k in row_at]:
+            vec_axpy(work, -work[piv], row_at[piv])
+        return self.field.clean(work)
 
     def contains_vec(self, v: dict) -> bool:
         return not self.reduce_vec(v)
@@ -270,15 +260,9 @@ class Subspace:
 
     def coords(self, v: dict) -> list | None:
         """Coefficients of v on the canonical basis, or None if v is outside."""
-        cs = [v.get(p, 0) for p in self.pivots]
-        check = dict(v)
-        for c, row in zip(cs, self.rows):
-            vec_axpy(check, -c, row)
-        if self.field.p is not None:
-            check = {k: d % self.field.p for k, d in check.items() if d % self.field.p}
-        if vec_clean(check):
+        if self.reduce_vec(v):
             return None
-        return [self.field.reduce(c) for c in cs]
+        return [self.field.reduce(v.get(p, 0)) for p in self.pivots]
 
     def sum_(self, other: "Subspace") -> "Subspace":
         if self.ambient != other.ambient:
@@ -331,9 +315,7 @@ class Matrix:
         out: dict = {}
         for j, c in v.items():
             vec_axpy(out, c, self.cols[j])
-        if self.field.p is not None:
-            out = {k: d % self.field.p for k, d in out.items() if d % self.field.p}
-        return out
+        return self.field.clean(out)
 
     def compose(self, inner: "Matrix") -> "Matrix":
         """self ∘ inner."""
@@ -351,9 +333,7 @@ class Matrix:
         return Matrix(self.field, self.nrows, [vec_scale(col, c) for col in self.cols])
 
     def is_zero(self) -> bool:
-        if self.field.p is None:
-            return all(not col for col in self.cols)
-        return all(all(c % self.field.p == 0 for c in col.values()) for col in self.cols)
+        return not any(self.field.clean(col) for col in self.cols)
 
     def row_list(self) -> list[dict]:
         rows: list[dict] = [dict() for _ in range(self.nrows)]
@@ -409,10 +389,7 @@ class Matrix:
             # with free variables 0, x_piv = -row[n]
             x[piv] = self.field.neg(row.get(n, 0))
         out = {k: v for k, v in x.items() if not self.field.is_zero(v)}
-        residual = vec_sub(self.apply(out), b)
-        if self.field.p is not None:
-            residual = {k: d % self.field.p for k, d in residual.items() if d % self.field.p}
-        if vec_clean(residual):
+        if self.field.clean(vec_sub(self.apply(out), b)):
             return None
         return out
 
@@ -425,18 +402,6 @@ class Matrix:
         return Matrix(field, nrows, [dict() for _ in range(ncols)])
 
 
-def rank(m: Matrix) -> int:
-    return m.rank()
-
-
-def kernel_basis(m: Matrix) -> Subspace:
-    return m.kernel_basis()
-
-
-def intersect(a: Subspace, b: Subspace) -> Subspace:
-    return a.intersect(b)
-
-
 # ---------------------------------------------------------------------------
 # subquotients
 
@@ -446,7 +411,7 @@ class Subquotient:
     whose pivots are not pivots of bottom.  ``reduce`` maps an ambient vector
     of top to coordinates on the section, ``lift`` is the linear section."""
 
-    __slots__ = ("field", "ambient", "top", "bottom", "section", "_pivots")
+    __slots__ = ("field", "ambient", "top", "bottom", "section", "_index")
 
     def __init__(self, top: Subspace, bottom: Subspace):
         if top.ambient != bottom.ambient:
@@ -458,37 +423,32 @@ class Subquotient:
         self.top = top
         self.bottom = bottom
         bot_pivs = set(bottom.pivots)
-        self.section = [row for row in top.rows if min(row) not in bot_pivs]
-        self._pivots = [min(row) for row in self.section]
+        pivots = [p for p in top.pivots if p not in bot_pivs]
+        self.section = [top._row_at[p] for p in pivots]
+        self._index = {p: k for k, p in enumerate(pivots)}  # section pivot -> coordinate
 
     @property
     def dim(self) -> int:
         return len(self.section)
 
     def reduce(self, v: dict) -> list:
-        """Quotient coordinates of an ambient vector (must lie in top)."""
-        r = self.bottom.reduce_vec(v)
-        coords = [r.get(p, 0) for p in self._pivots]
-        for c, s in zip(coords, self.section):
-            vec_axpy(r, -c, s)
-        if self.field.p is not None:
-            r = {k: d % self.field.p for k, d in r.items() if d % self.field.p}
-        if vec_clean(r):
-            raise ContainmentError("vector is not in the top subspace")
-        return [self.field.reduce(c) for c in coords]
+        """Quotient coordinates of an ambient vector (must lie in top).
 
-    def reduce_dict(self, v: dict) -> dict:
-        return vec_clean({i: c for i, c in enumerate(self.reduce(v))})
+        The pivots of bottom are pivots of top, so after reducing by bottom
+        one pass over the section pivots present reduces by all of top."""
+        r = self.bottom.reduce_vec(v)
+        coords = [0] * len(self.section)
+        for piv in [k for k in r if k in self._index]:
+            k = self._index[piv]
+            coords[k] = c = r[piv]
+            vec_axpy(r, -c, self.section[k])
+        if self.field.clean(r):
+            raise ContainmentError("vector is not in the top subspace")
+        return coords
 
     def lift(self, coords) -> dict:
         out: dict = {}
         items = coords.items() if isinstance(coords, dict) else enumerate(coords)
         for i, c in items:
             vec_axpy(out, c, self.section[i])
-        if self.field.p is not None:
-            out = {k: d % self.field.p for k, d in out.items() if d % self.field.p}
-        return out
-
-
-def subquotient(top: Subspace, bottom: Subspace) -> Subquotient:
-    return Subquotient(top, bottom)
+        return self.field.clean(out)

@@ -180,17 +180,16 @@ def tensor_space(a: SuperSpace, b: SuperSpace, sep: str = "*") -> SuperSpace:
     return SuperSpace(a.field, tuple(labels), tuple(parities))
 
 
-def tensor_index(a: SuperSpace, b: SuperSpace, i: int, j: int) -> int:
-    return i * b.dim + j
-
-
 def tensor_vec(a: SuperSpace, b: SuperSpace, u: dict, v: dict) -> dict:
+    """u (x) v in the row-major pair basis of :func:`tensor_space`."""
     out = {}
+    n = b.dim
     for i, ci in u.items():
+        base = i * n
         for j, cj in v.items():
             c = ci * cj
             if c != 0:
-                out[i * b.dim + j] = c
+                out[base + j] = c
     return out
 
 

@@ -64,11 +64,15 @@ from .actions import (
 from .algebras import (
     LieSuperAlgebra,
     NotAnIdeal,
+    QuotientSpace,
     check_lie_axioms,
     engel_degree,
+    induced_action_table,
     is_engel,
     is_graded_ideal,
     quotient_algebra,
+    quotient_space,
+    quotient_table,
     series,
     subalgebra_on,
     abelianization,
@@ -78,10 +82,10 @@ from .linalg import (
     Matrix,
     Subquotient,
     Subspace,
-    field_clean,
     vec_axpy,
     vec_clean,
     vec_scale,
+    vec_sub,
 )
 from .spaces import GradedMap, SuperSpace, tensor_space, tensor_vec
 
@@ -112,7 +116,7 @@ class TensorProduct:
     act_nm: Action
     plain: SuperSpace            # M (x) N with row-major pair basis
     d_generators: Subspace       # D(M, N) inside the plain tensor space
-    quotient: Subquotient
+    quotient: QuotientSpace      # T / D(M, N), labeled like the product's basis
     algebra: LieSuperAlgebra     # the product with its bracket
     mu: GradedMap                # to M
     nu: GradedMap                # to N
@@ -126,10 +130,10 @@ class TensorProduct:
 
     def embed(self, i: int, j: int) -> dict:
         """Class of e_i (x) e_j in product coordinates."""
-        return vec_clean(dict(enumerate(self.quotient.reduce({self.pair_index(i, j): 1}))))
+        return self.quotient.reduce({self.pair_index(i, j): 1})
 
     def reduce_plain(self, v: dict) -> dict:
-        return vec_clean(dict(enumerate(self.quotient.reduce(v))))
+        return self.quotient.reduce(v)
 
     @property
     def im_mu(self) -> Subspace:
@@ -141,8 +145,7 @@ class TensorProduct:
 
 
 def nonabelian_tensor(M: LieSuperAlgebra, N: LieSuperAlgebra,
-                      act_mn: Action, act_nm: Action,
-                      certify: bool = True) -> TensorProduct:
+                      act_mn: Action, act_nm: Action) -> TensorProduct:
     """Construct M (x) N from compatible mutual actions."""
     comp = check_compatible(act_mn, act_nm)
     if not comp.ok:
@@ -150,9 +153,9 @@ def nonabelian_tensor(M: LieSuperAlgebra, N: LieSuperAlgebra,
 
     field = M.field
     dm, dn = M.dim, N.dim
-    pm, pn = M.space.parities, N.space.parities
-    plain = tensor_space(M.space, N.space)
-    dim_t = plain.dim
+    ms, ns = M.space, N.space
+    pm, pn = ms.parities, ns.parities
+    plain = tensor_space(ms, ns)
 
     pairs = [(i, j) for i in range(dm) for j in range(dn)]
     anm = [act_nm.act_basis(j, i) for (i, j) in pairs]  # n.m in M
@@ -160,20 +163,10 @@ def nonabelian_tensor(M: LieSuperAlgebra, N: LieSuperAlgebra,
     ppar = [(pm[i] + pn[j]) % 2 for (i, j) in pairs]
     psig = [pm[i] * pn[j] for (i, j) in pairs]          # |m||n| mod 2
 
-    def ten(u: dict, v: dict) -> dict:
-        out = {}
-        for i, ci in u.items():
-            base = i * dn
-            for j, cj in v.items():
-                c = ci * cj
-                if c != 0:
-                    out[base + j] = c
-        return out
-
-    acc = Echelon(field, dim_t)
+    acc = Echelon(field, plain.dim)
 
     def feed(v: dict):
-        v = field_clean(field, v)
+        v = field.clean(v)
         if v and not acc.contains(v):
             acc.insert(v)
 
@@ -183,24 +176,24 @@ def nonabelian_tensor(M: LieSuperAlgebra, N: LieSuperAlgebra,
             bi = M.bracket_basis(i, i2)
             s = -1 if pm[i] * pm[i2] else 1
             for j in range(dn):
-                g = ten(bi, {j: 1})
-                vec_axpy(g, -1, ten({i: 1}, amn[i2 * dn + j]))
-                vec_axpy(g, s, ten({i2: 1}, amn[i * dn + j]))
+                g = tensor_vec(ms, ns, bi, {j: 1})
+                vec_axpy(g, -1, tensor_vec(ms, ns, {i: 1}, amn[i2 * dn + j]))
+                vec_axpy(g, s, tensor_vec(ms, ns, {i2: 1}, amn[i * dn + j]))
                 feed(g)
     # family (ii): m (x) [n,n'] - (-1)^{|n'|(|m|+|n|)} n'.m (x) n + (-1)^{|m||n|} n.m (x) n'
     for i in range(dm):
         for j in range(dn):
             for j2 in range(dn):
-                g = ten({i: 1}, N.bracket_basis(j, j2))
+                g = tensor_vec(ms, ns, {i: 1}, N.bracket_basis(j, j2))
                 s1 = -1 if pn[j2] * ((pm[i] + pn[j]) % 2) else 1
-                vec_axpy(g, -s1, ten(anm[i * dn + j2], {j: 1}))
+                vec_axpy(g, -s1, tensor_vec(ms, ns, anm[i * dn + j2], {j: 1}))
                 s2 = -1 if pm[i] * pn[j] else 1
-                vec_axpy(g, s2, ten(anm[i * dn + j], {j2: 1}))
+                vec_axpy(g, s2, tensor_vec(ms, ns, anm[i * dn + j], {j2: 1}))
                 feed(g)
     # family (iii): (n.m) (x) (m.n) for |m| = |n|
     for t, (i, j) in enumerate(pairs):
         if pm[i] == pn[j]:
-            feed(ten(anm[t], amn[t]))
+            feed(tensor_vec(ms, ns, anm[t], amn[t]))
     # family (iv): (-1)^{|m||n|} n.m (x) m'.n'
     #            + (-1)^{(|m|+|n|)(|m'|+|n'|)+|m'||n'|} n'.m' (x) m.n
     # symmetric under swapping the two pairs, so t1 <= t2 suffices
@@ -209,15 +202,15 @@ def nonabelian_tensor(M: LieSuperAlgebra, N: LieSuperAlgebra,
         if not anm[t1] and not amn[t1]:
             continue
         for t2 in range(t1, npairs):
-            g = vec_scale(ten(anm[t1], amn[t2]), -1 if psig[t1] else 1)
+            g = vec_scale(tensor_vec(ms, ns, anm[t1], amn[t2]), -1 if psig[t1] else 1)
             s = (ppar[t1] * ppar[t2] + psig[t2]) % 2
-            vec_axpy(g, -1 if s else 1, ten(anm[t2], amn[t1]))
+            vec_axpy(g, -1 if s else 1, tensor_vec(ms, ns, anm[t2], amn[t1]))
             feed(g)
     d_sub = acc.subspace()
-    quot = Subquotient(Subspace.full(field, dim_t), d_sub)
+    quot = quotient_space(plain, Subspace.full(field, plain.dim), d_sub, "t")
 
     # bracket on the plain space, separable in each slot:
-    #   B(u, e_t) = ten(w_u, amn[t]),  w_u = sum_t1 -(-1)^{psig[t1]} u[t1] anm[t1]
+    #   B(u, e_t) = w_u (x) amn[t],  w_u = sum_t1 -(-1)^{psig[t1]} u[t1] anm[t1]
     def left_factor(u: dict) -> dict:
         w: dict = {}
         for t1, c in u.items():
@@ -239,67 +232,48 @@ def nonabelian_tensor(M: LieSuperAlgebra, N: LieSuperAlgebra,
         out: dict = {}
         for t1, c in u.items():
             if anm[t1]:
-                vec_axpy(out, -c if not psig[t1] else c, ten(anm[t1], y))
+                vec_axpy(out, -c if not psig[t1] else c, tensor_vec(ms, ns, anm[t1], y))
         return out
 
     mu_vec = [vec_scale(anm[t], -1 if not psig[t] else 1) for t in range(npairs)]
     nu_vec = amn
 
-    if certify:
-        for d in d_sub.rows:
-            mu_img: dict = {}
-            nu_img: dict = {}
-            for t, c in d.items():
-                vec_axpy(mu_img, c, mu_vec[t])
-                vec_axpy(nu_img, c, nu_vec[t])
-            if field_clean(field, mu_img) or field_clean(field, nu_img):
-                raise BracketNotWellDefined("edge map does not annihilate D(M, N)")
-            w = left_factor(d)
-            for t in range(npairs):
-                if w and amn[t] and not acc.contains(ten(w, amn[t])):
-                    raise BracketNotWellDefined("bracket does not annihilate D (left slot)")
-            y = right_factor(d)
-            for t in range(npairs):
-                if y and anm[t]:
-                    g = vec_scale(ten(anm[t], y), -1 if not psig[t] else 1)
-                    if not acc.contains(g):
-                        raise BracketNotWellDefined("bracket does not annihilate D (right slot)")
+    for d in d_sub.rows:
+        mu_img: dict = {}
+        nu_img: dict = {}
+        for t, c in d.items():
+            vec_axpy(mu_img, c, mu_vec[t])
+            vec_axpy(nu_img, c, nu_vec[t])
+        if field.clean(mu_img) or field.clean(nu_img):
+            raise BracketNotWellDefined("edge map does not annihilate D(M, N)")
+        w = left_factor(d)
+        for t in range(npairs):
+            if w and amn[t] and not acc.contains(tensor_vec(ms, ns, w, amn[t])):
+                raise BracketNotWellDefined("bracket does not annihilate D (left slot)")
+        y = right_factor(d)
+        for t in range(npairs):
+            if y and anm[t]:
+                g = vec_scale(tensor_vec(ms, ns, anm[t], y), -1 if not psig[t] else 1)
+                if not acc.contains(g):
+                    raise BracketNotWellDefined("bracket does not annihilate D (right slot)")
 
-    # quotient algebra on the section basis
-    section = quot.section
-    qdim = quot.dim
-    qlabels = tuple(f"t{k}:{plain.labels[min(s)]}" for k, s in enumerate(section))
-    qparities = tuple(plain.parities[min(s)] for s in section)
-    qspace = SuperSpace(field, qlabels, qparities)
+    algebra = LieSuperAlgebra(quot.space, quotient_table(quot, bracket_plain),
+                              name=f"{M.name or 'M'}(x){N.name or 'N'}")
+    rep = check_lie_axioms(algebra)
+    if not rep.ok:
+        raise BracketNotWellDefined(f"product fails Lie axioms: {rep.violations[:3]}")
 
-    def reduce_plain(v: dict) -> dict:
-        return vec_clean(dict(enumerate(quot.reduce(v))))
-
-    table: dict[tuple[int, int], dict] = {}
-    for a in range(qdim):
-        for b in range(a, qdim):
-            if a == b and qparities[a] == 0:
-                continue
-            v = reduce_plain(bracket_plain(section[a], section[b]))
-            if v:
-                table[(a, b)] = v
-    algebra = LieSuperAlgebra(qspace, table, name=f"{M.name or 'M'}(x){N.name or 'N'}")
-    if certify:
-        rep = check_lie_axioms(algebra)
-        if not rep.ok:
-            raise BracketNotWellDefined(f"product fails Lie axioms: {rep.violations[:3]}")
-
-    def descend(vecs: list[dict], target_dim: int) -> list[dict]:
+    def descend(vecs: list[dict]) -> list[dict]:
         cols = []
-        for s in section:
+        for s in quot.section:
             out: dict = {}
             for t, c in s.items():
                 vec_axpy(out, c, vecs[t])
-            cols.append(field_clean(field, out))
+            cols.append(field.clean(out))
         return cols
 
-    mu = GradedMap.from_columns(qspace, M.space, descend(mu_vec, dm))
-    nu = GradedMap.from_columns(qspace, N.space, descend(nu_vec, dn))
+    mu = GradedMap.from_columns(quot.space, M.space, descend(mu_vec))
+    nu = GradedMap.from_columns(quot.space, N.space, descend(nu_vec))
 
     # induced actions on classes:
     #   m'.(m (x) n) = [m',m] (x) n + (-1)^{|m||m'|} m (x) m'.n
@@ -307,44 +281,37 @@ def nonabelian_tensor(M: LieSuperAlgebra, N: LieSuperAlgebra,
     # The sign of the second formula is the Koszul sign of n' passing m;
     # any other choice breaks equivariance of the edge map on mixed parities
     # (the certificates below enforce this).
-    act_m_table: dict[tuple[int, int], dict] = {}
-    act_n_table: dict[tuple[int, int], dict] = {}
-    for q in range(qdim):
-        s = section[q]
-        for a in range(dm):
-            out: dict = {}
-            for t, c in s.items():
-                i, j = pairs[t]
-                g = ten(M.bracket_basis(a, i), {j: 1})
-                sg = -1 if pm[i] * pm[a] else 1
-                vec_axpy(g, sg, ten({i: 1}, act_mn.act_basis(a, j)))
-                vec_axpy(out, c, g)
-            v = reduce_plain(out)
-            if v:
-                act_m_table[(a, q)] = v
-        for b in range(dn):
-            out = {}
-            for t, c in s.items():
-                i, j = pairs[t]
-                g = ten(act_nm.act_basis(b, i), {j: 1})
-                sg = -1 if pm[i] * pn[b] else 1
-                vec_axpy(g, sg, ten({i: 1}, N.bracket_basis(b, j)))
-                vec_axpy(out, c, g)
-            v = reduce_plain(out)
-            if v:
-                act_n_table[(b, q)] = v
-    action_m = Action(M, algebra, act_m_table, name="induced-M")
-    action_n = Action(N, algebra, act_n_table, name="induced-N")
+    def act_m(a: int, v: dict) -> dict:
+        out: dict = {}
+        for t, c in v.items():
+            i, j = pairs[t]
+            g = tensor_vec(ms, ns, M.bracket_basis(a, i), {j: 1})
+            sg = -1 if pm[i] * pm[a] else 1
+            vec_axpy(g, sg, tensor_vec(ms, ns, {i: 1}, act_mn.act_basis(a, j)))
+            vec_axpy(out, c, g)
+        return out
+
+    def act_n(b: int, v: dict) -> dict:
+        out: dict = {}
+        for t, c in v.items():
+            i, j = pairs[t]
+            g = tensor_vec(ms, ns, act_nm.act_basis(b, i), {j: 1})
+            sg = -1 if pm[i] * pn[b] else 1
+            vec_axpy(g, sg, tensor_vec(ms, ns, {i: 1}, N.bracket_basis(b, j)))
+            vec_axpy(out, c, g)
+        return out
+
+    action_m = Action(M, algebra, induced_action_table(quot, dm, act_m), name="induced-M")
+    action_n = Action(N, algebra, induced_action_table(quot, dn, act_n), name="induced-N")
 
     cross_m = CrossedModule(algebra, M, mu, action_m, name="mu")
     cross_n = CrossedModule(algebra, N, nu, action_n, name="nu")
-    if certify:
-        for cr, label in ((cross_m, "mu"), (cross_n, "nu")):
-            rep = check_crossed(cr)
-            if not rep.ok:
-                raise BracketNotWellDefined(
-                    f"({label}) fails the crossed module certificate: {rep.violations[:3]}"
-                )
+    for cr, label in ((cross_m, "mu"), (cross_n, "nu")):
+        rep = check_crossed(cr)
+        if not rep.ok:
+            raise BracketNotWellDefined(
+                f"({label}) fails the crossed module certificate: {rep.violations[:3]}"
+            )
 
     return TensorProduct(
         m=M, n=N, act_mn=act_mn, act_nm=act_nm,
@@ -412,10 +379,7 @@ def tensor_symmetry_iso(t: TensorProduct) -> tuple[GradedMap, TensorProduct]:
         for b in range(t.algebra.dim):
             lhs = iso.apply(t.algebra.bracket_basis(a, b))
             rhs = swapped.algebra.bracket(iso.apply({a: 1}), iso.apply({b: 1}))
-            d = vec_clean({k: lhs.get(k, 0) - rhs.get(k, 0) for k in set(lhs) | set(rhs)})
-            if t.m.field.p is not None:
-                d = {k: c % t.m.field.p for k, c in d.items() if c % t.m.field.p}
-            if d:
+            if t.m.field.clean(vec_sub(lhs, rhs)):
                 raise BracketNotWellDefined("symmetry map does not preserve brackets")
     return iso, swapped
 
@@ -573,8 +537,8 @@ class ExteriorProduct:
     sq: Subquotient              # section machinery behind the projection
 
 
-def nonabelian_exterior(t: TensorProduct, cm_m: CrossedModule, cm_n: CrossedModule,
-                        certify: bool = True) -> ExteriorProduct:
+def nonabelian_exterior(t: TensorProduct, cm_m: CrossedModule,
+                        cm_n: CrossedModule) -> ExteriorProduct:
     """Quotient of the tensor product by the central graded ideal spanned by
     the pullback coincidence generators of the two crossed modules."""
     if cm_m.p is not cm_n.p and cm_m.p != cm_n.p:
@@ -626,19 +590,18 @@ def nonabelian_exterior(t: TensorProduct, cm_m: CrossedModule, cm_n: CrossedModu
     square_rows = [t.reduce_plain(g) for g in gens]
     square = Subspace(field, t.algebra.dim, [r for r in square_rows if r])
 
-    if certify:
-        center = t.algebra.center()
-        if not center.contains(square):
-            raise BracketNotWellDefined("square ideal is not central in the product")
-        mu_kill = all(not vec_clean(t.mu.apply(r)) for r in square.rows)
-        nu_kill = all(not vec_clean(t.nu.apply(r)) for r in square.rows)
-        if not (mu_kill and nu_kill):
-            raise BracketNotWellDefined("edge maps do not descend to the exterior product")
+    center = t.algebra.center()
+    if not center.contains(square):
+        raise BracketNotWellDefined("square ideal is not central in the product")
+    mu_kill = all(not vec_clean(t.mu.apply(r)) for r in square.rows)
+    nu_kill = all(not vec_clean(t.nu.apply(r)) for r in square.rows)
+    if not (mu_kill and nu_kill):
+        raise BracketNotWellDefined("edge maps do not descend to the exterior product")
 
     algebra, proj = quotient_algebra(t.algebra, square,
                                      name=f"{M.name or 'M'}(^){N.name or 'N'}")
     # descend mu, nu through the section
-    sq = Subquotient(Subspace.full(field, t.algebra.dim), square)
+    sq = proj.quotient.sq
     mu_cols = [vec_clean(t.mu.apply(s)) for s in sq.section]
     nu_cols = [vec_clean(t.nu.apply(s)) for s in sq.section]
     mu = GradedMap.from_columns(algebra.space, M.space, mu_cols)

@@ -3,7 +3,8 @@
 These deliberately avoid the production code paths: the free Lie
 superalgebra dimensions come from a magma-quotient construction, the
 matrix superalgebra bracket is recomputed by multiplying explicit
-matrices entry by entry, and the relation space of the non-abelian tensor
+matrices entry by entry, reductions against a canonical subspace walk
+every row instead of the vector's own pivot entries, and the relation space of the non-abelian tensor
 product is spanned by all five generator families, including the cyclic
 Jacobi-type family (v) that the production construction omits.
 """
@@ -14,7 +15,41 @@ from itertools import product
 
 from superlie.algebras import AssocSuperAlgebra
 from superlie.fields import QQ
-from superlie.linalg import Echelon, Subspace, field_clean
+from superlie.linalg import Echelon, Subquotient, Subspace
+
+
+# ---------------------------------------------------------------------------
+# reduction against a canonical subspace, row by row
+
+
+def reduce_all_rows(sub: Subspace, v: dict) -> dict:
+    """Residual of v against the canonical rows of sub: walk every row in
+    order, recompute its pivot, and clear that pivot from the vector."""
+    p = sub.field.p
+
+    def clean(w: dict) -> dict:
+        return {k: (c % p if p is not None else c) for k, c in w.items()
+                if (c % p if p is not None else c) != 0}
+
+    work = clean(v)
+    for row in sub.rows:
+        piv = min(row)
+        c = work.get(piv)
+        if c:
+            for k, d in row.items():
+                work[k] = work.get(k, 0) - c * d
+            work = clean(work)
+    return work
+
+
+def quotient_coords_all_rows(sq: Subquotient, v: dict) -> list | None:
+    """Section coordinates of v in top/bottom by row-by-row reductions, or
+    None if v is outside top: reduce by bottom, then read the section
+    pivots (section rows vanish at the pivots of bottom)."""
+    if reduce_all_rows(sq.top, v):
+        return None
+    r = reduce_all_rows(sq.bottom, v)
+    return [r.get(min(s), 0) for s in sq.section]
 
 
 # ---------------------------------------------------------------------------
@@ -235,7 +270,7 @@ def tensor_relations_oracle(M, N, act_mn, act_nm, families=FAMILIES) -> Subspace
     acc = Echelon(field, dm * dn)
 
     def feed(g: dict) -> None:
-        g = field_clean(field, g)
+        g = field.clean(g)
         if g:
             acc.insert(g)
 

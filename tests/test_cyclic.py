@@ -137,18 +137,6 @@ def test_cyclic_sixterm_grassmann_dims(algebras):
     assert st.milnor_dims == (1, 0)
 
 
-def test_perfect_corollary_not_applicable_on_corpus(algebras):
-    """No bundled unital algebra is perfect as a Lie superalgebra (the unit
-    never lies in the graded commutators), so the perfect-case corollary
-    check reports not-applicable rather than being silently skipped."""
-    from superlie.cyclic import perfect_corollary
-
-    for name, a in algebras.items():
-        rep = perfect_corollary(a)
-        assert not rep.applicable, name
-        assert rep.ok is None
-
-
 def test_not_unital_guard():
     from superlie.algebras import AssocSuperAlgebra
     from superlie.spaces import SuperSpace

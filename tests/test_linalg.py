@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from superlie.fields import Field, QQ
+from oracles import quotient_coords_all_rows, reduce_all_rows
 from superlie.linalg import (
     AmbientMismatch,
     ContainmentError,
@@ -12,9 +13,10 @@ from superlie.linalg import (
     Subquotient,
     Subspace,
     vec_axpy,
+    vec_sub,
 )
 
-F5 = Field(5)
+F3, F5, F7 = Field(3), Field(5), Field(7)
 
 
 def mat(field, nrows, cols):
@@ -233,26 +235,39 @@ def test_lift_reduce_differs_by_bottom(m):
 
 @st.composite
 def spans_and_probes(draw):
-    """A field, rows spanning a subspace, and probe vectors: combinations of
-    the rows (inside the span) and arbitrary vectors (mostly outside)."""
-    field = draw(st.sampled_from([QQ, F5]))
+    """A field, rows spanning a subspace written in a permuted, rescaled
+    basis, probe vectors inside the span (combinations of the rows) and
+    arbitrary probe vectors (mostly outside)."""
+    field = draw(st.sampled_from([QQ, F3, F5, F7]))
     m = _matrix_strategy(draw, field)
-    rows = m.row_list()
-    probes = []
+    n = m.ncols
+    perm = draw(st.permutations(range(n)))
+    if field.p is None:
+        scales = [draw(st.sampled_from([1, -1, 2, -3, Fraction(1, 2)])) for _ in range(n)]
+    else:
+        scales = [draw(st.integers(min_value=1, max_value=field.p - 1)) for _ in range(n)]
+
+    def rebase(v: dict) -> dict:
+        return {perm[j]: field.of(scales[j] * c) for j, c in v.items()}
+
+    rows = [rebase(r) for r in m.row_list()]
+    inside = []
     for _ in range(draw(st.integers(min_value=0, max_value=3))):
         v: dict = {}
         for r in rows:
             vec_axpy(v, draw(small_scalar), r)
-        probes.append(v)
-    for _ in range(draw(st.integers(min_value=0, max_value=3))):
-        probes.append({j: c for j in range(m.ncols) if (c := draw(small_scalar))})
-    return field, m.ncols, rows, probes
+        inside.append(v)
+    outside = [{j: c for j in range(n) if (c := draw(small_scalar))}
+               for _ in range(draw(st.integers(min_value=0, max_value=3)))]
+    return field, n, rows, inside, outside + [{j: 1 for j in range(n)}]
 
 
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=120, deadline=None)
 @given(spans_and_probes())
 def test_echelon_membership_matches_reduction(case):
-    field, ambient, rows, probes = case
+    """Echelon membership, the one-pass reductions of Subspace and
+    Subquotient, and the row-by-row oracle agree."""
+    field, ambient, rows, inside, outside = case
     acc = Echelon(field, ambient)
     for r in rows:
         acc.insert(r)
@@ -260,5 +275,27 @@ def test_echelon_membership_matches_reduction(case):
     for r in rows:
         assert acc.contains(r)
         assert sub.contains_vec(r)
-    for v in probes + [{j: 1 for j in range(ambient)}]:
-        assert acc.contains(v) == sub.contains_vec(v)
+    for v in inside + outside:
+        residual = reduce_all_rows(sub, v)
+        assert sub.reduce_vec(v) == residual
+        assert acc.contains(v) == sub.contains_vec(v) == (not residual)
+        coords = sub.coords(v)
+        if residual:
+            assert coords is None
+        else:
+            back: dict = {}
+            for c, row in zip(coords, sub.rows):
+                vec_axpy(back, c, row)
+            assert field.clean(vec_sub(back, v)) == {}
+    # top = the span, bottom = the span of the inside probes
+    sq = Subquotient(sub, Subspace(field, ambient, inside))
+    for v in inside + outside:
+        want = quotient_coords_all_rows(sq, v)
+        if want is None:
+            with pytest.raises(ContainmentError):
+                sq.reduce(v)
+            continue
+        got = sq.reduce(v)
+        assert got == want
+        assert not reduce_all_rows(sq.bottom, vec_sub(sq.lift(got), v))
+        assert sq.reduce(sq.lift(got)) == got
