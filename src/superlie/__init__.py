@@ -18,7 +18,6 @@ from .spaces import (
     SuperSpace,
     WedgeMonomial,
     exterior_power,
-    koszul_sign,
     superspace,
     tensor_space,
     wedge_normalize,
@@ -82,10 +81,7 @@ from .homology import (
     ComplexInconsistent,
     CrossedSES,
     HomologyResult,
-    Supermodule,
-    adjoint_module,
     ce_complex,
-    check_supermodule,
     d3_lemma_check,
     exactness_check,
     h2_via_exterior,

@@ -35,10 +35,6 @@ class ActionInvalid(ValueError):
     """A construction received an action that fails its axioms."""
 
 
-class IncompatibleActions(ValueError):
-    """Mutual actions fail the compatibility identities."""
-
-
 class Action:
     """Bilinear action constants of ``actor`` on ``target``."""
 

@@ -80,6 +80,9 @@ class LieSuperAlgebra:
                 tab[(i, j)] = v
         self.table = tab
         self._ad_cache: list[Matrix] | None = None
+        # memos of tensor.adjoint_tensor_square and tensor.exterior_square
+        self._tensor_square = None
+        self._exterior_square = None
 
     @property
     def dim(self) -> int:

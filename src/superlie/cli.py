@@ -39,6 +39,7 @@ from .freelie import DegreeOverflow, FieldUnsupported, TruncationOutOfRange
 from .homology import (
     ClassExceeded,
     ComplexInconsistent,
+    ce_complex,
     homology,
     hopf_formula,
     nh,
@@ -242,8 +243,11 @@ def cmd_homology(args) -> int:
         mp = resolve_path(args.module)
         module = parse_module(load_json(mp), P)
         rep.add_input(mp)
-    from .homology import ce_complex
-
+        cert = check_action(module)
+        if not cert.ok:
+            rep.line(f"module fails its axioms: {cert.violations[0]}")
+            rep.result("module_valid", False)
+            return rep.emit(args.out, 1)
     max_n = args.degree
     if max_n < 0:
         raise ParseError(f"--degree must be non-negative, got {max_n}")
@@ -294,26 +298,27 @@ def cmd_cyclic(args) -> int:
     cx = connes(A, 2)
     h0 = hc(A, 0, cx)
     h1 = hc(A, 1, cx)
-    km = hc1_kernel_model(A)
-    mil = milnor_hc1(A)
+    # the six-term sequence already builds the kernel model and the Milnor quotient
+    st = cyclic_sixterm(A) if args.sixterm else None
+    km_dims = st.hc1_dims if st is not None else hc1_kernel_model(A).dims
+    mil_dims = st.milnor_dims if st is not None else milnor_hc1(A).dims
     rep.result("HC0", h0.dims)
     rep.result("HC1", h1.dims)
-    rep.result("HC1_kernel_model", km.dims)
-    rep.result("HC1_milnor", mil.dims)
+    rep.result("HC1_kernel_model", km_dims)
+    rep.result("HC1_milnor", mil_dims)
     rep.line(f"HC0: dim {_fmt(h0.dims)}")
-    rep.line(f"HC1: dim {_fmt(h1.dims)} (kernel model {_fmt(km.dims)})")
-    rep.line(f"Milnor HC1: dim {_fmt(mil.dims)}")
+    rep.line(f"HC1: dim {_fmt(h1.dims)} (kernel model {_fmt(km_dims)})")
+    rep.line(f"Milnor HC1: dim {_fmt(mil_dims)}")
     status = 0
-    if h1.dims != km.dims:
+    if h1.dims != km_dims:
         rep.line("HC1 cross-path MISMATCH")
         status = 1
     if A.is_supercommutative():
-        note = "equal" if km.dims == mil.dims else "UNEQUAL"
+        note = "equal" if km_dims == mil_dims else "UNEQUAL"
         rep.line(f"supercommutative: HC1 and Milnor HC1 {note}")
-        if km.dims != mil.dims:
+        if km_dims != mil_dims:
             status = 1
-    if args.sixterm:
-        st = cyclic_sixterm(A)
+    if st is not None:
         rep.result("sixterm_ok", st.ok)
         rep.result("sixterm_dims", st.report.dims)
         rep.line("six-term sequence: " + ("exact" if st.ok else "NOT exact"))
@@ -390,7 +395,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("homology", help="homology of a Lie superalgebra")
     p.add_argument("path")
     p.add_argument("-n", "--degree", type=int, default=2)
-    p.add_argument("-m", "--module", help="coefficient supermodule file")
+    p.add_argument("-m", "--module", help="coefficient module file")
     p.add_argument("--hopf", help="presentation file for the Hopf formula")
     p.add_argument("--class", dest="class_bound", type=int, default=2,
                    help="nilpotency class bound for --hopf")

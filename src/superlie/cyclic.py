@@ -320,6 +320,7 @@ class VAlgebra:
     action_a: Action               # action of A on V(A)
     crossed: CrossedModule
     hc1_rows: Subspace             # HC_1 inside V(A) coordinates
+    hc1_dims: tuple[int, int]
 
 
 def v_algebra(A: AssocSuperAlgebra) -> VAlgebra:
@@ -329,11 +330,11 @@ def v_algebra(A: AssocSuperAlgebra) -> VAlgebra:
     if A.unit is None:
         raise NotUnital("V(A) requires a unital algebra")
     sp = _pair_space(A)
-    field = A.field
     d = A.dim
     lie = lie_from_assoc(A)
-    ideal = relation_ideal(A)
-    quot = quotient_space(sp, Subspace.full(field, sp.dim), ideal, "v")
+    km = hc1_kernel_model(A)
+    quot = km.quotient
+    ideal = quot.sq.bottom
 
     def bracket_plain(u: dict, v: dict) -> dict:
         out: dict = {}
@@ -361,15 +362,6 @@ def v_algebra(A: AssocSuperAlgebra) -> VAlgebra:
     if not rep.ok:
         raise ComplexInconsistent(f"V(A) fails the Lie axioms: {rep.violations[:3]}")
 
-    cols = []
-    for s in quot.section:
-        out: dict = {}
-        for idx, c in s.items():
-            a, b = divmod(idx, d)
-            vec_axpy(out, c, lie.bracket_basis(a, b))
-        cols.append(vec_clean(out))
-    to_a = GradedMap.from_columns(quot.space, A.space, cols)
-
     # action of A on V(A): a.(x (x) y) = [a,x] (x) y + (-1)^{|a||x|} x (x) [a,y],
     # certified to coincide with a (x) [x,y] on the quotient
     par = A.space.parities
@@ -389,20 +381,18 @@ def v_algebra(A: AssocSuperAlgebra) -> VAlgebra:
         return out
 
     action_a = Action(lie, algebra, induced_action_table(quot, d, act), name="on-V")
-    crossed = CrossedModule(algebra, lie, to_a, action_a, name="V(A)")
+    crossed = CrossedModule(algebra, lie, km.to_commutators, action_a, name="V(A)")
     crep = check_crossed(crossed)
     if not crep.ok:
         raise ComplexInconsistent(f"(V(A), mu) fails the crossed module axioms: {crep.violations[:3]}")
 
-    km = hc1_kernel_model(A)
-    # same quotient coordinates by construction
-    hc1_rows = km.kernel
     # A kills HC_1(A)
     for p in range(d):
-        for r in hc1_rows.rows:
+        for r in km.kernel.rows:
             if vec_clean(action_a.act({p: 1}, r)):
                 raise ComplexInconsistent("the action of A does not kill HC_1")
-    return VAlgebra(lie, algebra, quot, to_a, action_a, crossed, hc1_rows)
+    return VAlgebra(lie, algebra, quot, km.to_commutators, action_a, crossed, km.kernel,
+                    km.dims)
 
 
 # ---------------------------------------------------------------------------
@@ -460,16 +450,15 @@ def cyclic_sixterm(A: AssocSuperAlgebra) -> CyclicSixTerm:
     report = snake_sequence(ses)
 
     # identifications of the terms
-    km = hc1_kernel_model(A)
     mil = milnor_hc1(A)
     idents: list[tuple[str, bool]] = []
     r_l = nh(lie, cm_l)
     # nh0(A, HC1) = HC1 (trivial action)
-    idents.append(("nh0(A,HC1) = HC1", r_l.nh0.dims == km.dims))
+    idents.append(("nh0(A,HC1) = HC1", r_l.nh0.dims == va.hc1_dims))
     # nh1(A, HC1) ~ A/[A,A] (x) HC1
     comm_q = quotient_space(A.space, Subspace.full(field, A.dim), comm, "ab.")
     d0 = comm_q.dims
-    h0, h1 = km.dims
+    h0, h1 = va.hc1_dims
     expect = (d0[0] * h0 + d0[1] * h1, d0[0] * h1 + d0[1] * h0)
     idents.append(("nh1(A,HC1) = A/[A,A] (x) HC1", r_l.nh1.dims == expect))
     # nh0(A,[A,A]) = [A,A]/[A,[A,A]]
@@ -486,14 +475,7 @@ def cyclic_sixterm(A: AssocSuperAlgebra) -> CyclicSixTerm:
 
     ok = report.ok and all(flag for _, flag in idents)
     table = list(zip(report.labels, report.dims))
-    return CyclicSixTerm(ok, report, idents, table, km.dims, mil.dims)
-
-
-def hc0_direct(A: AssocSuperAlgebra) -> tuple[int, int]:
-    """HC_0 = A/[A, A] computed directly."""
-    comm = commutator_subspace(A)
-    q = quotient_space(A.space, Subspace.full(A.field, A.dim), comm, "h0.")
-    return q.dims
+    return CyclicSixTerm(ok, report, idents, table, va.hc1_dims, mil.dims)
 
 
 # standard small associative superalgebras

@@ -16,14 +16,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .actions import Action, CrossedModule, identity_crossed, ideal_crossed
+from .actions import Action, CrossedModule, identity_crossed, ideal_crossed, trivial_action
 from .algebras import (
-    MAX_VIOLATIONS,
-    AxiomReport,
     LieSuperAlgebra,
     NotAnIdeal,
     QuotientSpace,
-    Violation,
     ideal_closure,
     is_graded_ideal,
     quotient_algebra,
@@ -74,84 +71,13 @@ DEFAULT_MAX_DEGREE = 3
 
 
 # ---------------------------------------------------------------------------
-# supermodules (coefficients)
+# coefficients: a P-module is an Action of P; the chain complex reads its
+# action constants and its target's space, never the target's bracket
 
 
-class Supermodule:
-    """A supermodule over P: a graded space with action constants."""
-
-    def __init__(self, p: LieSuperAlgebra, space: SuperSpace,
-                 table: dict[tuple[int, int], dict], name: str = ""):
-        self.p = p
-        self.space = space
-        self.name = name
-        self.field = space.field
-        self.table = {
-            key: vec_clean({k: self.field.of(c) for k, c in v.items()})
-            for key, v in table.items()
-        }
-        self.table = {k: v for k, v in self.table.items() if v}
-
-    def act_basis(self, p: int, m: int) -> dict:
-        return self.table.get((p, m), {})
-
-    def act(self, pvec: dict, mvec: dict) -> dict:
-        out: dict = {}
-        for p, cp in pvec.items():
-            for m, cm in mvec.items():
-                c = cp * cm
-                if c == 0:
-                    continue
-                b = self.act_basis(p, m)
-                if b:
-                    vec_axpy(out, c, b)
-        return self.field.clean(out)
-
-    def as_abelian_algebra(self, prefix: str = "") -> LieSuperAlgebra:
-        sp = self.space
-        if prefix:
-            sp = SuperSpace(sp.field, tuple(prefix + l for l in sp.labels), sp.parities)
-        return LieSuperAlgebra(sp, {}, name=self.name or "module")
-
-
-def check_supermodule(m: Supermodule) -> AxiomReport:
-    violations: list[Violation] = []
-    P = m.p
-    pp = P.space.parities
-    pm = m.space.parities
-    for (p, i), v in m.table.items():
-        want = (pp[p] + pm[i]) % 2
-        for k, c in v.items():
-            if pm[k] != want:
-                violations.append(Violation("module-parity", (p, i, k), {k: c}))
-    for p in range(P.dim):
-        for q in range(P.dim):
-            sgn = -1 if pp[p] * pp[q] else 1
-            for i in range(m.space.dim):
-                lhs = m.act(P.bracket_basis(p, q), {i: 1})
-                rhs = m.act({p: 1}, m.act_basis(q, i))
-                vec_axpy(rhs, -sgn, m.act({q: 1}, m.act_basis(p, i)))
-                defect = m.field.clean(vec_sub(lhs, rhs))
-                if defect:
-                    violations.append(Violation("module-axiom", (p, q, i), defect))
-                    if len(violations) >= MAX_VIOLATIONS:
-                        return AxiomReport(False, violations)
-    return AxiomReport(not violations, violations)
-
-
-def trivial_module(P: LieSuperAlgebra) -> Supermodule:
-    sp = SuperSpace(P.field, ("1",), (0,))
-    return Supermodule(P, sp, {}, name="K")
-
-
-def adjoint_module(P: LieSuperAlgebra) -> Supermodule:
-    table = {}
-    for p in range(P.dim):
-        for m in range(P.dim):
-            v = P.bracket_basis(p, m)
-            if v:
-                table[(p, m)] = v
-    return Supermodule(P, P.space, table, name="adjoint")
+def trivial_module(P: LieSuperAlgebra) -> Action:
+    """The ground field as a trivial P-module, on the single basis label "1"."""
+    return trivial_action(P, LieSuperAlgebra(SuperSpace(P.field, ("1",), (0,)), {}, name="K"))
 
 
 # ---------------------------------------------------------------------------
@@ -161,7 +87,7 @@ def adjoint_module(P: LieSuperAlgebra) -> Supermodule:
 @dataclass
 class ChainComplex:
     p: LieSuperAlgebra
-    module: Supermodule
+    module: Action
     spaces: list[SuperSpace]
     monomials: list[list[WedgeMonomial]]
     boundaries: list[GradedMap | None]  # boundaries[n]: C_n -> C_{n-1}, n >= 1
@@ -173,11 +99,13 @@ class ChainComplex:
         return b
 
 
-def ce_complex(P: LieSuperAlgebra, M: Supermodule, max_n: int = DEFAULT_MAX_DEGREE) -> ChainComplex:
-    """The chain complex of P with coefficients in M up to degree max_n."""
+def ce_complex(P: LieSuperAlgebra, M: Action, max_n: int = DEFAULT_MAX_DEGREE) -> ChainComplex:
+    """The chain complex of P with coefficients in the P-module M (an action
+    of P on M.target) up to degree max_n."""
     field = P.field
     par = P.space.parities
-    dm = M.space.dim
+    msp = M.target.space
+    dm = msp.dim
     spaces: list[SuperSpace] = []
     monos: list[list[WedgeMonomial]] = []
     index_of: list[dict[tuple[int, ...], int]] = []
@@ -187,11 +115,11 @@ def ce_complex(P: LieSuperAlgebra, M: Supermodule, max_n: int = DEFAULT_MAX_DEGR
         parities = []
         for w_idx, m in enumerate(mlist):
             for t in range(dm):
-                if dm == 1 and M.space.labels[t] == "1":
+                if dm == 1 and msp.labels[t] == "1":
                     labels.append(wedge.labels[w_idx])
                 else:
-                    labels.append(f"{wedge.labels[w_idx]}(x){M.space.labels[t]}")
-                parities.append((wedge.parities[w_idx] + M.space.parities[t]) % 2)
+                    labels.append(f"{wedge.labels[w_idx]}(x){msp.labels[t]}")
+                parities.append((wedge.parities[w_idx] + msp.parities[t]) % 2)
         spaces.append(SuperSpace(field, tuple(labels), tuple(parities)))
         monos.append(mlist)
         index_of.append({m.factors: i for i, m in enumerate(mlist)})
@@ -255,7 +183,7 @@ class HomologyResult:
         return self.dims[0] + self.dims[1]
 
 
-def homology(P: LieSuperAlgebra, M: Supermodule | None, n: int,
+def homology(P: LieSuperAlgebra, M: Action | None, n: int,
              complex_: ChainComplex | None = None,
              max_n: int | None = None) -> HomologyResult:
     """H_n = Ker d_n / Im d_{n+1} with canonical representatives."""

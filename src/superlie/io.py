@@ -1,5 +1,5 @@
-"""JSON file formats: algebras, actions, crossed modules, supermodule
-coefficients, and presentations.
+"""JSON file formats: algebras, actions, crossed modules, coefficient
+modules, and presentations.
 
 All coefficients are strings ("3/4", "5") so files stay exact in every
 field.  Unknown JSON fields are rejected outright: a silently ignored typo
@@ -15,7 +15,6 @@ from .actions import Action, CrossedModule
 from .algebras import AssocSuperAlgebra, LieSuperAlgebra
 from .fields import Field, FieldError
 from .freelie import GradedGenSet, Presentation, word_parity
-from .homology import Supermodule
 from .linalg import Matrix, vec_clean
 from .spaces import GradedMap, SuperSpace
 
@@ -182,23 +181,15 @@ def action_to_json(a: Action) -> dict:
     return {"actor": a.actor.name, "target": a.target.name, "entries": entries}
 
 
-def parse_module(obj: dict, p: LieSuperAlgebra) -> Supermodule:
+def parse_module(obj: dict, p: LieSuperAlgebra) -> Action:
+    """A coefficient module of p: a graded space with action constants, read
+    as an action of p on the abelian algebra on that space."""
     _require_keys(obj, {"name", "algebra", "basis", "entries"}, set(), "module")
     if obj["algebra"] != p.name:
         raise ParseError(f"module is over {obj['algebra']!r}, not {p.name!r}")
-    space = _parse_basis(obj["basis"], p.field)
-    table: dict[tuple[int, int], dict] = {}
-    for entry in obj["entries"]:
-        _require_keys(entry, {"p", "m", "value"}, set(), "module entry")
-        try:
-            pi = p.space.labels.index(entry["p"])
-            mi = space.labels.index(entry["m"])
-        except ValueError:
-            raise ParseError(f"unknown label in module entry {entry!r}") from None
-        v = _parse_value(entry["value"], space, p.field)
-        if v:
-            table[(pi, mi)] = v
-    return Supermodule(p, space, table, name=str(obj["name"]))
+    target = LieSuperAlgebra(_parse_basis(obj["basis"], p.field), {}, name=str(obj["name"]))
+    return parse_action({"actor": p.name, "target": target.name, "entries": obj["entries"]},
+                        p, target)
 
 
 def parse_boundary(items, m_alg: LieSuperAlgebra, p_alg: LieSuperAlgebra) -> GradedMap:

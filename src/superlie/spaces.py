@@ -146,24 +146,6 @@ class GradedMap:
 
 
 # ---------------------------------------------------------------------------
-# Koszul signs
-
-
-def koszul_sign(perm: list[int], parities: list[int]) -> int:
-    """Sign of sorting wedge factors by perm: each inversion (i<j, perm[i]>perm[j])
-    contributes -(-1)^{p_i p_j}."""
-    if len(perm) != len(parities):
-        raise ValueError("permutation and parity list differ in length")
-    sign = 1
-    n = len(perm)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if perm[i] > perm[j]:
-                sign *= -1 if (parities[i] * parities[j]) == 0 else 1
-    return sign
-
-
-# ---------------------------------------------------------------------------
 # tensor products of superspaces
 
 

@@ -60,6 +60,7 @@ from .actions import (
     adjoint_action,
     semidirect,
     ideal_crossed,
+    identity_crossed,
 )
 from .algebras import (
     LieSuperAlgebra,
@@ -322,20 +323,12 @@ def nonabelian_tensor(M: LieSuperAlgebra, N: LieSuperAlgebra,
     )
 
 
-_adjoint_tensor_cache: dict[int, TensorProduct] = {}
-_adjoint_tensor_keep: dict[int, LieSuperAlgebra] = {}
-
-
 def adjoint_tensor_square(P: LieSuperAlgebra) -> TensorProduct:
-    """P (x) P with the mutual adjoint actions (memoized per algebra object)."""
-    key = id(P)
-    got = _adjoint_tensor_cache.get(key)
-    if got is None or _adjoint_tensor_keep.get(key) is not P:
+    """P (x) P with the mutual adjoint actions (memoized on P)."""
+    if P._tensor_square is None:
         adj = adjoint_action(P)
-        got = nonabelian_tensor(P, P, adj, adj)
-        _adjoint_tensor_cache[key] = got
-        _adjoint_tensor_keep[key] = P
-    return got
+        P._tensor_square = nonabelian_tensor(P, P, adj, adj)
+    return P._tensor_square
 
 
 def induced_tensor_map(src: TensorProduct, dst: TensorProduct,
@@ -609,23 +602,12 @@ def nonabelian_exterior(t: TensorProduct, cm_m: CrossedModule,
     return ExteriorProduct(t, square, algebra, proj, mu, nu, sq)
 
 
-_exterior_square_cache: dict[int, ExteriorProduct] = {}
-_exterior_square_keep: dict[int, LieSuperAlgebra] = {}
-
-
 def exterior_square(P: LieSuperAlgebra) -> ExteriorProduct:
-    """P (^) P via the identity crossed module (memoized per algebra object)."""
-    from .actions import identity_crossed
-
-    key = id(P)
-    got = _exterior_square_cache.get(key)
-    if got is None or _exterior_square_keep.get(key) is not P:
-        t = adjoint_tensor_square(P)
+    """P (^) P via the identity crossed module (memoized on P)."""
+    if P._exterior_square is None:
         cid = identity_crossed(P)
-        got = nonabelian_exterior(t, cid, cid)
-        _exterior_square_cache[key] = got
-        _exterior_square_keep[key] = P
-    return got
+        P._exterior_square = nonabelian_exterior(adjoint_tensor_square(P), cid, cid)
+    return P._exterior_square
 
 
 # ---------------------------------------------------------------------------

@@ -6,16 +6,48 @@ matrix superalgebra bracket is recomputed by multiplying explicit
 matrices entry by entry, reductions against a canonical subspace walk
 every row instead of the vector's own pivot entries, and the relation space of the non-abelian tensor
 product is spanned by all five generator families, including the cyclic
-Jacobi-type family (v) that the production construction omits.
+Jacobi-type family (v) that the production construction omits.  Wedge
+signs are counted inversion by inversion, and HC_0 is read off A/[A, A]
+directly instead of from the Connes complex.
 """
 
 from __future__ import annotations
 
 from itertools import product
 
-from superlie.algebras import AssocSuperAlgebra
+from superlie.algebras import AssocSuperAlgebra, quotient_space
+from superlie.cyclic import commutator_subspace
 from superlie.fields import QQ
 from superlie.linalg import Echelon, Subquotient, Subspace
+
+
+# ---------------------------------------------------------------------------
+# Koszul signs of wedge permutations, inversion by inversion
+
+
+def koszul_sign(perm: list[int], parities: list[int]) -> int:
+    """Sign of sorting wedge factors by perm: each inversion (i<j, perm[i]>perm[j])
+    contributes -(-1)^{p_i p_j}."""
+    if len(perm) != len(parities):
+        raise ValueError("permutation and parity list differ in length")
+    sign = 1
+    n = len(perm)
+    for i in range(n):
+        for j in range(i + 1, n):
+            if perm[i] > perm[j]:
+                sign *= -1 if (parities[i] * parities[j]) == 0 else 1
+    return sign
+
+
+# ---------------------------------------------------------------------------
+# HC_0 of an associative superalgebra as A/[A, A]
+
+
+def hc0_direct(A: AssocSuperAlgebra) -> tuple[int, int]:
+    """HC_0 = A/[A, A] computed directly."""
+    comm = commutator_subspace(A)
+    q = quotient_space(A.space, Subspace.full(A.field, A.dim), comm, "h0.")
+    return q.dims
 
 
 # ---------------------------------------------------------------------------

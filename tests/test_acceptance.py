@@ -49,7 +49,6 @@ from superlie.freelie import (
     miller_truncated_check,
 )
 from superlie.homology import (
-    adjoint_module,
     ce_complex,
     d3_lemma_check,
     h2_via_exterior,
@@ -377,7 +376,7 @@ def test_criterion_11_dd_zero_sentinel():
             assert cx.boundary(n - 1).compose(cx.boundary(n)).is_zero(), name
     for name in ("heis", "gl11"):
         P = lie_algebra(name)
-        cx = ce_complex(P, adjoint_module(P), 3)
+        cx = ce_complex(P, adjoint_action(P), 3)
         for n in (2, 3):
             assert cx.boundary(n - 1).compose(cx.boundary(n)).is_zero(), name
     for name in ASSOC_NAMES:

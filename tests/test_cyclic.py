@@ -1,5 +1,6 @@
 import pytest
 
+from oracles import hc0_direct
 from superlie.algebras import check_assoc_axioms, ground_assoc, lie_from_assoc
 from superlie.cyclic import (
     NotUnital,
@@ -9,7 +10,6 @@ from superlie.cyclic import (
     dual_numbers,
     grassmann_line,
     hc,
-    hc0_direct,
     hc1_kernel_model,
     milnor_hc1,
     v_algebra,
@@ -147,3 +147,23 @@ def test_not_unital_guard():
         v_algebra(a)
     with pytest.raises(NotUnital):
         cyclic_sixterm(a)
+
+
+def test_sixterm_eliminates_relation_ideal_once(m11, monkeypatch, capsys):
+    import superlie.cyclic as cyclic
+    from superlie.cli import main
+
+    calls = []
+    original = cyclic.relation_ideal
+
+    def counted(A):
+        calls.append(A)
+        return original(A)
+
+    monkeypatch.setattr(cyclic, "relation_ideal", counted)
+    assert cyclic_sixterm(m11).ok
+    assert len(calls) == 1
+    calls.clear()
+    assert main(["cyclic", "@m11", "--sixterm"]) == 0
+    assert "six-term sequence: exact" in capsys.readouterr().out
+    assert len(calls) == 1

@@ -2,6 +2,8 @@ import pytest
 
 from superlie.actions import (
     Action,
+    adjoint_action,
+    check_action,
     identity_crossed,
     supermodule_crossed,
     trivial_action,
@@ -11,9 +13,7 @@ from superlie.fields import QQ
 from superlie.freelie import Presentation, genset
 from superlie.homology import (
     ClassExceeded,
-    adjoint_module,
     ce_complex,
-    check_supermodule,
     d3_lemma_check,
     exactness_check,
     h2_via_exterior,
@@ -53,8 +53,8 @@ def test_dd_zero_on_corpus(heis, gl11, sl21):
 
 def test_dd_zero_with_adjoint_coefficients(heis, gl11):
     for alg in (heis, gl11):
-        m = adjoint_module(alg)
-        assert check_supermodule(m).ok
+        m = adjoint_action(alg)
+        assert check_action(m).ok
         cx = ce_complex(alg, m, 3)
         for n in (2, 3):
             assert cx.boundary(n - 1).compose(cx.boundary(n)).is_zero()
@@ -88,7 +88,7 @@ def test_h2_heis_golden_representatives(heis):
 
 def test_h0_with_module_coefficients(heis):
     # H0(P, M) = M/(P.M); for the adjoint module of heis: heis/[heis,heis]
-    m = adjoint_module(heis)
+    m = adjoint_action(heis)
     r = homology(heis, m, 0)
     assert r.dim == 2
 
@@ -189,9 +189,9 @@ def test_nh_supermodule_matches_homology(heis, gl11):
 
 def test_nh_adjoint_supermodule(heis):
     # the adjoint module with zero boundary: nh_i = H_i(P, ad)
-    m = adjoint_module(heis)
-    alg = m.as_abelian_algebra("m.")
-    cm = supermodule_crossed(heis, alg, Action(heis, alg, dict(m.table)))
+    alg = abelian(QQ, 3, 0, prefix="m")
+    m = Action(heis, alg, adjoint_action(heis).table)
+    cm = supermodule_crossed(heis, alg, m)
     r = nh(heis, cm)
     assert r.nh0.dims == homology(heis, m, 0).dims
     assert r.nh1.dims == homology(heis, m, 1).dims

@@ -331,3 +331,36 @@ def test_cli_hopf_truncation_limits_are_input_errors(tmp_path):
     assert r.returncode == 2
     assert "5 generators given" in r.stderr
     assert "Traceback" not in r.stderr
+
+
+def _heis_module(tmp_path, name, basis, entries):
+    p = tmp_path / f"{name}.json"
+    obj = {"name": name, "algebra": "heis", "basis": basis, "entries": entries}
+    p.write_text(json.dumps(obj), encoding="utf-8")
+    return p
+
+
+def test_cli_homology_module_fails_its_axioms(tmp_path):
+    # only z acts, by 1: [x, y].v = v but x.(y.v) - y.(x.v) = 0
+    p = _heis_module(tmp_path, "bad", [["v", 0]],
+                     [{"p": "z", "m": "v", "value": [["v", "1"]]}])
+    r = run_cli("homology", "@heis", "--module", str(p), "-n", "1")
+    assert r.returncode == 1
+    assert "module fails its axioms" in r.stdout
+    assert "Traceback" not in r.stderr
+    r = run_cli("--out", "json", "homology", "@heis", "--module", str(p), "-n", "1")
+    assert r.returncode == 1
+    rep = json.loads(r.stdout)
+    assert rep["results"]["module_valid"] is False
+    assert rep["status"] == "failed"
+
+
+def test_cli_homology_valid_module_file(tmp_path):
+    # the adjoint module of heis: H0 = heis/[heis, heis] has dimension (2|0)
+    p = _heis_module(tmp_path, "ad", [["x", 0], ["y", 0], ["z", 0]], [
+        {"p": "x", "m": "y", "value": [["z", "1"]]},
+        {"p": "y", "m": "x", "value": [["z", "-1"]]},
+    ])
+    r = run_cli("--out", "json", "homology", "@heis", "--module", str(p), "-n", "0")
+    assert r.returncode == 0
+    assert json.loads(r.stdout)["results"]["homology"][0] == [2, 0]

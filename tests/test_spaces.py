@@ -3,14 +3,13 @@ from itertools import permutations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import count_wedge_monomials
+from oracles import count_wedge_monomials, koszul_sign
 from superlie.fields import QQ
 from superlie.linalg import Matrix
 from superlie.spaces import (
     GradedMap,
     SuperSpace,
     exterior_power,
-    koszul_sign,
     superspace,
     tensor_space,
     wedge_normalize,

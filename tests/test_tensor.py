@@ -1,4 +1,6 @@
+import gc
 import random
+import weakref
 
 import pytest
 
@@ -17,6 +19,7 @@ from superlie.tensor import (
     IncompatibleActions,
     NotPerfect,
     adjoint_tensor_square,
+    exterior_square,
     nilpotency_bounds_check,
     nonabelian_tensor,
     right_exactness_check,
@@ -233,3 +236,15 @@ def test_ker_mu_central(heis, gl11):
         center = t.algebra.center()
         assert center.contains(t.mu.kernel())
         assert center.contains(t.nu.kernel())
+
+
+def test_tensor_memos_do_not_keep_the_algebra_alive():
+    P = heisenberg(QQ)
+    t = adjoint_tensor_square(P)
+    ext = exterior_square(P)
+    assert ext.tensor is t
+    assert adjoint_tensor_square(P) is t and exterior_square(P) is ext
+    ref = weakref.ref(P)
+    del P, t, ext
+    gc.collect()
+    assert ref() is None
