@@ -132,6 +132,9 @@ class LieSuperAlgebra:
         return Subspace.full(self.field, self.dim)
 
     def product_subspace(self, a: Subspace, b: Subspace) -> Subspace:
+        if a.dim == b.dim == self.dim:
+            # [L, L]: by graded antisymmetry every [e_i, e_j] is ± a table value
+            return Subspace(self.field, self.dim, self.table.values())
         acc = Echelon(self.field, self.dim)
         for u in a.rows:
             for v in b.rows:

@@ -1,11 +1,15 @@
 """Exact scalar arithmetic over the rationals and odd prime fields.
 
-Scalars are plain Python objects: ``fractions.Fraction`` (or ``int``) over
-the rationals, canonical residues ``0..p-1`` over a prime field.  A
-:class:`Field` value carries the choice and provides parsing, formatting
-and the few operations that are not just ``+``/``*`` on the scalars
-themselves (inversion, canonicalization of scalars and of sparse
-vectors).
+Scalars are plain Python objects: canonical residues ``0..p-1`` over a
+prime field; over the rationals an ``int`` when the value is integral and
+a ``fractions.Fraction`` only when it is not.  ``Field.of``, ``inv``,
+``div`` and ``parse`` return this normal form, never ``Fraction(n, 1)``,
+and so do the pivot-1 rows of ``linalg``, so integral structure constants
+and subspace bases stay in ``int`` arithmetic.  Plain ``+``/``*`` on the
+scalars may still give ``Fraction(n, 1)``, which equals and formats as
+``n``.  A :class:`Field` value carries the choice and provides parsing,
+formatting and the few operations that are not just ``+``/``*``
+(inversion, canonicalization of scalars and of sparse vectors).
 """
 
 from __future__ import annotations
@@ -16,6 +20,11 @@ from fractions import Fraction
 
 class FieldError(ValueError):
     """Invalid field specification or a scalar that does not parse in it."""
+
+
+def _rational(value: Fraction) -> Fraction | int:
+    """The normal form of a rational: its numerator when it is integral."""
+    return value.numerator if value.denominator == 1 else value
 
 
 def _is_prime(n: int) -> bool:
@@ -52,7 +61,7 @@ class Field:
     def of(self, value) -> Fraction | int:
         """Canonicalize an int / Fraction into this field."""
         if self.p is None:
-            return value if isinstance(value, (int, Fraction)) else Fraction(value)
+            return value if isinstance(value, int) else _rational(Fraction(value))
         if isinstance(value, Fraction):
             num, den = value.numerator, value.denominator
             return num * pow(den, -1, self.p) % self.p
@@ -71,7 +80,7 @@ class Field:
         if self.p is None:
             if value == 0:
                 raise ZeroDivisionError("inverse of zero")
-            return Fraction(1, 1) / Fraction(value)
+            return _rational(1 / Fraction(value))
         v = value % self.p
         if v == 0:
             raise ZeroDivisionError("inverse of zero")
@@ -79,7 +88,7 @@ class Field:
 
     def div(self, a, b):
         if self.p is None:
-            return Fraction(a) / Fraction(b)
+            return _rational(Fraction(a) / Fraction(b))
         return a * self.inv(b) % self.p
 
     def neg(self, a):
@@ -109,7 +118,7 @@ class Field:
                 if self.p is not None:
                     num, den = text.split("/")
                     return self.of(Fraction(int(num), int(den)))
-                return Fraction(text)
+                return _rational(Fraction(text))
             n = int(text)
         except (ValueError, ZeroDivisionError) as exc:
             raise FieldError(f"cannot parse scalar {text!r} over {self}") from exc

@@ -23,7 +23,15 @@ class ParseError(ValueError):
     """A file fails to parse or validate against its schema."""
 
 
+def _require_list(value, what: str) -> list:
+    if not isinstance(value, list):
+        raise ParseError(f"{what} must be a list: {value!r}")
+    return value
+
+
 def _require_keys(obj: dict, required: set[str], optional: set[str], what: str) -> None:
+    if not isinstance(obj, dict):
+        raise ParseError(f"{what} must be an object: {obj!r}")
     keys = set(obj)
     missing = required - keys
     if missing:
@@ -58,7 +66,7 @@ def field_to_json(field: Field) -> dict:
 
 def _parse_basis(items, field: Field) -> SuperSpace:
     labels, parities = [], []
-    for it in items:
+    for it in _require_list(items, "basis"):
         if not (isinstance(it, list) and len(it) == 2):
             raise ParseError(f"basis entry must be [label, parity]: {it!r}")
         label, par = it
@@ -74,7 +82,7 @@ def _parse_basis(items, field: Field) -> SuperSpace:
 
 def _parse_value(value, space: SuperSpace, field: Field) -> dict:
     out = {}
-    for pair in value:
+    for pair in _require_list(value, "value"):
         if not (isinstance(pair, list) and len(pair) == 2):
             raise ParseError(f"value entry must be [label, coeff]: {pair!r}")
         label, coeff = pair
@@ -86,7 +94,7 @@ def _parse_value(value, space: SuperSpace, field: Field) -> dict:
             c = field.parse(str(coeff))
         except FieldError as exc:
             raise ParseError(str(exc)) from exc
-        out[idx] = out.get(idx, 0) + c
+        out[idx] = field.of(out.get(idx, 0) + c)
     return vec_clean(out)
 
 
@@ -98,7 +106,7 @@ def parse_algebra(obj: dict, what: str = "algebra") -> LieSuperAlgebra | AssocSu
     if kind not in ("lie", "assoc"):
         raise ParseError(f"kind must be 'lie' or 'assoc', got {kind!r}")
     table: dict[tuple[int, int], dict] = {}
-    for entry in obj["table"]:
+    for entry in _require_list(obj["table"], "table"):
         _require_keys(entry, {"left", "right", "value"}, set(), "table entry")
         try:
             i = space.labels.index(entry["left"])
@@ -155,7 +163,7 @@ def parse_action(obj: dict, actor: LieSuperAlgebra, target: LieSuperAlgebra) -> 
     if obj["target"] != target.name:
         raise ParseError(f"action target {obj['target']!r} does not match algebra {target.name!r}")
     table: dict[tuple[int, int], dict] = {}
-    for entry in obj["entries"]:
+    for entry in _require_list(obj["entries"], "entries"):
         _require_keys(entry, {"p", "m", "value"}, set(), "action entry")
         try:
             p = actor.space.labels.index(entry["p"])
@@ -194,7 +202,7 @@ def parse_module(obj: dict, p: LieSuperAlgebra) -> Action:
 
 def parse_boundary(items, m_alg: LieSuperAlgebra, p_alg: LieSuperAlgebra) -> GradedMap:
     cols = [dict() for _ in range(m_alg.dim)]
-    for entry in items:
+    for entry in _require_list(items, "boundary"):
         _require_keys(entry, {"from", "value"}, set(), "boundary entry")
         try:
             i = m_alg.space.labels.index(entry["from"])

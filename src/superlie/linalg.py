@@ -3,9 +3,9 @@
 Vectors are sparse dicts ``{coordinate: scalar}`` with zero entries absent;
 ``Field.clean`` puts a vector in the field's normal form.
 
-The workhorse is :class:`Echelon`, an incremental reduced-echelon
-accumulator with one elimination step per backend, chosen once per
-accumulator from the field:
+The workhorse is :class:`Echelon`, an incremental echelon accumulator
+with one elimination step per backend, chosen once per accumulator from
+the field:
 
 - over Q, rows are primitive integer vectors and elimination is fraction
   free (cross multiplication followed by content reduction), which bounds
@@ -13,6 +13,13 @@ accumulator from the field:
   elsewhere in the package;
 - over GF(p), rows are monic vectors of residues and elimination subtracts
   a multiple of the row mod p.
+
+Its rows are semi-reduced: each is zero left of its own pivot (its least
+index), and no two share a pivot.  Clearing the pivot columns of a vector
+in increasing order therefore takes one pass, and an insert stores the
+reduced vector without touching the other rows.  Back-substitution, which
+clears each pivot column from every other row, happens once, in
+:meth:`Echelon.subspace`.
 
 A :class:`Subspace` is the canonical reduced row echelon form (RREF) of a
 span, with pivots normalized to 1; it is the equality test for subspaces.
@@ -25,6 +32,7 @@ a vector is therefore one pass over its own pivot entries: subtract
 from __future__ import annotations
 
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from math import gcd, lcm
 
 from .fields import Field
@@ -79,12 +87,16 @@ class _RationalRows:
 
     @staticmethod
     def row(v: dict) -> dict:
-        """Clear denominators."""
+        """Clear denominators: scale to the smallest integer multiple."""
         den = 1
         for c in v.values():
-            if isinstance(c, Fraction) and c.denominator != 1:
+            if type(c) is not int and c.denominator != 1:
                 den = lcm(den, c.denominator)
-        return {k: int(c * den) for k, c in v.items() if c != 0}
+        out = {}
+        for k, c in v.items():
+            if c:
+                out[k] = c * den if type(c) is int else c.numerator * (den // c.denominator)
+        return out
 
     @staticmethod
     def normalize(row: dict) -> dict:
@@ -104,8 +116,9 @@ class _RationalRows:
     def eliminate(work: dict, row: dict, piv: int) -> dict:
         """Clear column piv of work with row, fraction free: a*work - c*row."""
         a, c = row[piv], work[piv]
-        for k in work:
-            work[k] = a * work[k]
+        if a != 1:
+            for k in work:
+                work[k] = a * work[k]
         for k, d in row.items():
             new = work.get(k, 0) - c * d
             if new == 0:
@@ -116,8 +129,11 @@ class _RationalRows:
 
     @staticmethod
     def to_field(row: dict, piv: int) -> dict:
+        """The pivot-1 row; an entry is an ``int`` wherever it is integral."""
         a = row[piv]
-        return {k: Fraction(c, a) for k, c in row.items()}
+        if a == 1:
+            return dict(row)
+        return {k: c // a if c % a == 0 else Fraction(c, a) for k, c in row.items()}
 
 
 class _ResidueRows:
@@ -153,11 +169,15 @@ class _ResidueRows:
 
 
 class Echelon:
-    """Incrementally reduced span of backend-normalized rows.
+    """Incremental span of backend-normalized rows, kept semi-reduced.
 
-    Rows are mutually reduced (each pivot column is zero in every other
-    row); over Q they are primitive integer rows, not pivot-normalized.
-    :meth:`subspace` produces the canonical pivot-1 form over the field.
+    Each stored row is zero left of its pivot (its least index), and no two
+    rows share a pivot; over Q the rows are primitive integer rows, not
+    pivot-normalized.  :meth:`insert` reduces the new row against the
+    stored rows and stores it without touching any other row.
+    :meth:`subspace` back-substitutes once, from the largest pivot down,
+    keeps the fully reduced rows, and returns the canonical pivot-1 form
+    over the field; a second call with no insert in between is free.
     """
 
     def __init__(self, field: Field, ambient: int):
@@ -165,16 +185,34 @@ class Echelon:
         self.ambient = ambient
         self.rows: dict[int, dict] = {}  # pivot -> backend row
         self._ops = _RationalRows if field.p is None else _ResidueRows(field)
+        self._subspace: Subspace | None = None  # memo, cleared by insert
 
     @property
     def rank(self) -> int:
         return len(self.rows)
 
     def _reduce(self, work: dict) -> dict:
-        """Eliminate every pivot column from a backend row (one pass: the
-        stored rows are zero at each other's pivots)."""
-        for piv in sorted(work.keys() & self.rows.keys()):
-            work = self._ops.eliminate(work, self.rows[piv], piv)
+        """Eliminate every pivot column from a backend row.
+
+        Pivots are cleared in increasing order, from a heap of the pivot
+        columns present: a stored row is zero left of its pivot, so clearing
+        one pivot only brings in columns to its right, and one pass does."""
+        rows, eliminate = self.rows, self._ops.eliminate
+        heap = [k for k in work if k in rows]
+        if not heap:
+            return work
+        heapify(heap)
+        seen = set(heap)
+        while heap:
+            piv = heappop(heap)
+            if piv not in work:
+                continue
+            row = rows[piv]
+            work = eliminate(work, row, piv)
+            for k in row:
+                if k not in seen and k in rows and k in work:
+                    seen.add(k)
+                    heappush(heap, k)
         return work
 
     def insert(self, v: dict) -> bool:
@@ -183,20 +221,28 @@ class Echelon:
         if not work:
             return False
         work = self._ops.normalize(work)
-        piv = min(work)
-        # clear the new pivot column from existing rows
-        for other_piv, row in self.rows.items():
-            if piv in row:
-                self.rows[other_piv] = self._ops.eliminate(row, work, piv)
-        self.rows[piv] = work
+        self.rows[min(work)] = work
+        self._subspace = None
         return True
 
     def contains(self, v: dict) -> bool:
         return not self._reduce(self._ops.row(v))
 
     def subspace(self) -> "Subspace":
-        rows = [self._ops.to_field(self.rows[piv], piv) for piv in sorted(self.rows)]
-        return Subspace(self.field, self.ambient, rows, _canonical=True)
+        if self._subspace is None:
+            rows, eliminate = self.rows, self._ops.eliminate
+            pivots = sorted(rows)
+            # Back-substitution from the largest pivot down: the rows to the
+            # right are already fully reduced, so each row needs one pass
+            # over the other pivots it holds.
+            for piv in reversed(pivots):
+                row = rows[piv]
+                for q in (row.keys() & rows.keys()) - {piv}:
+                    row = eliminate(row, rows[q], q)
+                rows[piv] = row
+            canonical = [self._ops.to_field(rows[piv], piv) for piv in pivots]
+            self._subspace = Subspace(self.field, self.ambient, canonical, _canonical=True)
+        return self._subspace
 
 
 # ---------------------------------------------------------------------------
@@ -212,7 +258,7 @@ class Subspace:
         self.field = field
         self.ambient = ambient
         if _canonical:
-            rows = [vec_clean(r) for r in vectors]
+            rows = list(vectors)
         else:
             acc = Echelon(field, ambient)
             for v in vectors:
@@ -358,17 +404,15 @@ class Matrix:
             acc.insert(row)
         rref = acc.subspace()
         pivset = set(rref.pivots)
-        vectors = []
-        for j in range(self.ncols):
-            if j in pivset:
-                continue
-            w = {j: self.field.one}
-            for piv, row in zip(rref.pivots, rref.rows):
-                c = row.get(j, 0)
-                if c:
-                    w[piv] = self.field.neg(c)
-            vectors.append(w)
-        return Subspace(self.field, self.ncols, vectors)
+        # one vector per free column j: e_j minus the RREF entries in column
+        # j, read off each pivot row's own entries (all at free columns)
+        kernel = {j: {j: self.field.one} for j in range(self.ncols) if j not in pivset}
+        neg = self.field.neg
+        for piv, row in zip(rref.pivots, rref.rows):
+            for j, c in row.items():
+                if j != piv:
+                    kernel[j][piv] = neg(c)
+        return Subspace(self.field, self.ncols, kernel.values())
 
     def solve(self, b: dict) -> dict | None:
         """Some x with M x = b (free variables set to 0), or None if inconsistent."""

@@ -3,7 +3,8 @@
 These deliberately avoid the production code paths: the free Lie
 superalgebra dimensions come from a magma-quotient construction, the
 matrix superalgebra bracket is recomputed by multiplying explicit
-matrices entry by entry, reductions against a canonical subspace walk
+matrices entry by entry, the canonical row echelon form comes from dense
+Gauss–Jordan elimination, reductions against a canonical subspace walk
 every row instead of the vector's own pivot entries, and the relation space of the non-abelian tensor
 product is spanned by all five generator families, including the cyclic
 Jacobi-type family (v) that the production construction omits.  Wedge
@@ -13,6 +14,7 @@ directly instead of from the Connes complex.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from itertools import product
 
 from superlie.algebras import AssocSuperAlgebra, quotient_space
@@ -48,6 +50,36 @@ def hc0_direct(A: AssocSuperAlgebra) -> tuple[int, int]:
     comm = commutator_subspace(A)
     q = quotient_space(A.space, Subspace.full(A.field, A.dim), comm, "h0.")
     return q.dims
+
+
+# ---------------------------------------------------------------------------
+# reduced row echelon form by dense Gauss–Jordan elimination
+
+
+def rref_oracle(field, ambient: int, vectors) -> list[dict]:
+    """The RREF rows (pivot entry 1, sorted by pivot) of the span of sparse
+    vectors, by dense Gauss–Jordan elimination over Fractions, or over
+    residues mod p."""
+    p = field.p
+    if p is None:
+        m = [[Fraction(v.get(j, 0)) for j in range(ambient)] for v in vectors]
+    else:
+        m = [[v.get(j, 0) % p for j in range(ambient)] for v in vectors]
+    r = 0
+    for col in range(ambient):
+        hit = next((i for i in range(r, len(m)) if m[i][col] != 0), None)
+        if hit is None:
+            continue
+        m[r], m[hit] = m[hit], m[r]
+        inv = 1 / m[r][col] if p is None else pow(m[r][col], -1, p)
+        m[r] = [a * inv if p is None else a * inv % p for a in m[r]]
+        for i in range(len(m)):
+            f = m[i][col]
+            if i != r and f != 0:
+                m[i] = [a - f * b if p is None else (a - f * b) % p
+                        for a, b in zip(m[i], m[r])]
+        r += 1
+    return [{j: c for j, c in enumerate(row) if c != 0} for row in m[:r]]
 
 
 # ---------------------------------------------------------------------------

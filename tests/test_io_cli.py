@@ -364,3 +364,29 @@ def test_cli_homology_valid_module_file(tmp_path):
     r = run_cli("--out", "json", "homology", "@heis", "--module", str(p), "-n", "0")
     assert r.returncode == 0
     assert json.loads(r.stdout)["results"]["homology"][0] == [2, 0]
+
+
+@pytest.mark.parametrize("basis, entries, message", [
+    ([["v", 0]], 5, "entries must be a list"),
+    ([["v", 0]], [{"p": "z", "m": "v", "value": 5}], "value must be a list"),
+    (7, [], "basis must be a list"),
+])
+def test_cli_homology_malformed_module_containers(tmp_path, basis, entries, message):
+    p = _heis_module(tmp_path, "m", basis, entries)
+    r = run_cli("homology", "@heis", "--module", str(p), "-n", "1")
+    assert r.returncode == 2
+    assert message in r.stderr
+    assert "Traceback" not in r.stderr
+
+
+@pytest.mark.parametrize("obj, message", [
+    ({"name": "a", "field": {"kind": "Q"}, "kind": "lie", "basis": [["x", 0]], "table": {}},
+     "table must be a list"),
+    ({"name": "a", "field": {"kind": "Q"}, "kind": "lie", "basis": [["x", 0]], "table": [3]},
+     "table entry must be an object"),
+    ({"name": "a", "field": {"kind": "Q"}, "kind": "lie", "basis": "x", "table": []},
+     "basis must be a list"),
+])
+def test_malformed_algebra_containers_rejected(obj, message):
+    with pytest.raises(ParseError, match=message):
+        parse_algebra(obj)

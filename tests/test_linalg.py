@@ -1,10 +1,12 @@
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from superlie.fields import Field, QQ
-from oracles import quotient_coords_all_rows, reduce_all_rows
+from superlie.io import load_algebra
+from oracles import quotient_coords_all_rows, reduce_all_rows, rref_oracle
 from superlie.linalg import (
     AmbientMismatch,
     ContainmentError,
@@ -299,3 +301,77 @@ def test_echelon_membership_matches_reduction(case):
         assert got == want
         assert not reduce_all_rows(sq.bottom, vec_sub(sq.lift(got), v))
         assert sq.reduce(sq.lift(got)) == got
+
+
+def _integral_fractions(vectors) -> list:
+    return [c for v in vectors for c in v.values()
+            if isinstance(c, Fraction) and c.denominator == 1]
+
+
+@st.composite
+def echelon_sessions(draw):
+    """A field and a sequence of Echelon operations (insert, contains,
+    subspace) on vectors written in a permuted, rescaled basis; some
+    vectors are combinations of earlier ones, so some inserts do not
+    raise the rank."""
+    field = draw(st.sampled_from([QQ, F3, F5, F7]))
+    n = draw(st.integers(min_value=1, max_value=6))
+    perm = draw(st.permutations(range(n)))
+    if field.p is None:
+        scales = [draw(st.sampled_from([1, -1, 2, -3, Fraction(1, 2)])) for _ in range(n)]
+    else:
+        scales = [draw(st.integers(min_value=1, max_value=field.p - 1)) for _ in range(n)]
+    ops, drawn = [], []
+    for _ in range(draw(st.integers(min_value=0, max_value=14))):
+        kind = draw(st.sampled_from(["insert", "insert", "contains", "subspace"]))
+        if kind == "subspace":
+            ops.append((kind, None))
+            continue
+        if drawn and draw(st.booleans()):
+            v: dict = {}
+            for u in drawn:
+                vec_axpy(v, draw(small_scalar), u)
+            v = field.clean(v)
+        else:
+            v = {perm[j]: field.of(scales[j] * c)
+                 for j in range(n) if (c := draw(small_scalar))}
+        drawn.append(v)
+        ops.append((kind, v))
+    return field, n, ops
+
+
+@settings(max_examples=200, deadline=None)
+@given(echelon_sessions())
+def test_echelon_session_matches_dense_rref(case):
+    """Interleaved insert / contains / subspace agree with dense Gauss–Jordan
+    elimination: insert is True exactly when the rank grows, contains is
+    rank-preserving membership, and every subspace() (also one taken after
+    further inserts) is the oracle's RREF."""
+    field, n, ops = case
+    acc = Echelon(field, n)
+    inserted: list[dict] = []
+    rank = 0
+    for kind, v in ops + [("subspace", None)]:
+        if kind == "insert":
+            inserted.append(v)
+            grown = len(rref_oracle(field, n, inserted))
+            assert acc.insert(v) == (grown > rank)
+            rank = grown
+            assert acc.rank == rank
+        elif kind == "contains":
+            assert acc.contains(v) == (len(rref_oracle(field, n, inserted + [v])) == rank)
+        else:
+            rows = acc.subspace().rows
+            assert rows == rref_oracle(field, n, inserted)
+            if field.p is None:
+                assert not _integral_fractions(rows)
+
+
+def test_integral_rationals_are_ints():
+    assert QQ.of(Fraction(6, 3)) == 2 and type(QQ.of(Fraction(6, 3))) is int
+    assert type(QQ.parse("4/2")) is int and type(QQ.inv(Fraction(1, 3))) is int
+    sl21 = load_algebra(Path(__file__).parent.parent / "src" / "superlie" / "data" / "sl21.json")
+    assert sl21.field == QQ
+    assert not _integral_fractions(sl21.table.values())
+    sub = Subspace(QQ, 3, [{0: Fraction(2), 1: Fraction(4, 2)}, {0: 3, 2: Fraction(9, 3)}])
+    assert not _integral_fractions(sub.rows)
