@@ -14,7 +14,6 @@ from .linalg import (
 )
 from .spaces import (
     GradedMap,
-    GradedVector,
     SuperSpace,
     WedgeMonomial,
     exterior_power,
@@ -111,7 +110,6 @@ from .freelie import (
     GradedGenSet,
     Presentation,
     TruncationOutOfRange,
-    evaluate_relator,
     free_nilpotent,
     free_truncated,
     genset,

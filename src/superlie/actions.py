@@ -87,25 +87,6 @@ def adjoint_action(L: LieSuperAlgebra) -> Action:
     return Action(L, L, table, name="adjoint")
 
 
-def subspace_bracket_action(L: LieSuperAlgebra, actor_view, target_view) -> Action:
-    """Action of one subalgebra view of L on another induced by the bracket
-    (the target must be stable, e.g. an ideal)."""
-    table = {}
-    arows = actor_view.inclusion.matrix.cols
-    trows = target_view.inclusion.matrix.cols
-    for p, pa in enumerate(arows):
-        for m, tm in enumerate(trows):
-            w = L.bracket(pa, tm)
-            if not w:
-                continue
-            v = target_view.coords(w)
-            if v is None:
-                raise ActionInvalid("bracket leaves the target subspace")
-            if v:
-                table[(p, m)] = v
-    return Action(actor_view.algebra, target_view.algebra, table, name="bracket")
-
-
 def check_action(a: Action) -> AxiomReport:
     violations: list[Violation] = []
     P, M = a.actor, a.target

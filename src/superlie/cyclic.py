@@ -160,9 +160,11 @@ def connes(A: AssocSuperAlgebra, max_n: int = 2) -> ConnesComplex:
 
 
 def hc(A: AssocSuperAlgebra, n: int, complex_: ConnesComplex | None = None) -> HomologyResult:
-    """Cyclic homology HC_n from the Connes complex."""
+    """Cyclic homology HC_n from the Connes complex (built for A when given)."""
     if complex_ is None:
         complex_ = connes(A, max(2, n + 1))
+    elif complex_.a is not A:
+        raise ValueError("complex_ was built for another algebra")
     if n + 1 > complex_.max_n:
         raise IndexError(f"complex too short for HC_{n}")
     field = A.field

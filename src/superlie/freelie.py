@@ -274,13 +274,6 @@ class Presentation:
             word_parity(w, self.gens)  # validates labels and homogeneity
 
 
-def evaluate_relator(F: FreeTruncation, word):
-    """The relator as a graded vector of the truncated algebra."""
-    from .spaces import GradedVector
-
-    return GradedVector.of(F.algebra().space, F.word_to_algebra_vec(word))
-
-
 @dataclass
 class MillerReport:
     ok: bool

@@ -10,6 +10,28 @@ the boundary
 
 and d.d = 0 is asserted on every constructed complex: it is the global
 sentinel for the sign conventions shared across the package.
+
+Weight-0 reduction.  Let h be an even basis element of P with ad(h)
+diagonal on P's basis, ad(h) x = lambda(x) x, that also acts diagonally
+on M's basis, h.t = mu(t) t.  Then h acts on the chain x_1^...^x_n (x) t
+by its weight lambda(x_1) + ... + lambda(x_n) + mu(t), d preserves
+weights, and Cartan's formula L_h = d i_h + i_h d (i_h wedges with h)
+makes h act by 0 on homology; so every block of chains whose weight is
+nonzero in the field is acyclic (Hochschild-Serre, Ann. of Math. 57,
+1953; Fuks, Cohomology of Infinite-Dimensional Lie Algebras, 1986,
+ch. 1).  :func:`ce_complex` builds only the chains of weight 0 under
+every such h (all chains when there is none, as for heis), and their
+homology is H_*(P, M).  Only basis elements with diagonal ad are used: a
+grading that is not inner, such as the Grassmann degree of
+sl(2|1, Lambda1), has acyclic-looking blocks that carry homology.
+
+The complex's ``spaces``, ``monomials`` and ``coefficients`` and the
+representatives of :func:`homology` refer to the kept chains, listed in
+the order of the full complex and labelled as there.  The canonical
+echelon form of a direct sum over disjoint coordinate blocks is the
+union of the blocks' forms and an acyclic block contributes no
+representative, so dimensions and representatives, read through chain
+labels, equal those of the full complex.
 """
 
 from __future__ import annotations
@@ -46,7 +68,6 @@ from .spaces import (
     GradedMap,
     SuperSpace,
     WedgeMonomial,
-    exterior_power,
     wedge_normalize,
 )
 from .tensor import (
@@ -86,10 +107,26 @@ def trivial_module(P: LieSuperAlgebra) -> Action:
 
 @dataclass
 class ChainComplex:
+    """The chain complex of P with coefficients in M on its weight-0 chains:
+    for every even basis element h of P with ad(h) diagonal on P's basis
+    and a diagonal action on M's basis, only the chains on which h acts by
+    0 are kept; the other blocks are acyclic by Cartan's formula
+    (Hochschild-Serre, Ann. of Math. 57, 1953; Fuks, Cohomology of
+    Infinite-Dimensional Lie Algebras, 1986, ch. 1).  With no such h every
+    chain is kept.
+
+    Chain i of degree n is ``monomials[n][i] (x) t`` with t the basis
+    element ``coefficients[n][i]`` of M.  ``spaces``, ``monomials``,
+    ``coefficients`` and the representatives of :func:`homology` refer to
+    the kept chains, listed in the order of the full complex; a chain's
+    label is its label in the full complex.
+    """
+
     p: LieSuperAlgebra
     module: Action
     spaces: list[SuperSpace]
     monomials: list[list[WedgeMonomial]]
+    coefficients: list[list[int]]
     boundaries: list[GradedMap | None]  # boundaries[n]: C_n -> C_{n-1}, n >= 1
 
     def boundary(self, n: int) -> GradedMap:
@@ -99,39 +136,91 @@ class ChainComplex:
         return b
 
 
-def ce_complex(P: LieSuperAlgebra, M: Action, max_n: int = DEFAULT_MAX_DEGREE) -> ChainComplex:
-    """The chain complex of P with coefficients in the P-module M (an action
-    of P on M.target) up to degree max_n."""
+def _diagonal(column, dim: int, reduce) -> list | None:
+    """The diagonal of the map with basis images column(i), or None if the
+    map is not diagonal."""
+    diag = []
+    for i in range(dim):
+        v = column(i)
+        if v.keys() - {i}:
+            return None
+        diag.append(reduce(v.get(i, 0)))
+    return diag
+
+
+def _cartan_weights(P: LieSuperAlgebra, M: Action) -> list[tuple[list, list]]:
+    """The weights (lambda on P's basis, mu on M's basis) of every even basis
+    element h of P whose ad(h) is diagonal on P's basis and whose action is
+    diagonal on M's basis; an h whose weights all vanish is left out."""
+    reduce = P.field.reduce
+    out = []
+    for h in range(P.dim):
+        if P.space.parities[h]:
+            continue
+        lam = _diagonal(lambda i: P.bracket_basis(h, i), P.dim, reduce)
+        if lam is None:
+            continue
+        mu = _diagonal(lambda t: M.act_basis(h, t), M.target.dim, reduce)
+        if mu is not None and (any(lam) or any(mu)):
+            out.append((lam, mu))
+    return out
+
+
+def _weight0_chains(P: LieSuperAlgebra, dm: int, max_n: int,
+                    weights: list[tuple[list, list]]) -> list[list[tuple[tuple[int, ...], int]]]:
+    """Per degree, the chains (factors, t) whose weight sum_i lambda(x_i) +
+    mu(t) is 0 in the field for every (lambda, mu) in weights, in the order
+    of the full complex.  The weight of the wedge factors is carried as a
+    prefix sum, so each chain costs one lookup."""
+    reduce = P.field.reduce
+    par = P.space.parities
+    lam = [tuple(w[0][i] for w in weights) for i in range(P.dim)]
+    wanted: dict[tuple, list[int]] = {}  # wedge weight -> the t it pairs with
+    for t in range(dm):
+        wanted.setdefault(tuple(reduce(-w[1][t]) for w in weights), []).append(t)
+    level = [((), tuple(0 for _ in weights))]
+    chains = []
+    for n in range(max_n + 1):
+        chains.append([(f, t) for f, w in level for t in wanted.get(w, ())])
+        if n < max_n:
+            # canonical monomials: weakly increasing, even factors strictly
+            level = [(f + (i,), tuple(reduce(a + b) for a, b in zip(w, lam[i])))
+                     for f, w in level
+                     for i in range(f[-1] + 1 - par[f[-1]] if f else 0, P.dim)]
+    return chains
+
+
+def _chain_complex(P: LieSuperAlgebra, M: Action, max_n: int,
+                   weights: list[tuple[list, list]]) -> ChainComplex:
+    """The one construction loop: the chains of weight 0 under weights
+    (every chain when weights is empty), their labels and boundaries, and
+    the d.d = 0 certificate."""
     field = P.field
     par = P.space.parities
+    plabels = P.space.labels
     msp = M.target.space
-    dm = msp.dim
+    ground = msp.dim == 1 and msp.labels[0] == "1"
+    chains = _weight0_chains(P, msp.dim, max_n, weights)
     spaces: list[SuperSpace] = []
-    monos: list[list[WedgeMonomial]] = []
-    index_of: list[dict[tuple[int, ...], int]] = []
-    for n in range(max_n + 1):
-        wedge, mlist = exterior_power(P.space, n)
+    index_of: list[dict[tuple[tuple[int, ...], int], int]] = []
+    for level in chains:
         labels = []
         parities = []
-        for w_idx, m in enumerate(mlist):
-            for t in range(dm):
-                if dm == 1 and msp.labels[t] == "1":
-                    labels.append(wedge.labels[w_idx])
-                else:
-                    labels.append(f"{wedge.labels[w_idx]}(x){msp.labels[t]}")
-                parities.append((wedge.parities[w_idx] + msp.parities[t]) % 2)
+        for f, t in level:
+            wedge = "^".join(plabels[i] for i in f) if f else "1"
+            labels.append(wedge if ground else f"{wedge}(x){msp.labels[t]}")
+            parities.append((sum(par[i] for i in f) + msp.parities[t]) % 2)
         spaces.append(SuperSpace(field, tuple(labels), tuple(parities)))
-        monos.append(mlist)
-        index_of.append({m.factors: i for i, m in enumerate(mlist)})
+        index_of.append({c: i for i, c in enumerate(level)})
 
     boundaries: list[GradedMap | None] = [None]
     for n in range(1, max_n + 1):
+        below = index_of[n - 1]
         cols: list[dict] = []
-        for m in monos[n]:
-            xs = m.factors
+        for xs, t in chains[n]:
             pre_par = [par[x] for x in xs]
-            for t in range(dm):
-                col: dict = {}
+            col: dict = {}
+            try:
                 # module-action terms
                 for i in range(n):
                     acted = M.act_basis(xs[i], t)
@@ -139,9 +228,8 @@ def ce_complex(P: LieSuperAlgebra, M: Action, max_n: int = DEFAULT_MAX_DEGREE) -
                         tail = sum(pre_par[k] for k in range(i + 1, n))
                         s = -1 if ((i + 1) + pre_par[i] * tail) % 2 else 1
                         rest = xs[:i] + xs[i + 1:]
-                        w_idx = index_of[n - 1][rest]
                         for t2, c in acted.items():
-                            key = w_idx * dm + t2
+                            key = below[(rest, t2)]
                             col[key] = col.get(key, 0) + s * c
                 # bracket terms
                 for i in range(n):
@@ -159,16 +247,28 @@ def ce_complex(P: LieSuperAlgebra, M: Action, max_n: int = DEFAULT_MAX_DEGREE) -
                             s2, mono = wedge_normalize([e, *rest], par)
                             if mono is None:
                                 continue
-                            key = index_of[n - 1][mono.factors] * dm + t
+                            key = below[(mono.factors, t)]
                             col[key] = col.get(key, 0) + s * s2 * c
-                cols.append(field.clean(col))
+            except KeyError:
+                raise ComplexInconsistent(
+                    f"d_{n} leaves the weight-0 chains at {spaces[n].labels[len(cols)]}") from None
+            cols.append(field.clean(col))
         boundaries.append(GradedMap.from_columns(spaces[n], spaces[n - 1], cols))
 
     for n in range(2, max_n + 1):
         comp = boundaries[n - 1].compose(boundaries[n])
         if not comp.is_zero():
             raise ComplexInconsistent(f"d_{n-1} . d_{n} != 0")
-    return ChainComplex(P, M, spaces, monos, boundaries)
+    monos = [[WedgeMonomial(f) for f, _ in level] for level in chains]
+    coefficients = [[t for _, t in level] for level in chains]
+    return ChainComplex(P, M, spaces, monos, coefficients, boundaries)
+
+
+def ce_complex(P: LieSuperAlgebra, M: Action, max_n: int = DEFAULT_MAX_DEGREE) -> ChainComplex:
+    """The chain complex of P with coefficients in the P-module M (an action
+    of P on M.target) up to degree max_n, on its weight-0 chains (see the
+    module docstring)."""
+    return _chain_complex(P, M, max_n, _cartan_weights(P, M))
 
 
 @dataclass
@@ -186,13 +286,19 @@ class HomologyResult:
 def homology(P: LieSuperAlgebra, M: Action | None, n: int,
              complex_: ChainComplex | None = None,
              max_n: int | None = None) -> HomologyResult:
-    """H_n = Ker d_n / Im d_{n+1} with canonical representatives."""
-    if M is None:
-        M = trivial_module(P)
-    if max_n is None:
-        max_n = n + 1
+    """H_n = Ker d_n / Im d_{n+1} with canonical representatives.
+
+    M = None means the ground field.  A given ``complex_`` must have been
+    built for P and M (for M = None: on a trivial one-dimensional module)."""
     if complex_ is None:
-        complex_ = ce_complex(P, M, max_n)
+        complex_ = ce_complex(P, M if M is not None else trivial_module(P),
+                              n + 1 if max_n is None else max_n)
+    elif complex_.p is not P:
+        raise ValueError("complex_ was built for another algebra")
+    elif M is not None and complex_.module is not M:
+        raise ValueError("complex_ was built for another module")
+    elif M is None and not (complex_.module.is_trivial() and complex_.module.target.dim == 1):
+        raise ValueError("complex_ has coefficients other than the ground field; pass its module")
     if n + 1 >= len(complex_.spaces):
         raise IndexError(f"complex too short for H_{n}")
     ker = complex_.boundary(n).kernel() if n >= 1 \
@@ -293,7 +399,7 @@ def d3_lemma_check(P: LieSuperAlgebra) -> D3LemmaReport:
     """Certify that the second exterior power modulo the image of d_3, with
     the bracket [x^y, x'^y'] = [x,y]^[x',y'], is isomorphic to the
     non-abelian exterior square as a Lie superalgebra."""
-    cx = ce_complex(P, trivial_module(P), 3)
+    cx = _chain_complex(P, trivial_module(P), 3, [])  # all of C_2
     c2 = cx.spaces[2]
     monos2 = cx.monomials[2]
     index2 = {m.factors: i for i, m in enumerate(monos2)}

@@ -75,23 +75,6 @@ def superspace(field: Field, basis: list[tuple[str, int]]) -> SuperSpace:
     return SuperSpace(field, tuple(b[0] for b in basis), tuple(b[1] for b in basis))
 
 
-@dataclass(frozen=True)
-class GradedVector:
-    space: SuperSpace
-    coords: tuple[tuple[int, object], ...]
-
-    @staticmethod
-    def of(space: SuperSpace, v: dict) -> "GradedVector":
-        return GradedVector(space, tuple(sorted(vec_clean(v).items())))
-
-    def as_dict(self) -> dict:
-        return dict(self.coords)
-
-    @property
-    def parity(self) -> int | None:
-        return self.space.parity_of_vec(self.as_dict())
-
-
 class GradedMap:
     """A parity-homogeneous linear map between superspaces."""
 

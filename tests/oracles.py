@@ -8,19 +8,27 @@ Gauss–Jordan elimination, reductions against a canonical subspace walk
 every row instead of the vector's own pivot entries, and the relation space of the non-abelian tensor
 product is spanned by all five generator families, including the cyclic
 Jacobi-type family (v) that the production construction omits.  Wedge
-signs are counted inversion by inversion, and HC_0 is read off A/[A, A]
-directly instead of from the Connes complex.
+signs are counted inversion by inversion, HC_0 is read off A/[A, A]
+directly instead of from the Connes complex, and the Chevalley–Eilenberg
+complex is built on every chain instead of the weight-0 chains only.
+The module also holds the helpers that only tests use: algebras in a
+permuted, rescaled basis, bracket actions between subalgebra views, and
+relators as graded vectors.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 
-from superlie.algebras import AssocSuperAlgebra, quotient_space
+from superlie.actions import Action, ActionInvalid
+from superlie.algebras import AssocSuperAlgebra, LieSuperAlgebra, quotient_space
 from superlie.cyclic import commutator_subspace
 from superlie.fields import QQ
-from superlie.linalg import Echelon, Subquotient, Subspace
+from superlie.homology import ChainComplex, ComplexInconsistent
+from superlie.linalg import Echelon, Subquotient, Subspace, vec_clean
+from superlie.spaces import GradedMap, SuperSpace, exterior_power, superspace, wedge_normalize
 
 
 # ---------------------------------------------------------------------------
@@ -387,3 +395,144 @@ def tensor_relations_oracle(M, N, act_mn, act_nm, families=FAMILIES) -> Subspace
                                 ten(M.bracket(nm[a], nm[b]), mn[c]))
                     feed(g)
     return acc.subspace()
+
+
+# ---------------------------------------------------------------------------
+# the full Chevalley–Eilenberg complex: every chain, no weight reduction
+
+
+def ce_complex_full(P, M, max_n: int):
+    """The chain complex of P with coefficients in the P-module M up to
+    degree max_n on every chain of the exterior powers: the construction
+    loop as it was before the weight-0 reduction, kept as the oracle."""
+    field = P.field
+    par = P.space.parities
+    msp = M.target.space
+    dm = msp.dim
+    spaces = []
+    monos = []
+    index_of = []
+    for n in range(max_n + 1):
+        wedge, mlist = exterior_power(P.space, n)
+        labels = []
+        parities = []
+        for w_idx, m in enumerate(mlist):
+            for t in range(dm):
+                if dm == 1 and msp.labels[t] == "1":
+                    labels.append(wedge.labels[w_idx])
+                else:
+                    labels.append(f"{wedge.labels[w_idx]}(x){msp.labels[t]}")
+                parities.append((wedge.parities[w_idx] + msp.parities[t]) % 2)
+        spaces.append(SuperSpace(field, tuple(labels), tuple(parities)))
+        monos.append(mlist)
+        index_of.append({m.factors: i for i, m in enumerate(mlist)})
+
+    boundaries = [None]
+    for n in range(1, max_n + 1):
+        cols = []
+        for m in monos[n]:
+            xs = m.factors
+            pre_par = [par[x] for x in xs]
+            for t in range(dm):
+                col = {}
+                for i in range(n):
+                    acted = M.act_basis(xs[i], t)
+                    if acted:
+                        tail = sum(pre_par[k] for k in range(i + 1, n))
+                        s = -1 if ((i + 1) + pre_par[i] * tail) % 2 else 1
+                        rest = xs[:i] + xs[i + 1:]
+                        w_idx = index_of[n - 1][rest]
+                        for t2, c in acted.items():
+                            key = w_idx * dm + t2
+                            col[key] = col.get(key, 0) + s * c
+                for i in range(n):
+                    for j in range(i + 1, n):
+                        br = P.bracket_basis(xs[i], xs[j])
+                        if not br:
+                            continue
+                        head_i = sum(pre_par[k] for k in range(i))
+                        head_j = sum(pre_par[l] for l in range(j))
+                        exp = (i + 1) + (j + 1) + pre_par[i] * head_i \
+                            + pre_par[j] * head_j + pre_par[i] * pre_par[j]
+                        s = -1 if exp % 2 else 1
+                        rest = tuple(x for k, x in enumerate(xs) if k not in (i, j))
+                        for e, c in br.items():
+                            s2, mono = wedge_normalize([e, *rest], par)
+                            if mono is None:
+                                continue
+                            key = index_of[n - 1][mono.factors] * dm + t
+                            col[key] = col.get(key, 0) + s * s2 * c
+                cols.append(field.clean(col))
+        boundaries.append(GradedMap.from_columns(spaces[n], spaces[n - 1], cols))
+
+    for n in range(2, max_n + 1):
+        if not boundaries[n - 1].compose(boundaries[n]).is_zero():
+            raise ComplexInconsistent(f"d_{n-1} . d_{n} != 0")
+    per_chain = [[m for m in level for _ in range(dm)] for level in monos]
+    coefficients = [[t for _ in level for t in range(dm)] for level in monos]
+    return ChainComplex(P, M, spaces, per_chain, coefficients, boundaries)
+
+
+# ---------------------------------------------------------------------------
+# algebras in a permuted, rescaled basis
+
+
+def rebase(L, perm: list[int], scale: list[int]):
+    """L in the basis f_a = scale[a] * e_{perm[a]}, scale[a] a unit of the
+    field given as an integer (a sign over Q keeps the constants integral)."""
+    inverse = [L.field.inv(c) for c in scale]
+    where = {e: a for a, e in enumerate(perm)}
+    basis = [(L.space.labels[e], L.space.parities[e]) for e in perm]
+    table = {}
+    for a in range(L.dim):
+        for b in range(a, L.dim):
+            w = L.bracket_basis(perm[a], perm[b])
+            if w:
+                table[(a, b)] = {where[e]: scale[a] * scale[b] * c * inverse[where[e]]
+                                 for e, c in w.items()}
+    return LieSuperAlgebra(superspace(L.field, basis), table, name=L.name)
+
+
+# ---------------------------------------------------------------------------
+# helpers that only tests use
+
+
+def subspace_bracket_action(L, actor_view, target_view):
+    """Action of one subalgebra view of L on another induced by the bracket
+    (the target must be stable, e.g. an ideal)."""
+    table = {}
+    arows = actor_view.inclusion.matrix.cols
+    trows = target_view.inclusion.matrix.cols
+    for p, pa in enumerate(arows):
+        for m, tm in enumerate(trows):
+            w = L.bracket(pa, tm)
+            if not w:
+                continue
+            v = target_view.coords(w)
+            if v is None:
+                raise ActionInvalid("bracket leaves the target subspace")
+            if v:
+                table[(p, m)] = v
+    return Action(actor_view.algebra, target_view.algebra, table, name="bracket")
+
+
+@dataclass(frozen=True)
+class GradedVector:
+    space: SuperSpace
+    coords: tuple[tuple[int, object], ...]
+
+    @staticmethod
+    def of(space: SuperSpace, v: dict) -> "GradedVector":
+        return GradedVector(space, tuple(sorted(vec_clean(v).items())))
+
+    def as_dict(self) -> dict:
+        return dict(self.coords)
+
+    @property
+    def parity(self) -> int | None:
+        return self.space.parity_of_vec(self.as_dict())
+
+
+def evaluate_relator(F, word) -> GradedVector:
+    """The relator as a graded vector of the truncated algebra."""
+    return GradedVector.of(F.algebra().space, F.word_to_algebra_vec(word))

@@ -7,7 +7,7 @@ each test additionally prints an ACCEPTANCE summary line.
 
 import random
 
-from oracles import magma_quotient_dims
+from oracles import magma_quotient_dims, subspace_bracket_action
 from superlie.actions import (
     Action,
     CrossedModule,
@@ -191,8 +191,6 @@ def _corpus_compatible_pairs():
     gl = lie_algebra("gl11")
     slpart = gl.product_subspace(gl.full_subspace(), gl.full_subspace())
     sview = subalgebra_on(gl, slpart, name="sl11")
-    from superlie.actions import subspace_bracket_action
-
     fview = subalgebra_on(gl, gl.full_subspace(), name="gl11'")
     a_fs = subspace_bracket_action(gl, fview, sview)
     a_sf = subspace_bracket_action(gl, sview, fview)

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from oracles import subspace_bracket_action
 from superlie.actions import (
     Action,
     ActionInvalid,
@@ -74,8 +75,6 @@ def test_compatible_ideal_bracket_actions(gl11):
     # two graded ideals of a common superalgebra with bracket actions
     slpart = gl11.product_subspace(gl11.full_subspace(), gl11.full_subspace())
     sview = subalgebra_on(gl11, slpart)
-    from superlie.actions import subspace_bracket_action
-
     full_view = subalgebra_on(gl11, gl11.full_subspace())
     a_fs = subspace_bracket_action(gl11, full_view, sview)
     a_sf = subspace_bracket_action(gl11, sview, full_view)

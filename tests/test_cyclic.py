@@ -55,6 +55,12 @@ def test_connes_grassmann_signs(algebras):
     assert hc(algebras["grassmann"], 1, cx).dims == (1, 0)
 
 
+def test_hc_refuses_a_complex_of_another_algebra(algebras):
+    cx = connes(algebras["dual"], 2)
+    with pytest.raises(ValueError, match="another algebra"):
+        hc(algebras["grassmann"], 1, cx)
+
+
 def test_hc0_is_commutator_quotient(algebras):
     for name, a in algebras.items():
         cx = connes(a, 2)

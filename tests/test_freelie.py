@@ -1,13 +1,12 @@
 import pytest
 
-from oracles import magma_quotient_dims
+from oracles import evaluate_relator, magma_quotient_dims
 from superlie.algebras import check_lie_axioms, series
 from superlie.fields import Field
 from superlie.freelie import (
     DegreeOverflow,
     FieldUnsupported,
     Presentation,
-    evaluate_relator,
     free_nilpotent,
     free_truncated,
     genset,

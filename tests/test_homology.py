@@ -1,5 +1,8 @@
+import random
+
 import pytest
 
+from oracles import ce_complex_full, rebase
 from superlie.actions import (
     Action,
     adjoint_action,
@@ -8,11 +11,22 @@ from superlie.actions import (
     supermodule_crossed,
     trivial_action,
 )
-from superlie.algebras import abelian, series
-from superlie.fields import QQ
+from superlie.algebras import (
+    LieSuperAlgebra,
+    abelian,
+    check_lie_axioms,
+    ground_assoc,
+    heisenberg,
+    matrix_gl,
+    matrix_sl,
+    series,
+)
+from superlie.cyclic import grassmann_line
+from superlie.fields import QQ, Field
 from superlie.freelie import Presentation, genset
 from superlie.homology import (
     ClassExceeded,
+    _chain_complex,
     ce_complex,
     d3_lemma_check,
     exactness_check,
@@ -25,7 +39,7 @@ from superlie.homology import (
     trivial_module,
     zero_map_to_point,
 )
-from superlie.spaces import GradedMap, SuperSpace
+from superlie.spaces import GradedMap, SuperSpace, superspace
 from superlie.suites import standard_crossed_ses
 
 
@@ -91,6 +105,154 @@ def test_h0_with_module_coefficients(heis):
     m = adjoint_action(heis)
     r = homology(heis, m, 0)
     assert r.dim == 2
+
+
+# -- a given complex must fit the arguments ---------------------------------------
+
+def test_homology_refuses_a_complex_of_another_algebra(heis, gl11):
+    cx = ce_complex(heis, trivial_module(heis), 3)
+    with pytest.raises(ValueError, match="another algebra"):
+        homology(gl11, None, 1, complex_=cx)
+
+
+def test_homology_refuses_a_complex_of_another_module(gl11):
+    adj = adjoint_action(gl11)
+    cx = ce_complex(gl11, trivial_module(gl11), 3)
+    with pytest.raises(ValueError, match="another module"):
+        homology(gl11, adj, 1, complex_=cx)
+    right = ce_complex(gl11, adj, 3)
+    assert [homology(gl11, adj, n, complex_=right).dims for n in range(3)] \
+        == [(1, 0), (2, 0), (1, 0)]
+
+
+def test_homology_without_module_needs_ground_field_coefficients(gl11):
+    cx = ce_complex(gl11, adjoint_action(gl11), 3)
+    with pytest.raises(ValueError, match="ground field"):
+        homology(gl11, None, 1, complex_=cx)
+    # any trivial one-dimensional module stands for M = None
+    cx = ce_complex(gl11, trivial_module(gl11), 3)
+    assert [homology(gl11, None, n, complex_=cx).dims for n in range(3)] \
+        == [homology(gl11, None, n).dims for n in range(3)]
+
+
+# -- the weight-0 subcomplex against the full complex -----------------------------
+
+DIFFERENTIAL_ALGEBRAS = {
+    "gl(1|1)": lambda F: matrix_gl(1, 1, ground_assoc(F)),
+    "gl(2|1)": lambda F: matrix_gl(2, 1, ground_assoc(F)),
+    "sl(2|1, L1)": lambda F: matrix_sl(2, 1, grassmann_line(F)).algebra,
+    "heis": heisenberg,
+}
+
+
+def seeded_rebase(L: LieSuperAlgebra, seed: str) -> LieSuperAlgebra:
+    """L in a seeded permuted basis, each vector rescaled by 1, -1 or 2."""
+    rng = random.Random(seed)
+    perm = list(range(L.dim))
+    rng.shuffle(perm)
+    return rebase(L, perm, [rng.choice((1, -1, 2)) for _ in range(L.dim)])
+
+
+def diagonal_weights(P: LieSuperAlgebra, M: Action) -> list[tuple[list, list]]:
+    """(lambda, mu) of each even basis element with diagonal ad on P and a
+    diagonal action on M, read off the structure and action constants."""
+    out = []
+    for h in range(P.dim):
+        if P.space.parities[h]:
+            continue
+        ad = [P.bracket_basis(h, i) for i in range(P.dim)]
+        act = [M.act_basis(h, t) for t in range(M.target.dim)]
+        if all(set(v) <= {i} for i, v in enumerate(ad)) \
+                and all(set(v) <= {t} for t, v in enumerate(act)):
+            out.append(([v.get(i, 0) for i, v in enumerate(ad)],
+                        [v.get(t, 0) for t, v in enumerate(act)]))
+    return out
+
+
+def has_weight_zero(field: Field, weights, mono, t) -> bool:
+    return all(field.is_zero(sum(lam[x] for x in mono.factors) + mu[t])
+               for lam, mu in weights)
+
+
+def labeled(space: SuperSpace, v: dict) -> dict:
+    return {space.labels[i]: c for i, c in v.items()}
+
+
+def assert_matches_full_complex(P: LieSuperAlgebra, M: Action, max_n: int):
+    cx = ce_complex(P, M, max_n)
+    full = ce_complex_full(P, M, max_n)
+    weights = diagonal_weights(P, M)
+    for n in range(max_n + 1):
+        kept = [full.spaces[n].labels[i]
+                for i, (m, t) in enumerate(zip(full.monomials[n], full.coefficients[n]))
+                if has_weight_zero(P.field, weights, m, t)]
+        assert list(cx.spaces[n].labels) == kept, n
+        for m, t in zip(cx.monomials[n], cx.coefficients[n]):
+            assert has_weight_zero(P.field, weights, m, t)
+    for n in range(max_n):
+        want = homology(P, M, n, complex_=full)
+        got = homology(P, M, n, complex_=cx)
+        assert got.dims == want.dims, n
+        assert [labeled(cx.spaces[n], r) for r in got.representatives] \
+            == [labeled(full.spaces[n], r) for r in want.representatives], n
+
+
+@pytest.mark.parametrize("p", (None, 3, 5, 7))
+@pytest.mark.parametrize("name", tuple(DIFFERENTIAL_ALGEBRAS))
+def test_weight0_complex_matches_full_complex(name, p):
+    P = seeded_rebase(DIFFERENTIAL_ALGEBRAS[name](Field(p)), f"{name}:{p}")
+    assert_matches_full_complex(P, trivial_module(P), 4)
+    assert_matches_full_complex(P, adjoint_action(P), 3)
+
+
+def test_outer_grading_trap_sl21_grassmann():
+    """sl(2|1, L1) is graded by the Grassmann degree too, but that grading
+    is outer: its degree-0 chains give H0-H3 = [1, 0, 0, 1], not the
+    homology.  Only the weights of basis elements of P are used."""
+    P = matrix_sl(2, 1, grassmann_line(QQ)).algebra
+    assert [homology(P, None, n, max_n=4).dims for n in range(4)] \
+        == [(1, 0), (0, 0), (1, 0), (2, 1)]
+    degree = [int("(t)" in label) for label in P.space.labels]
+    outer = _chain_complex(P, trivial_module(P), 4, [(degree, [0])])
+    assert [homology(P, None, n, complex_=outer).dim for n in range(4)] == [1, 0, 0, 1]
+
+
+# gl(1|1) in two bases in which no basis element has diagonal ad
+GL11_MIXED_BASES = {
+    # ad(E11) and ad(E22) swap the two odd vectors
+    "E12 + E21, E12 - E21": (
+        [("E11", 0), ("E22", 0), ("E12+E21", 1), ("E12-E21", 1)],
+        {(0, 2): {3: 1}, (0, 3): {2: 1}, (1, 2): {3: -1}, (1, 3): {2: -1},
+         (2, 2): {0: 2, 1: 2}, (3, 3): {0: -2, 1: -2}}),
+    # ad(E11) is triangular, with the nonzero diagonal (0, 0, -1, 1)
+    "E12 + E21, E12": (
+        [("E11", 0), ("E22", 0), ("E12+E21", 1), ("E12", 1)],
+        {(0, 2): {2: -1, 3: 2}, (0, 3): {3: 1}, (1, 2): {2: 1, 3: -2}, (1, 3): {3: -1},
+         (2, 2): {0: 2, 1: 2}, (2, 3): {0: 1, 1: 1}}),
+}
+
+
+@pytest.mark.parametrize("odd_basis", tuple(GL11_MIXED_BASES))
+def test_no_diagonal_ad_gives_the_full_complex(odd_basis, gl11):
+    basis, table = GL11_MIXED_BASES[odd_basis]
+    for p in (None, 3, 5, 7):
+        P = LieSuperAlgebra(superspace(Field(p), basis), table, name="gl(1|1)")
+        assert check_lie_axioms(P).ok
+        for M in (trivial_module(P), adjoint_action(P)):
+            assert [s.dim for s in ce_complex(P, M, 3).spaces] \
+                == [s.dim for s in ce_complex_full(P, M, 3).spaces]
+            assert_matches_full_complex(P, M, 3)
+    assert [homology(P, None, n).dims for n in range(3)] \
+        == [homology(gl11, None, n).dims for n in range(3)]
+
+
+def test_gl22_weight0_chain_dims():
+    """gl(2|2)/Q in a seeded basis: the weight-0 chains of degrees 0-5 and
+    H0-H4, the Betti numbers 1, 1, 0, 1, 1 of gl(2) (Fuks)."""
+    P = seeded_rebase(matrix_gl(2, 2, ground_assoc(QQ)), "gl(2|2)")
+    cx = ce_complex(P, trivial_module(P), 5)
+    assert [s.dim for s in cx.spaces] == [1, 4, 12, 36, 94, 212]
+    assert [homology(P, None, n, complex_=cx).dim for n in range(5)] == [1, 1, 0, 1, 1]
 
 
 # -- degree-2 comparison ---------------------------------------------------------

@@ -10,7 +10,7 @@ where graded Jacobi is weakest), in randomly permuted and rescaled bases.
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from oracles import tensor_relations_oracle
+from oracles import rebase, tensor_relations_oracle
 from superlie.actions import Action, adjoint_action, ideal_crossed
 from superlie.algebras import (
     LieSuperAlgebra,
@@ -22,7 +22,6 @@ from superlie.algebras import (
 )
 from superlie.cyclic import grassmann_line
 from superlie.fields import Field
-from superlie.spaces import superspace
 from superlie.tensor import nonabelian_tensor
 
 ALGEBRAS = {
@@ -35,23 +34,6 @@ ALGEBRAS = {
     "gl(1|1, L1)": lambda F: matrix_gl(1, 1, grassmann_line(F)),
 }
 PRIMES = (None, 3, 5, 7)
-
-
-def rebase(L: LieSuperAlgebra, perm: list[int], scale: list[int]) -> LieSuperAlgebra:
-    """L in the basis f_a = scale[a] * e_{perm[a]}, scale[a] a unit of the
-    field given as an integer (a sign over Q, so that constants stay integral)."""
-    p = L.field.p
-    inverse = [c if p is None else pow(c, -1, p) for c in scale]
-    where = {e: a for a, e in enumerate(perm)}
-    basis = [(L.space.labels[e], L.space.parities[e]) for e in perm]
-    table = {}
-    for a in range(L.dim):
-        for b in range(a, L.dim):
-            w = L.bracket_basis(perm[a], perm[b])
-            if w:
-                table[(a, b)] = {where[e]: scale[a] * scale[b] * c * inverse[where[e]]
-                                 for e, c in w.items()}
-    return LieSuperAlgebra(superspace(L.field, basis), table, name=L.name)
 
 
 @st.composite
