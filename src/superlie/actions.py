@@ -190,7 +190,7 @@ def ideal_crossed(L: LieSuperAlgebra, view) -> CrossedModule:
             w = L.bracket({i: 1}, incl.matrix.cols[m])
             if not w:
                 continue
-            v = view.coords(w)
+            v = view.subspace.coords(w)
             if v is None:
                 raise ActionInvalid("subspace is not an ideal")
             if v:

@@ -490,40 +490,25 @@ class AlgebraView:
     inclusion: GradedMap  # basis of the view expressed in the parent
     subspace: Subspace
 
-    def coords(self, parent_vec: dict) -> dict | None:
-        """View coordinates of an ambient vector, or None if outside."""
-        cs = self.subspace.coords(parent_vec)
-        if cs is None:
-            return None
-        return vec_clean(dict(enumerate(cs)))
-
-
-def _view_labels(parent: SuperSpace, rows: list[dict], wrap: str) -> list[tuple[str, int]]:
-    out = []
-    for r in rows:
-        par = parent.parity_of_vec(r)
-        if par is None:
-            raise NotAnIdeal("subspace is not spanned by homogeneous vectors")
-        lead = parent.labels[min(r)]
-        out.append((wrap.format(lead), par))
-    return out
-
 
 def subalgebra_on(L: LieSuperAlgebra, S: Subspace, name: str = "") -> AlgebraView:
     """The Lie superalgebra structure on a bracket-closed, parity-split subspace."""
     rows = S.rows
-    basis = _view_labels(L.space, rows, "{}'")
+    basis = []
+    for r in rows:
+        par = L.space.parity_of_vec(r)
+        if par is None:
+            raise NotAnIdeal("subspace is not spanned by homogeneous vectors")
+        basis.append((f"{L.space.labels[min(r)]}'", par))
     sp = superspace(L.field, basis)
     table: dict[tuple[int, int], dict] = {}
     for a in range(len(rows)):
         for b in range(a, len(rows)):
             if a == b and sp.parities[a] == 0:
                 continue
-            prod = L.bracket(rows[a], rows[b])
-            coords = S.coords(prod)
-            if coords is None:
+            v = S.coords(L.bracket(rows[a], rows[b]))
+            if v is None:
                 raise NotAnIdeal("subspace is not closed under the bracket")
-            v = vec_clean({k: c for k, c in enumerate(coords)})
             if v:
                 table[(a, b)] = v
     alg = LieSuperAlgebra(sp, table, name=name)
@@ -531,41 +516,36 @@ def subalgebra_on(L: LieSuperAlgebra, S: Subspace, name: str = "") -> AlgebraVie
     return AlgebraView(alg, incl, S)
 
 
-@dataclass
-class QuotientSpace:
-    """A subquotient top/bottom of a space, with a labeled basis on its section."""
+class QuotientSpace(Subquotient):
+    """A :class:`~superlie.linalg.Subquotient` top/bottom of the labelled
+    space ``parent``, with its section basis labelled as the graded space
+    ``space``: ``label(k, lead)`` names section vector k by the parent label
+    of its pivot.  ``reduce``, ``lift`` and ``section`` are the
+    subquotient's."""
 
-    space: SuperSpace
-    sq: Subquotient
-    parent: SuperSpace
+    __slots__ = ("space", "parent")
+
+    def __init__(self, parent: SuperSpace, top: Subspace, bottom: Subspace, label):
+        super().__init__(top, bottom)
+        labels, parities = [], []
+        for k, s in enumerate(self.section):
+            par = parent.parity_of_vec(s)
+            if par is None:
+                raise NotAnIdeal("section is not parity homogeneous")
+            labels.append(label(k, parent.labels[min(s)]))
+            parities.append(par)
+        self.space = SuperSpace(parent.field, tuple(labels), tuple(parities))
+        self.parent = parent
 
     @property
     def dims(self) -> tuple[int, int]:
         return self.space.dim_pair
 
-    @property
-    def section(self) -> list[dict]:
-        return self.sq.section
-
-    def reduce(self, v: dict) -> dict:
-        return vec_clean(dict(enumerate(self.sq.reduce(v))))
-
-    def lift(self, v: dict) -> dict:
-        return self.sq.lift(v)
-
 
 def quotient_space(parent: SuperSpace, top: Subspace, bottom: Subspace,
                    prefix: str) -> QuotientSpace:
     """top/bottom with basis labels ``{prefix}{k}:{leading label}``."""
-    sq = Subquotient(top, bottom)
-    labels = tuple(f"{prefix}{k}:{parent.labels[min(s)]}" for k, s in enumerate(sq.section))
-    parities = []
-    for s in sq.section:
-        par = parent.parity_of_vec(s)
-        if par is None:
-            raise NotAnIdeal("section is not parity homogeneous")
-        parities.append(par)
-    return QuotientSpace(SuperSpace(parent.field, labels, tuple(parities)), sq, parent)
+    return QuotientSpace(parent, top, bottom, lambda k, lead: f"{prefix}{k}:{lead}")
 
 
 class Projection(GradedMap):
@@ -611,8 +591,7 @@ def quotient_algebra(L: LieSuperAlgebra, I: Subspace, name: str = "") -> tuple[L
     """Quotient by a graded ideal, with the projection as a graded map."""
     if not is_graded_ideal(L, I):
         raise NotAnIdeal("quotient requires a graded ideal")
-    sq = Subquotient(L.full_subspace(), I)
-    q = QuotientSpace(superspace(L.field, _view_labels(L.space, sq.section, "[{}]")), sq, L.space)
+    q = QuotientSpace(L.space, L.full_subspace(), I, lambda k, lead: f"[{lead}]")
     alg = LieSuperAlgebra(q.space, quotient_table(q, L.bracket),
                           name=name or (L.name and f"{L.name}/I"))
     return alg, Projection(q)

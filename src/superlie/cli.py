@@ -163,6 +163,8 @@ def _load_lie(path: Path) -> LieSuperAlgebra:
 
 
 def cmd_tensor(args) -> int:
+    if args.adjoint + args.trivial + bool(args.act_mn or args.act_nm) > 1:
+        raise ParseError("choose one of --adjoint, --trivial, or --act-mn with --act-nm")
     rep = Report("tensor")
     path_m = resolve_path(args.m)
     path_n = resolve_path(args.n)

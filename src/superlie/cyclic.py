@@ -35,13 +35,13 @@ from .homology import (
     CrossedSES,
     HomologyResult,
     SixTermReport,
+    _homology_of,
     nh,
     snake_sequence,
     sub_space,
 )
 from .linalg import (
     Echelon,
-    Subquotient,
     Subspace,
     vec_axpy,
     vec_clean,
@@ -138,7 +138,7 @@ def connes(A: AssocSuperAlgebra, max_n: int = 2) -> ConnesComplex:
         # certify the boundary descends: d'( (1 - t_n) x ) must die in C_{n-1}
         tuples = tuples_by_n[n]
         src, dst = coinv[n], coinv[n - 1]
-        for r in src.sq.bottom.rows:
+        for r in src.bottom.rows:
             img: dict = {}
             for idx, c in r.items():
                 vec_axpy(img, c, hochschild(n, tuples[idx]))
@@ -167,13 +167,7 @@ def hc(A: AssocSuperAlgebra, n: int, complex_: ConnesComplex | None = None) -> H
         raise ValueError("complex_ was built for another algebra")
     if n + 1 > complex_.max_n:
         raise IndexError(f"complex too short for HC_{n}")
-    field = A.field
-    ker = complex_.boundary(n).kernel() if n >= 1 \
-        else Subspace.full(field, complex_.coinvariants[0].space.dim)
-    img = complex_.boundary(n + 1).image()
-    sq = Subquotient(ker, img)
-    dims = complex_.coinvariants[n].space.split_dims(sq.section)
-    return HomologyResult(n, dims, [dict(s) for s in sq.section], sq)
+    return _homology_of(complex_, n, complex_.coinvariants[n].space)
 
 
 # ---------------------------------------------------------------------------
@@ -336,7 +330,7 @@ def v_algebra(A: AssocSuperAlgebra) -> VAlgebra:
     lie = lie_from_assoc(A)
     km = hc1_kernel_model(A)
     quot = km.quotient
-    ideal = quot.sq.bottom
+    ideal = quot.bottom
 
     def bracket_plain(u: dict, v: dict) -> dict:
         out: dict = {}
@@ -442,7 +436,7 @@ def cyclic_sixterm(A: AssocSuperAlgebra) -> CyclicSixTerm:
     gcols = []
     for k in range(va.algebra.dim):
         w = va.to_a.apply({k: 1})
-        coords = cview.coords(w)
+        coords = comm.coords(w)
         if coords is None:
             raise ComplexInconsistent("V(A) does not map onto [A, A]")
         gcols.append(coords)
@@ -467,7 +461,7 @@ def cyclic_sixterm(A: AssocSuperAlgebra) -> CyclicSixTerm:
     r_n = nh(lie, cm_n)
     ca = lie.product_subspace(lie.full_subspace(), comm)
     ca_in_view = Subspace(field, cview.algebra.dim,
-                          [cview.coords(r) for r in ca.rows])
+                          [comm.coords(r) for r in ca.rows])
     mod_q = quotient_space(cview.algebra.space,
                            Subspace.full(field, cview.algebra.dim), ca_in_view, "q.")
     idents.append(("nh0(A,[A,A]) = [A,A]/[A,[A,A]]", r_n.nh0.dims == mod_q.dims))

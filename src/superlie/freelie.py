@@ -210,7 +210,7 @@ class FreeTruncation:
                 if coords is None:
                     raise RuntimeError("free component is not closed under brackets")
                 off = self.degree_offset(k)
-                v = vec_clean({off + i: c for i, c in enumerate(coords)})
+                v = {off + i: c for i, c in coords.items()}
                 if v:
                     table[(a, b)] = v
         name = f"free({','.join(l for l, _ in self.gens.generators)};c{self.max_degree})"
@@ -250,7 +250,7 @@ class FreeTruncation:
         if coords is None:
             raise RuntimeError("word evaluates outside its free component")
         off = self.degree_offset(k)
-        return vec_clean({off + i: c for i, c in enumerate(coords)})
+        return {off + i: c for i, c in coords.items()}
 
 
 def free_truncated(gens: GradedGenSet, d: int, field: Field = Field()) -> FreeTruncation:

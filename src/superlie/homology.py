@@ -301,12 +301,15 @@ def homology(P: LieSuperAlgebra, M: Action | None, n: int,
         raise ValueError("complex_ has coefficients other than the ground field; pass its module")
     if n + 1 >= len(complex_.spaces):
         raise IndexError(f"complex too short for H_{n}")
-    ker = complex_.boundary(n).kernel() if n >= 1 \
-        else Subspace.full(P.field, complex_.spaces[0].dim)
-    img = complex_.boundary(n + 1).image()
-    sq = Subquotient(ker, img)
-    dims = complex_.spaces[n].split_dims(sq.section)
-    return HomologyResult(n, dims, [dict(s) for s in sq.section], sq)
+    return _homology_of(complex_, n, complex_.spaces[n])
+
+
+def _homology_of(complex_, n: int, space: SuperSpace) -> HomologyResult:
+    """Ker d_n / Im d_{n+1} of a complex with ``boundary(k)`` maps, whose
+    degree-n chains are ``space`` (all of them are cycles at n = 0)."""
+    ker = complex_.boundary(n).kernel() if n >= 1 else Subspace.full(space.field, space.dim)
+    sq = Subquotient(ker, complex_.boundary(n + 1).image())
+    return HomologyResult(n, space.split_dims(sq.section), [dict(s) for s in sq.section], sq)
 
 
 # ---------------------------------------------------------------------------

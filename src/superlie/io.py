@@ -53,8 +53,11 @@ def parse_field(obj) -> Field:
     if kind == "Fp":
         if "p" not in obj:
             raise ParseError("field Fp requires a modulus")
+        p = obj["p"]
+        if type(p) is not int and not (isinstance(p, str) and p.isascii() and p.isdigit()):
+            raise ParseError(f"field modulus must be an integer: {p!r}")
         try:
-            return Field(int(obj["p"]))
+            return Field(int(p))
         except FieldError as exc:
             raise ParseError(str(exc)) from exc
     raise ParseError(f"unknown field kind {kind!r}")
@@ -238,6 +241,9 @@ def load_crossed(path: str | Path) -> CrossedModule:
     own directory) plus a boundary matrix and the action entries."""
     obj = load_json(path)
     _require_keys(obj, {"m", "p", "boundary", "action"}, set(), str(path))
+    for key in ("m", "p"):
+        if not isinstance(obj[key], str):
+            raise ParseError(f"{path}: {key!r} must be an algebra file name: {obj[key]!r}")
     base = Path(path).parent
     m_alg = load_algebra(base / obj["m"])
     p_alg = load_algebra(base / obj["p"])
@@ -260,7 +266,7 @@ def _parse_word(w, gens: GradedGenSet):
     if isinstance(w, dict):
         _require_keys(w, {"sum"}, set(), "relator")
         terms = []
-        for t in w["sum"]:
+        for t in _require_list(w["sum"], "relator sum"):
             _require_keys(t, {"coeff", "word"}, set(), "relator term")
             terms.append({"coeff": str(t["coeff"]),
                           "word": _parse_word(t["word"], gens)})
@@ -272,13 +278,16 @@ def load_presentation(path: str | Path) -> Presentation:
     obj = load_json(path)
     _require_keys(obj, {"name", "generators", "relators"}, set(), str(path))
     gens = []
-    for it in obj["generators"]:
+    for it in _require_list(obj["generators"], "generators"):
         if not (isinstance(it, list) and len(it) == 2 and it[1] in (0, 1)):
             raise ParseError(f"generator must be [label, parity]: {it!r}")
         gens.append((str(it[0]), int(it[1])))
-    gg = GradedGenSet(tuple(gens))
+    try:
+        gg = GradedGenSet(tuple(gens))
+    except ValueError as exc:
+        raise ParseError(str(exc)) from exc
     relators = []
-    for w in obj["relators"]:
+    for w in _require_list(obj["relators"], "relators"):
         word = _parse_word(w, gg)
         try:
             word_parity(word, gg)

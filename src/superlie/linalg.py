@@ -1,7 +1,10 @@
 """Exact sparse linear algebra over Q and GF(p).
 
 Vectors are sparse dicts ``{coordinate: scalar}`` with zero entries absent;
-``Field.clean`` puts a vector in the field's normal form.
+``Field.clean`` puts a vector in the field's normal form.  Coordinates are
+vectors too: :meth:`Subspace.coords` and :meth:`Subquotient.reduce` return
+``{basis index: scalar}`` with nonzero, field-normal values, and
+:meth:`Subquotient.lift` takes that dict.
 
 The workhorse is :class:`Echelon`, an incremental echelon accumulator
 with one elimination step per backend, chosen once per accumulator from
@@ -31,6 +34,7 @@ a vector is therefore one pass over its own pivot entries: subtract
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from math import gcd, lcm
@@ -304,11 +308,18 @@ class Subspace:
             raise AmbientMismatch(f"{self.ambient} vs {other.ambient}")
         return all(self.contains_vec(r) for r in other.rows)
 
-    def coords(self, v: dict) -> list | None:
-        """Coefficients of v on the canonical basis, or None if v is outside."""
+    def coords(self, v: dict) -> dict | None:
+        """Coefficients ``{row: c}`` of v on the canonical basis, or None if v
+        is outside: v lies in the span, so its entry at a pivot is the
+        coefficient of that pivot's row."""
         if self.reduce_vec(v):
             return None
-        return [self.field.reduce(v.get(p, 0)) for p in self.pivots]
+        pivots, row_at, of = self.pivots, self._row_at, self.field.of
+        out = {}
+        for piv in sorted(p for p in v if p in row_at):
+            if c := of(v[piv]):
+                out[bisect_left(pivots, piv)] = c
+        return out
 
     def sum_(self, other: "Subspace") -> "Subspace":
         if self.ambient != other.ambient:
@@ -453,7 +464,8 @@ class Matrix:
 class Subquotient:
     """top/bottom with a section: representatives are the canonical top rows
     whose pivots are not pivots of bottom.  ``reduce`` maps an ambient vector
-    of top to coordinates on the section, ``lift`` is the linear section."""
+    of top to its coordinates ``{k: c}`` on the section, ``lift`` is the
+    linear section."""
 
     __slots__ = ("field", "ambient", "top", "bottom", "section", "_index")
 
@@ -475,24 +487,26 @@ class Subquotient:
     def dim(self) -> int:
         return len(self.section)
 
-    def reduce(self, v: dict) -> list:
+    def reduce(self, v: dict) -> dict:
         """Quotient coordinates of an ambient vector (must lie in top).
 
         The pivots of bottom are pivots of top, so after reducing by bottom
-        one pass over the section pivots present reduces by all of top."""
+        one pass over the section pivots present reduces by all of top; a
+        section row is zero at every other section pivot, so each
+        coordinate is the reduced vector's entry at its pivot."""
         r = self.bottom.reduce_vec(v)
-        coords = [0] * len(self.section)
-        for piv in [k for k in r if k in self._index]:
-            k = self._index[piv]
-            coords[k] = c = r[piv]
+        index, of = self._index, self.field.of
+        coords = {}
+        for piv in sorted(p for p in r if p in index):
+            k = index[piv]
+            coords[k] = c = of(r[piv])
             vec_axpy(r, -c, self.section[k])
         if self.field.clean(r):
             raise ContainmentError("vector is not in the top subspace")
         return coords
 
-    def lift(self, coords) -> dict:
+    def lift(self, coords: dict) -> dict:
         out: dict = {}
-        items = coords.items() if isinstance(coords, dict) else enumerate(coords)
-        for i, c in items:
+        for i, c in coords.items():
             vec_axpy(out, c, self.section[i])
         return self.field.clean(out)

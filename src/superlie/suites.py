@@ -17,6 +17,8 @@ from .actions import (
 from .algebras import (
     LieSuperAlgebra,
     abelian,
+    induced_action_table,
+    quotient_space,
     series,
     subalgebra_on,
 )
@@ -33,7 +35,7 @@ from .homology import (
     ideal_sixterm,
     snake_sequence,
 )
-from .linalg import Subquotient, Subspace, vec_clean
+from .linalg import Subspace
 from .spaces import GradedMap, SuperSpace
 from .tensor import (
     adjoint_tensor_square,
@@ -174,20 +176,15 @@ def standard_crossed_ses() -> list[tuple[str, CrossedSES]]:
     adj_table = {(p, m): h.bracket_basis(p, m)
                  for p in range(3) for m in range(3) if h.bracket_basis(p, m)}
     cm_m = supermodule_crossed(h, had, Action(h, had, adj_table))
-    sq = Subquotient(Subspace.full(QQ, 3), s.center)
-    qalg = abelian(QQ, sq.dim, 0, prefix="q")
-    q_table = {}
-    for p in range(3):
-        for m in range(sq.dim):
-            v = vec_clean(dict(enumerate(sq.reduce(h.bracket({p: 1}, sq.section[m])))))
-            if v:
-                q_table[(p, m)] = v
+    q = quotient_space(h.space, Subspace.full(QQ, 3), s.center, "q")
+    qalg = abelian(QQ, q.dim, 0, prefix="q")
+    q_table = induced_action_table(q, 3, lambda p, v: h.bracket({p: 1}, v))
     cm_n = supermodule_crossed(h, qalg, Action(h, qalg, q_table))
     cm_l = supermodule_crossed(h, zview.algebra, trivial_action(h, zview.algebra))
     f2 = GradedMap.from_columns(zview.algebra.space, had.space,
                                 [dict(c) for c in zview.inclusion.matrix.cols])
     g2 = GradedMap.from_columns(had.space, qalg.space,
-                                [vec_clean(dict(enumerate(sq.reduce({i: 1})))) for i in range(3)])
+                                [q.reduce({i: 1}) for i in range(3)])
     out.append(("center sequence over heis", CrossedSES(h, cm_l, cm_m, cm_n, f2, g2)))
     # (3) 0 -> (K,0) -> (P + K, pr) -> (P, id) -> 0 over gl11
     P = lie_algebra("gl11")

@@ -81,7 +81,6 @@ from .algebras import (
 from .linalg import (
     Echelon,
     Matrix,
-    Subquotient,
     Subspace,
     vec_axpy,
     vec_clean,
@@ -132,9 +131,6 @@ class TensorProduct:
     def embed(self, i: int, j: int) -> dict:
         """Class of e_i (x) e_j in product coordinates."""
         return self.quotient.reduce({self.pair_index(i, j): 1})
-
-    def reduce_plain(self, v: dict) -> dict:
-        return self.quotient.reduce(v)
 
     @property
     def im_mu(self) -> Subspace:
@@ -341,7 +337,7 @@ def induced_tensor_map(src: TensorProduct, dst: TensorProduct,
             i, j = divmod(t, src.n.dim)
             img = tensor_vec(dst.m.space, dst.n.space, f_m.apply({i: 1}), f_n.apply({j: 1}))
             vec_axpy(out, c, img)
-        cols.append(dst.reduce_plain(out))
+        cols.append(dst.quotient.reduce(out))
     return GradedMap.from_columns(src.algebra.space, dst.algebra.space, cols)
 
 
@@ -362,9 +358,9 @@ def tensor_symmetry_iso(t: TensorProduct) -> tuple[GradedMap, TensorProduct]:
         return out
 
     for d in t.d_generators.rows:
-        if swapped.reduce_plain(swap_plain(d)):
+        if swapped.quotient.reduce(swap_plain(d)):
             raise BracketNotWellDefined("symmetry map does not descend to the quotients")
-    cols = [swapped.reduce_plain(swap_plain(s)) for s in t.quotient.section]
+    cols = [swapped.quotient.reduce(swap_plain(s)) for s in t.quotient.section]
     iso = GradedMap.from_columns(t.algebra.space, swapped.algebra.space, cols)
     if iso.matrix.rank() != t.algebra.dim or t.algebra.dim != swapped.algebra.dim:
         raise BracketNotWellDefined("symmetry map is not bijective")
@@ -527,7 +523,7 @@ class ExteriorProduct:
     projection: GradedMap        # product -> exterior quotient
     mu: GradedMap                # descended map to M
     nu: GradedMap                # descended map to N
-    sq: Subquotient              # section machinery behind the projection
+    sq: QuotientSpace            # section machinery behind the projection
 
 
 def nonabelian_exterior(t: TensorProduct, cm_m: CrossedModule,
@@ -580,7 +576,7 @@ def nonabelian_exterior(t: TensorProduct, cm_m: CrossedModule,
             g = tensor_vec(M.space, N.space, part_m(rows[a]), part_n(rows[a]))
             if g:
                 gens.append(g)
-    square_rows = [t.reduce_plain(g) for g in gens]
+    square_rows = [t.quotient.reduce(g) for g in gens]
     square = Subspace(field, t.algebra.dim, [r for r in square_rows if r])
 
     center = t.algebra.center()
@@ -594,12 +590,12 @@ def nonabelian_exterior(t: TensorProduct, cm_m: CrossedModule,
     algebra, proj = quotient_algebra(t.algebra, square,
                                      name=f"{M.name or 'M'}(^){N.name or 'N'}")
     # descend mu, nu through the section
-    sq = proj.quotient.sq
-    mu_cols = [vec_clean(t.mu.apply(s)) for s in sq.section]
-    nu_cols = [vec_clean(t.nu.apply(s)) for s in sq.section]
+    section = proj.quotient.section
+    mu_cols = [vec_clean(t.mu.apply(s)) for s in section]
+    nu_cols = [vec_clean(t.nu.apply(s)) for s in section]
     mu = GradedMap.from_columns(algebra.space, M.space, mu_cols)
     nu = GradedMap.from_columns(algebra.space, N.space, nu_cols)
-    return ExteriorProduct(t, square, algebra, proj, mu, nu, sq)
+    return ExteriorProduct(t, square, algebra, proj, mu, nu, proj.quotient)
 
 
 def exterior_square(P: LieSuperAlgebra) -> ExteriorProduct:

@@ -114,14 +114,14 @@ def reduce_all_rows(sub: Subspace, v: dict) -> dict:
     return work
 
 
-def quotient_coords_all_rows(sq: Subquotient, v: dict) -> list | None:
-    """Section coordinates of v in top/bottom by row-by-row reductions, or
-    None if v is outside top: reduce by bottom, then read the section
-    pivots (section rows vanish at the pivots of bottom)."""
+def quotient_coords_all_rows(sq: Subquotient, v: dict) -> dict | None:
+    """Section coordinates ``{k: c}`` of v in top/bottom by row-by-row
+    reductions, or None if v is outside top: reduce by bottom, then read
+    the section pivots (section rows vanish at the pivots of bottom)."""
     if reduce_all_rows(sq.top, v):
         return None
     r = reduce_all_rows(sq.bottom, v)
-    return [r.get(min(s), 0) for s in sq.section]
+    return {k: r[min(s)] for k, s in enumerate(sq.section) if min(s) in r}
 
 
 # ---------------------------------------------------------------------------
@@ -493,6 +493,22 @@ def rebase(L, perm: list[int], scale: list[int]):
     return LieSuperAlgebra(superspace(L.field, basis), table, name=L.name)
 
 
+def rebase_assoc(A, perm: list[int], scale: list):
+    """The associative superalgebra A in the basis f_a = scale[a] * e_{perm[a]}."""
+    inverse = [A.field.inv(c) for c in scale]
+    where = {e: a for a, e in enumerate(perm)}
+    basis = [(A.space.labels[e], A.space.parities[e]) for e in perm]
+    table = {}
+    for a in range(A.dim):
+        for b in range(A.dim):
+            w = A.product_basis(perm[a], perm[b])
+            if w:
+                table[(a, b)] = {where[e]: scale[a] * scale[b] * c * inverse[where[e]]
+                                 for e, c in w.items()}
+    unit = {where[e]: c * inverse[where[e]] for e, c in A.unit.items()}
+    return AssocSuperAlgebra(superspace(A.field, basis), table, unit=unit, name=A.name)
+
+
 # ---------------------------------------------------------------------------
 # helpers that only tests use
 
@@ -508,7 +524,7 @@ def subspace_bracket_action(L, actor_view, target_view):
             w = L.bracket(pa, tm)
             if not w:
                 continue
-            v = target_view.coords(w)
+            v = target_view.subspace.coords(w)
             if v is None:
                 raise ActionInvalid("bracket leaves the target subspace")
             if v:

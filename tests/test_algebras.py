@@ -242,3 +242,22 @@ def test_fp_heisenberg():
     assert check_lie_axioms(h5).ok
     s = series(h5)
     assert s.nil_class == 2 and s.center.dim == 1
+
+
+def test_quotient_basis_labels_are_pinned(heis, m11):
+    """Both label rules of QuotientSpace: ``[lead]`` for quotient algebras
+    and ``{prefix}{k}:{lead}`` for labelled subquotients."""
+    from superlie.actions import identity_crossed
+    from superlie.cyclic import connes
+    from superlie.homology import nh
+    from superlie.tensor import exterior_square
+
+    q, proj = quotient_algebra(heis, series(heis).center)
+    assert q.space.labels == ("[x]", "[y]")
+    assert proj.quotient.space is q.space and proj.quotient.parent is heis.space
+    assert not hasattr(proj.quotient, "sq")
+    assert nh(heis, identity_crossed(heis)).nh0.space.labels == ("h0.0:x", "h0.1:y")
+    assert exterior_square(heis).algebra.space.labels == ("[t2:y*x]", "[t4:z*x]", "[t5:z*y]")
+    assert connes(m11, 2).coinvariants[2].space.labels[:4] == (
+        "c2.0:E11(1)*E11(1)*E11(1)", "c2.1:E12(1)*E11(1)*E11(1)",
+        "c2.2:E12(1)*E12(1)*E11(1)", "c2.3:E12(1)*E12(1)*E12(1)")

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 
 from oracles import hc0_direct
@@ -173,3 +175,27 @@ def test_sixterm_eliminates_relation_ideal_once(m11, monkeypatch, capsys):
     assert main(["cyclic", "@m11", "--sixterm"]) == 0
     assert "six-term sequence: exact" in capsys.readouterr().out
     assert len(calls) == 1
+
+
+def test_morita_invariance_m11_lambda1_over_q():
+    """HC_n(M(1|1, Lambda1)) = HC_n(Lambda1) (Morita invariance, Loday,
+    Cyclic Homology, 1.2.4 and 2.2.9), with M(1|1, Lambda1) in a seeded
+    permuted, rescaled basis."""
+    import random
+
+    from oracles import rebase_assoc
+    from superlie.algebras import matrix_assoc
+
+    lam = grassmann_line(QQ)
+    m = matrix_assoc(1, 1, lam)
+    rng = random.Random(7)
+    perm = rng.sample(range(m.dim), m.dim)
+    scale = [rng.choice([1, -1, 2, Fraction(-1, 3)]) for _ in range(m.dim)]
+    a = rebase_assoc(m, perm, scale)
+    assert check_assoc_axioms(a).ok
+    cx = connes(a, 3)
+    assert [c.space.dim for c in cx.coinvariants] == [8, 32, 176, 1024]
+    cl = connes(lam, 3)
+    want = [hc(lam, n, cl).dims for n in range(3)]
+    assert want == [(1, 1), (1, 0), (1, 1)]
+    assert [hc(a, n, cx).dims for n in range(3)] == want

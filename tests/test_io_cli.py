@@ -390,3 +390,61 @@ def test_cli_homology_malformed_module_containers(tmp_path, basis, entries, mess
 def test_malformed_algebra_containers_rejected(obj, message):
     with pytest.raises(ParseError, match=message):
         parse_algebra(obj)
+
+
+def _heis_over(field: dict) -> dict:
+    obj = algebra_to_json(lie_algebra("heis"))
+    obj["field"] = field
+    return obj
+
+
+def _crossed_with(**fields) -> dict:
+    obj = json.loads((DATA / "heis_center_crossed.json").read_text(encoding="utf-8"))
+    obj.update(fields)
+    return obj
+
+
+@pytest.mark.parametrize("command, obj, message", [
+    (("check",), _heis_over({"kind": "Fp", "p": "abc"}), "field modulus must be an integer"),
+    (("check",), _heis_over({"kind": "Fp", "p": 5.9}), "field modulus must be an integer"),
+    (("homology", "@heis", "--hopf"), {"name": "g", "generators": 5, "relators": []},
+     "generators must be a list"),
+    (("homology", "@heis", "--hopf"),
+     {"name": "g", "generators": [["x", 0], ["x", 0]], "relators": []},
+     "duplicate generator labels"),
+    (("homology", "@heis", "--hopf"),
+     {"name": "g", "generators": [["x", 0], ["y", 0]], "relators": [{"sum": 5}]},
+     "relator sum must be a list"),
+    (("homology", "@heis", "--nonabelian"), _crossed_with(m=5), "'m' must be an algebra file"),
+], ids=["modulus-abc", "modulus-5.9", "generators-5", "duplicate-generators", "sum-5",
+        "crossed-m-5"])
+def test_cli_malformed_input_files_exit2(tmp_path, command, obj, message):
+    p = tmp_path / "input.json"
+    p.write_text(json.dumps(obj), encoding="utf-8")
+    r = run_cli(*command, str(p))
+    assert r.returncode == 2
+    assert r.stderr.startswith("input error: ") and message in r.stderr
+    assert "Traceback" not in r.stderr
+    assert r.stdout == ""
+
+
+def test_field_modulus_is_a_json_integer_or_digit_string():
+    assert parse_field({"kind": "Fp", "p": 7}).p == 7
+    assert parse_field({"kind": "Fp", "p": "7"}).p == 7
+    for bad in (5.0, True, "7.0", "-7", None, [7]):
+        with pytest.raises(ParseError, match="field modulus must be an integer"):
+            parse_field({"kind": "Fp", "p": bad})
+
+
+@pytest.mark.parametrize("choice", [
+    ("--adjoint", "--trivial"),
+    ("--trivial", "--act-mn", "missing_mn.json", "--act-nm", "missing_nm.json"),
+    ("--adjoint", "--act-mn", "missing_mn.json"),
+])
+def test_cli_tensor_action_choices_are_exclusive(tmp_path, choice):
+    choice = [str(tmp_path / a) if a.endswith(".json") else a for a in choice]
+    r = run_cli("tensor", "@heis", "@heis", *choice)
+    assert r.returncode == 2
+    assert "choose one of --adjoint, --trivial" in r.stderr
+    assert "Traceback" not in r.stderr
+    assert r.stdout == ""

@@ -71,7 +71,7 @@ def test_subquotient_full_mod_zero():
     top = Subspace.full(QQ, 2)
     sq = Subquotient(top, Subspace(QQ, 2, []))
     assert sq.dim == 2
-    assert sq.reduce({0: 3, 1: 5}) == [3, 5]
+    assert sq.reduce({0: 3, 1: 5}) == {0: 3, 1: 5}
 
 
 def test_subquotient_plane_mod_line():
@@ -81,7 +81,18 @@ def test_subquotient_plane_mod_line():
     assert sq.dim == 1
     for i, s in enumerate(sq.section):
         coords = sq.reduce(s)
-        assert coords == [1 if j == i else 0 for j in range(sq.dim)]
+        assert coords == {i: 1}
+
+
+def test_coordinates_are_nonzero_and_field_normal():
+    """Integral Fractions come back as ints, and a coefficient that is 0 in
+    the field is absent."""
+    top = Subspace(QQ, 3, [{0: 1, 2: 1}, {1: 1}])
+    sq = Subquotient(top, Subspace(QQ, 3, [{1: 1}]))
+    v = {0: Fraction(4, 2), 1: Fraction(1, 2), 2: Fraction(4, 2)}
+    assert top.coords(v) == {0: 2, 1: Fraction(1, 2)} and type(top.coords(v)[0]) is int
+    assert sq.reduce(v) == {0: 2} and type(sq.reduce(v)[0]) is int
+    assert Subspace(F5, 3, top.rows).coords({0: 7, 1: 5, 2: 7}) == {0: 2}
 
 
 def test_subquotient_containment_error():
@@ -218,7 +229,7 @@ def test_reduce_lift_identity(m):
     full = Subspace.full(QQ, m.ncols)
     sq = Subquotient(full, ker)
     for i in range(sq.dim):
-        coords = [1 if j == i else 0 for j in range(sq.dim)]
+        coords = {i: 1}
         assert sq.reduce(sq.lift(coords)) == coords
 
 
@@ -285,9 +296,10 @@ def test_echelon_membership_matches_reduction(case):
         if residual:
             assert coords is None
         else:
+            assert _field_normal(field, coords)
             back: dict = {}
-            for c, row in zip(coords, sub.rows):
-                vec_axpy(back, c, row)
+            for k, c in coords.items():
+                vec_axpy(back, c, sub.rows[k])
             assert field.clean(vec_sub(back, v)) == {}
     # top = the span, bottom = the span of the inside probes
     sq = Subquotient(sub, Subspace(field, ambient, inside))
@@ -299,8 +311,18 @@ def test_echelon_membership_matches_reduction(case):
             continue
         got = sq.reduce(v)
         assert got == want
+        assert _field_normal(field, got)
         assert not reduce_all_rows(sq.bottom, vec_sub(sq.lift(got), v))
         assert sq.reduce(sq.lift(got)) == got
+
+
+def _field_normal(field, v: dict) -> bool:
+    """Every value is nonzero and in normal form: a residue 1..p-1, or over
+    Q an int when integral and a Fraction only when not."""
+    if field.p is not None:
+        return all(type(c) is int and 0 < c < field.p for c in v.values())
+    return all(c != 0 and (type(c) is int or type(c) is Fraction and c.denominator != 1)
+               for c in v.values())
 
 
 def _integral_fractions(vectors) -> list:
