@@ -80,6 +80,7 @@ class LieSuperAlgebra:
                 tab[(i, j)] = v
         self.table = tab
         self._ad_cache: list[Matrix] | None = None
+        self._left_index: list[list[tuple[int, dict]]] | None = None
         # memos of tensor.adjoint_tensor_square and tensor.exterior_square
         self._tensor_square = None
         self._exterior_square = None
@@ -118,6 +119,27 @@ class LieSuperAlgebra:
                     vec_axpy(out, c, b)
         return self.field.clean(out)
 
+    def left_brackets(self, v: dict) -> dict[int, dict]:
+        """{i: [e_i, v]} over the basis elements whose bracket with v is
+        nonzero.  Reads the column index j -> [(i, [e_i, e_j])], built once
+        from the stored table: entry (i, j) also gives [e_j, e_i] by graded
+        antisymmetry."""
+        if self._left_index is None:
+            par = self.space.parities
+            index: list[list[tuple[int, dict]]] = [[] for _ in range(self.dim)]
+            for (i, j), b in self.table.items():
+                index[j].append((i, b))
+                if i != j:
+                    index[i].append((j, vec_scale(b, _pair_sign(par[i], par[j]))))
+            self._left_index = index
+        index = self._left_index
+        out: dict[int, dict] = {}
+        for j, c in v.items():
+            for i, b in index[j]:
+                vec_axpy(out.setdefault(i, {}), c, b)
+        out = {i: self.field.clean(w) for i, w in out.items()}
+        return {i: w for i, w in out.items() if w}
+
     def ad(self, i: int) -> Matrix:
         if self._ad_cache is None:
             self._ad_cache = [
@@ -136,6 +158,12 @@ class LieSuperAlgebra:
             # [L, L]: by graded antisymmetry every [e_i, e_j] is ± a table value
             return Subspace(self.field, self.dim, self.table.values())
         acc = Echelon(self.field, self.dim)
+        if a.dim == self.dim:
+            # [L, b] is spanned by the nonzero [e_i, r], r a row of b
+            for r in b.rows:
+                for w in self.left_brackets(r).values():
+                    acc.insert(w)
+            return acc.subspace()
         for u in a.rows:
             for v in b.rows:
                 acc.insert(self.bracket(u, v))
@@ -381,28 +409,29 @@ def subalgebra_closure(L: LieSuperAlgebra, vectors: list[dict]) -> Subspace:
 
 
 def ideal_closure(L: LieSuperAlgebra, vectors: list[dict]) -> Subspace:
-    """Smallest bracket ideal containing the vectors: iterate span + [L, span]."""
+    """Smallest bracket ideal containing the vectors, from a worklist: each
+    vector that grows the span is bracketed with the basis once, and each
+    bracket that grows the span joins the worklist.  The accepted vectors
+    span the result, and each one's brackets lie in it, so it is an ideal."""
     acc = Echelon(L.field, L.dim)
-    for v in vectors:
-        acc.insert(v)
-    while True:
-        rows = [dict(r) for r in acc.subspace().rows]
-        grew = False
-        for i in range(L.dim):
-            for r in rows:
-                if acc.insert(L.bracket({i: 1}, r)):
-                    grew = True
-        if not grew:
-            return acc.subspace()
+    work = [v for v in vectors if acc.insert(v)]
+    while work:
+        for w in L.left_brackets(work.pop()).values():
+            if acc.insert(w):
+                work.append(w)
+    return acc.subspace()
 
 
 def is_graded_ideal(L: LieSuperAlgebra, I: Subspace) -> bool:
+    """Whether I is spanned by homogeneous vectors and [e_i, r] lies in I
+    for every basis element e_i and row r; a zero bracket lies in every
+    subspace, so only the nonzero ones are tested."""
     for r in I.rows:
         if L.space.parity_of_vec(r) is None:
             return False
-    for i in range(L.dim):
-        for r in I.rows:
-            if not I.contains_vec(L.bracket({i: 1}, r)):
+    for r in I.rows:
+        for w in L.left_brackets(r).values():
+            if not I.contains_vec(w):
                 return False
     return True
 

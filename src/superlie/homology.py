@@ -664,7 +664,7 @@ def _descend_exterior_map(ind: GradedMap, e_src: ExteriorProduct,
     for r in e_src.square.rows:
         if vec_clean(e_dst.projection.apply(ind.apply(r))):
             raise ComplexInconsistent("induced map does not preserve the square ideals")
-    cols = [e_dst.projection.apply(ind.apply(s)) for s in e_src.sq.section]
+    cols = [e_dst.projection.apply(ind.apply(s)) for s in e_src.projection.quotient.section]
     return GradedMap.from_columns(e_src.algebra.space, e_dst.algebra.space, cols)
 
 

@@ -29,6 +29,11 @@ def _require_list(value, what: str) -> list:
     return value
 
 
+def _is_parity(value) -> bool:
+    """A parity is the JSON integer 0 or 1, not a boolean or a float."""
+    return type(value) is int and value in (0, 1)
+
+
 def _require_keys(obj: dict, required: set[str], optional: set[str], what: str) -> None:
     if not isinstance(obj, dict):
         raise ParseError(f"{what} must be an object: {obj!r}")
@@ -73,10 +78,10 @@ def _parse_basis(items, field: Field) -> SuperSpace:
         if not (isinstance(it, list) and len(it) == 2):
             raise ParseError(f"basis entry must be [label, parity]: {it!r}")
         label, par = it
-        if par not in (0, 1):
+        if not _is_parity(par):
             raise ParseError(f"parity must be 0 or 1: {it!r}")
         labels.append(str(label))
-        parities.append(int(par))
+        parities.append(par)
     try:
         return SuperSpace(field, tuple(labels), tuple(parities))
     except ValueError as exc:
@@ -279,9 +284,9 @@ def load_presentation(path: str | Path) -> Presentation:
     _require_keys(obj, {"name", "generators", "relators"}, set(), str(path))
     gens = []
     for it in _require_list(obj["generators"], "generators"):
-        if not (isinstance(it, list) and len(it) == 2 and it[1] in (0, 1)):
+        if not (isinstance(it, list) and len(it) == 2 and _is_parity(it[1])):
             raise ParseError(f"generator must be [label, parity]: {it!r}")
-        gens.append((str(it[0]), int(it[1])))
+        gens.append((str(it[0]), it[1]))
     try:
         gg = GradedGenSet(tuple(gens))
     except ValueError as exc:

@@ -65,6 +65,7 @@ from .actions import (
 from .algebras import (
     LieSuperAlgebra,
     NotAnIdeal,
+    Projection,
     QuotientSpace,
     check_lie_axioms,
     engel_degree,
@@ -520,10 +521,9 @@ class ExteriorProduct:
     tensor: TensorProduct
     square: Subspace             # M square N, in product coordinates
     algebra: LieSuperAlgebra
-    projection: GradedMap        # product -> exterior quotient
+    projection: Projection       # product -> exterior quotient, keeps the quotient
     mu: GradedMap                # descended map to M
     nu: GradedMap                # descended map to N
-    sq: QuotientSpace            # section machinery behind the projection
 
 
 def nonabelian_exterior(t: TensorProduct, cm_m: CrossedModule,
@@ -595,7 +595,7 @@ def nonabelian_exterior(t: TensorProduct, cm_m: CrossedModule,
     nu_cols = [vec_clean(t.nu.apply(s)) for s in section]
     mu = GradedMap.from_columns(algebra.space, M.space, mu_cols)
     nu = GradedMap.from_columns(algebra.space, N.space, nu_cols)
-    return ExteriorProduct(t, square, algebra, proj, mu, nu, proj.quotient)
+    return ExteriorProduct(t, square, algebra, proj, mu, nu)
 
 
 def exterior_square(P: LieSuperAlgebra) -> ExteriorProduct:

@@ -11,6 +11,9 @@ Jacobi-type family (v) that the production construction omits.  Wedge
 signs are counted inversion by inversion, HC_0 is read off A/[A, A]
 directly instead of from the Connes complex, and the Chevalley–Eilenberg
 complex is built on every chain instead of the weight-0 chains only.
+Ideal closures, [L, I] and the ideal certificate bracket every basis
+element with every row, zero brackets included, where the production
+code reads only the nonzero brackets from its left-bracket index.
 The module also holds the helpers that only tests use: algebras in a
 permuted, rescaled basis, bracket actions between subalgebra views, and
 relators as graded vectors.
@@ -471,6 +474,49 @@ def ce_complex_full(P, M, max_n: int):
     per_chain = [[m for m in level for _ in range(dm)] for level in monos]
     coefficients = [[t for _ in level for t in range(dm)] for level in monos]
     return ChainComplex(P, M, spaces, per_chain, coefficients, boundaries)
+
+
+# ---------------------------------------------------------------------------
+# ideals and [L, I] by bracketing every basis element with every row
+
+
+def ideal_closure_rounds(L, vectors) -> Subspace:
+    """The ideal generated by the vectors, by rounds: each round brackets
+    every basis element with every row of the span, old rows too, until a
+    round adds nothing."""
+    acc = Echelon(L.field, L.dim)
+    for v in vectors:
+        acc.insert(v)
+    while True:
+        rows = [dict(r) for r in acc.subspace().rows]
+        grew = False
+        for i in range(L.dim):
+            for r in rows:
+                if acc.insert(L.bracket({i: 1}, r)):
+                    grew = True
+        if not grew:
+            return acc.subspace()
+
+
+def missing_brackets(L, I: Subspace) -> list[tuple[int, int]]:
+    """Every pair (i, k) whose bracket [e_i, row k of I] lies outside I."""
+    return [(i, k) for i in range(L.dim) for k, r in enumerate(I.rows)
+            if not I.contains_vec(L.bracket({i: 1}, r))]
+
+
+def is_graded_ideal_all_brackets(L, I: Subspace) -> bool:
+    """Whether the rows of I are homogeneous and no [e_i, r] leaves I."""
+    return all(L.space.parity_of_vec(r) is not None for r in I.rows) \
+        and not missing_brackets(L, I)
+
+
+def product_subspace_pairs(L, a: Subspace, b: Subspace) -> Subspace:
+    """[a, b] as the span of the bracket of every row of a with every row of b."""
+    acc = Echelon(L.field, L.dim)
+    for u in a.rows:
+        for v in b.rows:
+            acc.insert(L.bracket(u, v))
+    return acc.subspace()
 
 
 # ---------------------------------------------------------------------------

@@ -320,6 +320,33 @@ def test_hopf_matches_chain_on_free_nilpotent():
         assert h.dims == chain.dims, (gens, c)
 
 
+def witt_count(r: int, n: int) -> int:
+    """Dimension of the degree-n part of the free Lie algebra on r even
+    generators: (1/n) sum over d | n of mu(d) r^(n/d) (Witt's necklace count)."""
+    def moebius(d: int) -> int:
+        sign, k = 1, 2
+        while k * k <= d:
+            if d % k == 0:
+                d //= k
+                if d % k == 0:
+                    return 0
+                sign = -sign
+            k += 1
+        return -sign if d > 1 else sign
+
+    return sum(moebius(d) * r ** (n // d) for d in range(1, n + 1) if n % d == 0) // n
+
+
+@pytest.mark.parametrize("r, c", [(2, 3), (3, 3), (4, 2), (4, 4)])
+def test_hopf_free_nilpotent_is_witt_count(r, c):
+    """The free nilpotent algebra F/gamma_{c+1} on r even generators has
+    H2 = gamma_{c+1}/gamma_{c+2}, of dimension W(r, c+1)."""
+    pres = Presentation(genset([(f"g{i}", 0) for i in range(r)]), ())
+    h = hopf_formula(pres, c)
+    assert h.dims == (witt_count(r, c + 1), 0)
+    assert h.presented.dim == sum(witt_count(r, k) for k in range(1, c + 1))
+
+
 def test_hopf_relator_degree_guard():
     deep = [[[["x", "y"], "x"], "x"], "x"]  # degree 5
     pres = Presentation(genset([("x", 0), ("y", 0)]), (deep,))
@@ -425,7 +452,7 @@ def test_exterior_symmetry(gl11):
     # the square ideal maps into the square ideal, so the iso descends
     for r in e_pm.square.rows:
         assert e_mp.square.contains_vec(iso.apply(r))
-    cols = [vec_clean(e_mp.projection.apply(iso.apply(s))) for s in e_pm.sq.section]
+    cols = [vec_clean(e_mp.projection.apply(iso.apply(s))) for s in e_pm.projection.quotient.section]
     from superlie.linalg import Matrix
 
     descended = Matrix(gl11.field, e_mp.algebra.dim, cols)

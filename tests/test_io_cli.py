@@ -416,8 +416,13 @@ def _crossed_with(**fields) -> dict:
      {"name": "g", "generators": [["x", 0], ["y", 0]], "relators": [{"sum": 5}]},
      "relator sum must be a list"),
     (("homology", "@heis", "--nonabelian"), _crossed_with(m=5), "'m' must be an algebra file"),
+    (("check",), {**_heis_over({"kind": "Q"}), "basis": [["x", True], ["y", 0], ["z", 0]]},
+     "parity must be 0 or 1"),
+    (("homology", "@heis", "--hopf"),
+     {"name": "g", "generators": [["x", 1.0], ["y", False]], "relators": []},
+     "generator must be [label, parity]"),
 ], ids=["modulus-abc", "modulus-5.9", "generators-5", "duplicate-generators", "sum-5",
-        "crossed-m-5"])
+        "crossed-m-5", "basis-parity-true", "generator-parities-float-false"])
 def test_cli_malformed_input_files_exit2(tmp_path, command, obj, message):
     p = tmp_path / "input.json"
     p.write_text(json.dumps(obj), encoding="utf-8")
