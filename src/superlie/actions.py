@@ -199,6 +199,25 @@ def ideal_crossed(L: LieSuperAlgebra, view) -> CrossedModule:
     return CrossedModule(view.algebra, L, incl, act, name="ideal")
 
 
+def pullback_action(a: Action, source: LieSuperAlgebra, f: GradedMap) -> Action:
+    """The action of ``source`` on ``a.target`` through a Lie homomorphism
+    f: source -> a.actor, that is s.m = f(s).m."""
+    table = {}
+    for s in range(source.dim):
+        fs = f.apply({s: 1})
+        for m in range(a.target.dim):
+            v = a.act(fs, {m: 1})
+            if v:
+                table[(s, m)] = v
+    return Action(source, a.target, table)
+
+
+def crossed_pullback_actions(cm: CrossedModule) -> tuple[Action, Action]:
+    """Mutual actions of P and M induced by a crossed module d: M -> P:
+    P acts as given, M acts on P through the boundary."""
+    return cm.action, pullback_action(adjoint_action(cm.p), cm.m, cm.boundary)
+
+
 @dataclass
 class CrossedReport:
     ok: bool

@@ -4,9 +4,10 @@ Exit codes: 0 when every certificate passes, 1 on a mathematical failure
 or axiom violation, 2 on input errors.  Reports are deterministic for
 identical inputs; ``--out json`` emits a canonical machine-readable form.
 
-Bundled corpus files ship inside the package; an argument of the form
-``@name`` (for example ``@sl21``) resolves to the bundled file, and
-``superlie corpus export DIR`` materializes the whole corpus.
+The corpus is the JSON files bundled inside the package (see
+:mod:`superlie.corpus`); an argument of the form ``@name`` (for example
+``@sl21``) names one of them, ``superlie corpus list`` lists them, and
+``superlie corpus export DIR`` copies them all into DIR.
 """
 
 from __future__ import annotations
@@ -15,10 +16,16 @@ import argparse
 import hashlib
 import json
 import sys
-from importlib import resources
 from pathlib import Path
 
-from .actions import adjoint_action, check_action, check_compatible, trivial_action
+from . import corpus
+from .actions import (
+    check_action,
+    check_compatible,
+    check_crossed,
+    identity_crossed,
+    trivial_action,
+)
 from .algebras import (
     AssocSuperAlgebra,
     LieSuperAlgebra,
@@ -69,13 +76,10 @@ def _fmt(dims) -> str:
 
 def resolve_path(arg: str) -> Path:
     if arg.startswith("@"):
-        name = arg[1:]
-        if not name.endswith(".json"):
-            name += ".json"
-        ref = resources.files("superlie").joinpath("data", name)
-        if not ref.is_file():
-            raise ParseError(f"no bundled file named {arg!r}")
-        return Path(str(ref))
+        try:
+            return corpus.bundled_path(arg[1:])
+        except KeyError:
+            raise ParseError(f"no bundled file named {arg!r}") from None
     return Path(arg)
 
 
@@ -97,6 +101,12 @@ class Report:
     def result(self, key: str, value):
         self.data["results"][key] = value
 
+    def refuse(self, out: str, key: str, message: str, cert) -> int:
+        """Report the first violation of a failed certificate and exit 1."""
+        self.line(f"{message}: {cert.violations[0]}")
+        self.result(key, False)
+        return self.emit(out, 1)
+
     def emit(self, out: str, status_code: int) -> int:
         self.data["status"] = {0: "ok", 1: "failed", 2: "input-error"}[status_code]
         if out == "json":
@@ -112,47 +122,36 @@ def cmd_check(args) -> int:
     path = resolve_path(args.path)
     alg = load_algebra(path)
     rep.add_input(path)
-    if isinstance(alg, LieSuperAlgebra):
-        cert = check_lie_axioms(alg)
-        rep.result("kind", "lie")
-        rep.result("dims", alg.space.dim_pair)
-        if cert.ok:
-            s = series(alg)
-            cls = "perfect" if s.is_perfect else (
-                f"class {s.nil_class}" if s.nil_class is not None else
-                (f"solvable length {s.derived_length}" if s.derived_length is not None
-                 else "not solvable"))
-            rep.result("certified", True)
-            rep.result("series", {
-                "nil_class": s.nil_class, "derived_length": s.derived_length,
-                "center_dim": s.center.dim, "perfect": s.is_perfect})
-            rep.line(f"{alg.name}: certified Lie superalgebra, dim {alg.space}, {cls}")
-            return rep.emit(args.out, 0)
-        rep.result("certified", False)
+    lie = isinstance(alg, LieSuperAlgebra)
+    cert = check_lie_axioms(alg) if lie else check_assoc_axioms(alg)
+    rep.result("kind", "lie" if lie else "assoc")
+    rep.result("dims", alg.space.dim_pair)
+    rep.result("certified", cert.ok)
+    if not cert.ok:
         rep.result("violations", [str(v) for v in cert.violations[:8]])
-        rep.line(f"{alg.name}: NOT a Lie superalgebra")
+        rep.line(f"{alg.name}: NOT {'a Lie superalgebra' if lie else 'associative'}")
         for v in cert.violations[:8]:
             rep.line(f"  violation: {v}")
         return rep.emit(args.out, 1)
-    cert = check_assoc_axioms(alg)
-    rep.result("kind", "assoc")
-    rep.result("dims", alg.space.dim_pair)
-    if cert.ok:
+    if lie:
+        s = series(alg)
+        cls = "perfect" if s.is_perfect else (
+            f"class {s.nil_class}" if s.nil_class is not None else
+            (f"solvable length {s.derived_length}" if s.derived_length is not None
+             else "not solvable"))
+        rep.result("series", {
+            "nil_class": s.nil_class, "derived_length": s.derived_length,
+            "center_dim": s.center.dim, "perfect": s.is_perfect})
+        rep.line(f"{alg.name}: certified Lie superalgebra, dim {alg.space}, {cls}")
+    else:
         bits = ["associative"]
         if alg.unit is not None:
             bits.append("unital")
         if alg.is_supercommutative():
             bits.append("supercommutative")
-        rep.result("certified", True)
         rep.result("properties", bits)
         rep.line(f"{alg.name}: {', '.join(bits)}, dim {alg.space}")
-        return rep.emit(args.out, 0)
-    rep.result("certified", False)
-    rep.result("violations", [str(v) for v in cert.violations[:8]])
-    rep.line(f"{alg.name}: NOT associative")
-    for v in cert.violations[:8]:
-        rep.line(f"  violation: {v}")
-    return rep.emit(args.out, 1)
+    return rep.emit(args.out, 0)
 
 
 def _load_lie(path: Path) -> LieSuperAlgebra:
@@ -165,6 +164,8 @@ def _load_lie(path: Path) -> LieSuperAlgebra:
 def cmd_tensor(args) -> int:
     if args.adjoint + args.trivial + bool(args.act_mn or args.act_nm) > 1:
         raise ParseError("choose one of --adjoint, --trivial, or --act-mn with --act-nm")
+    if args.exterior and not args.adjoint:
+        raise ParseError("--exterior is supported for the self tensor square (--adjoint)")
     rep = Report("tensor")
     path_m = resolve_path(args.m)
     path_n = resolve_path(args.n)
@@ -178,7 +179,6 @@ def cmd_tensor(args) -> int:
         if algebra_fingerprint(M) != algebra_fingerprint(N):
             raise ParseError("--adjoint requires the same algebra on both sides")
         N = M
-        amn = anm = adjoint_action(M)
     elif args.trivial:
         amn, anm = trivial_action(M, N), trivial_action(N, M)
     else:
@@ -192,36 +192,30 @@ def cmd_tensor(args) -> int:
         for a, label in ((amn, "M on N"), (anm, "N on M")):
             cert = check_action(a)
             if not cert.ok:
-                rep.line(f"action {label} fails its axioms: {cert.violations[0]}")
-                rep.result("action_valid", False)
-                return rep.emit(args.out, 1)
-        comp = check_compatible(amn, anm)
-        if not comp.ok:
-            rep.line(f"actions are not compatible: {comp.violations[0]}")
-            rep.result("compatible", False)
-            return rep.emit(args.out, 1)
-    t = (adjoint_tensor_square(M) if (args.adjoint or (M is N and amn.name == "adjoint"))
-         else nonabelian_tensor(M, N, amn, anm))
+                return rep.refuse(args.out, "action_valid", f"action {label} fails its axioms",
+                                  cert)
+        cert = check_compatible(amn, anm)
+        if not cert.ok:
+            return rep.refuse(args.out, "compatible", "actions are not compatible", cert)
+    t = adjoint_tensor_square(M) if args.adjoint else nonabelian_tensor(M, N, amn, anm)
     dims = t.algebra.space.dim_pair
-    imu, inu = t.im_mu, t.im_nu
-    kmu, knu = t.mu.kernel(), t.nu.kernel()
+    im_mu, im_nu = M.space.split_dims(t.im_mu.rows), N.space.split_dims(t.im_nu.rows)
+    ker_mu = t.algebra.space.split_dims(t.mu.kernel().rows)
+    ker_nu = t.algebra.space.split_dims(t.nu.kernel().rows)
     rep.result("dim", dims)
-    rep.result("[M,N]^M", M.space.split_dims(imu.rows))
-    rep.result("[M,N]^N", N.space.split_dims(inu.rows))
-    rep.result("ker_mu", t.algebra.space.split_dims(kmu.rows))
-    rep.result("ker_nu", t.algebra.space.split_dims(knu.rows))
+    rep.result("[M,N]^M", im_mu)
+    rep.result("[M,N]^N", im_nu)
+    rep.result("ker_mu", ker_mu)
+    rep.result("ker_nu", ker_nu)
     rep.line(f"M (x) N: dim {_fmt(dims)}; certified (bracket kills D, crossed modules pass)")
-    rep.line(f"[M,N]^M: dim {_fmt(M.space.split_dims(imu.rows))}   "
-             f"[M,N]^N: dim {_fmt(N.space.split_dims(inu.rows))}")
-    rep.line(f"Ker mu: dim {_fmt(t.algebra.space.split_dims(kmu.rows))}   "
-             f"Ker nu: dim {_fmt(t.algebra.space.split_dims(knu.rows))}")
+    rep.line(f"[M,N]^M: dim {_fmt(im_mu)}   [M,N]^N: dim {_fmt(im_nu)}")
+    rep.line(f"Ker mu: dim {_fmt(ker_mu)}   Ker nu: dim {_fmt(ker_nu)}")
     if args.exterior:
-        if M is not N:
-            raise ParseError("--exterior is supported for the self tensor square")
         ext = exterior_square(M)
-        rep.result("square_ideal", t.algebra.space.split_dims(ext.square.rows))
+        square = t.algebra.space.split_dims(ext.square.rows)
+        rep.result("square_ideal", square)
         rep.result("exterior_dim", ext.algebra.space.dim_pair)
-        rep.line(f"M square M: dim {_fmt(t.algebra.space.split_dims(ext.square.rows))}   "
+        rep.line(f"M square M: dim {_fmt(square)}   "
                  f"M (^) M: dim {_fmt(ext.algebra.space.dim_pair)}")
     if args.uce:
         ce = uce(M)
@@ -232,7 +226,7 @@ def cmd_tensor(args) -> int:
 
 def algebra_fingerprint(alg) -> tuple:
     table = tuple(sorted((k, tuple(sorted(v.items()))) for k, v in alg.table.items()))
-    return (alg.space.labels, alg.space.parities, table)
+    return (alg.field, alg.space.labels, alg.space.parities, table)
 
 
 def cmd_homology(args) -> int:
@@ -247,9 +241,7 @@ def cmd_homology(args) -> int:
         rep.add_input(mp)
         cert = check_action(module)
         if not cert.ok:
-            rep.line(f"module fails its axioms: {cert.violations[0]}")
-            rep.result("module_valid", False)
-            return rep.emit(args.out, 1)
+            return rep.refuse(args.out, "module_valid", "module fails its axioms", cert)
     max_n = args.degree
     if max_n < 0:
         raise ParseError(f"--degree must be non-negative, got {max_n}")
@@ -274,14 +266,21 @@ def cmd_homology(args) -> int:
         if not agree:
             status = 1
     if args.nonabelian:
-        cp = resolve_path(args.nonabelian)
         if args.nonabelian == "identity":
-            from .actions import identity_crossed
             cm = identity_crossed(P)
         else:
+            cp = resolve_path(args.nonabelian)
             cm = load_crossed(cp)
             rep.add_input(cp)
-        r = nh(P, cm)
+            if algebra_fingerprint(cm.p) != algebra_fingerprint(P):
+                raise ParseError(f"crossed module {cp} is over {cm.p.name!r} ({cm.p.field}), "
+                                 f"not over {P.name!r} ({P.field})")
+            cert = check_crossed(cm)
+            if not cert.ok:
+                return rep.refuse(args.out, "crossed_valid", "crossed module fails its axioms",
+                                  cert)
+        # cm.p is P, or the same algebra parsed again from the crossed module's file
+        r = nh(cm.p, cm)
         rep.result("nh0", r.nh0.dims)
         rep.result("nh1", r.nh1.dims)
         rep.line(f"nh0: dim {_fmt(r.nh0.dims)}   nh1: dim {_fmt(r.nh1.dims)}")
@@ -350,21 +349,16 @@ def cmd_verify(args) -> int:
 def cmd_corpus(args) -> int:
     rep = Report("corpus")
     if args.action == "list":
-        names = sorted(
-            p.name for p in resources.files("superlie").joinpath("data").iterdir()
-            if p.name.endswith(".json"))
+        names = corpus.file_names()
         for n in names:
             rep.line(n)
         rep.result("files", names)
         return rep.emit(args.out, 0)
     target = Path(args.dir)
-    target.mkdir(parents=True, exist_ok=True)
-    copied = []
-    for p in sorted(resources.files("superlie").joinpath("data").iterdir(),
-                    key=lambda q: q.name):
-        if p.name.endswith(".json"):
-            (target / p.name).write_text(p.read_text(encoding="utf-8"), encoding="utf-8")
-            copied.append(p.name)
+    try:
+        copied = corpus.export(target)
+    except OSError as exc:
+        raise ParseError(f"cannot export the corpus to {target}: {exc}") from exc
     rep.result("exported", copied)
     rep.line(f"exported {len(copied)} files to {target}")
     return rep.emit(args.out, 0)
@@ -389,7 +383,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--act-nm", help="action file of N on M")
     p.add_argument("--adjoint", action="store_true", help="use the adjoint self-actions")
     p.add_argument("--trivial", action="store_true", help="use trivial actions")
-    p.add_argument("--exterior", action="store_true", help="also compute the exterior square")
+    p.add_argument("--exterior", action="store_true",
+                   help="also compute the exterior square (with --adjoint)")
     p.add_argument("--uce", action="store_true",
                    help="also compute the universal central extension of M")
     p.set_defaults(func=cmd_tensor)

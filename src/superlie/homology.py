@@ -38,7 +38,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .actions import Action, CrossedModule, identity_crossed, ideal_crossed, trivial_action
+from .actions import (
+    Action,
+    CrossedModule,
+    crossed_pullback_actions,
+    identity_crossed,
+    ideal_crossed,
+    trivial_action,
+)
 from .algebras import (
     LieSuperAlgebra,
     NotAnIdeal,
@@ -532,27 +539,13 @@ class NHResult:
     nu_to_m: GradedMap  # P (x) M -> M in ambient M coordinates
 
 
-def crossed_pullback_actions(cm: CrossedModule) -> tuple[Action, Action]:
-    """Mutual actions of P and M induced by a crossed module d: M -> P:
-    P acts as given, M acts on P through the boundary."""
-    P, M = cm.p, cm.m
-    table = {}
-    for m in range(M.dim):
-        dm = cm.boundary.apply({m: 1})
-        for p in range(P.dim):
-            v = P.bracket(dm, {p: 1})
-            if v:
-                table[(m, p)] = v
-    act_mp = Action(M, P, table, name="via-boundary")
-    return cm.action, act_mp
-
-
-def nh(P: LieSuperAlgebra, cm: CrossedModule,
-       tensor: TensorProduct | None = None) -> NHResult:
+def nh(P: LieSuperAlgebra, cm: CrossedModule) -> NHResult:
     """Zero and first non-abelian homology of P with coefficients in the
     crossed module: cokernel and kernel of p (x) m -> p.m."""
+    if cm.p is not P:
+        raise ValueError("the crossed module is over another algebra object than P")
     act_pm, act_mp = crossed_pullback_actions(cm)
-    t = tensor if tensor is not None else nonabelian_tensor(P, cm.m, act_pm, act_mp)
+    t = nonabelian_tensor(P, cm.m, act_pm, act_mp)
     nu = t.nu  # to M, in M coordinates
     M = cm.m
     im = nu.image()

@@ -53,34 +53,28 @@ def _fmt(dims) -> str:
     return f"({dims[0]}|{dims[1]})"
 
 
-def _compatible_pairs():
-    """Corpus pairs with compatible actions: adjoint self-pairs and trivial pairs."""
-    pairs = []
+def _compatible_products():
+    """Tensor products of corpus pairs with compatible actions: the adjoint
+    squares, then products with trivial actions."""
     for name in ("heis", "gl11", "sl21", "sl30"):
-        P = lie_algebra(name)
-        adj = adjoint_action(P)
-        pairs.append((f"{name}(x){name} adjoint", P, P, adj, adj))
+        yield f"{name}(x){name} adjoint", adjoint_tensor_square(lie_algebra(name))
     for a, b in (("abelian11", "abelian21"), ("heis", "abelian10")):
         M, N = lie_algebra(a), lie_algebra(b)
-        pairs.append((f"{a}(x){b} trivial", M, N, trivial_action(M, N), trivial_action(N, M)))
-    return pairs
+        yield (f"{a}(x){b} trivial",
+               nonabelian_tensor(M, N, trivial_action(M, N), trivial_action(N, M)))
 
 
 def suite_tensor_props() -> list[Row]:
     rows: list[Row] = []
-    for label, M, N, amn, anm in _compatible_pairs():
-        if M is N and amn.name == "adjoint":
-            t = adjoint_tensor_square(M)
-        else:
-            t = nonabelian_tensor(M, N, amn, anm)
+    for label, t in _compatible_products():
         # construction certifies annihilation, Lie axioms and both crossed modules
         rows.append((f"{label}: well-defined, (mu),(nu) crossed", True,
                      f"dim {_fmt(t.algebra.space.dim_pair)}"))
         iso, swapped = tensor_symmetry_iso(t)
         rows.append((f"{label}: symmetry iso", True,
                      f"dim {t.algebra.dim} = {swapped.algebra.dim}"))
-        if amn.is_trivial() and anm.is_trivial():
-            sp = trivial_action_tensor(M, N)
+        if t.act_mn.is_trivial() and t.act_nm.is_trivial():
+            sp = trivial_action_tensor(t.m, t.n)
             ok = sp.dim_pair == t.algebra.space.dim_pair and t.algebra.is_abelian()
             rows.append((f"{label}: equals Mab (x) Nab, abelian", ok,
                          f"{_fmt(sp.dim_pair)} vs {_fmt(t.algebra.space.dim_pair)}"))
@@ -173,9 +167,7 @@ def standard_crossed_ses() -> list[tuple[str, CrossedSES]]:
     s = series(h)
     zview = subalgebra_on(h, s.center, name="Z")
     had = abelian(QQ, 3, 0, prefix="ha")
-    adj_table = {(p, m): h.bracket_basis(p, m)
-                 for p in range(3) for m in range(3) if h.bracket_basis(p, m)}
-    cm_m = supermodule_crossed(h, had, Action(h, had, adj_table))
+    cm_m = supermodule_crossed(h, had, Action(h, had, adjoint_action(h).table))
     q = quotient_space(h.space, Subspace.full(QQ, 3), s.center, "q")
     qalg = abelian(QQ, q.dim, 0, prefix="q")
     q_table = induced_action_table(q, 3, lambda p, v: h.bracket({p: 1}, v))
@@ -192,19 +184,15 @@ def standard_crossed_ses() -> list[tuple[str, CrossedSES]]:
     parities = P.space.parities + (0,)
     spM = SuperSpace(QQ, labels, parities)
     Mx = LieSuperAlgebra(spM, {k: dict(v) for k, v in P.table.items()}, name="PxK")
-    act = Action(P, Mx, {(p, m): P.bracket_basis(p, m)
-                         for p in range(P.dim) for m in range(P.dim)
-                         if P.bracket_basis(p, m)})
     bnd = GradedMap.from_columns(spM, P.space, [{i: 1} for i in range(P.dim)] + [{}])
-    cm_m3 = CrossedModule(Mx, P, bnd, act)
     Kl = abelian(QQ, 1, 0, prefix="c")
     ses3 = CrossedSES(
         P,
         supermodule_crossed(P, Kl, trivial_action(P, Kl)),
-        cm_m3,
+        CrossedModule(Mx, P, bnd, Action(P, Mx, adjoint_action(P).table)),
         identity_crossed(P),
         GradedMap.from_columns(Kl.space, spM, [{P.dim: 1}]),
-        GradedMap.from_columns(spM, P.space, [{i: 1} for i in range(P.dim)] + [{}]),
+        bnd,
     )
     out.append(("central line over gl11", ses3))
     return out

@@ -57,7 +57,9 @@ from .actions import (
     CrossedModule,
     check_compatible,
     check_crossed,
+    crossed_pullback_actions,
     adjoint_action,
+    pullback_action,
     semidirect,
     ideal_crossed,
     identity_crossed,
@@ -403,15 +405,8 @@ def right_exactness_check(M: LieSuperAlgebra, K: Subspace) -> RightExactnessRepo
         raise NotAnIdeal("right exactness requires a graded ideal")
     kview = subalgebra_on(M, K, name="K")
     kalg = kview.algebra
-    # mutual bracket actions
-    act_mk = ideal_crossed(M, kview).action            # M acting on K
-    table_km = {}
-    for a in range(kalg.dim):
-        for i in range(M.dim):
-            w = M.bracket(kview.inclusion.matrix.cols[a], {i: 1})
-            if w:
-                table_km[(a, i)] = w
-    act_km = Action(kalg, M, table_km, name="bracket")  # K acting on M
+    # mutual bracket actions: M on K, and K on M through the inclusion
+    act_mk, act_km = crossed_pullback_actions(ideal_crossed(M, kview))
 
     t_km = nonabelian_tensor(kalg, M, act_km, act_mk)
     t_mk = nonabelian_tensor(M, kalg, act_mk, act_km)
@@ -426,15 +421,8 @@ def right_exactness_check(M: LieSuperAlgebra, K: Subspace) -> RightExactnessRepo
     f_qq = induced_tensor_map(t_mm, t_qq, proj, proj)
 
     # the printed left node is the semidirect product of M(x)K acting on K(x)M
-    nu_k = t_mk.nu  # M(x)K -> K
-    act_table = {}
-    for w in range(t_mk.algebra.dim):
-        kvec = incl.apply(nu_k.apply({w: 1}))  # in M
-        for v in range(t_km.algebra.dim):
-            img = t_km.action_m.act(kvec, {v: 1})
-            if img:
-                act_table[(w, v)] = img
-    sd_action = Action(t_mk.algebra, t_km.algebra, act_table, name="via-nu")
+    # through nu: M(x)K -> K, included in M
+    sd_action = pullback_action(t_km.action_m, t_mk.algebra, incl.compose(t_mk.nu))
     sd = semidirect(sd_action, name="(K(x)M) x| (M(x)K)")
 
     alpha_cols = [f_km.matrix.cols[v] for v in range(t_km.algebra.dim)]

@@ -15,8 +15,9 @@ Ideal closures, [L, I] and the ideal certificate bracket every basis
 element with every row, zero brackets included, where the production
 code reads only the nonzero brackets from its left-bracket index.
 The module also holds the helpers that only tests use: algebras in a
-permuted, rescaled basis, bracket actions between subalgebra views, and
-relators as graded vectors.
+permuted, rescaled basis, bracket actions between subalgebra views,
+relators as graded vectors, and the bundled corpus files regenerated from
+the public constructors.
 """
 
 from __future__ import annotations
@@ -24,12 +25,26 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
+from pathlib import Path
 
-from superlie.actions import Action, ActionInvalid
-from superlie.algebras import AssocSuperAlgebra, LieSuperAlgebra, quotient_space
-from superlie.cyclic import commutator_subspace
-from superlie.fields import QQ
+from superlie.actions import Action, ActionInvalid, adjoint_action
+from superlie.algebras import (
+    AssocSuperAlgebra,
+    LieSuperAlgebra,
+    abelian,
+    ground_assoc,
+    heisenberg,
+    matrix_assoc,
+    matrix_gl,
+    matrix_sl,
+    quotient_space,
+    series,
+    subalgebra_on,
+)
+from superlie.cyclic import commutator_subspace, dual_numbers, grassmann_line
+from superlie.fields import QQ, Field
 from superlie.homology import ChainComplex, ComplexInconsistent
+from superlie.io import action_to_json, algebra_to_json, dump_json
 from superlie.linalg import Echelon, Subquotient, Subspace, vec_clean
 from superlie.spaces import GradedMap, SuperSpace, exterior_power, superspace, wedge_normalize
 
@@ -598,3 +613,61 @@ class GradedVector:
 def evaluate_relator(F, word) -> GradedVector:
     """The relator as a graded vector of the truncated algebra."""
     return GradedVector.of(F.algebra().space, F.word_to_algebra_vec(word))
+
+
+# ---------------------------------------------------------------------------
+# the bundled corpus, regenerated from the constructors
+
+
+LIE_NAMES = ("abelian10", "abelian01", "abelian11", "abelian21",
+             "heis", "gl11", "sl21", "sl30")
+ASSOC_NAMES = ("q", "dual", "grassmann", "m11")
+
+
+def corpus_files() -> dict[str, dict]:
+    """Every bundled file as a JSON dict, keyed by file name: the algebras,
+    their adjoint actions, a crossed module and two presentations.  The
+    file names are set on the dicts; the algebra objects keep the names
+    their constructors give them."""
+    lie = {f"abelian{e}{o}": abelian(QQ, e, o) for e, o in ((1, 0), (0, 1), (1, 1), (2, 1))}
+    lie["heis"] = heisenberg(QQ)
+    lie["gl11"] = matrix_gl(1, 1, ground_assoc(QQ))
+    lie["sl21"] = matrix_sl(2, 1, ground_assoc(QQ)).algebra
+    lie["sl30"] = matrix_sl(3, 0, ground_assoc(QQ)).algebra
+    assoc = {"q": ground_assoc(QQ), "dual": dual_numbers(QQ), "grassmann": grassmann_line(QQ),
+             "m11": matrix_assoc(1, 1, ground_assoc(QQ))}
+    algebras = {**lie, "heis_f5": heisenberg(Field(5)), **assoc}
+    files = {f"{name}.json": {**algebra_to_json(alg), "name": name}
+             for name, alg in algebras.items()}
+    for name in ("heis", "gl11", "sl21", "sl30"):
+        files[f"{name}_adjoint.json"] = {**action_to_json(adjoint_action(lie[name])),
+                                         "actor": name, "target": name}
+    # the center of heis as an ideal inclusion crossed module
+    h = lie["heis"]
+    zview = subalgebra_on(h, series(h).center, name="zheis")
+    files["zheis.json"] = algebra_to_json(zview.algebra)
+    files["heis_center_crossed.json"] = {
+        "m": "zheis.json",
+        "p": "heis.json",
+        "boundary": [{"from": zview.algebra.space.labels[0], "value": [["z", "1"]]}],
+        "action": [],
+    }
+    files["free2_pres.json"] = {
+        "name": "free2",
+        "generators": [["x", 0], ["y", 0]],
+        "relators": [],
+    }
+    files["heis_pres.json"] = {
+        "name": "heis",
+        "generators": [["x", 0], ["y", 0]],
+        "relators": [[["x", "y"], "x"], [["x", "y"], "y"]],
+    }
+    return files
+
+
+def write_bundle(directory: Path) -> list[str]:
+    """Write every file of ``corpus_files`` into ``directory``; the names written."""
+    files = corpus_files()
+    for name, obj in files.items():
+        dump_json(obj, directory / name)
+    return sorted(files)

@@ -11,6 +11,7 @@ from superlie.actions import (
     check_action,
     check_compatible,
     check_crossed,
+    crossed_pullback_actions,
     ideal_crossed,
     identity_crossed,
     semidirect,
@@ -101,6 +102,21 @@ def test_ideal_inclusion_crossed(heis):
     s = series(heis)
     zview = subalgebra_on(heis, s.center, name="Z")
     assert check_crossed(ideal_crossed(heis, zview)).ok
+
+
+def test_pullback_through_an_ideal_inclusion_is_the_bracket(heis, gl11, sl21):
+    """K acts on L by k.e_i = [k, e_i]: the table right-exactness once built by hand."""
+    for L, K in ((heis, series(heis).center),
+                 (gl11, gl11.product_subspace(gl11.full_subspace(), gl11.full_subspace())),
+                 (sl21, sl21.full_subspace())):
+        view = subalgebra_on(L, K, name="K")
+        cm = ideal_crossed(L, view)
+        act_lk, act_kl = crossed_pullback_actions(cm)
+        assert act_lk is cm.action
+        by_hand = {(a, i): L.bracket(col, {i: 1})
+                   for a, col in enumerate(view.inclusion.matrix.cols) for i in range(L.dim)}
+        assert act_kl.table == {k: v for k, v in by_hand.items() if v}
+        assert check_action(act_kl).ok
 
 
 def test_supermodule_crossed(heis):

@@ -433,9 +433,8 @@ def test_ideal_sixterm_with_odd_terms(gl11):
 
 def test_exterior_symmetry(gl11):
     """The tensor symmetry isomorphism descends to M^N = N^M."""
-    from superlie.actions import ideal_crossed, identity_crossed
+    from superlie.actions import crossed_pullback_actions, ideal_crossed, identity_crossed
     from superlie.algebras import subalgebra_on
-    from superlie.homology import crossed_pullback_actions
     from superlie.linalg import vec_clean
     from superlie.tensor import nonabelian_exterior, nonabelian_tensor, tensor_symmetry_iso
 

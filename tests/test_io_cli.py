@@ -5,8 +5,9 @@ from pathlib import Path
 
 import pytest
 
+from oracles import ASSOC_NAMES, LIE_NAMES, write_bundle
 from superlie.algebras import AssocSuperAlgebra, LieSuperAlgebra, check_lie_axioms
-from superlie.corpus import ASSOC_NAMES, LIE_NAMES, assoc_algebra, lie_algebra, write_bundle
+from superlie.corpus import assoc_algebra, lie_algebra
 from superlie.io import (
     ParseError,
     algebra_to_json,
@@ -17,7 +18,8 @@ from superlie.io import (
     parse_algebra,
     parse_field,
 )
-from superlie.actions import adjoint_action, check_crossed
+from superlie.actions import adjoint_action, check_crossed, identity_crossed
+from superlie.homology import nh
 
 
 DATA = Path(__file__).parent.parent / "src" / "superlie" / "data"
@@ -99,7 +101,7 @@ def test_roundtrip_all_corpus():
 
 
 def test_fp_algebra_roundtrip():
-    alg = lie_algebra("heis", 5)
+    alg = lie_algebra("heis_f5")
     obj = algebra_to_json(alg)
     assert obj["field"] == {"kind": "Fp", "p": 5}
     back = parse_algebra(obj)
@@ -115,14 +117,40 @@ def test_action_roundtrip(heis):
     assert action_to_json(back) == obj
 
 
-def test_bundle_matches_generated(tmp_path):
-    """The checked-in data files regenerate byte for byte (determinism and
-    round-trip of every emitted algebra)."""
-    files = write_bundle(tmp_path)
-    for name in files:
-        fresh = (tmp_path / name).read_text(encoding="utf-8")
-        bundled = (DATA / name).read_text(encoding="utf-8")
-        assert fresh == bundled, f"{name} drifted from the bundled corpus"
+def test_oracle_regenerates_every_bundled_file(tmp_path):
+    """Each file under data/ is what the constructors give, byte for byte."""
+    for name in write_bundle(tmp_path):
+        assert (tmp_path / name).read_bytes() == (DATA / name).read_bytes(), \
+            f"{name} drifted from the constructors"
+
+
+def test_bundled_files_are_the_oracle_files(tmp_path):
+    assert sorted(p.name for p in DATA.glob("*.json")) == write_bundle(tmp_path)
+
+
+def test_corpus_returns_the_parsed_files():
+    for name in LIE_NAMES + ("heis_f5",):
+        alg = lie_algebra(name)
+        assert isinstance(alg, LieSuperAlgebra)
+        assert algebra_to_json(alg) == json.loads((DATA / f"{name}.json").read_text("utf-8"))
+        assert lie_algebra(name) is alg
+    for name in ASSOC_NAMES:
+        alg = assoc_algebra(name)
+        assert isinstance(alg, AssocSuperAlgebra)
+        assert algebra_to_json(alg) == json.loads((DATA / f"{name}.json").read_text("utf-8"))
+        assert assoc_algebra(name) is alg
+
+
+@pytest.mark.parametrize("lookup, name", [
+    (lie_algebra, "nope"), (assoc_algebra, "nope"),
+    (lie_algebra, "m11"), (assoc_algebra, "heis"),
+    (lie_algebra, "heis_adjoint"), (lie_algebra, "heis_pres"),
+    (assoc_algebra, "heis_center_crossed"), (lie_algebra, "../data/heis"),
+    (lie_algebra, str(DATA / "heis")),
+])
+def test_corpus_unknown_or_other_kind_is_key_error(lookup, name):
+    with pytest.raises(KeyError):
+        lookup(name)
 
 
 def test_load_crossed_bundled():
@@ -157,6 +185,14 @@ def test_cli_check_prime_field_file():
     r = run_cli("check", "@heis_f5")
     assert r.returncode == 0
     assert "certified" in r.stdout
+
+
+def test_cli_bundled_name_is_not_a_path():
+    for arg in (f"@{DATA / 'heis'}", "@../data/heis"):
+        r = run_cli("check", arg)
+        assert r.returncode == 2
+        assert r.stderr.startswith("input error: no bundled file named")
+        assert r.stdout == ""
 
 
 def test_cli_check_tampered(tmp_path):
@@ -227,6 +263,50 @@ def test_cli_homology_nonabelian():
     assert "nh0: dim (0|0)" in r.stdout
 
 
+@pytest.mark.parametrize("algebra, message", [
+    ("@sl21", "not over 'sl21'"),
+    ("@heis_f5", "(Q), not over 'heis_f5' (F5)"),
+])
+def test_cli_nonabelian_file_over_another_algebra_exit2(algebra, message):
+    r = run_cli("homology", algebra, "--nonabelian", "@heis_center_crossed")
+    assert r.returncode == 2
+    assert r.stderr.startswith("input error: ") and message in r.stderr
+    assert "Traceback" not in r.stderr
+    assert r.stdout == ""
+
+
+def test_cli_nonabelian_file_fails_its_axioms(tmp_path):
+    # z' -> x is not equivariant: d(y.z') = 0 but [y, d z'] = [y, x] = -z
+    obj = json.loads((DATA / "heis_center_crossed.json").read_text(encoding="utf-8"))
+    obj["m"], obj["p"] = str(DATA / "zheis.json"), str(DATA / "heis.json")
+    obj["boundary"] = [{"from": "z'", "value": [["x", "1"]]}]
+    p = tmp_path / "bad_crossed.json"
+    p.write_text(json.dumps(obj), encoding="utf-8")
+    r = run_cli("homology", "@heis", "--nonabelian", str(p))
+    assert r.returncode == 1
+    assert "crossed module fails its axioms: " in r.stdout
+    assert "Traceback" not in r.stderr
+    r = run_cli("--out", "json", "homology", "@heis", "--nonabelian", str(p))
+    assert r.returncode == 1
+    rep = json.loads(r.stdout)
+    assert rep["results"]["crossed_valid"] is False
+    assert rep["status"] == "failed"
+
+
+def test_cli_nonabelian_bundled_crossed_module():
+    # Z -> heis: the action is trivial and P (x) Z = heis^ab (x) Z has dim 2
+    r = run_cli("--out", "json", "homology", "@heis", "--nonabelian", "@heis_center_crossed")
+    assert r.returncode == 0
+    rep = json.loads(r.stdout)
+    assert rep["results"]["nh0"] == [1, 0]
+    assert rep["results"]["nh1"] == [2, 0]
+
+
+def test_nh_refuses_a_crossed_module_over_another_object(heis):
+    with pytest.raises(ValueError, match="another algebra object"):
+        nh(lie_algebra("heis"), identity_crossed(parse_algebra(algebra_to_json(heis))))
+
+
 def test_cli_cyclic():
     r = run_cli("cyclic", "@grassmann")
     assert r.returncode == 0
@@ -269,8 +349,28 @@ def test_cli_corpus_export(tmp_path):
     assert (tmp_path / "out" / "heis.json").exists()
 
 
+def test_cli_corpus_export_to_a_file_is_input_error(tmp_path):
+    f = tmp_path / "file"
+    f.write_text("", encoding="utf-8")
+    for target in (f, f / "under"):
+        r = run_cli("corpus", "export", str(target))
+        assert r.returncode == 2
+        assert r.stderr.startswith("input error: ")
+        assert "Traceback" not in r.stderr
+        assert r.stdout == ""
+
+
+def test_cli_corpus_list_and_export_match_the_data_directory(tmp_path):
+    names = sorted(p.name for p in DATA.glob("*.json"))
+    r = run_cli("--out", "json", "corpus", "list")
+    assert r.returncode == 0 and json.loads(r.stdout)["results"]["files"] == names
+    run_cli("corpus", "export", str(tmp_path))
+    for name in names:
+        assert (tmp_path / name).read_bytes() == (DATA / name).read_bytes()
+
+
 def test_cli_field_mismatch_rejected(tmp_path):
-    obj = algebra_to_json(lie_algebra("heis", 5))
+    obj = algebra_to_json(lie_algebra("heis_f5"))
     p = tmp_path / "heis5.json"
     p.write_text(json.dumps(obj), encoding="utf-8")
     r = run_cli("tensor", "@heis", str(p), "--trivial")
@@ -439,6 +539,14 @@ def test_field_modulus_is_a_json_integer_or_digit_string():
     for bad in (5.0, True, "7.0", "-7", None, [7]):
         with pytest.raises(ParseError, match="field modulus must be an integer"):
             parse_field({"kind": "Fp", "p": bad})
+
+
+def test_cli_tensor_exterior_needs_adjoint():
+    r = run_cli("tensor", "@heis", "@heis", "--trivial", "--exterior")
+    assert r.returncode == 2
+    assert "--exterior is supported for the self tensor square" in r.stderr
+    assert "Traceback" not in r.stderr
+    assert r.stdout == ""
 
 
 @pytest.mark.parametrize("choice", [
