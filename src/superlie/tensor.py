@@ -146,7 +146,10 @@ class TensorProduct:
 
 def nonabelian_tensor(M: LieSuperAlgebra, N: LieSuperAlgebra,
                       act_mn: Action, act_nm: Action) -> TensorProduct:
-    """Construct M (x) N from compatible mutual actions."""
+    """Construct M (x) N from compatible mutual actions: act_mn of M on N,
+    act_nm of N on M, on these very objects (ValueError otherwise)."""
+    if act_mn.actor is not M or act_mn.target is not N:
+        raise ValueError("actions are not between the same pair of algebras")
     comp = check_compatible(act_mn, act_nm)
     if not comp.ok:
         raise IncompatibleActions(f"actions are not compatible: {comp.violations[:3]}")
@@ -196,12 +199,12 @@ def nonabelian_tensor(M: LieSuperAlgebra, N: LieSuperAlgebra,
             feed(tensor_vec(ms, ns, anm[t], amn[t]))
     # family (iv): (-1)^{|m||n|} n.m (x) m'.n'
     #            + (-1)^{(|m|+|n|)(|m'|+|n'|)+|m'||n'|} n'.m' (x) m.n
-    # symmetric under swapping the two pairs, so t1 <= t2 suffices
+    # symmetric under swapping the two pairs, so t1 <= t2 suffices; a pair
+    # with n.m = m.n = 0 gives the zero generator in either slot
     npairs = len(pairs)
-    for t1 in range(npairs):
-        if not anm[t1] and not amn[t1]:
-            continue
-        for t2 in range(t1, npairs):
+    active = [t for t in range(npairs) if anm[t] or amn[t]]
+    for a, t1 in enumerate(active):
+        for t2 in active[a:]:
             g = vec_scale(tensor_vec(ms, ns, anm[t1], amn[t2]), -1 if psig[t1] else 1)
             s = (ppar[t1] * ppar[t2] + psig[t2]) % 2
             vec_axpy(g, -1 if s else 1, tensor_vec(ms, ns, anm[t2], amn[t1]))
@@ -256,6 +259,7 @@ def nonabelian_tensor(M: LieSuperAlgebra, N: LieSuperAlgebra,
                 g = vec_scale(tensor_vec(ms, ns, anm[t], y), -1 if not psig[t] else 1)
                 if not acc.contains(g):
                     raise BracketNotWellDefined("bracket does not annihilate D (right slot)")
+    del acc  # its semi-reduced rows are not read again; free them before the certificates
 
     algebra = LieSuperAlgebra(quot.space, quotient_table(quot, bracket_plain),
                               name=f"{M.name or 'M'}(x){N.name or 'N'}")

@@ -13,7 +13,10 @@ directly instead of from the Connes complex, and the Chevalley–Eilenberg
 complex is built on every chain instead of the weight-0 chains only.
 Ideal closures, [L, I] and the ideal certificate bracket every basis
 element with every row, zero brackets included, where the production
-code reads only the nonzero brackets from its left-bracket index.
+code reads only the nonzero brackets from its bracket index; likewise
+the Jacobi, action and compatibility certificates evaluate their
+identities on every basis triple, where the production code sums each
+defect from the nonzero structure and action constants only.
 The module also holds the helpers that only tests use: algebras in a
 permuted, rescaled basis, bracket actions between subalgebra views,
 relators as graded vectors, and the bundled corpus files regenerated from
@@ -29,8 +32,11 @@ from pathlib import Path
 
 from superlie.actions import Action, ActionInvalid, adjoint_action
 from superlie.algebras import (
+    MAX_VIOLATIONS,
     AssocSuperAlgebra,
+    AxiomReport,
     LieSuperAlgebra,
+    Violation,
     abelian,
     ground_assoc,
     heisenberg,
@@ -45,7 +51,7 @@ from superlie.cyclic import commutator_subspace, dual_numbers, grassmann_line
 from superlie.fields import QQ, Field
 from superlie.homology import ChainComplex, ComplexInconsistent
 from superlie.io import action_to_json, algebra_to_json, dump_json
-from superlie.linalg import Echelon, Subquotient, Subspace, vec_clean
+from superlie.linalg import Echelon, Subquotient, Subspace, vec_axpy, vec_clean, vec_scale, vec_sub
 from superlie.spaces import GradedMap, SuperSpace, exterior_power, superspace, wedge_normalize
 
 
@@ -532,6 +538,112 @@ def product_subspace_pairs(L, a: Subspace, b: Subspace) -> Subspace:
         for v in b.rows:
             acc.insert(L.bracket(u, v))
     return acc.subspace()
+
+
+# ---------------------------------------------------------------------------
+# Lie, action and compatibility certificates on every basis triple
+
+
+def check_lie_axioms_dense(L) -> AxiomReport:
+    """check_lie_axioms with the Jacobi defect evaluated on every basis
+    triple through the public bracket, zero brackets included."""
+    violations: list[Violation] = []
+    par = L.space.parities
+    for (i, j), v in L.table.items():
+        want = (par[i] + par[j]) % 2
+        for k, c in v.items():
+            if par[k] != want:
+                violations.append(Violation("parity", (i, j, k), {k: c}))
+    for i in range(L.dim):
+        if par[i] == 0 and L.bracket_basis(i, i):
+            violations.append(Violation("even-square", (i, i), L.bracket_basis(i, i)))
+        for j in range(i + 1, L.dim):
+            if par[i] == 0 and par[j] == 0:
+                sym = dict(L.bracket_basis(i, j))
+                vec_axpy(sym, 1, L.bracket_basis(j, i))
+                if vec_clean(sym):
+                    violations.append(Violation("even-square", (i, j), sym))
+    for i in range(L.dim):
+        for j in range(L.dim):
+            sgn = -1 if par[i] * par[j] else 1
+            for k in range(L.dim):
+                lhs = L.bracket({i: 1}, L.bracket_basis(j, k))
+                rhs = L.bracket(L.bracket_basis(i, j), {k: 1})
+                vec_axpy(rhs, sgn, L.bracket({j: 1}, L.bracket_basis(i, k)))
+                defect = L.field.clean(vec_sub(lhs, rhs))
+                if defect:
+                    violations.append(Violation("jacobi", (i, j, k), defect))
+                    if len(violations) >= MAX_VIOLATIONS:
+                        return AxiomReport(False, violations)
+    return AxiomReport(not violations, violations)
+
+
+def check_action_dense(a: Action) -> AxiomReport:
+    """check_action with both action axioms evaluated on every basis
+    triple through the public bracket and action."""
+    violations: list[Violation] = []
+    P, M = a.actor, a.target
+    pp, pm = P.space.parities, M.space.parities
+    for (p, m), v in a.table.items():
+        want = (pp[p] + pm[m]) % 2
+        for k, c in v.items():
+            if pm[k] != want:
+                violations.append(Violation("action-parity", (p, m, k), {k: c}))
+    for p in range(P.dim):
+        for q in range(P.dim):
+            sgn = -1 if pp[p] * pp[q] else 1
+            for m in range(M.dim):
+                lhs = a.act(P.bracket_basis(p, q), {m: 1})
+                rhs = a.act({p: 1}, a.act_basis(q, m))
+                vec_axpy(rhs, -sgn, a.act({q: 1}, a.act_basis(p, m)))
+                defect = a.field.clean(vec_sub(lhs, rhs))
+                if defect:
+                    violations.append(Violation("action-i", (p, q, m), defect))
+                    if len(violations) >= MAX_VIOLATIONS:
+                        return AxiomReport(False, violations)
+    for p in range(P.dim):
+        for m in range(M.dim):
+            sgn = -1 if pp[p] * pm[m] else 1
+            for m2 in range(M.dim):
+                lhs = a.act({p: 1}, M.bracket_basis(m, m2))
+                rhs = M.bracket(a.act_basis(p, m), {m2: 1})
+                vec_axpy(rhs, sgn, M.bracket({m: 1}, a.act_basis(p, m2)))
+                defect = a.field.clean(vec_sub(lhs, rhs))
+                if defect:
+                    violations.append(Violation("action-ii", (p, m, m2), defect))
+                    if len(violations) >= MAX_VIOLATIONS:
+                        return AxiomReport(False, violations)
+    return AxiomReport(not violations, violations)
+
+
+def check_compatible_dense(a_mn: Action, a_nm: Action) -> AxiomReport:
+    """check_compatible on every basis triple, for a_mn an action of M on
+    N and a_nm one of N on M."""
+    M, N = a_mn.actor, a_mn.target
+    violations: list[Violation] = []
+    pm, pn = M.space.parities, N.space.parities
+    for m in range(M.dim):
+        for n in range(N.dim):
+            sgn = -1 if pm[m] * pn[n] else 1
+            nm = a_nm.act_basis(n, m)  # n.m in M
+            mn = a_mn.act_basis(m, n)  # m.n in N
+            for n2 in range(N.dim):
+                lhs = a_mn.act(nm, {n2: 1})
+                rhs = vec_scale(N.bracket(mn, {n2: 1}), -sgn)
+                defect = M.field.clean(vec_sub(lhs, rhs))
+                if defect:
+                    violations.append(Violation("compat-i", (m, n, n2), defect))
+                    if len(violations) >= MAX_VIOLATIONS:
+                        return AxiomReport(False, violations)
+            for m2 in range(M.dim):
+                lhs = a_nm.act(mn, {m2: 1})
+                rhs = vec_scale(M.bracket(nm, {m2: 1}), -sgn)
+                defect = M.field.clean(vec_sub(lhs, rhs))
+                if defect:
+                    violations.append(Violation("compat-ii", (m, n, m2), defect))
+                    if len(violations) >= MAX_VIOLATIONS:
+                        return AxiomReport(False, violations)
+    return AxiomReport(not violations, violations)
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,186 @@
+"""Differential tests of the certificates that sum each defect from the
+nonzero structure constants only: ``check_lie_axioms``, ``check_action``
+and ``check_compatible``.
+
+The oracles in ``tests/oracles.py`` are the dense loops, which evaluate
+every identity on every basis triple through the public bracket and
+action.  Both must report the same violations, in the same order, with
+the same kind, witness and defect (entry order included) and the same
+``MAX_VIOLATIONS`` cut-off.  The inputs are heis, gl(1|1), gl(2|1) and
+sl(2|1, L1) over Q, F3, F5 and F7 in drawn permuted, rescaled bases, with
+their adjoint actions and the induced actions of a tensor square, each
+either valid or corrupted: one perturbed constant, one new constant in a
+structurally zero slot, or a new constant in every such slot.
+"""
+
+from fractions import Fraction
+from functools import lru_cache
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from oracles import check_action_dense, check_compatible_dense, check_lie_axioms_dense, rebase
+from superlie.actions import (
+    Action,
+    adjoint_action,
+    check_action,
+    check_compatible,
+    crossed_pullback_actions,
+    trivial_action,
+)
+from superlie.algebras import (
+    MAX_VIOLATIONS,
+    LieSuperAlgebra,
+    abelian,
+    check_lie_axioms,
+    ground_assoc,
+    heisenberg,
+    matrix_gl,
+    matrix_sl,
+)
+from superlie.cyclic import grassmann_line
+from superlie.fields import QQ, Field
+from superlie.tensor import nonabelian_tensor
+
+CONSTRUCTORS = {
+    "heis": heisenberg,
+    "gl(1|1)": lambda F: matrix_gl(1, 1, ground_assoc(F)),
+    "gl(2|1)": lambda F: matrix_gl(2, 1, ground_assoc(F)),
+    "sl(2|1, L1)": lambda F: matrix_sl(2, 1, grassmann_line(F)).algebra,
+}
+PRIMES = (None, 3, 5, 7)
+MODES = ("valid", "perturb", "new", "every zero slot")
+DELTAS = (1, -1, 2, Fraction(1, 2))
+
+
+@lru_cache(maxsize=None)
+def algebra(name: str, p) -> LieSuperAlgebra:
+    return CONSTRUCTORS[name](Field(p))
+
+
+def listing(report):
+    return report.ok, [(v.kind, v.witness, list(v.defect.items())) for v in report.violations]
+
+
+def corrupt(data, table: dict, free_slots: list, dim: int, mode: str) -> dict:
+    """A copy of a table of constants, changed as the mode says."""
+    table = {key: dict(v) for key, v in table.items()}
+    if mode == "perturb" and table:
+        key = data.draw(st.sampled_from(sorted(table)))
+        k = data.draw(st.sampled_from(sorted(table[key])))
+        table[key][k] = table[key][k] + data.draw(st.sampled_from(DELTAS))
+    elif mode == "new" and free_slots:
+        slot = data.draw(st.sampled_from(free_slots))
+        table[slot] = {data.draw(st.integers(0, dim - 1)): data.draw(st.sampled_from(DELTAS))}
+    elif mode == "every zero slot":
+        for slot in free_slots:
+            table[slot] = {data.draw(st.integers(0, dim - 1)): 1}
+    return table
+
+
+def corrupt_algebra(data, L: LieSuperAlgebra, mode: str) -> LieSuperAlgebra:
+    par = L.space.parities
+    free = [(i, j) for i in range(L.dim) for j in range(i, L.dim)
+            if (i, j) not in L.table and not (i == j and par[i] == 0)]
+    return LieSuperAlgebra(L.space, corrupt(data, L.table, free, L.dim, mode), name=L.name)
+
+
+def corrupt_action(data, a: Action, mode: str) -> Action:
+    free = [(p, m) for p in range(a.actor.dim) for m in range(a.target.dim)
+            if (p, m) not in a.table]
+    return Action(a.actor, a.target, corrupt(data, a.table, free, a.target.dim, mode))
+
+
+def rebased(data, name: str, p) -> LieSuperAlgebra:
+    L = algebra(name, p)
+    perm = data.draw(st.permutations(range(L.dim)))
+    units = (1, -1) if p is None else (1, -1, 2, -2)
+    return rebase(L, perm, data.draw(st.lists(st.sampled_from(units), min_size=L.dim,
+                                              max_size=L.dim)))
+
+
+def assert_same_certificates(data, L: LieSuperAlgebra, mode: str):
+    bad = corrupt_algebra(data, L, mode)
+    assert listing(check_lie_axioms(bad)) == listing(check_lie_axioms_dense(bad))
+    adj = adjoint_action(L)
+    a = corrupt_action(data, adj, mode)
+    assert listing(check_action(a)) == listing(check_action_dense(a))
+    assert listing(check_compatible(a, adj)) == listing(check_compatible_dense(a, adj))
+    assert listing(check_compatible(adj, a)) == listing(check_compatible_dense(adj, a))
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("p", PRIMES)
+@pytest.mark.parametrize("name", sorted(CONSTRUCTORS))
+@settings(max_examples=2, deadline=None)
+@given(data=st.data())
+def test_certificates_match_dense_oracles(data, name, p, mode):
+    assert_same_certificates(data, rebased(data, name, p), mode)
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("p", PRIMES)
+@pytest.mark.parametrize("name", ["heis", "gl(1|1)"])
+@settings(max_examples=2, deadline=None)
+@given(data=st.data())
+def test_tensor_induced_actions_match_dense_oracles(data, name, p, mode):
+    """The induced actions of M on M (x) M, and of the product on M through
+    mu, from the crossed module (mu)."""
+    L = rebased(data, name, p)
+    adj = adjoint_action(L)
+    t = nonabelian_tensor(L, L, adj, adj)
+    act_m, act_t = crossed_pullback_actions(t.cross_m)
+    a = corrupt_action(data, act_m, mode)
+    assert listing(check_action(a)) == listing(check_action_dense(a))
+    assert listing(check_action(act_t)) == listing(check_action_dense(act_t))
+    b = corrupt_action(data, t.action_n, mode)
+    assert listing(check_action(b)) == listing(check_action_dense(b))
+    assert listing(check_compatible(a, act_t)) == listing(check_compatible_dense(a, act_t))
+
+
+@pytest.mark.parametrize("name", ["gl(2|1)", "sl(2|1, L1)"])
+@pytest.mark.parametrize("p", PRIMES)
+def test_corruption_reaches_the_cap(name, p):
+    """A new constant of the right parity in every structurally zero slot
+    gives more identity violations than the cut-off, in every certificate,
+    with the oracle's list."""
+    L = algebra(name, p)
+    par = L.space.parities
+    of_parity = [[k for k in range(L.dim) if par[k] == q] for q in (0, 1)]
+
+    def constant(i, j):
+        """A basis vector of parity |i| + |j|, chosen by the slot."""
+        choices = of_parity[(par[i] + par[j]) % 2]
+        return {choices[(i + j) % len(choices)]: 1}
+
+    table = dict(L.table)
+    for i in range(L.dim):
+        for j in range(i, L.dim):
+            if (i, j) not in table and not (i == j and par[i] == 0):
+                table[(i, j)] = constant(i, j)
+    bad = LieSuperAlgebra(L.space, table)
+    adj = adjoint_action(L)
+    a = Action(L, L, {(q, m): constant(q, m) for q in range(L.dim) for m in range(L.dim)
+                      if (q, m) not in adj.table} | adj.table)
+    for got, want in ((check_lie_axioms(bad), check_lie_axioms_dense(bad)),
+                      (check_action(a), check_action_dense(a)),
+                      (check_compatible(a, adj), check_compatible_dense(a, adj))):
+        assert len(got.violations) == MAX_VIOLATIONS
+        assert listing(got) == listing(want)
+
+
+def test_compatible_refuses_actions_between_other_algebras():
+    """The action of N on M must have target M, and the tensor product's
+    actions must be between its factors: otherwise the pair describes no
+    tensor product.  Before these checks the first compatibility check
+    passed, and both tensor products below were built, as (4|0) algebras."""
+    heis = heisenberg(QQ)
+    other = abelian(QQ, 3, 0)
+    with pytest.raises(ValueError, match="actions are not between the same pair of algebras"):
+        check_compatible(adjoint_action(heis), trivial_action(heis, other))
+    with pytest.raises(ValueError, match="actions are not between the same pair of algebras"):
+        check_compatible(adjoint_action(heis), trivial_action(other, heis))
+    with pytest.raises(ValueError, match="actions are not between the same pair of algebras"):
+        nonabelian_tensor(heis, heis, adjoint_action(heis), trivial_action(heis, other))
+    with pytest.raises(ValueError, match="actions are not between the same pair of algebras"):
+        nonabelian_tensor(heis, other, adjoint_action(heis), adjoint_action(heis))

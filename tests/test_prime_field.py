@@ -1,7 +1,7 @@
 """The full pipeline over an odd prime field (the rationals-only parts,
 free Lie realizations, are guarded separately)."""
 
-from superlie.actions import adjoint_action, check_crossed, identity_crossed
+from superlie.actions import check_crossed, identity_crossed
 from superlie.algebras import (
     abelian,
     check_lie_axioms,
