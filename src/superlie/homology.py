@@ -36,6 +36,7 @@ labels, equal those of the full complex.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 
 from .actions import (
@@ -382,7 +383,8 @@ class D3LemmaReport:
     details: str = ""
 
 
-def _wedge_bracket_cols(P: LieSuperAlgebra, monos, index_of) -> dict:
+def _wedge_bracket_cols(P: LieSuperAlgebra,
+                        index_of) -> Callable[[WedgeMonomial, WedgeMonomial], dict]:
     """Bilinear bracket on the second exterior power:
     [x^y, x'^y'] = [x,y] ^ [x',y']."""
     par = P.space.parities
@@ -414,7 +416,7 @@ def d3_lemma_check(P: LieSuperAlgebra) -> D3LemmaReport:
     monos2 = cx.monomials[2]
     index2 = {m.factors: i for i, m in enumerate(monos2)}
     im_d3 = cx.boundary(3).image()
-    pair_bracket = _wedge_bracket_cols(P, monos2, index2)
+    pair_bracket = _wedge_bracket_cols(P, index2)
 
     def bracket2(u: dict, v: dict) -> dict:
         out: dict = {}

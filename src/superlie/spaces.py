@@ -177,12 +177,6 @@ class WedgeMonomial:
 
     factors: tuple[int, ...]
 
-    def degree(self) -> int:
-        return len(self.factors)
-
-
-ZERO_MONOMIAL = None
-
 
 def wedge_normalize(factors: list[int], parities_of: list[int] | tuple[int, ...]):
     """Stable insertion sort with the swap sign -(-1)^{|u||v|}.

@@ -67,7 +67,7 @@ def _compatible_products():
 def suite_tensor_props() -> list[Row]:
     rows: list[Row] = []
     for label, t in _compatible_products():
-        # construction certifies annihilation, Lie axioms and both crossed modules
+        # construction certifies annihilation, antisymmetry, Lie axioms, crossed modules
         rows.append((f"{label}: well-defined, (mu),(nu) crossed", True,
                      f"dim {_fmt(t.algebra.space.dim_pair)}"))
         iso, swapped = tensor_symmetry_iso(t)

@@ -2,55 +2,77 @@
 universal central extensions of perfect ones.
 
 For compatibly acting M and N the product is realized as the quotient of
-the plain tensor product T = M (x) N by the relation subspace D(M, N)
-spanned by four generator families, (i)-(iv) in :func:`nonabelian_tensor`,
-with the bracket
+the plain tensor product T = M (x) N by the relation subspace D(M, N).
+Write mu(m(x)n) = -(-1)^{|m||n|} n.m and nu(m(x)n) = m.n for the edge maps
+to M and N.  The bracket installed on classes is
 
-    B(m(x)n, m'(x)n') = -(-1)^{|m||n|} (n.m) (x) (m'.n')
+    B(x, y) = mu(x) (x) nu(y),  so  B(m(x)n, m'(x)n') = -(-1)^{|m||n|} (n.m) (x) (m'.n'),
 
-installed on classes.  The construction certifies, not assumes, that the
-bracket and the two edge maps annihilate D(M, N), that the product
-satisfies the Lie axioms on every basis triple, and that both edge maps
-are crossed modules; a failure raises :class:`BracketNotWellDefined` and
-indicates a transcription bug, never a property of compatible inputs.
+and the defining relations are the generator families
 
-The cyclic Jacobi-type family
+    (i)   [m,m'] (x) n - m (x) m'.n + (-1)^{|m||m'|} m' (x) m.n
+    (ii)  m (x) [n,n'] - (-1)^{|n'|(|m|+|n|)} n'.m (x) n + (-1)^{|m||n|} n.m (x) n'
+    (iii) B(x, x) for x = m(x)n with |m| = |n|
+    (iv)  A(x, y) = -(B(x, y) + (-1)^{|x||y|} B(y, x))
+    (v)   the sum over rotations of (x, y, z) of (-1)^{|x||z|} B(B(x, y), z)
 
-    (v)  sum over rotations of (x, y, z) of (-1)^{|x||z|} B(B(x, y), z)
+on basis elements.  :func:`nonabelian_tensor` generates (i) and (ii) only;
+the other three lie in their span.  M acts on T by
 
-is not generated: it already lies in span(i) + span(iv).  Write
-mu(m(x)n) = -(-1)^{|m||n|} n.m for the edge map to M, so that
-B(x, m'(x)n') = mu(x) (x) m'.n', and let M act on T by
+    a.(m(x)n) = [a,m] (x) n + (-1)^{|a||m|} m (x) a.n,
 
-    a.(m(x)n) = [a,m] (x) n + (-1)^{|a||m|} m (x) a.n.
+and N by b.(m(x)n) = b.m (x) n + (-1)^{|b||m|} m (x) [b,n].  The generator
+of (i) is a.x - a (x) nu(x) for x = m'(x)n, and that of (ii) is
+-(-1)^{|b||x|} b.x - mu(x) (x) b for x = m(x)n.  Taking a = mu(x) and
+b = nu(y) gives, for homogeneous x and y,
 
-This is a Lie action, and span(i) is M-stable, because the generator of
-(i) is a.(m(x)n) - a (x) m.n, built from equivariant maps.  With the
-action axioms, the identity (m.n).m' = -(-1)^{|m||n|} [n.m, m'] of
-compatible actions makes mu M-equivariant, mu(a.x) = [a, mu x], and makes
-it kill span(i).  Hence B(x, y) = mu(x).y mod span(i), B(x, -) preserves
-span(i), and mu(B(x, y)) = [mu x, mu y].  The Leibniz Jacobiator
-therefore reduces to
+    B(x, y) = mu(x).y                        mod span(i),
+    B(x, y) = -(-1)^{|x||y|} nu(y).x         mod span(ii).
+
+The identities (m.n).m' = -(-1)^{|m||n|} [n.m, m'] and
+(n.m).n' = -(-1)^{|m||n|} [m.n, n'] of compatible actions say that
+[mu y, m] = nu(y).m and mu(y).n = [nu y, n], so mu(y) and nu(y) act on T
+by the same operator.  Hence
+
+    -A(x, y) = B(x, y) + (-1)^{|x||y|} B(y, x) = mu(x).y - nu(x).y = 0
+
+modulo span(i) + span(ii), which contains (iv).  For even x,
+A(x, x) = -2 B(x, x), and the characteristic is never 2, so (iii) lies
+there too.
+
+Family (v) lies in span(i) + span(iv).  The action of M on T is a Lie
+action, and span(i) is M-stable, because the generator of (i) is built
+from equivariant maps.  With the action axioms, the first compatibility
+identity makes mu M-equivariant, mu(a.x) = [a, mu x], and makes it kill
+span(i).  Hence B(x, -) preserves span(i), and mu(B(x, y)) = [mu x, mu y].
+The Leibniz Jacobiator therefore reduces to
 
     B(x,B(y,z)) - B(B(x,y),z) - (-1)^{|x||y|} B(y,B(x,z))
       = mu x.(mu y.z) - [mu x, mu y].z - (-1)^{|x||y|} mu y.(mu x.z) = 0
 
-modulo span(i).  Family (iv) is A(x, y) = -(B(x,y) + (-1)^{|x||y|} B(y,x))
-on basis pairs, so A(u, v) lies in span(iv) for all u, v, and
+modulo span(i).  A(u, v) lies in span(iv) for all u, v, and
 mu(A(u, v)) = 0, so B(A(u, v), -) = 0.  Rewriting the cyclic sum (v) with
 A turns it into -(-1)^{|x||z|} times the Leibniz Jacobiator plus terms
 A(x, B(y,z)), A(y, B(x,z)) and B(A(x,z), y), all in span(i) + span(iv).
-No division is used, so this holds in every characteristic.  In
-characteristic 3 the identity [x,[x,x]] = 0 for odd x does not follow
-from graded Jacobi; family (v) never imposed it either, since its
-diagonal generator is three equal rotations and vanishes mod 3.  Were
-the argument ever to fail, the bracket or Lie-axiom certificate would
-raise; the construction cannot return a wrong product silently.
+No division is used here.  In characteristic 3 the identity [x,[x,x]] = 0
+for odd x does not follow from graded Jacobi; family (v) never imposed it
+either, since its diagonal generator is three equal rotations and
+vanishes mod 3.
+
+The construction certifies, not assumes, the result.  Both edge maps must
+annihilate D(M, N), so B, which factors through them, is well defined on
+classes.  B must be antisymmetric on classes, which puts (iii) and (iv) in
+D(M, N).  The product must satisfy the Lie axioms on every basis triple,
+which puts (v) in D(M, N).  Both edge maps must be crossed modules.  A
+failure raises :class:`BracketNotWellDefined`; it indicates a
+transcription bug, never a property of compatible inputs, and the
+construction cannot return a wrong product silently.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 from .actions import (
     Action,
@@ -98,7 +120,8 @@ class IncompatibleActions(ValueError):
 
 
 class BracketNotWellDefined(RuntimeError):
-    """The installed bracket or an edge map fails to annihilate D(M, N)."""
+    """An edge map fails to annihilate D(M, N), or the bracket on classes
+    fails a certificate."""
 
 
 class NotPerfect(ValueError):
@@ -144,6 +167,36 @@ class TensorProduct:
         return self.nu.image()
 
 
+def _family_i(M: LieSuperAlgebra, N: LieSuperAlgebra, amn: list[dict]):
+    """Generators [m,m'] (x) n - m (x) m'.n + (-1)^{|m||m'|} m' (x) m.n of
+    D(M, N), with amn[i * N.dim + j] = m_i.n_j."""
+    ms, ns, pm, dn = M.space, N.space, M.space.parities, N.dim
+    for i in range(M.dim):
+        for i2 in range(M.dim):
+            bi = M.bracket_basis(i, i2)
+            s = -1 if pm[i] * pm[i2] else 1
+            for j in range(dn):
+                g = tensor_vec(ms, ns, bi, {j: 1})
+                vec_axpy(g, -1, tensor_vec(ms, ns, {i: 1}, amn[i2 * dn + j]))
+                vec_axpy(g, s, tensor_vec(ms, ns, {i2: 1}, amn[i * dn + j]))
+                yield g
+
+
+def _family_ii(M: LieSuperAlgebra, N: LieSuperAlgebra, anm: list[dict]):
+    """Generators m (x) [n,n'] - (-1)^{|n'|(|m|+|n|)} n'.m (x) n
+    + (-1)^{|m||n|} n.m (x) n' of D(M, N), with anm[i * N.dim + j] = n_j.m_i."""
+    ms, ns, pm, pn, dn = M.space, N.space, M.space.parities, N.space.parities, N.dim
+    for i in range(M.dim):
+        for j in range(dn):
+            for j2 in range(dn):
+                g = tensor_vec(ms, ns, {i: 1}, N.bracket_basis(j, j2))
+                s1 = -1 if pn[j2] * ((pm[i] + pn[j]) % 2) else 1
+                vec_axpy(g, -s1, tensor_vec(ms, ns, anm[i * dn + j2], {j: 1}))
+                s2 = -1 if pm[i] * pn[j] else 1
+                vec_axpy(g, s2, tensor_vec(ms, ns, anm[i * dn + j], {j2: 1}))
+                yield g
+
+
 def nonabelian_tensor(M: LieSuperAlgebra, N: LieSuperAlgebra,
                       act_mn: Action, act_nm: Action) -> TensorProduct:
     """Construct M (x) N from compatible mutual actions: act_mn of M on N,
@@ -163,103 +216,45 @@ def nonabelian_tensor(M: LieSuperAlgebra, N: LieSuperAlgebra,
     pairs = [(i, j) for i in range(dm) for j in range(dn)]
     anm = [act_nm.act_basis(j, i) for (i, j) in pairs]  # n.m in M
     amn = [act_mn.act_basis(i, j) for (i, j) in pairs]  # m.n in N
-    ppar = [(pm[i] + pn[j]) % 2 for (i, j) in pairs]
-    psig = [pm[i] * pn[j] for (i, j) in pairs]          # |m||n| mod 2
 
     acc = Echelon(field, plain.dim)
-
-    def feed(v: dict):
-        v = field.clean(v)
-        if v and not acc.contains(v):
-            acc.insert(v)
-
-    # family (i): [m,m'] (x) n - m (x) m'.n + (-1)^{|m||m'|} m' (x) m.n
-    for i in range(dm):
-        for i2 in range(dm):
-            bi = M.bracket_basis(i, i2)
-            s = -1 if pm[i] * pm[i2] else 1
-            for j in range(dn):
-                g = tensor_vec(ms, ns, bi, {j: 1})
-                vec_axpy(g, -1, tensor_vec(ms, ns, {i: 1}, amn[i2 * dn + j]))
-                vec_axpy(g, s, tensor_vec(ms, ns, {i2: 1}, amn[i * dn + j]))
-                feed(g)
-    # family (ii): m (x) [n,n'] - (-1)^{|n'|(|m|+|n|)} n'.m (x) n + (-1)^{|m||n|} n.m (x) n'
-    for i in range(dm):
-        for j in range(dn):
-            for j2 in range(dn):
-                g = tensor_vec(ms, ns, {i: 1}, N.bracket_basis(j, j2))
-                s1 = -1 if pn[j2] * ((pm[i] + pn[j]) % 2) else 1
-                vec_axpy(g, -s1, tensor_vec(ms, ns, anm[i * dn + j2], {j: 1}))
-                s2 = -1 if pm[i] * pn[j] else 1
-                vec_axpy(g, s2, tensor_vec(ms, ns, anm[i * dn + j], {j2: 1}))
-                feed(g)
-    # family (iii): (n.m) (x) (m.n) for |m| = |n|
-    for t, (i, j) in enumerate(pairs):
-        if pm[i] == pn[j]:
-            feed(tensor_vec(ms, ns, anm[t], amn[t]))
-    # family (iv): (-1)^{|m||n|} n.m (x) m'.n'
-    #            + (-1)^{(|m|+|n|)(|m'|+|n'|)+|m'||n'|} n'.m' (x) m.n
-    # symmetric under swapping the two pairs, so t1 <= t2 suffices; a pair
-    # with n.m = m.n = 0 gives the zero generator in either slot
-    npairs = len(pairs)
-    active = [t for t in range(npairs) if anm[t] or amn[t]]
-    for a, t1 in enumerate(active):
-        for t2 in active[a:]:
-            g = vec_scale(tensor_vec(ms, ns, anm[t1], amn[t2]), -1 if psig[t1] else 1)
-            s = (ppar[t1] * ppar[t2] + psig[t2]) % 2
-            vec_axpy(g, -1 if s else 1, tensor_vec(ms, ns, anm[t2], amn[t1]))
-            feed(g)
+    for g in chain(_family_i(M, N, amn), _family_ii(M, N, anm)):
+        g = field.clean(g)
+        if g and not acc.contains(g):
+            acc.insert(g)
     d_sub = acc.subspace()
+    del acc  # its semi-reduced rows are not read again; free them before the certificates
     quot = quotient_space(plain, Subspace.full(field, plain.dim), d_sub, "t")
 
-    # bracket on the plain space, separable in each slot:
-    #   B(u, e_t) = w_u (x) amn[t],  w_u = sum_t1 -(-1)^{psig[t1]} u[t1] anm[t1]
-    def left_factor(u: dict) -> dict:
-        w: dict = {}
-        for t1, c in u.items():
-            if anm[t1]:
-                vec_axpy(w, -c if not psig[t1] else c, anm[t1])
-        return w
-
-    def right_factor(v: dict) -> dict:
-        y: dict = {}
-        for t2, c in v.items():
-            if amn[t2]:
-                vec_axpy(y, c, amn[t2])
-        return y
-
-    def bracket_plain(u: dict, v: dict) -> dict:
-        y = right_factor(v)
-        if not y:
-            return {}
-        out: dict = {}
-        for t1, c in u.items():
-            if anm[t1]:
-                vec_axpy(out, -c if not psig[t1] else c, tensor_vec(ms, ns, anm[t1], y))
-        return out
-
-    mu_vec = [vec_scale(anm[t], -1 if not psig[t] else 1) for t in range(npairs)]
+    # the edge maps on the plain pair basis: mu(m (x) n) = -(-1)^{|m||n|} n.m
+    # and nu(m (x) n) = m.n; the bracket is B(u, v) = mu(u) (x) nu(v)
+    mu_vec = [vec_scale(anm[t], 1 if pm[i] * pn[j] else -1)
+              for t, (i, j) in enumerate(pairs)]
     nu_vec = amn
 
+    def edge(vecs: list[dict], u: dict) -> dict:
+        out: dict = {}
+        for t, c in u.items():
+            vec_axpy(out, c, vecs[t])
+        return field.clean(out)
+
+    def bracket_plain(u: dict, v: dict) -> dict:
+        return tensor_vec(ms, ns, edge(mu_vec, u), edge(nu_vec, v))
+
+    # B factors through mu and nu, so it annihilates D once they do
     for d in d_sub.rows:
-        mu_img: dict = {}
-        nu_img: dict = {}
-        for t, c in d.items():
-            vec_axpy(mu_img, c, mu_vec[t])
-            vec_axpy(nu_img, c, nu_vec[t])
-        if field.clean(mu_img) or field.clean(nu_img):
+        if edge(mu_vec, d) or edge(nu_vec, d):
             raise BracketNotWellDefined("edge map does not annihilate D(M, N)")
-        w = left_factor(d)
-        for t in range(npairs):
-            if w and amn[t] and not acc.contains(tensor_vec(ms, ns, w, amn[t])):
-                raise BracketNotWellDefined("bracket does not annihilate D (left slot)")
-        y = right_factor(d)
-        for t in range(npairs):
-            if y and anm[t]:
-                g = vec_scale(tensor_vec(ms, ns, anm[t], y), -1 if not psig[t] else 1)
-                if not acc.contains(g):
-                    raise BracketNotWellDefined("bracket does not annihilate D (right slot)")
-    del acc  # its semi-reduced rows are not read again; free them before the certificates
+    # quotient_table computes only the pairs a <= b and infers the rest by
+    # antisymmetry: certify it on classes (for a = b this tests 2 B(s_a, s_a),
+    # and the characteristic is never 2)
+    section, spar = quot.section, quot.space.parities
+    for a, u in enumerate(section):
+        for b in range(a, len(section)):
+            g = bracket_plain(u, section[b])
+            vec_axpy(g, -1 if spar[a] * spar[b] else 1, bracket_plain(section[b], u))
+            if d_sub.reduce_vec(g):
+                raise BracketNotWellDefined("bracket is not antisymmetric on classes")
 
     algebra = LieSuperAlgebra(quot.space, quotient_table(quot, bracket_plain),
                               name=f"{M.name or 'M'}(x){N.name or 'N'}")
@@ -267,17 +262,8 @@ def nonabelian_tensor(M: LieSuperAlgebra, N: LieSuperAlgebra,
     if not rep.ok:
         raise BracketNotWellDefined(f"product fails Lie axioms: {rep.violations[:3]}")
 
-    def descend(vecs: list[dict]) -> list[dict]:
-        cols = []
-        for s in quot.section:
-            out: dict = {}
-            for t, c in s.items():
-                vec_axpy(out, c, vecs[t])
-            cols.append(field.clean(out))
-        return cols
-
-    mu = GradedMap.from_columns(quot.space, M.space, descend(mu_vec))
-    nu = GradedMap.from_columns(quot.space, N.space, descend(nu_vec))
+    mu = GradedMap.from_columns(quot.space, M.space, [edge(mu_vec, s) for s in section])
+    nu = GradedMap.from_columns(quot.space, N.space, [edge(nu_vec, s) for s in section])
 
     # induced actions on classes:
     #   m'.(m (x) n) = [m',m] (x) n + (-1)^{|m||m'|} m (x) m'.n
@@ -522,7 +508,7 @@ def nonabelian_exterior(t: TensorProduct, cm_m: CrossedModule,
                         cm_n: CrossedModule) -> ExteriorProduct:
     """Quotient of the tensor product by the central graded ideal spanned by
     the pullback coincidence generators of the two crossed modules."""
-    if cm_m.p is not cm_n.p and cm_m.p != cm_n.p:
+    if cm_m.p is not cm_n.p:
         raise CrossedModuleMismatch("crossed modules are over different bases")
     if cm_m.m is not t.m or cm_n.m is not t.n:
         raise CrossedModuleMismatch("crossed modules do not match the tensor factors")

@@ -6,8 +6,8 @@ matrix superalgebra bracket is recomputed by multiplying explicit
 matrices entry by entry, the canonical row echelon form comes from dense
 Gauss–Jordan elimination, reductions against a canonical subspace walk
 every row instead of the vector's own pivot entries, and the relation space of the non-abelian tensor
-product is spanned by all five generator families, including the cyclic
-Jacobi-type family (v) that the production construction omits.  Wedge
+product is spanned by all five generator families, including families
+(iii)-(v), which the production construction omits.  Wedge
 signs are counted inversion by inversion, HC_0 is read off A/[A, A]
 directly instead of from the Connes complex, and the Chevalley–Eilenberg
 complex is built on every chain instead of the weight-0 chains only.
