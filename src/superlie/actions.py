@@ -18,7 +18,7 @@ identity (d(m).m' = [m, m']).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dfield
+from dataclasses import dataclass
 
 from .algebras import (
     MAX_VIOLATIONS,
@@ -29,6 +29,7 @@ from .algebras import (
     _defects,
     _derivation_defects,
     _spread,
+    hom_defects,
     is_graded_ideal,
 )
 from .linalg import vec_axpy, vec_clean, vec_sub
@@ -43,10 +44,9 @@ class Action:
     """Bilinear action constants of ``actor`` on ``target``."""
 
     def __init__(self, actor: LieSuperAlgebra, target: LieSuperAlgebra,
-                 table: dict[tuple[int, int], dict], name: str = ""):
+                 table: dict[tuple[int, int], dict]):
         self.actor = actor
         self.target = target
-        self.name = name
         self.field = actor.field
         self.table = {
             key: vec_clean({k: self.field.of(c) for k, c in v.items()})
@@ -73,11 +73,11 @@ class Action:
         return not self.table
 
     def __repr__(self):
-        return f"Action({self.name or 'anon'})"
+        return f"Action({self.actor.name or 'anon'} on {self.target.name or 'anon'})"
 
 
 def trivial_action(actor: LieSuperAlgebra, target: LieSuperAlgebra) -> Action:
-    return Action(actor, target, {}, name="trivial")
+    return Action(actor, target, {})
 
 
 def adjoint_action(L: LieSuperAlgebra) -> Action:
@@ -88,7 +88,7 @@ def adjoint_action(L: LieSuperAlgebra) -> Action:
             v = L.bracket_basis(i, j)
             if v:
                 table[(i, j)] = v
-    return Action(L, L, table, name="adjoint")
+    return Action(L, L, table)
 
 
 def _rows(a: Action) -> list[dict[int, dict]]:
@@ -182,7 +182,6 @@ class CrossedModule:
     p: LieSuperAlgebra
     boundary: GradedMap
     action: Action
-    name: str = ""
 
     def __post_init__(self):
         if self.boundary.degree != 0:
@@ -190,13 +189,12 @@ class CrossedModule:
 
 
 def identity_crossed(P: LieSuperAlgebra) -> CrossedModule:
-    return CrossedModule(P, P, GradedMap.identity(P.space), adjoint_action(P), name="id")
+    return CrossedModule(P, P, GradedMap.identity(P.space), adjoint_action(P))
 
 
-def supermodule_crossed(P: LieSuperAlgebra, M: LieSuperAlgebra, action: Action,
-                        name: str = "supermodule") -> CrossedModule:
+def supermodule_crossed(P: LieSuperAlgebra, M: LieSuperAlgebra, action: Action) -> CrossedModule:
     """An abelian M with a P-action, as the crossed module with zero boundary."""
-    return CrossedModule(M, P, GradedMap.zero(M.space, P.space), action, name=name)
+    return CrossedModule(M, P, GradedMap.zero(M.space, P.space), action)
 
 
 def ideal_crossed(L: LieSuperAlgebra, view) -> CrossedModule:
@@ -213,8 +211,7 @@ def ideal_crossed(L: LieSuperAlgebra, view) -> CrossedModule:
                 raise ActionInvalid("subspace is not an ideal")
             if v:
                 table[(i, m)] = v
-    act = Action(L, view.algebra, table, name="bracket")
-    return CrossedModule(view.algebra, L, incl, act, name="ideal")
+    return CrossedModule(view.algebra, L, incl, Action(L, view.algebra, table))
 
 
 def pullback_action(a: Action, source: LieSuperAlgebra, f: GradedMap) -> Action:
@@ -236,23 +233,12 @@ def crossed_pullback_actions(cm: CrossedModule) -> tuple[Action, Action]:
     return cm.action, pullback_action(adjoint_action(cm.p), cm.m, cm.boundary)
 
 
-@dataclass
-class CrossedReport:
-    ok: bool
-    violations: list[Violation] = dfield(default_factory=list)
-    kernel_central: bool = False
-    image_ideal: bool = False
-    kernel_module_ok: bool = False
-
-    def __bool__(self):
-        return self.ok
-
-
-def check_crossed(c: CrossedModule) -> CrossedReport:
+def check_crossed(c: CrossedModule) -> AxiomReport:
     """Certify the crossed module axioms together with their structural
-    consequences: the kernel of the boundary is central, its image is a
-    graded ideal, and the kernel carries a well-defined module structure
-    over the cokernel of the boundary."""
+    consequences: the kernel of the boundary is central (else a
+    ``kernel-not-central`` violation), its image is a graded ideal
+    (``image-not-ideal``), and the kernel carries a well-defined module
+    structure over the cokernel of the boundary (``kernel-module``)."""
     violations: list[Violation] = []
     M, P, d, act = c.m, c.p, c.boundary, c.action
 
@@ -260,13 +246,8 @@ def check_crossed(c: CrossedModule) -> CrossedReport:
     violations.extend(rep.violations)
 
     # boundary is a Lie homomorphism
-    for i in range(M.dim):
-        for j in range(M.dim):
-            lhs = d.apply(M.bracket_basis(i, j))
-            rhs = P.bracket(d.apply({i: 1}), d.apply({j: 1}))
-            defect = M.field.clean(vec_sub(lhs, rhs))
-            if defect:
-                violations.append(Violation("boundary-hom", (i, j), defect))
+    for i, j, defect in hom_defects(d, M, P):
+        violations.append(Violation("boundary-hom", (i, j), defect))
     # (i) equivariance, (ii) Peiffer
     for p in range(P.dim):
         for m in range(M.dim):
@@ -284,33 +265,22 @@ def check_crossed(c: CrossedModule) -> CrossedReport:
                 violations.append(Violation("peiffer", (m, m2), defect))
 
     if violations:
-        return CrossedReport(False, violations)
+        return AxiomReport(False, violations)
 
     # consequences
     ker = d.kernel()
-    center = M.center()
-    kernel_central = center.contains(ker)
+    if not M.center().contains(ker):
+        violations.append(Violation("kernel-not-central", (), {}))
     img = d.image()
-    image_ideal = is_graded_ideal(P, img)
+    if not is_graded_ideal(P, img):
+        violations.append(Violation("image-not-ideal", (), {}))
     # induced module structure of Coker(d) on Ker(d): the image must act
     # trivially on the kernel and P must preserve the kernel
-    kernel_module_ok = True
-    for r in img.rows:
-        for k in ker.rows:
-            if vec_clean(act.act(r, k)):
-                kernel_module_ok = False
-    for p in range(P.dim):
-        for k in ker.rows:
-            if not ker.contains_vec(act.act({p: 1}, k)):
-                kernel_module_ok = False
-    ok = kernel_central and image_ideal and kernel_module_ok
-    if not kernel_central:
-        violations.append(Violation("kernel-not-central", (), {}))
-    if not image_ideal:
-        violations.append(Violation("image-not-ideal", (), {}))
-    if not kernel_module_ok:
+    if (any(vec_clean(act.act(r, k)) for r in img.rows for k in ker.rows)
+            or not all(ker.contains_vec(act.act({p: 1}, k))
+                       for p in range(P.dim) for k in ker.rows)):
         violations.append(Violation("kernel-module", (), {}))
-    return CrossedReport(ok, violations, kernel_central, image_ideal, kernel_module_ok)
+    return AxiomReport(not violations, violations)
 
 
 def semidirect(a: Action, name: str = "") -> LieSuperAlgebra:

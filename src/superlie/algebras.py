@@ -38,6 +38,11 @@ class NotAnIdeal(ValueError):
     """The given subspace is not a graded ideal."""
 
 
+class BracketNotWellDefined(RuntimeError):
+    """A bracket on a quotient fails to descend to it or fails a certificate
+    there: a construction bug, never a property of valid inputs."""
+
+
 @dataclass
 class Violation:
     kind: str
@@ -669,6 +674,52 @@ def induced_action_table(q: QuotientSpace, actor_dim: int, act) -> dict[tuple[in
             if v:
                 table[(a, k)] = v
     return table
+
+
+def factored_quotient_algebra(q: QuotientSpace, left: Matrix, right: Matrix, pair,
+                              name: str = "") -> LieSuperAlgebra:
+    """The Lie superalgebra on q = W/D with the bracket
+
+        B(u, v) = pair(left u, right v),
+
+    ``left`` and ``right`` linear maps on W and ``pair`` bilinear into W.
+    It certifies, raising :class:`BracketNotWellDefined`, that left and
+    right kill every row of D, so B descends in both slots; that
+    B(s_a, s_b) + (-1)^{|a||b|} B(s_b, s_a) lies in D on the section, which
+    :func:`quotient_table` assumes when it infers the pairs a > b (for
+    a = b this tests 2 B(s_a, s_a), and the characteristic is never 2);
+    and the Lie axioms."""
+
+    def bracket(u: dict, v: dict) -> dict:
+        return pair(left.apply(u), right.apply(v))
+
+    for d in q.bottom.rows:
+        if left.apply(d) or right.apply(d):
+            raise BracketNotWellDefined("edge map does not annihilate D(M, N)")
+    section, spar = q.section, q.space.parities
+    for a, u in enumerate(section):
+        for b in range(a, len(section)):
+            g = bracket(u, section[b])
+            vec_axpy(g, -1 if spar[a] * spar[b] else 1, bracket(section[b], u))
+            if q.bottom.reduce_vec(g):
+                raise BracketNotWellDefined("bracket is not antisymmetric on classes")
+    alg = LieSuperAlgebra(q.space, quotient_table(q, bracket), name=name)
+    rep = check_lie_axioms(alg)
+    if not rep.ok:
+        raise BracketNotWellDefined(f"product fails Lie axioms: {rep.violations[:3]}")
+    return alg
+
+
+def hom_defects(f: GradedMap, src: LieSuperAlgebra, dst: LieSuperAlgebra):
+    """Yield (i, j, f([e_i, e_j]) - [f e_i, f e_j]) for the nonzero defects
+    of f: src -> dst, in row-major order over the basis pairs of src."""
+    images = [f.apply({i: 1}) for i in range(src.dim)]
+    for i in range(src.dim):
+        for j in range(src.dim):
+            lhs = f.apply(src.bracket_basis(i, j))
+            defect = src.field.clean(vec_sub(lhs, dst.bracket(images[i], images[j])))
+            if defect:
+                yield i, j, defect
 
 
 def quotient_algebra(L: LieSuperAlgebra, I: Subspace, name: str = "") -> tuple[LieSuperAlgebra, Projection]:

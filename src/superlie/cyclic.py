@@ -10,24 +10,34 @@ The Hochschild boundary and the signed cyclic operator are
 The Connes complex consists of the coinvariants modulo Im(1 - t_n); the
 boundary is certified to descend, and d.d = 0 is asserted.  HC_1 is also
 computed from its kernel model (A (x) A)/I(A) -> [A, A], the coarser
-Milnor quotient, and the bracket algebra on (A (x) A)/I(A), which is a
-crossed module over A and the bridge to non-abelian homology.
+Milnor quotient, and the bracket algebra V(A) on (A (x) A)/I(A), which is
+a crossed module over A and the bridge to non-abelian homology.
+
+The bracket of V(A) factors through the commutator map
+alpha(a (x) b) = [a, b], the edge map of the crossed module:
+
+  [u, v] = alpha(u) (x) alpha(v),  so  [a (x) b, a' (x) b'] = [a, b] (x) [a', b'].
+
+alpha kills I(A), so the bracket descends in both slots.  It is built by
+:func:`~superlie.algebras.factored_quotient_algebra`, which certifies that
+alpha kills I(A), that the bracket is antisymmetric on classes, and the
+Lie axioms.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
-from .actions import Action, CrossedModule, check_crossed
+from .actions import Action, CrossedModule, check_crossed, ideal_crossed, trivial_action
 from .algebras import (
     AssocSuperAlgebra,
     LieSuperAlgebra,
     QuotientSpace,
-    check_lie_axioms,
+    factored_quotient_algebra,
     induced_action_table,
     lie_from_assoc,
     quotient_space,
-    quotient_table,
     subalgebra_on,
 )
 from .homology import (
@@ -42,6 +52,7 @@ from .homology import (
 )
 from .linalg import (
     Echelon,
+    Matrix,
     Subspace,
     vec_axpy,
     vec_clean,
@@ -255,6 +266,7 @@ def relation_ideal(A: AssocSuperAlgebra) -> Subspace:
 @dataclass
 class HC1KernelModel:
     quotient: QuotientSpace        # (A (x) A)/I(A)
+    commutator: Matrix             # alpha: a (x) b -> [a, b] on A (x) A
     to_commutators: GradedMap      # induced map onto [A, A] (ambient A coords)
     kernel: Subspace               # HC_1 inside the quotient coordinates
     dims: tuple[int, int]
@@ -263,28 +275,19 @@ class HC1KernelModel:
 def hc1_kernel_model(A: AssocSuperAlgebra) -> HC1KernelModel:
     """HC_1 as the kernel of (A (x) A)/I(A) -> [A, A], a (x) b -> [a, b]."""
     sp = _pair_space(A)
-    field = A.field
     ideal = relation_ideal(A)
-    quot = quotient_space(sp, Subspace.full(field, sp.dim), ideal, "v")
-    lie = lie_from_assoc(A)
-    d = A.dim
-
-    def to_comm(v: dict) -> dict:
-        out: dict = {}
-        for idx, c in v.items():
-            a, b = divmod(idx, d)
-            vec_axpy(out, c, lie.bracket_basis(a, b))
-        return field.clean(out)
-
+    quot = quotient_space(sp, Subspace.full(A.field, sp.dim), ideal, "v")
+    lie, d = lie_from_assoc(A), A.dim
+    alpha = Matrix(A.field, d, [lie.bracket_basis(*divmod(t, d)) for t in range(sp.dim)])
     # the map must kill I(A)
     for r in ideal.rows:
-        if to_comm(r):
+        if alpha.apply(r):
             raise ComplexInconsistent("the commutator map does not kill I(A)")
-    cols = [to_comm(quot.lift({k: 1})) for k in range(quot.space.dim)]
+    cols = [alpha.apply(s) for s in quot.section]
     gmap = GradedMap.from_columns(quot.space, A.space, cols)
     ker = gmap.kernel()
     dims = quot.space.split_dims(ker.rows)
-    return HC1KernelModel(quot, gmap, ker, dims)
+    return HC1KernelModel(quot, alpha, gmap, ker, dims)
 
 
 @dataclass
@@ -322,41 +325,19 @@ class VAlgebra:
 def v_algebra(A: AssocSuperAlgebra) -> VAlgebra:
     """The Lie superalgebra on (A (x) A)/I(A) with
     [a (x) b, a' (x) b'] = [a,b] (x) [a',b'], certified as a crossed module
-    over A with the action a.(x (x) y) = a (x) [x, y]."""
+    over A with the action a.(x (x) y) = a (x) [x, y].  The bracket is
+    alpha(u) (x) alpha(v) for the commutator map alpha(a (x) b) = [a, b],
+    which kills I(A), built by
+    :func:`~superlie.algebras.factored_quotient_algebra`."""
     if A.unit is None:
         raise NotUnital("V(A) requires a unital algebra")
-    sp = _pair_space(A)
     d = A.dim
     lie = lie_from_assoc(A)
     km = hc1_kernel_model(A)
     quot = km.quotient
-    ideal = quot.bottom
-
-    def bracket_plain(u: dict, v: dict) -> dict:
-        out: dict = {}
-        for i1, c1 in u.items():
-            a, b = divmod(i1, d)
-            left = lie.bracket_basis(a, b)
-            if not left:
-                continue
-            for i2, c2 in v.items():
-                x, y = divmod(i2, d)
-                right = lie.bracket_basis(x, y)
-                if right:
-                    vec_axpy(out, c1 * c2, tensor_vec(A.space, A.space, left, right))
-        return out
-
-    # the bracket must preserve I(A) in both slots
-    for r in ideal.rows:
-        for k in range(sp.dim):
-            if quot.reduce(bracket_plain(r, {k: 1})) or quot.reduce(bracket_plain({k: 1}, r)):
-                raise ComplexInconsistent("the bracket of V(A) does not preserve I(A)")
-
-    algebra = LieSuperAlgebra(quot.space, quotient_table(quot, bracket_plain),
-                              name=f"V({A.name or 'A'})")
-    rep = check_lie_axioms(algebra)
-    if not rep.ok:
-        raise ComplexInconsistent(f"V(A) fails the Lie axioms: {rep.violations[:3]}")
+    algebra = factored_quotient_algebra(quot, km.commutator, km.commutator,
+                                        partial(tensor_vec, A.space, A.space),
+                                        name=f"V({A.name or 'A'})")
 
     # action of A on V(A): a.(x (x) y) = [a,x] (x) y + (-1)^{|a||x|} x (x) [a,y],
     # certified to coincide with a (x) [x,y] on the quotient
@@ -376,8 +357,8 @@ def v_algebra(A: AssocSuperAlgebra) -> VAlgebra:
             raise ComplexInconsistent("the action of A on V(A) has two unequal forms")
         return out
 
-    action_a = Action(lie, algebra, induced_action_table(quot, d, act), name="on-V")
-    crossed = CrossedModule(algebra, lie, km.to_commutators, action_a, name="V(A)")
+    action_a = Action(lie, algebra, induced_action_table(quot, d, act))
+    crossed = CrossedModule(algebra, lie, km.to_commutators, action_a)
     crep = check_crossed(crossed)
     if not crep.ok:
         raise ComplexInconsistent(f"(V(A), mu) fails the crossed module axioms: {crep.violations[:3]}")
@@ -422,16 +403,13 @@ def cyclic_sixterm(A: AssocSuperAlgebra) -> CyclicSixTerm:
     # the sub crossed module HC1 (abelian, zero boundary, trivial action)
     h_space = sub_space(va.algebra.space, va.hc1_rows, "hc.")
     h_alg = LieSuperAlgebra(h_space.space, {}, name="HC1")
-    from .actions import trivial_action
-
     cm_l = CrossedModule(h_alg, lie, GradedMap.zero(h_space.space, lie.space),
-                         trivial_action(lie, h_alg), name="HC1")
+                         trivial_action(lie, h_alg))
     f = GradedMap.from_columns(h_space.space, va.algebra.space,
                                [dict(r) for r in va.hc1_rows.rows])
 
     comm = commutator_subspace(A)
     cview = subalgebra_on(lie, comm, name="[A,A]")
-    from .actions import ideal_crossed
     cm_n = ideal_crossed(lie, cview)
     gcols = []
     for k in range(va.algebra.dim):

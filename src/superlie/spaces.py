@@ -210,7 +210,12 @@ def _monomials(dim: int, parities, n: int):
 
 
 def exterior_power(v: SuperSpace, n: int) -> tuple[SuperSpace, list[WedgeMonomial]]:
-    """The n-th super exterior power with its canonical monomial basis."""
+    """The n-th super exterior power with its canonical monomial basis.
+
+    The package builds its chains on the weight-0 monomials instead, but
+    this stays as the documented super exterior power: ``tests/oracles.py``
+    builds the full Chevalley-Eilenberg complex from it, and
+    ``perfbench/spans.py`` times it as a layer of its own."""
     if n < 0:
         raise ValueError("negative exterior power")
     monomials = list(_monomials(v.dim, v.parities, n))

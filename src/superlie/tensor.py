@@ -59,12 +59,14 @@ for odd x does not follow from graded Jacobi; family (v) never imposed it
 either, since its diagonal generator is three equal rotations and
 vanishes mod 3.
 
-The construction certifies, not assumes, the result.  Both edge maps must
-annihilate D(M, N), so B, which factors through them, is well defined on
-classes.  B must be antisymmetric on classes, which puts (iii) and (iv) in
-D(M, N).  The product must satisfy the Lie axioms on every basis triple,
-which puts (v) in D(M, N).  Both edge maps must be crossed modules.  A
-failure raises :class:`BracketNotWellDefined`; it indicates a
+The construction certifies, not assumes, the result.  The bracket is
+built by :func:`~superlie.algebras.factored_quotient_algebra`, the one
+construction of a bracket that factors through edge maps: both edge maps
+must annihilate D(M, N), so B, which factors through them, is well defined
+on classes; B must be antisymmetric on classes, which puts (iii) and (iv)
+in D(M, N); and the product must satisfy the Lie axioms on every basis
+triple, which puts (v) in D(M, N).  Both edge maps must be crossed
+modules.  A failure raises :class:`BracketNotWellDefined`; it indicates a
 transcription bug, never a property of compatible inputs, and the
 construction cannot return a wrong product silently.
 """
@@ -72,6 +74,7 @@ construction cannot return a wrong product silently.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from itertools import chain
 
 from .actions import (
@@ -87,18 +90,19 @@ from .actions import (
     identity_crossed,
 )
 from .algebras import (
+    BracketNotWellDefined,
     LieSuperAlgebra,
     NotAnIdeal,
     Projection,
     QuotientSpace,
-    check_lie_axioms,
     engel_degree,
+    factored_quotient_algebra,
+    hom_defects,
     induced_action_table,
     is_engel,
     is_graded_ideal,
     quotient_algebra,
     quotient_space,
-    quotient_table,
     series,
     subalgebra_on,
     abelianization,
@@ -110,18 +114,12 @@ from .linalg import (
     vec_axpy,
     vec_clean,
     vec_scale,
-    vec_sub,
 )
 from .spaces import GradedMap, SuperSpace, tensor_space, tensor_vec
 
 
 class IncompatibleActions(ValueError):
     """The mutual actions fail the compatibility identities."""
-
-
-class BracketNotWellDefined(RuntimeError):
-    """An edge map fails to annihilate D(M, N), or the bracket on classes
-    fails a certificate."""
 
 
 class NotPerfect(ValueError):
@@ -228,42 +226,13 @@ def nonabelian_tensor(M: LieSuperAlgebra, N: LieSuperAlgebra,
 
     # the edge maps on the plain pair basis: mu(m (x) n) = -(-1)^{|m||n|} n.m
     # and nu(m (x) n) = m.n; the bracket is B(u, v) = mu(u) (x) nu(v)
-    mu_vec = [vec_scale(anm[t], 1 if pm[i] * pn[j] else -1)
-              for t, (i, j) in enumerate(pairs)]
-    nu_vec = amn
-
-    def edge(vecs: list[dict], u: dict) -> dict:
-        out: dict = {}
-        for t, c in u.items():
-            vec_axpy(out, c, vecs[t])
-        return field.clean(out)
-
-    def bracket_plain(u: dict, v: dict) -> dict:
-        return tensor_vec(ms, ns, edge(mu_vec, u), edge(nu_vec, v))
-
-    # B factors through mu and nu, so it annihilates D once they do
-    for d in d_sub.rows:
-        if edge(mu_vec, d) or edge(nu_vec, d):
-            raise BracketNotWellDefined("edge map does not annihilate D(M, N)")
-    # quotient_table computes only the pairs a <= b and infers the rest by
-    # antisymmetry: certify it on classes (for a = b this tests 2 B(s_a, s_a),
-    # and the characteristic is never 2)
-    section, spar = quot.section, quot.space.parities
-    for a, u in enumerate(section):
-        for b in range(a, len(section)):
-            g = bracket_plain(u, section[b])
-            vec_axpy(g, -1 if spar[a] * spar[b] else 1, bracket_plain(section[b], u))
-            if d_sub.reduce_vec(g):
-                raise BracketNotWellDefined("bracket is not antisymmetric on classes")
-
-    algebra = LieSuperAlgebra(quot.space, quotient_table(quot, bracket_plain),
-                              name=f"{M.name or 'M'}(x){N.name or 'N'}")
-    rep = check_lie_axioms(algebra)
-    if not rep.ok:
-        raise BracketNotWellDefined(f"product fails Lie axioms: {rep.violations[:3]}")
-
-    mu = GradedMap.from_columns(quot.space, M.space, [edge(mu_vec, s) for s in section])
-    nu = GradedMap.from_columns(quot.space, N.space, [edge(nu_vec, s) for s in section])
+    mu_plain = Matrix(field, dm, [vec_scale(anm[t], 1 if pm[i] * pn[j] else -1)
+                                  for t, (i, j) in enumerate(pairs)])
+    nu_plain = Matrix(field, dn, amn)
+    algebra = factored_quotient_algebra(quot, mu_plain, nu_plain, partial(tensor_vec, ms, ns),
+                                        name=f"{M.name or 'M'}(x){N.name or 'N'}")
+    mu = GradedMap.from_columns(quot.space, ms, [mu_plain.apply(s) for s in quot.section])
+    nu = GradedMap.from_columns(quot.space, ns, [nu_plain.apply(s) for s in quot.section])
 
     # induced actions on classes:
     #   m'.(m (x) n) = [m',m] (x) n + (-1)^{|m||m'|} m (x) m'.n
@@ -291,11 +260,11 @@ def nonabelian_tensor(M: LieSuperAlgebra, N: LieSuperAlgebra,
             vec_axpy(out, c, g)
         return out
 
-    action_m = Action(M, algebra, induced_action_table(quot, dm, act_m), name="induced-M")
-    action_n = Action(N, algebra, induced_action_table(quot, dn, act_n), name="induced-N")
+    action_m = Action(M, algebra, induced_action_table(quot, dm, act_m))
+    action_n = Action(N, algebra, induced_action_table(quot, dn, act_n))
 
-    cross_m = CrossedModule(algebra, M, mu, action_m, name="mu")
-    cross_n = CrossedModule(algebra, N, nu, action_n, name="nu")
+    cross_m = CrossedModule(algebra, M, mu, action_m)
+    cross_n = CrossedModule(algebra, N, nu, action_n)
     for cr, label in ((cross_m, "mu"), (cross_n, "nu")):
         rep = check_crossed(cr)
         if not rep.ok:
@@ -357,12 +326,8 @@ def tensor_symmetry_iso(t: TensorProduct) -> tuple[GradedMap, TensorProduct]:
     iso = GradedMap.from_columns(t.algebra.space, swapped.algebra.space, cols)
     if iso.matrix.rank() != t.algebra.dim or t.algebra.dim != swapped.algebra.dim:
         raise BracketNotWellDefined("symmetry map is not bijective")
-    for a in range(t.algebra.dim):
-        for b in range(t.algebra.dim):
-            lhs = iso.apply(t.algebra.bracket_basis(a, b))
-            rhs = swapped.algebra.bracket(iso.apply({a: 1}), iso.apply({b: 1}))
-            if t.m.field.clean(vec_sub(lhs, rhs)):
-                raise BracketNotWellDefined("symmetry map does not preserve brackets")
+    if next(hom_defects(iso, t.algebra, swapped.algebra), None):
+        raise BracketNotWellDefined("symmetry map does not preserve brackets")
     return iso, swapped
 
 

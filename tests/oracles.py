@@ -16,7 +16,10 @@ element with every row, zero brackets included, where the production
 code reads only the nonzero brackets from its bracket index; likewise
 the Jacobi, action and compatibility certificates evaluate their
 identities on every basis triple, where the production code sums each
-defect from the nonzero structure and action constants only.
+defect from the nonzero structure and action constants only.  The
+bracket of V(A) is summed slot by slot and checked to preserve I(A) by
+bracketing every row of I(A) with every basis tensor, where the
+production code factors it through the commutator map.
 The module also holds the helpers that only tests use: algebras in a
 permuted, rescaled basis, bracket actions between subalgebra views,
 relators as graded vectors, and the bundled corpus files regenerated from
@@ -40,6 +43,7 @@ from superlie.algebras import (
     abelian,
     ground_assoc,
     heisenberg,
+    lie_from_assoc,
     matrix_assoc,
     matrix_gl,
     matrix_sl,
@@ -47,12 +51,19 @@ from superlie.algebras import (
     series,
     subalgebra_on,
 )
-from superlie.cyclic import commutator_subspace, dual_numbers, grassmann_line
+from superlie.cyclic import commutator_subspace, dual_numbers, grassmann_line, hc1_kernel_model
 from superlie.fields import QQ, Field
 from superlie.homology import ChainComplex, ComplexInconsistent
 from superlie.io import action_to_json, algebra_to_json, dump_json
 from superlie.linalg import Echelon, Subquotient, Subspace, vec_axpy, vec_clean, vec_scale, vec_sub
-from superlie.spaces import GradedMap, SuperSpace, exterior_power, superspace, wedge_normalize
+from superlie.spaces import (
+    GradedMap,
+    SuperSpace,
+    exterior_power,
+    superspace,
+    tensor_vec,
+    wedge_normalize,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -647,6 +658,48 @@ def check_compatible_dense(a_mn: Action, a_nm: Action) -> AxiomReport:
 
 
 # ---------------------------------------------------------------------------
+# the bracket of V(A), slot by slot
+
+
+def v_algebra_table_oracle(A: AssocSuperAlgebra) -> dict[tuple[int, int], dict]:
+    """The structure constants of V(A) = (A (x) A)/I(A) on the section of
+    the HC_1 kernel model's quotient, from the bracket
+    [a (x) b, a' (x) b'] = [a, b] (x) [a', b'] summed term by term.  It
+    first asserts that this bracket preserves I(A) in both slots, bracketing
+    every row of I(A) with every basis tensor on either side."""
+    lie = lie_from_assoc(A)
+    quot = hc1_kernel_model(A).quotient
+    d = A.dim
+
+    def bracket(u: dict, v: dict) -> dict:
+        out: dict = {}
+        for i1, c1 in u.items():
+            left = lie.bracket_basis(*divmod(i1, d))
+            if not left:
+                continue
+            for i2, c2 in v.items():
+                right = lie.bracket_basis(*divmod(i2, d))
+                if right:
+                    vec_axpy(out, c1 * c2, tensor_vec(A.space, A.space, left, right))
+        return out
+
+    for r in quot.bottom.rows:
+        for k in range(d * d):
+            assert not quot.reduce(bracket(r, {k: 1})), "the bracket does not preserve I(A)"
+            assert not quot.reduce(bracket({k: 1}, r)), "the bracket does not preserve I(A)"
+    section, par = quot.section, quot.space.parities
+    table = {}
+    for a in range(len(section)):
+        for b in range(a, len(section)):
+            if a == b and par[a] == 0:
+                continue
+            v = quot.reduce(bracket(section[a], section[b]))
+            if v:
+                table[(a, b)] = v
+    return table
+
+
+# ---------------------------------------------------------------------------
 # algebras in a permuted, rescaled basis
 
 
@@ -702,7 +755,7 @@ def subspace_bracket_action(L, actor_view, target_view):
                 raise ActionInvalid("bracket leaves the target subspace")
             if v:
                 table[(p, m)] = v
-    return Action(actor_view.algebra, target_view.algebra, table, name="bracket")
+    return Action(actor_view.algebra, target_view.algebra, table)
 
 
 @dataclass(frozen=True)

@@ -210,7 +210,7 @@ def test_outer_grading_trap_sl21_grassmann():
     is outer: its degree-0 chains give H0-H3 = [1, 0, 0, 1], not the
     homology.  Only the weights of basis elements of P are used."""
     P = matrix_sl(2, 1, grassmann_line(QQ)).algebra
-    assert [homology(P, None, n, max_n=4).dims for n in range(4)] \
+    assert [homology(P, None, n).dims for n in range(4)] \
         == [(1, 0), (0, 0), (1, 0), (2, 1)]
     degree = [int("(t)" in label) for label in P.space.labels]
     outer = _chain_complex(P, trivial_module(P), 4, [(degree, [0])])
@@ -262,6 +262,23 @@ def test_d3_lemma(heis, gl11, sl21):
         rep = d3_lemma_check(alg)
         assert rep.ok, rep.details
         assert rep.lhs_dims == rep.rhs_dims
+
+
+@pytest.mark.parametrize("p", (3, 5, 7))
+@pytest.mark.parametrize("name", ("gl(2|1)", "sl(2|1, L1)"))
+def test_d3_lemma_over_prime_fields(name, p):
+    """dim (Lambda^2 P / Im d3) = dim [P, P] + dim H2 with H2 from the chain
+    complex, and the quotient is P ^ P as a Lie superalgebra."""
+    F = Field(p)
+    if name == "gl(2|1)":
+        P = matrix_gl(2, 1, ground_assoc(F))
+    else:
+        P = matrix_sl(2, 1, grassmann_line(F)).algebra
+    rep = d3_lemma_check(P)
+    assert rep.ok, rep.details
+    assert rep.lhs_dims == rep.rhs_dims
+    full = P.full_subspace()
+    assert sum(rep.lhs_dims) == P.product_subspace(full, full).dim + homology(P, None, 2).dim
 
 
 def test_h2_via_exterior_matches_chain(heis, gl11, sl21):

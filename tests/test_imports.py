@@ -1,9 +1,15 @@
-"""Every import in the package and in the tests is used.
+"""Every import in the package and in the tests is used, and none is
+repeated inside a function.
 
 A name bound by an import counts as used when the module reads it as a
 name (an attribute chain ``json.dumps`` reads ``json``) or lists it in
 ``__all__``.  The package ``__init__`` imports to re-export, and
 ``from __future__`` imports set compiler flags, so both are skipped.
+
+A function-local ``from .m import ...`` belongs at the top of the file
+when the file already imports from ``.m`` there; a local import from a
+module the file does not import at top level (one that would make an
+import cycle) is left alone.
 """
 
 import ast
@@ -50,3 +56,31 @@ def test_no_unused_import(path):
 ])
 def test_unused_imports_finder(source, found):
     assert unused_imports(source) == found
+
+
+def local_repeat_imports(source: str) -> list[str]:
+    tree = ast.parse(source)
+    top = {(node.level, node.module) for node in tree.body
+           if isinstance(node, ast.ImportFrom) and node.level}
+    local = {sub for fn in ast.walk(tree) if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+             for sub in ast.walk(fn) if isinstance(sub, ast.ImportFrom)}
+    return [f"line {node.lineno}: from {'.' * node.level}{node.module or ''}"
+            for node in sorted(local, key=lambda n: n.lineno)
+            if node.level and (node.level, node.module) in top]
+
+
+@pytest.mark.parametrize("path", FILES, ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_no_function_local_repeat_of_a_top_level_import(path):
+    assert local_repeat_imports(path.read_text(encoding="utf-8")) == []
+
+
+@pytest.mark.parametrize("source, found", [
+    ("from .a import b\ndef f():\n    from .a import c\n", ["line 3: from .a"]),
+    ("from .a import b\ndef f():\n    def g():\n        from .a import c\n",
+     ["line 4: from .a"]),
+    ("from .a import b\ndef f():\n    from .t import c\n", []),
+    ("from .a import b\ndef f():\n    from ..a import c\n", []),
+    ("from a import b\ndef f():\n    from a import c\n", []),
+])
+def test_local_repeat_imports_finder(source, found):
+    assert local_repeat_imports(source) == found

@@ -88,7 +88,7 @@ def ideal_pair(L: LieSuperAlgebra, which: str):
             w = L.bracket(col, {i: 1})
             if w:
                 table[(a, i)] = w
-    return view.algebra, act_lk, Action(view.algebra, L, table, name="bracket")
+    return view.algebra, act_lk, Action(view.algebra, L, table)
 
 
 @pytest.mark.parametrize("which", ["derived", "center"])
