@@ -69,7 +69,6 @@ from .tensor import (
     nilpotency_bounds_check,
     nonabelian_exterior,
     nonabelian_tensor,
-    right_exactness_check,
     tensor_symmetry_iso,
     trivial_action_tensor,
     uce,
@@ -88,6 +87,7 @@ from .homology import (
     hopf_formula,
     ideal_sixterm,
     nh,
+    right_exactness_check,
     snake_sequence,
     trivial_module,
 )

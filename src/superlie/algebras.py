@@ -14,6 +14,7 @@ from itertools import combinations_with_replacement, permutations
 
 from .fields import Field
 from .linalg import (
+    ContainmentError,
     Echelon,
     Matrix,
     Subquotient,
@@ -666,7 +667,11 @@ def quotient_table(q: QuotientSpace, bracket) -> dict[tuple[int, int], dict]:
 
 def induced_action_table(q: QuotientSpace, actor_dim: int, act) -> dict[tuple[int, int], dict]:
     """Action constants on the section basis of q of ``act(a, v)``, the
-    action of basis element a on parent vectors, which preserves the bottom."""
+    action of basis element a on parent vectors, which preserves the bottom.
+    Unlike :func:`induced_map` it does not certify that: the check would
+    cost one evaluation per actor and bottom row on the tensor-product
+    path, where the tensor product (like V(A)) certifies the resulting
+    action as part of a crossed module instead."""
     table: dict[tuple[int, int], dict] = {}
     for k, s in enumerate(q.section):
         for a in range(actor_dim):
@@ -686,9 +691,11 @@ def factored_quotient_algebra(q: QuotientSpace, left: Matrix, right: Matrix, pai
     It certifies, raising :class:`BracketNotWellDefined`, that left and
     right kill every row of D, so B descends in both slots; that
     B(s_a, s_b) + (-1)^{|a||b|} B(s_b, s_a) lies in D on the section, which
-    :func:`quotient_table` assumes when it infers the pairs a > b (for
+    the structure constants assume when they infer the pairs a > b (for
     a = b this tests 2 B(s_a, s_a), and the characteristic is never 2);
-    and the Lie axioms."""
+    and the Lie axioms.  Each B(s_a, s_b), a <= b, is evaluated once and
+    serves both the certificate and the table, and B(s_b, s_a) once more
+    for a < b."""
 
     def bracket(u: dict, v: dict) -> dict:
         return pair(left.apply(u), right.apply(v))
@@ -697,17 +704,41 @@ def factored_quotient_algebra(q: QuotientSpace, left: Matrix, right: Matrix, pai
         if left.apply(d) or right.apply(d):
             raise BracketNotWellDefined("edge map does not annihilate D(M, N)")
     section, spar = q.section, q.space.parities
+    table: dict[tuple[int, int], dict] = {}
     for a, u in enumerate(section):
         for b in range(a, len(section)):
             g = bracket(u, section[b])
-            vec_axpy(g, -1 if spar[a] * spar[b] else 1, bracket(section[b], u))
-            if q.bottom.reduce_vec(g):
+            swapped = g if a == b else bracket(section[b], u)
+            anti = dict(g)
+            vec_axpy(anti, -1 if spar[a] * spar[b] else 1, swapped)
+            if q.bottom.reduce_vec(anti):
                 raise BracketNotWellDefined("bracket is not antisymmetric on classes")
-    alg = LieSuperAlgebra(q.space, quotient_table(q, bracket), name=name)
+            if a != b or spar[a]:
+                v = q.reduce(g)
+                if v:
+                    table[(a, b)] = v
+    alg = LieSuperAlgebra(q.space, table, name=name)
     rep = check_lie_axioms(alg)
     if not rep.ok:
         raise BracketNotWellDefined(f"product fails Lie axioms: {rep.violations[:3]}")
     return alg
+
+
+def induced_map(src: QuotientSpace, dst: QuotientSpace | SuperSpace, f) -> GradedMap:
+    """The map src -> dst induced by ``f``, a linear map from the parent of
+    src to the parent of dst (or to dst itself when dst is a plain space).
+    It certifies, raising :class:`~superlie.linalg.ContainmentError`, that
+    f maps every row of the bottom of src into the bottom of dst (to 0 for
+    a plain dst), so the map descends; its columns are the reductions of f
+    of the section of src."""
+    if isinstance(dst, QuotientSpace):
+        reduce, space = dst.reduce, dst.space
+    else:
+        reduce, space = dst.field.clean, dst
+    for d in src.bottom.rows:
+        if reduce(f(d)):
+            raise ContainmentError("induced map does not carry the bottom into the target's bottom")
+    return GradedMap.from_columns(src.space, space, [reduce(f(s)) for s in src.section])
 
 
 def hom_defects(f: GradedMap, src: LieSuperAlgebra, dst: LieSuperAlgebra):

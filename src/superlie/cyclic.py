@@ -8,10 +8,13 @@ The Hochschild boundary and the signed cyclic operator are
   t_n(a_0 (x) ... (x) a_n)  = (-1)^{n + |a_n| sum_{k<n} |a_k|} a_n (x) a_0 (x)...(x) a_{n-1}
 
 The Connes complex consists of the coinvariants modulo Im(1 - t_n); the
-boundary is certified to descend, and d.d = 0 is asserted.  HC_1 is also
-computed from its kernel model (A (x) A)/I(A) -> [A, A], the coarser
-Milnor quotient, and the bracket algebra V(A) on (A (x) A)/I(A), which is
-a crossed module over A and the bridge to non-abelian homology.
+boundary is induced by :func:`~superlie.algebras.induced_map`, which
+certifies that d' carries Im(1 - t_n) into Im(1 - t_{n-1}), and d.d = 0 is
+asserted.  HC_1 is also computed from its kernel model
+(A (x) A)/I(A) -> [A, A], the coarser Milnor quotient, and the bracket
+algebra V(A) on (A (x) A)/I(A), which is a crossed module over A and the
+bridge to non-abelian homology.  The map of the kernel model is induced
+the same way, which certifies that a (x) b -> [a, b] kills I(A).
 
 The bracket of V(A) factors through the commutator map
 alpha(a (x) b) = [a, b], the edge map of the crossed module:
@@ -36,6 +39,7 @@ from .algebras import (
     QuotientSpace,
     factored_quotient_algebra,
     induced_action_table,
+    induced_map,
     lie_from_assoc,
     quotient_space,
     subalgebra_on,
@@ -119,51 +123,38 @@ def connes(A: AssocSuperAlgebra, max_n: int = 2) -> ConnesComplex:
             acc.insert(vec_clean(g))
         coinv.append(quotient_space(sp, Subspace.full(field, sp.dim), acc.subspace(), f"c{n}."))
 
-    def hochschild(n: int, t: tuple) -> dict:
-        """d'_n of a basis tuple, in A^{(x)n} coordinates."""
+    def hochschild(n: int, v: dict) -> dict:
+        """d'_n of a vector of A^{(x)(n+1)}, in A^{(x)n} coordinates."""
+        tuples = tuples_by_n[n]
         out: dict = {}
-        for i in range(n):
-            prod = A.product_basis(t[i], t[i + 1])
-            if not prod:
-                continue
-            s = -1 if i % 2 else 1
-            head, tail = t[:i], t[i + 2:]
-            for e, c in prod.items():
-                idx = 0
-                for k in head + (e,) + tail:
-                    idx = idx * d + k
-                out[idx] = out.get(idx, 0) + s * c
-        prod = A.product_basis(t[n], t[0])
-        if prod:
-            s = (n + par[t[n]] * sum(par[k] for k in t[:n])) % 2
-            sgn = -1 if s else 1
-            for e, c in prod.items():
-                idx = 0
-                for k in (e,) + t[1:n]:
-                    idx = idx * d + k
-                out[idx] = out.get(idx, 0) + sgn * c
+        for x, cx in v.items():
+            t = tuples[x]
+            for i in range(n):
+                prod = A.product_basis(t[i], t[i + 1])
+                if not prod:
+                    continue
+                s = -cx if i % 2 else cx
+                head, tail = t[:i], t[i + 2:]
+                for e, c in prod.items():
+                    idx = 0
+                    for k in head + (e,) + tail:
+                        idx = idx * d + k
+                    out[idx] = out.get(idx, 0) + s * c
+            prod = A.product_basis(t[n], t[0])
+            if prod:
+                s = (n + par[t[n]] * sum(par[k] for k in t[:n])) % 2
+                sgn = -cx if s else cx
+                for e, c in prod.items():
+                    idx = 0
+                    for k in (e,) + t[1:n]:
+                        idx = idx * d + k
+                    out[idx] = out.get(idx, 0) + sgn * c
         return field.clean(out)
 
+    # the boundary descends: induced_map certifies d'((1 - t_n) x) dies in C_{n-1}
     boundaries: list[GradedMap | None] = [None]
     for n in range(1, max_n + 1):
-        # certify the boundary descends: d'( (1 - t_n) x ) must die in C_{n-1}
-        tuples = tuples_by_n[n]
-        src, dst = coinv[n], coinv[n - 1]
-        for r in src.bottom.rows:
-            img: dict = {}
-            for idx, c in r.items():
-                vec_axpy(img, c, hochschild(n, tuples[idx]))
-            if dst.reduce(img):
-                raise ComplexInconsistent(
-                    f"Hochschild boundary does not descend to coinvariants at n={n}")
-        cols = []
-        for k in range(src.space.dim):
-            lift = src.lift({k: 1})
-            img = {}
-            for idx, c in lift.items():
-                vec_axpy(img, c, hochschild(n, tuples[idx]))
-            cols.append(dst.reduce(img))
-        boundaries.append(GradedMap.from_columns(src.space, dst.space, cols))
+        boundaries.append(induced_map(coinv[n], coinv[n - 1], partial(hochschild, n)))
     for n in range(2, max_n + 1):
         if not boundaries[n - 1].compose(boundaries[n]).is_zero():
             raise ComplexInconsistent(f"connes d_{n-1} . d_{n} != 0")
@@ -279,12 +270,7 @@ def hc1_kernel_model(A: AssocSuperAlgebra) -> HC1KernelModel:
     quot = quotient_space(sp, Subspace.full(A.field, sp.dim), ideal, "v")
     lie, d = lie_from_assoc(A), A.dim
     alpha = Matrix(A.field, d, [lie.bracket_basis(*divmod(t, d)) for t in range(sp.dim)])
-    # the map must kill I(A)
-    for r in ideal.rows:
-        if alpha.apply(r):
-            raise ComplexInconsistent("the commutator map does not kill I(A)")
-    cols = [alpha.apply(s) for s in quot.section]
-    gmap = GradedMap.from_columns(quot.space, A.space, cols)
+    gmap = induced_map(quot, A.space, alpha.apply)  # certifies that alpha kills I(A)
     ker = gmap.kernel()
     dims = quot.space.split_dims(ker.rows)
     return HC1KernelModel(quot, alpha, gmap, ker, dims)

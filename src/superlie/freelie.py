@@ -83,15 +83,6 @@ def word_parity(word, gens: GradedGenSet) -> int:
     return (word_parity(a, gens) + word_parity(b, gens)) % 2
 
 
-def word_str(word) -> str:
-    if isinstance(word, str):
-        return word
-    if isinstance(word, dict):
-        return " + ".join(f"{t['coeff']}*{word_str(t['word'])}" for t in word["sum"])
-    a, b = word
-    return f"[{word_str(a)},{word_str(b)}]"
-
-
 class FreeTruncation:
     """Components of the free Lie superalgebra up to a degree bound, with
     the structure constants of the corresponding free nilpotent quotient."""

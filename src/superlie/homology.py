@@ -44,6 +44,14 @@ certified, so the bracket descends in both slots.
 :func:`~superlie.algebras.factored_quotient_algebra`, which certifies the
 annihilation, antisymmetry on classes and the Lie axioms, and compares it
 with the non-abelian exterior square P ^ P.
+
+Induced maps.  Every map between quotients here, the comparison map
+x^y -> x(^)y, the maps of both six-term sequences (the connecting maps
+included), the exterior maps of :func:`ideal_sixterm` and those of
+:func:`right_exactness_check`, is built by
+:func:`~superlie.algebras.induced_map`, which certifies that the map
+carries the bottom of its source into the bottom of its target and
+raises :class:`~superlie.linalg.ContainmentError` otherwise.
 """
 
 from __future__ import annotations
@@ -56,6 +64,8 @@ from .actions import (
     crossed_pullback_actions,
     identity_crossed,
     ideal_crossed,
+    pullback_action,
+    semidirect,
     trivial_action,
 )
 from .algebras import (
@@ -65,6 +75,7 @@ from .algebras import (
     factored_quotient_algebra,
     hom_defects,
     ideal_closure,
+    induced_map,
     is_graded_ideal,
     quotient_algebra,
     quotient_space,
@@ -91,8 +102,8 @@ from .spaces import (
     wedge_normalize,
 )
 from .tensor import (
-    ExteriorProduct,
     TensorProduct,
+    adjoint_tensor_square,
     exterior_square,
     induced_tensor_map,
     nonabelian_exterior,
@@ -101,7 +112,10 @@ from .tensor import (
 
 
 class ComplexInconsistent(RuntimeError):
-    """d.d != 0 or an induced boundary failed to descend: a construction bug."""
+    """d.d != 0 or another identity of a construction fails: a
+    construction bug.  A map that fails to descend to a quotient raises
+    :class:`~superlie.linalg.ContainmentError` from
+    :func:`~superlie.algebras.induced_map` instead."""
 
 
 class ClassExceeded(ValueError):
@@ -339,15 +353,6 @@ def sub_space(parent: SuperSpace, rows: Subspace, prefix: str) -> QuotientSpace:
     return quotient_space(parent, rows, Subspace(parent.field, parent.dim, []), prefix)
 
 
-def connect(src: QuotientSpace, dst: QuotientSpace, raw_map) -> GradedMap:
-    """The induced map on labeled spaces: lift, apply, reduce."""
-    cols = []
-    for i in range(src.space.dim):
-        v = src.lift({i: 1})
-        cols.append(dst.reduce(raw_map(v)))
-    return GradedMap.from_columns(src.space, dst.space, cols)
-
-
 @dataclass
 class ExactnessReport:
     ok: bool
@@ -435,8 +440,7 @@ def d3_lemma_check(P: LieSuperAlgebra) -> D3LemmaReport:
             vec_axpy(out, c, t.embed(i, j))
         return ext.projection.apply(out)
 
-    cols = [to_exterior(s) for s in lhs.section]
-    phi = GradedMap.from_columns(lhs.space, ext.algebra.space, cols)
+    phi = induced_map(lhs, ext.algebra.space, to_exterior)
     if lhs.space.dim != ext.algebra.dim or phi.matrix.rank() != lhs.space.dim:
         return D3LemmaReport(False, lhs_dims, rhs_dims, "map is not bijective")
     for a, b, _ in hom_defects(phi, wedge_alg, ext.algebra):
@@ -597,8 +601,8 @@ def snake_sequence(ses: CrossedSES) -> SixTermReport:
     ind_f = induced_tensor_map(r_l.tensor, r_m.tensor, GradedMap.identity(P.space), ses.f)
     ind_g = induced_tensor_map(r_m.tensor, r_n.tensor, GradedMap.identity(P.space), ses.g)
 
-    m1 = connect(r_l.nh1, r_m.nh1, ind_f.apply)
-    m2 = connect(r_m.nh1, r_n.nh1, ind_g.apply)
+    m1 = induced_map(r_l.nh1, r_m.nh1, ind_f.apply)
+    m2 = induced_map(r_m.nh1, r_n.nh1, ind_g.apply)
 
     def connecting(v: dict) -> dict:
         x = ind_g.matrix.solve(v)
@@ -610,9 +614,9 @@ def snake_sequence(ses: CrossedSES) -> SixTermReport:
             raise ComplexInconsistent("connecting element does not pull back")
         return y
 
-    m3 = connect(r_n.nh1, r_l.nh0, connecting)
-    m4 = connect(r_l.nh0, r_m.nh0, ses.f.apply)
-    m5 = connect(r_m.nh0, r_n.nh0, ses.g.apply)
+    m3 = induced_map(r_n.nh1, r_l.nh0, connecting)
+    m4 = induced_map(r_l.nh0, r_m.nh0, ses.f.apply)
+    m5 = induced_map(r_m.nh0, r_n.nh0, ses.g.apply)
     m6 = zero_map_to_point(r_n.nh0.space)
 
     maps = [m1, m2, m3, m4, m5, m6]
@@ -625,16 +629,6 @@ def snake_sequence(ses: CrossedSES) -> SixTermReport:
 
 # ---------------------------------------------------------------------------
 # the homology six-term sequence of an ideal
-
-
-def _descend_exterior_map(ind: GradedMap, e_src: ExteriorProduct,
-                          e_dst: ExteriorProduct) -> GradedMap:
-    """Push a tensor-level induced map down to the exterior quotients."""
-    for r in e_src.square.rows:
-        if vec_clean(e_dst.projection.apply(ind.apply(r))):
-            raise ComplexInconsistent("induced map does not preserve the square ideals")
-    cols = [e_dst.projection.apply(ind.apply(s)) for s in e_src.projection.quotient.section]
-    return GradedMap.from_columns(e_src.algebra.space, e_dst.algebra.space, cols)
 
 
 def ideal_sixterm(P: LieSuperAlgebra, M: Subspace) -> SixTermReport:
@@ -662,10 +656,10 @@ def ideal_sixterm(P: LieSuperAlgebra, M: Subspace) -> SixTermReport:
     t_pp = e_pp.tensor
     t_qq = e_qq.tensor
     ident = GradedMap.identity(P.space)
-    ind_incl = _descend_exterior_map(
-        induced_tensor_map(t_pm, t_pp, ident, mview.inclusion), e_pm, e_pp)
-    ind_proj = _descend_exterior_map(
-        induced_tensor_map(t_pp, t_qq, proj, proj), e_pp, e_qq)
+    ind_incl = induced_map(e_pm.projection.quotient, e_pp.projection.quotient,
+                           induced_tensor_map(t_pm, t_pp, ident, mview.inclusion).apply)
+    ind_proj = induced_map(e_pp.projection.quotient, e_qq.projection.quotient,
+                           induced_tensor_map(t_pp, t_qq, proj, proj).apply)
 
     ker_pm = sub_space(e_pm.algebra.space, e_pm.mu.kernel(), "kPM.")
     h2_p = sub_space(e_pp.algebra.space, e_pp.nu.kernel(), "h2P.")
@@ -676,8 +670,8 @@ def ideal_sixterm(P: LieSuperAlgebra, M: Subspace) -> SixTermReport:
     full_q = Subspace.full(field, Q.dim)
     h1_q = quotient_space(Q.space, full_q, Q.product_subspace(full_q, full_q), "h1Q.")
 
-    m1 = connect(ker_pm, h2_p, ind_incl.apply)
-    m2 = connect(h2_p, h2_q, ind_proj.apply)
+    m1 = induced_map(ker_pm, h2_p, ind_incl.apply)
+    m2 = induced_map(h2_p, h2_q, ind_proj.apply)
 
     def connecting(v: dict) -> dict:
         x = ind_proj.matrix.solve(v)
@@ -688,9 +682,9 @@ def ideal_sixterm(P: LieSuperAlgebra, M: Subspace) -> SixTermReport:
             raise ComplexInconsistent("connecting element escapes the ideal")
         return w
 
-    m3 = connect(h2_q, m_mod, connecting)
-    m4 = connect(m_mod, h1_p, lambda v: v)
-    m5 = connect(h1_p, h1_q, proj.apply)
+    m3 = induced_map(h2_q, m_mod, connecting)
+    m4 = induced_map(m_mod, h1_p, lambda v: v)
+    m5 = induced_map(h1_p, h1_q, proj.apply)
     m6 = zero_map_to_point(h1_q.space)
 
     maps = [m1, m2, m3, m4, m5, m6]
@@ -698,3 +692,52 @@ def ideal_sixterm(P: LieSuperAlgebra, M: Subspace) -> SixTermReport:
     labels = ["Ker(P^M->P)", "H2(P)", "H2(P/M)", "M/[P,M]", "H1(P)", "H1(P/M)"]
     dims = [ker_pm.dims, h2_p.dims, h2_q.dims, m_mod.dims, h1_p.dims, h1_q.dims]
     return SixTermReport(report.ok, labels, dims, report)
+
+
+# ---------------------------------------------------------------------------
+# right exactness of the tensor product
+
+
+@dataclass
+class RightExactnessReport:
+    ok: bool
+    dims: dict
+    exactness: ExactnessReport
+
+
+def right_exactness_check(M: LieSuperAlgebra, K: Subspace) -> RightExactnessReport:
+    """Certify exactness of (K(x)M) x| (M(x)K) -> M(x)M -> (M/K)(x)(M/K) -> 0."""
+    if not is_graded_ideal(M, K):
+        raise NotAnIdeal("right exactness requires a graded ideal")
+    kview = subalgebra_on(M, K, name="K")
+    kalg = kview.algebra
+    # mutual bracket actions: M on K, and K on M through the inclusion
+    act_mk, act_km = crossed_pullback_actions(ideal_crossed(M, kview))
+
+    t_km = nonabelian_tensor(kalg, M, act_km, act_mk)
+    t_mk = nonabelian_tensor(M, kalg, act_mk, act_km)
+    t_mm = adjoint_tensor_square(M)
+    Q, proj = quotient_algebra(M, K, name="M/K")
+    t_qq = adjoint_tensor_square(Q)
+
+    incl = kview.inclusion
+    ident = GradedMap.identity(M.space)
+    f_km = induced_tensor_map(t_km, t_mm, incl, ident)
+    f_mk = induced_tensor_map(t_mk, t_mm, ident, incl)
+    f_qq = induced_tensor_map(t_mm, t_qq, proj, proj)
+
+    # the printed left node is the semidirect product of M(x)K acting on K(x)M
+    # through nu: M(x)K -> K, included in M
+    sd_action = pullback_action(t_km.action_m, t_mk.algebra, incl.compose(t_mk.nu))
+    sd = semidirect(sd_action, name="(K(x)M) x| (M(x)K)")
+    alpha = GradedMap.from_columns(sd.space, t_mm.algebra.space,
+                                   f_km.matrix.cols + f_mk.matrix.cols)
+
+    report = exactness_check([alpha, f_qq, zero_map_to_point(t_qq.algebra.space)])
+    dims = {
+        "K(x)M": t_km.algebra.dim,
+        "M(x)K": t_mk.algebra.dim,
+        "M(x)M": t_mm.algebra.dim,
+        "(M/K)(x)(M/K)": t_qq.algebra.dim,
+    }
+    return RightExactnessReport(report.ok, dims, report)

@@ -82,25 +82,20 @@ from .actions import (
     CrossedModule,
     check_compatible,
     check_crossed,
-    crossed_pullback_actions,
     adjoint_action,
-    pullback_action,
-    semidirect,
-    ideal_crossed,
     identity_crossed,
 )
 from .algebras import (
     BracketNotWellDefined,
     LieSuperAlgebra,
-    NotAnIdeal,
     Projection,
     QuotientSpace,
     engel_degree,
     factored_quotient_algebra,
     hom_defects,
     induced_action_table,
+    induced_map,
     is_engel,
-    is_graded_ideal,
     quotient_algebra,
     quotient_space,
     series,
@@ -112,7 +107,6 @@ from .linalg import (
     Matrix,
     Subspace,
     vec_axpy,
-    vec_clean,
     vec_scale,
 )
 from .spaces import GradedMap, SuperSpace, tensor_space, tensor_vec
@@ -231,6 +225,8 @@ def nonabelian_tensor(M: LieSuperAlgebra, N: LieSuperAlgebra,
     nu_plain = Matrix(field, dn, amn)
     algebra = factored_quotient_algebra(quot, mu_plain, nu_plain, partial(tensor_vec, ms, ns),
                                         name=f"{M.name or 'M'}(x){N.name or 'N'}")
+    # factored_quotient_algebra has certified that mu_plain and nu_plain kill
+    # D(M, N), so induced_map would only repeat that check on this hot path
     mu = GradedMap.from_columns(quot.space, ms, [mu_plain.apply(s) for s in quot.section])
     nu = GradedMap.from_columns(quot.space, ns, [nu_plain.apply(s) for s in quot.section])
 
@@ -291,16 +287,20 @@ def adjoint_tensor_square(P: LieSuperAlgebra) -> TensorProduct:
 
 def induced_tensor_map(src: TensorProduct, dst: TensorProduct,
                        f_m: GradedMap, f_n: GradedMap) -> GradedMap:
-    """The map src -> dst induced by an action-preserving pair (f_m, f_n)."""
-    cols = []
-    for s in src.quotient.section:
+    """The map src -> dst induced by an action-preserving pair (f_m, f_n):
+    f_m (x) f_n on the plain tensor products, certified by
+    :func:`~superlie.algebras.induced_map` to carry D(src) into D(dst)."""
+    images_m = [f_m.apply({i: 1}) for i in range(src.m.dim)]
+    images_n = [f_n.apply({j: 1}) for j in range(src.n.dim)]
+
+    def plain(v: dict) -> dict:
         out: dict = {}
-        for t, c in s.items():
+        for t, c in v.items():
             i, j = divmod(t, src.n.dim)
-            img = tensor_vec(dst.m.space, dst.n.space, f_m.apply({i: 1}), f_n.apply({j: 1}))
-            vec_axpy(out, c, img)
-        cols.append(dst.quotient.reduce(out))
-    return GradedMap.from_columns(src.algebra.space, dst.algebra.space, cols)
+            vec_axpy(out, c, tensor_vec(dst.m.space, dst.n.space, images_m[i], images_n[j]))
+        return out
+
+    return induced_map(src.quotient, dst.quotient, plain)
 
 
 def tensor_symmetry_iso(t: TensorProduct) -> tuple[GradedMap, TensorProduct]:
@@ -319,11 +319,7 @@ def tensor_symmetry_iso(t: TensorProduct) -> tuple[GradedMap, TensorProduct]:
             out[idx] = out.get(idx, 0) + sgn * c
         return out
 
-    for d in t.d_generators.rows:
-        if swapped.quotient.reduce(swap_plain(d)):
-            raise BracketNotWellDefined("symmetry map does not descend to the quotients")
-    cols = [swapped.quotient.reduce(swap_plain(s)) for s in t.quotient.section]
-    iso = GradedMap.from_columns(t.algebra.space, swapped.algebra.space, cols)
+    iso = induced_map(t.quotient, swapped.quotient, swap_plain)
     if iso.matrix.rank() != t.algebra.dim or t.algebra.dim != swapped.algebra.dim:
         raise BracketNotWellDefined("symmetry map is not bijective")
     if next(hom_defects(iso, t.algebra, swapped.algebra), None):
@@ -336,67 +332,6 @@ def trivial_action_tensor(M: LieSuperAlgebra, N: LieSuperAlgebra) -> SuperSpace:
     mab, _ = abelianization(M)
     nab, _ = abelianization(N)
     return tensor_space(mab.space, nab.space)
-
-
-@dataclass
-class ExactnessNode:
-    at: str
-    image_dim: int
-    kernel_dim: int
-    ok: bool
-
-
-@dataclass
-class RightExactnessReport:
-    ok: bool
-    middle: ExactnessNode
-    right: ExactnessNode
-    dims: dict
-
-
-def right_exactness_check(M: LieSuperAlgebra, K: Subspace) -> RightExactnessReport:
-    """Certify exactness of (K(x)M) x| (M(x)K) -> M(x)M -> (M/K)(x)(M/K) -> 0."""
-    if not is_graded_ideal(M, K):
-        raise NotAnIdeal("right exactness requires a graded ideal")
-    kview = subalgebra_on(M, K, name="K")
-    kalg = kview.algebra
-    # mutual bracket actions: M on K, and K on M through the inclusion
-    act_mk, act_km = crossed_pullback_actions(ideal_crossed(M, kview))
-
-    t_km = nonabelian_tensor(kalg, M, act_km, act_mk)
-    t_mk = nonabelian_tensor(M, kalg, act_mk, act_km)
-    t_mm = adjoint_tensor_square(M)
-    Q, proj = quotient_algebra(M, K, name="M/K")
-    t_qq = adjoint_tensor_square(Q)
-
-    incl = kview.inclusion
-    ident = GradedMap.identity(M.space)
-    f_km = induced_tensor_map(t_km, t_mm, incl, ident)
-    f_mk = induced_tensor_map(t_mk, t_mm, ident, incl)
-    f_qq = induced_tensor_map(t_mm, t_qq, proj, proj)
-
-    # the printed left node is the semidirect product of M(x)K acting on K(x)M
-    # through nu: M(x)K -> K, included in M
-    sd_action = pullback_action(t_km.action_m, t_mk.algebra, incl.compose(t_mk.nu))
-    sd = semidirect(sd_action, name="(K(x)M) x| (M(x)K)")
-
-    alpha_cols = [f_km.matrix.cols[v] for v in range(t_km.algebra.dim)]
-    alpha_cols += [f_mk.matrix.cols[w] for w in range(t_mk.algebra.dim)]
-    alpha = GradedMap.from_columns(sd.space, t_mm.algebra.space, alpha_cols)
-
-    im_alpha = alpha.image()
-    ker_f = f_qq.kernel()
-    middle = ExactnessNode("M(x)M", im_alpha.dim, ker_f.dim, im_alpha == ker_f)
-    im_f = f_qq.image()
-    right = ExactnessNode("(M/K)(x)(M/K)", im_f.dim, t_qq.algebra.dim,
-                          im_f.dim == t_qq.algebra.dim)
-    dims = {
-        "K(x)M": t_km.algebra.dim,
-        "M(x)K": t_mk.algebra.dim,
-        "M(x)M": t_mm.algebra.dim,
-        "(M/K)(x)(M/K)": t_qq.algebra.dim,
-    }
-    return RightExactnessReport(middle.ok and right.ok, middle, right, dims)
 
 
 @dataclass
@@ -525,19 +460,12 @@ def nonabelian_exterior(t: TensorProduct, cm_m: CrossedModule,
     center = t.algebra.center()
     if not center.contains(square):
         raise BracketNotWellDefined("square ideal is not central in the product")
-    mu_kill = all(not vec_clean(t.mu.apply(r)) for r in square.rows)
-    nu_kill = all(not vec_clean(t.nu.apply(r)) for r in square.rows)
-    if not (mu_kill and nu_kill):
-        raise BracketNotWellDefined("edge maps do not descend to the exterior product")
 
     algebra, proj = quotient_algebra(t.algebra, square,
                                      name=f"{M.name or 'M'}(^){N.name or 'N'}")
-    # descend mu, nu through the section
-    section = proj.quotient.section
-    mu_cols = [vec_clean(t.mu.apply(s)) for s in section]
-    nu_cols = [vec_clean(t.nu.apply(s)) for s in section]
-    mu = GradedMap.from_columns(algebra.space, M.space, mu_cols)
-    nu = GradedMap.from_columns(algebra.space, N.space, nu_cols)
+    # the edge maps descend: both kill the square ideal
+    mu = induced_map(proj.quotient, M.space, t.mu.apply)
+    nu = induced_map(proj.quotient, N.space, t.nu.apply)
     return ExteriorProduct(t, square, algebra, proj, mu, nu)
 
 

@@ -6,6 +6,11 @@ degree-2 comparison lemma.  V(A) is compared with the slot-by-slot oracle
 over Q, F3, F5 and F7; the helper rebuilds ordinary quotient algebras;
 and two mutations must trip its certificates: a left edge map that misses
 one row of the bottom, and a symmetric pair.
+
+The matching construction for linear maps, :func:`superlie.algebras.induced_map`,
+must refuse a map that misses one row of the bottom, into a quotient and
+into a plain space, and :func:`superlie.tensor.induced_tensor_map` must
+refuse a pair of maps that does not preserve the actions.
 """
 
 from functools import partial
@@ -19,6 +24,7 @@ from superlie.algebras import (
     factored_quotient_algebra,
     ground_assoc,
     heisenberg,
+    induced_map,
     lie_from_assoc,
     matrix_assoc,
     matrix_gl,
@@ -28,9 +34,9 @@ from superlie.algebras import (
 )
 from superlie.cyclic import dual_numbers, grassmann_line, hc1_kernel_model, v_algebra
 from superlie.fields import Field
-from superlie.linalg import Matrix, Subquotient, Subspace, vec_axpy
-from superlie.spaces import tensor_vec
-from superlie.tensor import adjoint_tensor_square
+from superlie.linalg import ContainmentError, Matrix, Subquotient, Subspace, vec_axpy
+from superlie.spaces import GradedMap, tensor_vec
+from superlie.tensor import adjoint_tensor_square, induced_tensor_map
 
 PRIMES = (None, 3, 5, 7)
 ASSOC = {
@@ -83,24 +89,36 @@ def bracket_map(L: LieSuperAlgebra) -> Matrix:
 
 
 def quotients(name: str, p):
-    """(q, the bracket map, pair, the production algebra on q)."""
+    """(q, the bracket map, pair, the production algebra on q, the space
+    the bracket map lands in)."""
     F = Field(p)
     if name == "sl(2|1) (x) sl(2|1)":
         L = matrix_sl(2, 1, ground_assoc(F)).algebra
         t = adjoint_tensor_square(L)
-        return t.quotient, bracket_map(L), partial(tensor_vec, L.space, L.space), t.algebra
+        return (t.quotient, bracket_map(L), partial(tensor_vec, L.space, L.space), t.algebra,
+                L.space)
     A = matrix_assoc(1, 1, grassmann_line(F))
     L = lie_from_assoc(A)
     return (hc1_kernel_model(A).quotient, bracket_map(L), partial(tensor_vec, A.space, A.space),
-            v_algebra(A).algebra)
+            v_algebra(A).algebra, L.space)
 
 
-CASES = [(name, p) for name in ("sl(2|1) (x) sl(2|1)", "V(M(1|1, L1))") for p in (None, 5)]
+NAMES = ("sl(2|1) (x) sl(2|1)", "V(M(1|1, L1))")
+CASES = [(name, p) for name in NAMES for p in (None, 5)]
+
+
+def one_row_functional(q):
+    """A linear functional on the parent of q that kills every row of the
+    bottom of q but the last."""
+    field, dim, rows = q.field, q.ambient, q.bottom.rows
+    rest = Subquotient(Subspace.full(field, dim), Subspace(field, dim, rows[:-1]))
+    k = min(rest.reduce(rows[-1]))
+    return lambda v: rest.reduce(v).get(k, 0)
 
 
 @pytest.mark.parametrize("name, p", CASES)
 def test_edge_maps_rebuild_the_production_bracket(name, p):
-    q, edge, pair, algebra = quotients(name, p)
+    q, edge, pair, algebra, _ = quotients(name, p)
     assert factored_quotient_algebra(q, edge, edge, pair).table == algebra.table
 
 
@@ -108,17 +126,57 @@ def test_edge_maps_rebuild_the_production_bracket(name, p):
 def test_a_left_edge_map_that_misses_one_row_is_refused(name, p):
     """left = alpha + phi(-) e_0, phi a functional that kills every row of
     the bottom but the last: left kills all rows of D except one."""
-    q, edge, pair, _ = quotients(name, p)
-    field, dim, rows = q.field, q.ambient, q.bottom.rows
-    rest = Subquotient(Subspace.full(field, dim), Subspace(field, dim, rows[:-1]))
-    k = min(rest.reduce(rows[-1]))
+    q, edge, pair, _, _ = quotients(name, p)
+    phi = one_row_functional(q)
     cols = []
     for t, col in enumerate(edge.cols):
         col = dict(col)
-        vec_axpy(col, rest.reduce({t: 1}).get(k, 0), {0: 1})
+        vec_axpy(col, phi({t: 1}), {0: 1})
         cols.append(col)
     with pytest.raises(BracketNotWellDefined, match="edge map does not annihilate"):
-        factored_quotient_algebra(q, Matrix(field, edge.nrows, cols), edge, pair)
+        factored_quotient_algebra(q, Matrix(q.field, edge.nrows, cols), edge, pair)
+
+
+@pytest.mark.parametrize("target", ("quotient", "plain"))
+@pytest.mark.parametrize("p", PRIMES)
+@pytest.mark.parametrize("name", NAMES)
+def test_an_induced_map_that_misses_one_row_is_refused(name, p, target):
+    """f = g + phi(-) w, with g carrying the bottom of q into the target's
+    bottom (the identity of q, or the bracket map, which kills it), phi
+    the functional above and w outside the target's bottom: f misses
+    exactly one row of the bottom.  g itself is accepted."""
+    q, edge, _, _, space = quotients(name, p)
+    if target == "quotient":
+        dst, g, w = q, dict, q.section[0]
+    else:
+        dst, g, w = space, edge.apply, {0: 1}
+    induced_map(q, dst, g)
+    phi = one_row_functional(q)
+
+    def f(v: dict) -> dict:
+        out = g(v)
+        vec_axpy(out, phi(v), w)
+        return out
+
+    with pytest.raises(ContainmentError):
+        induced_map(q, dst, f)
+
+
+@pytest.mark.parametrize("p", PRIMES)
+@pytest.mark.parametrize("slot", ("left", "right"))
+def test_an_induced_tensor_map_of_a_non_homomorphism_is_refused(slot, p):
+    """x -> x, y -> 0, z -> z on heis does not preserve [x, y] = z; paired
+    with the identity in either slot, f (x) g does not carry D(heis, heis)
+    into itself.  The identity pair induces the identity."""
+    H = heisenberg(Field(p))
+    t = adjoint_tensor_square(H)
+    ident = GradedMap.identity(H.space)
+    assert induced_tensor_map(t, t, ident, ident).matrix.cols == \
+        GradedMap.identity(t.algebra.space).matrix.cols
+    kill_y = GradedMap.from_columns(H.space, H.space, [{0: 1}, {}, {2: 1}])
+    pair = (kill_y, ident) if slot == "left" else (ident, kill_y)
+    with pytest.raises(ContainmentError):
+        induced_tensor_map(t, t, *pair)
 
 
 @pytest.mark.parametrize("p", PRIMES)

@@ -13,6 +13,7 @@ from superlie.algebras import (
 )
 from superlie.fields import QQ
 from superlie.freelie import free_nilpotent, genset
+from superlie.homology import right_exactness_check
 from superlie.linalg import Subspace
 from superlie.spaces import SuperSpace
 from superlie.tensor import (
@@ -22,7 +23,6 @@ from superlie.tensor import (
     exterior_square,
     nilpotency_bounds_check,
     nonabelian_tensor,
-    right_exactness_check,
     tensor_symmetry_iso,
     trivial_action_tensor,
     uce,
