@@ -91,6 +91,19 @@ class LieSuperAlgebra:
         self._tensor_square = None
         self._exterior_square = None
 
+    @classmethod
+    def from_bracket(cls, space: SuperSpace, bracket, name: str = "") -> "LieSuperAlgebra":
+        """The algebra on ``space`` whose structure constants are
+        ``bracket(a, b)`` on basis indices, evaluated on the stored pairs
+        only (a < b, and a = b for odd a); the zero values are dropped."""
+        par, n = space.parities, space.dim
+        table = {}
+        for a in range(n):
+            for b in range(a + 1 - par[a], n):
+                if v := bracket(a, b):
+                    table[(a, b)] = v
+        return cls(space, table, name=name)
+
     @property
     def dim(self) -> int:
         return self.space.dim
@@ -377,23 +390,15 @@ def heisenberg(field: Field) -> LieSuperAlgebra:
 
 
 def lie_from_assoc(A: AssocSuperAlgebra, name: str = "") -> LieSuperAlgebra:
-    """The Lie superalgebra on A with the graded commutator bracket."""
+    """The Lie superalgebra on A with the graded commutator bracket
+    [a, b] = ab - (-1)^{|a||b|} ba, which is 2a^2 for odd a = b."""
     par = A.space.parities
-    table: dict[tuple[int, int], dict] = {}
-    for i in range(A.dim):
-        for j in range(i, A.dim):
-            if i == j:
-                if par[i] == 0:
-                    continue
-                v = vec_scale(A.product_basis(i, i), 2)
-            else:
-                # [a,b] = ab - (-1)^{|a||b|} ba
-                sgn = -1 if par[i] * par[j] else 1
-                v = vec_sub(A.product_basis(i, j), vec_scale(A.product_basis(j, i), sgn))
-            v = vec_clean(v)
-            if v:
-                table[(i, j)] = v
-    return LieSuperAlgebra(A.space, table, name=name or (A.name and f"lie({A.name})"))
+
+    def bracket(i: int, j: int) -> dict:
+        sgn = -1 if par[i] * par[j] else 1
+        return vec_sub(A.product_basis(i, j), vec_scale(A.product_basis(j, i), sgn))
+
+    return LieSuperAlgebra.from_bracket(A.space, bracket, name=name or (A.name and f"lie({A.name})"))
 
 
 def ground_assoc(field: Field) -> AssocSuperAlgebra:
@@ -507,38 +512,29 @@ class SeriesReport:
     is_perfect: bool
 
 
+def _descent(start: Subspace, step) -> list[Subspace]:
+    """start, step(start), step(step(start)), ... up to the first term that
+    is 0 or that ``step`` no longer shrinks."""
+    terms = [start]
+    while terms[-1].dim:
+        nxt = step(terms[-1])
+        if nxt.dim == terms[-1].dim:
+            break
+        terms.append(nxt)
+    return terms
+
+
 def series(L: LieSuperAlgebra) -> SeriesReport:
     full = L.full_subspace()
-    lower = [full]
-    while True:
-        nxt = L.product_subspace(full, lower[-1])
-        if nxt.dim == lower[-1].dim:
-            break
-        lower.append(nxt)
-        if nxt.dim == 0:
-            break
-    derived = [full]
-    while True:
-        nxt = L.product_subspace(derived[-1], derived[-1])
-        if nxt.dim == derived[-1].dim:
-            break
-        derived.append(nxt)
-        if nxt.dim == 0:
-            break
-    nil_class = len(lower) - 1 if lower[-1].dim == 0 else None
-    if L.dim == 0:
-        nil_class = 0
-    der_length = len(derived) - 1 if derived[-1].dim == 0 else None
-    if L.dim == 0:
-        der_length = 0
-    gamma2 = L.product_subspace(full, full)
+    lower = _descent(full, lambda s: L.product_subspace(full, s))
+    derived = _descent(full, lambda s: L.product_subspace(s, s))
     return SeriesReport(
         lower_central=lower,
         derived=derived,
         center=L.center(),
-        nil_class=nil_class,
-        derived_length=der_length,
-        is_perfect=(gamma2.dim == L.dim),
+        nil_class=len(lower) - 1 if lower[-1].dim == 0 else None,
+        derived_length=len(derived) - 1 if derived[-1].dim == 0 else None,
+        is_perfect=len(lower) == 1,
     )
 
 
@@ -591,17 +587,14 @@ def subalgebra_on(L: LieSuperAlgebra, S: Subspace, name: str = "") -> AlgebraVie
             raise NotAnIdeal("subspace is not spanned by homogeneous vectors")
         basis.append((f"{L.space.labels[min(r)]}'", par))
     sp = superspace(L.field, basis)
-    table: dict[tuple[int, int], dict] = {}
-    for a in range(len(rows)):
-        for b in range(a, len(rows)):
-            if a == b and sp.parities[a] == 0:
-                continue
-            v = S.coords(L.bracket(rows[a], rows[b]))
-            if v is None:
-                raise NotAnIdeal("subspace is not closed under the bracket")
-            if v:
-                table[(a, b)] = v
-    alg = LieSuperAlgebra(sp, table, name=name)
+
+    def bracket(a: int, b: int) -> dict:
+        v = S.coords(L.bracket(rows[a], rows[b]))
+        if v is None:
+            raise NotAnIdeal("subspace is not closed under the bracket")
+        return v
+
+    alg = LieSuperAlgebra.from_bracket(sp, bracket, name=name)
     incl = GradedMap.from_columns(sp, L.space, [dict(r) for r in rows])
     return AlgebraView(alg, incl, S)
 
@@ -650,21 +643,6 @@ class Projection(GradedMap):
         self.quotient = quotient
 
 
-def quotient_table(q: QuotientSpace, bracket) -> dict[tuple[int, int], dict]:
-    """Structure constants on the section basis of q of a bracket of the
-    parent that preserves the bottom of q."""
-    section, parities = q.section, q.space.parities
-    table: dict[tuple[int, int], dict] = {}
-    for a, u in enumerate(section):
-        for b in range(a, len(section)):
-            if a == b and parities[a] == 0:
-                continue
-            v = q.reduce(bracket(u, section[b]))
-            if v:
-                table[(a, b)] = v
-    return table
-
-
 def induced_action_table(q: QuotientSpace, actor_dim: int, act) -> dict[tuple[int, int], dict]:
     """Action constants on the section basis of q of ``act(a, v)``, the
     action of basis element a on parent vectors, which preserves the bottom.
@@ -703,6 +681,9 @@ def factored_quotient_algebra(q: QuotientSpace, left: Matrix, right: Matrix, pai
     for d in q.bottom.rows:
         if left.apply(d) or right.apply(d):
             raise BracketNotWellDefined("edge map does not annihilate D(M, N)")
+    # not LieSuperAlgebra.from_bracket: the loop also certifies
+    # 2 B(s_a, s_a) in D for even a, a pair from_bracket never visits, and
+    # evaluates each B(s_a, s_b) once for the certificate and the table
     section, spar = q.section, q.space.parities
     table: dict[tuple[int, int], dict] = {}
     for a, u in enumerate(section):
@@ -758,8 +739,9 @@ def quotient_algebra(L: LieSuperAlgebra, I: Subspace, name: str = "") -> tuple[L
     if not is_graded_ideal(L, I):
         raise NotAnIdeal("quotient requires a graded ideal")
     q = QuotientSpace(L.space, L.full_subspace(), I, lambda k, lead: f"[{lead}]")
-    alg = LieSuperAlgebra(q.space, quotient_table(q, L.bracket),
-                          name=name or (L.name and f"{L.name}/I"))
+    section = q.section
+    alg = LieSuperAlgebra.from_bracket(q.space, lambda a, b: q.reduce(L.bracket(section[a], section[b])),
+                                       name=name or (L.name and f"{L.name}/I"))
     return alg, Projection(q)
 
 

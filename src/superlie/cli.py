@@ -53,6 +53,7 @@ from .homology import (
 )
 from .io import ParseError, dumps_canonical, load_algebra, load_crossed, load_json, load_presentation, parse_action, parse_module
 from .linalg import ContainmentError
+from .spaces import format_dims
 from .suites import SUITES, run_suite
 from .tensor import (
     BracketNotWellDefined,
@@ -67,10 +68,6 @@ from .tensor import (
 MATH_ERRORS = (IncompatibleActions, NotPerfect, NotUnital, BracketNotWellDefined,
                ComplexInconsistent, ClassExceeded, DegreeOverflow, ContainmentError,
                FieldUnsupported)
-
-
-def _fmt(dims) -> str:
-    return f"({dims[0]}|{dims[1]})"
 
 
 def resolve_path(arg: str) -> Path:
@@ -206,20 +203,20 @@ def cmd_tensor(args) -> int:
     rep.result("[M,N]^N", im_nu)
     rep.result("ker_mu", ker_mu)
     rep.result("ker_nu", ker_nu)
-    rep.line(f"M (x) N: dim {_fmt(dims)}; certified (bracket kills D, crossed modules pass)")
-    rep.line(f"[M,N]^M: dim {_fmt(im_mu)}   [M,N]^N: dim {_fmt(im_nu)}")
-    rep.line(f"Ker mu: dim {_fmt(ker_mu)}   Ker nu: dim {_fmt(ker_nu)}")
+    rep.line(f"M (x) N: dim {format_dims(dims)}; certified (bracket kills D, crossed modules pass)")
+    rep.line(f"[M,N]^M: dim {format_dims(im_mu)}   [M,N]^N: dim {format_dims(im_nu)}")
+    rep.line(f"Ker mu: dim {format_dims(ker_mu)}   Ker nu: dim {format_dims(ker_nu)}")
     if args.exterior:
         ext = exterior_square(M)
         square = t.algebra.space.split_dims(ext.square.rows)
         rep.result("square_ideal", square)
         rep.result("exterior_dim", ext.algebra.space.dim_pair)
-        rep.line(f"M square M: dim {_fmt(square)}   "
-                 f"M (^) M: dim {_fmt(ext.algebra.space.dim_pair)}")
+        rep.line(f"M square M: dim {format_dims(square)}   "
+                 f"M (^) M: dim {format_dims(ext.algebra.space.dim_pair)}")
     if args.uce:
         ce = uce(M)
         rep.result("uce_kernel", ce.kernel_dims)
-        rep.line(f"universal central extension kernel (= H2): dim {_fmt(ce.kernel_dims)}")
+        rep.line(f"universal central extension kernel (= H2): dim {format_dims(ce.kernel_dims)}")
     return rep.emit(args.out, 0)
 
 
@@ -249,7 +246,7 @@ def cmd_homology(args) -> int:
     for n in range(max_n + 1):
         r = homology(P, module, n, complex_=cx)
         dims_table.append(r.dims)
-        rep.line(f"H{n}: dim {_fmt(r.dims)}")
+        rep.line(f"H{n}: dim {format_dims(r.dims)}")
     rep.result("homology", dims_table)
     status = 0
     if args.hopf:
@@ -260,7 +257,7 @@ def cmd_homology(args) -> int:
         chain = homology(hres.presented, None, 2)
         agree = hres.dims == chain.dims
         rep.result("hopf", {"formula": hres.dims, "chain": chain.dims, "agree": agree})
-        rep.line(f"Hopf formula: {_fmt(hres.dims)}   chain H2: {_fmt(chain.dims)}   "
+        rep.line(f"Hopf formula: {format_dims(hres.dims)}   chain H2: {format_dims(chain.dims)}   "
                  f"{'agree' if agree else 'DISAGREE'}")
         if not agree:
             status = 1
@@ -282,7 +279,7 @@ def cmd_homology(args) -> int:
         r = nh(cm.p, cm)
         rep.result("nh0", r.nh0.dims)
         rep.result("nh1", r.nh1.dims)
-        rep.line(f"nh0: dim {_fmt(r.nh0.dims)}   nh1: dim {_fmt(r.nh1.dims)}")
+        rep.line(f"nh0: dim {format_dims(r.nh0.dims)}   nh1: dim {format_dims(r.nh1.dims)}")
     return rep.emit(args.out, status)
 
 
@@ -306,9 +303,9 @@ def cmd_cyclic(args) -> int:
     rep.result("HC1", h1.dims)
     rep.result("HC1_kernel_model", km_dims)
     rep.result("HC1_milnor", mil_dims)
-    rep.line(f"HC0: dim {_fmt(h0.dims)}")
-    rep.line(f"HC1: dim {_fmt(h1.dims)} (kernel model {_fmt(km_dims)})")
-    rep.line(f"Milnor HC1: dim {_fmt(mil_dims)}")
+    rep.line(f"HC0: dim {format_dims(h0.dims)}")
+    rep.line(f"HC1: dim {format_dims(h1.dims)} (kernel model {format_dims(km_dims)})")
+    rep.line(f"Milnor HC1: dim {format_dims(mil_dims)}")
     status = 0
     if h1.dims != km_dims:
         rep.line("HC1 cross-path MISMATCH")
@@ -323,7 +320,7 @@ def cmd_cyclic(args) -> int:
         rep.result("sixterm_dims", st.report.dims)
         rep.line("six-term sequence: " + ("exact" if st.ok else "NOT exact"))
         for label, dims in st.table:
-            rep.line(f"  {label}: dim {_fmt(dims)}")
+            rep.line(f"  {label}: dim {format_dims(dims)}")
         for ident, ok in st.identifications:
             rep.line(f"  {ident}: {'ok' if ok else 'FAIL'}")
         if not st.ok:

@@ -24,7 +24,12 @@ alpha(a (x) b) = [a, b], the edge map of the crossed module:
 alpha kills I(A), so the bracket descends in both slots.  It is built by
 :func:`~superlie.algebras.factored_quotient_algebra`, which certifies that
 alpha kills I(A), that the bracket is antisymmetric on classes, and the
-Lie axioms.
+Lie axioms.  A acts on V(A) by the adjoint action on both factors,
+
+  a.(x (x) y) = [a, x] (x) y + (-1)^{|a||x|} x (x) [a, y],
+
+which is :func:`~superlie.actions.tensor_action`; each induced value is
+checked to equal the class of a (x) alpha(x (x) y) = a (x) [x, y].
 """
 
 from __future__ import annotations
@@ -32,7 +37,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import partial
 
-from .actions import Action, CrossedModule, check_crossed, ideal_crossed, trivial_action
+from .actions import (
+    Action,
+    CrossedModule,
+    adjoint_action,
+    check_crossed,
+    ideal_crossed,
+    tensor_action,
+    trivial_action,
+)
 from .algebras import (
     AssocSuperAlgebra,
     LieSuperAlgebra,
@@ -58,7 +71,6 @@ from .linalg import (
     Echelon,
     Matrix,
     Subspace,
-    vec_axpy,
     vec_clean,
     vec_sub,
 )
@@ -325,21 +337,14 @@ def v_algebra(A: AssocSuperAlgebra) -> VAlgebra:
                                         partial(tensor_vec, A.space, A.space),
                                         name=f"V({A.name or 'A'})")
 
-    # action of A on V(A): a.(x (x) y) = [a,x] (x) y + (-1)^{|a||x|} x (x) [a,y],
+    # the action of A on V(A) is the adjoint action on both tensor factors,
     # certified to coincide with a (x) [x,y] on the quotient
-    par = A.space.parities
+    adj = adjoint_action(lie)
+    tensor_act = tensor_action(adj, adj)
 
     def act(p: int, v: dict) -> dict:
-        out: dict = {}
-        direct: dict = {}
-        for idx, c in v.items():
-            x, y = divmod(idx, d)
-            g = tensor_vec(A.space, A.space, lie.bracket_basis(p, x), {y: 1})
-            s = -1 if par[p] * par[x] else 1
-            vec_axpy(g, s, tensor_vec(A.space, A.space, {x: 1}, lie.bracket_basis(p, y)))
-            vec_axpy(out, c, g)
-            vec_axpy(direct, c, tensor_vec(A.space, A.space, {p: 1}, lie.bracket_basis(x, y)))
-        if quot.reduce(vec_sub(out, direct)):
+        out = tensor_act(p, v)
+        if quot.reduce(vec_sub(out, tensor_vec(A.space, A.space, {p: 1}, km.commutator.apply(v)))):
             raise ComplexInconsistent("the action of A on V(A) has two unequal forms")
         return out
 

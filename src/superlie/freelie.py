@@ -182,6 +182,9 @@ class FreeTruncation:
                 parities.append(par)
                 basis_info.append((k, t))
         sp = SuperSpace(field, tuple(labels), tuple(parities))
+        # not LieSuperAlgebra.from_bracket: the pairs above the class bound
+        # are pruned here before any work, and a call per pair would add up
+        # over the tens of thousands of pairs of a class-4 cover
         table: dict[tuple[int, int], dict] = {}
         n = len(labels)
         for a in range(n):

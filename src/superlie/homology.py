@@ -94,6 +94,7 @@ from .linalg import (
     Subspace,
     vec_axpy,
     vec_clean,
+    vec_sub,
 )
 from .spaces import (
     GradedMap,
@@ -566,17 +567,13 @@ class CrossedSES:
         diff = dn_g.matrix.add(self.m.boundary.matrix.scale(-1))
         if not diff.is_zero():
             raise ValueError("boundaries are not compatible with the right map")
-        for p in range(self.p.dim):
-            for i in range(self.l.m.dim):
-                lhs = self.f.apply(self.l.action.act_basis(p, i))
-                rhs = self.m.action.act({p: 1}, self.f.apply({i: 1}))
-                if vec_clean({k: lhs.get(k, 0) - rhs.get(k, 0) for k in set(lhs) | set(rhs)}):
-                    raise ValueError("left map is not equivariant")
-            for i in range(self.m.m.dim):
-                lhs = self.g.apply(self.m.action.act_basis(p, i))
-                rhs = self.n.action.act({p: 1}, self.g.apply({i: 1}))
-                if vec_clean({k: lhs.get(k, 0) - rhs.get(k, 0) for k in set(lhs) | set(rhs)}):
-                    raise ValueError("right map is not equivariant")
+        for h, src, dst, side in ((self.f, self.l, self.m, "left"),
+                                  (self.g, self.m, self.n, "right")):
+            for p in range(self.p.dim):
+                for i in range(src.m.dim):
+                    lhs = h.apply(src.action.act_basis(p, i))
+                    if vec_clean(vec_sub(lhs, dst.action.act({p: 1}, h.apply({i: 1})))):
+                        raise ValueError(f"{side} map is not equivariant")
 
 
 @dataclass

@@ -42,9 +42,6 @@ class SuperSpace:
         odd = sum(self.parities)
         return (self.dim - odd, odd)
 
-    def index(self, label: str) -> int:
-        return self.labels.index(label)
-
     def parity_of_vec(self, v: dict) -> int | None:
         """Parity if v is homogeneous (0 for the zero vector), else None."""
         ps = {self.parities[i] for i in vec_clean(v)}
@@ -68,7 +65,12 @@ class SuperSpace:
         return (d0, d1)
 
     def __str__(self):
-        return f"({self.dim_pair[0]}|{self.dim_pair[1]})"
+        return format_dims(self.dim_pair)
+
+
+def format_dims(dims: tuple[int, int]) -> str:
+    """(even, odd) dimensions as ``(e|o)``."""
+    return f"({dims[0]}|{dims[1]})"
 
 
 def superspace(field: Field, basis: list[tuple[str, int]]) -> SuperSpace:

@@ -36,7 +36,7 @@ from .homology import (
     snake_sequence,
 )
 from .linalg import Subspace
-from .spaces import GradedMap, SuperSpace
+from .spaces import GradedMap, SuperSpace, format_dims
 from .tensor import (
     adjoint_tensor_square,
     nonabelian_tensor,
@@ -47,10 +47,6 @@ from .tensor import (
 )
 
 Row = tuple[str, bool, str]
-
-
-def _fmt(dims) -> str:
-    return f"({dims[0]}|{dims[1]})"
 
 
 def _compatible_products():
@@ -69,7 +65,7 @@ def suite_tensor_props() -> list[Row]:
     for label, t in _compatible_products():
         # construction certifies annihilation, antisymmetry, Lie axioms, crossed modules
         rows.append((f"{label}: well-defined, (mu),(nu) crossed", True,
-                     f"dim {_fmt(t.algebra.space.dim_pair)}"))
+                     f"dim {format_dims(t.algebra.space.dim_pair)}"))
         iso, swapped = tensor_symmetry_iso(t)
         rows.append((f"{label}: symmetry iso", True,
                      f"dim {t.algebra.dim} = {swapped.algebra.dim}"))
@@ -77,7 +73,7 @@ def suite_tensor_props() -> list[Row]:
             sp = trivial_action_tensor(t.m, t.n)
             ok = sp.dim_pair == t.algebra.space.dim_pair and t.algebra.is_abelian()
             rows.append((f"{label}: equals Mab (x) Nab, abelian", ok,
-                         f"{_fmt(sp.dim_pair)} vs {_fmt(t.algebra.space.dim_pair)}"))
+                         f"{format_dims(sp.dim_pair)} vs {format_dims(t.algebra.space.dim_pair)}"))
     return rows
 
 
@@ -114,7 +110,7 @@ def suite_uce() -> list[Row]:
         ext = h2_via_exterior(P)
         ok = ce.kernel_dims == chain.dims == ext.dims
         rows.append((f"uce triangle {name}", ok,
-                     f"ker {_fmt(ce.kernel_dims)} chain {_fmt(chain.dims)} wedge {_fmt(ext.dims)}"))
+                     f"ker {format_dims(ce.kernel_dims)} chain {format_dims(chain.dims)} wedge {format_dims(ext.dims)}"))
     return rows
 
 
@@ -124,7 +120,7 @@ def suite_d3_lemma() -> list[Row]:
         P = lie_algebra(name)
         rep = d3_lemma_check(P)
         rows.append((f"d3 lemma {name}", rep.ok,
-                     rep.details or f"dims {_fmt(rep.lhs_dims)}"))
+                     rep.details or f"dims {format_dims(rep.lhs_dims)}"))
     return rows
 
 
@@ -142,7 +138,7 @@ def suite_hopf() -> list[Row]:
         chain = homology(hres.presented, None, 2)
         ok = hres.dims == chain.dims
         rows.append((f"hopf {label}", ok,
-                     f"hopf {_fmt(hres.dims)} chain {_fmt(chain.dims)}"))
+                     f"hopf {format_dims(hres.dims)} chain {format_dims(chain.dims)}"))
     return rows
 
 
@@ -202,7 +198,7 @@ def suite_snake() -> list[Row]:
     rows: list[Row] = []
     for label, ses in standard_crossed_ses():
         rep = snake_sequence(ses)
-        dims = " ".join(_fmt(d) for d in rep.dims)
+        dims = " ".join(format_dims(d) for d in rep.dims)
         rows.append((f"snake {label}", rep.ok, dims))
     return rows
 
@@ -212,7 +208,7 @@ def suite_cyclic_sixterm() -> list[Row]:
     for name in ("q", "dual", "grassmann", "m11"):
         A = assoc_algebra(name)
         st = cyclic_sixterm(A)
-        dims = " ".join(_fmt(d) for d in st.report.dims)
+        dims = " ".join(format_dims(d) for d in st.report.dims)
         rows.append((f"cyclic six-term {name}", st.ok, dims))
         for ident, ok in st.identifications:
             rows.append((f"  {name}: {ident}", ok, ""))
@@ -224,12 +220,12 @@ def suite_final_sixterm() -> list[Row]:
     h = lie_algebra("heis")
     rep = ideal_sixterm(h, series(h).center)
     rows.append(("six-term heis / center", rep.ok,
-                 " ".join(_fmt(d) for d in rep.dims)))
+                 " ".join(format_dims(d) for d in rep.dims)))
     gl = lie_algebra("gl11")
     slpart = gl.product_subspace(gl.full_subspace(), gl.full_subspace())
     rep2 = ideal_sixterm(gl, slpart)
     rows.append(("six-term gl11 / sl-part", rep2.ok,
-                 " ".join(_fmt(d) for d in rep2.dims)))
+                 " ".join(format_dims(d) for d in rep2.dims)))
     return rows
 
 
@@ -244,7 +240,7 @@ def suite_miller() -> list[Row]:
             rep = miller_truncated_check(genset(gens), c)
             label = ",".join(f"{l}{'~' if p else ''}" for l, p in gens)
             rows.append((f"miller [{label}] c={c}", rep.ok,
-                         f"kernel {_fmt(rep.kernel_dims)} = truncated {_fmt(rep.truncation_dims)}"))
+                         f"kernel {format_dims(rep.kernel_dims)} = truncated {format_dims(rep.truncation_dims)}"))
     return rows
 
 
@@ -257,11 +253,11 @@ def suite_cyclic_crosspath() -> list[Row]:
         cx = connes(A, 2)
         a = hc(A, 1, cx).dims
         b = hc1_kernel_model(A).dims
-        rows.append((f"HC1({name}) two paths", a == b, f"{_fmt(a)} vs {_fmt(b)}"))
+        rows.append((f"HC1({name}) two paths", a == b, f"{format_dims(a)} vs {format_dims(b)}"))
         if A.is_supercommutative():
             m = milnor_hc1(A).dims
             rows.append((f"HC1({name}) = Milnor (supercommutative)", a == m,
-                         f"{_fmt(a)} vs {_fmt(m)}"))
+                         f"{format_dims(a)} vs {format_dims(m)}"))
     return rows
 
 

@@ -16,14 +16,20 @@ and the defining relations are the generator families
     (iv)  A(x, y) = -(B(x, y) + (-1)^{|x||y|} B(y, x))
     (v)   the sum over rotations of (x, y, z) of (-1)^{|x||z|} B(B(x, y), z)
 
-on basis elements.  :func:`nonabelian_tensor` generates (i) and (ii) only;
-the other three lie in their span.  M acts on T by
+on basis elements.  M acts on T by
 
     a.(m(x)n) = [a,m] (x) n + (-1)^{|a||m|} m (x) a.n,
 
-and N by b.(m(x)n) = b.m (x) n + (-1)^{|b||m|} m (x) [b,n].  The generator
-of (i) is a.x - a (x) nu(x) for x = m'(x)n, and that of (ii) is
--(-1)^{|b||x|} b.x - mu(x) (x) b for x = m(x)n.  Taking a = mu(x) and
+and N by b.(m(x)n) = b.m (x) n + (-1)^{|b||m|} m (x) [b,n]; both are
+:func:`~superlie.actions.tensor_action`, the one place that writes the
+Koszul sign of a tensor action.  :func:`nonabelian_tensor` generates (i)
+and (ii) only, in the forms
+
+    (i)   a.x - a (x) nu(x)                   for a in M, x = m'(x)n,
+    (ii)  -(-1)^{|b||x|} b.x - mu(x) (x) b    for b in N, x = m(x)n,
+
+over basis elements a, b and basis tensors x, which expand to the forms
+above; the other three families lie in their span.  Taking a = mu(x) and
 b = nu(y) gives, for homogeneous x and y,
 
     B(x, y) = mu(x).y                        mod span(i),
@@ -84,6 +90,7 @@ from .actions import (
     check_crossed,
     adjoint_action,
     identity_crossed,
+    tensor_action,
 )
 from .algebras import (
     BracketNotWellDefined,
@@ -159,34 +166,27 @@ class TensorProduct:
         return self.nu.image()
 
 
-def _family_i(M: LieSuperAlgebra, N: LieSuperAlgebra, amn: list[dict]):
-    """Generators [m,m'] (x) n - m (x) m'.n + (-1)^{|m||m'|} m' (x) m.n of
-    D(M, N), with amn[i * N.dim + j] = m_i.n_j."""
-    ms, ns, pm, dn = M.space, N.space, M.space.parities, N.dim
-    for i in range(M.dim):
-        for i2 in range(M.dim):
-            bi = M.bracket_basis(i, i2)
-            s = -1 if pm[i] * pm[i2] else 1
-            for j in range(dn):
-                g = tensor_vec(ms, ns, bi, {j: 1})
-                vec_axpy(g, -1, tensor_vec(ms, ns, {i: 1}, amn[i2 * dn + j]))
-                vec_axpy(g, s, tensor_vec(ms, ns, {i2: 1}, amn[i * dn + j]))
-                yield g
+def _family_i(act_m, nu: Matrix, ms: SuperSpace, ns: SuperSpace):
+    """Generators a.x - a (x) nu(x) of D(M, N), for basis elements a of M
+    and basis tensors x, with act_m the action of M on M (x) N."""
+    for a in range(ms.dim):
+        for t, nx in enumerate(nu.cols):
+            g = act_m(a, {t: 1})
+            vec_axpy(g, -1, tensor_vec(ms, ns, {a: 1}, nx))
+            yield g
 
 
-def _family_ii(M: LieSuperAlgebra, N: LieSuperAlgebra, anm: list[dict]):
-    """Generators m (x) [n,n'] - (-1)^{|n'|(|m|+|n|)} n'.m (x) n
-    + (-1)^{|m||n|} n.m (x) n' of D(M, N), with anm[i * N.dim + j] = n_j.m_i."""
-    ms, ns, pm, pn, dn = M.space, N.space, M.space.parities, N.space.parities, N.dim
-    for i in range(M.dim):
-        for j in range(dn):
-            for j2 in range(dn):
-                g = tensor_vec(ms, ns, {i: 1}, N.bracket_basis(j, j2))
-                s1 = -1 if pn[j2] * ((pm[i] + pn[j]) % 2) else 1
-                vec_axpy(g, -s1, tensor_vec(ms, ns, anm[i * dn + j2], {j: 1}))
-                s2 = -1 if pm[i] * pn[j] else 1
-                vec_axpy(g, s2, tensor_vec(ms, ns, anm[i * dn + j], {j2: 1}))
-                yield g
+def _family_ii(act_n, mu: Matrix, ms: SuperSpace, ns: SuperSpace):
+    """Generators -(-1)^{|b||x|} b.x - mu(x) (x) b of D(M, N), for basis
+    tensors x and basis elements b of N, with act_n the action of N on
+    M (x) N."""
+    pm, pn, dn = ms.parities, ns.parities, ns.dim
+    for t, mx in enumerate(mu.cols):
+        px = pm[t // dn] ^ pn[t % dn]
+        for b in range(dn):
+            g = vec_scale(act_n(b, {t: 1}), 1 if px & pn[b] else -1)
+            vec_axpy(g, -1, tensor_vec(ms, ns, mx, {b: 1}))
+            yield g
 
 
 def nonabelian_tensor(M: LieSuperAlgebra, N: LieSuperAlgebra,
@@ -206,11 +206,18 @@ def nonabelian_tensor(M: LieSuperAlgebra, N: LieSuperAlgebra,
     plain = tensor_space(ms, ns)
 
     pairs = [(i, j) for i in range(dm) for j in range(dn)]
-    anm = [act_nm.act_basis(j, i) for (i, j) in pairs]  # n.m in M
-    amn = [act_mn.act_basis(i, j) for (i, j) in pairs]  # m.n in N
+    # the edge maps on the plain pair basis: mu(m (x) n) = -(-1)^{|m||n|} n.m
+    # and nu(m (x) n) = m.n; the bracket is B(u, v) = mu(u) (x) nu(v)
+    mu_plain = Matrix(field, dm, [vec_scale(act_nm.act_basis(j, i), 1 if pm[i] * pn[j] else -1)
+                                  for (i, j) in pairs])
+    nu_plain = Matrix(field, dn, [act_mn.act_basis(i, j) for (i, j) in pairs])
+    # the induced actions of M and N on the plain M (x) N, which give both
+    # the relation families and the actions on classes
+    act_m = tensor_action(adjoint_action(M), act_mn)
+    act_n = tensor_action(act_nm, adjoint_action(N))
 
     acc = Echelon(field, plain.dim)
-    for g in chain(_family_i(M, N, amn), _family_ii(M, N, anm)):
+    for g in chain(_family_i(act_m, nu_plain, ms, ns), _family_ii(act_n, mu_plain, ms, ns)):
         g = field.clean(g)
         if g and not acc.contains(g):
             acc.insert(g)
@@ -218,44 +225,12 @@ def nonabelian_tensor(M: LieSuperAlgebra, N: LieSuperAlgebra,
     del acc  # its semi-reduced rows are not read again; free them before the certificates
     quot = quotient_space(plain, Subspace.full(field, plain.dim), d_sub, "t")
 
-    # the edge maps on the plain pair basis: mu(m (x) n) = -(-1)^{|m||n|} n.m
-    # and nu(m (x) n) = m.n; the bracket is B(u, v) = mu(u) (x) nu(v)
-    mu_plain = Matrix(field, dm, [vec_scale(anm[t], 1 if pm[i] * pn[j] else -1)
-                                  for t, (i, j) in enumerate(pairs)])
-    nu_plain = Matrix(field, dn, amn)
     algebra = factored_quotient_algebra(quot, mu_plain, nu_plain, partial(tensor_vec, ms, ns),
                                         name=f"{M.name or 'M'}(x){N.name or 'N'}")
     # factored_quotient_algebra has certified that mu_plain and nu_plain kill
     # D(M, N), so induced_map would only repeat that check on this hot path
     mu = GradedMap.from_columns(quot.space, ms, [mu_plain.apply(s) for s in quot.section])
     nu = GradedMap.from_columns(quot.space, ns, [nu_plain.apply(s) for s in quot.section])
-
-    # induced actions on classes:
-    #   m'.(m (x) n) = [m',m] (x) n + (-1)^{|m||m'|} m (x) m'.n
-    #   n'.(m (x) n) = n'.m (x) n + (-1)^{|m||n'|} m (x) [n',n]
-    # The sign of the second formula is the Koszul sign of n' passing m;
-    # any other choice breaks equivariance of the edge map on mixed parities
-    # (the certificates below enforce this).
-    def act_m(a: int, v: dict) -> dict:
-        out: dict = {}
-        for t, c in v.items():
-            i, j = pairs[t]
-            g = tensor_vec(ms, ns, M.bracket_basis(a, i), {j: 1})
-            sg = -1 if pm[i] * pm[a] else 1
-            vec_axpy(g, sg, tensor_vec(ms, ns, {i: 1}, act_mn.act_basis(a, j)))
-            vec_axpy(out, c, g)
-        return out
-
-    def act_n(b: int, v: dict) -> dict:
-        out: dict = {}
-        for t, c in v.items():
-            i, j = pairs[t]
-            g = tensor_vec(ms, ns, act_nm.act_basis(b, i), {j: 1})
-            sg = -1 if pm[i] * pn[b] else 1
-            vec_axpy(g, sg, tensor_vec(ms, ns, {i: 1}, N.bracket_basis(b, j)))
-            vec_axpy(out, c, g)
-        return out
-
     action_m = Action(M, algebra, induced_action_table(quot, dm, act_m))
     action_n = Action(N, algebra, induced_action_table(quot, dn, act_n))
 

@@ -19,7 +19,9 @@ identities on every basis triple, where the production code sums each
 defect from the nonzero structure and action constants only.  The
 bracket of V(A) is summed slot by slot and checked to preserve I(A) by
 bracketing every row of I(A) with every basis tensor, where the
-production code factors it through the commutator map.
+production code factors it through the commutator map.  The action on a
+tensor product fills each image densely, coefficient by coefficient,
+where the production code reads the nonzero action constants.
 The module also holds the helpers that only tests use: algebras in a
 permuted, rescaled basis, bracket actions between subalgebra views,
 relators as graded vectors, and the bundled corpus files regenerated from
@@ -430,6 +432,34 @@ def tensor_relations_oracle(M, N, act_mn, act_nm, families=FAMILIES) -> Subspace
                                 ten(M.bracket(nm[a], nm[b]), mn[c]))
                     feed(g)
     return acc.subspace()
+
+
+# ---------------------------------------------------------------------------
+# the action on a tensor product, slot by slot
+
+
+def tensor_action_oracle(left, right) -> dict[tuple[int, int], dict]:
+    """The constants {(a, t): a.(e_i (x) f_j)}, t = i * dim N + j, of the
+    action of the common actor of ``left`` (on M) and ``right`` (on N) on
+    the plain M (x) N, x.(m (x) n) = x.m (x) n + (-1)^{|x||m|} m (x) x.n.
+    Each basis tensor's image is filled densely, one coefficient of
+    e_k (x) f_j and of e_i (x) f_l at a time, zero constants included."""
+    X, M, N = left.actor, left.target, right.target
+    px, pm, dm, dn = X.space.parities, M.space.parities, M.dim, N.dim
+    table = {}
+    for a in range(X.dim):
+        for i in range(dm):
+            for j in range(dn):
+                dense = [0] * (dm * dn)
+                for k in range(dm):
+                    dense[k * dn + j] += left.act_basis(a, i).get(k, 0)
+                sign = -1 if px[a] and pm[i] else 1
+                for l in range(dn):
+                    dense[i * dn + l] += sign * right.act_basis(a, j).get(l, 0)
+                v = X.field.clean(dict(enumerate(dense)))
+                if v:
+                    table[(a, i * dn + j)] = v
+    return table
 
 
 # ---------------------------------------------------------------------------
