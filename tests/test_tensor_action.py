@@ -32,13 +32,12 @@ ASSOC = {
 }
 
 
-def induced_oracle(left, right, q) -> dict[tuple[int, int], dict]:
-    """The oracle's action on the section of the quotient q of the plain
-    tensor product, reduced to class coordinates."""
-    plain = tensor_action_oracle(left, right)
+def induced_oracle(plain: dict, actor_dim: int, q) -> dict[tuple[int, int], dict]:
+    """The oracle's constants ``plain`` on the plain tensor product applied
+    to the section of its quotient q, reduced to class coordinates."""
     table = {}
     for k, s in enumerate(q.section):
-        for a in range(left.actor.dim):
+        for a in range(actor_dim):
             v: dict = {}
             for t, c in s.items():
                 vec_axpy(v, c, plain.get((a, t), {}))
@@ -55,7 +54,7 @@ def assert_action_matches(left, right, q, induced):
     for a in range(left.actor.dim):
         for t in range(dim):
             assert field.clean(act(a, {t: 1})) == want.get((a, t), {}), (a, t)
-    assert induced.table == induced_oracle(left, right, q)
+    assert induced.table == induced_oracle(want, left.actor.dim, q)
 
 
 def assert_tensor_actions_match(M, N, act_mn, act_nm):
