@@ -30,9 +30,10 @@ from .algebras import (
     _derivation_defects,
     _spread,
     hom_defects,
+    intertwining_defects,
     is_graded_ideal,
 )
-from .linalg import vec_axpy, vec_clean, vec_scale, vec_sub
+from .linalg import vec_axpy, vec_clean, vec_scale
 from .spaces import GradedMap, SuperSpace
 
 
@@ -41,7 +42,10 @@ class ActionInvalid(ValueError):
 
 
 class Action:
-    """Bilinear action constants of ``actor`` on ``target``."""
+    """Bilinear action constants of ``actor`` on ``target``: ``table`` maps
+    (p, m) to p.e_m, and ``rows[p]`` is {m: p.e_m}, both over the nonzero
+    constants only and sharing their vectors, which callers must not
+    mutate."""
 
     def __init__(self, actor: LieSuperAlgebra, target: LieSuperAlgebra,
                  table: dict[tuple[int, int], dict]):
@@ -53,18 +57,22 @@ class Action:
             for key, v in table.items()
         }
         self.table = {k: v for k, v in self.table.items() if v}
+        self.rows: list[dict[int, dict]] = [{} for _ in range(actor.dim)]
+        for (p, m), v in self.table.items():
+            self.rows[p][m] = v
 
     def act_basis(self, p: int, m: int) -> dict:
-        return self.table.get((p, m), {})
+        return self.rows[p].get(m, {})
 
     def act(self, pvec: dict, mvec: dict) -> dict:
         out: dict = {}
         for p, cp in pvec.items():
+            row = self.rows[p]
             for m, cm in mvec.items():
                 c = cp * cm
                 if c == 0:
                     continue
-                b = self.act_basis(p, m)
+                b = row.get(m)
                 if b:
                     vec_axpy(out, c, b)
         return self.field.clean(out)
@@ -81,22 +89,11 @@ def trivial_action(actor: LieSuperAlgebra, target: LieSuperAlgebra) -> Action:
 
 
 def adjoint_action(L: LieSuperAlgebra) -> Action:
-    """The self-action by the bracket."""
-    table = {}
-    for i in range(L.dim):
-        for j in range(L.dim):
-            v = L.bracket_basis(i, j)
-            if v:
-                table[(i, j)] = v
-    return Action(L, L, table)
-
-
-def _rows(a: Action) -> list[dict[int, dict]]:
-    """Row p is {m: p.e_m} over the nonzero action constants of p."""
-    rows: list[dict[int, dict]] = [{} for _ in range(a.actor.dim)]
-    for (p, m), v in a.table.items():
-        rows[p][m] = v
-    return rows
+    """The self-action by the bracket, read from the nonzero brackets of
+    :meth:`~superlie.algebras.LieSuperAlgebra.bracket_index` in row-major
+    order."""
+    return Action(L, L, {(i, j): row[j] for i, row in enumerate(L.bracket_index())
+                         for j in sorted(row)})
 
 
 def tensor_action(left: Action, right: Action):
@@ -111,7 +108,7 @@ def tensor_action(left: Action, right: Action):
     are not normalized by the field."""
     if left.actor is not right.actor:
         raise ValueError("the two actions have different actors")
-    rho_m, rho_n = _rows(left), _rows(right)
+    rho_m, rho_n = left.rows, right.rows
     px, pm, dn = left.actor.space.parities, left.target.space.parities, right.target.dim
 
     def act(a: int, v: dict) -> dict:
@@ -130,12 +127,12 @@ def tensor_action(left: Action, right: Action):
     return act
 
 
-def _representation_defects(a: Action, rho: list[dict[int, dict]]):
+def _representation_defects(a: Action):
     """Yield (p, q, m, defect), in that order, for the nonzero defects
-    [p,q].m - p.(q.m) + (-1)^{|p||q|} q.(p.m), rho being :func:`_rows` of a.
-    Only the m in a nonzero column of p, of q or of some r in [p, q] are
-    visited: for the others every term has a zero factor."""
-    P = a.actor
+    [p,q].m - p.(q.m) + (-1)^{|p||q|} q.(p.m).  Only the m in a nonzero
+    column of p, of q or of some r in [p, q] are visited: for the others
+    every term has a zero factor."""
+    P, rho = a.actor, a.rows
     index, par = P.bracket_index(), P.space.parities
     for p, rp in enumerate(rho):
         for q, rq in enumerate(rho):
@@ -161,9 +158,8 @@ def check_action(a: Action) -> AxiomReport:
         for k, c in v.items():
             if pm[k] != want:
                 violations.append(Violation("action-parity", (p, m, k), {k: c}))
-    rho = _rows(a)
-    for kind, defects in (("action-i", _representation_defects(a, rho)),
-                          ("action-ii", _derivation_defects(rho, pp, M))):
+    for kind, defects in (("action-i", _representation_defects(a)),
+                          ("action-ii", _derivation_defects(a.rows, pp, M))):
         for *witness, defect in defects:
             violations.append(Violation(kind, tuple(witness), defect))
             if len(violations) >= MAX_VIOLATIONS:
@@ -184,12 +180,12 @@ def check_compatible(a_mn: Action, a_nm: Action) -> AxiomReport:
         raise ValueError("actions are not between the same pair of algebras")
     violations: list[Violation] = []
     pm, pn = M.space.parities, N.space.parities
-    rho_mn, rho_nm = _rows(a_mn), _rows(a_nm)
+    rho_mn, rho_nm = a_mn.rows, a_nm.rows
     m_index, n_index = M.bracket_index(), N.bracket_index()
     for m in range(M.dim):
         for n in range(N.dim):
-            nm = a_nm.act_basis(n, m)  # n.m in M
-            mn = a_mn.act_basis(m, n)  # m.n in N
+            nm = rho_nm[n].get(m, {})  # n.m in M
+            mn = rho_mn[m].get(n, {})  # m.n in N
             if not nm and not mn:
                 continue
             sign = 1 if pm[m] * pn[n] else -1
@@ -276,24 +272,18 @@ def check_crossed(c: CrossedModule) -> AxiomReport:
     rep = check_action(act)
     violations.extend(rep.violations)
 
-    # boundary is a Lie homomorphism
-    for i, j, defect in hom_defects(d, M, P):
-        violations.append(Violation("boundary-hom", (i, j), defect))
-    # (i) equivariance, (ii) Peiffer
-    for p in range(P.dim):
-        for m in range(M.dim):
-            lhs = d.apply(act.act_basis(p, m))
-            rhs = P.bracket({p: 1}, d.apply({m: 1}))
-            defect = M.field.clean(vec_sub(lhs, rhs))
-            if defect:
-                violations.append(Violation("equivariance", (p, m), defect))
-    for m in range(M.dim):
-        for m2 in range(M.dim):
-            lhs = act.act(d.apply({m: 1}), {m2: 1})
-            rhs = M.bracket_basis(m, m2)
-            defect = M.field.clean(vec_sub(lhs, rhs))
-            if defect:
-                violations.append(Violation("peiffer", (m, m2), defect))
+    # boundary is a Lie homomorphism; (i) equivariance: d intertwines the
+    # action of p with ad(p); (ii) Peiffer: the action of d(m) is ad(m)
+    cols = d.matrix.cols
+    for kind, defects in (
+        ("boundary-hom", hom_defects(d, M, P)),
+        ("equivariance", intertwining_defects(M.field, cols, act.rows, P.bracket_index())),
+        ("peiffer", intertwining_defects(M.field, [{m: 1} for m in range(M.dim)],
+                                         [_spread(c, act.rows) for c in cols],
+                                         M.bracket_index())),
+    ):
+        for *witness, defect in defects:
+            violations.append(Violation(kind, tuple(witness), defect))
 
     if violations:
         return AxiomReport(False, violations)

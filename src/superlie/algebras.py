@@ -63,11 +63,6 @@ class AxiomReport:
         return self.ok
 
 
-def _pair_sign(pi: int, pj: int) -> int:
-    """Sign relating [e_j,e_i] to [e_i,e_j]: -(-1)^{|i||j|}."""
-    return 1 if pi * pj == 1 else -1
-
-
 class LieSuperAlgebra:
     """Structure constants on a homogeneous ordered basis."""
 
@@ -85,7 +80,6 @@ class LieSuperAlgebra:
             if v:
                 tab[(i, j)] = v
         self.table = tab
-        self._ad_cache: list[Matrix] | None = None
         self._bracket_index: list[dict[int, dict]] | None = None
         # memos of tensor.adjoint_tensor_square and tensor.exterior_square
         self._tensor_square = None
@@ -114,26 +108,22 @@ class LieSuperAlgebra:
     # -- bracket -------------------------------------------------------
 
     def bracket_basis(self, i: int, j: int) -> dict:
-        if i < j or (i == j and self.space.parities[i] == 1):
-            return self.table.get((i, j), {})
-        if i == j:
-            return {}
-        base = self.table.get((j, i))
-        if not base:
-            return {}
-        s = _pair_sign(self.space.parities[i], self.space.parities[j])
-        return vec_scale(base, s)
+        """[e_i, e_j], read from :meth:`bracket_index`; the dict is shared,
+        so callers must not mutate it."""
+        return self.bracket_index()[i].get(j, {})
 
     def bracket(self, u: dict, v: dict) -> dict:
+        index = self.bracket_index()
         out: dict = {}
         for i, ci in u.items():
             if ci == 0:
                 continue
+            row = index[i]
             for j, cj in v.items():
                 c = ci * cj
                 if c == 0:
                     continue
-                b = self.bracket_basis(i, j)
+                b = row.get(j)
                 if b:
                     vec_axpy(out, c, b)
         return self.field.clean(out)
@@ -167,14 +157,6 @@ class LieSuperAlgebra:
         out = {i: self.field.clean(w) for i, w in out.items()}
         return {i: w for i, w in out.items() if w}
 
-    def ad(self, i: int) -> Matrix:
-        if self._ad_cache is None:
-            self._ad_cache = [
-                Matrix(self.field, self.dim, [self.bracket_basis(a, b) for b in range(self.dim)])
-                for a in range(self.dim)
-            ]
-        return self._ad_cache[i]
-
     # -- subspace machinery ---------------------------------------------
 
     def full_subspace(self) -> Subspace:
@@ -197,14 +179,11 @@ class LieSuperAlgebra:
         return acc.subspace()
 
     def center(self) -> Subspace:
+        """The kernel of x -> ad(x) as a map into dim x dim matrices: column
+        i is row i of :meth:`bracket_index`, flattened."""
         n = self.dim
-        cols = []
-        for i in range(n):
-            col: dict = {}
-            for j in range(n):
-                for k, c in self.bracket_basis(i, j).items():
-                    col[j * n + k] = c
-            cols.append(col)
+        cols = [{j * n + k: c for j, b in row.items() for k, c in b.items()}
+                for row in self.bracket_index()]
         return Matrix(self.field, n * n, cols).kernel_basis()
 
     def is_abelian(self) -> bool:
@@ -545,12 +524,13 @@ def is_engel(L: LieSuperAlgebra, n: int) -> bool:
     if n < 1:
         raise ValueError("Engel degree must be >= 1")
     dim = L.dim
+    ad = [Matrix(L.field, dim, [row.get(b, {}) for b in range(dim)]) for row in L.bracket_index()]
     for multiset in combinations_with_replacement(range(dim), n):
         total = Matrix.zero(L.field, dim, dim)
         for perm in set(permutations(multiset)):
             prod = Matrix.identity(L.field, dim)
             for i in perm:
-                prod = prod.compose(L.ad(i))
+                prod = prod.compose(ad[i])
             total = total.add(prod)
         if not total.is_zero():
             return False
@@ -722,16 +702,25 @@ def induced_map(src: QuotientSpace, dst: QuotientSpace | SuperSpace, f) -> Grade
     return GradedMap.from_columns(src.space, space, [reduce(f(s)) for s in src.section])
 
 
+def intertwining_defects(field: Field, h: list[dict], src: list[dict[int, dict]],
+                         dst: list[dict[int, dict]]):
+    """Yield (p, i, h(src[p] e_i) - dst[p](h e_i)) for the nonzero defects,
+    p and i ascending: whether the linear map with columns h intertwines the
+    operators src[p] and dst[p], each given as the row {i: op e_i} over its
+    nonzero images.  Each side is summed from the nonzero entries only."""
+    cols = dict(enumerate(h))
+    for p, (s, d) in enumerate(zip(src, dst)):
+        for i, defect in _defects(field, _compose(cols, s), _compose(d, cols), {}, 1):
+            yield p, i, defect
+
+
 def hom_defects(f: GradedMap, src: LieSuperAlgebra, dst: LieSuperAlgebra):
     """Yield (i, j, f([e_i, e_j]) - [f e_i, f e_j]) for the nonzero defects
-    of f: src -> dst, in row-major order over the basis pairs of src."""
-    images = [f.apply({i: 1}) for i in range(src.dim)]
-    for i in range(src.dim):
-        for j in range(src.dim):
-            lhs = f.apply(src.bracket_basis(i, j))
-            defect = src.field.clean(vec_sub(lhs, dst.bracket(images[i], images[j])))
-            if defect:
-                yield i, j, defect
+    of f: src -> dst, in row-major order over the basis pairs of src: f
+    intertwines ad(e_i) on src with ad(f e_i) on dst."""
+    cols, index = f.matrix.cols, dst.bracket_index()
+    return intertwining_defects(src.field, cols, src.bracket_index(),
+                                [_spread(c, index) for c in cols])
 
 
 def quotient_algebra(L: LieSuperAlgebra, I: Subspace, name: str = "") -> tuple[LieSuperAlgebra, Projection]:

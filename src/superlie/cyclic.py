@@ -251,12 +251,6 @@ def _milnor_extra_gens(A: AssocSuperAlgebra) -> list[dict]:
     return gens
 
 
-def commutator_subspace(A: AssocSuperAlgebra) -> Subspace:
-    """[A, A]: the span of graded commutators ab - (-1)^{|a||b|} ba."""
-    lie = lie_from_assoc(A)
-    return lie.product_subspace(lie.full_subspace(), lie.full_subspace())
-
-
 def relation_ideal(A: AssocSuperAlgebra) -> Subspace:
     """I(A) inside A (x) A."""
     sp = _pair_space(A)
@@ -268,6 +262,7 @@ def relation_ideal(A: AssocSuperAlgebra) -> Subspace:
 
 @dataclass
 class HC1KernelModel:
+    lie: LieSuperAlgebra           # A with the graded commutator bracket
     quotient: QuotientSpace        # (A (x) A)/I(A)
     commutator: Matrix             # alpha: a (x) b -> [a, b] on A (x) A
     to_commutators: GradedMap      # induced map onto [A, A] (ambient A coords)
@@ -285,7 +280,7 @@ def hc1_kernel_model(A: AssocSuperAlgebra) -> HC1KernelModel:
     gmap = induced_map(quot, A.space, alpha.apply)  # certifies that alpha kills I(A)
     ker = gmap.kernel()
     dims = quot.space.split_dims(ker.rows)
-    return HC1KernelModel(quot, alpha, gmap, ker, dims)
+    return HC1KernelModel(lie, quot, alpha, gmap, ker, dims)
 
 
 @dataclass
@@ -330,9 +325,8 @@ def v_algebra(A: AssocSuperAlgebra) -> VAlgebra:
     if A.unit is None:
         raise NotUnital("V(A) requires a unital algebra")
     d = A.dim
-    lie = lie_from_assoc(A)
     km = hc1_kernel_model(A)
-    quot = km.quotient
+    lie, quot = km.lie, km.quotient
     algebra = factored_quotient_algebra(quot, km.commutator, km.commutator,
                                         partial(tensor_vec, A.space, A.space),
                                         name=f"V({A.name or 'A'})")
@@ -399,7 +393,7 @@ def cyclic_sixterm(A: AssocSuperAlgebra) -> CyclicSixTerm:
     f = GradedMap.from_columns(h_space.space, va.algebra.space,
                                [dict(r) for r in va.hc1_rows.rows])
 
-    comm = commutator_subspace(A)
+    comm = va.to_a.image()  # [A, A]: alpha maps A (x) A onto the commutators
     cview = subalgebra_on(lie, comm, name="[A,A]")
     cm_n = ideal_crossed(lie, cview)
     gcols = []

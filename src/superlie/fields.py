@@ -2,14 +2,14 @@
 
 Scalars are plain Python objects: canonical residues ``0..p-1`` over a
 prime field; over the rationals an ``int`` when the value is integral and
-a ``fractions.Fraction`` only when it is not.  ``Field.of``, ``inv``,
-``div`` and ``parse`` return this normal form, never ``Fraction(n, 1)``,
-and so do the pivot-1 rows of ``linalg``, so integral structure constants
-and subspace bases stay in ``int`` arithmetic.  Plain ``+``/``*`` on the
-scalars may still give ``Fraction(n, 1)``, which equals and formats as
-``n``.  A :class:`Field` value carries the choice and provides parsing,
-formatting and the few operations that are not just ``+``/``*``
-(inversion, canonicalization of scalars and of sparse vectors).
+a ``fractions.Fraction`` only when it is not.  ``Field.of`` and ``parse``
+return this normal form, never ``Fraction(n, 1)``, and so do the pivot-1
+rows of ``linalg``, so integral structure constants and subspace bases
+stay in ``int`` arithmetic.  Plain ``+``/``*`` on the scalars may still
+give ``Fraction(n, 1)``, which equals and formats as ``n``.  A
+:class:`Field` value carries the choice and provides parsing, formatting
+and the few operations that are not just ``+``/``*`` (negation,
+canonicalization of scalars and of sparse vectors).
 """
 
 from __future__ import annotations
@@ -68,28 +68,9 @@ class Field:
         return value % self.p
 
     @property
-    def zero(self) -> int:
-        return 0
-
-    @property
     def one(self) -> int:
 
         return 1
-
-    def inv(self, value):
-        if self.p is None:
-            if value == 0:
-                raise ZeroDivisionError("inverse of zero")
-            return _rational(1 / Fraction(value))
-        v = value % self.p
-        if v == 0:
-            raise ZeroDivisionError("inverse of zero")
-        return pow(v, -1, self.p)
-
-    def div(self, a, b):
-        if self.p is None:
-            return _rational(Fraction(a) / Fraction(b))
-        return a * self.inv(b) % self.p
 
     def neg(self, a):
         return -a if self.p is None else (-a) % self.p

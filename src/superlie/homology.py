@@ -76,6 +76,7 @@ from .algebras import (
     hom_defects,
     ideal_closure,
     induced_map,
+    intertwining_defects,
     is_graded_ideal,
     quotient_algebra,
     quotient_space,
@@ -93,8 +94,6 @@ from .linalg import (
     Subquotient,
     Subspace,
     vec_axpy,
-    vec_clean,
-    vec_sub,
 )
 from .spaces import (
     GradedMap,
@@ -171,31 +170,27 @@ class ChainComplex:
         return b
 
 
-def _diagonal(column, dim: int, reduce) -> list | None:
-    """The diagonal of the map with basis images column(i), or None if the
-    map is not diagonal."""
-    diag = []
-    for i in range(dim):
-        v = column(i)
-        if v.keys() - {i}:
-            return None
-        diag.append(reduce(v.get(i, 0)))
-    return diag
+def _diagonal(row: dict[int, dict], dim: int, reduce) -> list | None:
+    """The diagonal of the map with the nonzero basis images row[i], or
+    None if the map is not diagonal."""
+    if any(v.keys() - {i} for i, v in row.items()):
+        return None
+    return [reduce(row[i][i]) if i in row else 0 for i in range(dim)]
 
 
 def _cartan_weights(P: LieSuperAlgebra, M: Action) -> list[tuple[list, list]]:
     """The weights (lambda on P's basis, mu on M's basis) of every even basis
     element h of P whose ad(h) is diagonal on P's basis and whose action is
     diagonal on M's basis; an h whose weights all vanish is left out."""
-    reduce = P.field.reduce
+    reduce, index = P.field.reduce, P.bracket_index()
     out = []
     for h in range(P.dim):
         if P.space.parities[h]:
             continue
-        lam = _diagonal(lambda i: P.bracket_basis(h, i), P.dim, reduce)
+        lam = _diagonal(index[h], P.dim, reduce)
         if lam is None:
             continue
-        mu = _diagonal(lambda t: M.act_basis(h, t), M.target.dim, reduce)
+        mu = _diagonal(M.rows[h], M.target.dim, reduce)
         if mu is not None and (any(lam) or any(mu)):
             out.append((lam, mu))
     return out
@@ -236,6 +231,7 @@ def _chain_complex(P: LieSuperAlgebra, M: Action, max_n: int,
     msp = M.target.space
     ground = msp.dim == 1 and msp.labels[0] == "1"
     chains = _weight0_chains(P, msp.dim, max_n, weights)
+    index, rows = P.bracket_index(), M.rows
     spaces: list[SuperSpace] = []
     index_of: list[dict[tuple[tuple[int, ...], int], int]] = []
     for level in chains:
@@ -258,7 +254,7 @@ def _chain_complex(P: LieSuperAlgebra, M: Action, max_n: int,
             try:
                 # module-action terms
                 for i in range(n):
-                    acted = M.act_basis(xs[i], t)
+                    acted = rows[xs[i]].get(t)
                     if acted:
                         tail = sum(pre_par[k] for k in range(i + 1, n))
                         s = -1 if ((i + 1) + pre_par[i] * tail) % 2 else 1
@@ -269,7 +265,7 @@ def _chain_complex(P: LieSuperAlgebra, M: Action, max_n: int,
                 # bracket terms
                 for i in range(n):
                     for j in range(i + 1, n):
-                        br = P.bracket_basis(xs[i], xs[j])
+                        br = index[xs[i]].get(xs[j])
                         if not br:
                             continue
                         head_i = sum(pre_par[k] for k in range(i))
@@ -358,12 +354,6 @@ def sub_space(parent: SuperSpace, rows: Subspace, prefix: str) -> QuotientSpace:
 class ExactnessReport:
     ok: bool
     nodes: list[tuple[str, int, int, bool]]  # (label, im_dim, ker_dim, ok)
-
-    def first_failure(self) -> str | None:
-        for label, _, _, ok in self.nodes:
-            if not ok:
-                return label
-        return None
 
 
 def exactness_check(maps: list[GradedMap]) -> ExactnessReport:
@@ -569,11 +559,9 @@ class CrossedSES:
             raise ValueError("boundaries are not compatible with the right map")
         for h, src, dst, side in ((self.f, self.l, self.m, "left"),
                                   (self.g, self.m, self.n, "right")):
-            for p in range(self.p.dim):
-                for i in range(src.m.dim):
-                    lhs = h.apply(src.action.act_basis(p, i))
-                    if vec_clean(vec_sub(lhs, dst.action.act({p: 1}, h.apply({i: 1})))):
-                        raise ValueError(f"{side} map is not equivariant")
+            if next(intertwining_defects(self.p.field, h.matrix.cols, src.action.rows,
+                                         dst.action.rows), None):
+                raise ValueError(f"{side} map is not equivariant")
 
 
 @dataclass

@@ -321,11 +321,6 @@ class Subspace:
                 out[bisect_left(pivots, piv)] = c
         return out
 
-    def sum_(self, other: "Subspace") -> "Subspace":
-        if self.ambient != other.ambient:
-            raise AmbientMismatch(f"{self.ambient} vs {other.ambient}")
-        return Subspace(self.field, self.ambient, self.rows + other.rows)
-
     def intersect(self, other: "Subspace") -> "Subspace":
         """Canonical basis of the intersection, from the kernel of a stacked system."""
         if self.ambient != other.ambient:

@@ -17,6 +17,11 @@ code reads only the nonzero brackets from its bracket index; likewise
 the Jacobi, action and compatibility certificates evaluate their
 identities on every basis triple, where the production code sums each
 defect from the nonzero structure and action constants only.  The
+boundary-hom, equivariance and Peiffer certificates of a crossed module
+evaluate every basis pair through the public bracket and action, where
+the production code reads one intertwining defect per operator row.
+[A, A] is the span of the commutators, where the production code takes
+the image of the commutator map of the HC_1 kernel model.  The
 bracket of V(A) is summed slot by slot and checked to preserve I(A) by
 bracketing every row of I(A) with every basis tensor, where the
 production code factors it through the commutator map.  The action on a
@@ -35,7 +40,7 @@ from fractions import Fraction
 from itertools import product
 from pathlib import Path
 
-from superlie.actions import Action, ActionInvalid, adjoint_action
+from superlie.actions import Action, ActionInvalid, CrossedModule, adjoint_action, check_action
 from superlie.algebras import (
     MAX_VIOLATIONS,
     AssocSuperAlgebra,
@@ -45,6 +50,7 @@ from superlie.algebras import (
     abelian,
     ground_assoc,
     heisenberg,
+    is_graded_ideal,
     lie_from_assoc,
     matrix_assoc,
     matrix_gl,
@@ -53,7 +59,7 @@ from superlie.algebras import (
     series,
     subalgebra_on,
 )
-from superlie.cyclic import commutator_subspace, dual_numbers, grassmann_line, hc1_kernel_model
+from superlie.cyclic import dual_numbers, grassmann_line, hc1_kernel_model
 from superlie.fields import QQ, Field
 from superlie.homology import ChainComplex, ComplexInconsistent
 from superlie.io import action_to_json, algebra_to_json, dump_json
@@ -88,6 +94,12 @@ def koszul_sign(perm: list[int], parities: list[int]) -> int:
 
 # ---------------------------------------------------------------------------
 # HC_0 of an associative superalgebra as A/[A, A]
+
+
+def commutator_subspace(A: AssocSuperAlgebra) -> Subspace:
+    """[A, A]: the span of graded commutators ab - (-1)^{|a||b|} ba."""
+    lie = lie_from_assoc(A)
+    return lie.product_subspace(lie.full_subspace(), lie.full_subspace())
 
 
 def hc0_direct(A: AssocSuperAlgebra) -> tuple[int, int]:
@@ -688,6 +700,70 @@ def check_compatible_dense(a_mn: Action, a_nm: Action) -> AxiomReport:
 
 
 # ---------------------------------------------------------------------------
+# crossed module certificates on every basis pair
+
+
+def hom_defects_dense(f: GradedMap, src: LieSuperAlgebra, dst: LieSuperAlgebra):
+    """Yield (i, j, f([e_i, e_j]) - [f e_i, f e_j]) for the nonzero defects
+    of f: src -> dst, in row-major order over the basis pairs of src."""
+    images = [f.apply({i: 1}) for i in range(src.dim)]
+    for i in range(src.dim):
+        for j in range(src.dim):
+            lhs = f.apply(src.bracket_basis(i, j))
+            defect = src.field.clean(vec_sub(lhs, dst.bracket(images[i], images[j])))
+            if defect:
+                yield i, j, defect
+
+
+def check_crossed_dense(c: CrossedModule) -> AxiomReport:
+    """check_crossed with the boundary-hom, equivariance and Peiffer
+    identities evaluated on every basis pair through the public bracket,
+    action and boundary."""
+    violations: list[Violation] = []
+    M, P, d, act = c.m, c.p, c.boundary, c.action
+
+    rep = check_action(act)
+    violations.extend(rep.violations)
+
+    # boundary is a Lie homomorphism
+    for i, j, defect in hom_defects_dense(d, M, P):
+        violations.append(Violation("boundary-hom", (i, j), defect))
+    # (i) equivariance, (ii) Peiffer
+    for p in range(P.dim):
+        for m in range(M.dim):
+            lhs = d.apply(act.act_basis(p, m))
+            rhs = P.bracket({p: 1}, d.apply({m: 1}))
+            defect = M.field.clean(vec_sub(lhs, rhs))
+            if defect:
+                violations.append(Violation("equivariance", (p, m), defect))
+    for m in range(M.dim):
+        for m2 in range(M.dim):
+            lhs = act.act(d.apply({m: 1}), {m2: 1})
+            rhs = M.bracket_basis(m, m2)
+            defect = M.field.clean(vec_sub(lhs, rhs))
+            if defect:
+                violations.append(Violation("peiffer", (m, m2), defect))
+
+    if violations:
+        return AxiomReport(False, violations)
+
+    # consequences
+    ker = d.kernel()
+    if not M.center().contains(ker):
+        violations.append(Violation("kernel-not-central", (), {}))
+    img = d.image()
+    if not is_graded_ideal(P, img):
+        violations.append(Violation("image-not-ideal", (), {}))
+    # induced module structure of Coker(d) on Ker(d): the image must act
+    # trivially on the kernel and P must preserve the kernel
+    if (any(vec_clean(act.act(r, k)) for r in img.rows for k in ker.rows)
+            or not all(ker.contains_vec(act.act({p: 1}, k))
+                       for p in range(P.dim) for k in ker.rows)):
+        violations.append(Violation("kernel-module", (), {}))
+    return AxiomReport(not violations, violations)
+
+
+# ---------------------------------------------------------------------------
 # the bracket of V(A), slot by slot
 
 
@@ -736,7 +812,7 @@ def v_algebra_table_oracle(A: AssocSuperAlgebra) -> dict[tuple[int, int], dict]:
 def rebase(L, perm: list[int], scale: list[int]):
     """L in the basis f_a = scale[a] * e_{perm[a]}, scale[a] a unit of the
     field given as an integer (a sign over Q keeps the constants integral)."""
-    inverse = [L.field.inv(c) for c in scale]
+    inverse = [L.field.of(Fraction(1, c)) for c in scale]
     where = {e: a for a, e in enumerate(perm)}
     basis = [(L.space.labels[e], L.space.parities[e]) for e in perm]
     table = {}
@@ -751,7 +827,7 @@ def rebase(L, perm: list[int], scale: list[int]):
 
 def rebase_assoc(A, perm: list[int], scale: list):
     """The associative superalgebra A in the basis f_a = scale[a] * e_{perm[a]}."""
-    inverse = [A.field.inv(c) for c in scale]
+    inverse = [A.field.of(Fraction(1, c)) for c in scale]
     where = {e: a for a, e in enumerate(perm)}
     basis = [(A.space.labels[e], A.space.parities[e]) for e in perm]
     table = {}

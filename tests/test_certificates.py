@@ -1,6 +1,6 @@
 """Differential tests of the certificates that sum each defect from the
-nonzero structure constants only: ``check_lie_axioms``, ``check_action``
-and ``check_compatible``.
+nonzero structure constants only: ``check_lie_axioms``, ``check_action``,
+``check_compatible``, ``check_crossed`` and ``hom_defects``.
 
 The oracles in ``tests/oracles.py`` are the dense loops, which evaluate
 every identity on every basis triple through the public bracket and
@@ -10,7 +10,10 @@ the same kind, witness and defect (entry order included) and the same
 sl(2|1, L1) over Q, F3, F5 and F7 in drawn permuted, rescaled bases, with
 their adjoint actions and the induced actions of a tensor square, each
 either valid or corrupted: one perturbed constant, one new constant in a
-structurally zero slot, or a new constant in every such slot.
+structurally zero slot, or a new constant in every such slot.  The crossed
+modules are the identity crossed module of each algebra and the two
+crossed modules (mu) and (nu) of its tensor square, with a perturbed or
+new action constant or a changed boundary column.
 """
 
 from fractions import Fraction
@@ -19,13 +22,23 @@ from functools import lru_cache
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import check_action_dense, check_compatible_dense, check_lie_axioms_dense, rebase
+from oracles import (
+    check_action_dense,
+    check_compatible_dense,
+    check_crossed_dense,
+    check_lie_axioms_dense,
+    hom_defects_dense,
+    rebase,
+)
 from superlie.actions import (
     Action,
+    CrossedModule,
     adjoint_action,
     check_action,
     check_compatible,
+    check_crossed,
     crossed_pullback_actions,
+    identity_crossed,
     trivial_action,
 )
 from superlie.algebras import (
@@ -35,11 +48,14 @@ from superlie.algebras import (
     check_lie_axioms,
     ground_assoc,
     heisenberg,
+    hom_defects,
     matrix_gl,
     matrix_sl,
 )
 from superlie.cyclic import grassmann_line
 from superlie.fields import QQ, Field
+from superlie.linalg import Matrix
+from superlie.spaces import GradedMap
 from superlie.tensor import nonabelian_tensor
 
 CONSTRUCTORS = {
@@ -50,6 +66,7 @@ CONSTRUCTORS = {
 }
 PRIMES = (None, 3, 5, 7)
 MODES = ("valid", "perturb", "new", "every zero slot")
+CROSSED_MODES = ("valid", "perturb", "new", "boundary")
 DELTAS = (1, -1, 2, Fraction(1, 2))
 
 
@@ -167,6 +184,46 @@ def test_corruption_reaches_the_cap(name, p):
                       (check_compatible(a, adj), check_compatible_dense(a, adj))):
         assert len(got.violations) == MAX_VIOLATIONS
         assert listing(got) == listing(want)
+
+
+def corrupt_crossed(data, c: CrossedModule, mode: str) -> CrossedModule:
+    """A copy of c with a corrupted action or, in mode "boundary", one
+    boundary entry changed by a drawn delta (kept in the field's normal
+    form and of the map's parity)."""
+    if mode != "boundary":
+        return CrossedModule(c.m, c.p, c.boundary, corrupt_action(data, c.action, mode))
+    d, field = c.boundary, c.m.field
+    spar, tpar = d.source.parities, d.target.parities
+    j = data.draw(st.sampled_from([j for j in range(d.source.dim) if spar[j] in tpar]))
+    i = data.draw(st.sampled_from([i for i in range(d.target.dim) if tpar[i] == spar[j]]))
+    cols = [dict(col) for col in d.matrix.cols]
+    cols[j][i] = cols[j].get(i, 0) + data.draw(st.sampled_from(DELTAS))
+    cols[j] = field.clean({k: field.of(v) for k, v in cols[j].items()})
+    return CrossedModule(c.m, c.p, GradedMap(d.source, d.target, 0, Matrix(field, d.target.dim, cols)),
+                         c.action)
+
+
+def hom_listing(defects):
+    return [(i, j, list(defect.items())) for i, j, defect in defects]
+
+
+@pytest.mark.parametrize("mode", CROSSED_MODES)
+@pytest.mark.parametrize("p", PRIMES)
+@pytest.mark.parametrize("name", sorted(CONSTRUCTORS))
+@settings(max_examples=2, deadline=None)
+@given(data=st.data())
+def test_crossed_certificates_match_dense_oracles(data, name, p, mode):
+    """check_crossed and hom_defects, which read one intertwining defect per
+    operator row, against the loops over every basis pair, on the identity
+    crossed module of L and on (mu) and (nu) of L (x) L."""
+    L = rebased(data, name, p)
+    adj = adjoint_action(L)
+    t = nonabelian_tensor(L, L, adj, adj)
+    for c in (identity_crossed(L), t.cross_m, t.cross_n):
+        c = corrupt_crossed(data, c, mode)
+        assert listing(check_crossed(c)) == listing(check_crossed_dense(c))
+        assert (hom_listing(hom_defects(c.boundary, c.m, c.p))
+                == hom_listing(hom_defects_dense(c.boundary, c.m, c.p)))
 
 
 def test_compatible_refuses_actions_between_other_algebras():

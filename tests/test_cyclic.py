@@ -2,11 +2,10 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import hc0_direct
+from oracles import commutator_subspace, hc0_direct
 from superlie.algebras import check_assoc_axioms, ground_assoc, lie_from_assoc
 from superlie.cyclic import (
     NotUnital,
-    commutator_subspace,
     connes,
     cyclic_sixterm,
     dual_numbers,
@@ -174,6 +173,26 @@ def test_sixterm_eliminates_relation_ideal_once(m11, monkeypatch, capsys):
     calls.clear()
     assert main(["cyclic", "@m11", "--sixterm"]) == 0
     assert "six-term sequence: exact" in capsys.readouterr().out
+    assert len(calls) == 1
+
+
+def test_lie_algebra_of_a_is_built_once(m11, monkeypatch):
+    """V(A) takes the Lie algebra of A from the HC_1 kernel model, and the
+    six-term sequence reads [A, A] as the image of V(A) -> A."""
+    import superlie.cyclic as cyclic
+
+    calls = []
+    original = cyclic.lie_from_assoc
+
+    def counted(A, *args, **kwargs):
+        calls.append(A)
+        return original(A, *args, **kwargs)
+
+    monkeypatch.setattr(cyclic, "lie_from_assoc", counted)
+    v_algebra(m11)
+    assert len(calls) == 1
+    calls.clear()
+    assert cyclic_sixterm(m11).ok
     assert len(calls) == 1
 
 

@@ -1,4 +1,5 @@
-"""Every module-level function and class of the package is used.
+"""Every module-level function and class of the package is used, and so
+is every method and property of its classes.
 
 A definition in ``src/superlie/*.py`` (the package ``__init__``, which only
 re-exports, aside) counts as used when its name is read outside its own
@@ -6,7 +7,10 @@ definition: as a name or an attribute (``S.uce`` reads ``uce``) in the
 package, in ``tests/`` or in ``perfbench/``.  A read inside the definition
 itself, such as a recursive call, does not count, and neither does the
 re-export in ``__init__``: a helper that only the package's public list
-names is dead code.
+names is dead code.  A method or property of a package class (dunder
+methods aside, which Python calls itself) counts as used when its name is
+read as an attribute outside its own body, such as ``m.apply(v)`` or
+``self.rank``.
 """
 
 import ast
@@ -17,6 +21,7 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = sorted(p for p in (ROOT / "src" / "superlie").glob("*.py") if p.name != "__init__.py")
 READERS = sorted((ROOT / "tests").glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py"))
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
 
 
 def names_read(node: ast.AST) -> set[str]:
@@ -29,20 +34,35 @@ def names_read(node: ast.AST) -> set[str]:
     return out
 
 
+def attributes_read(node: ast.AST) -> set[str]:
+    return {sub.attr for sub in ast.walk(node) if isinstance(sub, ast.Attribute)}
+
+
 def dead_definitions(package: dict[str, str], readers: dict[str, str]) -> list[str]:
     """``"file: name"`` for each module-level def or class of the package
-    sources that no other statement of the package or the readers reads."""
+    sources that no other statement of the package or the readers reads,
+    then ``"file: Class.method"`` for each method or property of a package
+    class whose name no statement outside its body reads as an attribute."""
     statements = []  # (file, top-level statement, names it reads)
+    units = []  # (statement, attributes it reads), each class body statement apart
+    methods = []  # (file, class, method)
     for name, source in {**package, **readers}.items():
         for stmt in ast.parse(source).body:
             statements.append((name, stmt, names_read(stmt)))
+            body = stmt.body if isinstance(stmt, ast.ClassDef) else [stmt]
+            units += [(sub, attributes_read(sub)) for sub in body]
+            if name in package and isinstance(stmt, ast.ClassDef):
+                methods += [(name, stmt, sub) for sub in body if isinstance(sub, FUNCTIONS)
+                            and not (sub.name.startswith("__") and sub.name.endswith("__"))]
     dead = []
     for name, stmt, _ in statements:
-        if name not in package or not isinstance(
-                stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        if name not in package or not isinstance(stmt, (*FUNCTIONS, ast.ClassDef)):
             continue
         if not any(stmt.name in read for _, other, read in statements if other is not stmt):
             dead.append(f"{name}: {stmt.name}")
+    for name, cls, method in methods:
+        if not any(method.name in read for other, read in units if other is not method):
+            dead.append(f"{name}: {cls.name}.{method.name}")
     return dead
 
 
@@ -58,6 +78,10 @@ def test_no_dead_definition():
     ({"a.py": "class C: ...\n"}, {"t.py": "import a\na.C()\n"}, []),
     ({"a.py": "def f(): ...\n", "b.py": "from .a import f\nX = f\n"}, {}, []),
     ({"a.py": "def connect(): ...\ndef g(): ...\n"}, {"t.py": "g()\n"}, ["a.py: connect"]),
+    ({"a.py": "class C:\n    def f(self):\n        return self.f()\n"}, {"t.py": "C()\n"},
+     ["a.py: C.f"]),
+    ({"a.py": "class C:\n    def f(self): ...\n    def __repr__(self): ...\n"},
+     {"t.py": "c = C()\nc.f()\n"}, []),
 ])
 def test_dead_definitions_finder(package, readers, found):
     assert dead_definitions(package, readers) == found

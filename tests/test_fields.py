@@ -23,8 +23,6 @@ def test_prime_field_residues():
     assert F5.parse("-1") == 4
     assert F5.parse("1/2") == 3  # 2 * 3 = 6 = 1 mod 5
     assert F5.format(F5.parse("12")) == "2"
-    assert F5.inv(2) == 3
-    assert F5.div(1, 3) == 2
 
 
 def test_field_validation():
@@ -41,10 +39,3 @@ def test_parse_errors():
         QQ.parse("abc")
     with pytest.raises(FieldError):
         QQ.parse("1/0")
-
-
-def test_inverse_of_zero():
-    with pytest.raises(ZeroDivisionError):
-        QQ.inv(0)
-    with pytest.raises(ZeroDivisionError):
-        Field(7).inv(0)

@@ -26,6 +26,7 @@ from superlie.fields import QQ, Field
 from superlie.freelie import Presentation, genset
 from superlie.homology import (
     ClassExceeded,
+    CrossedSES,
     _chain_complex,
     ce_complex,
     d3_lemma_check,
@@ -418,13 +419,33 @@ def test_exactness_negative_control():
     # 0 -> V -> 0 with the middle map zero: Im(0) = 0 but Ker(->0) = V
     rep = exactness_check([zero_in, zero_map_to_point(sp)])
     assert not rep.ok
-    assert rep.first_failure() == "node1"
+    assert [label for label, _, _, ok in rep.nodes if not ok] == ["node1"]
 
 
 def test_snake_sequences_exact():
     for label, ses in standard_crossed_ses():
         rep = snake_sequence(ses)
         assert rep.ok, (label, rep.exactness.nodes)
+
+
+@pytest.mark.parametrize("side, f_col, g_cols, n_action", [
+    ("left", {0: 1}, [{}, {0: 1}], {}),
+    ("right", {1: 1}, [{0: 1}, {}], {(0, 0): {0: 1}}),
+])
+def test_crossed_ses_refuses_a_map_that_is_not_equivariant(side, f_col, g_cols, n_action):
+    """0 -> (L, 0) -> (M, 0) -> (N, 0) -> 0 over the line x, which acts on
+    M by m0 -> m1 and trivially on L: exact, with zero boundaries, but f
+    (l0 -> m0: x.l0 = 0, x.m0 = m1) or g (m0 -> n0, m1 -> 0, with x.n0 = n0:
+    g(x.m0) = 0) does not commute with the action of x."""
+    P = abelian(QQ, 1, 0, prefix="x")
+    L, M, N = (abelian(QQ, n, 0, prefix=s) for n, s in ((1, "l"), (2, "m"), (1, "n")))
+    ses = CrossedSES(P, supermodule_crossed(P, L, trivial_action(P, L)),
+                     supermodule_crossed(P, M, Action(P, M, {(0, 0): {1: 1}})),
+                     supermodule_crossed(P, N, Action(P, N, n_action)),
+                     GradedMap.from_columns(L.space, M.space, [f_col]),
+                     GradedMap.from_columns(M.space, N.space, g_cols))
+    with pytest.raises(ValueError, match=f"{side} map is not equivariant"):
+        ses.validate()
 
 
 def test_ideal_sixterm(heis, gl11):
