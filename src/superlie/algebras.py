@@ -146,6 +146,22 @@ class LieSuperAlgebra:
             self._bracket_index = [rows.get(i, empty) for i in range(self.dim)]
         return self._bracket_index
 
+    def inner_weights(self) -> list[tuple[int, list]]:
+        """The pairs (h, lambda) over the even basis elements h whose ad(h)
+        is diagonal on the basis, [h, e_i] = lambda[i] e_i, h ascending,
+        read from :meth:`bracket_index`; an h with every weight 0 (a
+        central h) is included.  Only basis elements of the algebra itself
+        count: a grading that is not inner, such as the Grassmann degree of
+        sl(2|1, Lambda1), is not found here."""
+        index, reduce = self.bracket_index(), self.field.reduce
+        out = []
+        for h in range(self.dim):
+            if not self.space.parities[h]:
+                lam = _diagonal(index[h], self.dim, reduce)
+                if lam is not None:
+                    out.append((h, lam))
+        return out
+
     def left_brackets(self, v: dict) -> dict[int, dict]:
         """{i: [e_i, v]} over the basis elements whose bracket with v is
         nonzero, read from :meth:`bracket_index` by graded antisymmetry."""
@@ -190,6 +206,14 @@ class LieSuperAlgebra:
         return not self.table
 
 
+def _diagonal(row: dict[int, dict], dim: int, reduce) -> list | None:
+    """The diagonal of the map with the nonzero basis images row[i], or
+    None if the map is not diagonal."""
+    if any(v.keys() - {i} for i, v in row.items()):
+        return None
+    return [reduce(row[i][i]) if i in row else 0 for i in range(dim)]
+
+
 def _spread(vec: dict, rows: list[dict[int, dict]]) -> dict[int, dict]:
     """{j: sum of c rows[x][j]} over the entries x: c of vec."""
     out: dict[int, dict] = {}
@@ -213,15 +237,20 @@ def _compose(outer: dict[int, dict], inner: dict[int, dict]) -> dict[int, dict]:
 
 def _defects(field: Field, lhs: dict, a: dict, b: dict, sign: int):
     """Yield (j, lhs[j] - a[j] - sign b[j]) for the nonzero values, j
-    ascending, each part normalized as an evaluation one j at a time would
-    normalize it; a j absent from all three has value 0."""
+    ascending; a j absent from all three has value 0.  Each value is tested
+    with one normalization; a nonzero one is recomputed with each part
+    normalized as an evaluation one j at a time would normalize it, which
+    fixes the order of its entries."""
     clean = field.clean
     for j in sorted(lhs.keys() | a.keys() | b.keys()):
-        rhs = clean(a.get(j, {}))
-        vec_axpy(rhs, sign, clean(b.get(j, {})))
-        defect = clean(vec_sub(clean(lhs.get(j, {})), rhs))
-        if defect:
-            yield j, defect
+        lj, aj, bj = lhs.get(j, {}), a.get(j, {}), b.get(j, {})
+        defect = dict(lj)
+        vec_axpy(defect, -1, aj)
+        vec_axpy(defect, -sign, bj)
+        if clean(defect):
+            rhs = clean(aj)
+            vec_axpy(rhs, sign, clean(bj))
+            yield j, clean(vec_sub(clean(lj), rhs))
 
 
 def _derivation_defects(rho: list[dict[int, dict]], actor_par, M: LieSuperAlgebra):

@@ -72,6 +72,7 @@ from .algebras import (
     LieSuperAlgebra,
     NotAnIdeal,
     QuotientSpace,
+    _diagonal,
     factored_quotient_algebra,
     hom_defects,
     ideal_closure,
@@ -170,27 +171,13 @@ class ChainComplex:
         return b
 
 
-def _diagonal(row: dict[int, dict], dim: int, reduce) -> list | None:
-    """The diagonal of the map with the nonzero basis images row[i], or
-    None if the map is not diagonal."""
-    if any(v.keys() - {i} for i, v in row.items()):
-        return None
-    return [reduce(row[i][i]) if i in row else 0 for i in range(dim)]
-
-
 def _cartan_weights(P: LieSuperAlgebra, M: Action) -> list[tuple[list, list]]:
-    """The weights (lambda on P's basis, mu on M's basis) of every even basis
-    element h of P whose ad(h) is diagonal on P's basis and whose action is
+    """The weights (lambda on P's basis, mu on M's basis) of every h of
+    :meth:`~superlie.algebras.LieSuperAlgebra.inner_weights` whose action is
     diagonal on M's basis; an h whose weights all vanish is left out."""
-    reduce, index = P.field.reduce, P.bracket_index()
     out = []
-    for h in range(P.dim):
-        if P.space.parities[h]:
-            continue
-        lam = _diagonal(index[h], P.dim, reduce)
-        if lam is None:
-            continue
-        mu = _diagonal(M.rows[h], M.target.dim, reduce)
+    for h, lam in P.inner_weights():
+        mu = _diagonal(M.rows[h], M.target.dim, P.field.reduce)
         if mu is not None and (any(lam) or any(mu)):
             out.append((lam, mu))
     return out

@@ -65,6 +65,36 @@ for odd x does not follow from graded Jacobi; family (v) never imposed it
 either, since its diagonal generator is three equal rotations and
 vanishes mod 3.
 
+Weight blocks of the adjoint square.  For M = N = P with one adjoint
+action on both sides, mu(m(x)n) = nu(m(x)n) = [m, n].  Let h_1, ..., h_r
+be the even basis elements of P whose ad is diagonal on P's basis,
+[h_k, e_i] = lambda_k(e_i) e_i
+(:meth:`~superlie.algebras.LieSuperAlgebra.inner_weights`).  Then
+e_i(x)e_j has the weight vector lambda(e_i) + lambda(e_j), with entries
+in the field, ad(h_k) acts on T as a derivation, and so every generator
+of (i) and (ii) is homogeneous, of weight lambda(a) + lambda(x) or
+lambda(x) + lambda(b).  So D = (+)_w D_w over the blocks T_w of basis
+tensors, with disjoint coordinates, and D_w is spanned by the
+generators of weight w.  The block of weight 0 streams exactly those.  In
+a block w != 0 pick k with w_k != 0.  The generator (i) at a = h_k is
+
+    h_k.x - h_k (x) nu(x) = w_k x - h_k (x) nu(x),
+
+which is 0 for x in h_k (x) P_w, and for the other x has x as its only
+coordinate outside h_k (x) P_w.  So these S_w are independent, and
+T_w = S_w (+) h_k (x) P_w.  Graded Jacobi makes mu equivariant,
+mu(c.x) = [c, mu x] for c acting through either factor, so mu maps (i)
+to [a, mu x] - [a, nu x] = 0 and (ii) to
+-(-1)^{|b||x|} [b, mu x] - [mu x, b] = 0 by graded antisymmetry: D lies
+in Ker mu.  Take d in D_w and write d = s + h_k (x) p with s in
+S_w and p in P_w.  Then 0 = mu(d) = mu(h_k (x) p) = [h_k, p] = w_k p, so
+p = 0 and D_w = S_w: one generator per basis tensor spans the block, and
+no membership test is needed.  Since the argument needs graded Jacobi of P,
+the block path first certifies the Lie axioms of P and raises
+:class:`BracketNotWellDefined` when they fail.  It is taken only for the
+adjoint square of a P with such an h; heis, and every other M (x) N, keep
+the full stream of (i) and (ii).
+
 The construction certifies, not assumes, the result.  The bracket is
 built by :func:`~superlie.algebras.factored_quotient_algebra`, the one
 construction of a bracket that factors through edge maps: both edge maps
@@ -81,7 +111,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from itertools import chain
+from itertools import chain, product
 
 from .actions import (
     Action,
@@ -97,6 +127,7 @@ from .algebras import (
     LieSuperAlgebra,
     Projection,
     QuotientSpace,
+    check_lie_axioms,
     engel_degree,
     factored_quotient_algebra,
     hom_defects,
@@ -166,27 +197,54 @@ class TensorProduct:
         return self.nu.image()
 
 
-def _family_i(act_m, nu: Matrix, ms: SuperSpace, ns: SuperSpace):
-    """Generators a.x - a (x) nu(x) of D(M, N), for basis elements a of M
-    and basis tensors x, with act_m the action of M on M (x) N."""
-    for a in range(ms.dim):
-        for t, nx in enumerate(nu.cols):
-            g = act_m(a, {t: 1})
-            vec_axpy(g, -1, tensor_vec(ms, ns, {a: 1}, nx))
-            yield g
+def _family_i(act_m, nu: Matrix, ms: SuperSpace, ns: SuperSpace, pairs):
+    """Generators a.x - a (x) nu(x) of D(M, N), for the pairs (a, x) of a
+    basis element a of M and a basis tensor x, with act_m the action of M
+    on M (x) N."""
+    for a, t in pairs:
+        g = act_m(a, {t: 1})
+        vec_axpy(g, -1, tensor_vec(ms, ns, {a: 1}, nu.cols[t]))
+        yield g
 
 
-def _family_ii(act_n, mu: Matrix, ms: SuperSpace, ns: SuperSpace):
-    """Generators -(-1)^{|b||x|} b.x - mu(x) (x) b of D(M, N), for basis
-    tensors x and basis elements b of N, with act_n the action of N on
-    M (x) N."""
+def _family_ii(act_n, mu: Matrix, ms: SuperSpace, ns: SuperSpace, pairs):
+    """Generators -(-1)^{|b||x|} b.x - mu(x) (x) b of D(M, N), for the
+    pairs (x, b) of a basis tensor x and a basis element b of N, with act_n
+    the action of N on M (x) N."""
     pm, pn, dn = ms.parities, ns.parities, ns.dim
-    for t, mx in enumerate(mu.cols):
+    for t, b in pairs:
         px = pm[t // dn] ^ pn[t % dn]
-        for b in range(dn):
-            g = vec_scale(act_n(b, {t: 1}), 1 if px & pn[b] else -1)
-            vec_axpy(g, -1, tensor_vec(ms, ns, mx, {b: 1}))
-            yield g
+        g = vec_scale(act_n(b, {t: 1}), 1 if px & pn[b] else -1)
+        vec_axpy(g, -1, tensor_vec(ms, ns, mu.cols[t], {b: 1}))
+        yield g
+
+
+def _weight_blocks(P: LieSuperAlgebra):
+    """The generators of D(P, P) that the weight blocks of the adjoint
+    square need (see the module docstring): the pairs (a, x) of family (i)
+    and (x, b) of family (ii) of total weight 0, and one pair (h_k, x) of
+    family (i) per basis tensor x of nonzero weight w, k the first index
+    with w_k != 0, leaving out the x in h_k (x) P, whose generator is 0.
+    None when P has no inner grading."""
+    weights = [(h, lam) for h, lam in P.inner_weights() if any(lam)]
+    if not weights:
+        return None
+    reduce, dim = P.field.reduce, P.dim
+    wt = [tuple(lam[i] for _, lam in weights) for i in range(dim)]
+    of_weight: dict[tuple, list[int]] = {}
+    for i, w in enumerate(wt):
+        of_weight.setdefault(w, []).append(i)
+    pairs_i, pairs_ii, spanning = [], [], []
+    for t in range(dim * dim):
+        i, j = divmod(t, dim)
+        w = tuple(reduce(a + b) for a, b in zip(wt[i], wt[j]))
+        partners = of_weight.get(tuple(reduce(-c) for c in w), ())
+        pairs_i += [(a, t) for a in partners]
+        pairs_ii += [(t, b) for b in partners]
+        k = next((k for k, c in enumerate(w) if c), None)
+        if k is not None and weights[k][0] != i:
+            spanning.append((weights[k][0], t))
+    return pairs_i, pairs_ii, spanning
 
 
 def nonabelian_tensor(M: LieSuperAlgebra, N: LieSuperAlgebra,
@@ -213,14 +271,35 @@ def nonabelian_tensor(M: LieSuperAlgebra, N: LieSuperAlgebra,
     nu_plain = Matrix(field, dn, [act_mn.act_basis(i, j) for (i, j) in pairs])
     # the induced actions of M and N on the plain M (x) N, which give both
     # the relation families and the actions on classes
-    act_m = tensor_action(adjoint_action(M), act_mn)
-    act_n = tensor_action(act_nm, adjoint_action(N))
+    adj_m = adjoint_action(M)
+    act_m = tensor_action(adj_m, act_mn)
+    act_n = tensor_action(act_nm, adj_m if N is M else adjoint_action(N))
+
+    blocks = None
+    if M is N and act_mn is act_nm and act_mn.table == adj_m.table:
+        blocks = _weight_blocks(M)
+    if blocks is None:
+        pairs_i = product(range(dm), range(len(pairs)))
+        pairs_ii = product(range(len(pairs)), range(dn))
+        spanning = ()
+    else:
+        # the blocks rest on D(P, P) in Ker mu, which is graded Jacobi
+        rep = check_lie_axioms(M)
+        if not rep.ok:
+            raise BracketNotWellDefined(
+                f"the weight blocks of D(P, P) need the Lie axioms: {rep.violations[:3]}")
+        pairs_i, pairs_ii, spanning = blocks
 
     acc = Echelon(field, plain.dim)
-    for g in chain(_family_i(act_m, nu_plain, ms, ns), _family_ii(act_n, mu_plain, ms, ns)):
+    for g in chain(_family_i(act_m, nu_plain, ms, ns, pairs_i),
+                   _family_ii(act_n, mu_plain, ms, ns, pairs_ii)):
         g = field.clean(g)
         if g and not acc.contains(g):
             acc.insert(g)
+    # a block of nonzero weight: its generators are independent, so no
+    # membership test is needed
+    for g in _family_i(act_m, nu_plain, ms, ns, spanning):
+        acc.insert(g)
     d_sub = acc.subspace()
     del acc  # its semi-reduced rows are not read again; free them before the certificates
     quot = quotient_space(plain, Subspace.full(field, plain.dim), d_sub, "t")
@@ -280,8 +359,13 @@ def induced_tensor_map(src: TensorProduct, dst: TensorProduct,
 
 def tensor_symmetry_iso(t: TensorProduct) -> tuple[GradedMap, TensorProduct]:
     """The isomorphism M (x) N -> N (x) M, m (x) n -> -(-1)^{|m||n|} n (x) m,
-    verified bijective and bracket preserving."""
-    swapped = nonabelian_tensor(t.n, t.m, t.act_nm, t.act_mn)
+    verified to descend, bijective and bracket preserving.  When M is N with
+    one action on both sides, N (x) M is the construction of t itself, and
+    the isomorphism is the graded swap induced on t's quotient."""
+    if t.m is t.n and t.act_mn is t.act_nm:
+        swapped = t
+    else:
+        swapped = nonabelian_tensor(t.n, t.m, t.act_nm, t.act_mn)
     dm, dn = t.m.dim, t.n.dim
     pm, pn = t.m.space.parities, t.n.space.parities
 

@@ -806,6 +806,23 @@ def v_algebra_table_oracle(A: AssocSuperAlgebra) -> dict[tuple[int, int], dict]:
 
 
 # ---------------------------------------------------------------------------
+# the inner grading, from the bracket of basis vectors
+
+
+def inner_weights_dense(L) -> list[tuple[int, list]]:
+    """(h, lambda) for every even basis element h with [h, e_i] a multiple
+    lambda[i] e_i of e_i for every i, from L.bracket of basis vectors."""
+    out = []
+    for h in range(L.dim):
+        if L.space.parities[h]:
+            continue
+        images = [L.bracket({h: 1}, {i: 1}) for i in range(L.dim)]
+        if all(set(v) <= {i} for i, v in enumerate(images)):
+            out.append((h, [L.field.of(v.get(i, 0)) for i, v in enumerate(images)]))
+    return out
+
+
+# ---------------------------------------------------------------------------
 # algebras in a permuted, rescaled basis
 
 

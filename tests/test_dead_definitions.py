@@ -10,7 +10,10 @@ re-export in ``__init__``: a helper that only the package's public list
 names is dead code.  A method or property of a package class (dunder
 methods aside, which Python calls itself) counts as used when its name is
 read as an attribute outside its own body, such as ``m.apply(v)`` or
-``self.rank``.
+``self.rank``.  A read whose receiver names its class, ``self.`` or
+``cls.`` inside a class body or ``Matrix.`` for a package class, counts
+only for that class and the package classes it inherits from or that
+inherit from it: ``Matrix.zero(...)`` does not keep ``Field.zero`` alive.
 """
 
 import ast
@@ -34,24 +37,58 @@ def names_read(node: ast.AST) -> set[str]:
     return out
 
 
-def attributes_read(node: ast.AST) -> set[str]:
-    return {sub.attr for sub in ast.walk(node) if isinstance(sub, ast.Attribute)}
+def attributes_read(node: ast.AST, owner: str | None, classes) -> set[tuple[str | None, str]]:
+    """(receiver class, name) for each attribute read in node: the receiver
+    class is ``owner`` for a read through ``self`` or ``cls``, the class
+    for a read through a package class name, and None otherwise."""
+    out = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Attribute):
+            receiver = sub.value.id if isinstance(sub.value, ast.Name) else None
+            if receiver in ("self", "cls"):
+                receiver = owner
+            elif receiver not in classes:
+                receiver = None
+            out.add((receiver, sub.attr))
+    return out
+
+
+def related_classes(trees) -> dict[str, set[str]]:
+    """Each package class with the package classes it inherits from or
+    that inherit from it, itself included."""
+    bases = {stmt.name: {b.id for b in stmt.bases if isinstance(b, ast.Name)}
+             for tree in trees for stmt in tree.body if isinstance(stmt, ast.ClassDef)}
+
+    def ancestors(name: str) -> set[str]:
+        out = {name}
+        for b in bases.get(name, ()):
+            if b in bases:
+                out |= ancestors(b)
+        return out
+
+    up = {name: ancestors(name) for name in bases}
+    return {name: {other for other in bases if name in up[other] or other in up[name]}
+            for name in bases}
 
 
 def dead_definitions(package: dict[str, str], readers: dict[str, str]) -> list[str]:
     """``"file: name"`` for each module-level def or class of the package
     sources that no other statement of the package or the readers reads,
     then ``"file: Class.method"`` for each method or property of a package
-    class whose name no statement outside its body reads as an attribute."""
+    class whose name no statement outside its body reads as an attribute
+    of an unknown receiver or of a related class."""
+    trees = {name: ast.parse(source) for name, source in {**package, **readers}.items()}
+    related = related_classes(trees[name] for name in package)
     statements = []  # (file, top-level statement, names it reads)
     units = []  # (statement, attributes it reads), each class body statement apart
     methods = []  # (file, class, method)
-    for name, source in {**package, **readers}.items():
-        for stmt in ast.parse(source).body:
+    for name, tree in trees.items():
+        for stmt in tree.body:
             statements.append((name, stmt, names_read(stmt)))
-            body = stmt.body if isinstance(stmt, ast.ClassDef) else [stmt]
-            units += [(sub, attributes_read(sub)) for sub in body]
-            if name in package and isinstance(stmt, ast.ClassDef):
+            owner = stmt.name if isinstance(stmt, ast.ClassDef) else None
+            body = stmt.body if owner else [stmt]
+            units += [(sub, attributes_read(sub, owner, related)) for sub in body]
+            if name in package and owner:
                 methods += [(name, stmt, sub) for sub in body if isinstance(sub, FUNCTIONS)
                             and not (sub.name.startswith("__") and sub.name.endswith("__"))]
     dead = []
@@ -61,7 +98,9 @@ def dead_definitions(package: dict[str, str], readers: dict[str, str]) -> list[s
         if not any(stmt.name in read for _, other, read in statements if other is not stmt):
             dead.append(f"{name}: {stmt.name}")
     for name, cls, method in methods:
-        if not any(method.name in read for other, read in units if other is not method):
+        receivers = {None} | related[cls.name]
+        if not any((receiver, method.name) in read for other, read in units if other is not method
+                   for receiver in receivers):
             dead.append(f"{name}: {cls.name}.{method.name}")
     return dead
 
@@ -82,6 +121,14 @@ def test_no_dead_definition():
      ["a.py: C.f"]),
     ({"a.py": "class C:\n    def f(self): ...\n    def __repr__(self): ...\n"},
      {"t.py": "c = C()\nc.f()\n"}, []),
+    ({"a.py": "class Field:\n    def zero(self): ...\n"
+              "class Matrix:\n    @staticmethod\n    def zero(n): ...\n"},
+     {"t.py": "Field()\nMatrix.zero(2)\n"}, ["a.py: Field.zero"]),
+    ({"a.py": "class C:\n    def f(self): ...\n    def g(self):\n        return self.f()\n"
+              "class D:\n    def f(self): ...\n"},
+     {"t.py": "C().g()\nD()\n"}, ["a.py: D.f"]),
+    ({"a.py": "class B:\n    def f(self): ...\nclass C(B):\n    def g(self):\n        return self.f()\n"},
+     {"t.py": "C().g()\n"}, []),
 ])
 def test_dead_definitions_finder(package, readers, found):
     assert dead_definitions(package, readers) == found

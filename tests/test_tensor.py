@@ -4,6 +4,7 @@ import weakref
 
 import pytest
 
+from superlie import corpus, suites, tensor
 from superlie.actions import adjoint_action, trivial_action
 from superlie.algebras import (
     abelian,
@@ -114,6 +115,26 @@ def test_symmetry_iso(heis, sl21):
         comp = iso2.compose(iso)
         for i in range(t.algebra.dim):
             assert comp.apply({i: 1}) == {i: 1}
+
+
+def test_tensor_props_builds_each_adjoint_square_once(monkeypatch):
+    """The symmetry iso of an adjoint square is the swap on the square
+    itself: the suite's four adjoint squares and two trivial products take
+    one construction each, plus one N (x) M per trivial product."""
+    calls = []
+    build = tensor.nonabelian_tensor
+
+    def counting(*args):
+        calls.append(args)
+        return build(*args)
+
+    monkeypatch.setattr(tensor, "nonabelian_tensor", counting)
+    monkeypatch.setattr(suites, "nonabelian_tensor", counting)
+    # fresh corpus objects, so no tensor memo survives from another test
+    monkeypatch.setattr(suites, "lie_algebra", corpus.lie_algebra.__wrapped__)
+    rows = suites.run_suite("tensor-props")
+    assert rows and all(ok for _, ok, _ in rows)
+    assert len(calls) == 8
 
 
 def test_symmetry_dims_on_asymmetric_pair(heis):

@@ -8,12 +8,17 @@ Jacobi is weakest), in randomly permuted and rescaled bases.  The oracle
 alone also checks the two containments the tensor module docstring
 proves, and dropping either generated family must trip the antisymmetry
 certificate.
+
+The adjoint square of an algebra with an inner grading is built by weight
+blocks; its relations are compared with the full stream of families (i)
+and (ii) of the oracle, in an F3 case where a weight vanishes only mod 3
+too, and a non-Lie algebra must be refused before the blocks are used.
 """
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from oracles import rebase, tensor_relations_oracle
+from oracles import inner_weights_dense, rebase, tensor_relations_oracle
 from superlie import tensor
 from superlie.actions import Action, adjoint_action, ideal_crossed
 from superlie.algebras import (
@@ -27,6 +32,8 @@ from superlie.algebras import (
 )
 from superlie.cyclic import grassmann_line
 from superlie.fields import Field
+from superlie.linalg import Echelon
+from superlie.spaces import superspace
 from superlie.tensor import BracketNotWellDefined, nonabelian_tensor
 
 ALGEBRAS = {
@@ -38,6 +45,12 @@ ALGEBRAS = {
     "gl(1|2)": lambda F: matrix_gl(1, 2, ground_assoc(F)),
     "gl(1|1, L1)": lambda F: matrix_gl(1, 1, grassmann_line(F)),
 }
+# algebras with an inner grading, beyond ALGEBRAS, for the weight blocks
+GRADED_ALGEBRAS = {
+    "sl(3)": lambda F: matrix_sl(3, 0, ground_assoc(F)).algebra,
+    "sl(2|1, L1)": lambda F: matrix_sl(2, 1, grassmann_line(F)).algebra,
+}
+CATALOGUE = {**ALGEBRAS, **GRADED_ALGEBRAS}
 PRIMES = (None, 3, 5, 7)
 IDEAL_ALGEBRAS = ("heis", "gl(1|1)", "gl(1|1, L1)")
 
@@ -45,7 +58,7 @@ IDEAL_ALGEBRAS = ("heis", "gl(1|1)", "gl(1|1, L1)")
 @st.composite
 def rebased_algebras(draw, names=tuple(ALGEBRAS)):
     p = draw(st.sampled_from(PRIMES))
-    L = ALGEBRAS[draw(st.sampled_from(names))](Field(p))
+    L = CATALOGUE[draw(st.sampled_from(names))](Field(p))
     perm = draw(st.permutations(range(L.dim)))
     units = (1, -1) if p is None else (1, -1, 2, -2)
     scale = draw(st.lists(st.sampled_from(units), min_size=L.dim, max_size=L.dim))
@@ -58,7 +71,7 @@ def assert_relations_match(M, N, act_mn, act_nm):
 
 
 def standard(name, p):
-    return ALGEBRAS[name](Field(p))
+    return CATALOGUE[name](Field(p))
 
 
 @settings(max_examples=6, deadline=None)
@@ -143,3 +156,82 @@ def test_antisymmetry_certificate_refuses_a_missing_family(monkeypatch, family, 
     monkeypatch.setattr(tensor, family, lambda *args: iter(()))
     with pytest.raises(BracketNotWellDefined, match="not antisymmetric on classes"):
         nonabelian_tensor(L, L, adj, adj)
+
+
+@settings(max_examples=10, deadline=None)
+@given(rebased_algebras(tuple(CATALOGUE)))
+@example(standard("heis", 3))
+@example(standard("sl(3)", 3))
+def test_inner_weights_match_a_dense_diagonal_check(L):
+    assert L.inner_weights() == inner_weights_dense(L)
+
+
+def tensor_weights(L):
+    """The weight vector of each basis tensor, in the pair basis."""
+    lams = [lam for _, lam in L.inner_weights()]
+    return [tuple(L.field.reduce(lam[i] + lam[j]) for lam in lams)
+            for i in range(L.dim) for j in range(L.dim)]
+
+
+@settings(max_examples=6, deadline=None)
+@given(rebased_algebras(("gl(2|1)", *GRADED_ALGEBRAS)))
+@example(standard("gl(2|1)", 7))
+@example(standard("sl(3)", 3))
+@example(standard("sl(2|1, L1)", None))
+@example(standard("sl(2|1, L1)", 5))
+def test_weight_blocks_match_the_full_families(L):
+    """The weight blocks against the oracle's full stream of families (i)
+    and (ii), which spans D by the tests above (the five families of the
+    oracle take seconds on sl(2|1, Lambda1))."""
+    assert tensor._weight_blocks(L) is not None
+    adj = adjoint_action(L)
+    t = nonabelian_tensor(L, L, adj, adj)
+    assert t.d_generators == tensor_relations_oracle(L, L, adj, adj, families=("i", "ii"))
+
+
+def test_weight_that_vanishes_mod_3_joins_the_weight_0_block():
+    """In sl(3), h = E11 - E33 has weight 2 on E13 and 1 on E12, so
+    E12 (x) E13 has weight 3: nonzero over Q, 0 over F3, where its
+    generators are streamed with the weight-0 block."""
+    over_q, over_3 = standard("sl(3)", None), standard("sl(3)", 3)
+    assert over_q.space.labels == over_3.space.labels
+    assert any(any(wq) and not any(w3)
+               for wq, w3 in zip(tensor_weights(over_q), tensor_weights(over_3)))
+    adj = adjoint_action(over_3)
+    t = nonabelian_tensor(over_3, over_3, adj, adj)
+    assert t.d_generators == tensor_relations_oracle(over_3, over_3, adj, adj)
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_weight_blocks_refuse_an_algebra_that_fails_jacobi(p):
+    """ad(h) is diagonal, [h, x] = x and [h, y] = y, but [x, y] = z with
+    [h, z] = 0 breaks graded Jacobi at (h, x, y); the blocks rest on it."""
+    F = Field(p)
+    sp = superspace(F, [("h", 0), ("x", 0), ("y", 0), ("z", 0)])
+    P = LieSuperAlgebra(sp, {(0, 1): {1: 1}, (0, 2): {2: 1}, (1, 2): {3: 1}})
+    assert P.inner_weights() == [(0, [0, 1, 1, 0]), (3, [0, 0, 0, 0])]
+    adj = adjoint_action(P)
+    with pytest.raises(BracketNotWellDefined, match="weight blocks .* need the Lie axioms"):
+        nonabelian_tensor(P, P, adj, adj)
+
+
+def test_weight_blocks_cut_the_membership_tests(monkeypatch):
+    """The adjoint square of sl(2|1, Lambda1) by weight blocks takes fewer
+    than a sixth of the membership tests of the full stream, which the
+    square takes when its two actions are distinct objects."""
+    L = standard("sl(2|1, L1)", None)
+    calls = []
+    contains = Echelon.contains
+
+    def counting(self, v):
+        calls.append(v)
+        return contains(self, v)
+
+    monkeypatch.setattr(Echelon, "contains", counting)
+    adj = adjoint_action(L)
+    by_blocks = nonabelian_tensor(L, L, adj, adj).d_generators
+    n_blocks = len(calls)
+    calls.clear()
+    full = nonabelian_tensor(L, L, adj, adjoint_action(L)).d_generators
+    assert by_blocks == full
+    assert 0 < 6 * n_blocks < len(calls)
