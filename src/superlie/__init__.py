@@ -105,7 +105,6 @@ from .cyclic import (
 )
 from .freelie import (
     DegreeOverflow,
-    FieldUnsupported,
     FreeTruncation,
     GradedGenSet,
     Presentation,

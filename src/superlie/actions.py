@@ -25,15 +25,19 @@ from .algebras import (
     AxiomReport,
     LieSuperAlgebra,
     Violation,
+    _bilinear,
     _compose,
     _defects,
     _derivation_defects,
+    _normalize,
+    _parity_violations,
+    _row_index,
     _spread,
     hom_defects,
     intertwining_defects,
     is_graded_ideal,
 )
-from .linalg import vec_axpy, vec_clean, vec_scale
+from .linalg import vec_clean, vec_scale
 from .spaces import GradedMap, SuperSpace
 
 
@@ -52,30 +56,14 @@ class Action:
         self.actor = actor
         self.target = target
         self.field = actor.field
-        self.table = {
-            key: vec_clean({k: self.field.of(c) for k, c in v.items()})
-            for key, v in table.items()
-        }
-        self.table = {k: v for k, v in self.table.items() if v}
-        self.rows: list[dict[int, dict]] = [{} for _ in range(actor.dim)]
-        for (p, m), v in self.table.items():
-            self.rows[p][m] = v
+        self.table = _normalize(self.field, table)
+        self.rows = _row_index(self.table, actor.dim)
 
     def act_basis(self, p: int, m: int) -> dict:
         return self.rows[p].get(m, {})
 
     def act(self, pvec: dict, mvec: dict) -> dict:
-        out: dict = {}
-        for p, cp in pvec.items():
-            row = self.rows[p]
-            for m, cm in mvec.items():
-                c = cp * cm
-                if c == 0:
-                    continue
-                b = row.get(m)
-                if b:
-                    vec_axpy(out, c, b)
-        return self.field.clean(out)
+        return _bilinear(self.field, self.rows, pvec, mvec)
 
     def is_trivial(self) -> bool:
         return not self.table
@@ -150,14 +138,9 @@ def check_action(a: Action) -> AxiomReport:
     a triple with a zero factor in every term has defect 0, so only the
     others are computed.  Violations come in basis order, at most
     MAX_VIOLATIONS of them."""
-    violations: list[Violation] = []
     P, M = a.actor, a.target
-    pp, pm = P.space.parities, M.space.parities
-    for (p, m), v in a.table.items():
-        want = (pp[p] + pm[m]) % 2
-        for k, c in v.items():
-            if pm[k] != want:
-                violations.append(Violation("action-parity", (p, m, k), {k: c}))
+    pp = P.space.parities
+    violations = list(_parity_violations(a.table, pp, M.space.parities, "action-parity"))
     for kind, defects in (("action-i", _representation_defects(a)),
                           ("action-ii", _derivation_defects(a.rows, pp, M))):
         for *witness, defect in defects:
@@ -210,10 +193,6 @@ class CrossedModule:
     boundary: GradedMap
     action: Action
 
-    def __post_init__(self):
-        if self.boundary.degree != 0:
-            raise ValueError("boundary must be of even degree")
-
 
 def identity_crossed(P: LieSuperAlgebra) -> CrossedModule:
     return CrossedModule(P, P, GradedMap.identity(P.space), adjoint_action(P))
@@ -225,15 +204,18 @@ def supermodule_crossed(P: LieSuperAlgebra, M: LieSuperAlgebra, action: Action) 
 
 
 def ideal_crossed(L: LieSuperAlgebra, view) -> CrossedModule:
-    """The inclusion of a graded ideal (given as an AlgebraView) into L."""
+    """The inclusion of a graded ideal (given as an AlgebraView) into L;
+    the action constants [e_i, e_m] of L on the ideal are read from
+    :meth:`~superlie.algebras.LieSuperAlgebra.left_brackets` of each
+    inclusion column, in row-major order."""
     incl = view.inclusion
+    brackets = [L.left_brackets(c) for c in incl.matrix.cols]
     table = {}
     for i in range(L.dim):
-        for m in range(view.algebra.dim):
-            w = L.bracket({i: 1}, incl.matrix.cols[m])
-            if not w:
+        for m, left in enumerate(brackets):
+            if i not in left:
                 continue
-            v = view.subspace.coords(w)
+            v = view.subspace.coords(left[i])
             if v is None:
                 raise ActionInvalid("subspace is not an ideal")
             if v:
@@ -243,13 +225,13 @@ def ideal_crossed(L: LieSuperAlgebra, view) -> CrossedModule:
 
 def pullback_action(a: Action, source: LieSuperAlgebra, f: GradedMap) -> Action:
     """The action of ``source`` on ``a.target`` through a Lie homomorphism
-    f: source -> a.actor, that is s.m = f(s).m."""
+    f: source -> a.actor, that is s.m = f(s).m, spread from the rows of
+    the actor's basis elements in each column of f, in row-major order."""
     table = {}
-    for s in range(source.dim):
-        fs = f.apply({s: 1})
-        for m in range(a.target.dim):
-            v = a.act(fs, {m: 1})
-            if v:
+    for s, col in enumerate(f.matrix.cols):
+        row = _spread(col, a.rows)
+        for m in sorted(row):
+            if v := a.field.clean(row[m]):
                 table[(s, m)] = v
     return Action(source, a.target, table)
 

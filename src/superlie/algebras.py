@@ -5,6 +5,11 @@ odd diagonal pairs i = j; values for i > j follow from graded
 antisymmetry and even diagonals vanish, so those two axioms hold by
 construction and the checker certifies parity consistency and the graded
 Jacobi identity, reporting witnesses for violations.
+
+Lie brackets, associative products and actions (``actions.Action``) are
+all tables {(i, j): e_i.e_j}; one set of helpers brings a table into the
+field's normal form, indexes it by rows, evaluates it on two vectors and
+lists its entries of the wrong parity.
 """
 
 from __future__ import annotations
@@ -70,16 +75,12 @@ class LieSuperAlgebra:
         self.space = space
         self.name = name
         self.field = space.field
-        tab: dict[tuple[int, int], dict] = {}
-        for (i, j), v in table.items():
+        for i, j in table:
             if i > j:
                 raise ValueError("structure constants must be given for i <= j")
             if i == j and space.parities[i] == 0:
                 raise ValueError("even diagonal brackets are forced to vanish")
-            v = vec_clean({k: self.field.of(c) for k, c in v.items()})
-            if v:
-                tab[(i, j)] = v
-        self.table = tab
+        self.table = _normalize(self.field, table)
         self._bracket_index: list[dict[int, dict]] | None = None
         # memos of tensor.adjoint_tensor_square and tensor.exterior_square
         self._tensor_square = None
@@ -113,20 +114,7 @@ class LieSuperAlgebra:
         return self.bracket_index()[i].get(j, {})
 
     def bracket(self, u: dict, v: dict) -> dict:
-        index = self.bracket_index()
-        out: dict = {}
-        for i, ci in u.items():
-            if ci == 0:
-                continue
-            row = index[i]
-            for j, cj in v.items():
-                c = ci * cj
-                if c == 0:
-                    continue
-                b = row.get(j)
-                if b:
-                    vec_axpy(out, c, b)
-        return self.field.clean(out)
+        return _bilinear(self.field, self.bracket_index(), u, v)
 
     def bracket_index(self) -> list[dict[int, dict]]:
         """Row i is {j: [e_i, e_j]} over the nonzero brackets, built once
@@ -214,6 +202,54 @@ def _diagonal(row: dict[int, dict], dim: int, reduce) -> list | None:
     return [reduce(row[i][i]) if i in row else 0 for i in range(dim)]
 
 
+def _normalize(field: Field, table: dict[tuple[int, int], dict]) -> dict[tuple[int, int], dict]:
+    """Structure constants {(i, j): e_i.e_j} with every scalar in the normal
+    form of the field and the zero values dropped, in the given order."""
+    out = {}
+    for key, v in table.items():
+        if v := vec_clean({k: field.of(c) for k, c in v.items()}):
+            out[key] = v
+    return out
+
+
+def _row_index(table: dict[tuple[int, int], dict], dim: int) -> list[dict[int, dict]]:
+    """Row i is {j: table[(i, j)]} over the stored constants, in table
+    order, sharing their vectors."""
+    rows: list[dict[int, dict]] = [{} for _ in range(dim)]
+    for (i, j), v in table.items():
+        rows[i][j] = v
+    return rows
+
+
+def _bilinear(field: Field, rows: list[dict[int, dict]], u: dict, v: dict) -> dict:
+    """The sum of u_i v_j rows[i][j] over the nonzero constants, normalized:
+    the bracket, product or action of u and v with the row index ``rows``."""
+    out: dict = {}
+    for i, ci in u.items():
+        if ci == 0:
+            continue
+        row = rows[i]
+        for j, cj in v.items():
+            c = ci * cj
+            if c == 0:
+                continue
+            b = row.get(j)
+            if b:
+                vec_axpy(out, c, b)
+    return field.clean(out)
+
+
+def _parity_violations(table: dict[tuple[int, int], dict], left, right, kind: str):
+    """Yield a Violation of ``kind`` at (i, j, k) for each entry c e_k of
+    table[(i, j)] whose parity right[k] is not left[i] + right[j], in table
+    order: the values lie in the space of the right factor."""
+    for (i, j), v in table.items():
+        want = (left[i] + right[j]) % 2
+        for k, c in v.items():
+            if right[k] != want:
+                yield Violation(kind, (i, j, k), {k: c})
+
+
 def _spread(vec: dict, rows: list[dict[int, dict]]) -> dict[int, dict]:
     """{j: sum of c rows[x][j]} over the entries x: c of vec."""
     out: dict[int, dict] = {}
@@ -278,13 +314,8 @@ def check_lie_axioms(L: LieSuperAlgebra) -> AxiomReport:
     structure constants: a triple with a zero factor in every term has
     defect 0, so only the others are computed.  Violations come in basis
     order, Jacobi triples after the rest, at most MAX_VIOLATIONS of them."""
-    violations: list[Violation] = []
     par = L.space.parities
-    for (i, j), v in L.table.items():
-        want = (par[i] + par[j]) % 2
-        for k, c in v.items():
-            if par[k] != want:
-                violations.append(Violation("parity", (i, j, k), {k: c}))
+    violations = list(_parity_violations(L.table, par, par, "parity"))
     # [x0, x0] = 0 for general even x0: expanding over even basis pairs the
     # coefficient of a_i a_j is c_ij + c_ji (i < j) and c_ii on the diagonal;
     # both vanish under the storage convention, re-derived here explicitly
@@ -305,18 +336,17 @@ def check_lie_axioms(L: LieSuperAlgebra) -> AxiomReport:
 
 
 class AssocSuperAlgebra:
-    """Associative superalgebra by structure constants, optionally unital."""
+    """Associative superalgebra by structure constants, optionally unital:
+    ``table`` maps (i, j) to e_i e_j and ``rows[i]`` is {j: e_i e_j}, both
+    over the nonzero products only and sharing their vectors."""
 
     def __init__(self, space: SuperSpace, table: dict[tuple[int, int], dict],
                  unit: dict | None = None, name: str = ""):
         self.space = space
         self.name = name
         self.field = space.field
-        self.table = {
-            key: vec_clean({k: self.field.of(c) for k, c in v.items()})
-            for key, v in table.items()
-        }
-        self.table = {key: v for key, v in self.table.items() if v}
+        self.table = _normalize(self.field, table)
+        self.rows = _row_index(self.table, space.dim)
         self.unit = vec_clean({k: self.field.of(c) for k, c in (unit or {}).items()}) or None
 
     @property
@@ -327,19 +357,12 @@ class AssocSuperAlgebra:
         return f"AssocSuperAlgebra({self.name or 'anon'}, dim {self.space})"
 
     def product_basis(self, i: int, j: int) -> dict:
-        return self.table.get((i, j), {})
+        """e_i e_j, read from :attr:`rows`; the dict is shared, so callers
+        must not mutate it."""
+        return self.rows[i].get(j, {})
 
     def product(self, u: dict, v: dict) -> dict:
-        out: dict = {}
-        for i, ci in u.items():
-            for j, cj in v.items():
-                c = ci * cj
-                if c == 0:
-                    continue
-                b = self.product_basis(i, j)
-                if b:
-                    vec_axpy(out, c, b)
-        return self.field.clean(out)
+        return _bilinear(self.field, self.rows, u, v)
 
     def is_supercommutative(self) -> bool:
         par = self.space.parities
@@ -353,13 +376,8 @@ class AssocSuperAlgebra:
 
 
 def check_assoc_axioms(A: AssocSuperAlgebra) -> AxiomReport:
-    violations: list[Violation] = []
     par = A.space.parities
-    for (i, j), v in A.table.items():
-        want = (par[i] + par[j]) % 2
-        for k, c in v.items():
-            if par[k] != want:
-                violations.append(Violation("parity", (i, j, k), {k: c}))
+    violations = list(_parity_violations(A.table, par, par, "parity"))
     for i in range(A.dim):
         for j in range(A.dim):
             for k in range(A.dim):
@@ -394,7 +412,7 @@ def abelian(field: Field, even: int, odd: int, prefix: str = "a") -> LieSuperAlg
 def heisenberg(field: Field) -> LieSuperAlgebra:
     """The 3-dimensional even Heisenberg algebra: [x, y] = z."""
     sp = superspace(field, [("x", 0), ("y", 0), ("z", 0)])
-    return LieSuperAlgebra(sp, {(0, 1): {2: field.one}}, name="heis")
+    return LieSuperAlgebra(sp, {(0, 1): {2: 1}}, name="heis")
 
 
 def lie_from_assoc(A: AssocSuperAlgebra, name: str = "") -> LieSuperAlgebra:
@@ -412,7 +430,7 @@ def lie_from_assoc(A: AssocSuperAlgebra, name: str = "") -> LieSuperAlgebra:
 def ground_assoc(field: Field) -> AssocSuperAlgebra:
     """The ground field as a one-dimensional associative superalgebra."""
     sp = superspace(field, [("1", 0)])
-    return AssocSuperAlgebra(sp, {(0, 0): {0: field.one}}, unit={0: field.one}, name="K")
+    return AssocSuperAlgebra(sp, {(0, 0): {0: 1}}, unit={0: 1}, name="K")
 
 
 def matrix_assoc(m: int, n: int, A: AssocSuperAlgebra) -> AssocSuperAlgebra:
@@ -442,15 +460,11 @@ def matrix_assoc(m: int, n: int, A: AssocSuperAlgebra) -> AssocSuperAlgebra:
         for j in range(size):
             for t in range(dimA):
                 a = idx(i, j, t)
-                for k in range(size):
-                    if j != k:
-                        continue
-                    for l in range(size):
-                        for u in range(dimA):
-                            b = idx(k, l, u)
-                            prod = A.product_basis(t, u)
-                            if prod:
-                                table[(a, b)] = {idx(i, l, s): c for s, c in prod.items()}
+                # E_ij(x) E_kl(y) vanishes unless k = j
+                for l in range(size):
+                    for u in range(dimA):
+                        if prod := A.product_basis(t, u):
+                            table[(a, idx(j, l, u))] = {idx(i, l, s): c for s, c in prod.items()}
     unit = {}
     unit_of_A = A.unit
     for i in range(size):
@@ -647,7 +661,7 @@ class Projection(GradedMap):
 
     def __init__(self, quotient: QuotientSpace):
         cols = [quotient.reduce({i: 1}) for i in range(quotient.parent.dim)]
-        super().__init__(quotient.parent, quotient.space, 0,
+        super().__init__(quotient.parent, quotient.space,
                          Matrix(quotient.parent.field, quotient.space.dim, cols))
         self.quotient = quotient
 

@@ -41,7 +41,7 @@ from .cyclic import (
     milnor_hc1,
 )
 from .fields import FieldError
-from .freelie import DegreeOverflow, FieldUnsupported, TruncationOutOfRange
+from .freelie import DegreeOverflow, TruncationOutOfRange
 from .homology import (
     ClassExceeded,
     ComplexInconsistent,
@@ -66,8 +66,7 @@ from .tensor import (
 )
 
 MATH_ERRORS = (IncompatibleActions, NotPerfect, NotUnital, BracketNotWellDefined,
-               ComplexInconsistent, ClassExceeded, DegreeOverflow, ContainmentError,
-               FieldUnsupported)
+               ComplexInconsistent, ClassExceeded, DegreeOverflow, ContainmentError)
 
 
 def resolve_path(arg: str) -> Path:

@@ -36,6 +36,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
+from itertools import product
 
 from .actions import (
     Action,
@@ -100,11 +101,20 @@ class ConnesComplex:
         return b
 
 
-def _tuple_indices(dim: int, length: int):
-    out = [()]
-    for _ in range(length):
-        out = [t + (i,) for t in out for i in range(dim)]
-    return out
+def _flat(t: tuple, d: int) -> int:
+    """The index of e_{t_0} (x) ... (x) e_{t_n} in the row-major basis of
+    :func:`~superlie.spaces.tensor_power_space`, d the dimension of A."""
+    idx = 0
+    for k in t:
+        idx = idx * d + k
+    return idx
+
+
+def _cyclic_sign(t: tuple, par) -> int:
+    """The parity n + |a_n| sum_{k<n} |a_k| of the sign of t_n on the basis
+    tuple t = (a_0, ..., a_n), which is also the sign of its last face."""
+    n = len(t) - 1
+    return (n + par[t[n]] * sum(par[k] for k in t[:n])) % 2
 
 
 def connes(A: AssocSuperAlgebra, max_n: int = 2) -> ConnesComplex:
@@ -120,18 +130,14 @@ def connes(A: AssocSuperAlgebra, max_n: int = 2) -> ConnesComplex:
     for n in range(max_n + 1):
         sp = tensor_power_space(A.space, n + 1)
         plain.append(sp)
-        tuples = _tuple_indices(d, n + 1)
+        tuples = list(product(range(d), repeat=n + 1))
         tuples_by_n.append(tuples)
         # Im(1 - t_n) from all basis tuples
         acc = Echelon(field, sp.dim)
         for idx, t in enumerate(tuples):
-            s = (n + par[t[n]] * sum(par[k] for k in t[:n])) % 2
-            rotated = (t[n],) + t[:n]
-            r_idx = 0
-            for k in rotated:
-                r_idx = r_idx * d + k
+            r_idx = _flat(t[n:] + t[:n], d)
             g = {idx: 1}
-            g[r_idx] = g.get(r_idx, 0) - (-1 if s else 1)
+            g[r_idx] = g.get(r_idx, 0) - (-1 if _cyclic_sign(t, par) else 1)
             acc.insert(vec_clean(g))
         coinv.append(quotient_space(sp, Subspace.full(field, sp.dim), acc.subspace(), f"c{n}."))
 
@@ -148,19 +154,14 @@ def connes(A: AssocSuperAlgebra, max_n: int = 2) -> ConnesComplex:
                 s = -cx if i % 2 else cx
                 head, tail = t[:i], t[i + 2:]
                 for e, c in prod.items():
-                    idx = 0
-                    for k in head + (e,) + tail:
-                        idx = idx * d + k
+                    idx = _flat(head + (e,) + tail, d)
                     out[idx] = out.get(idx, 0) + s * c
             prod = A.product_basis(t[n], t[0])
             if prod:
-                s = (n + par[t[n]] * sum(par[k] for k in t[:n])) % 2
-                sgn = -cx if s else cx
+                s = -cx if _cyclic_sign(t, par) else cx
                 for e, c in prod.items():
-                    idx = 0
-                    for k in (e,) + t[1:n]:
-                        idx = idx * d + k
-                    out[idx] = out.get(idx, 0) + sgn * c
+                    idx = _flat((e,) + t[1:n], d)
+                    out[idx] = out.get(idx, 0) + s * c
         return field.clean(out)
 
     # the boundary descends: induced_map certifies d'((1 - t_n) x) dies in C_{n-1}

@@ -67,11 +67,6 @@ class Field:
             return num * pow(den, -1, self.p) % self.p
         return value % self.p
 
-    @property
-    def one(self) -> int:
-
-        return 1
-
     def neg(self, a):
         return -a if self.p is None else (-a) % self.p
 

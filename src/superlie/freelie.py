@@ -14,13 +14,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .algebras import LieSuperAlgebra
-from .fields import Field
+from .fields import QQ
 from .linalg import Echelon, Subspace, vec_clean
 from .spaces import SuperSpace, superspace
-
-
-class FieldUnsupported(ValueError):
-    """Free objects are realized over the rationals only."""
 
 
 class DegreeOverflow(ValueError):
@@ -84,12 +80,11 @@ def word_parity(word, gens: GradedGenSet) -> int:
 
 
 class FreeTruncation:
-    """Components of the free Lie superalgebra up to a degree bound, with
-    the structure constants of the corresponding free nilpotent quotient."""
+    """Components of the free Lie superalgebra over Q up to a degree bound,
+    with the structure constants of the corresponding free nilpotent
+    quotient."""
 
-    def __init__(self, gens: GradedGenSet, max_degree: int, field: Field):
-        if field.p is not None:
-            raise FieldUnsupported("free Lie superalgebras require characteristic 0")
+    def __init__(self, gens: GradedGenSet, max_degree: int):
         if gens.count > MAX_GENERATORS:
             raise TruncationOutOfRange(
                 f"{gens.count} generators given; at most {MAX_GENERATORS} are supported")
@@ -97,7 +92,7 @@ class FreeTruncation:
             raise TruncationOutOfRange(f"degree must be between 1 and {MAX_DEGREE}")
         self.gens = gens
         self.max_degree = max_degree
-        self.field = field
+        self.field = field = QQ
         self._algebra = None
         g = gens.count
         self.gen_space = superspace(field, list(gens.generators))
@@ -115,13 +110,11 @@ class FreeTruncation:
             self._tensor_parity.append(pars)
         # degree components inside V^{(x) k}: spans of left-normed commutators
         self.components: list[Subspace] = [Subspace(field, 1, [])]
-        self._span_vectors: list[list[dict]] = [[]]
         deg1 = [( {i: 1}, gens.generators[i][1]) for i in range(g)]
         comp1 = Echelon(field, g)
         for v, _ in deg1:
             comp1.insert(v)
         self.components.append(comp1.subspace())
-        self._span_vectors.append([dict(v) for v, _ in deg1])
         prev = deg1  # (vector in V^{(x)(k-1)}, parity)
         for k in range(2, max_degree + 1):
             acc = Echelon(field, g ** k)
@@ -133,7 +126,6 @@ class FreeTruncation:
                     if v and acc.insert(v):
                         new_vs.append((v, (pw + pg) % 2))
             self.components.append(acc.subspace())
-            self._span_vectors.append([dict(v) for v, _ in new_vs])
             prev = new_vs
 
     def _supercommutator(self, u: dict, pu: int, v: dict, pv: int, du: int, dv: int) -> dict:
@@ -247,12 +239,12 @@ class FreeTruncation:
         return {off + i: c for i, c in coords.items()}
 
 
-def free_truncated(gens: GradedGenSet, d: int, field: Field = Field()) -> FreeTruncation:
-    return FreeTruncation(gens, d, field)
+def free_truncated(gens: GradedGenSet, d: int) -> FreeTruncation:
+    return FreeTruncation(gens, d)
 
 
-def free_nilpotent(gens: GradedGenSet, c: int, field: Field = Field()) -> LieSuperAlgebra:
-    return FreeTruncation(gens, c, field).algebra()
+def free_nilpotent(gens: GradedGenSet, c: int) -> LieSuperAlgebra:
+    return FreeTruncation(gens, c).algebra()
 
 
 @dataclass
@@ -276,7 +268,7 @@ class MillerReport:
     class_bound: int
 
 
-def miller_truncated_check(gens: GradedGenSet, c: int, field: Field | None = None) -> MillerReport:
+def miller_truncated_check(gens: GradedGenSet, c: int) -> MillerReport:
     """Truncation-corrected injectivity of x ^ y -> [x, y] on free objects:
     on the free nilpotent quotient of class c the kernel of the exterior
     square over the bracket consists exactly of the brackets destroyed by
@@ -284,9 +276,8 @@ def miller_truncated_check(gens: GradedGenSet, c: int, field: Field | None = Non
     the free Lie superalgebra."""
     from .tensor import exterior_square
 
-    field = field or Field()
-    trunc = free_truncated(gens, c + 1, field)
-    algebra = FreeTruncation(gens, c, field).algebra()
+    trunc = free_truncated(gens, c + 1)
+    algebra = FreeTruncation(gens, c).algebra()
     ext = exterior_square(algebra)
     ker = ext.nu.kernel()
     kernel_dims = ext.algebra.space.split_dims(ker.rows)

@@ -83,7 +83,6 @@ from .algebras import (
     quotient_space,
     subalgebra_on,
 )
-from .fields import Field
 from .freelie import (
     MAX_DEGREE,
     Presentation,
@@ -451,7 +450,7 @@ class HopfResult:
         return self.dims[0] + self.dims[1]
 
 
-def hopf_formula(pres: Presentation, class_bound: int, field: Field | None = None) -> HopfResult:
+def hopf_formula(pres: Presentation, class_bound: int) -> HopfResult:
     """H_2 of the class-bounded presented algebra as (R ^ [F,F]) / [F,R],
     computed in the free nilpotent cover of class class_bound + 1.
 
@@ -462,7 +461,7 @@ def hopf_formula(pres: Presentation, class_bound: int, field: Field | None = Non
     if not 0 <= class_bound < MAX_DEGREE:
         raise TruncationOutOfRange(
             f"class bound {class_bound} is outside the supported range 0..{MAX_DEGREE - 1}")
-    trunc = free_truncated(pres.gens, class_bound + 1, field or Field())
+    trunc = free_truncated(pres.gens, class_bound + 1)
     cover = trunc.algebra()
     rel_vecs = []
     for w in pres.relators:

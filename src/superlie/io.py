@@ -218,8 +218,7 @@ def parse_boundary(items, m_alg: LieSuperAlgebra, p_alg: LieSuperAlgebra) -> Gra
             raise ParseError(f"unknown label in boundary entry {entry!r}") from None
         cols[i] = _parse_value(entry["value"], p_alg.space, p_alg.field)
     try:
-        return GradedMap(m_alg.space, p_alg.space, 0,
-                         Matrix(p_alg.field, p_alg.dim, cols))
+        return GradedMap(m_alg.space, p_alg.space, Matrix(p_alg.field, p_alg.dim, cols))
     except ValueError as exc:
         raise ParseError(str(exc)) from exc
 

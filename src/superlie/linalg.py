@@ -412,7 +412,7 @@ class Matrix:
         pivset = set(rref.pivots)
         # one vector per free column j: e_j minus the RREF entries in column
         # j, read off each pivot row's own entries (all at free columns)
-        kernel = {j: {j: self.field.one} for j in range(self.ncols) if j not in pivset}
+        kernel = {j: {j: 1} for j in range(self.ncols) if j not in pivset}
         neg = self.field.neg
         for piv, row in zip(rref.pivots, rref.rows):
             for j, c in row.items():
@@ -445,7 +445,7 @@ class Matrix:
 
     @staticmethod
     def identity(field: Field, n: int) -> "Matrix":
-        return Matrix(field, n, [{i: field.one} for i in range(n)])
+        return Matrix(field, n, [{i: 1} for i in range(n)])
 
     @staticmethod
     def zero(field: Field, nrows: int, ncols: int) -> "Matrix":

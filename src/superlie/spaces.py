@@ -78,23 +78,19 @@ def superspace(field: Field, basis: list[tuple[str, int]]) -> SuperSpace:
 
 
 class GradedMap:
-    """A parity-homogeneous linear map between superspaces."""
+    """An even linear map between superspaces: it preserves parity."""
 
-    __slots__ = ("source", "target", "degree", "matrix")
+    __slots__ = ("source", "target", "matrix")
 
-    def __init__(self, source: SuperSpace, target: SuperSpace, degree: int, matrix: Matrix):
+    def __init__(self, source: SuperSpace, target: SuperSpace, matrix: Matrix):
         if matrix.ncols != source.dim or matrix.nrows != target.dim:
             raise ValueError("matrix shape does not match the spaces")
         for j, col in enumerate(matrix.cols):
-            want = (source.parities[j] + degree) % 2
             for i in col:
-                if target.parities[i] != want:
-                    raise ValueError(
-                        f"entry ({i},{j}) violates parity: map degree {degree}"
-                    )
+                if target.parities[i] != source.parities[j]:
+                    raise ValueError(f"entry ({i},{j}) violates parity: the map is not even")
         self.source = source
         self.target = target
-        self.degree = degree
         self.matrix = matrix
 
     def apply(self, v: dict) -> dict:
@@ -103,10 +99,7 @@ class GradedMap:
     def compose(self, inner: "GradedMap") -> "GradedMap":
         if inner.target is not self.source and inner.target != self.source:
             raise ValueError("maps are not composable")
-        return GradedMap(
-            inner.source, self.target, (self.degree + inner.degree) % 2,
-            self.matrix.compose(inner.matrix),
-        )
+        return GradedMap(inner.source, self.target, self.matrix.compose(inner.matrix))
 
     def image(self) -> Subspace:
         return self.matrix.image_basis()
@@ -118,23 +111,23 @@ class GradedMap:
         return self.matrix.is_zero()
 
     @staticmethod
-    def from_columns(source: SuperSpace, target: SuperSpace, cols: list[dict], degree: int = 0) -> "GradedMap":
-        return GradedMap(source, target, degree, Matrix(source.field, target.dim, cols))
+    def from_columns(source: SuperSpace, target: SuperSpace, cols: list[dict]) -> "GradedMap":
+        return GradedMap(source, target, Matrix(source.field, target.dim, cols))
 
     @staticmethod
     def identity(space: SuperSpace) -> "GradedMap":
-        return GradedMap(space, space, 0, Matrix.identity(space.field, space.dim))
+        return GradedMap(space, space, Matrix.identity(space.field, space.dim))
 
     @staticmethod
     def zero(source: SuperSpace, target: SuperSpace) -> "GradedMap":
-        return GradedMap(source, target, 0, Matrix.zero(source.field, target.dim, source.dim))
+        return GradedMap(source, target, Matrix.zero(source.field, target.dim, source.dim))
 
 
 # ---------------------------------------------------------------------------
 # tensor products of superspaces
 
 
-def tensor_space(a: SuperSpace, b: SuperSpace, sep: str = "*") -> SuperSpace:
+def tensor_space(a: SuperSpace, b: SuperSpace) -> SuperSpace:
     """Row-major pairs (a_i, b_j) with parity |a_i| + |b_j|."""
     if a.field != b.field:
         raise ValueError("tensor factors over different fields")
@@ -142,7 +135,7 @@ def tensor_space(a: SuperSpace, b: SuperSpace, sep: str = "*") -> SuperSpace:
     parities = []
     for la, pa in zip(a.labels, a.parities):
         for lb, pb in zip(b.labels, b.parities):
-            labels.append(f"{la}{sep}{lb}")
+            labels.append(f"{la}*{lb}")
             parities.append((pa + pb) % 2)
     return SuperSpace(a.field, tuple(labels), tuple(parities))
 
@@ -160,12 +153,12 @@ def tensor_vec(a: SuperSpace, b: SuperSpace, u: dict, v: dict) -> dict:
     return out
 
 
-def tensor_power_space(a: SuperSpace, n: int, sep: str = "*") -> SuperSpace:
+def tensor_power_space(a: SuperSpace, n: int) -> SuperSpace:
     if n == 0:
         return SuperSpace(a.field, ("1",), (0,))
     out = a
     for _ in range(n - 1):
-        out = tensor_space(out, a, sep=sep)
+        out = tensor_space(out, a)
     return out
 
 

@@ -26,7 +26,11 @@ bracket of V(A) is summed slot by slot and checked to preserve I(A) by
 bracketing every row of I(A) with every basis tensor, where the
 production code factors it through the commutator map.  The action on a
 tensor product fills each image densely, coefficient by coefficient,
-where the production code reads the nonzero action constants.
+where the production code reads the nonzero action constants.  Brackets,
+products and actions of vectors are summed over every basis pair, where
+the production code reads one row index; the action tables of an ideal
+and of a pullback are filled entry by entry through the public bracket
+and action, where the production code spreads rows.
 The module also holds the helpers that only tests use: algebras in a
 permuted, rescaled basis, bracket actions between subalgebra views,
 relators as graded vectors, and the bundled corpus files regenerated from
@@ -820,6 +824,68 @@ def inner_weights_dense(L) -> list[tuple[int, list]]:
         if all(set(v) <= {i} for i, v in enumerate(images)):
             out.append((h, [L.field.of(v.get(i, 0)) for i, v in enumerate(images)]))
     return out
+
+
+# ---------------------------------------------------------------------------
+# bilinear maps and action tables over every basis pair
+
+
+def lie_table_dense(L) -> dict[tuple[int, int], dict]:
+    """[e_i, e_j] for every basis pair, read from the stored pairs i <= j
+    and, for i > j, by graded antisymmetry."""
+    par = L.space.parities
+    out = {}
+    for i in range(L.dim):
+        for j in range(L.dim):
+            if i <= j:
+                out[(i, j)] = L.table.get((i, j), {})
+            else:
+                out[(i, j)] = vec_scale(L.table.get((j, i), {}), 1 if par[i] * par[j] else -1)
+    return out
+
+
+def bilinear_dense(field, table, left_dim: int, right_dim: int, u: dict, v: dict) -> dict:
+    """The sum of u_i v_j table[(i, j)] over every basis pair, zero
+    coefficients and zero constants included."""
+    out: dict = {}
+    for i in range(left_dim):
+        for j in range(right_dim):
+            c = u.get(i, 0) * v.get(j, 0)
+            for k, x in table.get((i, j), {}).items():
+                out[k] = out.get(k, 0) + c * x
+    return field.clean(out)
+
+
+def ideal_action_dense(L, view) -> dict[tuple[int, int], dict]:
+    """The action table of L on the ideal ``view`` that ideal_crossed builds,
+    from the bracket of every basis element of L with every inclusion
+    column, zero brackets included."""
+    incl = view.inclusion
+    table = {}
+    for i in range(L.dim):
+        for m in range(view.algebra.dim):
+            w = L.bracket({i: 1}, incl.matrix.cols[m])
+            if not w:
+                continue
+            v = view.subspace.coords(w)
+            if v is None:
+                raise ActionInvalid("subspace is not an ideal")
+            if v:
+                table[(i, m)] = v
+    return table
+
+
+def pullback_action_dense(a: Action, source, f: GradedMap) -> dict[tuple[int, int], dict]:
+    """The action table of pullback_action, from f(s).e_m for every basis
+    pair (s, m) through the public action."""
+    table = {}
+    for s in range(source.dim):
+        fs = f.apply({s: 1})
+        for m in range(a.target.dim):
+            v = a.act(fs, {m: 1})
+            if v:
+                table[(s, m)] = v
+    return table
 
 
 # ---------------------------------------------------------------------------

@@ -165,7 +165,7 @@ def test_criterion_01_axiom_battery():
 
             bad = CrossedModule(
                 cid.m, cid.p,
-                GradedMap(alg.space, alg.space, 0, Matrix(QQ, alg.dim, cols)),
+                GradedMap(alg.space, alg.space, Matrix(QQ, alg.dim, cols)),
                 cid.action)
             rep = check_crossed(bad)
         assert not rep.ok, f"corruption {trial} (kind {kind}) was not caught"

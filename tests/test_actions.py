@@ -134,7 +134,7 @@ def test_crossed_boundary_tamper_caught(heis, gl11, sl21):
         cols[0] = {k: 2 * c for k, c in cols[0].items()}
         bad = CrossedModule(
             cid.m, cid.p,
-            GradedMap(alg.space, alg.space, 0, Matrix(QQ, alg.dim, cols)),
+            GradedMap(alg.space, alg.space, Matrix(QQ, alg.dim, cols)),
             cid.action)
         assert not check_crossed(bad).ok
 

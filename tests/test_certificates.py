@@ -199,7 +199,7 @@ def corrupt_crossed(data, c: CrossedModule, mode: str) -> CrossedModule:
     cols = [dict(col) for col in d.matrix.cols]
     cols[j][i] = cols[j].get(i, 0) + data.draw(st.sampled_from(DELTAS))
     cols[j] = field.clean({k: field.of(v) for k, v in cols[j].items()})
-    return CrossedModule(c.m, c.p, GradedMap(d.source, d.target, 0, Matrix(field, d.target.dim, cols)),
+    return CrossedModule(c.m, c.p, GradedMap(d.source, d.target, Matrix(field, d.target.dim, cols)),
                          c.action)
 
 

@@ -2,10 +2,8 @@ import pytest
 
 from oracles import evaluate_relator, magma_quotient_dims
 from superlie.algebras import check_lie_axioms, series
-from superlie.fields import Field
 from superlie.freelie import (
     DegreeOverflow,
-    FieldUnsupported,
     Presentation,
     free_nilpotent,
     free_truncated,
@@ -103,11 +101,6 @@ def test_degree_overflow():
     F = free_truncated(gs(("x", 0), ("y", 0)), 2)
     with pytest.raises(DegreeOverflow):
         F.evaluate_word([["x", "y"], "x"])
-
-
-def test_field_guard():
-    with pytest.raises(FieldUnsupported):
-        free_truncated(gs(("x", 0)), 2, Field(5))
 
 
 def test_limits():

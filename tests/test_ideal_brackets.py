@@ -42,7 +42,7 @@ from superlie.spaces import superspace
 def free_cover(p) -> LieSuperAlgebra:
     """The free nilpotent algebra of class 3 on x, y even and t odd.  Its
     structure constants are integers, so over GF(p) it is their reduction."""
-    Q = free_truncated(genset([("x", 0), ("y", 0), ("t", 1)]), 3, Field()).algebra()
+    Q = free_truncated(genset([("x", 0), ("y", 0), ("t", 1)]), 3).algebra()
     if p is None:
         return Q
     L = LieSuperAlgebra(superspace(Field(p), list(zip(Q.space.labels, Q.space.parities))), Q.table,

@@ -155,15 +155,13 @@ def test_exterior_closed_form_degree2():
 def test_graded_map_parity_validation():
     a = space(0, 1)
     b = space(0, 1)
-    GradedMap(a, b, 0, Matrix(QQ, 2, [{0: 1}, {1: 1}]))
+    GradedMap(a, b, Matrix(QQ, 2, [{0: 1}, {1: 1}]))
     with pytest.raises(ValueError):
-        GradedMap(a, b, 0, Matrix(QQ, 2, [{1: 1}, {}]))
-    # degree-1 map sends even to odd
-    GradedMap(a, b, 1, Matrix(QQ, 2, [{1: 1}, {0: 1}]))
+        GradedMap(a, b, Matrix(QQ, 2, [{1: 1}, {}]))
 
 
 def test_graded_map_compose():
     a = space(0, 0)
-    f = GradedMap(a, a, 0, Matrix(QQ, 2, [{1: 1}, {}]))
+    f = GradedMap(a, a, Matrix(QQ, 2, [{1: 1}, {}]))
     g = f.compose(f)
     assert g.is_zero()
