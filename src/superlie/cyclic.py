@@ -7,8 +7,26 @@ The Hochschild boundary and the signed cyclic operator are
 
   t_n(a_0 (x) ... (x) a_n)  = (-1)^{n + |a_n| sum_{k<n} |a_k|} a_n (x) a_0 (x)...(x) a_{n-1}
 
-The Connes complex consists of the coinvariants modulo Im(1 - t_n); the
-boundary is induced by :func:`~superlie.algebras.induced_map`, which
+The Connes complex consists of the coinvariants modulo Im(1 - t_n).  On
+basis tuples t_n is a signed rotation, t_n e_t = s(t) e_{r(t)} with
+r(a_0, ..., a_n) = (a_n, a_0, ..., a_{n-1}), so A^{(x)(n+1)} splits into
+the spans of the rotation orbits, and Im(1 - t_n) is written orbit by
+orbit in canonical form, with no elimination (Loday, Cyclic Homology,
+2.1).  Walk an orbit x_0, x_1 = r(x_0), ..., and let s_i be the sign with
+t_n^i e_{x_0} = s_i e_{x_i}; the product of the signs around the orbit is
+s_k for its length k.
+
+- A live orbit (s_k = +1): the vectors s_i e_{x_i} are permuted
+  cyclically, so Im(1 - t_n) on the orbit is the sum-zero hyperplane in
+  them, one coinvariant per orbit.  With rep the largest flat index of the
+  orbit, its rows are e_x - s_x s_rep e_rep for the other members x, each
+  with pivot x.
+- A dead orbit (s_k = -1): t_n^k = -1 on the orbit, so 1 - t_n is
+  invertible there (the characteristic is never 2), the orbit gives no
+  coinvariant, and its rows are the unit vectors e_x.  1 (x) 1 in degree 1
+  is one: t_1 = -1 on it.
+
+The boundary is induced by :func:`~superlie.algebras.induced_map`, which
 certifies that d' carries Im(1 - t_n) into Im(1 - t_{n-1}), and d.d = 0 is
 asserted.  HC_1 is also computed from its kernel model
 (A (x) A)/I(A) -> [A, A], the coarser Milnor quotient, and the bracket
@@ -72,6 +90,7 @@ from .linalg import (
     Echelon,
     Matrix,
     Subspace,
+    vec_axpy,
     vec_clean,
     vec_sub,
 )
@@ -117,6 +136,88 @@ def _cyclic_sign(t: tuple, par) -> int:
     return (n + par[t[n]] * sum(par[k] for k in t[:n])) % 2
 
 
+def _rotation_image(field, d: int, n: int, par) -> Subspace:
+    """The canonical basis of Im(1 - t_n) on A^{(x)(n+1)}, d the dimension
+    of A, written orbit by orbit (see the module docstring): a live orbit
+    gives e_x - s_x s_rep e_rep for its members x other than its largest
+    index rep, a dead orbit the unit vector of each member."""
+    minus_one = field.of(-1)
+    rows: dict[int, dict] = {}
+    seen = bytearray(d ** (n + 1))
+    for idx, t in enumerate(product(range(d), repeat=n + 1)):
+        if seen[idx]:
+            continue
+        # members (flat index, sign s of t_n^i e_t = s e_x), walking t_n
+        orbit, sign, x = [], 1, t
+        while True:
+            orbit.append((_flat(x, d), sign))
+            if _cyclic_sign(x, par):
+                sign = -sign
+            x = x[n:] + x[:n]
+            if x == t:
+                break
+        for i, _ in orbit:
+            seen[i] = 1
+        if sign == 1:
+            rep, s_rep = max(orbit)
+            for i, s in orbit:
+                if i != rep:
+                    rows[i] = {i: 1, rep: minus_one if s == s_rep else 1}
+        else:
+            for i, _ in orbit:
+                rows[i] = {i: 1}
+    return Subspace(field, d ** (n + 1), [rows[i] for i in sorted(rows)], _canonical=True)
+
+
+def _hochschild_basis(A: AssocSuperAlgebra, n: int, x: int) -> dict:
+    """d'_n of the basis tuple t = (a_0, ..., a_n) with flat index x, in
+    A^{(x)n} coordinates.  The face that multiplies a_i a_{i+1} keeps the
+    leading i digits of x and the trailing n - 1 - i; the last face keeps
+    the middle n - 1."""
+    d = A.dim
+    t = [x // d ** (n - k) % d for k in range(n + 1)]
+    out: dict = {}
+    for i in range(n):
+        prod = A.product_basis(t[i], t[i + 1])
+        if not prod:
+            continue
+        s = -1 if i % 2 else 1
+        low = d ** (n - 1 - i)
+        base = x // (low * d * d) * low * d + x % low
+        for e, c in prod.items():
+            idx = base + e * low
+            out[idx] = out.get(idx, 0) + s * c
+    prod = A.product_basis(t[n], t[0])
+    if prod:
+        s = -1 if _cyclic_sign(t, A.space.parities) else 1
+        low = d ** (n - 1)
+        base = x // d % low
+        for e, c in prod.items():
+            idx = base + e * low
+            out[idx] = out.get(idx, 0) + s * c
+    return A.field.clean(out)
+
+
+def _induced_boundary(A: AssocSuperAlgebra, n: int, src: QuotientSpace,
+                      dst: QuotientSpace) -> GradedMap:
+    """The map C_n -> C_{n-1} induced by d'_n.  The descent certificate and
+    the columns evaluate d'_n on the bottom rows and the section of C_n,
+    which share basis tuples, so each basis tuple's image is computed once,
+    on first use, and kept for this call only."""
+    images: dict[int, dict] = {}
+
+    def hochschild(v: dict) -> dict:
+        out: dict = {}
+        for x, c in v.items():
+            image = images.get(x)
+            if image is None:
+                image = images[x] = _hochschild_basis(A, n, x)
+            vec_axpy(out, c, image)
+        return A.field.clean(out)
+
+    return induced_map(src, dst, hochschild)
+
+
 def connes(A: AssocSuperAlgebra, max_n: int = 2) -> ConnesComplex:
     """Coinvariant spaces and induced boundaries up to degree max_n."""
     if max_n < 1:
@@ -126,48 +227,16 @@ def connes(A: AssocSuperAlgebra, max_n: int = 2) -> ConnesComplex:
     par = A.space.parities
     plain: list[SuperSpace] = []
     coinv: list[QuotientSpace] = []
-    tuples_by_n: list[list[tuple]] = []
     for n in range(max_n + 1):
         sp = tensor_power_space(A.space, n + 1)
         plain.append(sp)
-        tuples = list(product(range(d), repeat=n + 1))
-        tuples_by_n.append(tuples)
-        # Im(1 - t_n) from all basis tuples
-        acc = Echelon(field, sp.dim)
-        for idx, t in enumerate(tuples):
-            r_idx = _flat(t[n:] + t[:n], d)
-            g = {idx: 1}
-            g[r_idx] = g.get(r_idx, 0) - (-1 if _cyclic_sign(t, par) else 1)
-            acc.insert(vec_clean(g))
-        coinv.append(quotient_space(sp, Subspace.full(field, sp.dim), acc.subspace(), f"c{n}."))
-
-    def hochschild(n: int, v: dict) -> dict:
-        """d'_n of a vector of A^{(x)(n+1)}, in A^{(x)n} coordinates."""
-        tuples = tuples_by_n[n]
-        out: dict = {}
-        for x, cx in v.items():
-            t = tuples[x]
-            for i in range(n):
-                prod = A.product_basis(t[i], t[i + 1])
-                if not prod:
-                    continue
-                s = -cx if i % 2 else cx
-                head, tail = t[:i], t[i + 2:]
-                for e, c in prod.items():
-                    idx = _flat(head + (e,) + tail, d)
-                    out[idx] = out.get(idx, 0) + s * c
-            prod = A.product_basis(t[n], t[0])
-            if prod:
-                s = -cx if _cyclic_sign(t, par) else cx
-                for e, c in prod.items():
-                    idx = _flat((e,) + t[1:n], d)
-                    out[idx] = out.get(idx, 0) + s * c
-        return field.clean(out)
+        coinv.append(quotient_space(sp, Subspace.full(field, sp.dim),
+                                    _rotation_image(field, d, n, par), f"c{n}."))
 
     # the boundary descends: induced_map certifies d'((1 - t_n) x) dies in C_{n-1}
     boundaries: list[GradedMap | None] = [None]
     for n in range(1, max_n + 1):
-        boundaries.append(induced_map(coinv[n], coinv[n - 1], partial(hochschild, n)))
+        boundaries.append(_induced_boundary(A, n, coinv[n], coinv[n - 1]))
     for n in range(2, max_n + 1):
         if not boundaries[n - 1].compose(boundaries[n]).is_zero():
             raise ComplexInconsistent(f"connes d_{n-1} . d_{n} != 0")

@@ -304,9 +304,11 @@ class Subspace:
         return not self.reduce_vec(v)
 
     def contains(self, other: "Subspace") -> bool:
+        """Whether other lies in self; the whole ambient space contains
+        every subspace, with no reduction."""
         if self.ambient != other.ambient:
             raise AmbientMismatch(f"{self.ambient} vs {other.ambient}")
-        return all(self.contains_vec(r) for r in other.rows)
+        return self.dim == self.ambient or all(self.contains_vec(r) for r in other.rows)
 
     def coords(self, v: dict) -> dict | None:
         """Coefficients ``{row: c}`` of v on the canonical basis, or None if v

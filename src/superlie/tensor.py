@@ -102,9 +102,13 @@ must annihilate D(M, N), so B, which factors through them, is well defined
 on classes; B must be antisymmetric on classes, which puts (iii) and (iv)
 in D(M, N); and the product must satisfy the Lie axioms on every basis
 triple, which puts (v) in D(M, N).  Both edge maps must be crossed
-modules.  A failure raises :class:`BracketNotWellDefined`; it indicates a
-transcription bug, never a property of compatible inputs, and the
-construction cannot return a wrong product silently.
+modules.  On the adjoint square mu = nu, since
+-(-1)^{|m||n|}[n, m] = [m, n], and M and N act on M (x) N by the same
+operators, so the columns of mu and nu are compared and the one crossed
+module is certified once.  A failure raises
+:class:`BracketNotWellDefined`; it indicates a transcription bug, never
+a property of compatible inputs, and the construction cannot return a
+wrong product silently.
 """
 
 from __future__ import annotations
@@ -266,18 +270,23 @@ def nonabelian_tensor(M: LieSuperAlgebra, N: LieSuperAlgebra,
     pairs = [(i, j) for i in range(dm) for j in range(dn)]
     # the edge maps on the plain pair basis: mu(m (x) n) = -(-1)^{|m||n|} n.m
     # and nu(m (x) n) = m.n; the bracket is B(u, v) = mu(u) (x) nu(v)
-    mu_plain = Matrix(field, dm, [vec_scale(act_nm.act_basis(j, i), 1 if pm[i] * pn[j] else -1)
+    mu_plain = Matrix(field, dm, [field.clean(vec_scale(act_nm.act_basis(j, i),
+                                                        1 if pm[i] * pn[j] else -1))
                                   for (i, j) in pairs])
     nu_plain = Matrix(field, dn, [act_mn.act_basis(i, j) for (i, j) in pairs])
     # the induced actions of M and N on the plain M (x) N, which give both
     # the relation families and the actions on classes
     adj_m = adjoint_action(M)
+    # the adjoint square: one adjoint action serves both sides, so mu = nu
+    # and M and N act on M (x) N by the same operators
+    adjoint = M is N and act_mn is act_nm and act_mn.table == adj_m.table
     act_m = tensor_action(adj_m, act_mn)
-    act_n = tensor_action(act_nm, adj_m if N is M else adjoint_action(N))
+    if adjoint:
+        act_n = act_m
+    else:
+        act_n = tensor_action(act_nm, adj_m if N is M else adjoint_action(N))
 
-    blocks = None
-    if M is N and act_mn is act_nm and act_mn.table == adj_m.table:
-        blocks = _weight_blocks(M)
+    blocks = _weight_blocks(M) if adjoint else None
     if blocks is None:
         pairs_i = product(range(dm), range(len(pairs)))
         pairs_ii = product(range(len(pairs)), range(dn))
@@ -309,13 +318,19 @@ def nonabelian_tensor(M: LieSuperAlgebra, N: LieSuperAlgebra,
     # factored_quotient_algebra has certified that mu_plain and nu_plain kill
     # D(M, N), so induced_map would only repeat that check on this hot path
     mu = GradedMap.from_columns(quot.space, ms, [mu_plain.apply(s) for s in quot.section])
-    nu = GradedMap.from_columns(quot.space, ns, [nu_plain.apply(s) for s in quot.section])
     action_m = Action(M, algebra, induced_action_table(quot, dm, act_m))
-    action_n = Action(N, algebra, induced_action_table(quot, dn, act_n))
-
     cross_m = CrossedModule(algebra, M, mu, action_m)
-    cross_n = CrossedModule(algebra, N, nu, action_n)
-    for cr, label in ((cross_m, "mu"), (cross_n, "nu")):
+    if adjoint:
+        if mu_plain.cols != nu_plain.cols:
+            raise BracketNotWellDefined("mu and nu differ on the adjoint square")
+        nu, action_n, cross_n = mu, action_m, cross_m
+        crossed = ((cross_m, "mu = nu"),)
+    else:
+        nu = GradedMap.from_columns(quot.space, ns, [nu_plain.apply(s) for s in quot.section])
+        action_n = Action(N, algebra, induced_action_table(quot, dn, act_n))
+        cross_n = CrossedModule(algebra, N, nu, action_n)
+        crossed = ((cross_m, "mu"), (cross_n, "nu"))
+    for cr, label in crossed:
         rep = check_crossed(cr)
         if not rep.ok:
             raise BracketNotWellDefined(

@@ -9,13 +9,16 @@ every row instead of the vector's own pivot entries, and the relation space of t
 product is spanned by all five generator families, including families
 (iii)-(v), which the production construction omits.  Wedge
 signs are counted inversion by inversion, HC_0 is read off A/[A, A]
-directly instead of from the Connes complex, and the Chevalley–Eilenberg
+directly instead of from the Connes complex, the Connes complex takes
+Im(1 - t_n) by elimination over every basis tuple instead of from the
+rotation orbits, and the Chevalley–Eilenberg
 complex is built on every chain instead of the weight-0 chains only.
 Ideal closures, [L, I] and the ideal certificate bracket every basis
 element with every row, zero brackets included, where the production
 code reads only the nonzero brackets from its bracket index; likewise
-the Jacobi, action and compatibility certificates evaluate their
-identities on every basis triple, where the production code sums each
+the Jacobi, associativity, action and compatibility certificates
+evaluate their identities on every basis triple, and supercommutativity
+on every basis pair, where the production code sums each
 defect from the nonzero structure and action constants only.  The
 boundary-hom, equivariance and Peiffer certificates of a crossed module
 evaluate every basis pair through the public bracket and action, where
@@ -41,6 +44,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from itertools import product
 from pathlib import Path
 
@@ -54,6 +58,7 @@ from superlie.algebras import (
     abelian,
     ground_assoc,
     heisenberg,
+    induced_map,
     is_graded_ideal,
     lie_from_assoc,
     matrix_assoc,
@@ -73,6 +78,7 @@ from superlie.spaces import (
     SuperSpace,
     exterior_power,
     superspace,
+    tensor_power_space,
     tensor_vec,
     wedge_normalize,
 )
@@ -111,6 +117,60 @@ def hc0_direct(A: AssocSuperAlgebra) -> tuple[int, int]:
     comm = commutator_subspace(A)
     q = quotient_space(A.space, Subspace.full(A.field, A.dim), comm, "h0.")
     return q.dims
+
+
+# ---------------------------------------------------------------------------
+# the Connes complex by elimination over every basis tuple
+
+
+def _flat_index(t: tuple, d: int) -> int:
+    idx = 0
+    for k in t:
+        idx = idx * d + k
+    return idx
+
+
+def _hochschild_oracle(A: AssocSuperAlgebra, n: int, v: dict) -> dict:
+    """d'_n(v) summed tuple by tuple: every face of every basis tuple of v,
+    each product taken through the public product of A."""
+    d, par = A.dim, A.space.parities
+    out: dict = {}
+    for x, cx in v.items():
+        t = []
+        for _ in range(n + 1):
+            x, k = divmod(x, d)
+            t.insert(0, k)
+        faces = [(-1 if i % 2 else 1, t[:i], (i, i + 1), t[i + 2:]) for i in range(n)]
+        twist = (n + par[t[n]] * sum(par[k] for k in t[:n])) % 2
+        faces.append((-1 if twist else 1, [], (n, 0), t[1:n]))
+        for sign, head, (a, b), tail in faces:
+            for e, c in A.product({t[a]: 1}, {t[b]: 1}).items():
+                key = _flat_index((*head, e, *tail), d)
+                out[key] = out.get(key, 0) + sign * cx * c
+    return A.field.clean(out)
+
+
+def connes_oracle(A: AssocSuperAlgebra, max_n: int):
+    """The coinvariant spaces C_n = A^{(x)(n+1)}/Im(1 - t_n) and the induced
+    boundaries of the Connes complex, with the labels of
+    :func:`~superlie.cyclic.connes`: Im(1 - t_n) by elimination of
+    e_t - t_n e_t over every basis tuple t, and d'_n by
+    :func:`_hochschild_oracle`."""
+    d, par = A.dim, A.space.parities
+    coinv = []
+    for n in range(max_n + 1):
+        sp = tensor_power_space(A.space, n + 1)
+        acc = Echelon(A.field, sp.dim)
+        for idx, t in enumerate(product(range(d), repeat=n + 1)):
+            twist = (n + par[t[n]] * sum(par[k] for k in t[:n])) % 2
+            g = {idx: 1}
+            r = _flat_index(t[n:] + t[:n], d)
+            g[r] = g.get(r, 0) - (-1 if twist else 1)
+            acc.insert(vec_clean(g))
+        coinv.append(quotient_space(sp, Subspace.full(A.field, sp.dim), acc.subspace(), f"c{n}."))
+    boundaries = [None] + [induced_map(coinv[n], coinv[n - 1], partial(_hochschild_oracle, A, n))
+                           for n in range(1, max_n + 1)]
+    return coinv, boundaries
 
 
 # ---------------------------------------------------------------------------
@@ -598,7 +658,7 @@ def product_subspace_pairs(L, a: Subspace, b: Subspace) -> Subspace:
 
 
 # ---------------------------------------------------------------------------
-# Lie, action and compatibility certificates on every basis triple
+# Lie, associative, action and compatibility certificates on every basis triple
 
 
 def check_lie_axioms_dense(L) -> AxiomReport:
@@ -633,6 +693,50 @@ def check_lie_axioms_dense(L) -> AxiomReport:
                     if len(violations) >= MAX_VIOLATIONS:
                         return AxiomReport(False, violations)
     return AxiomReport(not violations, violations)
+
+
+def check_assoc_axioms_dense(A: AssocSuperAlgebra) -> AxiomReport:
+    """check_assoc_axioms with associativity evaluated on every basis
+    triple through the public product, zero products included."""
+    par = A.space.parities
+    violations: list[Violation] = []
+    for (i, j), v in A.table.items():
+        want = (par[i] + par[j]) % 2
+        for k, c in v.items():
+            if par[k] != want:
+                violations.append(Violation("parity", (i, j, k), {k: c}))
+    for i in range(A.dim):
+        for j in range(A.dim):
+            for k in range(A.dim):
+                lhs = A.product(A.product({i: 1}, {j: 1}), {k: 1})
+                rhs = A.product({i: 1}, A.product({j: 1}, {k: 1}))
+                defect = A.field.clean(vec_sub(lhs, rhs))
+                if defect:
+                    violations.append(Violation("assoc", (i, j, k), defect))
+                    if len(violations) >= MAX_VIOLATIONS:
+                        return AxiomReport(False, violations)
+    if A.unit is not None:
+        for i in range(A.dim):
+            left = A.product(A.unit, {i: 1})
+            right = A.product({i: 1}, A.unit)
+            for got, side in ((left, "unit-left"), (right, "unit-right")):
+                defect = A.field.clean(vec_sub(got, {i: 1}))
+                if defect:
+                    violations.append(Violation(side, (i,), defect))
+    return AxiomReport(not violations, violations)
+
+
+def is_supercommutative_dense(A: AssocSuperAlgebra) -> bool:
+    """e_i e_j = (-1)^{|i||j|} e_j e_i on every basis pair, through the
+    public product."""
+    par = A.space.parities
+    for i in range(A.dim):
+        for j in range(A.dim):
+            sgn = -1 if par[i] * par[j] else 1
+            d = vec_sub(A.product({i: 1}, {j: 1}), vec_scale(A.product({j: 1}, {i: 1}), sgn))
+            if A.field.clean(d):
+                return False
+    return True
 
 
 def check_action_dense(a: Action) -> AxiomReport:

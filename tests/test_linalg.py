@@ -316,6 +316,38 @@ def test_echelon_membership_matches_reduction(case):
         assert sq.reduce(sq.lift(got)) == got
 
 
+@settings(max_examples=120, deadline=None)
+@given(spans_and_probes())
+def test_subspace_containment_matches_reduction(case):
+    """Subspace.contains agrees with reducing each row by the row-by-row
+    oracle, for a proper subspace and for the whole ambient space."""
+    field, ambient, rows, inside, outside = case
+    sub = Subspace(field, ambient, rows)
+    full = Subspace.full(field, ambient)
+    others = [Subspace(field, ambient, inside), Subspace(field, ambient, outside), sub, full]
+    for big in (sub, full):
+        for other in others:
+            want = all(not reduce_all_rows(big, r) for r in other.rows)
+            assert big.contains(other) == want
+
+
+def test_full_space_contains_without_reducing(monkeypatch):
+    """The whole ambient space contains every subspace of it and reduces
+    nothing; an ambient mismatch is still raised first."""
+    calls = []
+    original = Subspace.reduce_vec
+    monkeypatch.setattr(Subspace, "reduce_vec", lambda self, v: calls.append(v) or original(self, v))
+    for field in (QQ, F3, F5, F7):
+        full = Subspace.full(field, 4)
+        assert full.contains(Subspace(field, 4, [{0: 1, 3: 2}, {1: 1, 2: -1}]))
+        assert full.contains(full)
+        with pytest.raises(AmbientMismatch):
+            full.contains(Subspace.full(field, 5))
+    assert calls == []
+    assert not Subspace(QQ, 4, [{0: 1}]).contains(Subspace(QQ, 4, [{1: 1}]))
+    assert calls
+
+
 def _field_normal(field, v: dict) -> bool:
     """Every value is nonzero and in normal form: a residue 1..p-1, or over
     Q an int when integral and a Fraction only when not."""

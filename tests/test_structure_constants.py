@@ -9,7 +9,9 @@ and F7, in drawn permuted and rescaled bases.  The action tables of
 ``ideal_crossed`` and ``pullback_action``, which are spread from rows, are
 compared with the loops over every basis pair, key order and entry order
 included, on the ideals of each algebra and on the boundaries of its
-tensor square.
+tensor square.  The associativity certificate and the supercommutativity
+test, which read the row index, are compared with the loops over every
+basis triple and pair on intact and on corrupted tables.
 """
 
 from fractions import Fraction
@@ -20,7 +22,9 @@ from hypothesis import given, settings, strategies as st
 
 from oracles import (
     bilinear_dense,
+    check_assoc_axioms_dense,
     ideal_action_dense,
+    is_supercommutative_dense,
     lie_table_dense,
     pullback_action_dense,
     rebase,
@@ -28,6 +32,8 @@ from oracles import (
 )
 from superlie.actions import adjoint_action, ideal_crossed, pullback_action
 from superlie.algebras import (
+    AssocSuperAlgebra,
+    check_assoc_axioms,
     ground_assoc,
     heisenberg,
     ideal_closure,
@@ -110,6 +116,49 @@ def test_product_matches_dense_sum(data, name, p):
     A = rebase_assoc(assoc(name, p), *basis_change(data, assoc(name, p).dim, p))
     for u, v in pairs(data, A.field, A.dim, A.dim):
         assert A.product(u, v) == bilinear_dense(A.field, A.table, A.dim, A.dim, u, v)
+
+
+def corrupted(data, A):
+    """A's table and unit with up to three drawn faults: a changed, a new
+    or a dropped constant, an entry of the wrong parity, or a changed unit."""
+    table = {key: dict(v) for key, v in A.table.items()}
+    unit = dict(A.unit)
+    idx = st.integers(0, A.dim - 1)
+    for _ in range(data.draw(st.integers(0, 3))):
+        kind = data.draw(st.sampled_from(["change", "new", "drop", "parity", "unit"]))
+        key = (data.draw(idx), data.draw(idx))
+        k = data.draw(idx)
+        c = A.field.of(data.draw(st.sampled_from(COEFFS[1:])))
+        if kind == "drop" and table:
+            del table[data.draw(st.sampled_from(sorted(table)))]
+        elif kind == "unit":
+            unit[k] = unit.get(k, 0) + c
+        elif kind == "parity" or kind == "new":
+            want = (A.space.parities[key[0]] + A.space.parities[key[1]]) % 2
+            wrong = (A.space.parities[k] != want)
+            if wrong == (kind == "parity"):
+                table.setdefault(key, {})[k] = c
+        elif table:
+            key = data.draw(st.sampled_from(sorted(table)))
+            k = data.draw(st.sampled_from(sorted(table[key])))
+            table[key][k] += c
+    return AssocSuperAlgebra(A.space, table, unit=unit, name=A.name)
+
+
+@pytest.mark.parametrize("p", PRIMES)
+@pytest.mark.parametrize("name", sorted(ASSOC))
+@settings(max_examples=8, deadline=None)
+@given(data=st.data())
+def test_assoc_certificates_match_dense_loops(data, name, p):
+    """check_assoc_axioms and is_supercommutative against the loops over
+    every basis triple and pair: the same verdict and the same violations,
+    in the same order and with the same entry order, up to the cap."""
+    A = corrupted(data, rebase_assoc(assoc(name, p), *basis_change(data, assoc(name, p).dim, p)))
+    got, want = check_assoc_axioms(A), check_assoc_axioms_dense(A)
+    assert got.ok == want.ok
+    assert [str(v) for v in got.violations] == [str(v) for v in want.violations]
+    assert got.violations == want.violations
+    assert A.is_supercommutative() == is_supercommutative_dense(A)
 
 
 def listing(table: dict) -> list:

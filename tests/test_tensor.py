@@ -137,6 +137,33 @@ def test_tensor_props_builds_each_adjoint_square_once(monkeypatch):
     assert len(calls) == 8
 
 
+def test_adjoint_square_certifies_one_crossed_module(monkeypatch):
+    """On an adjoint square mu = nu and M, N act alike, so one crossed
+    module serves both sides and is certified once; two distinct action
+    objects keep two crossed modules and two certificates."""
+    calls = []
+    check = tensor.check_crossed
+
+    def counting(cr):
+        calls.append(cr)
+        return check(cr)
+
+    monkeypatch.setattr(tensor, "check_crossed", counting)
+    for L in (heisenberg(QQ), corpus.lie_algebra.__wrapped__("gl11"),
+              corpus.lie_algebra.__wrapped__("sl21")):
+        calls.clear()
+        t = adjoint_tensor_square(L)
+        assert len(calls) == 1
+        assert t.cross_m is t.cross_n and t.mu is t.nu and t.action_m is t.action_n
+    h = heisenberg(QQ)
+    calls.clear()
+    t = nonabelian_tensor(h, h, adjoint_action(h), adjoint_action(h))
+    assert len(calls) == 2
+    assert t.cross_m is not t.cross_n
+    assert t.mu.matrix.cols == t.nu.matrix.cols
+    assert t.action_m.table == t.action_n.table
+
+
 def test_symmetry_dims_on_asymmetric_pair(heis):
     a = abelian(QQ, 1, 1)
     t = trivial_pair(heis, a)
