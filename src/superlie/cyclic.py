@@ -26,6 +26,15 @@ s_k for its length k.
   coinvariant, and its rows are the unit vectors e_x.  1 (x) 1 in degree 1
   is one: t_1 = -1 on it.
 
+Reduction in C_n is a lookup: e_x is s_x s_rep e_rep modulo Im(1 - t_n)
+for a member x of a live orbit, and 0 for a member of a dead orbit.  It
+equals the canonical reduction by the bottom rows.  The row of a non-rep
+x has pivot x, since rep is the largest index of its orbit, and the
+section is the unit vectors at the reps.  Clearing the pivot x of a
+vector therefore moves its entry, times s_x s_rep, onto e_rep, and
+leaves every other entry alone.  What remains lies on the reps, and its
+entry at a rep is that rep's coordinate.
+
 The boundary is induced by :func:`~superlie.algebras.induced_map`, which
 certifies that d' carries Im(1 - t_n) into Im(1 - t_{n-1}), and d.d = 0 is
 asserted.  HC_1 is also computed from its kernel model
@@ -111,13 +120,12 @@ class ConnesComplex:
     max_n: int
     plain_spaces: list[SuperSpace]           # A^{(x)(n+1)}
     coinvariants: list[QuotientSpace]        # C_n(A)
-    boundaries: list[GradedMap | None]       # induced d_n: C_n -> C_{n-1}
+    boundaries: list[GradedMap | None]       # induced d_n: C_n -> C_{n-1}, n >= 1
 
     def boundary(self, n: int) -> GradedMap:
-        b = self.boundaries[n]
-        if b is None:
+        if not 1 <= n < len(self.boundaries):
             raise IndexError(f"no boundary at degree {n}")
-        return b
+        return self.boundaries[n]
 
 
 def _flat(t: tuple, d: int) -> int:
@@ -136,13 +144,16 @@ def _cyclic_sign(t: tuple, par) -> int:
     return (n + par[t[n]] * sum(par[k] for k in t[:n])) % 2
 
 
-def _rotation_image(field, d: int, n: int, par) -> Subspace:
+def _rotation_image(field, d: int, n: int, par) -> tuple[Subspace, dict[int, tuple[int, int]]]:
     """The canonical basis of Im(1 - t_n) on A^{(x)(n+1)}, d the dimension
     of A, written orbit by orbit (see the module docstring): a live orbit
     gives e_x - s_x s_rep e_rep for its members x other than its largest
-    index rep, a dead orbit the unit vector of each member."""
+    index rep, a dead orbit the unit vector of each member.  Also the
+    lookup x -> (rep, s_x s_rep) over the members of the live orbits, rep
+    included; e_x is s_x s_rep e_rep modulo Im(1 - t_n)."""
     minus_one = field.of(-1)
     rows: dict[int, dict] = {}
+    orbit_of: dict[int, tuple[int, int]] = {}
     seen = bytearray(d ** (n + 1))
     for idx, t in enumerate(product(range(d), repeat=n + 1)):
         if seen[idx]:
@@ -161,12 +172,41 @@ def _rotation_image(field, d: int, n: int, par) -> Subspace:
         if sign == 1:
             rep, s_rep = max(orbit)
             for i, s in orbit:
+                sigma = 1 if s == s_rep else -1
+                orbit_of[i] = (rep, sigma)
                 if i != rep:
-                    rows[i] = {i: 1, rep: minus_one if s == s_rep else 1}
+                    rows[i] = {i: 1, rep: minus_one if sigma == 1 else 1}
         else:
             for i, _ in orbit:
                 rows[i] = {i: 1}
-    return Subspace(field, d ** (n + 1), [rows[i] for i in sorted(rows)], _canonical=True)
+    bottom = Subspace(field, d ** (n + 1), [rows[i] for i in sorted(rows)], _canonical=True)
+    return bottom, orbit_of
+
+
+class _Coinvariants(QuotientSpace):
+    """C_n = A^{(x)(n+1)}/Im(1 - t_n), labelled as :func:`quotient_space`
+    labels it, whose :meth:`reduce` is a lookup in the rotation orbits (see
+    the module docstring) instead of a reduction by the bottom rows."""
+
+    __slots__ = ("_orbit_of",)
+
+    def __init__(self, parent: SuperSpace, bottom: Subspace,
+                 orbit_of: dict[int, tuple[int, int]], prefix: str):
+        super().__init__(parent, Subspace.full(parent.field, parent.dim), bottom,
+                         lambda k, lead: f"{prefix}{k}:{lead}")
+        self._orbit_of = orbit_of
+
+    def reduce(self, v: dict) -> dict:
+        """Section coordinates of v: each e_x of a live orbit counts
+        s_x s_rep at the coordinate of its orbit's rep, a dead e_x nothing."""
+        index, orbit_of, of = self._index, self._orbit_of, self.field.of
+        out: dict = {}
+        for x, c in v.items():
+            hit = orbit_of.get(x)
+            if hit is not None:
+                k = index[hit[0]]
+                out[k] = out.get(k, 0) + hit[1] * c
+        return {k: c for k in sorted(out) if (c := of(out[k]))}
 
 
 def _hochschild_basis(A: AssocSuperAlgebra, n: int, x: int) -> dict:
@@ -230,8 +270,7 @@ def connes(A: AssocSuperAlgebra, max_n: int = 2) -> ConnesComplex:
     for n in range(max_n + 1):
         sp = tensor_power_space(A.space, n + 1)
         plain.append(sp)
-        coinv.append(quotient_space(sp, Subspace.full(field, sp.dim),
-                                    _rotation_image(field, d, n, par), f"c{n}."))
+        coinv.append(_Coinvariants(sp, *_rotation_image(field, d, n, par), f"c{n}."))
 
     # the boundary descends: induced_map certifies d'((1 - t_n) x) dies in C_{n-1}
     boundaries: list[GradedMap | None] = [None]
@@ -245,6 +284,8 @@ def connes(A: AssocSuperAlgebra, max_n: int = 2) -> ConnesComplex:
 
 def hc(A: AssocSuperAlgebra, n: int, complex_: ConnesComplex | None = None) -> HomologyResult:
     """Cyclic homology HC_n from the Connes complex (built for A when given)."""
+    if n < 0:
+        raise ValueError(f"no cyclic homology in negative degree {n}")
     if complex_ is None:
         complex_ = connes(A, max(2, n + 1))
     elif complex_.a is not A:

@@ -25,6 +25,16 @@ homology is H_*(P, M).  Only basis elements with diagonal ad are used: a
 grading that is not inner, such as the Grassmann degree of
 sl(2|1, Lambda1), has acyclic-looking blocks that carry homology.
 
+The weight-0 chains are enumerated without visiting the rest.  A chain's
+wedge factors are a canonical monomial, built prefix by prefix with its
+weight as a running sum.  A backward table ``live[k][i]`` holds the prefix
+weights that at most k more canonical factors, all of index >= i, can
+still complete to a wanted weight -mu(t); a prefix is extended by a
+factor only when its new weight is live for the factors still allowed
+after it.  Every prefix of a weight-0 chain is live, so the chains and
+their order are those of the full enumeration, which ``tests/oracles.py``
+keeps.
+
 The complex's ``spaces``, ``monomials`` and ``coefficients`` and the
 representatives of :func:`homology` refer to the kept chains, listed in
 the order of the full complex and labelled as there.  The canonical
@@ -164,10 +174,9 @@ class ChainComplex:
     boundaries: list[GradedMap | None]  # boundaries[n]: C_n -> C_{n-1}, n >= 1
 
     def boundary(self, n: int) -> GradedMap:
-        b = self.boundaries[n]
-        if b is None:
+        if not 1 <= n < len(self.boundaries):
             raise IndexError(f"no boundary at degree {n}")
-        return b
+        return self.boundaries[n]
 
 
 def _cartan_weights(P: LieSuperAlgebra, M: Action) -> list[tuple[list, list]]:
@@ -186,23 +195,45 @@ def _weight0_chains(P: LieSuperAlgebra, dm: int, max_n: int,
                     weights: list[tuple[list, list]]) -> list[list[tuple[tuple[int, ...], int]]]:
     """Per degree, the chains (factors, t) whose weight sum_i lambda(x_i) +
     mu(t) is 0 in the field for every (lambda, mu) in weights, in the order
-    of the full complex.  The weight of the wedge factors is carried as a
-    prefix sum, so each chain costs one lookup."""
+    of the full complex.
+
+    The canonical monomials are enumerated prefix by prefix, the weight of
+    a prefix carried as a running sum.  ``live[k][i]`` holds the prefix
+    weights that at most k more canonical factors, all of index >= i, can
+    complete to a wanted weight -mu(t); a prefix of n factors is extended
+    by factor i only when the new weight lies in live[max_n - n - 1][j],
+    j = i + 1 - |x_i| the least index of the factor after it (an odd factor
+    may repeat).  Every prefix of a kept chain passes, so the chains and
+    their order are those of the unpruned enumeration."""
     reduce = P.field.reduce
     par = P.space.parities
-    lam = [tuple(w[0][i] for w in weights) for i in range(P.dim)]
+    dim = P.dim
+    lam = [tuple(w[0][i] for w in weights) for i in range(dim)]
     wanted: dict[tuple, list[int]] = {}  # wedge weight -> the t it pairs with
     for t in range(dm):
         wanted.setdefault(tuple(reduce(-w[1][t]) for w in weights), []).append(t)
+    # live[k][i]: no more factors, or a first factor i followed by at most
+    # k - 1 from index i + 1 - |x_i| on, or a first factor past i
+    done = frozenset(wanted)
+    live = [[done] * (dim + 1)]
+    for k in range(1, max_n):
+        row = [done] * (dim + 1)
+        for i in range(dim - 1, -1, -1):
+            row[i] = row[i + 1] | {tuple(reduce(a - b) for a, b in zip(w, lam[i]))
+                                   for w in live[k - 1][i + 1 - par[i]]}
+        live.append(row)
     level = [((), tuple(0 for _ in weights))]
     chains = []
     for n in range(max_n + 1):
         chains.append([(f, t) for f, w in level for t in wanted.get(w, ())])
         if n < max_n:
             # canonical monomials: weakly increasing, even factors strictly
-            level = [(f + (i,), tuple(reduce(a + b) for a, b in zip(w, lam[i])))
+            reach = live[max_n - n - 1]
+            level = [(f + (i,), w2)
                      for f, w in level
-                     for i in range(f[-1] + 1 - par[f[-1]] if f else 0, P.dim)]
+                     for i in range(f[-1] + 1 - par[f[-1]] if f else 0, dim)
+                     if (w2 := tuple(reduce(a + b) for a, b in zip(w, lam[i])))
+                     in reach[i + 1 - par[i]]]
     return chains
 
 
@@ -307,6 +338,8 @@ def homology(P: LieSuperAlgebra, M: Action | None, n: int,
     M = None means the ground field.  A given ``complex_`` must have been
     built for P and M (for M = None: on a trivial one-dimensional module);
     without one, the complex is built up to degree n + 1."""
+    if n < 0:
+        raise ValueError(f"no homology in negative degree {n}")
     if complex_ is None:
         complex_ = ce_complex(P, M if M is not None else trivial_module(P), n + 1)
     elif complex_.p is not P:

@@ -29,12 +29,15 @@ span, with pivots normalized to 1; it is the equality test for subspaces.
 Every RREF row is zero at the pivot of every other row, so subtracting
 one row never changes the entry of a vector at another pivot.  Reducing
 a vector is therefore one pass over its own pivot entries: subtract
-``v[piv]`` times the row of each pivot present in ``v``.
+``v[piv]`` times the row of each pivot present in ``v``.  The whole
+ambient space, :meth:`Subspace.full`, stores no rows: its unit rows are
+made when read, so the top of a quotient of the whole space costs nothing.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
+from collections.abc import Sequence
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from math import gcd, lcm
@@ -344,7 +347,39 @@ class Subspace:
 
     @staticmethod
     def full(field: Field, ambient: int) -> "Subspace":
-        return Subspace(field, ambient, [{i: 1} for i in range(ambient)], _canonical=True)
+        """The whole ambient space.  Its rows are :class:`_UnitRows`, made
+        when read, so a quotient of the whole space holds rows for its
+        section only."""
+        full = Subspace.__new__(Subspace)
+        full.field, full.ambient = field, ambient
+        full.rows = full._row_at = _UnitRows(ambient)
+        full.pivots = range(ambient)
+        return full
+
+
+class _UnitRows(Sequence):
+    """The canonical rows e_0, ..., e_{n-1} of a whole ambient space, each
+    made when it is read.  Row k is e_k with pivot k, so the sequence is
+    also the pivot -> row map of :class:`Subspace`: ``k in rows`` asks
+    whether k is a pivot, that is a coordinate."""
+
+    __slots__ = ("n",)
+
+    def __init__(self, n: int):
+        self.n = n
+
+    def __len__(self) -> int:
+        return self.n
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return [{i: 1} for i in range(*k.indices(self.n))]
+        if not -self.n <= k < self.n:
+            raise IndexError(k)
+        return {k % self.n: 1}
+
+    def __contains__(self, k) -> bool:
+        return type(k) is int and 0 <= k < self.n
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,9 @@ signs are counted inversion by inversion, HC_0 is read off A/[A, A]
 directly instead of from the Connes complex, the Connes complex takes
 Im(1 - t_n) by elimination over every basis tuple instead of from the
 rotation orbits, and the Chevalley–Eilenberg
-complex is built on every chain instead of the weight-0 chains only.
+complex is built on every chain instead of the weight-0 chains only; its
+weight-0 chains are also enumerated from every canonical monomial,
+where the production code prunes the prefixes that cannot reach weight 0.
 Ideal closures, [L, I] and the ideal certificate bracket every basis
 element with every row, zero brackets included, where the production
 code reads only the nonzero brackets from its bracket index; likewise
@@ -612,6 +614,28 @@ def ce_complex_full(P, M, max_n: int):
     per_chain = [[m for m in level for _ in range(dm)] for level in monos]
     coefficients = [[t for _ in level for t in range(dm)] for level in monos]
     return ChainComplex(P, M, spaces, per_chain, coefficients, boundaries)
+
+
+def weight0_chains_oracle(P, dm: int, max_n: int, weights) -> list[list[tuple[tuple[int, ...], int]]]:
+    """The chains (factors, t) of weight 0 per degree, in the order of the
+    full complex, from every canonical monomial up to max_n: each weight is
+    carried as a prefix sum and looked up once the monomial is complete,
+    with no pruning of prefixes."""
+    reduce = P.field.reduce
+    par = P.space.parities
+    lam = [tuple(w[0][i] for w in weights) for i in range(P.dim)]
+    wanted: dict[tuple, list[int]] = {}
+    for t in range(dm):
+        wanted.setdefault(tuple(reduce(-w[1][t]) for w in weights), []).append(t)
+    level = [((), tuple(0 for _ in weights))]
+    chains = []
+    for n in range(max_n + 1):
+        chains.append([(f, t) for f, w in level for t in wanted.get(w, ())])
+        if n < max_n:
+            level = [(f + (i,), tuple(reduce(a + b) for a, b in zip(w, lam[i])))
+                     for f, w in level
+                     for i in range(f[-1] + 1 - par[f[-1]] if f else 0, P.dim)]
+    return chains
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,12 @@
 """The Connes complex built from signed rotation orbits.
 
-``connes`` writes the canonical basis of Im(1 - t_n) orbit by orbit; the
-oracle in ``tests/oracles.py`` eliminates e_t - t_n e_t over every basis
-tuple t and evaluates the Hochschild boundary tuple by tuple.  They are
-compared over Q, F3, F5 and F7, in drawn permuted and rescaled bases:
-the bottoms as subspaces, the section labels and the boundary columns.
+``connes`` writes the canonical basis of Im(1 - t_n) orbit by orbit and
+reduces in C_n by looking each basis tuple up in its orbit; the oracle in
+``tests/oracles.py`` eliminates e_t - t_n e_t over every basis tuple t and
+evaluates the Hochschild boundary tuple by tuple.  They are compared over
+Q, F3, F5 and F7, in drawn permuted and rescaled bases: the bottoms as
+subspaces, the section labels, the boundary columns, and the reduction
+of drawn vectors against the row-by-row reduction by the oracle's bottom.
 """
 
 from functools import lru_cache
@@ -13,12 +15,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import superlie.cyclic as cyclic
-from oracles import connes_oracle, rebase_assoc
+from oracles import connes_oracle, quotient_coords_all_rows, rebase_assoc
 from superlie.algebras import ground_assoc, matrix_assoc
 from superlie.cyclic import connes, dual_numbers, grassmann_line
 from superlie.fields import QQ, Field
 from superlie.homology import ComplexInconsistent
-from superlie.linalg import ContainmentError, Echelon
+from superlie.linalg import ContainmentError, Echelon, Subquotient, Subspace
 from superlie.spaces import GradedMap
 
 ASSOC = {
@@ -36,16 +38,21 @@ def assoc(name: str, p):
     return ASSOC[name](Field(p))
 
 
+def drawn_basis(data, name: str, p):
+    """assoc(name, p) in a drawn permuted basis, each vector rescaled by a unit."""
+    base = assoc(name, p)
+    perm = data.draw(st.permutations(range(base.dim)))
+    units = (1, -1) if p is None else (1, -1, 2, -2)
+    scale = data.draw(st.lists(st.sampled_from(units), min_size=base.dim, max_size=base.dim))
+    return rebase_assoc(base, perm, scale)
+
+
 @pytest.mark.parametrize("p", PRIMES)
 @pytest.mark.parametrize("name", sorted(ASSOC))
 @settings(max_examples=2, deadline=None)
 @given(data=st.data())
 def test_orbit_complex_matches_elimination(data, name, p):
-    base = assoc(name, p)
-    perm = data.draw(st.permutations(range(base.dim)))
-    units = (1, -1) if p is None else (1, -1, 2, -2)
-    scale = data.draw(st.lists(st.sampled_from(units), min_size=base.dim, max_size=base.dim))
-    A = rebase_assoc(base, perm, scale)
+    A = drawn_basis(data, name, p)
     max_n = 3 if A.dim <= 4 else 2
     cx = connes(A, max_n)
     coinv, boundaries = connes_oracle(A, max_n)
@@ -55,6 +62,37 @@ def test_orbit_complex_matches_elimination(data, name, p):
         assert got.space == want.space, n
         if n:
             assert cx.boundary(n).matrix.cols == boundaries[n].matrix.cols, n
+
+
+@pytest.mark.parametrize("p", PRIMES)
+@pytest.mark.parametrize("name", ("q", "grassmann", "M(1|1, L1)"))
+@settings(max_examples=3, deadline=None)
+@given(data=st.data())
+def test_orbit_reduce_matches_echelon_reduction(data, name, p):
+    """The orbit lookup of C_n gives the section coordinates that reducing
+    row by row against the oracle's bottom gives, on drawn sparse vectors
+    with coefficients in and out of the orbit representatives."""
+    A = drawn_basis(data, name, p)
+    max_n = 3 if A.dim <= 4 else 2
+    cx = connes(A, max_n)
+    coinv, _ = connes_oracle(A, max_n)
+    coeffs = st.integers(-4, 4) if p is None else st.integers(0, p - 1)
+    for n in range(max_n + 1):
+        size = A.dim ** (n + 1)
+        v = data.draw(st.dictionaries(st.integers(0, size - 1), coeffs, max_size=12))
+        assert cx.coinvariants[n].reduce(v) == quotient_coords_all_rows(coinv[n], v), n
+
+
+def test_connes_reduces_by_lookup(monkeypatch):
+    """Building the complex reduces no vector against a subspace: the
+    boundary's descent certificate and columns reduce in C_{n-1} by
+    lookup, and the whole-space tops need no reduction."""
+    calls = []
+    for cls, name in ((Subspace, "reduce_vec"), (Subquotient, "reduce")):
+        original = getattr(cls, name)
+        monkeypatch.setattr(cls, name, lambda self, v, f=original: calls.append(v) or f(self, v))
+    connes(matrix_assoc(1, 1, grassmann_line(QQ)), 3)
+    assert calls == []
 
 
 def test_dead_orbits():

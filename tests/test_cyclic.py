@@ -29,6 +29,21 @@ def algebras(m11):
     }
 
 
+def test_negative_degree_is_refused(algebras):
+    """A negative degree is refused, not read from the end of the complex."""
+    A = algebras["grassmann"]
+    cx = connes(A, 2)
+    for n in (-1, -2):
+        with pytest.raises(ValueError, match="negative degree"):
+            hc(A, n, cx)
+        with pytest.raises(ValueError, match="negative degree"):
+            hc(A, n)
+    for n in (-2, -1, 0, 3):
+        with pytest.raises(IndexError, match=f"no boundary at degree {n}"):
+            cx.boundary(n)
+    assert [cx.boundary(n).source is cx.coinvariants[n].space for n in (1, 2)] == [True, True]
+
+
 def test_corpus_associative(algebras):
     for a in algebras.values():
         assert check_assoc_axioms(a).ok

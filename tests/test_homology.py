@@ -108,6 +108,22 @@ def test_h0_with_module_coefficients(heis):
     assert r.dim == 2
 
 
+# -- degrees out of range -------------------------------------------------------
+
+def test_negative_degree_is_refused(heis):
+    """A negative degree is refused, not read from the end of the complex."""
+    cx = ce_complex(heis, trivial_module(heis), 3)
+    for n in (-1, -2):
+        with pytest.raises(ValueError, match="negative degree"):
+            homology(heis, None, n, complex_=cx)
+        with pytest.raises(ValueError, match="negative degree"):
+            homology(heis, None, n)
+    for n in (-2, -1, 0, 4):
+        with pytest.raises(IndexError, match=f"no boundary at degree {n}"):
+            cx.boundary(n)
+    assert [cx.boundary(n).source.dim for n in (1, 2, 3)] == [3, 3, 1]
+
+
 # -- a given complex must fit the arguments ---------------------------------------
 
 def test_homology_refuses_a_complex_of_another_algebra(heis, gl11):
