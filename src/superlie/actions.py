@@ -21,7 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .algebras import (
-    MAX_VIOLATIONS,
     AxiomReport,
     LieSuperAlgebra,
     Violation,
@@ -29,6 +28,7 @@ from .algebras import (
     _compose,
     _defects,
     _derivation_defects,
+    _first_violations,
     _normalize,
     _parity_violations,
     _row_index,
@@ -138,16 +138,16 @@ def check_action(a: Action) -> AxiomReport:
     a triple with a zero factor in every term has defect 0, so only the
     others are computed.  Violations come in basis order, at most
     MAX_VIOLATIONS of them."""
-    P, M = a.actor, a.target
-    pp = P.space.parities
-    violations = list(_parity_violations(a.table, pp, M.space.parities, "action-parity"))
+    return _first_violations(_action_violations(a))
+
+
+def _action_violations(a: Action):
+    pp = a.actor.space.parities
+    yield from _parity_violations(a.table, pp, a.target.space.parities, "action-parity")
     for kind, defects in (("action-i", _representation_defects(a)),
-                          ("action-ii", _derivation_defects(a.rows, pp, M))):
+                          ("action-ii", _derivation_defects(a.rows, pp, a.target))):
         for *witness, defect in defects:
-            violations.append(Violation(kind, tuple(witness), defect))
-            if len(violations) >= MAX_VIOLATIONS:
-                return AxiomReport(False, violations)
-    return AxiomReport(not violations, violations)
+            yield Violation(kind, tuple(witness), defect)
 
 
 def check_compatible(a_mn: Action, a_nm: Action) -> AxiomReport:
@@ -158,10 +158,13 @@ def check_compatible(a_mn: Action, a_nm: Action) -> AxiomReport:
     constants; a pair on which both n.m and m.n vanish has defect 0.
     Violations come in basis order, at most MAX_VIOLATIONS of them.
     Raises ValueError unless a_nm is an action of N on M, the same objects."""
-    M, N = a_mn.actor, a_mn.target
-    if a_nm.actor is not N or a_nm.target is not M:
+    if a_nm.actor is not a_mn.target or a_nm.target is not a_mn.actor:
         raise ValueError("actions are not between the same pair of algebras")
-    violations: list[Violation] = []
+    return _first_violations(_compatibility_violations(a_mn, a_nm))
+
+
+def _compatibility_violations(a_mn: Action, a_nm: Action):
+    M, N = a_mn.actor, a_mn.target
     pm, pn = M.space.parities, N.space.parities
     rho_mn, rho_nm = a_mn.rows, a_nm.rows
     m_index, n_index = M.bracket_index(), N.bracket_index()
@@ -177,10 +180,7 @@ def check_compatible(a_mn: Action, a_nm: Action) -> AxiomReport:
                 ("compat-ii", _spread(mn, rho_nm), _spread(nm, m_index)),
             ):
                 for k, defect in _defects(M.field, lhs, {}, bracket, sign):
-                    violations.append(Violation(kind, (m, n, k), defect))
-                    if len(violations) >= MAX_VIOLATIONS:
-                        return AxiomReport(False, violations)
-    return AxiomReport(not violations, violations)
+                    yield Violation(kind, (m, n, k), defect)
 
 
 @dataclass
@@ -247,30 +247,16 @@ def check_crossed(c: CrossedModule) -> AxiomReport:
     consequences: the kernel of the boundary is central (else a
     ``kernel-not-central`` violation), its image is a graded ideal
     (``image-not-ideal``), and the kernel carries a well-defined module
-    structure over the cokernel of the boundary (``kernel-module``)."""
-    violations: list[Violation] = []
-    M, P, d, act = c.m, c.p, c.boundary, c.action
-
-    rep = check_action(act)
-    violations.extend(rep.violations)
-
-    # boundary is a Lie homomorphism; (i) equivariance: d intertwines the
-    # action of p with ad(p); (ii) Peiffer: the action of d(m) is ad(m)
-    cols = d.matrix.cols
-    for kind, defects in (
-        ("boundary-hom", hom_defects(d, M, P)),
-        ("equivariance", intertwining_defects(M.field, cols, act.rows, P.bracket_index())),
-        ("peiffer", intertwining_defects(M.field, [{m: 1} for m in range(M.dim)],
-                                         [_spread(c, act.rows) for c in cols],
-                                         M.bracket_index())),
-    ):
-        for *witness, defect in defects:
-            violations.append(Violation(kind, tuple(witness), defect))
-
-    if violations:
-        return AxiomReport(False, violations)
+    structure over the cokernel of the boundary (``kernel-module``).  The
+    axioms come first, at most MAX_VIOLATIONS of them, and the consequences
+    are checked only when the axioms hold."""
+    rep = _first_violations(_crossed_violations(c))
+    if not rep.ok:
+        return rep
 
     # consequences
+    M, P, d, act = c.m, c.p, c.boundary, c.action
+    violations: list[Violation] = []
     ker = d.kernel()
     if not M.center().contains(ker):
         violations.append(Violation("kernel-not-central", (), {}))
@@ -284,6 +270,23 @@ def check_crossed(c: CrossedModule) -> AxiomReport:
                        for p in range(P.dim) for k in ker.rows)):
         violations.append(Violation("kernel-module", (), {}))
     return AxiomReport(not violations, violations)
+
+
+def _crossed_violations(c: CrossedModule):
+    M, P, d, act = c.m, c.p, c.boundary, c.action
+    yield from _action_violations(act)
+    # boundary is a Lie homomorphism; (i) equivariance: d intertwines the
+    # action of p with ad(p); (ii) Peiffer: the action of d(m) is ad(m)
+    cols = d.matrix.cols
+    for kind, defects in (
+        ("boundary-hom", hom_defects(d, M, P)),
+        ("equivariance", intertwining_defects(M.field, cols, act.rows, P.bracket_index())),
+        ("peiffer", intertwining_defects(M.field, [{m: 1} for m in range(M.dim)],
+                                         [_spread(col, act.rows) for col in cols],
+                                         M.bracket_index())),
+    ):
+        for *witness, defect in defects:
+            yield Violation(kind, tuple(witness), defect)
 
 
 def semidirect(a: Action, name: str = "") -> LieSuperAlgebra:

@@ -15,7 +15,7 @@ lists its entries of the wrong parity.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dfield
-from itertools import combinations_with_replacement, permutations
+from itertools import combinations_with_replacement, islice, permutations
 
 from .fields import Field
 from .linalg import (
@@ -33,7 +33,7 @@ from .spaces import GradedMap, SuperSpace, superspace
 
 
 MAX_VIOLATIONS = 16
-"""Axiom checkers stop after this many violations."""
+"""Axiom checkers stop after this many violations, of every kind."""
 
 
 class SizeError(ValueError):
@@ -66,6 +66,13 @@ class AxiomReport:
 
     def __bool__(self):
         return self.ok
+
+
+def _first_violations(violations) -> AxiomReport:
+    """The report of a search that yields its violations in order: the
+    first MAX_VIOLATIONS of them, after which the search stops."""
+    found = list(islice(violations, MAX_VIOLATIONS))
+    return AxiomReport(not found, found)
 
 
 class LieSuperAlgebra:
@@ -314,8 +321,12 @@ def check_lie_axioms(L: LieSuperAlgebra) -> AxiomReport:
     structure constants: a triple with a zero factor in every term has
     defect 0, so only the others are computed.  Violations come in basis
     order, Jacobi triples after the rest, at most MAX_VIOLATIONS of them."""
+    return _first_violations(_lie_violations(L))
+
+
+def _lie_violations(L: LieSuperAlgebra):
     par = L.space.parities
-    violations = list(_parity_violations(L.table, par, par, "parity"))
+    yield from _parity_violations(L.table, par, par, "parity")
     # [x0, x0] = 0 for general even x0: expanding over even basis pairs the
     # coefficient of a_i a_j is c_ij + c_ji (i < j) and c_ii on the diagonal;
     # both vanish under the storage convention, re-derived here explicitly
@@ -326,13 +337,10 @@ def check_lie_axioms(L: LieSuperAlgebra) -> AxiomReport:
             if i != j:
                 vec_axpy(sym, 1, L.bracket_basis(j, i))
             if vec_clean(sym):
-                violations.append(Violation("even-square", (i, j), sym))
+                yield Violation("even-square", (i, j), sym)
     # graded Jacobi: ad(e_i) is a derivation of the bracket
     for i, j, k, defect in _derivation_defects(L.bracket_index(), par, L):
-        violations.append(Violation("jacobi", (i, j, k), defect))
-        if len(violations) >= MAX_VIOLATIONS:
-            return AxiomReport(False, violations)
-    return AxiomReport(not violations, violations)
+        yield Violation("jacobi", (i, j, k), defect)
 
 
 class AssocSuperAlgebra:
@@ -381,19 +389,21 @@ def check_assoc_axioms(A: AssocSuperAlgebra) -> AxiomReport:
     the unit.  (e_i e_j) e_k - e_i (e_j e_k) is summed from the nonzero
     constants: for fixed i and j, the left side for every k spreads
     e_i e_j over the rows and the right side composes row i with row j.
-    Violations come in basis order, associativity after parity, and the
-    search stops at MAX_VIOLATIONS of them."""
+    Violations come in basis order, associativity after parity and the
+    unit last, at most MAX_VIOLATIONS of them."""
+    return _first_violations(_assoc_violations(A))
+
+
+def _assoc_violations(A: AssocSuperAlgebra):
     par, rows = A.space.parities, A.rows
-    violations = list(_parity_violations(A.table, par, par, "parity"))
+    yield from _parity_violations(A.table, par, par, "parity")
     for i, row in enumerate(rows):
         if not row:
             continue  # e_i times anything is 0
         for j in range(A.dim):
             for k, defect in _defects(A.field, _spread(row.get(j, {}), rows),
                                       _compose(row, rows[j]), {}, 1):
-                violations.append(Violation("assoc", (i, j, k), defect))
-                if len(violations) >= MAX_VIOLATIONS:
-                    return AxiomReport(False, violations)
+                yield Violation("assoc", (i, j, k), defect)
     if A.unit is not None:
         for i in range(A.dim):
             left = A.product(A.unit, {i: 1})
@@ -401,8 +411,7 @@ def check_assoc_axioms(A: AssocSuperAlgebra) -> AxiomReport:
             for got, side in ((left, "unit-left"), (right, "unit-right")):
                 defect = A.field.clean(vec_sub(got, {i: 1}))
                 if defect:
-                    violations.append(Violation(side, (i,), defect))
-    return AxiomReport(not violations, violations)
+                    yield Violation(side, (i,), defect)
 
 
 # ---------------------------------------------------------------------------

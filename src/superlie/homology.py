@@ -474,9 +474,7 @@ def h2_via_exterior(P: LieSuperAlgebra) -> HomologyResult:
 class HopfResult:
     dims: tuple[int, int]
     subquotient: Subquotient
-    cover: LieSuperAlgebra
     presented: LieSuperAlgebra
-    relator_ideal: Subspace
 
     @property
     def dim(self) -> int:
@@ -514,7 +512,7 @@ def hopf_formula(pres: Presentation, class_bound: int) -> HopfResult:
     sq = Subquotient(top, FR)
     dims = cover.space.split_dims(sq.section)
     presented, _ = quotient_algebra(cover, R, name="presented")
-    return HopfResult(dims, sq, cover, presented, R)
+    return HopfResult(dims, sq, presented)
 
 
 # ---------------------------------------------------------------------------

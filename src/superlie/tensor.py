@@ -174,8 +174,7 @@ class TensorProduct:
     n: LieSuperAlgebra
     act_mn: Action
     act_nm: Action
-    plain: SuperSpace            # M (x) N with row-major pair basis
-    d_generators: Subspace       # D(M, N) inside the plain tensor space
+    d_generators: Subspace       # D(M, N) inside the plain M (x) N, row-major pair basis
     quotient: QuotientSpace      # T / D(M, N), labeled like the product's basis
     algebra: LieSuperAlgebra     # the product with its bracket
     mu: GradedMap                # to M
@@ -339,7 +338,7 @@ def nonabelian_tensor(M: LieSuperAlgebra, N: LieSuperAlgebra,
 
     return TensorProduct(
         m=M, n=N, act_mn=act_mn, act_nm=act_nm,
-        plain=plain, d_generators=d_sub, quotient=quot,
+        d_generators=d_sub, quotient=quot,
         algebra=algebra, mu=mu, nu=nu,
         action_m=action_m, action_n=action_n,
         cross_m=cross_m, cross_n=cross_n,

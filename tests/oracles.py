@@ -21,7 +21,13 @@ code reads only the nonzero brackets from its bracket index; likewise
 the Jacobi, associativity, action and compatibility certificates
 evaluate their identities on every basis triple, and supercommutativity
 on every basis pair, where the production code sums each
-defect from the nonzero structure and action constants only.  The
+defect from the nonzero structure and action constants only; both stop
+at the first MAX_VIOLATIONS violations of every kind.  I(A) and the
+Milnor relations are eliminated from the graded-symmetric generators over
+basis pairs, the cyclic relations through the public product and
+a (x) bc - (-1)^{|b||c|} a (x) cb over basis triples, where the production
+code takes Im(1 - t_1) from the rotation orbits and A (x) [A, A] from the
+commutators of the stored products.  The
 boundary-hom, equivariance and Peiffer certificates of a crossed module
 evaluate every basis pair through the public bracket and action, where
 the production code reads one intertwining defect per operator row.
@@ -47,7 +53,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from itertools import product
+from itertools import chain, islice, product
 from pathlib import Path
 
 from superlie.actions import Action, ActionInvalid, CrossedModule, adjoint_action, check_action
@@ -685,25 +691,34 @@ def product_subspace_pairs(L, a: Subspace, b: Subspace) -> Subspace:
 # Lie, associative, action and compatibility certificates on every basis triple
 
 
+def first_violations(violations) -> AxiomReport:
+    """The first MAX_VIOLATIONS violations of a search, of every kind."""
+    found = list(islice(violations, MAX_VIOLATIONS))
+    return AxiomReport(not found, found)
+
+
 def check_lie_axioms_dense(L) -> AxiomReport:
     """check_lie_axioms with the Jacobi defect evaluated on every basis
     triple through the public bracket, zero brackets included."""
-    violations: list[Violation] = []
+    return first_violations(_lie_violations_dense(L))
+
+
+def _lie_violations_dense(L):
     par = L.space.parities
     for (i, j), v in L.table.items():
         want = (par[i] + par[j]) % 2
         for k, c in v.items():
             if par[k] != want:
-                violations.append(Violation("parity", (i, j, k), {k: c}))
+                yield Violation("parity", (i, j, k), {k: c})
     for i in range(L.dim):
         if par[i] == 0 and L.bracket_basis(i, i):
-            violations.append(Violation("even-square", (i, i), L.bracket_basis(i, i)))
+            yield Violation("even-square", (i, i), L.bracket_basis(i, i))
         for j in range(i + 1, L.dim):
             if par[i] == 0 and par[j] == 0:
                 sym = dict(L.bracket_basis(i, j))
                 vec_axpy(sym, 1, L.bracket_basis(j, i))
                 if vec_clean(sym):
-                    violations.append(Violation("even-square", (i, j), sym))
+                    yield Violation("even-square", (i, j), sym)
     for i in range(L.dim):
         for j in range(L.dim):
             sgn = -1 if par[i] * par[j] else 1
@@ -713,22 +728,22 @@ def check_lie_axioms_dense(L) -> AxiomReport:
                 vec_axpy(rhs, sgn, L.bracket({j: 1}, L.bracket_basis(i, k)))
                 defect = L.field.clean(vec_sub(lhs, rhs))
                 if defect:
-                    violations.append(Violation("jacobi", (i, j, k), defect))
-                    if len(violations) >= MAX_VIOLATIONS:
-                        return AxiomReport(False, violations)
-    return AxiomReport(not violations, violations)
+                    yield Violation("jacobi", (i, j, k), defect)
 
 
 def check_assoc_axioms_dense(A: AssocSuperAlgebra) -> AxiomReport:
     """check_assoc_axioms with associativity evaluated on every basis
     triple through the public product, zero products included."""
+    return first_violations(_assoc_violations_dense(A))
+
+
+def _assoc_violations_dense(A: AssocSuperAlgebra):
     par = A.space.parities
-    violations: list[Violation] = []
     for (i, j), v in A.table.items():
         want = (par[i] + par[j]) % 2
         for k, c in v.items():
             if par[k] != want:
-                violations.append(Violation("parity", (i, j, k), {k: c}))
+                yield Violation("parity", (i, j, k), {k: c})
     for i in range(A.dim):
         for j in range(A.dim):
             for k in range(A.dim):
@@ -736,9 +751,7 @@ def check_assoc_axioms_dense(A: AssocSuperAlgebra) -> AxiomReport:
                 rhs = A.product({i: 1}, A.product({j: 1}, {k: 1}))
                 defect = A.field.clean(vec_sub(lhs, rhs))
                 if defect:
-                    violations.append(Violation("assoc", (i, j, k), defect))
-                    if len(violations) >= MAX_VIOLATIONS:
-                        return AxiomReport(False, violations)
+                    yield Violation("assoc", (i, j, k), defect)
     if A.unit is not None:
         for i in range(A.dim):
             left = A.product(A.unit, {i: 1})
@@ -746,8 +759,7 @@ def check_assoc_axioms_dense(A: AssocSuperAlgebra) -> AxiomReport:
             for got, side in ((left, "unit-left"), (right, "unit-right")):
                 defect = A.field.clean(vec_sub(got, {i: 1}))
                 if defect:
-                    violations.append(Violation(side, (i,), defect))
-    return AxiomReport(not violations, violations)
+                    yield Violation(side, (i,), defect)
 
 
 def is_supercommutative_dense(A: AssocSuperAlgebra) -> bool:
@@ -766,14 +778,17 @@ def is_supercommutative_dense(A: AssocSuperAlgebra) -> bool:
 def check_action_dense(a: Action) -> AxiomReport:
     """check_action with both action axioms evaluated on every basis
     triple through the public bracket and action."""
-    violations: list[Violation] = []
+    return first_violations(_action_violations_dense(a))
+
+
+def _action_violations_dense(a: Action):
     P, M = a.actor, a.target
     pp, pm = P.space.parities, M.space.parities
     for (p, m), v in a.table.items():
         want = (pp[p] + pm[m]) % 2
         for k, c in v.items():
             if pm[k] != want:
-                violations.append(Violation("action-parity", (p, m, k), {k: c}))
+                yield Violation("action-parity", (p, m, k), {k: c})
     for p in range(P.dim):
         for q in range(P.dim):
             sgn = -1 if pp[p] * pp[q] else 1
@@ -783,9 +798,7 @@ def check_action_dense(a: Action) -> AxiomReport:
                 vec_axpy(rhs, -sgn, a.act({q: 1}, a.act_basis(p, m)))
                 defect = a.field.clean(vec_sub(lhs, rhs))
                 if defect:
-                    violations.append(Violation("action-i", (p, q, m), defect))
-                    if len(violations) >= MAX_VIOLATIONS:
-                        return AxiomReport(False, violations)
+                    yield Violation("action-i", (p, q, m), defect)
     for p in range(P.dim):
         for m in range(M.dim):
             sgn = -1 if pp[p] * pm[m] else 1
@@ -795,17 +808,17 @@ def check_action_dense(a: Action) -> AxiomReport:
                 vec_axpy(rhs, sgn, M.bracket({m: 1}, a.act_basis(p, m2)))
                 defect = a.field.clean(vec_sub(lhs, rhs))
                 if defect:
-                    violations.append(Violation("action-ii", (p, m, m2), defect))
-                    if len(violations) >= MAX_VIOLATIONS:
-                        return AxiomReport(False, violations)
-    return AxiomReport(not violations, violations)
+                    yield Violation("action-ii", (p, m, m2), defect)
 
 
 def check_compatible_dense(a_mn: Action, a_nm: Action) -> AxiomReport:
     """check_compatible on every basis triple, for a_mn an action of M on
     N and a_nm one of N on M."""
+    return first_violations(_compatibility_violations_dense(a_mn, a_nm))
+
+
+def _compatibility_violations_dense(a_mn: Action, a_nm: Action):
     M, N = a_mn.actor, a_mn.target
-    violations: list[Violation] = []
     pm, pn = M.space.parities, N.space.parities
     for m in range(M.dim):
         for n in range(N.dim):
@@ -817,18 +830,13 @@ def check_compatible_dense(a_mn: Action, a_nm: Action) -> AxiomReport:
                 rhs = vec_scale(N.bracket(mn, {n2: 1}), -sgn)
                 defect = M.field.clean(vec_sub(lhs, rhs))
                 if defect:
-                    violations.append(Violation("compat-i", (m, n, n2), defect))
-                    if len(violations) >= MAX_VIOLATIONS:
-                        return AxiomReport(False, violations)
+                    yield Violation("compat-i", (m, n, n2), defect)
             for m2 in range(M.dim):
                 lhs = a_nm.act(mn, {m2: 1})
                 rhs = vec_scale(M.bracket(nm, {m2: 1}), -sgn)
                 defect = M.field.clean(vec_sub(lhs, rhs))
                 if defect:
-                    violations.append(Violation("compat-ii", (m, n, m2), defect))
-                    if len(violations) >= MAX_VIOLATIONS:
-                        return AxiomReport(False, violations)
-    return AxiomReport(not violations, violations)
+                    yield Violation("compat-ii", (m, n, m2), defect)
 
 
 # ---------------------------------------------------------------------------
@@ -851,35 +859,13 @@ def check_crossed_dense(c: CrossedModule) -> AxiomReport:
     """check_crossed with the boundary-hom, equivariance and Peiffer
     identities evaluated on every basis pair through the public bracket,
     action and boundary."""
-    violations: list[Violation] = []
     M, P, d, act = c.m, c.p, c.boundary, c.action
-
-    rep = check_action(act)
-    violations.extend(rep.violations)
-
-    # boundary is a Lie homomorphism
-    for i, j, defect in hom_defects_dense(d, M, P):
-        violations.append(Violation("boundary-hom", (i, j), defect))
-    # (i) equivariance, (ii) Peiffer
-    for p in range(P.dim):
-        for m in range(M.dim):
-            lhs = d.apply(act.act_basis(p, m))
-            rhs = P.bracket({p: 1}, d.apply({m: 1}))
-            defect = M.field.clean(vec_sub(lhs, rhs))
-            if defect:
-                violations.append(Violation("equivariance", (p, m), defect))
-    for m in range(M.dim):
-        for m2 in range(M.dim):
-            lhs = act.act(d.apply({m: 1}), {m2: 1})
-            rhs = M.bracket_basis(m, m2)
-            defect = M.field.clean(vec_sub(lhs, rhs))
-            if defect:
-                violations.append(Violation("peiffer", (m, m2), defect))
-
-    if violations:
-        return AxiomReport(False, violations)
+    rep = first_violations(chain(check_action(act).violations, _crossed_violations_dense(c)))
+    if not rep.ok:
+        return rep
 
     # consequences
+    violations: list[Violation] = []
     ker = d.kernel()
     if not M.center().contains(ker):
         violations.append(Violation("kernel-not-central", (), {}))
@@ -893,6 +879,28 @@ def check_crossed_dense(c: CrossedModule) -> AxiomReport:
                        for p in range(P.dim) for k in ker.rows)):
         violations.append(Violation("kernel-module", (), {}))
     return AxiomReport(not violations, violations)
+
+
+def _crossed_violations_dense(c: CrossedModule):
+    M, P, d, act = c.m, c.p, c.boundary, c.action
+    # boundary is a Lie homomorphism
+    for i, j, defect in hom_defects_dense(d, M, P):
+        yield Violation("boundary-hom", (i, j), defect)
+    # (i) equivariance, (ii) Peiffer
+    for p in range(P.dim):
+        for m in range(M.dim):
+            lhs = d.apply(act.act_basis(p, m))
+            rhs = P.bracket({p: 1}, d.apply({m: 1}))
+            defect = M.field.clean(vec_sub(lhs, rhs))
+            if defect:
+                yield Violation("equivariance", (p, m), defect)
+    for m in range(M.dim):
+        for m2 in range(M.dim):
+            lhs = act.act(d.apply({m: 1}), {m2: 1})
+            rhs = M.bracket_basis(m, m2)
+            defect = M.field.clean(vec_sub(lhs, rhs))
+            if defect:
+                yield Violation("peiffer", (m, m2), defect)
 
 
 # ---------------------------------------------------------------------------
@@ -935,6 +943,79 @@ def v_algebra_table_oracle(A: AssocSuperAlgebra) -> dict[tuple[int, int], dict]:
             if v:
                 table[(a, b)] = v
     return table
+
+
+# ---------------------------------------------------------------------------
+# I(A) and the Milnor relations, generator family by generator family
+
+
+def graded_symmetric_gens(A: AssocSuperAlgebra) -> list[dict]:
+    """a (x) b + (-1)^{|a||b|} b (x) a over basis pairs."""
+    d = A.dim
+    par = A.space.parities
+    gens = []
+    for a in range(d):
+        for b in range(a, d):
+            g = {a * d + b: 1}
+            s = -1 if par[a] * par[b] else 1
+            g[b * d + a] = g.get(b * d + a, 0) + s
+            g = vec_clean(g)
+            if g:
+                gens.append(g)
+    return gens
+
+
+def cyclic_relation_gens_dense(A: AssocSuperAlgebra) -> list[dict]:
+    """ab (x) c - a (x) bc + (-1)^{|c|(|a|+|b|)} ca (x) b over basis
+    triples, through the public product, zero products included."""
+    d, sp = A.dim, A.space
+    par = sp.parities
+    gens = []
+    for a, b, c in product(range(d), repeat=3):
+        g = tensor_vec(sp, sp, A.product({a: 1}, {b: 1}), {c: 1})
+        vec_axpy(g, -1, tensor_vec(sp, sp, {a: 1}, A.product({b: 1}, {c: 1})))
+        s = -1 if par[c] * (par[a] + par[b]) % 2 else 1
+        vec_axpy(g, s, tensor_vec(sp, sp, A.product({c: 1}, {a: 1}), {b: 1}))
+        gens.append(A.field.clean(g))
+    return gens
+
+
+def milnor_extra_gens(A: AssocSuperAlgebra) -> list[dict]:
+    """a (x) bc - (-1)^{|b||c|} a (x) cb over basis triples."""
+    d = A.dim
+    par = A.space.parities
+    gens = []
+    for a in range(d):
+        for b in range(d):
+            for c in range(d):
+                g: dict = {}
+                for e, cc in A.product_basis(b, c).items():
+                    g[a * d + e] = g.get(a * d + e, 0) + cc
+                s = -1 if par[b] * par[c] else 1
+                for e, cc in A.product_basis(c, b).items():
+                    g[a * d + e] = g.get(a * d + e, 0) - s * cc
+                g = vec_clean(g)
+                if g:
+                    gens.append(g)
+    return gens
+
+
+def relation_ideal_oracle(A: AssocSuperAlgebra) -> Subspace:
+    """I(A) spanned by the graded-symmetric generators and the cyclic
+    relations, eliminated together."""
+    acc = Echelon(A.field, A.dim ** 2)
+    for g in graded_symmetric_gens(A) + cyclic_relation_gens_dense(A):
+        acc.insert(g)
+    return acc.subspace()
+
+
+def milnor_relations_oracle(A: AssocSuperAlgebra) -> Subspace:
+    """The Milnor relations: I(A) and a (x) bc - (-1)^{|b||c|} a (x) cb
+    over basis triples, eliminated together."""
+    acc = Echelon(A.field, A.dim ** 2)
+    for g in graded_symmetric_gens(A) + cyclic_relation_gens_dense(A) + milnor_extra_gens(A):
+        acc.insert(g)
+    return acc.subspace()
 
 
 # ---------------------------------------------------------------------------
@@ -1048,7 +1129,7 @@ def rebase_assoc(A, perm: list[int], scale: list):
             if w:
                 table[(a, b)] = {where[e]: scale[a] * scale[b] * c * inverse[where[e]]
                                  for e, c in w.items()}
-    unit = {where[e]: c * inverse[where[e]] for e, c in A.unit.items()}
+    unit = A.unit and {where[e]: c * inverse[where[e]] for e, c in A.unit.items()}
     return AssocSuperAlgebra(superspace(A.field, basis), table, unit=unit, name=A.name)
 
 

@@ -24,6 +24,7 @@ from hypothesis import given, settings, strategies as st
 
 from oracles import (
     check_action_dense,
+    check_assoc_axioms_dense,
     check_compatible_dense,
     check_crossed_dense,
     check_lie_axioms_dense,
@@ -43,8 +44,10 @@ from superlie.actions import (
 )
 from superlie.algebras import (
     MAX_VIOLATIONS,
+    AssocSuperAlgebra,
     LieSuperAlgebra,
     abelian,
+    check_assoc_axioms,
     check_lie_axioms,
     ground_assoc,
     heisenberg,
@@ -55,7 +58,7 @@ from superlie.algebras import (
 from superlie.cyclic import grassmann_line
 from superlie.fields import QQ, Field
 from superlie.linalg import Matrix
-from superlie.spaces import GradedMap
+from superlie.spaces import GradedMap, superspace
 from superlie.tensor import nonabelian_tensor
 
 CONSTRUCTORS = {
@@ -183,6 +186,29 @@ def test_corruption_reaches_the_cap(name, p):
                       (check_action(a), check_action_dense(a)),
                       (check_compatible(a, adj), check_compatible_dense(a, adj))):
         assert len(got.violations) == MAX_VIOLATIONS
+        assert listing(got) == listing(want)
+
+
+def test_parity_faults_count_toward_the_cap():
+    """Tables whose only faults are entries of the wrong parity: even
+    products and actions land on an odd z that brackets, multiplies and
+    is acted on by nothing, so every identity holds.  Each report stops at
+    MAX_VIOLATIONS, with the oracle's list; before parity violations
+    counted, they gave 21, 25, 20 and 20."""
+    def basis(evens: int):
+        return superspace(QQ, [(f"x{i}", 0) for i in range(evens)] + [("z", 1)])
+
+    L = LieSuperAlgebra(basis(7), {(i, j): {7: 1} for i in range(7) for j in range(i + 1, 7)})
+    A = AssocSuperAlgebra(basis(5), {(i, j): {5: 1} for i in range(5) for j in range(5)})
+    P, M = abelian(QQ, 5, 0), abelian(QQ, 4, 1)
+    a = Action(P, M, {(p, m): {4: 1} for p in range(5) for m in range(4)})
+    c = CrossedModule(M, P, GradedMap.zero(M.space, P.space), a)
+    for got, want in ((check_lie_axioms(L), check_lie_axioms_dense(L)),
+                      (check_assoc_axioms(A), check_assoc_axioms_dense(A)),
+                      (check_action(a), check_action_dense(a)),
+                      (check_crossed(c), check_crossed_dense(c))):
+        assert len(got.violations) == MAX_VIOLATIONS
+        assert {v.kind for v in got.violations} <= {"parity", "action-parity"}
         assert listing(got) == listing(want)
 
 

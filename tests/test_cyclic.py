@@ -44,6 +44,24 @@ def test_negative_degree_is_refused(algebras):
     assert [cx.boundary(n).source is cx.coinvariants[n].space for n in (1, 2)] == [True, True]
 
 
+def test_hc_builds_the_complex_to_degree_n_plus_one(algebras, monkeypatch):
+    """HC_n reads d_n and d_{n+1}, so hc builds the Connes complex to
+    degree n + 1 and no further: HC_0 needs no degree 2."""
+    import superlie.cyclic as cyclic
+
+    built = []
+    original = cyclic.connes
+
+    def counted(A, max_n):
+        built.append(max_n)
+        return original(A, max_n)
+
+    monkeypatch.setattr(cyclic, "connes", counted)
+    A = algebras["grassmann"]
+    assert [hc(A, n).dims for n in range(3)] == [(1, 1), (1, 0), (1, 1)]
+    assert built == [1, 2, 3]
+
+
 def test_corpus_associative(algebras):
     for a in algebras.values():
         assert check_assoc_axioms(a).ok

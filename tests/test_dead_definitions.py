@@ -14,6 +14,9 @@ read as an attribute outside its own body, such as ``m.apply(v)`` or
 ``cls.`` inside a class body or ``Matrix.`` for a package class, counts
 only for that class and the package classes it inherits from or that
 inherit from it: ``Matrix.zero(...)`` does not keep ``Field.zero`` alive.
+A field of a package dataclass counts as used by the same rule, when its
+name is read as an attribute: building the dataclass or assigning to the
+field does not read it.
 """
 
 import ast
@@ -43,7 +46,7 @@ def attributes_read(node: ast.AST, owner: str | None, classes) -> set[tuple[str 
     for a read through a package class name, and None otherwise."""
     out = set()
     for sub in ast.walk(node):
-        if isinstance(sub, ast.Attribute):
+        if isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load):
             receiver = sub.value.id if isinstance(sub.value, ast.Name) else None
             if receiver in ("self", "cls"):
                 receiver = owner
@@ -51,6 +54,16 @@ def attributes_read(node: ast.AST, owner: str | None, classes) -> set[tuple[str 
                 receiver = None
             out.add((receiver, sub.attr))
     return out
+
+
+def is_dataclass(cls: ast.ClassDef) -> bool:
+    """Whether cls is decorated with ``dataclass``, called or not."""
+    for dec in cls.decorator_list:
+        if isinstance(dec, ast.Call):
+            dec = dec.func
+        if (dec.id if isinstance(dec, ast.Name) else getattr(dec, "attr", None)) == "dataclass":
+            return True
+    return False
 
 
 def related_classes(trees) -> dict[str, set[str]]:
@@ -74,14 +87,15 @@ def related_classes(trees) -> dict[str, set[str]]:
 def dead_definitions(package: dict[str, str], readers: dict[str, str]) -> list[str]:
     """``"file: name"`` for each module-level def or class of the package
     sources that no other statement of the package or the readers reads,
-    then ``"file: Class.method"`` for each method or property of a package
+    then ``"file: Class.member"`` for each method or property of a package
     class whose name no statement outside its body reads as an attribute
-    of an unknown receiver or of a related class."""
+    of an unknown receiver or of a related class, and for each field of a
+    package dataclass whose name no statement reads that way."""
     trees = {name: ast.parse(source) for name, source in {**package, **readers}.items()}
     related = related_classes(trees[name] for name in package)
     statements = []  # (file, top-level statement, names it reads)
     units = []  # (statement, attributes it reads), each class body statement apart
-    methods = []  # (file, class, method)
+    members = []  # (file, class, method or field)
     for name, tree in trees.items():
         for stmt in tree.body:
             statements.append((name, stmt, names_read(stmt)))
@@ -89,19 +103,23 @@ def dead_definitions(package: dict[str, str], readers: dict[str, str]) -> list[s
             body = stmt.body if owner else [stmt]
             units += [(sub, attributes_read(sub, owner, related)) for sub in body]
             if name in package and owner:
-                methods += [(name, stmt, sub) for sub in body if isinstance(sub, FUNCTIONS)
+                members += [(name, stmt, sub) for sub in body if isinstance(sub, FUNCTIONS)
                             and not (sub.name.startswith("__") and sub.name.endswith("__"))]
+                if is_dataclass(stmt):
+                    members += [(name, stmt, sub) for sub in body if isinstance(sub, ast.AnnAssign)
+                                and isinstance(sub.target, ast.Name)]
     dead = []
     for name, stmt, _ in statements:
         if name not in package or not isinstance(stmt, (*FUNCTIONS, ast.ClassDef)):
             continue
         if not any(stmt.name in read for _, other, read in statements if other is not stmt):
             dead.append(f"{name}: {stmt.name}")
-    for name, cls, method in methods:
+    for name, cls, member in members:
         receivers = {None} | related[cls.name]
-        if not any((receiver, method.name) in read for other, read in units if other is not method
+        key = member.name if isinstance(member, FUNCTIONS) else member.target.id
+        if not any((receiver, key) in read for other, read in units if other is not member
                    for receiver in receivers):
-            dead.append(f"{name}: {cls.name}.{method.name}")
+            dead.append(f"{name}: {cls.name}.{key}")
     return dead
 
 
@@ -129,6 +147,16 @@ def test_no_dead_definition():
      {"t.py": "C().g()\nD()\n"}, ["a.py: D.f"]),
     ({"a.py": "class B:\n    def f(self): ...\nclass C(B):\n    def g(self):\n        return self.f()\n"},
      {"t.py": "C().g()\n"}, []),
+    ({"a.py": "from dataclasses import dataclass\n@dataclass\nclass C:\n    x: int\n    y: int\n"},
+     {"t.py": "C(1, 2).x\n"}, ["a.py: C.y"]),
+    ({"a.py": "import dataclasses\n@dataclasses.dataclass(frozen=True)\nclass C:\n    x: int\n"},
+     {"t.py": "C(1)\n"}, ["a.py: C.x"]),
+    ({"a.py": "from dataclasses import dataclass\n@dataclass\nclass C:\n    x: int\n"},
+     {"t.py": "c = C(1)\nc.x = 2\n"}, ["a.py: C.x"]),
+    ({"a.py": "from dataclasses import dataclass\n@dataclass\nclass C:\n    x: int\n"
+              "    def f(self):\n        return self.x\n"},
+     {"t.py": "C(1).f()\n"}, []),
+    ({"a.py": "class C:\n    x: int\n"}, {"t.py": "C()\n"}, []),
 ])
 def test_dead_definitions_finder(package, readers, found):
     assert dead_definitions(package, readers) == found
