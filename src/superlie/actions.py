@@ -19,6 +19,7 @@ identity (d(m).m' = [m, m']).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 from .algebras import (
     AxiomReport,
@@ -33,11 +34,12 @@ from .algebras import (
     _parity_violations,
     _row_index,
     _spread,
+    check_lie_axioms,
     hom_defects,
     intertwining_defects,
     is_graded_ideal,
 )
-from .linalg import vec_clean, vec_scale
+from .linalg import Subspace, vec_clean, vec_scale
 from .spaces import GradedMap, SuperSpace
 
 
@@ -115,14 +117,47 @@ def tensor_action(left: Action, right: Action):
     return act
 
 
-def _representation_defects(a: Action):
+def _certified_generators(L: LieSuperAlgebra) -> list[int] | None:
+    """The generating set of L once L passes :func:`check_lie_axioms`, or
+    None when it fails."""
+    if L._generators is None:
+        check_lie_axioms(L)
+    return L._generators
+
+
+def _operators(L: LieSuperAlgebra):
+    """The basis indices an identity closed under brackets must be checked
+    on: the generating set of a certified L, every index otherwise."""
+    gens = _certified_generators(L)
+    return range(L.dim) if gens is None else gens
+
+
+def _certify(violations, *algebras) -> AxiomReport:
+    """The report of ``violations(ops, ...)``, one index set per algebra:
+    passed when the algebras are certified and it finds nothing on their
+    generating sets, else the first MAX_VIOLATIONS of it on every index."""
+    gens = [_certified_generators(L) for L in algebras]
+    if None not in gens and next(violations(*gens), None) is None:
+        return AxiomReport(True)
+    return _first_violations(violations(*(range(L.dim) for L in algebras)))
+
+
+def is_central(L: LieSuperAlgebra, S: Subspace) -> bool:
+    """Whether [r, e_s] = 0 for every row r of S and every s of
+    :func:`_operators`: a centralizer is a subalgebra, by (d) of the
+    :mod:`~superlie.algebras` docstring."""
+    return not any(L.bracket(r, {s: 1}) for s in _operators(L) for r in S.rows)
+
+
+def _representation_defects(a: Action, actors):
     """Yield (p, q, m, defect), in that order, for the nonzero defects
-    [p,q].m - p.(q.m) + (-1)^{|p||q|} q.(p.m).  Only the m in a nonzero
-    column of p, of q or of some r in [p, q] are visited: for the others
-    every term has a zero factor."""
+    [p,q].m - p.(q.m) + (-1)^{|p||q|} q.(p.m) over the actor indices p in
+    ``actors``.  Only the m in a nonzero column of p, of q or of some r in
+    [p, q] are visited: for the others every term has a zero factor."""
     P, rho = a.actor, a.rows
     index, par = P.bracket_index(), P.space.parities
-    for p, rp in enumerate(rho):
+    for p in actors:
+        rp = rho[p]
         for q, rq in enumerate(rho):
             sign = 1 if par[p] * par[q] else -1
             for m, defect in _defects(a.field, _spread(index[p].get(q, {}), rho),
@@ -136,16 +171,18 @@ def check_action(a: Action) -> AxiomReport:
     q.(p.m) and (ii) p.[m,m'] = [p.m, m'] + (-1)^{|p||m|} [m, p.m'].  Each
     identity is evaluated from the nonzero structure and action constants:
     a triple with a zero factor in every term has defect 0, so only the
-    others are computed.  Violations come in basis order, at most
-    MAX_VIOLATIONS of them."""
-    return _first_violations(_action_violations(a))
+    others are computed.  For a certified actor both axioms are proved on
+    its generating set, by (b) of the :mod:`~superlie.algebras` docstring.
+    Violations come in basis order, at most MAX_VIOLATIONS of them, from
+    the loop over every basis index."""
+    return _certify(partial(_action_violations, a), a.actor)
 
 
-def _action_violations(a: Action):
+def _action_violations(a: Action, actors):
     pp = a.actor.space.parities
     yield from _parity_violations(a.table, pp, a.target.space.parities, "action-parity")
-    for kind, defects in (("action-i", _representation_defects(a)),
-                          ("action-ii", _derivation_defects(a.rows, pp, a.target))):
+    for kind, defects in (("action-i", _representation_defects(a, actors)),
+                          ("action-ii", _derivation_defects(a.rows, pp, a.target, actors))):
         for *witness, defect in defects:
             yield Violation(kind, tuple(witness), defect)
 
@@ -249,8 +286,11 @@ def check_crossed(c: CrossedModule) -> AxiomReport:
     (``image-not-ideal``), and the kernel carries a well-defined module
     structure over the cokernel of the boundary (``kernel-module``).  The
     axioms come first, at most MAX_VIOLATIONS of them, and the consequences
-    are checked only when the axioms hold."""
-    rep = _first_violations(_crossed_violations(c))
+    are checked only when the axioms hold.  For a certified M and P the
+    axioms and consequences are proved on their generating sets, by (b),
+    (c) and (d) of the :mod:`~superlie.algebras` docstring; violations are
+    those of the loop over every basis index."""
+    rep = _certify(partial(_crossed_violations, c), c.p, c.m)
     if not rep.ok:
         return rep
 
@@ -258,32 +298,34 @@ def check_crossed(c: CrossedModule) -> AxiomReport:
     M, P, d, act = c.m, c.p, c.boundary, c.action
     violations: list[Violation] = []
     ker = d.kernel()
-    if not M.center().contains(ker):
+    if not is_central(M, ker):
         violations.append(Violation("kernel-not-central", (), {}))
     img = d.image()
     if not is_graded_ideal(P, img):
         violations.append(Violation("image-not-ideal", (), {}))
     # induced module structure of Coker(d) on Ker(d): the image must act
-    # trivially on the kernel and P must preserve the kernel
+    # trivially on the kernel and P must preserve the kernel, which a
+    # generating set of P does iff P does
     if (any(vec_clean(act.act(r, k)) for r in img.rows for k in ker.rows)
             or not all(ker.contains_vec(act.act({p: 1}, k))
-                       for p in range(P.dim) for k in ker.rows)):
+                       for p in _operators(P) for k in ker.rows)):
         violations.append(Violation("kernel-module", (), {}))
     return AxiomReport(not violations, violations)
 
 
-def _crossed_violations(c: CrossedModule):
+def _crossed_violations(c: CrossedModule, ps, ms):
+    """The axiom violations, with actors p in ``ps`` and m in ``ms``."""
     M, P, d, act = c.m, c.p, c.boundary, c.action
-    yield from _action_violations(act)
+    yield from _action_violations(act, ps)
     # boundary is a Lie homomorphism; (i) equivariance: d intertwines the
     # action of p with ad(p); (ii) Peiffer: the action of d(m) is ad(m)
     cols = d.matrix.cols
     for kind, defects in (
-        ("boundary-hom", hom_defects(d, M, P)),
-        ("equivariance", intertwining_defects(M.field, cols, act.rows, P.bracket_index())),
+        ("boundary-hom", hom_defects(d, M, P, ms)),
+        ("equivariance", intertwining_defects(M.field, cols, act.rows, P.bracket_index(), ps)),
         ("peiffer", intertwining_defects(M.field, [{m: 1} for m in range(M.dim)],
-                                         [_spread(col, act.rows) for col in cols],
-                                         M.bracket_index())),
+                                         {m: _spread(cols[m], act.rows) for m in ms},
+                                         M.bracket_index(), ms)),
     ):
         for *witness, defect in defects:
             yield Violation(kind, tuple(witness), defect)

@@ -124,6 +124,7 @@ from .actions import (
     check_crossed,
     adjoint_action,
     identity_crossed,
+    is_central,
     tensor_action,
 )
 from .algebras import (
@@ -530,8 +531,7 @@ def nonabelian_exterior(t: TensorProduct, cm_m: CrossedModule,
     square_rows = [t.quotient.reduce(g) for g in gens]
     square = Subspace(field, t.algebra.dim, [r for r in square_rows if r])
 
-    center = t.algebra.center()
-    if not center.contains(square):
+    if not is_central(t.algebra, square):
         raise BracketNotWellDefined("square ideal is not central in the product")
 
     algebra, proj = quotient_algebra(t.algebra, square,
@@ -573,10 +573,9 @@ def uce(P: LieSuperAlgebra) -> CentralExtension:
     proj = t.nu  # p (x) p' -> p.p' = [p, p'] under the adjoint actions
     if proj.matrix.rank() != P.dim:
         raise BracketNotWellDefined("central extension map is not surjective")
+    # Ker nu is central: on the adjoint square nu is mu, the boundary of
+    # t.cross_m, whose kernel-not-central certificate check_crossed has run
     ker = proj.kernel()
-    center = t.algebra.center()
-    if not center.contains(ker):
-        raise BracketNotWellDefined("kernel of the extension is not central")
     if not series(t.algebra).is_perfect:
         raise BracketNotWellDefined("tensor square of a perfect algebra must be perfect")
     dims = t.algebra.space.split_dims(ker.rows)

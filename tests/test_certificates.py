@@ -14,6 +14,13 @@ structurally zero slot, or a new constant in every such slot.  The crossed
 modules are the identity crossed module of each algebra and the two
 crossed modules (mu) and (nu) of its tensor square, with a perturbed or
 new action constant or a changed boundary column.
+
+The Jacobi, action and crossed module certificates are proved on a
+generating set S of each certified algebra and fall back to the loop over
+every basis index on any fault; the tests below also corrupt single
+entries whose indices avoid S, pin the report of an actor that fails
+Jacobi, and check that S is refused unless it generates and is smaller
+than the basis where it can be.
 """
 
 from fractions import Fraction
@@ -31,9 +38,11 @@ from oracles import (
     hom_defects_dense,
     rebase,
 )
+import superlie.actions as actions_module
 from superlie.actions import (
     Action,
     CrossedModule,
+    _action_violations,
     adjoint_action,
     check_action,
     check_compatible,
@@ -49,17 +58,19 @@ from superlie.algebras import (
     abelian,
     check_assoc_axioms,
     check_lie_axioms,
+    _generating_set,
     ground_assoc,
     heisenberg,
     hom_defects,
     matrix_gl,
     matrix_sl,
+    subalgebra_closure,
 )
 from superlie.cyclic import grassmann_line
 from superlie.fields import QQ, Field
-from superlie.linalg import Matrix
+from superlie.linalg import Echelon, Matrix
 from superlie.spaces import GradedMap, superspace
-from superlie.tensor import nonabelian_tensor
+from superlie.tensor import adjoint_tensor_square, nonabelian_tensor
 
 CONSTRUCTORS = {
     "heis": heisenberg,
@@ -267,3 +278,110 @@ def test_compatible_refuses_actions_between_other_algebras():
         nonabelian_tensor(heis, heis, adjoint_action(heis), trivial_action(heis, other))
     with pytest.raises(ValueError, match="actions are not between the same pair of algebras"):
         nonabelian_tensor(heis, other, adjoint_action(heis), adjoint_action(heis))
+
+
+def bumped(data, table: dict, key, parity_of: list, parity: int) -> dict:
+    """A copy of a table of constants with entry k of table[key] changed by
+    a drawn delta, k a drawn index of the given parity."""
+    table = {slot: dict(v) for slot, v in table.items()}
+    k = data.draw(st.sampled_from([k for k, q in enumerate(parity_of) if q == parity]))
+    row = table.setdefault(key, {})
+    row[k] = row.get(k, 0) + data.draw(st.sampled_from(DELTAS))
+    return table
+
+
+@pytest.mark.parametrize("p", PRIMES)
+@pytest.mark.parametrize("name", ["gl(2|1)", "sl(2|1, L1)"])
+@settings(max_examples=3, deadline=None)
+@given(data=st.data())
+def test_generator_path_matches_dense_oracles(data, name, p):
+    """The intact algebra is certified on a proper generating set S, and its
+    identity crossed module with it.  A single bracket entry at (i, j), an
+    action entry at (q, m) and a boundary entry in column m, with none of
+    i, j, q, m in S, is found by the fallback to the full loop: the report
+    is the dense oracle's."""
+    L = rebased(data, name, p)
+    assert check_lie_axioms(L).ok
+    S, par = L._generators, L.space.parities
+    assert len(S) < L.dim
+    outside = [i for i in range(L.dim) if i not in S]
+    ident = identity_crossed(L)
+    assert listing(check_crossed(ident)) == listing(check_crossed_dense(ident)) == (True, [])
+
+    i, j = sorted(data.draw(st.lists(st.sampled_from(outside), min_size=2, max_size=2)))
+    if i == j and not par[i]:
+        i, j = sorted((i, next(k for k in outside if k != i)))
+    bad = LieSuperAlgebra(L.space, bumped(data, L.table, (i, j), par, (par[i] + par[j]) % 2))
+    assert listing(check_lie_axioms(bad)) == listing(check_lie_axioms_dense(bad))
+
+    q, m = data.draw(st.sampled_from(outside)), data.draw(st.sampled_from(outside))
+    a = Action(L, L, bumped(data, ident.action.table, (q, m), par, (par[q] + par[m]) % 2))
+    assert listing(check_action(a)) == listing(check_action_dense(a))
+    cols = [dict(col) for col in ident.boundary.matrix.cols]
+    cols[m] = bumped(data, {0: cols[m]}, 0, par, par[m])[0]
+    d = GradedMap(L.space, L.space, Matrix(L.field, L.dim, [L.field.clean(
+        {k: L.field.of(c) for k, c in col.items()}) for col in cols]))
+    for c in (CrossedModule(L, L, ident.boundary, a), CrossedModule(L, L, d, ident.action)):
+        assert listing(check_crossed(c)) == listing(check_crossed_dense(c))
+
+
+def test_actor_failing_jacobi_takes_the_full_loop():
+    """P is the filiform algebra g, [e0, e1] = e2 and [e0, e2] = e3, with
+    the extra bracket [e2, e3] = e0, so it fails Jacobi; it acts on g by
+    the adjoint constants of g.  The action axioms hold for every p in the
+    generating set {e0, e1} of P and fail at p = e2 and e3 only, so a check
+    on the generators alone would pass; the actor is not certified, and the
+    reports are those of the loop over every basis index, pinned here as
+    the full checkers gave them before the generator path."""
+    sp = superspace(QQ, [(f"e{i}", 0) for i in range(4)])
+    g = LieSuperAlgebra(sp, {(0, 1): {2: 1}, (0, 2): {3: 1}})
+    P = LieSuperAlgebra(sp, {(0, 1): {2: 1}, (0, 2): {3: 1}, (2, 3): {0: 1}})
+    a = Action(P, g, adjoint_action(g).table)
+    assert _generating_set(P) == [0, 1]
+    assert next(_action_violations(a, [0, 1]), None) is None
+    action_i = [("action-i", (2, 3, 1), [(2, 1)]), ("action-i", (2, 3, 2), [(3, 1)]),
+                ("action-i", (3, 2, 1), [(2, -1)]), ("action-i", (3, 2, 2), [(3, -1)])]
+    assert listing(check_action(a)) == (False, action_i)
+    c = CrossedModule(g, P, GradedMap.identity(sp), a)
+    assert listing(check_crossed(c)) == (False, action_i + [
+        ("boundary-hom", (2, 3), [(0, -1)]), ("boundary-hom", (3, 2), [(0, 1)]),
+        ("equivariance", (2, 3), [(0, -1)]), ("equivariance", (3, 2), [(0, 1)])])
+    assert not check_lie_axioms(P).ok and P._generators is None
+    assert listing(check_action(a)) == listing(check_action_dense(a))
+    assert listing(check_crossed(c)) == listing(check_crossed_dense(c))
+
+
+def test_generating_set_that_does_not_generate_is_refused(monkeypatch):
+    """A walk that wrongly skips e1 of heis as already spanned keeps {e0},
+    whose closure is span(e0): the helper refuses it, and no generating
+    set is memoized."""
+    L = heisenberg(QQ)
+    assert _generating_set(L) == [0, 1]
+    contains = Echelon.contains
+    monkeypatch.setattr(Echelon, "contains", lambda self, v: v == {1: 1} or contains(self, v))
+    with pytest.raises(RuntimeError, match="does not generate"):
+        check_lie_axioms(L)
+    assert L._generators is None
+
+
+@pytest.mark.parametrize("build", [
+    lambda: matrix_sl(2, 1, grassmann_line(QQ)).algebra,
+    lambda: matrix_gl(2, 2, ground_assoc(Field(5))),
+    lambda: matrix_gl(2, 2, ground_assoc(QQ)),
+], ids=["sl(2|1, L1)", "gl(2|2)/F5", "gl(2|2)"])
+def test_generating_sets_are_smaller_than_the_basis(build, monkeypatch):
+    """The generating sets of the algebra and of its adjoint tensor square
+    are proper subsets of the basis that generate it (checked by
+    subalgebra_closure), and check_action visits exactly those operators."""
+    P = build()
+    t = adjoint_tensor_square(P)
+    for L in (P, t.algebra):
+        S = L._generators
+        assert S == _generating_set(L) and len(S) < L.dim
+        assert subalgebra_closure(L, [{s: 1} for s in S]).dim == L.dim
+    visited = []
+    representation = actions_module._representation_defects
+    monkeypatch.setattr(actions_module, "_representation_defects",
+                        lambda a, actors: visited.append(list(actors)) or representation(a, actors))
+    assert check_action(t.action_m).ok
+    assert visited == [P._generators]
