@@ -15,7 +15,6 @@ from .linalg import (
 from .spaces import (
     GradedMap,
     SuperSpace,
-    WedgeMonomial,
     exterior_power,
     superspace,
     tensor_space,

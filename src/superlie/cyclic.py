@@ -36,12 +36,13 @@ leaves every other entry alone.  What remains lies on the reps, and its
 entry at a rep is that rep's coordinate.
 
 The boundary is induced by :func:`~superlie.algebras.induced_map`, which
-certifies that d' carries Im(1 - t_n) into Im(1 - t_{n-1}), and d.d = 0 is
-asserted.  HC_1 is also computed from its kernel model
-(A (x) A)/I(A) -> [A, A], the coarser Milnor quotient, and the bracket
-algebra V(A) on (A (x) A)/I(A), which is a crossed module over A and the
-bridge to non-abelian homology.  The map of the kernel model is induced
-the same way, which certifies that a (x) b -> [a, b] kills I(A).
+certifies that d' carries Im(1 - t_n) into Im(1 - t_{n-1}), and
+:class:`~superlie.homology.Complex` certifies d.d = 0.  HC_1 is also
+computed from its kernel model (A (x) A)/I(A) -> [A, A], the coarser
+Milnor quotient, and the bracket algebra V(A) on (A (x) A)/I(A), which
+is a crossed module over A and the bridge to non-abelian homology.  The
+map of the kernel model is induced the same way, which certifies that
+a (x) b -> [a, b] kills I(A).
 
 I(A) is Im(1 - t_1) plus the cyclic relations
 ab (x) c - a (x) bc + (-1)^{|c|(|a|+|b|)} ca (x) b: the graded-symmetric
@@ -99,11 +100,11 @@ from .algebras import (
     subalgebra_on,
 )
 from .homology import (
+    Complex,
     ComplexInconsistent,
     CrossedSES,
     HomologyResult,
     SixTermReport,
-    _homology_of,
     snake_sequence,
     sub_space,
 )
@@ -120,17 +121,12 @@ class NotUnital(ValueError):
 
 
 @dataclass
-class ConnesComplex:
+class ConnesComplex(Complex):
+    """The Connes complex of A; its boundaries are the induced d_n."""
+
     a: AssocSuperAlgebra
-    max_n: int
     plain_spaces: list[SuperSpace]           # A^{(x)(n+1)}
     coinvariants: list[QuotientSpace]        # C_n(A)
-    boundaries: list[GradedMap | None]       # induced d_n: C_n -> C_{n-1}, n >= 1
-
-    def boundary(self, n: int) -> GradedMap:
-        if not 1 <= n < len(self.boundaries):
-            raise IndexError(f"no boundary at degree {n}")
-        return self.boundaries[n]
 
 
 def _flat(t: tuple, d: int) -> int:
@@ -281,10 +277,7 @@ def connes(A: AssocSuperAlgebra, max_n: int = 2) -> ConnesComplex:
     boundaries: list[GradedMap | None] = [None]
     for n in range(1, max_n + 1):
         boundaries.append(_induced_boundary(A, n, coinv[n], coinv[n - 1]))
-    for n in range(2, max_n + 1):
-        if not boundaries[n - 1].compose(boundaries[n]).is_zero():
-            raise ComplexInconsistent(f"connes d_{n-1} . d_{n} != 0")
-    return ConnesComplex(A, max_n, plain, coinv, boundaries)
+    return ConnesComplex(boundaries, A, plain, coinv)
 
 
 def hc(A: AssocSuperAlgebra, n: int, complex_: ConnesComplex | None = None) -> HomologyResult:
@@ -295,9 +288,7 @@ def hc(A: AssocSuperAlgebra, n: int, complex_: ConnesComplex | None = None) -> H
         complex_ = connes(A, n + 1)
     elif complex_.a is not A:
         raise ValueError("complex_ was built for another algebra")
-    if n + 1 > complex_.max_n:
-        raise IndexError(f"complex too short for HC_{n}")
-    return _homology_of(complex_, n, complex_.coinvariants[n].space)
+    return complex_.homology(n)
 
 
 # ---------------------------------------------------------------------------

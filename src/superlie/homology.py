@@ -35,13 +35,13 @@ after it.  Every prefix of a weight-0 chain is live, so the chains and
 their order are those of the full enumeration, which ``tests/oracles.py``
 keeps.
 
-The complex's ``spaces``, ``monomials`` and ``coefficients`` and the
-representatives of :func:`homology` refer to the kept chains, listed in
-the order of the full complex and labelled as there.  The canonical
-echelon form of a direct sum over disjoint coordinate blocks is the
-union of the blocks' forms and an acyclic block contributes no
-representative, so dimensions and representatives, read through chain
-labels, equal those of the full complex.
+The complex's ``spaces`` and ``chains`` and the representatives of
+:func:`homology` refer to the kept chains, listed in the order of the
+full complex and labelled as there.  The canonical echelon form of a
+direct sum over disjoint coordinate blocks is the union of the blocks'
+forms and an acyclic block contributes no representative, so dimensions
+and representatives, read through chain labels, equal those of the full
+complex.
 
 Degree-2 comparison.  On the ground field d_2(x^y) = -[x, y] for every
 monomial, so d_2 is the edge map of the bracket of Lambda^2 P / Im d_3:
@@ -108,7 +108,6 @@ from .linalg import (
 from .spaces import (
     GradedMap,
     SuperSpace,
-    WedgeMonomial,
     wedge_normalize,
 )
 from .tensor import (
@@ -146,11 +145,52 @@ def trivial_module(P: LieSuperAlgebra) -> Action:
 
 
 # ---------------------------------------------------------------------------
-# the chain complex
+# chain complexes
 
 
 @dataclass
-class ChainComplex:
+class HomologyResult:
+    n: int
+    dims: tuple[int, int]
+    representatives: list[dict]
+    subquotient: Subquotient | None = None
+
+    @property
+    def dim(self) -> int:
+        return self.dims[0] + self.dims[1]
+
+
+@dataclass
+class Complex:
+    """A chain complex given by its boundaries d_n: C_n -> C_{n-1},
+    ``boundaries[n]`` for n >= 1 (``boundaries[0]`` is None).  d.d = 0 is
+    certified when the complex is built, so no complex exists uncertified."""
+
+    boundaries: list[GradedMap | None]
+
+    def __post_init__(self):
+        for n in range(2, len(self.boundaries)):
+            if not self.boundaries[n - 1].compose(self.boundaries[n]).is_zero():
+                raise ComplexInconsistent(f"d_{n-1} . d_{n} != 0")
+
+    def boundary(self, n: int) -> GradedMap:
+        if not 1 <= n < len(self.boundaries):
+            raise IndexError(f"no boundary at degree {n}")
+        return self.boundaries[n]
+
+    def homology(self, n: int) -> HomologyResult:
+        """H_n = Ker d_n / Im d_{n+1} with canonical representatives; C_n is
+        the target of d_{n+1}, and every chain is a cycle at n = 0."""
+        if not 0 <= n < len(self.boundaries) - 1:
+            raise IndexError(f"complex too short for H_{n}")
+        space = self.boundary(n + 1).target
+        ker = self.boundary(n).kernel() if n >= 1 else Subspace.full(space.field, space.dim)
+        sq = Subquotient(ker, self.boundary(n + 1).image())
+        return HomologyResult(n, space.split_dims(sq.section), [dict(s) for s in sq.section], sq)
+
+
+@dataclass
+class ChainComplex(Complex):
     """The chain complex of P with coefficients in M on its weight-0 chains:
     for every even basis element h of P with ad(h) diagonal on P's basis
     and a diagonal action on M's basis, only the chains on which h acts by
@@ -159,24 +199,17 @@ class ChainComplex:
     Infinite-Dimensional Lie Algebras, 1986, ch. 1).  With no such h every
     chain is kept.
 
-    Chain i of degree n is ``monomials[n][i] (x) t`` with t the basis
-    element ``coefficients[n][i]`` of M.  ``spaces``, ``monomials``,
-    ``coefficients`` and the representatives of :func:`homology` refer to
-    the kept chains, listed in the order of the full complex; a chain's
-    label is its label in the full complex.
+    Chain i of degree n is ``x_1^...^x_k (x) t`` for the pair
+    ``chains[n][i] = ((x_1, ..., x_k), t)`` of canonical wedge factors and
+    a basis index t of M.  ``spaces``, ``chains`` and the representatives
+    of :func:`homology` refer to the kept chains, listed in the order of
+    the full complex; a chain's label is its label in the full complex.
     """
 
     p: LieSuperAlgebra
     module: Action
     spaces: list[SuperSpace]
-    monomials: list[list[WedgeMonomial]]
-    coefficients: list[list[int]]
-    boundaries: list[GradedMap | None]  # boundaries[n]: C_n -> C_{n-1}, n >= 1
-
-    def boundary(self, n: int) -> GradedMap:
-        if not 1 <= n < len(self.boundaries):
-            raise IndexError(f"no boundary at degree {n}")
-        return self.boundaries[n]
+    chains: list[list[tuple[tuple[int, ...], int]]]
 
 
 def _cartan_weights(P: LieSuperAlgebra, M: Action) -> list[tuple[list, list]]:
@@ -240,8 +273,7 @@ def _weight0_chains(P: LieSuperAlgebra, dm: int, max_n: int,
 def _chain_complex(P: LieSuperAlgebra, M: Action, max_n: int,
                    weights: list[tuple[list, list]]) -> ChainComplex:
     """The one construction loop: the chains of weight 0 under weights
-    (every chain when weights is empty), their labels and boundaries, and
-    the d.d = 0 certificate."""
+    (every chain when weights is empty), their labels and boundaries."""
     field = P.field
     par = P.space.parities
     plabels = P.space.labels
@@ -295,40 +327,23 @@ def _chain_complex(P: LieSuperAlgebra, M: Action, max_n: int,
                             s2, mono = wedge_normalize([e, *rest], par)
                             if mono is None:
                                 continue
-                            key = below[(mono.factors, t)]
+                            key = below[(mono, t)]
                             col[key] = col.get(key, 0) + s * s2 * c
             except KeyError:
                 raise ComplexInconsistent(
                     f"d_{n} leaves the weight-0 chains at {spaces[n].labels[len(cols)]}") from None
             cols.append(field.clean(col))
         boundaries.append(GradedMap.from_columns(spaces[n], spaces[n - 1], cols))
-
-    for n in range(2, max_n + 1):
-        comp = boundaries[n - 1].compose(boundaries[n])
-        if not comp.is_zero():
-            raise ComplexInconsistent(f"d_{n-1} . d_{n} != 0")
-    monos = [[WedgeMonomial(f) for f, _ in level] for level in chains]
-    coefficients = [[t for _, t in level] for level in chains]
-    return ChainComplex(P, M, spaces, monos, coefficients, boundaries)
+    return ChainComplex(boundaries, P, M, spaces, chains)
 
 
 def ce_complex(P: LieSuperAlgebra, M: Action, max_n: int = DEFAULT_MAX_DEGREE) -> ChainComplex:
     """The chain complex of P with coefficients in the P-module M (an action
     of P on M.target) up to degree max_n, on its weight-0 chains (see the
     module docstring)."""
+    if M.actor is not P:
+        raise ValueError("the module is an action of another algebra object than P")
     return _chain_complex(P, M, max_n, _cartan_weights(P, M))
-
-
-@dataclass
-class HomologyResult:
-    n: int
-    dims: tuple[int, int]
-    representatives: list[dict]
-    subquotient: Subquotient | None = None
-
-    @property
-    def dim(self) -> int:
-        return self.dims[0] + self.dims[1]
 
 
 def homology(P: LieSuperAlgebra, M: Action | None, n: int,
@@ -348,17 +363,7 @@ def homology(P: LieSuperAlgebra, M: Action | None, n: int,
         raise ValueError("complex_ was built for another module")
     elif M is None and not (complex_.module.is_trivial() and complex_.module.target.dim == 1):
         raise ValueError("complex_ has coefficients other than the ground field; pass its module")
-    if n + 1 >= len(complex_.spaces):
-        raise IndexError(f"complex too short for H_{n}")
-    return _homology_of(complex_, n, complex_.spaces[n])
-
-
-def _homology_of(complex_, n: int, space: SuperSpace) -> HomologyResult:
-    """Ker d_n / Im d_{n+1} of a complex with ``boundary(k)`` maps, whose
-    degree-n chains are ``space`` (all of them are cycles at n = 0)."""
-    ker = complex_.boundary(n).kernel() if n >= 1 else Subspace.full(space.field, space.dim)
-    sq = Subquotient(ker, complex_.boundary(n + 1).image())
-    return HomologyResult(n, space.split_dims(sq.section), [dict(s) for s in sq.section], sq)
+    return complex_.homology(n)
 
 
 # ---------------------------------------------------------------------------
@@ -418,8 +423,8 @@ def d3_lemma_check(P: LieSuperAlgebra) -> D3LemmaReport:
     docstring)."""
     cx = _chain_complex(P, trivial_module(P), 3, [])  # all of C_2
     c2 = cx.spaces[2]
-    monos2 = cx.monomials[2]
-    index2 = {m.factors: i for i, m in enumerate(monos2)}
+    chains2 = cx.chains[2]
+    index2 = {f: i for i, (f, _) in enumerate(chains2)}
     par = P.space.parities
 
     def wedge(u: dict, v: dict) -> dict:
@@ -429,7 +434,7 @@ def d3_lemma_check(P: LieSuperAlgebra) -> D3LemmaReport:
             for e2, cv in v.items():
                 s, mono = wedge_normalize([e1, e2], par)
                 if mono is not None:
-                    idx = index2[mono.factors]
+                    idx = index2[mono]
                     out[idx] = out.get(idx, 0) + s * cu * cv
         return out
 
@@ -446,7 +451,7 @@ def d3_lemma_check(P: LieSuperAlgebra) -> D3LemmaReport:
     def to_exterior(v: dict) -> dict:
         out: dict = {}
         for a, c in v.items():
-            i, j = monos2[a].factors
+            (i, j), _ = chains2[a]
             vec_axpy(out, c, t.embed(i, j))
         return ext.projection.apply(out)
 
@@ -570,9 +575,9 @@ class CrossedSES:
         comp = self.m.boundary.compose(self.f)
         if not comp.is_zero():
             raise ValueError("boundary of M does not restrict to zero on L")
-        dn_g = self.n.boundary.compose(self.g)
-        diff = dn_g.matrix.add(self.m.boundary.matrix.scale(-1))
-        if not diff.is_zero():
+        clean = self.p.field.clean
+        if ([clean(c) for c in self.n.boundary.compose(self.g).matrix.cols]
+                != [clean(c) for c in self.m.boundary.matrix.cols]):
             raise ValueError("boundaries are not compatible with the right map")
         for h, src, dst, side in ((self.f, self.l, self.m, "left"),
                                   (self.g, self.m, self.n, "right")):

@@ -418,9 +418,6 @@ class Matrix:
             cols.append(out)
         return Matrix(self.field, self.nrows, cols)
 
-    def scale(self, c) -> "Matrix":
-        return Matrix(self.field, self.nrows, [vec_scale(col, c) for col in self.cols])
-
     def is_zero(self) -> bool:
         return not any(self.field.clean(col) for col in self.cols)
 

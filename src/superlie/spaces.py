@@ -166,17 +166,10 @@ def tensor_power_space(a: SuperSpace, n: int) -> SuperSpace:
 # super exterior powers
 
 
-@dataclass(frozen=True)
-class WedgeMonomial:
-    """Canonical wedge monomial: weakly increasing indices, even ones strict."""
-
-    factors: tuple[int, ...]
-
-
 def wedge_normalize(factors: list[int], parities_of: list[int] | tuple[int, ...]):
     """Stable insertion sort with the swap sign -(-1)^{|u||v|}.
 
-    Returns (sign, WedgeMonomial) or (0, None) when an even index repeats.
+    Returns (sign, canonical factors) or (0, None) when an even index repeats.
     """
     fs = list(factors)
     sign = 1
@@ -190,22 +183,12 @@ def wedge_normalize(factors: list[int], parities_of: list[int] | tuple[int, ...]
     for a, b in zip(fs, fs[1:]):
         if a == b and parities_of[a] == 0:
             return 0, None
-    return sign, WedgeMonomial(tuple(fs))
+    return sign, tuple(fs)
 
 
-def _monomials(dim: int, parities, n: int):
-    for combo in combinations_with_replacement(range(dim), n):
-        ok = True
-        for a, b in zip(combo, combo[1:]):
-            if a == b and parities[a] == 0:
-                ok = False
-                break
-        if ok:
-            yield WedgeMonomial(combo)
-
-
-def exterior_power(v: SuperSpace, n: int) -> tuple[SuperSpace, list[WedgeMonomial]]:
-    """The n-th super exterior power with its canonical monomial basis.
+def exterior_power(v: SuperSpace, n: int) -> tuple[SuperSpace, list[tuple[int, ...]]]:
+    """The n-th super exterior power with its canonical monomial basis, each
+    monomial the tuple of its factors: weakly increasing, even ones strict.
 
     The package builds its chains on the weight-0 monomials instead, but
     this stays as the documented super exterior power: ``tests/oracles.py``
@@ -213,14 +196,8 @@ def exterior_power(v: SuperSpace, n: int) -> tuple[SuperSpace, list[WedgeMonomia
     ``perfbench/spans.py`` times it as a layer of its own."""
     if n < 0:
         raise ValueError("negative exterior power")
-    monomials = list(_monomials(v.dim, v.parities, n))
-    labels = []
-    parities = []
-    for m in monomials:
-        if n == 0:
-            labels.append("1")
-            parities.append(0)
-        else:
-            labels.append("^".join(v.labels[i] for i in m.factors))
-            parities.append(sum(v.parities[i] for i in m.factors) % 2)
+    monomials = [m for m in combinations_with_replacement(range(v.dim), n)
+                 if not any(a == b and v.parities[a] == 0 for a, b in zip(m, m[1:]))]
+    labels = ["^".join(v.labels[i] for i in m) if n else "1" for m in monomials]
+    parities = [sum(v.parities[i] for i in m) % 2 for m in monomials]
     return SuperSpace(v.field, tuple(labels), tuple(parities)), monomials

@@ -428,31 +428,20 @@ def nilpotency_bounds_check(M: LieSuperAlgebra, N: LieSuperAlgebra,
     s_n = series(nview.algebra)
     s_t = series(t.algebra)
 
-    numbers = {
-        "class([M,N]^M)": s_m.nil_class,
-        "class(M(x)N)": s_t.nil_class,
-        "class([M,N]^N)": s_n.nil_class,
-        "length([M,N]^M)": s_m.derived_length,
-        "length(M(x)N)": s_t.derived_length,
-        "length([M,N]^N)": s_n.derived_length,
-    }
+    numbers: dict = {}
     checks: list[tuple[str, bool]] = []
-    if s_m.nil_class is not None:
-        c = s_m.nil_class
-        checks.append(("M(x)N nilpotent", s_t.nil_class is not None))
-        checks.append(("[M,N]^N nilpotent", s_n.nil_class is not None))
-        if s_t.nil_class is not None:
-            checks.append((f"{c} <= class(M(x)N) <= {c}+1", c <= s_t.nil_class <= c + 1))
-        if s_n.nil_class is not None:
-            checks.append((f"class([M,N]^N) <= {c}+1", s_n.nil_class <= c + 1))
-    if s_m.derived_length is not None:
-        l = s_m.derived_length
-        checks.append(("M(x)N solvable", s_t.derived_length is not None))
-        checks.append(("[M,N]^N solvable", s_n.derived_length is not None))
-        if s_t.derived_length is not None:
-            checks.append((f"{l} <= length(M(x)N) <= {l}+1", l <= s_t.derived_length <= l + 1))
-        if s_n.derived_length is not None:
-            checks.append((f"length([M,N]^N) <= {l}+1", s_n.derived_length <= l + 1))
+    for inv, prop, (c, on_t, on_n) in (
+            ("class", "nilpotent", (s_m.nil_class, s_t.nil_class, s_n.nil_class)),
+            ("length", "solvable", (s_m.derived_length, s_t.derived_length, s_n.derived_length))):
+        numbers.update({f"{inv}([M,N]^M)": c, f"{inv}(M(x)N)": on_t, f"{inv}([M,N]^N)": on_n})
+        if c is None:
+            continue
+        checks.append((f"M(x)N {prop}", on_t is not None))
+        checks.append((f"[M,N]^N {prop}", on_n is not None))
+        if on_t is not None:
+            checks.append((f"{c} <= {inv}(M(x)N) <= {c}+1", c <= on_t <= c + 1))
+        if on_n is not None:
+            checks.append((f"{inv}([M,N]^N) <= {c}+1", on_n <= c + 1))
     if s_m.nil_class is not None:
         bound = max(s_m.nil_class, 1)
         n_engel = engel_degree(mview.algebra, bound)
@@ -564,10 +553,16 @@ class CentralExtension:
     tensor: TensorProduct
 
 
+def _is_perfect(L: LieSuperAlgebra) -> bool:
+    """[L, L] = L, without the series and the center that :func:`series` builds."""
+    full = L.full_subspace()
+    return L.product_subspace(full, full).dim == L.dim
+
+
 def uce(P: LieSuperAlgebra) -> CentralExtension:
     """The universal central extension P (x) P ->> P of a perfect P, with the
     kernel reported per parity (it realizes the second homology)."""
-    if not series(P).is_perfect:
+    if not _is_perfect(P):
         raise NotPerfect("universal central extensions require a perfect algebra")
     t = adjoint_tensor_square(P)
     proj = t.nu  # p (x) p' -> p.p' = [p, p'] under the adjoint actions
@@ -576,7 +571,7 @@ def uce(P: LieSuperAlgebra) -> CentralExtension:
     # Ker nu is central: on the adjoint square nu is mu, the boundary of
     # t.cross_m, whose kernel-not-central certificate check_crossed has run
     ker = proj.kernel()
-    if not series(t.algebra).is_perfect:
+    if not _is_perfect(t.algebra):
         raise BracketNotWellDefined("tensor square of a perfect algebra must be perfect")
     dims = t.algebra.space.split_dims(ker.rows)
     return CentralExtension(t.algebra, P, proj, ker, dims, t)

@@ -78,7 +78,7 @@ from superlie.algebras import (
 )
 from superlie.cyclic import dual_numbers, grassmann_line, hc1_kernel_model
 from superlie.fields import QQ, Field
-from superlie.homology import ChainComplex, ComplexInconsistent
+from superlie.homology import ChainComplex
 from superlie.io import action_to_json, algebra_to_json, dump_json
 from superlie.linalg import Echelon, Subquotient, Subspace, vec_axpy, vec_clean, vec_scale, vec_sub
 from superlie.spaces import (
@@ -574,13 +574,12 @@ def ce_complex_full(P, M, max_n: int):
                 parities.append((wedge.parities[w_idx] + msp.parities[t]) % 2)
         spaces.append(SuperSpace(field, tuple(labels), tuple(parities)))
         monos.append(mlist)
-        index_of.append({m.factors: i for i, m in enumerate(mlist)})
+        index_of.append({m: i for i, m in enumerate(mlist)})
 
     boundaries = [None]
     for n in range(1, max_n + 1):
         cols = []
-        for m in monos[n]:
-            xs = m.factors
+        for xs in monos[n]:
             pre_par = [par[x] for x in xs]
             for t in range(dm):
                 col = {}
@@ -609,17 +608,12 @@ def ce_complex_full(P, M, max_n: int):
                             s2, mono = wedge_normalize([e, *rest], par)
                             if mono is None:
                                 continue
-                            key = index_of[n - 1][mono.factors] * dm + t
+                            key = index_of[n - 1][mono] * dm + t
                             col[key] = col.get(key, 0) + s * s2 * c
                 cols.append(field.clean(col))
         boundaries.append(GradedMap.from_columns(spaces[n], spaces[n - 1], cols))
-
-    for n in range(2, max_n + 1):
-        if not boundaries[n - 1].compose(boundaries[n]).is_zero():
-            raise ComplexInconsistent(f"d_{n-1} . d_{n} != 0")
-    per_chain = [[m for m in level for _ in range(dm)] for level in monos]
-    coefficients = [[t for _ in level for t in range(dm)] for level in monos]
-    return ChainComplex(P, M, spaces, per_chain, coefficients, boundaries)
+    chains = [[(m, t) for m in level for t in range(dm)] for level in monos]
+    return ChainComplex(boundaries, P, M, spaces, chains)
 
 
 def weight0_chains_oracle(P, dm: int, max_n: int, weights) -> list[list[tuple[tuple[int, ...], int]]]:

@@ -25,7 +25,9 @@ from superlie.cyclic import grassmann_line
 from superlie.fields import QQ, Field
 from superlie.freelie import Presentation, genset
 from superlie.homology import (
+    ChainComplex,
     ClassExceeded,
+    ComplexInconsistent,
     CrossedSES,
     _chain_complex,
     ce_complex,
@@ -152,6 +154,34 @@ def test_homology_without_module_needs_ground_field_coefficients(gl11):
         == [homology(gl11, None, n).dims for n in range(3)]
 
 
+def test_ce_complex_refuses_a_module_of_another_algebra(heis, gl11, sl21):
+    """A module must be an action of P itself: before this check gl(1|1)
+    with the adjoint module of an abelian (2|2) algebra gave H0 = (2|2),
+    and heis with the adjoint module of sl(2|1) failed on a parity."""
+    with pytest.raises(ValueError, match="another algebra object than P"):
+        ce_complex(gl11, adjoint_action(abelian(QQ, 2, 2)), 2)
+    with pytest.raises(ValueError, match="another algebra object than P"):
+        ce_complex(heis, adjoint_action(sl21), 2)
+    with pytest.raises(ValueError, match="another algebra object than P"):
+        homology(heis, adjoint_action(sl21), 1)
+
+
+def test_boundary_certificate_runs_when_the_complex_is_built():
+    """d.d = 0 is certified when a complex is built: d_2 . d_3 is the
+    Jacobiator, so a bracket that fails Jacobi (on e1, e2, e3 below; no
+    basis element has diagonal ad, so every chain is kept) gives no
+    complex, and neither do boundaries given directly."""
+    sp = superspace(QQ, [(f"e{i}", 0) for i in range(4)])
+    P = LieSuperAlgebra(sp, {(0, 1): {2: 1}, (0, 2): {3: 1}, (2, 3): {0: 1}})
+    assert not check_lie_axioms(P).ok
+    with pytest.raises(ComplexInconsistent, match=r"d_2 \. d_3 != 0"):
+        ce_complex(P, trivial_module(P), 3)
+    line = SuperSpace(QQ, ("x",), (0,))
+    one = GradedMap.identity(line)
+    with pytest.raises(ComplexInconsistent, match=r"d_1 \. d_2 != 0"):
+        ChainComplex([None, one, one], P, trivial_module(P), [line] * 3, [[((), 0)]] * 3)
+
+
 # -- the weight-0 subcomplex against the full complex -----------------------------
 
 DIFFERENTIAL_ALGEBRAS = {
@@ -187,7 +217,7 @@ def diagonal_weights(P: LieSuperAlgebra, M: Action) -> list[tuple[list, list]]:
 
 
 def has_weight_zero(field: Field, weights, mono, t) -> bool:
-    return all(field.is_zero(sum(lam[x] for x in mono.factors) + mu[t])
+    return all(field.is_zero(sum(lam[x] for x in mono) + mu[t])
                for lam, mu in weights)
 
 
@@ -201,10 +231,10 @@ def assert_matches_full_complex(P: LieSuperAlgebra, M: Action, max_n: int):
     weights = diagonal_weights(P, M)
     for n in range(max_n + 1):
         kept = [full.spaces[n].labels[i]
-                for i, (m, t) in enumerate(zip(full.monomials[n], full.coefficients[n]))
+                for i, (m, t) in enumerate(full.chains[n])
                 if has_weight_zero(P.field, weights, m, t)]
         assert list(cx.spaces[n].labels) == kept, n
-        for m, t in zip(cx.monomials[n], cx.coefficients[n]):
+        for m, t in cx.chains[n]:
             assert has_weight_zero(P.field, weights, m, t)
     for n in range(max_n):
         want = homology(P, M, n, complex_=full)
@@ -462,6 +492,19 @@ def test_crossed_ses_refuses_a_map_that_is_not_equivariant(side, f_col, g_cols, 
                      GradedMap.from_columns(M.space, N.space, g_cols))
     with pytest.raises(ValueError, match=f"{side} map is not equivariant"):
         ses.validate()
+
+
+def test_crossed_ses_refuses_boundaries_that_do_not_commute_with_g():
+    """The central line over gl(1|1), 0 -> (K, 0) -> (P + K, pr) -> (P, id)
+    -> 0, with g = 2 pr in place of pr: still exact and equivariant, but
+    d_N . g = 2 d_M."""
+    _, ses = standard_crossed_ses()[2]
+    ses.validate()
+    twice = GradedMap.from_columns(ses.g.source, ses.g.target,
+                                   [{k: 2 * c for k, c in col.items()} for col in ses.g.matrix.cols])
+    bad = CrossedSES(ses.p, ses.l, ses.m, ses.n, ses.f, twice)
+    with pytest.raises(ValueError, match="boundaries are not compatible with the right map"):
+        bad.validate()
 
 
 def test_ideal_sixterm(heis, gl11):

@@ -48,7 +48,7 @@ def test_koszul_matches_insertion_sort():
             perm_parities = [parities[p] for p in perm]
             sign, mono = wedge_normalize(list(perm), parities)
             assert mono is not None
-            assert mono.factors == tuple(range(n))
+            assert mono == tuple(range(n))
             assert sign == koszul_sign(list(perm), perm_parities)
 
 
@@ -92,12 +92,12 @@ def test_tensor_row_major_order():
 
 def test_wedge_swap_two_evens():
     sign, mono = wedge_normalize([1, 0], (0, 0))
-    assert sign == -1 and mono.factors == (0, 1)
+    assert sign == -1 and mono == (0, 1)
 
 
 def test_wedge_repeated_odd_survives():
     sign, mono = wedge_normalize([0, 0], (1,))
-    assert sign == 1 and mono.factors == (0, 0)
+    assert sign == 1 and mono == (0, 0)
 
 
 def test_wedge_repeated_even_dies():
@@ -108,7 +108,7 @@ def test_wedge_repeated_even_dies():
 def test_wedge_normalize_idempotent():
     sign, mono = wedge_normalize([0, 2, 2], (0, 1, 1))
     assert mono is not None and sign == 1
-    sign2, mono2 = wedge_normalize(list(mono.factors), (0, 1, 1))
+    sign2, mono2 = wedge_normalize(list(mono), (0, 1, 1))
     assert sign2 == 1 and mono2 == mono
 
 

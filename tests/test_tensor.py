@@ -4,12 +4,15 @@ import weakref
 
 import pytest
 
-from superlie import corpus, suites, tensor
+from superlie import algebras, corpus, suites, tensor
 from superlie.actions import adjoint_action, trivial_action
 from superlie.algebras import (
+    LieSuperAlgebra,
     abelian,
     check_lie_axioms,
+    ground_assoc,
     heisenberg,
+    matrix_sl,
     series,
 )
 from superlie.fields import QQ
@@ -200,8 +203,6 @@ def test_nilpotency_bounds_trivial_abelian():
 
 def test_nilpotency_bounds_solvable2():
     sp = SuperSpace(QQ, ("a", "b"), (0, 0))
-    from superlie.algebras import LieSuperAlgebra
-
     s2 = LieSuperAlgebra(sp, {(0, 1): {1: 1}})
     adj = adjoint_action(s2)
     rep = nilpotency_bounds_check(s2, s2, adj, adj)
@@ -212,6 +213,26 @@ def test_nilpotency_bounds_solvable2():
 def test_uce_guard(heis):
     with pytest.raises(NotPerfect):
         uce(heis)
+
+
+def test_uce_tests_perfectness_without_series(monkeypatch):
+    """uce reads [P, P] = P for P and for P (x) P directly: it builds
+    neither the series reports nor a center, and still refuses heis."""
+    calls = []
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for module in (algebras, tensor):
+        monkeypatch.setattr(module, "series", counted("series", algebras.series))
+    monkeypatch.setattr(LieSuperAlgebra, "center", counted("center", LieSuperAlgebra.center))
+    assert uce(matrix_sl(2, 1, ground_assoc(QQ)).algebra).kernel_dims == (0, 0)
+    with pytest.raises(NotPerfect):
+        uce(heisenberg(QQ))
+    assert calls == []
 
 
 def test_uce_sl21(sl21):
@@ -234,7 +255,6 @@ def test_uce_sl21_grassmann_kernel_is_hc1():
     cyclic homology of the coefficient algebra: for the rank-one Grassmann
     algebra both are (1|0), triangulated against the chain complex and the
     exterior kernel."""
-    from superlie.algebras import matrix_sl
     from superlie.cyclic import grassmann_line, hc1_kernel_model
     from superlie.homology import h2_via_exterior, homology
 
@@ -263,8 +283,6 @@ def test_tensor_basis_order_invariance(heis):
         else:
             s = 1 if parities[a] * parities[b] else -1
             table[(b, a)] = {k: s * c for k, c in w.items()}
-    from superlie.algebras import LieSuperAlgebra
-
     shuffled = LieSuperAlgebra(SuperSpace(QQ, labels, parities), table, name="heis'")
     assert check_lie_axioms(shuffled).ok
     t1 = adjoint_tensor_square(heis)
