@@ -77,10 +77,9 @@ from .homology import (
     ClassExceeded,
     ComplexInconsistent,
     CrossedSES,
-    HomologyResult,
     ce_complex,
     d3_lemma_check,
-    exactness_check,
+    exact_sequence,
     h2_via_exterior,
     homology,
     hopf_formula,

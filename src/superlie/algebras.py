@@ -404,26 +404,33 @@ def _lie_violations(L: LieSuperAlgebra, ops):
         yield Violation("jacobi", (i, j, k), defect)
 
 
+def _close(L: LieSuperAlgebra, acc: Echelon, spanned: list[dict], work: list[dict]) -> None:
+    """Close the span of ``acc`` under the bracket, where ``spanned`` and
+    ``work`` together span it and every pair in ``spanned`` has been
+    bracketed.  Each vector of the worklist is bracketed once with itself
+    and with each vector of ``spanned``, then joins it, and each bracket
+    that grows the span joins the worklist; when the worklist is empty the
+    span is closed, by bilinearity."""
+    while work:
+        v = work.pop()
+        spanned.append(v)
+        for u in spanned:
+            w = L.bracket(u, v)
+            if w and acc.insert(w):
+                work.append(w)
+
+
 def _generating_set(L: LieSuperAlgebra) -> list[int]:
     """The indices of the e_i, i ascending, that do not lie in the
-    subalgebra generated by the earlier ones.  Each vector that grows the
-    span is bracketed once with itself and with each vector before it, and
-    each bracket that grows the span joins the worklist, so the span is
-    closed under the bracket; it contains every e_i, which is asserted."""
+    subalgebra generated by the earlier ones, each closed in by
+    :func:`_close`; the span contains every e_i, which is asserted."""
     acc, spanned, gens = Echelon(L.field, L.dim), [], []
     for i in range(L.dim):
         if acc.contains({i: 1}):
             continue
         gens.append(i)
         acc.insert({i: 1})
-        work = [{i: 1}]
-        while work:
-            v = work.pop()
-            spanned.append(v)
-            for u in spanned:
-                w = L.bracket(u, v)
-                if w and acc.insert(w):
-                    work.append(w)
+        _close(L, acc, spanned, [{i: 1}])
     if acc.rank != L.dim:
         raise RuntimeError("the generating set does not generate the algebra")
     return gens
@@ -584,17 +591,8 @@ def matrix_gl(m: int, n: int, A: AssocSuperAlgebra) -> LieSuperAlgebra:
 def subalgebra_closure(L: LieSuperAlgebra, vectors: list[dict]) -> Subspace:
     """Smallest subspace containing the vectors and closed under the bracket."""
     acc = Echelon(L.field, L.dim)
-    for v in vectors:
-        acc.insert(v)
-    while True:
-        rows = [dict(r) for r in acc.subspace().rows]
-        grew = False
-        for a in range(len(rows)):
-            for b in range(a, len(rows)):
-                if acc.insert(L.bracket(rows[a], rows[b])):
-                    grew = True
-        if not grew:
-            return acc.subspace()
+    _close(L, acc, [], [v for v in vectors if acc.insert(v)])
+    return acc.subspace()
 
 
 def ideal_closure(L: LieSuperAlgebra, vectors: list[dict]) -> Subspace:
@@ -753,6 +751,11 @@ def quotient_space(parent: SuperSpace, top: Subspace, bottom: Subspace,
                    prefix: str) -> QuotientSpace:
     """top/bottom with basis labels ``{prefix}{k}:{leading label}``."""
     return QuotientSpace(parent, top, bottom, lambda k, lead: f"{prefix}{k}:{lead}")
+
+
+def sub_space(parent: SuperSpace, top: Subspace, prefix: str) -> QuotientSpace:
+    """top/0, labelled as :func:`quotient_space` labels it."""
+    return quotient_space(parent, top, Subspace(parent.field, parent.dim, []), prefix)
 
 
 class Projection(GradedMap):

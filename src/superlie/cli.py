@@ -318,7 +318,7 @@ def cmd_cyclic(args) -> int:
         rep.result("sixterm_ok", st.ok)
         rep.result("sixterm_dims", st.report.dims)
         rep.line("six-term sequence: " + ("exact" if st.ok else "NOT exact"))
-        for label, dims in st.table:
+        for label, dims in zip(st.report.labels, st.report.dims):
             rep.line(f"  {label}: dim {format_dims(dims)}")
         for ident, ok in st.identifications:
             rep.line(f"  {ident}: {'ok' if ok else 'FAIL'}")

@@ -97,16 +97,15 @@ from .algebras import (
     induced_map,
     lie_from_assoc,
     quotient_space,
+    sub_space,
     subalgebra_on,
 )
 from .homology import (
     Complex,
     ComplexInconsistent,
     CrossedSES,
-    HomologyResult,
-    SixTermReport,
+    SequenceReport,
     snake_sequence,
-    sub_space,
 )
 from .linalg import Matrix, Subspace, vec_axpy, vec_clean, vec_scale, vec_sub
 from .spaces import GradedMap, SuperSpace, tensor_power_space, tensor_vec
@@ -280,8 +279,9 @@ def connes(A: AssocSuperAlgebra, max_n: int = 2) -> ConnesComplex:
     return ConnesComplex(boundaries, A, plain, coinv)
 
 
-def hc(A: AssocSuperAlgebra, n: int, complex_: ConnesComplex | None = None) -> HomologyResult:
-    """Cyclic homology HC_n from the Connes complex (built for A when given)."""
+def hc(A: AssocSuperAlgebra, n: int, complex_: ConnesComplex | None = None) -> QuotientSpace:
+    """Cyclic homology HC_n from the Connes complex (built for A when given),
+    as :meth:`~superlie.homology.Complex.homology` returns it."""
     if n < 0:
         raise ValueError(f"no cyclic homology in negative degree {n}")
     if complex_ is None:
@@ -356,13 +356,7 @@ def hc1_kernel_model(A: AssocSuperAlgebra) -> HC1KernelModel:
     return HC1KernelModel(lie, quot, alpha, gmap, ker, dims)
 
 
-@dataclass
-class MilnorHC1:
-    quotient: QuotientSpace
-    dims: tuple[int, int]
-
-
-def milnor_hc1(A: AssocSuperAlgebra) -> MilnorHC1:
+def milnor_hc1(A: AssocSuperAlgebra) -> QuotientSpace:
     """The first Milnor cyclic homology: A (x) A modulo I(A) and A (x) [A, A],
     [A, A] spanned by the graded commutators of the stored products."""
     sp = tensor_power_space(A.space, 2)
@@ -371,9 +365,8 @@ def milnor_hc1(A: AssocSuperAlgebra) -> MilnorHC1:
                                                         -1 if par[i] * par[j] else 1))
                                    for (i, j), v in A.table.items()])
     a_comm = [tensor_vec(A.space, A.space, {a: 1}, c) for a in range(A.dim) for c in comm.rows]
-    quot = quotient_space(sp, Subspace.full(field, sp.dim),
+    return quotient_space(sp, Subspace.full(field, sp.dim),
                           Subspace(field, sp.dim, _relation_gens(A) + a_comm), "m")
-    return MilnorHC1(quot, quot.space.dim_pair)
 
 
 # ---------------------------------------------------------------------------
@@ -388,8 +381,7 @@ class VAlgebra:
     to_a: GradedMap                # class of a (x) b -> [a, b], into A
     action_a: Action               # action of A on V(A)
     crossed: CrossedModule
-    hc1_rows: Subspace             # HC_1 inside V(A) coordinates
-    hc1_dims: tuple[int, int]
+    hc1: QuotientSpace             # HC_1 as a subspace of V(A)
 
 
 def v_algebra(A: AssocSuperAlgebra) -> VAlgebra:
@@ -430,8 +422,8 @@ def v_algebra(A: AssocSuperAlgebra) -> VAlgebra:
         for r in km.kernel.rows:
             if vec_clean(action_a.act({p: 1}, r)):
                 raise ComplexInconsistent("the action of A does not kill HC_1")
-    return VAlgebra(lie, algebra, quot, km.to_commutators, action_a, crossed, km.kernel,
-                    km.dims)
+    return VAlgebra(lie, algebra, quot, km.to_commutators, action_a, crossed,
+                    sub_space(algebra.space, km.kernel, "hc."))
 
 
 # ---------------------------------------------------------------------------
@@ -441,9 +433,8 @@ def v_algebra(A: AssocSuperAlgebra) -> VAlgebra:
 @dataclass
 class CyclicSixTerm:
     ok: bool
-    report: SixTermReport
+    report: SequenceReport
     identifications: list[tuple[str, bool]]
-    table: list[tuple[str, tuple[int, int]]]
     hc1_dims: tuple[int, int]
     milnor_dims: tuple[int, int]
 
@@ -463,12 +454,11 @@ def cyclic_sixterm(A: AssocSuperAlgebra) -> CyclicSixTerm:
     field = A.field
 
     # the sub crossed module HC1 (abelian, zero boundary, trivial action)
-    h_space = sub_space(va.algebra.space, va.hc1_rows, "hc.")
-    h_alg = LieSuperAlgebra(h_space.space, {}, name="HC1")
-    cm_l = CrossedModule(h_alg, lie, GradedMap.zero(h_space.space, lie.space),
+    hc1 = va.hc1
+    h_alg = LieSuperAlgebra(hc1.space, {}, name="HC1")
+    cm_l = CrossedModule(h_alg, lie, GradedMap.zero(hc1.space, lie.space),
                          trivial_action(lie, h_alg))
-    f = GradedMap.from_columns(h_space.space, va.algebra.space,
-                               [dict(r) for r in va.hc1_rows.rows])
+    f = GradedMap.from_columns(hc1.space, va.algebra.space, [dict(r) for r in hc1.section])
 
     comm = va.to_a.image()  # [A, A]: alpha maps A (x) A onto the commutators
     cview = subalgebra_on(lie, comm, name="[A,A]")
@@ -491,7 +481,7 @@ def cyclic_sixterm(A: AssocSuperAlgebra) -> CyclicSixTerm:
     mil = milnor_hc1(A)
     # A/[A,A] (x) HC1
     d0 = quotient_space(A.space, Subspace.full(field, A.dim), comm, "ab.").dims
-    h0, h1 = va.hc1_dims
+    h0, h1 = hc1.dims
     ab_hc1 = (d0[0] * h0 + d0[1] * h1, d0[0] * h1 + d0[1] * h0)
     # [A,A]/[A,[A,A]]
     ca = lie.product_subspace(lie.full_subspace(), comm)
@@ -500,15 +490,14 @@ def cyclic_sixterm(A: AssocSuperAlgebra) -> CyclicSixTerm:
     mod_q = quotient_space(cview.algebra.space,
                            Subspace.full(field, cview.algebra.dim), ca_in_view, "q.")
     idents = [
-        ("nh0(A,HC1) = HC1", nh0_l == va.hc1_dims),  # the action is trivial
+        ("nh0(A,HC1) = HC1", nh0_l == hc1.dims),  # the action is trivial
         ("nh1(A,HC1) = A/[A,A] (x) HC1", nh1_l == ab_hc1),
         ("nh0(A,[A,A]) = [A,A]/[A,[A,A]]", nh0_n == mod_q.dims),
         ("nh0(A,V(A)) = Milnor HC1", nh0_m == mil.dims),
     ]
 
     ok = report.ok and all(flag for _, flag in idents)
-    table = list(zip(report.labels, report.dims))
-    return CyclicSixTerm(ok, report, idents, table, va.hc1_dims, mil.dims)
+    return CyclicSixTerm(ok, report, idents, hc1.dims, mil.dims)
 
 
 # standard small associative superalgebras

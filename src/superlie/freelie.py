@@ -274,13 +274,10 @@ def miller_truncated_check(gens: GradedGenSet, c: int) -> MillerReport:
     square over the bracket consists exactly of the brackets destroyed by
     the truncation, so its dimension equals the degree-(c+1) component of
     the free Lie superalgebra."""
-    from .tensor import exterior_square
+    from .homology import h2_via_exterior
 
     trunc = free_truncated(gens, c + 1)
-    algebra = FreeTruncation(gens, c).algebra()
-    ext = exterior_square(algebra)
-    ker = ext.nu.kernel()
-    kernel_dims = ext.algebra.space.split_dims(ker.rows)
+    kernel_dims = h2_via_exterior(FreeTruncation(gens, c).algebra()).dims
     top = trunc.components[c + 1]
     d0 = d1 = 0
     for row in top.rows:

@@ -91,6 +91,7 @@ from .algebras import (
     is_graded_ideal,
     quotient_algebra,
     quotient_space,
+    sub_space,
     subalgebra_on,
 )
 from .freelie import (
@@ -100,11 +101,7 @@ from .freelie import (
     free_truncated,
     word_degree,
 )
-from .linalg import (
-    Subquotient,
-    Subspace,
-    vec_axpy,
-)
+from .linalg import Subspace, vec_axpy
 from .spaces import (
     GradedMap,
     SuperSpace,
@@ -149,18 +146,6 @@ def trivial_module(P: LieSuperAlgebra) -> Action:
 
 
 @dataclass
-class HomologyResult:
-    n: int
-    dims: tuple[int, int]
-    representatives: list[dict]
-    subquotient: Subquotient | None = None
-
-    @property
-    def dim(self) -> int:
-        return self.dims[0] + self.dims[1]
-
-
-@dataclass
 class Complex:
     """A chain complex given by its boundaries d_n: C_n -> C_{n-1},
     ``boundaries[n]`` for n >= 1 (``boundaries[0]`` is None).  d.d = 0 is
@@ -178,15 +163,15 @@ class Complex:
             raise IndexError(f"no boundary at degree {n}")
         return self.boundaries[n]
 
-    def homology(self, n: int) -> HomologyResult:
-        """H_n = Ker d_n / Im d_{n+1} with canonical representatives; C_n is
-        the target of d_{n+1}, and every chain is a cycle at n = 0."""
+    def homology(self, n: int) -> QuotientSpace:
+        """H_n = Ker d_n / Im d_{n+1}, labelled ``h{n}.``, whose section is
+        the canonical representatives; C_n is the target of d_{n+1}, and
+        every chain is a cycle at n = 0."""
         if not 0 <= n < len(self.boundaries) - 1:
             raise IndexError(f"complex too short for H_{n}")
         space = self.boundary(n + 1).target
         ker = self.boundary(n).kernel() if n >= 1 else Subspace.full(space.field, space.dim)
-        sq = Subquotient(ker, self.boundary(n + 1).image())
-        return HomologyResult(n, space.split_dims(sq.section), [dict(s) for s in sq.section], sq)
+        return quotient_space(space, ker, self.boundary(n + 1).image(), f"h{n}.")
 
 
 @dataclass
@@ -201,8 +186,8 @@ class ChainComplex(Complex):
 
     Chain i of degree n is ``x_1^...^x_k (x) t`` for the pair
     ``chains[n][i] = ((x_1, ..., x_k), t)`` of canonical wedge factors and
-    a basis index t of M.  ``spaces``, ``chains`` and the representatives
-    of :func:`homology` refer to the kept chains, listed in the order of
+    a basis index t of M.  ``spaces``, ``chains`` and the sections of
+    :func:`homology` refer to the kept chains, listed in the order of
     the full complex; a chain's label is its label in the full complex.
     """
 
@@ -347,8 +332,8 @@ def ce_complex(P: LieSuperAlgebra, M: Action, max_n: int = DEFAULT_MAX_DEGREE) -
 
 
 def homology(P: LieSuperAlgebra, M: Action | None, n: int,
-             complex_: ChainComplex | None = None) -> HomologyResult:
-    """H_n = Ker d_n / Im d_{n+1} with canonical representatives.
+             complex_: ChainComplex | None = None) -> QuotientSpace:
+    """H_n = Ker d_n / Im d_{n+1} (see :meth:`Complex.homology`).
 
     M = None means the ground field.  A given ``complex_`` must have been
     built for P and M (for M = None: on a trivial one-dimensional module);
@@ -367,39 +352,34 @@ def homology(P: LieSuperAlgebra, M: Action | None, n: int,
 
 
 # ---------------------------------------------------------------------------
-# labeled subquotient spaces and maps between them (sequence plumbing)
-
-
-def sub_space(parent: SuperSpace, rows: Subspace, prefix: str) -> QuotientSpace:
-    return quotient_space(parent, rows, Subspace(parent.field, parent.dim, []), prefix)
+# exact sequences
 
 
 @dataclass
-class ExactnessReport:
+class SequenceReport:
     ok: bool
+    labels: list[str]
+    dims: list[tuple[int, int]]
     nodes: list[tuple[str, int, int, bool]]  # (label, im_dim, ker_dim, ok)
 
 
-def exactness_check(maps: list[GradedMap]) -> ExactnessReport:
-    """Im(f_k) = Ker(f_{k+1}) at every interior node, by canonical echelon
-    equality; append a zero map to assert surjectivity onto the last space."""
+def exact_sequence(labels: list[str], maps: list[GradedMap]) -> SequenceReport:
+    """Certify V_0 -> V_1 -> ... -> V_k -> 0 for the maps f_j: V_{j-1} ->
+    V_j, the nodes V_0, ..., V_k named by ``labels``: Im f_j = Ker f_{j+1}
+    by canonical echelon equality at every V_j, j < k, and f_k onto V_k.
+    The node dims are read from the maps' spaces."""
+    if len(labels) != len(maps) + 1:
+        raise ValueError(f"{len(maps)} maps join {len(maps) + 1} nodes, not {len(labels)}")
+    last = maps[-1].target
+    kernels = [g.kernel() for g in maps[1:]] + [Subspace.full(last.field, last.dim)]
     nodes = []
-    ok = True
-    for k in range(len(maps) - 1):
-        f, g = maps[k], maps[k + 1]
-        if f.target.dim != g.source.dim:
-            raise ValueError(f"maps {k} and {k + 1} are not composable")
+    for j, (f, ker) in enumerate(zip(maps, kernels)):
         im = f.image()
-        ker = g.kernel()
-        good = im == ker
-        ok = ok and good
-        nodes.append((f"node{k + 1}", im.dim, ker.dim, good))
-    return ExactnessReport(ok, nodes)
-
-
-def zero_map_to_point(space: SuperSpace) -> GradedMap:
-    zero = SuperSpace(space.field, (), ())
-    return GradedMap.from_columns(space, zero, [dict() for _ in range(space.dim)])
+        if im.ambient != ker.ambient:
+            raise ValueError(f"maps {j} and {j + 1} are not composable")
+        nodes.append((labels[j + 1], im.dim, ker.dim, im == ker))
+    dims = [maps[0].source.dim_pair] + [f.target.dim_pair for f in maps]
+    return SequenceReport(all(node[3] for node in nodes), labels, dims, nodes)
 
 
 # ---------------------------------------------------------------------------
@@ -463,12 +443,11 @@ def d3_lemma_check(P: LieSuperAlgebra) -> D3LemmaReport:
     return D3LemmaReport(True, lhs_dims, rhs_dims)
 
 
-def h2_via_exterior(P: LieSuperAlgebra) -> HomologyResult:
-    """H_2 as the kernel of x^y -> [x,y] on the exterior square."""
+def h2_via_exterior(P: LieSuperAlgebra) -> QuotientSpace:
+    """H_2 as the kernel of x^y -> [x,y] on the exterior square (memoized
+    on P), labelled ``h2.``."""
     ext = exterior_square(P)
-    ker = ext.nu.kernel()
-    dims = ext.algebra.space.split_dims(ker.rows)
-    return HomologyResult(2, dims, [dict(r) for r in ker.rows])
+    return sub_space(ext.algebra.space, ext.nu.kernel(), "h2.")
 
 
 # ---------------------------------------------------------------------------
@@ -478,12 +457,7 @@ def h2_via_exterior(P: LieSuperAlgebra) -> HomologyResult:
 @dataclass
 class HopfResult:
     dims: tuple[int, int]
-    subquotient: Subquotient
     presented: LieSuperAlgebra
-
-    @property
-    def dim(self) -> int:
-        return self.dims[0] + self.dims[1]
 
 
 def hopf_formula(pres: Presentation, class_bound: int) -> HopfResult:
@@ -513,11 +487,9 @@ def hopf_formula(pres: Presentation, class_bound: int) -> HopfResult:
     full = cover.full_subspace()
     commutator = cover.product_subspace(full, full)
     FR = cover.product_subspace(full, R)
-    top = R.intersect(commutator)
-    sq = Subquotient(top, FR)
-    dims = cover.space.split_dims(sq.section)
+    h2 = quotient_space(cover.space, R.intersect(commutator), FR, "h2.")
     presented, _ = quotient_algebra(cover, R, name="presented")
-    return HopfResult(dims, sq, presented)
+    return HopfResult(h2.dims, presented)
 
 
 # ---------------------------------------------------------------------------
@@ -529,7 +501,6 @@ class NHResult:
     nh0: QuotientSpace
     nh1: QuotientSpace
     tensor: TensorProduct
-    nu_to_m: GradedMap  # P (x) M -> M in ambient M coordinates
 
 
 def nh(P: LieSuperAlgebra, cm: CrossedModule) -> NHResult:
@@ -539,13 +510,10 @@ def nh(P: LieSuperAlgebra, cm: CrossedModule) -> NHResult:
         raise ValueError("the crossed module is over another algebra object than P")
     act_pm, act_mp = crossed_pullback_actions(cm)
     t = nonabelian_tensor(P, cm.m, act_pm, act_mp)
-    nu = t.nu  # to M, in M coordinates
     M = cm.m
-    im = nu.image()
-    nh0 = quotient_space(M.space, Subspace.full(M.field, M.dim), im, "h0.")
-    ker = nu.kernel()
-    nh1 = sub_space(t.algebra.space, ker, "h1.")
-    return NHResult(nh0, nh1, t, nu)
+    nh0 = quotient_space(M.space, Subspace.full(M.field, M.dim), t.nu.image(), "h0.")
+    nh1 = sub_space(t.algebra.space, t.nu.kernel(), "h1.")
+    return NHResult(nh0, nh1, t)
 
 
 # ---------------------------------------------------------------------------
@@ -586,15 +554,7 @@ class CrossedSES:
                 raise ValueError(f"{side} map is not equivariant")
 
 
-@dataclass
-class SixTermReport:
-    ok: bool
-    labels: list[str]
-    dims: list[tuple[int, int]]
-    exactness: ExactnessReport
-
-
-def snake_sequence(ses: CrossedSES) -> SixTermReport:
+def snake_sequence(ses: CrossedSES) -> SequenceReport:
     """The six-term sequence
 
     nh1(P,L) -> nh1(P,M) -> nh1(P,N) -> nh0(P,L) -> nh0(P,M) -> nh0(P,N) -> 0
@@ -615,7 +575,7 @@ def snake_sequence(ses: CrossedSES) -> SixTermReport:
         x = ind_g.matrix.solve(v)
         if x is None:
             raise ComplexInconsistent("induced map is not surjective on a kernel class")
-        w = r_m.nu_to_m.apply(x)  # in M, lands in the image of f
+        w = r_m.tensor.nu.apply(x)  # in M, lands in the image of f
         y = ses.f.matrix.solve(w)
         if y is None:
             raise ComplexInconsistent("connecting element does not pull back")
@@ -624,28 +584,23 @@ def snake_sequence(ses: CrossedSES) -> SixTermReport:
     m3 = induced_map(r_n.nh1, r_l.nh0, connecting)
     m4 = induced_map(r_l.nh0, r_m.nh0, ses.f.apply)
     m5 = induced_map(r_m.nh0, r_n.nh0, ses.g.apply)
-    m6 = zero_map_to_point(r_n.nh0.space)
-
-    maps = [m1, m2, m3, m4, m5, m6]
-    report = exactness_check(maps)
-    labels = ["nh1(P,L)", "nh1(P,M)", "nh1(P,N)", "nh0(P,L)", "nh0(P,M)", "nh0(P,N)"]
-    dims = [r_l.nh1.dims, r_m.nh1.dims, r_n.nh1.dims,
-            r_l.nh0.dims, r_m.nh0.dims, r_n.nh0.dims]
-    return SixTermReport(report.ok, labels, dims, report)
+    return exact_sequence(
+        ["nh1(P,L)", "nh1(P,M)", "nh1(P,N)", "nh0(P,L)", "nh0(P,M)", "nh0(P,N)"],
+        [m1, m2, m3, m4, m5])
 
 
 # ---------------------------------------------------------------------------
 # the homology six-term sequence of an ideal
 
 
-def ideal_sixterm(P: LieSuperAlgebra, M: Subspace) -> SixTermReport:
+def ideal_sixterm(P: LieSuperAlgebra, M: Subspace) -> SequenceReport:
     """The sequence
 
     Ker(P^M -> P) -> H2(P) -> H2(P/M) -> M/[P,M] -> H1(P) -> H1(P/M) -> 0
 
     for a graded ideal M, with H2 realized as the kernel of the exterior
-    square over the bracket (certified to match the chain complex by the
-    degree-2 comparison lemma)."""
+    square over the bracket, :func:`h2_via_exterior` (certified to match
+    the chain complex by the degree-2 comparison lemma)."""
     if not is_graded_ideal(P, M):
         raise NotAnIdeal("the six-term sequence requires a graded ideal")
     field = P.field
@@ -669,8 +624,8 @@ def ideal_sixterm(P: LieSuperAlgebra, M: Subspace) -> SixTermReport:
                            induced_tensor_map(t_pp, t_qq, proj, proj).apply)
 
     ker_pm = sub_space(e_pm.algebra.space, e_pm.mu.kernel(), "kPM.")
-    h2_p = sub_space(e_pp.algebra.space, e_pp.nu.kernel(), "h2P.")
-    h2_q = sub_space(e_qq.algebra.space, e_qq.nu.kernel(), "h2Q.")
+    h2_p = h2_via_exterior(P)
+    h2_q = h2_via_exterior(Q)
     full_p = Subspace.full(field, P.dim)
     m_mod = quotient_space(P.space, M, P.product_subspace(full_p, M), "m.")
     h1_p = quotient_space(P.space, full_p, P.product_subspace(full_p, full_p), "h1P.")
@@ -692,27 +647,15 @@ def ideal_sixterm(P: LieSuperAlgebra, M: Subspace) -> SixTermReport:
     m3 = induced_map(h2_q, m_mod, connecting)
     m4 = induced_map(m_mod, h1_p, lambda v: v)
     m5 = induced_map(h1_p, h1_q, proj.apply)
-    m6 = zero_map_to_point(h1_q.space)
-
-    maps = [m1, m2, m3, m4, m5, m6]
-    report = exactness_check(maps)
-    labels = ["Ker(P^M->P)", "H2(P)", "H2(P/M)", "M/[P,M]", "H1(P)", "H1(P/M)"]
-    dims = [ker_pm.dims, h2_p.dims, h2_q.dims, m_mod.dims, h1_p.dims, h1_q.dims]
-    return SixTermReport(report.ok, labels, dims, report)
+    return exact_sequence(["Ker(P^M->P)", "H2(P)", "H2(P/M)", "M/[P,M]", "H1(P)", "H1(P/M)"],
+                          [m1, m2, m3, m4, m5])
 
 
 # ---------------------------------------------------------------------------
 # right exactness of the tensor product
 
 
-@dataclass
-class RightExactnessReport:
-    ok: bool
-    dims: dict
-    exactness: ExactnessReport
-
-
-def right_exactness_check(M: LieSuperAlgebra, K: Subspace) -> RightExactnessReport:
+def right_exactness_check(M: LieSuperAlgebra, K: Subspace) -> SequenceReport:
     """Certify exactness of (K(x)M) x| (M(x)K) -> M(x)M -> (M/K)(x)(M/K) -> 0."""
     if not is_graded_ideal(M, K):
         raise NotAnIdeal("right exactness requires a graded ideal")
@@ -740,11 +683,4 @@ def right_exactness_check(M: LieSuperAlgebra, K: Subspace) -> RightExactnessRepo
     alpha = GradedMap.from_columns(sd.space, t_mm.algebra.space,
                                    f_km.matrix.cols + f_mk.matrix.cols)
 
-    report = exactness_check([alpha, f_qq, zero_map_to_point(t_qq.algebra.space)])
-    dims = {
-        "K(x)M": t_km.algebra.dim,
-        "M(x)K": t_mk.algebra.dim,
-        "M(x)M": t_mm.algebra.dim,
-        "(M/K)(x)(M/K)": t_qq.algebra.dim,
-    }
-    return RightExactnessReport(report.ok, dims, report)
+    return exact_sequence([sd.name, "M(x)M", "(M/K)(x)(M/K)"], [alpha, f_qq])

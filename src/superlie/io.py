@@ -210,12 +210,16 @@ def parse_module(obj: dict, p: LieSuperAlgebra) -> Action:
 
 def parse_boundary(items, m_alg: LieSuperAlgebra, p_alg: LieSuperAlgebra) -> GradedMap:
     cols = [dict() for _ in range(m_alg.dim)]
+    seen = set()
     for entry in _require_list(items, "boundary"):
         _require_keys(entry, {"from", "value"}, set(), "boundary entry")
         try:
             i = m_alg.space.labels.index(entry["from"])
         except ValueError:
             raise ParseError(f"unknown label in boundary entry {entry!r}") from None
+        if i in seen:
+            raise ParseError(f"duplicate boundary entry for {entry['from']}")
+        seen.add(i)
         cols[i] = _parse_value(entry["value"], p_alg.space, p_alg.field)
     try:
         return GradedMap(m_alg.space, p_alg.space, Matrix(p_alg.field, p_alg.dim, cols))
@@ -262,20 +266,29 @@ def load_crossed(path: str | Path) -> CrossedModule:
     return CrossedModule(m_alg, p_alg, boundary, action)
 
 
-def _parse_word(w, gens: GradedGenSet):
+def _parse_word(w):
+    """A bracket word: a label or a pair of bracket words."""
     if isinstance(w, str):
         return w
     if isinstance(w, list) and len(w) == 2:
-        return [_parse_word(w[0], gens), _parse_word(w[1], gens)]
+        return [_parse_word(w[0]), _parse_word(w[1])]
     if isinstance(w, dict):
-        _require_keys(w, {"sum"}, set(), "relator")
-        terms = []
-        for t in _require_list(w["sum"], "relator sum"):
-            _require_keys(t, {"coeff", "word"}, set(), "relator term")
-            terms.append({"coeff": str(t["coeff"]),
-                          "word": _parse_word(t["word"], gens)})
-        return {"sum": terms}
-    raise ParseError(f"a bracket word is a label, a pair, or a sum: {w!r}")
+        raise ParseError(f"a sum may stand only as a relator or as the word of a sum term: {w!r}")
+    raise ParseError(f"a bracket word is a label or a pair: {w!r}")
+
+
+def _parse_relator(w):
+    """A bracket word, or a sum of scalar multiples of relators."""
+    if not isinstance(w, dict):
+        return _parse_word(w)
+    _require_keys(w, {"sum"}, set(), "relator")
+    terms = []
+    for t in _require_list(w["sum"], "relator sum"):
+        _require_keys(t, {"coeff", "word"}, set(), "relator term")
+        terms.append({"coeff": str(t["coeff"]), "word": _parse_relator(t["word"])})
+    if not terms:
+        raise ParseError("a sum needs at least one term")
+    return {"sum": terms}
 
 
 def load_presentation(path: str | Path) -> Presentation:
@@ -292,7 +305,7 @@ def load_presentation(path: str | Path) -> Presentation:
         raise ParseError(str(exc)) from exc
     relators = []
     for w in _require_list(obj["relators"], "relators"):
-        word = _parse_word(w, gg)
+        word = _parse_relator(w)
         try:
             word_parity(word, gg)
         except (KeyError, ValueError) as exc:

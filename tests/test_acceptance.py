@@ -288,10 +288,10 @@ def test_criterion_06_hopf():
 def test_criterion_07_six_term_sequences():
     for label, ses in standard_crossed_ses():
         rep = snake_sequence(ses)
-        assert rep.ok, (label, rep.exactness.nodes)
+        assert rep.ok, (label, rep.nodes)
     for name in ("q", "dual", "grassmann", "m11"):
         st = cyclic_sixterm(assoc_algebra(name))
-        assert st.ok, (name, st.report.exactness.nodes, st.identifications)
+        assert st.ok, (name, st.report.nodes, st.identifications)
     h = lie_algebra("heis")
     rep = ideal_sixterm(h, series(h).center)
     assert rep.ok

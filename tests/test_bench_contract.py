@@ -2,12 +2,17 @@
 span tracer wraps the entry points listed in ``perfbench/spans.py``, and
 the library worker calls ``S.<name>`` on ``import superlie as S``.  A
 rename or deletion of any of those names must fail here, not only when the
-benchmark runs."""
+benchmark runs, and so must a change to the values the worker checks."""
 
 import ast
 import importlib
 import importlib.util
+import json
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 import superlie
 import superlie.io  # noqa: F401  (the worker imports it for S.io)
@@ -59,3 +64,14 @@ def test_worker_names_resolve():
         except AttributeError:
             missing.append(chain)
     assert not missing
+
+
+@pytest.mark.parametrize("workload", ["tensor-squares", "complexes"])
+def test_worker_round_is_correct(workload):
+    """One round of a library workload, run as the benchmark runs it, gets
+    the values the worker checks against and fails no operation."""
+    r = subprocess.run([sys.executable, str(PERFBENCH / "worker.py"), "--workload", workload,
+                        "--seed", "1"], capture_output=True, text=True, timeout=300)
+    assert r.returncode == 0, r.stderr
+    last = json.loads(r.stdout.splitlines()[-1])
+    assert last["correct"] is True and last["failed"] == 0, r.stderr

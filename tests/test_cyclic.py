@@ -160,14 +160,14 @@ def test_v_algebra_kills_hc1(algebras):
     for name in ("grassmann", "m11"):
         va = v_algebra(algebras[name])
         for p in range(va.a_lie.dim):
-            for r in va.hc1_rows.rows:
+            for r in va.hc1.section:
                 assert not vec_clean(va.action_a.act({p: 1}, r))
 
 
 def test_cyclic_sixterm(algebras):
     for name, a in algebras.items():
         st = cyclic_sixterm(a)
-        assert st.ok, (name, st.report.exactness.nodes, st.identifications)
+        assert st.ok, (name, st.report.nodes, st.identifications)
 
 
 def test_cyclic_sixterm_grassmann_dims(algebras):

@@ -57,14 +57,14 @@ def test_relations_match_the_generator_families(data, name, p):
     scale = data.draw(st.lists(st.sampled_from(units), min_size=base.dim, max_size=base.dim))
     A = rebase_assoc(base, perm, scale)
     assert relation_ideal(A) == relation_ideal_oracle(A)
-    assert milnor_hc1(A).quotient.bottom == milnor_relations_oracle(A)
+    assert milnor_hc1(A).bottom == milnor_relations_oracle(A)
 
 
 def test_milnor_relations_are_coarser_than_the_ideal():
     """I(A) lies in the Milnor relations, properly when A is not
     supercommutative."""
     A = assoc("M(1|1, L1)", None)
-    ideal, milnor = relation_ideal(A), milnor_hc1(A).quotient.bottom
+    ideal, milnor = relation_ideal(A), milnor_hc1(A).bottom
     assert milnor.contains(ideal) and milnor.dim > ideal.dim
 
 

@@ -515,14 +515,26 @@ def _crossed_with(**fields) -> dict:
     (("homology", "@heis", "--hopf"),
      {"name": "g", "generators": [["x", 0], ["y", 0]], "relators": [{"sum": 5}]},
      "relator sum must be a list"),
+    (("homology", "@heis", "--hopf"),
+     {"name": "g", "generators": [["x", 0], ["y", 0]],
+      "relators": [[{"sum": [{"coeff": "1", "word": ["x", "y"]}]}, "x"]]},
+     "a sum may stand only as a relator or as the word of a sum term"),
+    (("homology", "@heis", "--hopf"),
+     {"name": "g", "generators": [["x", 0], ["y", 0]], "relators": [{"sum": []}]},
+     "a sum needs at least one term"),
     (("homology", "@heis", "--nonabelian"), _crossed_with(m=5), "'m' must be an algebra file"),
+    (("homology", "@heis", "--nonabelian"),
+     _crossed_with(m=str(DATA / "zheis.json"), p=str(DATA / "heis.json"),
+                   boundary=[{"from": "z'", "value": [["z", "1"]]}, {"from": "z'", "value": []}]),
+     "duplicate boundary entry for z'"),
     (("check",), {**_heis_over({"kind": "Q"}), "basis": [["x", True], ["y", 0], ["z", 0]]},
      "parity must be 0 or 1"),
     (("homology", "@heis", "--hopf"),
      {"name": "g", "generators": [["x", 1.0], ["y", False]], "relators": []},
      "generator must be [label, parity]"),
 ], ids=["modulus-abc", "modulus-5.9", "generators-5", "duplicate-generators", "sum-5",
-        "crossed-m-5", "basis-parity-true", "generator-parities-float-false"])
+        "sum-in-bracket", "sum-empty", "crossed-m-5", "duplicate-boundary",
+        "basis-parity-true", "generator-parities-float-false"])
 def test_cli_malformed_input_files_exit2(tmp_path, command, obj, message):
     p = tmp_path / "input.json"
     p.write_text(json.dumps(obj), encoding="utf-8")

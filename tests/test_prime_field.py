@@ -76,4 +76,4 @@ def test_cyclic_sixterm_f5():
         va = v_algebra(A)
         assert va.crossed is not None
         st = cyclic_sixterm(A)
-        assert st.ok, (A.name, st.report.exactness.nodes)
+        assert st.ok, (A.name, st.report.nodes)

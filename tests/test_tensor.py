@@ -184,7 +184,7 @@ def test_right_exactness(heis):
     # K = M: quotient tensor vanishes and alpha covers everything
     rep1 = right_exactness_check(heis, heis.full_subspace())
     assert rep1.ok
-    assert rep1.dims["(M/K)(x)(M/K)"] == 0
+    assert rep1.dims[2] == (0, 0)
 
 
 def test_nilpotency_bounds(heis):

@@ -47,7 +47,7 @@ def whole_space_quotients(p) -> list[tuple[QuotientSpace, str]]:
     return [(adjoint_tensor_square(gl21).quotient, "t"),
             (v_algebra(A).quotient, "v"),
             (hc1_kernel_model(ground_assoc(F)).quotient, "v"),
-            (milnor_hc1(A).quotient, "m")]
+            (milnor_hc1(A), "m")]
 
 
 @pytest.mark.parametrize("p", PRIMES)
@@ -61,7 +61,7 @@ def test_whole_space_quotients_unchanged(p):
 @pytest.mark.parametrize("p", PRIMES)
 def test_h0_on_the_whole_space_unchanged(p):
     P = matrix_gl(2, 1, ground_assoc(Field(p)))
-    sq = homology(P, None, 0).subquotient
+    sq = homology(P, None, 0)
     old = Subquotient(unit_rows(P.field, sq.ambient), sq.bottom)
     assert_same_quotient(sq, old)
 
