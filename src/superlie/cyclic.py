@@ -35,6 +35,46 @@ vector therefore moves its entry, times s_x s_rep, onto e_rep, and
 leaves every other entry alone.  What remains lies on the reps, and its
 entry at a rep is that rep's coordinate.
 
+Weight-0 block.  Let e be an even basis element of A for which [e, -]
+is diagonal on the basis, [e, a] = lambda(a) a, as
+:meth:`~superlie.algebras.LieSuperAlgebra.inner_weights` of
+``lie_from_assoc(A)`` reads it; a central e (every lambda 0) is dropped.
+The weight of a basis tuple (a_0, ..., a_n) is lambda(a_0) + ... +
+lambda(a_n), reduced in the field.
+
+- [e, -] is a derivation, [e, ab] = [e, a] b + a [e, b] (e is even), so
+  a product of basis elements a, b is a combination of basis elements of
+  weight lambda(a) + lambda(b).  Every face of d' and the rotation t_n
+  therefore keep a tuple's weight: A^{(x)(n+1)}, Im(1 - t_n) and d' split
+  into weight blocks, and each rotation orbit lies in one block.
+- Let h_e insert e into each of the n + 1 gaps after a_0, ..., a_n,
+  h_e(a_0 (x) ... (x) a_n) = sum_i (-1)^{i+1} a_0 (x) ... (x) a_i (x) e
+  (x) a_{i+1} (x) ... (x) a_n, with no Koszul sign since e is even.  Then
+  h_e t_n agrees with t_{n+1} h_e modulo Im(1 - t_{n+1}), so h_e descends
+  to C_n -> C_{n+1}.
+- On the coinvariants, d' h_e + h_e d' = L_e, where L_e applies [e, -]
+  to each factor in turn and so multiplies a block by its weight (Loday,
+  Cyclic Homology, 1.3 and 4.1.10: inner derivations act by 0).  A block
+  whose weight is nonzero in the field is therefore acyclic; the
+  characteristic is never 2.
+
+For two such e, e', [e, e'] is a multiple of e' and, by antisymmetry, of
+e, so it is 0: e has weight 0 under every e', h_e keeps the joint
+blocks, and a joint block with some nonzero weight is acyclic.
+:func:`connes` keeps only the tuples of weight 0 under every e, all of
+them when there is none (as for K, the dual numbers and Lambda1), and
+its homology is that of the full complex.  The Grassmann degree is a
+grading that is not inner, and its nonzero blocks carry homology, so
+only inner weights are used.  The block is enumerated in row-major
+order, prefix by prefix, with the last factor drawn from the basis
+elements of the weight that brings the tuple to 0, so degree n visits
+d^n prefixes, not d^(n+1) tuples.  The top of each C_n is the span of
+the block's unit vectors, and reducing a tuple outside it raises
+:class:`~superlie.linalg.ContainmentError`, as reducing outside the top
+of a :class:`~superlie.linalg.Subquotient` does, so the descent
+certificate below sees a boundary that leaves the block.  I(A) and the
+Milnor quotient read the full degree-1 orbits.
+
 The boundary is induced by :func:`~superlie.algebras.induced_map`, which
 certifies that d' carries Im(1 - t_n) into Im(1 - t_{n-1}), and
 :class:`~superlie.homology.Complex` certifies d.d = 0.  HC_1 is also
@@ -107,7 +147,16 @@ from .homology import (
     SequenceReport,
     snake_sequence,
 )
-from .linalg import Matrix, Subspace, vec_axpy, vec_clean, vec_scale, vec_sub
+from .linalg import (
+    ContainmentError,
+    Matrix,
+    Subspace,
+    _unit_span,
+    vec_axpy,
+    vec_clean,
+    vec_scale,
+    vec_sub,
+)
 from .spaces import GradedMap, SuperSpace, tensor_power_space, tensor_vec
 
 
@@ -121,7 +170,10 @@ class NotUnital(ValueError):
 
 @dataclass
 class ConnesComplex(Complex):
-    """The Connes complex of A; its boundaries are the induced d_n."""
+    """The Connes complex of A; its boundaries are the induced d_n.  The
+    coinvariants are those of the weight-0 block (see the module
+    docstring): C_n is the span of the block's basis tuples modulo
+    Im(1 - t_n), inside the full tensor power ``plain_spaces[n]``."""
 
     a: AssocSuperAlgebra
     plain_spaces: list[SuperSpace]           # A^{(x)(n+1)}
@@ -144,19 +196,40 @@ def _cyclic_sign(t: tuple, par) -> int:
     return (n + par[t[n]] * sum(par[k] for k in t[:n])) % 2
 
 
-def _rotation_image(field, d: int, n: int, par) -> tuple[Subspace, dict[int, tuple[int, int]]]:
-    """The canonical basis of Im(1 - t_n) on A^{(x)(n+1)}, d the dimension
-    of A, written orbit by orbit (see the module docstring): a live orbit
-    gives e_x - s_x s_rep e_rep for its members x other than its largest
-    index rep, a dead orbit the unit vector of each member.  Also the
-    lookup x -> (rep, s_x s_rep) over the members of the live orbits, rep
-    included; e_x is s_x s_rep e_rep modulo Im(1 - t_n)."""
+def _weight0_tuples(field, d: int, n: int, lams: list[list]):
+    """The basis tuples (a_0, ..., a_n), d the dimension of A, whose weight
+    sum_i lam[a_i] is 0 in the field for every lam in lams, in row-major
+    order: each prefix (a_0, ..., a_{n-1}) takes the last factors of the
+    weight that cancels its own, from a table of the basis indices by
+    weight.  With no weights every tuple."""
+    reduce = field.reduce
+    last: dict[tuple, list[int]] = {}
+    for a in range(d):
+        last.setdefault(tuple(reduce(-lam[a]) for lam in lams), []).append(a)
+    for prefix in product(range(d), repeat=n):
+        for a in last.get(tuple(reduce(sum(lam[b] for b in prefix)) for lam in lams), ()):
+            yield prefix + (a,)
+
+
+def _rotation_image(field, d: int, n: int, par,
+                    lams: list[list]) -> tuple[list[int], Subspace, dict[int, tuple]]:
+    """The weight-0 block of A^{(x)(n+1)} under the weights lams (see
+    :func:`_weight0_tuples`), as ascending flat indices, and the canonical
+    basis of Im(1 - t_n) on it, d the dimension of A, written orbit by
+    orbit (see the module docstring): a live orbit gives
+    e_x - s_x s_rep e_rep for its members x other than its largest index
+    rep, a dead orbit the unit vector of each member.  Also the lookup
+    x -> (rep, s_x s_rep) over the members of the live orbits, rep
+    included, and x -> (None, 0) over those of the dead ones; e_x is
+    s_x s_rep e_rep modulo Im(1 - t_n)."""
     minus_one = field.of(-1)
+    block: list[int] = []
     rows: dict[int, dict] = {}
-    orbit_of: dict[int, tuple[int, int]] = {}
-    seen = bytearray(d ** (n + 1))
-    for idx, t in enumerate(product(range(d), repeat=n + 1)):
-        if seen[idx]:
+    orbit_of: dict[int, tuple[int | None, int]] = {}
+    for t in _weight0_tuples(field, d, n, lams):
+        idx = _flat(t, d)
+        block.append(idx)
+        if idx in orbit_of:
             continue
         # members (flat index, sign s of t_n^i e_t = s e_x), walking t_n
         orbit, sign, x = [], 1, t
@@ -167,8 +240,6 @@ def _rotation_image(field, d: int, n: int, par) -> tuple[Subspace, dict[int, tup
             x = x[n:] + x[:n]
             if x == t:
                 break
-        for i, _ in orbit:
-            seen[i] = 1
         if sign == 1:
             rep, s_rep = max(orbit)
             for i, s in orbit:
@@ -178,32 +249,38 @@ def _rotation_image(field, d: int, n: int, par) -> tuple[Subspace, dict[int, tup
                     rows[i] = {i: 1, rep: minus_one if sigma == 1 else 1}
         else:
             for i, _ in orbit:
+                orbit_of[i] = (None, 0)
                 rows[i] = {i: 1}
     bottom = Subspace(field, d ** (n + 1), [rows[i] for i in sorted(rows)], _canonical=True)
-    return bottom, orbit_of
+    return block, bottom, orbit_of
 
 
 class _Coinvariants(QuotientSpace):
-    """C_n = A^{(x)(n+1)}/Im(1 - t_n), labelled as :func:`quotient_space`
-    labels it, whose :meth:`reduce` is a lookup in the rotation orbits (see
-    the module docstring) instead of a reduction by the bottom rows."""
+    """C_n = (span of the weight-0 block)/Im(1 - t_n), labelled as
+    :func:`quotient_space` labels it, whose :meth:`reduce` is a lookup in
+    the rotation orbits (see the module docstring) instead of a reduction
+    by the bottom rows."""
 
     __slots__ = ("_orbit_of",)
 
-    def __init__(self, parent: SuperSpace, bottom: Subspace,
-                 orbit_of: dict[int, tuple[int, int]], prefix: str):
-        super().__init__(parent, Subspace.full(parent.field, parent.dim), bottom,
-                         lambda k, lead: f"{prefix}{k}:{lead}")
+    def __init__(self, parent: SuperSpace, block: list[int], bottom: Subspace,
+                 orbit_of: dict[int, tuple[int | None, int]], prefix: str):
+        top = _unit_span(parent.field, parent.dim, block, orbit_of)
+        super().__init__(parent, top, bottom, lambda k, lead: f"{prefix}{k}:{lead}")
         self._orbit_of = orbit_of
 
     def reduce(self, v: dict) -> dict:
         """Section coordinates of v: each e_x of a live orbit counts
-        s_x s_rep at the coordinate of its orbit's rep, a dead e_x nothing."""
+        s_x s_rep at the coordinate of its orbit's rep, a dead e_x nothing;
+        a nonzero entry outside the block raises ContainmentError."""
         index, orbit_of, of = self._index, self._orbit_of, self.field.of
         out: dict = {}
         for x, c in v.items():
             hit = orbit_of.get(x)
-            if hit is not None:
+            if hit is None:
+                if of(c):
+                    raise ContainmentError(f"the basis tuple at {x} is outside the weight-0 block")
+            elif hit[1]:
                 k = index[hit[0]]
                 out[k] = out.get(k, 0) + hit[1] * c
         return {k: c for k in sorted(out) if (c := of(out[k]))}
@@ -259,18 +336,19 @@ def _induced_boundary(A: AssocSuperAlgebra, n: int, src: QuotientSpace,
 
 
 def connes(A: AssocSuperAlgebra, max_n: int = 2) -> ConnesComplex:
-    """Coinvariant spaces and induced boundaries up to degree max_n."""
+    """Coinvariant spaces of the weight-0 block and induced boundaries up
+    to degree max_n."""
     if max_n < 1:
         raise ValueError("the complex needs at least degree 1")
-    field = A.field
-    d = A.dim
-    par = A.space.parities
+    # the weights of the non-central e with diagonal [e, -] (module docstring)
+    lams = [lam for _, lam in lie_from_assoc(A).inner_weights() if any(lam)]
     plain: list[SuperSpace] = []
     coinv: list[QuotientSpace] = []
     for n in range(max_n + 1):
         sp = tensor_power_space(A.space, n + 1)
         plain.append(sp)
-        coinv.append(_Coinvariants(sp, *_rotation_image(field, d, n, par), f"c{n}."))
+        coinv.append(_Coinvariants(sp, *_rotation_image(A.field, A.dim, n, A.space.parities, lams),
+                                   f"c{n}."))
 
     # the boundary descends: induced_map certifies d'((1 - t_n) x) dies in C_{n-1}
     boundaries: list[GradedMap | None] = [None]
@@ -325,7 +403,8 @@ def _relation_gens(A: AssocSuperAlgebra) -> list[dict]:
     """Generators of I(A): the canonical rows of Im(1 - t_1), which span
     the graded-symmetric a (x) b + (-1)^{|a||b|} b (x) a, and the cyclic
     relations."""
-    return _rotation_image(A.field, A.dim, 1, A.space.parities)[0].rows + _cyclic_relation_gens(A)
+    _, bottom, _ = _rotation_image(A.field, A.dim, 1, A.space.parities, [])
+    return bottom.rows + _cyclic_relation_gens(A)
 
 
 def relation_ideal(A: AssocSuperAlgebra) -> Subspace:

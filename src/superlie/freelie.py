@@ -50,9 +50,11 @@ def genset(gens: list[tuple[str, int]]) -> GradedGenSet:
     return GradedGenSet(tuple(gens))
 
 
-# A bracket word is a generator label or a pair [w1, w2]; a relator may
-# also be a scalar combination {"sum": [{"coeff": c, "word": w}, ...]}
-# whose terms all share one parity.
+# A bracket word is a generator label or a pair [w1, w2] of bracket words;
+# a relator is a bracket word or a scalar combination
+# {"sum": [{"coeff": c, "word": r}, ...]} of one or more relators, whose
+# terms all share one parity.  word_parity is the one check of these
+# shapes: Presentation and the file parser both call it.
 
 
 def word_degree(word) -> int:
@@ -64,19 +66,45 @@ def word_degree(word) -> int:
     return word_degree(a) + word_degree(b)
 
 
+def _check_fields(obj, keys: set, what: str) -> None:
+    """Refuse an obj that is not a dict with exactly the given keys."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"{what} must be an object: {obj!r}")
+    if obj.keys() != keys:
+        raise ValueError(f"{what} must have exactly the fields {sorted(keys)}: {obj!r}")
+
+
 def word_parity(word, gens: GradedGenSet) -> int:
+    """The parity of a relator, which it validates: ValueError for a
+    malformed shape or mixed parities, KeyError for an unknown label."""
+    if isinstance(word, dict):
+        _check_fields(word, {"sum"}, "relator")
+        terms = word["sum"]
+        if not isinstance(terms, list):
+            raise ValueError(f"relator sum must be a list: {terms!r}")
+        if not terms:
+            raise ValueError("a sum needs at least one term")
+        for t in terms:
+            _check_fields(t, {"coeff", "word"}, "relator term")
+        parities = {word_parity(t["word"], gens) for t in terms}
+        if len(parities) != 1:
+            raise ValueError("relator terms have mixed parities")
+        return parities.pop()
+    return _bracket_parity(word, gens)
+
+
+def _bracket_parity(word, gens: GradedGenSet) -> int:
+    """The parity of a bracket word, which it validates."""
     if isinstance(word, str):
         for label, par in gens.generators:
             if label == word:
                 return par
         raise KeyError(f"unknown generator {word!r}")
     if isinstance(word, dict):
-        parities = {word_parity(t["word"], gens) for t in word["sum"]}
-        if len(parities) != 1:
-            raise ValueError("relator terms have mixed parities")
-        return parities.pop()
-    a, b = word
-    return (word_parity(a, gens) + word_parity(b, gens)) % 2
+        raise ValueError(f"a sum may stand only as a relator or as the word of a sum term: {word!r}")
+    if not (isinstance(word, (list, tuple)) and len(word) == 2):
+        raise ValueError(f"a bracket word is a label or a pair: {word!r}")
+    return (_bracket_parity(word[0], gens) + _bracket_parity(word[1], gens)) % 2
 
 
 class FreeTruncation:
@@ -257,7 +285,7 @@ class Presentation:
 
     def __post_init__(self):
         for w in self.relators:
-            word_parity(w, self.gens)  # validates labels and homogeneity
+            word_parity(w, self.gens)  # validates shapes, labels and homogeneity
 
 
 @dataclass

@@ -14,7 +14,7 @@ from pathlib import Path
 from .actions import Action, CrossedModule
 from .algebras import AssocSuperAlgebra, LieSuperAlgebra
 from .fields import Field, FieldError
-from .freelie import GradedGenSet, Presentation, word_parity
+from .freelie import GradedGenSet, Presentation
 from .linalg import Matrix, vec_clean
 from .spaces import GradedMap, SuperSpace
 
@@ -266,31 +266,6 @@ def load_crossed(path: str | Path) -> CrossedModule:
     return CrossedModule(m_alg, p_alg, boundary, action)
 
 
-def _parse_word(w):
-    """A bracket word: a label or a pair of bracket words."""
-    if isinstance(w, str):
-        return w
-    if isinstance(w, list) and len(w) == 2:
-        return [_parse_word(w[0]), _parse_word(w[1])]
-    if isinstance(w, dict):
-        raise ParseError(f"a sum may stand only as a relator or as the word of a sum term: {w!r}")
-    raise ParseError(f"a bracket word is a label or a pair: {w!r}")
-
-
-def _parse_relator(w):
-    """A bracket word, or a sum of scalar multiples of relators."""
-    if not isinstance(w, dict):
-        return _parse_word(w)
-    _require_keys(w, {"sum"}, set(), "relator")
-    terms = []
-    for t in _require_list(w["sum"], "relator sum"):
-        _require_keys(t, {"coeff", "word"}, set(), "relator term")
-        terms.append({"coeff": str(t["coeff"]), "word": _parse_relator(t["word"])})
-    if not terms:
-        raise ParseError("a sum needs at least one term")
-    return {"sum": terms}
-
-
 def load_presentation(path: str | Path) -> Presentation:
     obj = load_json(path)
     _require_keys(obj, {"name", "generators", "relators"}, set(), str(path))
@@ -303,15 +278,11 @@ def load_presentation(path: str | Path) -> Presentation:
         gg = GradedGenSet(tuple(gens))
     except ValueError as exc:
         raise ParseError(str(exc)) from exc
-    relators = []
-    for w in _require_list(obj["relators"], "relators"):
-        word = _parse_relator(w)
-        try:
-            word_parity(word, gg)
-        except (KeyError, ValueError) as exc:
-            raise ParseError(str(exc)) from exc
-        relators.append(word)
-    return Presentation(gg, tuple(relators))
+    relators = tuple(_require_list(obj["relators"], "relators"))
+    try:
+        return Presentation(gg, relators)  # validates every relator
+    except (KeyError, ValueError) as exc:
+        raise ParseError(str(exc)) from exc
 
 
 def dump_json(obj: dict, path: str | Path) -> None:

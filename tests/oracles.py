@@ -11,7 +11,9 @@ product is spanned by all five generator families, including families
 signs are counted inversion by inversion, HC_0 is read off A/[A, A]
 directly instead of from the Connes complex, the Connes complex takes
 Im(1 - t_n) by elimination over every basis tuple instead of from the
-rotation orbits, and the Chevalley–Eilenberg
+rotation orbits (its weight-0 block from weights read densely from the
+products of basis vectors, instead of from ``inner_weights``, and its
+top by elimination of the block's unit vectors), and the Chevalley–Eilenberg
 complex is built on every chain instead of the weight-0 chains only; its
 weight-0 chains are also enumerated from every canonical monomial,
 where the production code prunes the prefixes that cannot reach weight 0.
@@ -158,24 +160,51 @@ def _hochschild_oracle(A: AssocSuperAlgebra, n: int, v: dict) -> dict:
     return A.field.clean(out)
 
 
-def connes_oracle(A: AssocSuperAlgebra, max_n: int):
+def assoc_weights_dense(A: AssocSuperAlgebra) -> list[list]:
+    """lambda for every even basis element e with e a_i - a_i e a multiple
+    lambda[i] a_i of a_i for every i and some lambda[i] nonzero, from the
+    public product of basis vectors."""
+    out = []
+    for e in range(A.dim):
+        if A.space.parities[e]:
+            continue
+        images = [vec_sub(A.product({e: 1}, {i: 1}), A.product({i: 1}, {e: 1}))
+                  for i in range(A.dim)]
+        images = [A.field.clean(v) for v in images]
+        if all(set(v) <= {i} for i, v in enumerate(images)):
+            lam = [A.field.of(v.get(i, 0)) for i, v in enumerate(images)]
+            if any(lam):
+                out.append(lam)
+    return out
+
+
+def connes_oracle(A: AssocSuperAlgebra, max_n: int, weight0: bool = False):
     """The coinvariant spaces C_n = A^{(x)(n+1)}/Im(1 - t_n) and the induced
     boundaries of the Connes complex, with the labels of
     :func:`~superlie.cyclic.connes`: Im(1 - t_n) by elimination of
     e_t - t_n e_t over every basis tuple t, and d'_n by
-    :func:`_hochschild_oracle`."""
+    :func:`_hochschild_oracle`.  With ``weight0`` only over the tuples
+    whose weight sum lambda(t_i), summed as integers or rationals and then
+    taken into the field, is 0 for every lambda of
+    :func:`assoc_weights_dense`, and with the span of their unit vectors,
+    by elimination, for the top when there is such a lambda."""
     d, par = A.dim, A.space.parities
+    weights = assoc_weights_dense(A) if weight0 else []
     coinv = []
     for n in range(max_n + 1):
         sp = tensor_power_space(A.space, n + 1)
+        block = [(idx, t) for idx, t in enumerate(product(range(d), repeat=n + 1))
+                 if not any(A.field.of(sum(lam[k] for k in t)) for lam in weights)]
         acc = Echelon(A.field, sp.dim)
-        for idx, t in enumerate(product(range(d), repeat=n + 1)):
+        for idx, t in block:
             twist = (n + par[t[n]] * sum(par[k] for k in t[:n])) % 2
             g = {idx: 1}
             r = _flat_index(t[n:] + t[:n], d)
             g[r] = g.get(r, 0) - (-1 if twist else 1)
             acc.insert(vec_clean(g))
-        coinv.append(quotient_space(sp, Subspace.full(A.field, sp.dim), acc.subspace(), f"c{n}."))
+        top = (Subspace(A.field, sp.dim, [{idx: 1} for idx, _ in block]) if weights
+               else Subspace.full(A.field, sp.dim))
+        coinv.append(quotient_space(sp, top, acc.subspace(), f"c{n}."))
     boundaries = [None] + [induced_map(coinv[n], coinv[n - 1], partial(_hochschild_oracle, A, n))
                            for n in range(1, max_n + 1)]
     return coinv, boundaries

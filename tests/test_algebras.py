@@ -258,6 +258,7 @@ def test_quotient_basis_labels_are_pinned(heis, m11):
     assert not hasattr(proj.quotient, "sq")
     assert nh(heis, identity_crossed(heis)).nh0.space.labels == ("h0.0:x", "h0.1:y")
     assert exterior_square(heis).algebra.space.labels == ("[t2:y*x]", "[t4:z*x]", "[t5:z*y]")
+    # the coinvariants of the weight-0 block under [E11(1), -], numbered within it
     assert connes(m11, 2).coinvariants[2].space.labels[:4] == (
-        "c2.0:E11(1)*E11(1)*E11(1)", "c2.1:E12(1)*E11(1)*E11(1)",
-        "c2.2:E12(1)*E12(1)*E11(1)", "c2.3:E12(1)*E12(1)*E12(1)")
+        "c2.0:E11(1)*E11(1)*E11(1)", "c2.1:E21(1)*E11(1)*E12(1)",
+        "c2.2:E21(1)*E12(1)*E11(1)", "c2.3:E22(1)*E11(1)*E11(1)")

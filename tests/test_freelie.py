@@ -152,6 +152,23 @@ def test_mixed_parity_sum_rejected():
         Presentation(g, (rel,))
 
 
+MALFORMED_RELATORS = [
+    ([{"sum": [{"coeff": "1", "word": ["x", "y"]}]}, "x"],
+     "a sum may stand only as a relator or as the word of a sum term"),
+    ({"sum": []}, "a sum needs at least one term"),
+    (["x"], "a bracket word is a label or a pair"),
+]
+
+
+@pytest.mark.parametrize("rel, message", MALFORMED_RELATORS,
+                         ids=["sum-in-bracket", "sum-empty", "word-one-element"])
+def test_presentation_refuses_malformed_relators(rel, message):
+    """Presentation refuses the shapes the file parser refuses, with the
+    same message, before any evaluation."""
+    with pytest.raises(ValueError, match=message):
+        Presentation(gs(("x", 0), ("y", 0)), (rel,))
+
+
 def test_hopf_with_combination_relator():
     from superlie.homology import homology, hopf_formula
 

@@ -522,6 +522,9 @@ def _crossed_with(**fields) -> dict:
     (("homology", "@heis", "--hopf"),
      {"name": "g", "generators": [["x", 0], ["y", 0]], "relators": [{"sum": []}]},
      "a sum needs at least one term"),
+    (("homology", "@heis", "--hopf"),
+     {"name": "g", "generators": [["x", 0], ["y", 0]], "relators": [["x"]]},
+     "a bracket word is a label or a pair"),
     (("homology", "@heis", "--nonabelian"), _crossed_with(m=5), "'m' must be an algebra file"),
     (("homology", "@heis", "--nonabelian"),
      _crossed_with(m=str(DATA / "zheis.json"), p=str(DATA / "heis.json"),
@@ -533,7 +536,7 @@ def _crossed_with(**fields) -> dict:
      {"name": "g", "generators": [["x", 1.0], ["y", False]], "relators": []},
      "generator must be [label, parity]"),
 ], ids=["modulus-abc", "modulus-5.9", "generators-5", "duplicate-generators", "sum-5",
-        "sum-in-bracket", "sum-empty", "crossed-m-5", "duplicate-boundary",
+        "sum-in-bracket", "sum-empty", "word-one-element", "crossed-m-5", "duplicate-boundary",
         "basis-parity-true", "generator-parities-float-false"])
 def test_cli_malformed_input_files_exit2(tmp_path, command, obj, message):
     p = tmp_path / "input.json"
