@@ -112,13 +112,30 @@ class Report:
         return status_code
 
 
+def _axioms(alg):
+    """The axiom certificate of an algebra file: Jacobi or associativity."""
+    return check_lie_axioms(alg) if isinstance(alg, LieSuperAlgebra) else check_assoc_axioms(alg)
+
+
+def _refuse_uncertified(rep: Report, out: str, *algebras) -> int | None:
+    """Refuse, with exit 1 and the first violation, the first algebra that
+    fails its axioms; None when all pass.  An algebra given twice is
+    checked once."""
+    for alg in dict.fromkeys(algebras):
+        cert = _axioms(alg)
+        if not cert.ok:
+            kind = "a Lie superalgebra" if isinstance(alg, LieSuperAlgebra) else "associative"
+            return rep.refuse(out, "certified", f"{alg.name}: NOT {kind}", cert)
+    return None
+
+
 def cmd_check(args) -> int:
     rep = Report("check")
     path = resolve_path(args.path)
     alg = load_algebra(path)
     rep.add_input(path)
     lie = isinstance(alg, LieSuperAlgebra)
-    cert = check_lie_axioms(alg) if lie else check_assoc_axioms(alg)
+    cert = _axioms(alg)
     rep.result("kind", "lie" if lie else "assoc")
     rep.result("dims", alg.space.dim_pair)
     rep.result("certified", cert.ok)
@@ -161,6 +178,8 @@ def cmd_tensor(args) -> int:
         raise ParseError("choose one of --adjoint, --trivial, or --act-mn with --act-nm")
     if args.exterior and not args.adjoint:
         raise ParseError("--exterior is supported for the self tensor square (--adjoint)")
+    if not (args.adjoint or args.trivial or (args.act_mn and args.act_nm)):
+        raise ParseError("provide --act-mn and --act-nm, or --adjoint / --trivial")
     rep = Report("tensor")
     path_m = resolve_path(args.m)
     path_n = resolve_path(args.n)
@@ -174,11 +193,11 @@ def cmd_tensor(args) -> int:
         if algebra_fingerprint(M) != algebra_fingerprint(N):
             raise ParseError("--adjoint requires the same algebra on both sides")
         N = M
-    elif args.trivial:
+    if (code := _refuse_uncertified(rep, args.out, M, N)) is not None:
+        return code
+    if args.trivial:
         amn, anm = trivial_action(M, N), trivial_action(N, M)
-    else:
-        if not (args.act_mn and args.act_nm):
-            raise ParseError("provide --act-mn and --act-nm, or --adjoint / --trivial")
+    elif not args.adjoint:
         pa, pb = resolve_path(args.act_mn), resolve_path(args.act_nm)
         amn = parse_action(load_json(pa), M, N)
         anm = parse_action(load_json(pb), N, M)
@@ -229,6 +248,8 @@ def cmd_homology(args) -> int:
     path = resolve_path(args.path)
     P = _load_lie(path)
     rep.add_input(path)
+    if (code := _refuse_uncertified(rep, args.out, P)) is not None:
+        return code
     module = trivial_module(P)
     if args.module:
         mp = resolve_path(args.module)
@@ -289,6 +310,8 @@ def cmd_cyclic(args) -> int:
     rep.add_input(path)
     if not isinstance(A, AssocSuperAlgebra):
         raise ParseError(f"{path} is not an associative superalgebra file")
+    if (code := _refuse_uncertified(rep, args.out, A)) is not None:
+        return code
     if A.unit is None:
         raise NotUnital("cyclic homology commands require a unital algebra")
     cx = connes(A, 2)

@@ -18,7 +18,7 @@ s_k for its length k.
 
 - A live orbit (s_k = +1): the vectors s_i e_{x_i} are permuted
   cyclically, so Im(1 - t_n) on the orbit is the sum-zero hyperplane in
-  them, one coinvariant per orbit.  With rep the largest flat index of the
+  them, one coinvariant per orbit.  With rep the largest index of the
   orbit, its rows are e_x - s_x s_rep e_rep for the other members x, each
   with pivot x.
 - A dead orbit (s_k = -1): t_n^k = -1 on the orbit, so 1 - t_n is
@@ -65,15 +65,15 @@ blocks, and a joint block with some nonzero weight is acyclic.
 them when there is none (as for K, the dual numbers and Lambda1), and
 its homology is that of the full complex.  The Grassmann degree is a
 grading that is not inner, and its nonzero blocks carry homology, so
-only inner weights are used.  The block is enumerated in row-major
-order, prefix by prefix, with the last factor drawn from the basis
-elements of the weight that brings the tuple to 0, so degree n visits
-d^n prefixes, not d^(n+1) tuples.  The top of each C_n is the span of
-the block's unit vectors, and reducing a tuple outside it raises
-:class:`~superlie.linalg.ContainmentError`, as reducing outside the top
-of a :class:`~superlie.linalg.Subquotient` does, so the descent
-certificate below sees a boundary that leaves the block.  I(A) and the
-Milnor quotient read the full degree-1 orbits.
+only inner weights are used.  The block's tuples are the words of
+:func:`~superlie.spaces.weight0_words` with any factor after any, closed
+by the last factor, in row-major order; C_n lives on their positions,
+which keep the order of the tensor power, so the largest index of an
+orbit is its largest flat index too, and every label is the label in
+the tensor power.  A face of d' that leaves the block raises
+:class:`~superlie.homology.ComplexInconsistent`, as in the
+Chevalley-Eilenberg complex.  I(A) and the Milnor quotient read the full
+degree-1 orbits.
 
 The boundary is induced by :func:`~superlie.algebras.induced_map`, which
 certifies that d' carries Im(1 - t_n) into Im(1 - t_{n-1}), and
@@ -148,16 +148,14 @@ from .homology import (
     snake_sequence,
 )
 from .linalg import (
-    ContainmentError,
     Matrix,
     Subspace,
-    _unit_span,
     vec_axpy,
     vec_clean,
     vec_scale,
     vec_sub,
 )
-from .spaces import GradedMap, SuperSpace, tensor_power_space, tensor_vec
+from .spaces import GradedMap, SuperSpace, tensor_power_space, tensor_vec, weight0_words
 
 
 class NotUnital(ValueError):
@@ -172,21 +170,12 @@ class NotUnital(ValueError):
 class ConnesComplex(Complex):
     """The Connes complex of A; its boundaries are the induced d_n.  The
     coinvariants are those of the weight-0 block (see the module
-    docstring): C_n is the span of the block's basis tuples modulo
-    Im(1 - t_n), inside the full tensor power ``plain_spaces[n]``."""
+    docstring): C_n is the span of the block's basis tuples
+    ``plain_spaces[n]`` modulo Im(1 - t_n)."""
 
     a: AssocSuperAlgebra
-    plain_spaces: list[SuperSpace]           # A^{(x)(n+1)}
+    plain_spaces: list[SuperSpace]           # the block of A^{(x)(n+1)}
     coinvariants: list[QuotientSpace]        # C_n(A)
-
-
-def _flat(t: tuple, d: int) -> int:
-    """The index of e_{t_0} (x) ... (x) e_{t_n} in the row-major basis of
-    :func:`~superlie.spaces.tensor_power_space`, d the dimension of A."""
-    idx = 0
-    for k in t:
-        idx = idx * d + k
-    return idx
 
 
 def _cyclic_sign(t: tuple, par) -> int:
@@ -196,49 +185,33 @@ def _cyclic_sign(t: tuple, par) -> int:
     return (n + par[t[n]] * sum(par[k] for k in t[:n])) % 2
 
 
-def _weight0_tuples(field, d: int, n: int, lams: list[list]):
-    """The basis tuples (a_0, ..., a_n), d the dimension of A, whose weight
-    sum_i lam[a_i] is 0 in the field for every lam in lams, in row-major
-    order: each prefix (a_0, ..., a_{n-1}) takes the last factors of the
-    weight that cancels its own, from a table of the basis indices by
-    weight.  With no weights every tuple."""
-    reduce = field.reduce
-    last: dict[tuple, list[int]] = {}
-    for a in range(d):
-        last.setdefault(tuple(reduce(-lam[a]) for lam in lams), []).append(a)
-    for prefix in product(range(d), repeat=n):
-        for a in last.get(tuple(reduce(sum(lam[b] for b in prefix)) for lam in lams), ()):
-            yield prefix + (a,)
-
-
-def _rotation_image(field, d: int, n: int, par,
-                    lams: list[list]) -> tuple[list[int], Subspace, dict[int, tuple]]:
-    """The weight-0 block of A^{(x)(n+1)} under the weights lams (see
-    :func:`_weight0_tuples`), as ascending flat indices, and the canonical
-    basis of Im(1 - t_n) on it, d the dimension of A, written orbit by
-    orbit (see the module docstring): a live orbit gives
-    e_x - s_x s_rep e_rep for its members x other than its largest index
-    rep, a dead orbit the unit vector of each member.  Also the lookup
-    x -> (rep, s_x s_rep) over the members of the live orbits, rep
-    included, and x -> (None, 0) over those of the dead ones; e_x is
-    s_x s_rep e_rep modulo Im(1 - t_n)."""
+def _rotation_image(field, tuples: list[tuple],
+                    par) -> tuple[Subspace, list[tuple], dict[tuple, int]]:
+    """The canonical basis of Im(1 - t_n) on the span of ``tuples``, basis
+    tuples of one degree closed under rotation, in row-major order and
+    indexed by position, written orbit by orbit (see the module
+    docstring): a live orbit gives e_x - s_x s_rep e_rep for its members x
+    other than its largest index rep, a dead orbit the unit vector of each
+    member.  Also the lookup x -> (rep, s_x s_rep) over the members of the
+    live orbits, rep included, and x -> (None, 0) over those of the dead
+    ones, e_x being s_x s_rep e_rep modulo Im(1 - t_n); and the position of
+    each tuple."""
     minus_one = field.of(-1)
-    block: list[int] = []
+    position = {t: x for x, t in enumerate(tuples)}
     rows: dict[int, dict] = {}
-    orbit_of: dict[int, tuple[int | None, int]] = {}
-    for t in _weight0_tuples(field, d, n, lams):
-        idx = _flat(t, d)
-        block.append(idx)
-        if idx in orbit_of:
+    orbit_of: list = [None] * len(tuples)
+    for x, t in enumerate(tuples):
+        if orbit_of[x] is not None:
             continue
-        # members (flat index, sign s of t_n^i e_t = s e_x), walking t_n
-        orbit, sign, x = [], 1, t
+        # members (index, sign s of t_n^i e_t = s e_y), walking t_n
+        n = len(t) - 1
+        orbit, sign, y = [], 1, t
         while True:
-            orbit.append((_flat(x, d), sign))
-            if _cyclic_sign(x, par):
+            orbit.append((position[y], sign))
+            if _cyclic_sign(y, par):
                 sign = -sign
-            x = x[n:] + x[:n]
-            if x == t:
+            y = y[n:] + y[:n]
+            if y == t:
                 break
         if sign == 1:
             rep, s_rep = max(orbit)
@@ -251,84 +224,81 @@ def _rotation_image(field, d: int, n: int, par,
             for i, _ in orbit:
                 orbit_of[i] = (None, 0)
                 rows[i] = {i: 1}
-    bottom = Subspace(field, d ** (n + 1), [rows[i] for i in sorted(rows)], _canonical=True)
-    return block, bottom, orbit_of
+    bottom = Subspace(field, len(tuples), [rows[i] for i in sorted(rows)], _canonical=True)
+    return bottom, orbit_of, position
 
 
 class _Coinvariants(QuotientSpace):
-    """C_n = (span of the weight-0 block)/Im(1 - t_n), labelled as
-    :func:`quotient_space` labels it, whose :meth:`reduce` is a lookup in
-    the rotation orbits (see the module docstring) instead of a reduction
-    by the bottom rows."""
+    """C_n = (span of the basis tuples ``tuples``)/Im(1 - t_n), on the
+    tuples' positions, each labelled ``a0*a1*...`` as in the tensor power
+    and the section labelled as :func:`quotient_space` labels it; its
+    :meth:`reduce` is a lookup in the rotation orbits (see the module
+    docstring) instead of a reduction by the bottom rows."""
 
-    __slots__ = ("_orbit_of",)
+    __slots__ = ("tuples", "position", "_orbit_of")
 
-    def __init__(self, parent: SuperSpace, block: list[int], bottom: Subspace,
-                 orbit_of: dict[int, tuple[int | None, int]], prefix: str):
-        top = _unit_span(parent.field, parent.dim, block, orbit_of)
-        super().__init__(parent, top, bottom, lambda k, lead: f"{prefix}{k}:{lead}")
-        self._orbit_of = orbit_of
+    def __init__(self, space: SuperSpace, tuples: list[tuple], prefix: str):
+        labels, par = space.labels, space.parities
+        parent = SuperSpace(space.field, tuple("*".join(labels[k] for k in t) for t in tuples),
+                            tuple(sum(par[k] for k in t) % 2 for t in tuples))
+        bottom, self._orbit_of, self.position = _rotation_image(space.field, tuples, par)
+        super().__init__(parent, Subspace.full(space.field, len(tuples)), bottom,
+                         lambda k, lead: f"{prefix}{k}:{lead}")
+        self.tuples = tuples
 
     def reduce(self, v: dict) -> dict:
         """Section coordinates of v: each e_x of a live orbit counts
-        s_x s_rep at the coordinate of its orbit's rep, a dead e_x nothing;
-        a nonzero entry outside the block raises ContainmentError."""
+        s_x s_rep at the coordinate of its orbit's rep, a dead e_x nothing."""
         index, orbit_of, of = self._index, self._orbit_of, self.field.of
         out: dict = {}
         for x, c in v.items():
-            hit = orbit_of.get(x)
-            if hit is None:
-                if of(c):
-                    raise ContainmentError(f"the basis tuple at {x} is outside the weight-0 block")
-            elif hit[1]:
-                k = index[hit[0]]
-                out[k] = out.get(k, 0) + hit[1] * c
+            rep, sigma = orbit_of[x]
+            if sigma:
+                k = index[rep]
+                out[k] = out.get(k, 0) + sigma * c
         return {k: c for k in sorted(out) if (c := of(out[k]))}
 
 
-def _hochschild_basis(A: AssocSuperAlgebra, n: int, x: int) -> dict:
-    """d'_n of the basis tuple t = (a_0, ..., a_n) with flat index x, in
-    A^{(x)n} coordinates.  The face that multiplies a_i a_{i+1} keeps the
-    leading i digits of x and the trailing n - 1 - i; the last face keeps
-    the middle n - 1."""
-    d = A.dim
-    t = [x // d ** (n - k) % d for k in range(n + 1)]
+def _hochschild_basis(A: AssocSuperAlgebra, t: tuple) -> dict:
+    """d'_n of the basis tuple t = (a_0, ..., a_n), keyed by the basis
+    tuples of A^{(x)n}: the face that multiplies a_i a_{i+1}, and the last
+    one, a_n a_0 followed by a_1, ..., a_{n-1}."""
+    n = len(t) - 1
     out: dict = {}
-    for i in range(n):
-        prod = A.product_basis(t[i], t[i + 1])
+    for i in range(n + 1):
+        prod = A.product_basis(t[i], t[i + 1] if i < n else t[0])
         if not prod:
             continue
-        s = -1 if i % 2 else 1
-        low = d ** (n - 1 - i)
-        base = x // (low * d * d) * low * d + x % low
+        odd, head, tail = ((i % 2, t[:i], t[i + 2:]) if i < n
+                           else (_cyclic_sign(t, A.space.parities), (), t[1:n]))
         for e, c in prod.items():
-            idx = base + e * low
-            out[idx] = out.get(idx, 0) + s * c
-    prod = A.product_basis(t[n], t[0])
-    if prod:
-        s = -1 if _cyclic_sign(t, A.space.parities) else 1
-        low = d ** (n - 1)
-        base = x // d % low
-        for e, c in prod.items():
-            idx = base + e * low
-            out[idx] = out.get(idx, 0) + s * c
+            f = (*head, e, *tail)
+            out[f] = out.get(f, 0) + (-c if odd else c)
     return A.field.clean(out)
 
 
-def _induced_boundary(A: AssocSuperAlgebra, n: int, src: QuotientSpace,
-                      dst: QuotientSpace) -> GradedMap:
-    """The map C_n -> C_{n-1} induced by d'_n.  The descent certificate and
-    the columns evaluate d'_n on the bottom rows and the section of C_n,
-    which share basis tuples, so each basis tuple's image is computed once,
-    on first use, and kept for this call only."""
+def _induced_boundary(A: AssocSuperAlgebra, n: int, src: _Coinvariants,
+                      dst: _Coinvariants) -> GradedMap:
+    """The map C_n -> C_{n-1} induced by d'_n, which raises
+    ComplexInconsistent on a face outside the block of C_{n-1}.  The
+    descent certificate and the columns evaluate d'_n on the bottom rows
+    and the section of C_n, which share basis tuples, so each basis
+    tuple's image is computed once, on first use, and kept for this call
+    only."""
     images: dict[int, dict] = {}
+    tuples, position = src.tuples, dst.position
 
     def hochschild(v: dict) -> dict:
         out: dict = {}
         for x, c in v.items():
             image = images.get(x)
             if image is None:
-                image = images[x] = _hochschild_basis(A, n, x)
+                faces = _hochschild_basis(A, tuples[x])
+                try:
+                    image = images[x] = {position[f]: e for f, e in faces.items()}
+                except KeyError:
+                    raise ComplexInconsistent(
+                        f"d'_{n} leaves the weight-0 block at {src.parent.labels[x]}") from None
             vec_axpy(out, c, image)
         return A.field.clean(out)
 
@@ -342,19 +312,16 @@ def connes(A: AssocSuperAlgebra, max_n: int = 2) -> ConnesComplex:
         raise ValueError("the complex needs at least degree 1")
     # the weights of the non-central e with diagonal [e, -] (module docstring)
     lams = [lam for _, lam in lie_from_assoc(A).inner_weights() if any(lam)]
-    plain: list[SuperSpace] = []
-    coinv: list[QuotientSpace] = []
-    for n in range(max_n + 1):
-        sp = tensor_power_space(A.space, n + 1)
-        plain.append(sp)
-        coinv.append(_Coinvariants(sp, *_rotation_image(A.field, A.dim, n, A.space.parities, lams),
-                                   f"c{n}."))
+    lam = [tuple(w[a] for w in lams) for a in range(A.dim)]
+    # tensor words: any factor follows any, closed by the last factor a_n
+    words = weight0_words(A.field, lam, [0] * A.dim, lam, max_n)
+    coinv = [_Coinvariants(A.space, [f + (a,) for f, a in level], f"c{n}.")
+             for n, level in enumerate(words)]
 
     # the boundary descends: induced_map certifies d'((1 - t_n) x) dies in C_{n-1}
-    boundaries: list[GradedMap | None] = [None]
-    for n in range(1, max_n + 1):
-        boundaries.append(_induced_boundary(A, n, coinv[n], coinv[n - 1]))
-    return ConnesComplex(boundaries, A, plain, coinv)
+    boundaries = [None] + [_induced_boundary(A, n, coinv[n], coinv[n - 1])
+                           for n in range(1, max_n + 1)]
+    return ConnesComplex(boundaries, A, [q.parent for q in coinv], coinv)
 
 
 def hc(A: AssocSuperAlgebra, n: int, complex_: ConnesComplex | None = None) -> QuotientSpace:
@@ -403,7 +370,8 @@ def _relation_gens(A: AssocSuperAlgebra) -> list[dict]:
     """Generators of I(A): the canonical rows of Im(1 - t_1), which span
     the graded-symmetric a (x) b + (-1)^{|a||b|} b (x) a, and the cyclic
     relations."""
-    _, bottom, _ = _rotation_image(A.field, A.dim, 1, A.space.parities, [])
+    bottom, _, _ = _rotation_image(A.field, list(product(range(A.dim), repeat=2)),
+                                   A.space.parities)
     return bottom.rows + _cyclic_relation_gens(A)
 
 

@@ -231,33 +231,40 @@ class FreeTruncation:
         self._algebra = LieSuperAlgebra(sp, table, name=name)
         return self._algebra
 
-    def evaluate_word(self, word) -> tuple[int, dict]:
-        """Evaluate a bracket word; returns (degree, vector in V^{(x)degree})."""
+    def evaluate_word(self, word) -> tuple[int, int, dict]:
+        """Evaluate a bracket word, which it validates as :func:`word_parity`
+        does; returns (degree, parity, vector in V^{(x)degree})."""
+        _bracket_parity(word, self.gens)
+        return self._evaluate(word)
+
+    def _evaluate(self, word) -> tuple[int, int, dict]:
         if isinstance(word, str):
-            for i, (label, _) in enumerate(self.gens.generators):
+            for i, (label, par) in enumerate(self.gens.generators):
                 if label == word:
-                    return 1, {i: 1}
-            raise KeyError(f"unknown generator {word!r}")
+                    return 1, par, {i: 1}
         a, b = word
-        da, va = self.evaluate_word(a)
-        db, vb = self.evaluate_word(b)
+        da, pa, va = self._evaluate(a)
+        db, pb, vb = self._evaluate(b)
         if da + db > self.max_degree:
             raise DegreeOverflow(f"word degree {da + db} exceeds truncation {self.max_degree}")
-        pa = word_parity(a, self.gens)
-        pb = word_parity(b, self.gens)
-        return da + db, self._supercommutator(va, pa, vb, pb, da, db)
+        return da + db, (pa + pb) % 2, self._supercommutator(va, pa, vb, pb, da, db)
 
     def word_to_algebra_vec(self, word) -> dict:
-        """Coordinates of a bracket word (or scalar combination of words)
-        in the truncated algebra basis."""
+        """Coordinates of a relator, a bracket word or a scalar combination
+        of relators, which it validates with :func:`word_parity`, in the
+        truncated algebra basis."""
+        word_parity(word, self.gens)
+        return self._algebra_vec(word)
+
+    def _algebra_vec(self, word) -> dict:
         if isinstance(word, dict):
             out: dict = {}
             for term in word["sum"]:
                 c = self.field.parse(str(term["coeff"]))
-                for k, v in self.word_to_algebra_vec(term["word"]).items():
+                for k, v in self._algebra_vec(term["word"]).items():
                     out[k] = out.get(k, 0) + c * v
             return vec_clean(out)
-        k, v = self.evaluate_word(word)
+        k, _, v = self._evaluate(word)
         if not v:
             return {}
         coords = self.components[k].coords(v)

@@ -25,15 +25,10 @@ homology is H_*(P, M).  Only basis elements with diagonal ad are used: a
 grading that is not inner, such as the Grassmann degree of
 sl(2|1, Lambda1), has acyclic-looking blocks that carry homology.
 
-The weight-0 chains are enumerated without visiting the rest.  A chain's
-wedge factors are a canonical monomial, built prefix by prefix with its
-weight as a running sum.  A backward table ``live[k][i]`` holds the prefix
-weights that at most k more canonical factors, all of index >= i, can
-still complete to a wanted weight -mu(t); a prefix is extended by a
-factor only when its new weight is live for the factors still allowed
-after it.  Every prefix of a weight-0 chain is live, so the chains and
-their order are those of the full enumeration, which ``tests/oracles.py``
-keeps.
+The weight-0 chains are enumerated without visiting the rest by
+:func:`~superlie.spaces.weight0_words`, which also enumerates the
+weight-0 tuples of the Connes complex: a chain is a word of canonical
+wedge factors closed by the module index t.
 
 The complex's ``spaces`` and ``chains`` and the representatives of
 :func:`homology` refer to the kept chains, listed in the order of the
@@ -106,6 +101,7 @@ from .spaces import (
     GradedMap,
     SuperSpace,
     wedge_normalize,
+    weight0_words,
 )
 from .tensor import (
     TensorProduct,
@@ -209,52 +205,6 @@ def _cartan_weights(P: LieSuperAlgebra, M: Action) -> list[tuple[list, list]]:
     return out
 
 
-def _weight0_chains(P: LieSuperAlgebra, dm: int, max_n: int,
-                    weights: list[tuple[list, list]]) -> list[list[tuple[tuple[int, ...], int]]]:
-    """Per degree, the chains (factors, t) whose weight sum_i lambda(x_i) +
-    mu(t) is 0 in the field for every (lambda, mu) in weights, in the order
-    of the full complex.
-
-    The canonical monomials are enumerated prefix by prefix, the weight of
-    a prefix carried as a running sum.  ``live[k][i]`` holds the prefix
-    weights that at most k more canonical factors, all of index >= i, can
-    complete to a wanted weight -mu(t); a prefix of n factors is extended
-    by factor i only when the new weight lies in live[max_n - n - 1][j],
-    j = i + 1 - |x_i| the least index of the factor after it (an odd factor
-    may repeat).  Every prefix of a kept chain passes, so the chains and
-    their order are those of the unpruned enumeration."""
-    reduce = P.field.reduce
-    par = P.space.parities
-    dim = P.dim
-    lam = [tuple(w[0][i] for w in weights) for i in range(dim)]
-    wanted: dict[tuple, list[int]] = {}  # wedge weight -> the t it pairs with
-    for t in range(dm):
-        wanted.setdefault(tuple(reduce(-w[1][t]) for w in weights), []).append(t)
-    # live[k][i]: no more factors, or a first factor i followed by at most
-    # k - 1 from index i + 1 - |x_i| on, or a first factor past i
-    done = frozenset(wanted)
-    live = [[done] * (dim + 1)]
-    for k in range(1, max_n):
-        row = [done] * (dim + 1)
-        for i in range(dim - 1, -1, -1):
-            row[i] = row[i + 1] | {tuple(reduce(a - b) for a, b in zip(w, lam[i]))
-                                   for w in live[k - 1][i + 1 - par[i]]}
-        live.append(row)
-    level = [((), tuple(0 for _ in weights))]
-    chains = []
-    for n in range(max_n + 1):
-        chains.append([(f, t) for f, w in level for t in wanted.get(w, ())])
-        if n < max_n:
-            # canonical monomials: weakly increasing, even factors strictly
-            reach = live[max_n - n - 1]
-            level = [(f + (i,), w2)
-                     for f, w in level
-                     for i in range(f[-1] + 1 - par[f[-1]] if f else 0, dim)
-                     if (w2 := tuple(reduce(a + b) for a, b in zip(w, lam[i])))
-                     in reach[i + 1 - par[i]]]
-    return chains
-
-
 def _chain_complex(P: LieSuperAlgebra, M: Action, max_n: int,
                    weights: list[tuple[list, list]]) -> ChainComplex:
     """The one construction loop: the chains of weight 0 under weights
@@ -264,7 +214,10 @@ def _chain_complex(P: LieSuperAlgebra, M: Action, max_n: int,
     plabels = P.space.labels
     msp = M.target.space
     ground = msp.dim == 1 and msp.labels[0] == "1"
-    chains = _weight0_chains(P, msp.dim, max_n, weights)
+    # canonical wedge monomials, an odd factor may repeat, closed by the module index
+    chains = weight0_words(field, [tuple(w[0][i] for w in weights) for i in range(P.dim)],
+                           [i + 1 - par[i] for i in range(P.dim)],
+                           [tuple(w[1][t] for w in weights) for t in range(msp.dim)], max_n)
     index, rows = P.bracket_index(), M.rows
     spaces: list[SuperSpace] = []
     index_of: list[dict[tuple[tuple[int, ...], int], int]] = []

@@ -29,11 +29,11 @@ span, with pivots normalized to 1; it is the equality test for subspaces.
 Every RREF row is zero at the pivot of every other row, so subtracting
 one row never changes the entry of a vector at another pivot.  Reducing
 a vector is therefore one pass over its own pivot entries: subtract
-``v[piv]`` times the row of each pivot present in ``v``.  A span of unit
-vectors, such as the whole ambient space :meth:`Subspace.full`, stores no
-rows: its unit rows are made when read, so the top of a quotient of it
-costs nothing, and it contains a subspace exactly when the rows of that
-subspace are supported on its pivots, which needs no reduction.
+``v[piv]`` times the row of each pivot present in ``v``.  The whole
+ambient space, :meth:`Subspace.full`, is the only span of unit vectors
+and stores no rows: its unit rows are made when read, so the top of a
+quotient of all of it costs nothing, and it contains every subspace with
+no reduction.
 """
 
 from __future__ import annotations
@@ -310,15 +310,11 @@ class Subspace:
 
     def contains(self, other: "Subspace") -> bool:
         """Whether other lies in self; the whole ambient space contains
-        every subspace, and a span of unit vectors the subspaces supported
-        on its pivots, with no reduction."""
+        every subspace with no reduction."""
         if self.ambient != other.ambient:
             raise AmbientMismatch(f"{self.ambient} vs {other.ambient}")
         if self.dim == self.ambient:
             return True
-        if isinstance(self._row_at, _UnitAt):
-            at = self._row_at
-            return all(p in at for r in other.rows for p in r)
         return all(self.contains_vec(r) for r in other.rows)
 
     def coords(self, v: dict) -> dict | None:
@@ -355,55 +351,36 @@ class Subspace:
 
     @staticmethod
     def full(field: Field, ambient: int) -> "Subspace":
-        """The whole ambient space, the span of every unit vector."""
-        return _unit_span(field, ambient, range(ambient), range(ambient))
-
-
-def _unit_span(field: Field, ambient: int, pivots: Sequence[int], members) -> Subspace:
-    """The span of the unit vectors e_p, p in the ascending ``pivots``;
-    ``members`` answers ``p in members`` for the same set.  Its rows are
-    :class:`_UnitRows`, made when read, so a quotient of it holds rows for
-    its section only."""
-    span = Subspace.__new__(Subspace)
-    span.field, span.ambient, span.pivots = field, ambient, pivots
-    span.rows, span._row_at = _UnitRows(pivots), _UnitAt(members)
-    return span
+        """The whole ambient space, the span of every unit vector.  Its
+        rows are :class:`_UnitRows`, made when read, so a quotient of it
+        holds rows for its section only."""
+        span = Subspace.__new__(Subspace)
+        span.field, span.ambient, span.pivots = field, ambient, range(ambient)
+        span.rows = span._row_at = _UnitRows(ambient)
+        return span
 
 
 class _UnitRows(Sequence):
-    """The canonical rows of a span of unit vectors, each made when it is
-    read: row k is e_p for the k-th of the ascending pivots p."""
+    """The canonical rows of the whole space, each made when it is read.
+    Pivot k is coordinate k, so row k and the row at pivot k are both e_k:
+    it is the space's rows and its pivot -> row map, and ``p in rows`` asks
+    whether p is a pivot."""
 
     __slots__ = ("pivots",)
 
-    def __init__(self, pivots: Sequence[int]):
-        self.pivots = pivots
+    def __init__(self, ambient: int):
+        self.pivots = range(ambient)
 
     def __len__(self) -> int:
         return len(self.pivots)
+
+    def __contains__(self, p) -> bool:
+        return p in self.pivots
 
     def __getitem__(self, k):
         if isinstance(k, slice):
             return [{p: 1} for p in self.pivots[k]]
         return {self.pivots[k]: 1}
-
-
-class _UnitAt:
-    """The pivot -> row map of a span of unit vectors: ``p in at`` asks
-    whether p is a pivot, and the row at pivot p is e_p."""
-
-    __slots__ = ("members",)
-
-    def __init__(self, members):
-        self.members = members
-
-    def __contains__(self, p) -> bool:
-        return p in self.members
-
-    def __getitem__(self, p) -> dict:
-        if p not in self.members:
-            raise KeyError(p)
-        return {p: 1}
 
 
 # ---------------------------------------------------------------------------

@@ -201,3 +201,54 @@ def exterior_power(v: SuperSpace, n: int) -> tuple[SuperSpace, list[tuple[int, .
     labels = ["^".join(v.labels[i] for i in m) if n else "1" for m in monomials]
     parities = [sum(v.parities[i] for i in m) % 2 for m in monomials]
     return SuperSpace(v.field, tuple(labels), tuple(parities)), monomials
+
+
+# ---------------------------------------------------------------------------
+# weight-0 words
+
+
+def weight0_words(field: Field, lam: list[tuple], nxt: list[int], closing: list[tuple],
+                  max_n: int) -> list[list[tuple[tuple[int, ...], int]]]:
+    """Per length n = 0, ..., max_n, the words (factors, t) of n factors,
+    each factor after i at least ``nxt[i]``, and a closing index t, whose
+    weight lam[x_1] + ... + lam[x_n] + closing[t] is 0 in the field in every
+    component, in lexicographic order.  The Chevalley-Eilenberg chains are
+    the words of canonical wedge monomials, nxt[i] = i + 1 - |x_i| (an odd
+    factor may repeat), closed by the module index t; the Connes tuples
+    (a_0, ..., a_n) are the words with nxt[i] = 0, closed by the last factor
+    a_n.
+
+    The words are enumerated prefix by prefix, the weight of a prefix
+    carried as a running sum.  ``live[k][i]`` holds the prefix weights that
+    at most k more factors, the first of index >= i, can complete to a
+    wanted weight -closing[t]; a prefix of n factors is extended by factor
+    i only when the new weight lies in live[max_n - n - 1][nxt[i]].  Every
+    prefix of a kept word passes, so the words and their order are those
+    of the unpruned enumeration, which the tests keep as oracles."""
+    reduce = field.reduce
+    dim = len(lam)
+    wanted: dict[tuple, list[int]] = {}  # prefix weight -> the t that close it
+    for t, w in enumerate(closing):
+        wanted.setdefault(tuple(reduce(-c) for c in w), []).append(t)
+    # live[k][i]: no more factors, or a first factor i followed by at most
+    # k - 1 from index nxt[i] on, or a first factor past i
+    done = frozenset(wanted)
+    live = [[done] * (dim + 1)]
+    for k in range(1, max_n):
+        row = [done] * (dim + 1)
+        for i in range(dim - 1, -1, -1):
+            row[i] = row[i + 1] | {tuple(reduce(a - b) for a, b in zip(w, lam[i]))
+                                   for w in live[k - 1][nxt[i]]}
+        live.append(row)
+    level = [((), tuple(0 for _ in next(iter(lam + closing), ())))]  # the empty prefix
+    words = []
+    for n in range(max_n + 1):
+        words.append([(f, t) for f, w in level for t in wanted.get(w, ())])
+        if n < max_n:
+            reach = live[max_n - n - 1]
+            level = [(f + (i,), w2)
+                     for f, w in level
+                     for i in range(nxt[f[-1]] if f else 0, dim)
+                     if (w2 := tuple(reduce(a + b) for a, b in zip(w, lam[i])))
+                     in reach[nxt[i]]]
+    return words

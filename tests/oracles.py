@@ -11,9 +11,10 @@ product is spanned by all five generator families, including families
 signs are counted inversion by inversion, HC_0 is read off A/[A, A]
 directly instead of from the Connes complex, the Connes complex takes
 Im(1 - t_n) by elimination over every basis tuple instead of from the
-rotation orbits (its weight-0 block from weights read densely from the
-products of basis vectors, instead of from ``inner_weights``, and its
-top by elimination of the block's unit vectors), and the Chevalley–Eilenberg
+rotation orbits (its weight-0 block filtered from every basis tuple by
+weights read densely from the products of basis vectors, instead of
+enumerated from ``inner_weights``, and its top by elimination of the
+block's unit vectors), and the Chevalley–Eilenberg
 complex is built on every chain instead of the weight-0 chains only; its
 weight-0 chains are also enumerated from every canonical monomial,
 where the production code prunes the prefixes that cannot reach weight 0.
@@ -186,26 +187,39 @@ def connes_oracle(A: AssocSuperAlgebra, max_n: int, weight0: bool = False):
     :func:`_hochschild_oracle`.  With ``weight0`` only over the tuples
     whose weight sum lambda(t_i), summed as integers or rationals and then
     taken into the field, is 0 for every lambda of
-    :func:`assoc_weights_dense`, and with the span of their unit vectors,
-    by elimination, for the top when there is such a lambda."""
+    :func:`assoc_weights_dense`: C_n is indexed by their positions in the
+    row-major order, labelled from the tensor power, and its top is
+    eliminated from the unit vectors when there is such a lambda."""
     d, par = A.dim, A.space.parities
     weights = assoc_weights_dense(A) if weight0 else []
-    coinv = []
+    coinv, blocks, positions = [], [], []
     for n in range(max_n + 1):
-        sp = tensor_power_space(A.space, n + 1)
-        block = [(idx, t) for idx, t in enumerate(product(range(d), repeat=n + 1))
+        full = tensor_power_space(A.space, n + 1)
+        tuples = list(product(range(d), repeat=n + 1))
+        block = [idx for idx, t in enumerate(tuples)
                  if not any(A.field.of(sum(lam[k] for k in t)) for lam in weights)]
+        position = {idx: i for i, idx in enumerate(block)}
+        sp = SuperSpace(A.field, tuple(full.labels[idx] for idx in block),
+                        tuple(full.parities[idx] for idx in block))
         acc = Echelon(A.field, sp.dim)
-        for idx, t in block:
+        for i, idx in enumerate(block):
+            t = tuples[idx]
             twist = (n + par[t[n]] * sum(par[k] for k in t[:n])) % 2
-            g = {idx: 1}
-            r = _flat_index(t[n:] + t[:n], d)
+            g = {i: 1}
+            r = position[_flat_index(t[n:] + t[:n], d)]
             g[r] = g.get(r, 0) - (-1 if twist else 1)
             acc.insert(vec_clean(g))
-        top = (Subspace(A.field, sp.dim, [{idx: 1} for idx, _ in block]) if weights
+        top = (Subspace(A.field, sp.dim, [{i: 1} for i in range(sp.dim)]) if weights
                else Subspace.full(A.field, sp.dim))
         coinv.append(quotient_space(sp, top, acc.subspace(), f"c{n}."))
-    boundaries = [None] + [induced_map(coinv[n], coinv[n - 1], partial(_hochschild_oracle, A, n))
+        blocks.append(block)
+        positions.append(position)
+
+    def boundary(n: int, v: dict) -> dict:
+        image = _hochschild_oracle(A, n, {blocks[n][i]: c for i, c in v.items()})
+        return {positions[n - 1][idx]: c for idx, c in image.items()}
+
+    boundaries = [None] + [induced_map(coinv[n], coinv[n - 1], partial(boundary, n))
                            for n in range(1, max_n + 1)]
     return coinv, boundaries
 

@@ -75,3 +75,21 @@ def test_worker_round_is_correct(workload):
     assert r.returncode == 0, r.stderr
     last = json.loads(r.stdout.splitlines()[-1])
     assert last["correct"] is True and last["failed"] == 0, r.stderr
+
+
+@pytest.mark.parametrize("workload", ["tensor-squares", "complexes"])
+def test_traced_worker_round_is_correct(workload, tmp_path):
+    """The same round under the span tracer, whose counters read attributes
+    of the results (``spans.COUNTERS``): an attribute they read that is
+    renamed or deleted fails an operation here.  The span file is written
+    and records spans."""
+    spans = tmp_path / "spans.bin"
+    r = subprocess.run([sys.executable, str(PERFBENCH / "worker.py"), "--workload", workload,
+                        "--seed", "1", "--spans", str(spans)],
+                       capture_output=True, text=True, timeout=300)
+    assert r.returncode == 0, r.stderr
+    last = json.loads(r.stdout.splitlines()[-1])
+    assert last["correct"] is True and last["failed"] == 0, r.stderr
+    with open(spans, "rb") as fh:
+        header = json.loads(fh.read(int.from_bytes(fh.read(8), "little")))
+    assert header["n"] > 0

@@ -169,6 +169,32 @@ def test_presentation_refuses_malformed_relators(rel, message):
         Presentation(gs(("x", 0), ("y", 0)), (rel,))
 
 
+@pytest.mark.parametrize("word, error, message", [
+    (["x"], ValueError, "a bracket word is a label or a pair"),
+    (["x", "y", "x"], ValueError, "a bracket word is a label or a pair"),
+    (5, ValueError, "a bracket word is a label or a pair"),
+    ([["x"], "y"], ValueError, "a bracket word is a label or a pair"),
+    ({"sum": []}, ValueError, "a sum needs at least one term"),
+    (["x", "q"], KeyError, "unknown generator"),
+], ids=["one-element", "three-elements", "integer", "nested-one-element", "sum-empty",
+        "unknown-label"])
+def test_word_to_algebra_vec_refuses_malformed_words(word, error, message):
+    """The public evaluation validates its word once, as Presentation does,
+    instead of failing to unpack it or reading an empty sum as 0."""
+    F = free_truncated(gs(("x", 0), ("y", 0)), 2)
+    with pytest.raises(error, match=message):
+        F.word_to_algebra_vec(word)
+    if not isinstance(word, dict):
+        with pytest.raises(error, match=message):
+            F.evaluate_word(word)
+
+
+def test_evaluate_word_returns_its_parity():
+    F = free_truncated(gs(("x", 0), ("t", 1)), 3)
+    assert [F.evaluate_word(w)[:2] for w in ("t", ["x", "t"], [["t", "t"], "x"])] == \
+        [(1, 1), (2, 1), (3, 0)]
+
+
 def test_hopf_with_combination_relator():
     from superlie.homology import homology, hopf_formula
 

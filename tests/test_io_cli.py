@@ -455,6 +455,52 @@ def test_cli_homology_module_fails_its_axioms(tmp_path):
     assert rep["status"] == "failed"
 
 
+NOT_LIE = {  # even x, y, z; [x,y] = y, [x,z] = x, [y,z] = z fails Jacobi
+    "name": "notlie", "kind": "lie", "field": {"kind": "Q"},
+    "basis": [["x", 0], ["y", 0], ["z", 0]],
+    "table": [{"left": "x", "right": "y", "value": [["y", "1"]]},
+              {"left": "x", "right": "z", "value": [["x", "1"]]},
+              {"left": "y", "right": "z", "value": [["z", "1"]]}],
+}
+NOT_ASSOC = {  # commutative and unital, but (xx)y = y y = 0 and x(xy) = xx = y
+    "name": "notassoc", "kind": "assoc", "field": {"kind": "Q"},
+    "basis": [["1", 0], ["x", 0], ["y", 0]],
+    "table": [{"left": "1", "right": b, "value": [[b, "1"]]} for b in ("1", "x", "y")]
+    + [{"left": b, "right": "1", "value": [[b, "1"]]} for b in ("x", "y")]
+    + [{"left": "x", "right": "x", "value": [["y", "1"]]},
+       {"left": "x", "right": "y", "value": [["x", "1"]]},
+       {"left": "y", "right": "x", "value": [["x", "1"]]}],
+    "unit": [["1", "1"]],
+}
+
+
+@pytest.mark.parametrize("command", [
+    ("check", "{lie}"),
+    ("homology", "{lie}", "-n", "0"),
+    ("homology", "{lie}", "-n", "1"),
+    ("tensor", "{lie}", "{lie}", "--trivial"),
+    ("tensor", "@heis", "{lie}", "--trivial"),
+    ("tensor", "{lie}", "{lie}", "--adjoint"),
+    ("check", "{assoc}"),
+    ("cyclic", "{assoc}"),
+], ids=lambda c: "-".join(c).replace("{", "").replace("}", ""))
+def test_cli_refuses_an_algebra_file_that_fails_its_axioms(tmp_path, command):
+    """Every command that computes on an algebra file certifies its axioms
+    first and refuses a file that fails them, as ``check`` does."""
+    files = {}
+    for kind, obj in (("lie", NOT_LIE), ("assoc", NOT_ASSOC)):
+        files[kind] = tmp_path / f"{kind}.json"
+        files[kind].write_text(json.dumps(obj), encoding="utf-8")
+    args = [a.format(lie=files["lie"], assoc=files["assoc"]) for a in command]
+    r = run_cli(*args)
+    assert r.returncode == 1
+    assert "NOT" in r.stdout
+    assert "Traceback" not in r.stderr
+    if command[0] != "check":
+        rep = json.loads(run_cli("--out", "json", *args).stdout)
+        assert rep["results"] == {"certified": False} and rep["status"] == "failed"
+
+
 def test_cli_homology_valid_module_file(tmp_path):
     # the adjoint module of heis: H0 = heis/[heis, heis] has dimension (2|0)
     p = _heis_module(tmp_path, "ad", [["x", 0], ["y", 0], ["z", 0]], [

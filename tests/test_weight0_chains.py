@@ -1,10 +1,14 @@
-"""The pruned weight-0 enumerator of the Chevalley–Eilenberg complex.
+"""The pruned weight-0 enumerator of both complexes.
 
-``homology._weight0_chains`` extends a prefix of canonical factors only
-while its weight can still be completed to weight 0; the oracle in
+``spaces.weight0_words`` extends a prefix of factors only while its weight
+can still be completed to weight 0.  Under the Chevalley–Eilenberg rule
+(canonical wedge monomials closed by the module index) the oracle in
 ``tests/oracles.py`` enumerates every canonical monomial and keeps the
-weight-0 chains at the end.  The chain lists must agree, order included,
-over Q, F3, F5 and F7, in seeded permuted and rescaled bases.
+weight-0 chains at the end; under the tensor-word rule of the Connes
+complex (any factor after any, closed by the last factor) every basis
+tuple is filtered by its weight.  The lists must agree, order included,
+over Q, F3, F5 and F7, the Chevalley–Eilenberg ones in seeded permuted
+and rescaled bases.
 """
 
 import importlib
@@ -13,11 +17,14 @@ from functools import lru_cache
 
 import pytest
 
-from oracles import rebase, weight0_chains_oracle
+from itertools import product
+
+from oracles import assoc_weights_dense, rebase, weight0_chains_oracle
 from superlie.actions import adjoint_action
-from superlie.algebras import ground_assoc, matrix_gl, matrix_sl
-from superlie.cyclic import grassmann_line
+from superlie.algebras import ground_assoc, matrix_assoc, matrix_gl, matrix_sl
+from superlie.cyclic import connes, dual_numbers, grassmann_line
 from superlie.fields import QQ, Field
+from superlie.spaces import weight0_words
 
 homology = importlib.import_module("superlie.homology")
 
@@ -40,10 +47,20 @@ def seeded(name: str, p):
     return rebase(L, perm, [rng.choice(units) for _ in range(L.dim)])
 
 
+def ce_words(P, dm: int, max_n: int, weights):
+    """weight0_words under the Chevalley–Eilenberg rule, as
+    ``homology.ce_complex`` calls it: factor i is followed by indices from
+    i + 1 - |x_i| on, and the closing index is the module index."""
+    par = P.space.parities
+    return weight0_words(P.field, [tuple(w[0][i] for w in weights) for i in range(P.dim)],
+                         [i + 1 - par[i] for i in range(P.dim)],
+                         [tuple(w[1][t] for w in weights) for t in range(dm)], max_n)
+
+
 def both_enumerations(P, M, max_n: int):
     weights = homology._cartan_weights(P, M)
     dm = M.target.dim
-    return (homology._weight0_chains(P, dm, max_n, weights),
+    return (ce_words(P, dm, max_n, weights),
             weight0_chains_oracle(P, dm, max_n, weights))
 
 
@@ -83,9 +100,54 @@ def test_pruning_computes_fewer_prefix_weights(monkeypatch):
     calls = []
     reduce = Field.reduce
     monkeypatch.setattr(Field, "reduce", lambda self, a: calls.append(a) or reduce(self, a))
-    pruned = homology._weight0_chains(P, 1, 5, weights)
+    pruned = ce_words(P, 1, 5, weights)
     n_pruned = len(calls)
     full = weight0_chains_oracle(P, 1, 5, weights)
     n_full = len(calls) - n_pruned
     assert pruned == full
     assert 3 * n_pruned < n_full
+
+
+ASSOC = {
+    "M(1|1, L1)": lambda F: matrix_assoc(1, 1, grassmann_line(F)),
+    "M(2|1, K)": lambda F: matrix_assoc(2, 1, ground_assoc(F)),
+    "dual": dual_numbers,  # no inner grading: every tuple
+}
+
+
+def tensor_words_brute_force(A, max_n: int) -> list[list]:
+    """Per degree n the basis tuples (a_0, ..., a_n) of weight 0 in the
+    field under every weight read densely from the products, filtered from
+    every tuple in row-major order, as (prefix, last factor)."""
+    weights = assoc_weights_dense(A)
+    return [[(t[:-1], t[-1]) for t in product(range(A.dim), repeat=n + 1)
+             if not any(A.field.of(sum(lam[k] for k in t)) for lam in weights)]
+            for n in range(max_n + 1)]
+
+
+@pytest.mark.parametrize("p", PRIMES)
+@pytest.mark.parametrize("name", tuple(ASSOC))
+def test_tensor_words_match_brute_force(name, p):
+    A = ASSOC[name](Field(p))
+    lam = [tuple(w) for w in zip(*assoc_weights_dense(A))] or [()] * A.dim
+    got = weight0_words(A.field, lam, [0] * A.dim, lam, 3)
+    assert got == tensor_words_brute_force(A, 3)
+
+
+def test_tensor_words_keep_weights_vanishing_mod_3():
+    """Over F3 the tuples of M(1|1, Lambda1) of weight 3 or -3 over Q have
+    weight 0, so degree 2 keeps more tuples than over Q."""
+    counts = {}
+    for p in (None, 3):
+        A = ASSOC["M(1|1, L1)"](Field(p))
+        lam = [tuple(w) for w in zip(*assoc_weights_dense(A))]
+        counts[p] = [len(level) for level in weight0_words(A.field, lam, [0] * A.dim, lam, 3)]
+    assert counts[None] == [4, 24, 160, 1120]
+    assert counts[3] == [4, 24, 176, 1376]
+
+
+def test_connes_labels_only_its_block():
+    """The plain spaces of the Connes complex are the block's tuples, not
+    the 8, 64, 512, 4096 of the full tensor powers."""
+    A = ASSOC["M(1|1, L1)"](QQ)
+    assert [sp.dim for sp in connes(A, 3).plain_spaces] == [4, 24, 160, 1120]
