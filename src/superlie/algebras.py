@@ -58,8 +58,18 @@ certified, with S memoized on each of them by :func:`check_lie_axioms`,
 and when the check on S finds no violation.  Otherwise the same loop runs
 over every basis index, so a report with violations (kind, witness,
 defect, order and the cut-off of MAX_VIOLATIONS) is that of the full
-check.  The identity [x, [x, x]] = 0 for odd x, which in characteristic 3
-does not follow from Jacobi on basis triples, is part of neither check.
+check.
+
+(e) The odd cube.  A Lie superalgebra satisfies [x, [x, x]] = 0 for odd
+x.  Jacobi at (a, a, a) gives 3[a, [a, a]] = 0, so outside characteristic
+3 the identity follows from Jacobi, but in characteristic 3 it does not:
+over F3 the table with a, c odd, e even, [a, a] = e and [e, a] = c
+satisfies Jacobi on every basis triple, yet [a, [a, a]] = -c.  So over F3
+:func:`check_lie_axioms` also checks [a, [a, a]] = 0 for each odd basis
+element a, after Jacobi, which suffices: writing x = sum x_a a, the
+coefficient of x_a^2 x_b in [x, [x, x]] is 2[a, [a, b]] + [b, [a, a]],
+Jacobi at (a, a, b), and that of x_a x_b x_c for distinct a, b, c is
+twice the cyclic sum, Jacobi at (a, b, c); only the x_a^3 terms remain.
 """
 
 from __future__ import annotations
@@ -67,7 +77,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dfield
 from itertools import combinations_with_replacement, islice, permutations
 
-from .fields import Field
+from .fields import Field, MathError
 from .linalg import (
     ContainmentError,
     Echelon,
@@ -94,7 +104,7 @@ class NotAnIdeal(ValueError):
     """The given subspace is not a graded ideal."""
 
 
-class BracketNotWellDefined(RuntimeError):
+class BracketNotWellDefined(RuntimeError, MathError):
     """A bracket on a quotient fails to descend to it or fails a certificate
     there: a construction bug, never a property of valid inputs."""
 
@@ -370,14 +380,14 @@ def _derivation_defects(rho: list[dict[int, dict]], actor_par, M: LieSuperAlgebr
 
 def check_lie_axioms(L: LieSuperAlgebra) -> AxiomReport:
     """Certify parity consistency, graded antisymmetry (structural), the
-    vanishing of [x, x] for general even x, and the graded Jacobi identity
-    on all basis triples, the last proved on the generating set S of L by
-    (a) of the module docstring; S is memoized on L when this passes.  Each
-    identity is evaluated from the nonzero structure constants: a triple
-    with a zero factor in every term has defect 0, so only the others are
-    computed.  Violations come in basis order, Jacobi triples after the
-    rest, at most MAX_VIOLATIONS of them, from the loop over every basis
-    index."""
+    vanishing of [x, x] for general even x, the graded Jacobi identity on
+    all basis triples, the last proved on the generating set S of L by (a)
+    of the module docstring, and over F3 the odd cube of (e); S is
+    memoized on L when this passes.  Each identity is evaluated from the
+    nonzero structure constants: a triple with a zero factor in every term
+    has defect 0, so only the others are computed.  Violations come in
+    basis order, Jacobi triples after the rest and odd cubes last, at most
+    MAX_VIOLATIONS of them, from the loop over every basis index."""
     gens = L._generators if L._generators is not None else _generating_set(L)
     if next(_lie_violations(L, gens), None) is None:
         L._generators = gens
@@ -402,6 +412,14 @@ def _lie_violations(L: LieSuperAlgebra, ops):
     # graded Jacobi: ad(e_i) is a derivation of the bracket
     for i, j, k, defect in _derivation_defects(L.bracket_index(), par, L, ops):
         yield Violation("jacobi", (i, j, k), defect)
+    # [x, [x, x]] = 0 for odd x, which Jacobi implies unless p = 3: (e) of
+    # the module docstring
+    if L.field.p == 3:
+        for i in range(L.dim):
+            if par[i] == 1 and (i, i) in L.table:
+                cube = L.bracket({i: 1}, L.table[(i, i)])
+                if cube:
+                    yield Violation("odd-cube", (i,), cube)
 
 
 def _close(L: LieSuperAlgebra, acc: Echelon, spanned: list[dict], work: list[dict]) -> None:

@@ -8,23 +8,19 @@ The corpus is the JSON files bundled inside the package (see
 :mod:`superlie.corpus`); an argument of the form ``@name`` (for example
 ``@sl21``) names one of them, ``superlie corpus list`` lists them, and
 ``superlie corpus export DIR`` copies them all into DIR.
+
+Start-up imports the file parsers and the axiom checks only; each command
+imports the modules it computes with when it runs, so ``check`` never
+loads the tensor product, the homology or the free Lie algebras.
 """
 
 from __future__ import annotations
 
 import argparse
-import hashlib
 import sys
 from pathlib import Path
 
 from . import corpus
-from .actions import (
-    check_action,
-    check_compatible,
-    check_crossed,
-    identity_crossed,
-    trivial_action,
-)
 from .algebras import (
     AssocSuperAlgebra,
     LieSuperAlgebra,
@@ -32,41 +28,10 @@ from .algebras import (
     check_lie_axioms,
     series,
 )
-from .cyclic import (
-    NotUnital,
-    connes,
-    cyclic_sixterm,
-    hc,
-    hc1_kernel_model,
-    milnor_hc1,
-)
-from .fields import FieldError
-from .freelie import DegreeOverflow, TruncationOutOfRange
-from .homology import (
-    ClassExceeded,
-    ComplexInconsistent,
-    ce_complex,
-    homology,
-    hopf_formula,
-    nh,
-    trivial_module,
-)
+from .fields import InputError, MathError
 from .io import ParseError, dumps_canonical, load_algebra, load_crossed, load_json, load_presentation, parse_action, parse_module
-from .linalg import ContainmentError
 from .spaces import format_dims
 from .suites import SUITES, run_suite
-from .tensor import (
-    BracketNotWellDefined,
-    IncompatibleActions,
-    NotPerfect,
-    exterior_square,
-    nonabelian_tensor,
-    adjoint_tensor_square,
-    uce,
-)
-
-MATH_ERRORS = (IncompatibleActions, NotPerfect, NotUnital, BracketNotWellDefined,
-               ComplexInconsistent, ClassExceeded, DegreeOverflow, ContainmentError)
 
 
 def resolve_path(arg: str) -> Path:
@@ -79,6 +44,8 @@ def resolve_path(arg: str) -> Path:
 
 
 def _digest(path: Path) -> str:
+    import hashlib  # only the commands that read input files digest them
+
     return hashlib.sha256(path.read_bytes()).hexdigest()[:16]
 
 
@@ -174,6 +141,9 @@ def _load_lie(path: Path) -> LieSuperAlgebra:
 
 
 def cmd_tensor(args) -> int:
+    from .actions import check_action, check_compatible, trivial_action
+    from .tensor import adjoint_tensor_square, exterior_square, nonabelian_tensor, uce
+
     if args.adjoint + args.trivial + bool(args.act_mn or args.act_nm) > 1:
         raise ParseError("choose one of --adjoint, --trivial, or --act-mn with --act-nm")
     if args.exterior and not args.adjoint:
@@ -244,6 +214,9 @@ def algebra_fingerprint(alg) -> tuple:
 
 
 def cmd_homology(args) -> int:
+    from .actions import check_action, check_crossed, identity_crossed
+    from .homology import ce_complex, homology, hopf_formula, nh, trivial_module
+
     rep = Report("homology")
     path = resolve_path(args.path)
     P = _load_lie(path)
@@ -304,6 +277,8 @@ def cmd_homology(args) -> int:
 
 
 def cmd_cyclic(args) -> int:
+    from .cyclic import NotUnital, connes, cyclic_sixterm, hc, hc1_kernel_model, milnor_hc1
+
     rep = Report("cyclic")
     path = resolve_path(args.path)
     A = load_algebra(path)
@@ -438,10 +413,10 @@ def main(argv: list[str] | None = None) -> int:
     args = ap.parse_args(argv)
     try:
         return args.func(args)
-    except (ParseError, FieldError, TruncationOutOfRange) as exc:
+    except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
-    except MATH_ERRORS as exc:
+    except MathError as exc:
         print(f"failed: {exc}", file=sys.stderr)
         return 1
 

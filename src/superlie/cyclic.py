@@ -140,6 +140,7 @@ from .algebras import (
     sub_space,
     subalgebra_on,
 )
+from .fields import MathError
 from .homology import (
     Complex,
     ComplexInconsistent,
@@ -158,7 +159,7 @@ from .linalg import (
 from .spaces import GradedMap, SuperSpace, tensor_power_space, tensor_vec, weight0_words
 
 
-class NotUnital(ValueError):
+class NotUnital(ValueError, MathError):
     """The construction requires a unital associative superalgebra."""
 
 

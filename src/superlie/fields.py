@@ -18,7 +18,17 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 
-class FieldError(ValueError):
+class InputError(ValueError):
+    """An input the program refuses: a malformed file, scalar or request.
+    The command line exits 2 on it."""
+
+
+class MathError(Exception):
+    """A mixin for the mathematical failures of valid input, such as a
+    product that is not well defined.  The command line exits 1 on them."""
+
+
+class FieldError(InputError):
     """Invalid field specification or a scalar that does not parse in it."""
 
 

@@ -14,16 +14,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .algebras import LieSuperAlgebra
-from .fields import QQ
+from .fields import QQ, InputError, MathError
 from .linalg import Echelon, Subspace, vec_clean
 from .spaces import SuperSpace, superspace
 
 
-class DegreeOverflow(ValueError):
+class DegreeOverflow(ValueError, MathError):
     """A bracket word exceeds the truncation degree."""
 
 
-class TruncationOutOfRange(ValueError):
+class TruncationOutOfRange(InputError):
     """A requested truncation exceeds the supported generator count or degree
     range (an input limit, not a mathematical failure)."""
 
@@ -76,7 +76,8 @@ def _check_fields(obj, keys: set, what: str) -> None:
 
 def word_parity(word, gens: GradedGenSet) -> int:
     """The parity of a relator, which it validates: ValueError for a
-    malformed shape or mixed parities, KeyError for an unknown label."""
+    malformed shape, a coefficient that is not a rational number or mixed
+    parities, KeyError for an unknown label."""
     if isinstance(word, dict):
         _check_fields(word, {"sum"}, "relator")
         terms = word["sum"]
@@ -86,6 +87,10 @@ def word_parity(word, gens: GradedGenSet) -> int:
             raise ValueError("a sum needs at least one term")
         for t in terms:
             _check_fields(t, {"coeff", "word"}, "relator term")
+            c = t["coeff"]
+            if isinstance(c, bool) or not isinstance(c, (int, str)):
+                raise ValueError(f"relator coefficient must be a string or an integer: {c!r}")
+            QQ.parse(str(c))  # a FieldError, a ValueError, when it is not a rational
         parities = {word_parity(t["word"], gens) for t in terms}
         if len(parities) != 1:
             raise ValueError("relator terms have mixed parities")
@@ -292,7 +297,7 @@ class Presentation:
 
     def __post_init__(self):
         for w in self.relators:
-            word_parity(w, self.gens)  # validates shapes, labels and homogeneity
+            word_parity(w, self.gens)  # validates shapes, coefficients, labels and homogeneity
 
 
 @dataclass

@@ -89,6 +89,7 @@ from .algebras import (
     sub_space,
     subalgebra_on,
 )
+from .fields import MathError
 from .freelie import (
     MAX_DEGREE,
     Presentation,
@@ -113,14 +114,14 @@ from .tensor import (
 )
 
 
-class ComplexInconsistent(RuntimeError):
+class ComplexInconsistent(RuntimeError, MathError):
     """d.d != 0 or another identity of a construction fails: a
     construction bug.  A map that fails to descend to a quotient raises
     :class:`~superlie.linalg.ContainmentError` from
     :func:`~superlie.algebras.induced_map` instead."""
 
 
-class ClassExceeded(ValueError):
+class ClassExceeded(ValueError, MathError):
     """A presentation's relators cannot be evaluated in the chosen truncation."""
 
 

@@ -4,22 +4,29 @@ modules, and presentations.
 All coefficients are strings ("3/4", "5") so files stay exact in every
 field.  Unknown JSON fields are rejected outright: a silently ignored typo
 in a structure constant table is the worst possible failure mode.
+
+Reading an algebra file loads no more than :mod:`superlie.algebras`;
+the parsers of actions, crossed modules and presentations import
+:mod:`superlie.actions` and :mod:`superlie.freelie` when they run.
 """
 
 from __future__ import annotations
 
 import json
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from .actions import Action, CrossedModule
 from .algebras import AssocSuperAlgebra, LieSuperAlgebra
-from .fields import Field, FieldError
-from .freelie import GradedGenSet, Presentation
+from .fields import Field, FieldError, InputError
 from .linalg import Matrix, vec_clean
 from .spaces import GradedMap, SuperSpace
 
+if TYPE_CHECKING:
+    from .actions import Action, CrossedModule
+    from .freelie import Presentation
 
-class ParseError(ValueError):
+
+class ParseError(InputError):
     """A file fails to parse or validate against its schema."""
 
 
@@ -165,6 +172,8 @@ def algebra_to_json(alg: LieSuperAlgebra | AssocSuperAlgebra) -> dict:
 
 
 def parse_action(obj: dict, actor: LieSuperAlgebra, target: LieSuperAlgebra) -> Action:
+    from .actions import Action
+
     _require_keys(obj, {"actor", "target", "entries"}, set(), "action")
     if obj["actor"] != actor.name:
         raise ParseError(f"action actor {obj['actor']!r} does not match algebra {actor.name!r}")
@@ -247,6 +256,8 @@ def load_algebra(path: str | Path):
 def load_crossed(path: str | Path) -> CrossedModule:
     """A crossed module file references two algebra files (relative to its
     own directory) plus a boundary matrix and the action entries."""
+    from .actions import CrossedModule
+
     obj = load_json(path)
     _require_keys(obj, {"m", "p", "boundary", "action"}, set(), str(path))
     for key in ("m", "p"):
@@ -267,6 +278,8 @@ def load_crossed(path: str | Path) -> CrossedModule:
 
 
 def load_presentation(path: str | Path) -> Presentation:
+    from .freelie import GradedGenSet, Presentation
+
     obj = load_json(path)
     _require_keys(obj, {"name", "generators", "relators"}, set(), str(path))
     gens = []

@@ -44,14 +44,14 @@ from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from math import gcd, lcm
 
-from .fields import Field
+from .fields import Field, MathError
 
 
 class AmbientMismatch(ValueError):
     """Subspaces of different ambient dimensions were combined."""
 
 
-class ContainmentError(ValueError):
+class ContainmentError(ValueError, MathError):
     """A required subspace containment fails."""
 
 

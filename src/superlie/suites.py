@@ -1,19 +1,15 @@
 """Named verification batteries over the bundled corpus.
 
 Each suite returns a list of (check name, passed, detail) rows; the CLI
-prints one row per line, and the acceptance tests assert every row.
+prints one row per line, and the acceptance tests assert every row.  A
+suite imports the modules it computes with when it runs, so the command
+line starts without them.
 """
 
 from __future__ import annotations
 
-from .actions import (
-    Action,
-    CrossedModule,
-    adjoint_action,
-    identity_crossed,
-    supermodule_crossed,
-    trivial_action,
-)
+from typing import TYPE_CHECKING
+
 from .algebras import (
     LieSuperAlgebra,
     abelian,
@@ -23,28 +19,12 @@ from .algebras import (
     subalgebra_on,
 )
 from .corpus import assoc_algebra, lie_algebra
-from .cyclic import cyclic_sixterm, hc, hc1_kernel_model, milnor_hc1, connes
 from .fields import QQ
-from .freelie import Presentation, genset, miller_truncated_check
-from .homology import (
-    CrossedSES,
-    d3_lemma_check,
-    h2_via_exterior,
-    homology,
-    hopf_formula,
-    ideal_sixterm,
-    snake_sequence,
-)
 from .linalg import Subspace
 from .spaces import GradedMap, SuperSpace, format_dims
-from .tensor import (
-    adjoint_tensor_square,
-    nonabelian_tensor,
-    nilpotency_bounds_check,
-    tensor_symmetry_iso,
-    trivial_action_tensor,
-    uce,
-)
+
+if TYPE_CHECKING:
+    from .homology import CrossedSES
 
 Row = tuple[str, bool, str]
 
@@ -52,6 +32,9 @@ Row = tuple[str, bool, str]
 def _compatible_products():
     """Tensor products of corpus pairs with compatible actions: the adjoint
     squares, then products with trivial actions."""
+    from .actions import trivial_action
+    from .tensor import adjoint_tensor_square, nonabelian_tensor
+
     for name in ("heis", "gl11", "sl21", "sl30"):
         yield f"{name}(x){name} adjoint", adjoint_tensor_square(lie_algebra(name))
     for a, b in (("abelian11", "abelian21"), ("heis", "abelian10")):
@@ -61,6 +44,8 @@ def _compatible_products():
 
 
 def suite_tensor_props() -> list[Row]:
+    from .tensor import tensor_symmetry_iso, trivial_action_tensor
+
     rows: list[Row] = []
     for label, t in _compatible_products():
         # construction certifies annihilation, antisymmetry, Lie axioms, crossed modules
@@ -83,6 +68,9 @@ def _solvable2() -> LieSuperAlgebra:
 
 
 def suite_nil_bounds() -> list[Row]:
+    from .actions import adjoint_action, trivial_action
+    from .tensor import nilpotency_bounds_check
+
     rows: list[Row] = []
     cases = []
     for name in ("heis", "gl11"):
@@ -102,6 +90,9 @@ def suite_nil_bounds() -> list[Row]:
 
 
 def suite_uce() -> list[Row]:
+    from .homology import h2_via_exterior, homology
+    from .tensor import uce
+
     rows: list[Row] = []
     for name in ("sl21", "sl30"):
         P = lie_algebra(name)
@@ -115,6 +106,8 @@ def suite_uce() -> list[Row]:
 
 
 def suite_d3_lemma() -> list[Row]:
+    from .homology import d3_lemma_check
+
     rows: list[Row] = []
     for name in ("abelian21", "heis", "sl21", "gl11"):
         P = lie_algebra(name)
@@ -125,6 +118,9 @@ def suite_d3_lemma() -> list[Row]:
 
 
 def suite_hopf() -> list[Row]:
+    from .freelie import Presentation, genset
+    from .homology import homology, hopf_formula
+
     rows: list[Row] = []
     pres_heis = Presentation(genset([("x", 0), ("y", 0)]),
                              ([["x", "y"], "x"], [["x", "y"], "y"]))
@@ -144,6 +140,16 @@ def suite_hopf() -> list[Row]:
 
 def standard_crossed_ses() -> list[tuple[str, CrossedSES]]:
     """Three short exact sequences of crossed modules used by the snake suite."""
+    from .actions import (
+        Action,
+        CrossedModule,
+        adjoint_action,
+        identity_crossed,
+        supermodule_crossed,
+        trivial_action,
+    )
+    from .homology import CrossedSES
+
     out = []
     h = lie_algebra("heis")
     # (1) trivial coefficients 0 -> K -> K^2 -> K -> 0
@@ -195,6 +201,8 @@ def standard_crossed_ses() -> list[tuple[str, CrossedSES]]:
 
 
 def suite_snake() -> list[Row]:
+    from .homology import snake_sequence
+
     rows: list[Row] = []
     for label, ses in standard_crossed_ses():
         rep = snake_sequence(ses)
@@ -204,6 +212,8 @@ def suite_snake() -> list[Row]:
 
 
 def suite_cyclic_sixterm() -> list[Row]:
+    from .cyclic import cyclic_sixterm
+
     rows: list[Row] = []
     for name in ("q", "dual", "grassmann", "m11"):
         A = assoc_algebra(name)
@@ -216,6 +226,8 @@ def suite_cyclic_sixterm() -> list[Row]:
 
 
 def suite_final_sixterm() -> list[Row]:
+    from .homology import ideal_sixterm
+
     rows: list[Row] = []
     h = lie_algebra("heis")
     rep = ideal_sixterm(h, series(h).center)
@@ -230,6 +242,8 @@ def suite_final_sixterm() -> list[Row]:
 
 
 def suite_miller() -> list[Row]:
+    from .freelie import genset, miller_truncated_check
+
     rows: list[Row] = []
     gen_cases = [
         [("x", 0)], [("t", 1)],
@@ -247,6 +261,8 @@ def suite_miller() -> list[Row]:
 def suite_cyclic_crosspath() -> list[Row]:
     """HC_1 from the Connes complex against the kernel model, plus the
     Milnor comparison for supercommutative algebras."""
+    from .cyclic import connes, hc, hc1_kernel_model, milnor_hc1
+
     rows: list[Row] = []
     for name in ("q", "dual", "grassmann", "m11"):
         A = assoc_algebra(name)

@@ -63,7 +63,9 @@ A(x, B(y,z)), A(y, B(x,z)) and B(A(x,z), y), all in span(i) + span(iv).
 No division is used here.  In characteristic 3 the identity [x,[x,x]] = 0
 for odd x does not follow from graded Jacobi; family (v) never imposed it
 either, since its diagonal generator is three equal rotations and
-vanishes mod 3.
+vanishes mod 3.  The Lie-axiom certificate of the product checks it over
+F3 (:func:`~superlie.algebras.check_lie_axioms`), so a product without it
+raises :class:`BracketNotWellDefined` and is never returned.
 
 Weight blocks of the adjoint square.  For M = N = P with one adjoint
 action on both sides, mu(m(x)n) = nu(m(x)n) = [m, n].  Let h_1, ..., h_r
@@ -145,6 +147,7 @@ from .algebras import (
     subalgebra_on,
     abelianization,
 )
+from .fields import MathError
 from .linalg import (
     Echelon,
     Matrix,
@@ -155,11 +158,11 @@ from .linalg import (
 from .spaces import GradedMap, SuperSpace, tensor_space, tensor_vec
 
 
-class IncompatibleActions(ValueError):
+class IncompatibleActions(ValueError, MathError):
     """The mutual actions fail the compatibility identities."""
 
 
-class NotPerfect(ValueError):
+class NotPerfect(ValueError, MathError):
     """A universal central extension was requested for a non-perfect algebra."""
 
 

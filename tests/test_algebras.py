@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from oracles import explicit_matrix_bracket
@@ -262,3 +264,39 @@ def test_quotient_basis_labels_are_pinned(heis, m11):
     assert connes(m11, 2).coinvariants[2].space.labels[:4] == (
         "c2.0:E11(1)*E11(1)*E11(1)", "c2.1:E21(1)*E11(1)*E12(1)",
         "c2.2:E21(1)*E12(1)*E11(1)", "c2.3:E22(1)*E11(1)*E11(1)")
+
+
+def _odd_cube(field):
+    """a, c odd, e even, [a, a] = e, [e, a] = c: Jacobi holds on every basis
+    triple over F3, but [a, [a, a]] = [a, e] = -c."""
+    sp = superspace(field, [("a", 1), ("c", 1), ("e", 0)])
+    return LieSuperAlgebra(sp, {(0, 0): {2: 1}, (0, 2): {1: -1}}, name="cube")
+
+
+def test_odd_cube_fails_over_f3_and_jacobi_elsewhere():
+    rep = check_lie_axioms(_odd_cube(Field(3)))
+    assert not rep.ok
+    assert [(v.kind, v.witness, v.defect) for v in rep.violations] == [("odd-cube", (0,), {1: 2})]
+    for field, defect in ((QQ, {1: -3}), (Field(5), {1: 2}), (Field(7), {1: 4})):
+        rep = check_lie_axioms(_odd_cube(field))
+        assert [(v.kind, v.witness, v.defect) for v in rep.violations] == [
+            ("jacobi", (0, 0, 0), defect)]
+
+
+@pytest.mark.parametrize("build", [
+    lambda F: matrix_gl(1, 1, ground_assoc(F)),
+    lambda F: matrix_sl(2, 1, ground_assoc(F)).algebra,
+    lambda F: matrix_gl(1, 1, grassmann_line(F)),
+    lambda F: matrix_sl(2, 1, grassmann_line(F)).algebra,
+], ids=["gl11", "sl21", "gl11-L1", "sl21-L1"])
+def test_certified_f3_algebras_kill_every_odd_cube(build):
+    """The check on odd basis elements suffices: each certified algebra over
+    F3 has [x, [x, x]] = 0 for every odd x with coordinates in {0, 1, 2} on
+    up to three odd basis elements."""
+    L = build(Field(3))
+    assert check_lie_axioms(L).ok
+    odd = [i for i, p in enumerate(L.space.parities) if p == 1]
+    for support in itertools.combinations(odd, min(3, len(odd))):
+        for coeffs in itertools.product((1, 2), repeat=len(support)):
+            x = dict(zip(support, coeffs))
+            assert L.bracket(x, L.bracket(x, x)) == {}

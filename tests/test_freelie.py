@@ -205,3 +205,19 @@ def test_hopf_with_combination_relator():
     h = hopf_formula(Presentation(g, (rel,)), 2)
     chain = homology(h.presented, None, 2)
     assert h.dims == chain.dims
+
+
+@pytest.mark.parametrize("coeff, message", [
+    ("abc", "cannot parse scalar 'abc' over Q"),
+    (None, "relator coefficient must be a string or an integer: None"),
+    (True, "relator coefficient must be a string or an integer: True"),
+    ("1/0", "cannot parse scalar '1/0' over Q"),
+])
+def test_presentation_refuses_a_coefficient_that_is_not_rational(coeff, message):
+    with pytest.raises(ValueError, match=message):
+        Presentation(gs(("x", 0)), ({"sum": [{"coeff": coeff, "word": "x"}]},))
+
+
+def test_presentation_accepts_rational_coefficients():
+    for coeff in ("3/4", "-2", 5):
+        assert Presentation(gs(("x", 0)), ({"sum": [{"coeff": coeff, "word": "x"}]},))

@@ -3,8 +3,8 @@ repeated inside a function.
 
 A name bound by an import counts as used when the module reads it as a
 name (an attribute chain ``json.dumps`` reads ``json``) or lists it in
-``__all__``.  The package ``__init__`` imports to re-export, and
-``from __future__`` imports set compiler flags, so both are skipped.
+``__all__``.  ``from __future__`` imports set compiler flags, so they are
+skipped.
 
 A function-local ``from .m import ...`` belongs at the top of the file
 when the file already imports from ``.m`` there; a local import from a
@@ -33,15 +33,14 @@ def unused_imports(source: str) -> list[str]:
                 bound[alias.asname or alias.name] = node.lineno
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     for node in ast.walk(tree):
-        if (isinstance(node, ast.Assign)
+        if (isinstance(node, ast.Assign) and isinstance(node.value, (ast.List, ast.Tuple))
                 and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)):
             used |= {e.value for e in node.value.elts if isinstance(e, ast.Constant)}
     return [f"line {line}: {name}" for name, line in sorted(bound.items(), key=lambda kv: kv[1])
             if name not in used]
 
 
-@pytest.mark.parametrize("path", [p for p in FILES if p.name != "__init__.py"],
-                         ids=lambda p: f"{p.parent.name}/{p.name}")
+@pytest.mark.parametrize("path", FILES, ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_no_unused_import(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 
@@ -53,6 +52,7 @@ def test_no_unused_import(path):
     ("from __future__ import annotations\n", []),
     ("from a import b\n__all__ = ['b']\n", []),
     ("from a import T\ndef f(x: T) -> None: ...\n", []),
+    ("from a import b\n__all__ = sorted(NAMES)\n", ["line 1: b"]),
 ])
 def test_unused_imports_finder(source, found):
     assert unused_imports(source) == found

@@ -501,6 +501,26 @@ def test_cli_refuses_an_algebra_file_that_fails_its_axioms(tmp_path, command):
         assert rep["results"] == {"certified": False} and rep["status"] == "failed"
 
 
+ODD_CUBE_F3 = {  # a, c odd, e even, [a, a] = e, [e, a] = c: [a, [a, a]] = -c
+    "name": "oddcube", "kind": "lie", "field": {"kind": "Fp", "p": 3},
+    "basis": [["a", 1], ["c", 1], ["e", 0]],
+    "table": [{"left": "a", "right": "a", "value": [["e", "1"]]},
+              {"left": "a", "right": "e", "value": [["c", "-1"]]}],
+}
+
+
+@pytest.mark.parametrize("field, violation", [
+    ({"kind": "Fp", "p": 3}, "violation: odd-cube at (0,): defect {1: 2}"),
+    ({"kind": "Q"}, "violation: jacobi at (0, 0, 0): defect {1: -3}"),
+], ids=["F3", "Q"])
+def test_cli_check_refuses_the_odd_cube(tmp_path, field, violation):
+    p = tmp_path / "oddcube.json"
+    p.write_text(json.dumps({**ODD_CUBE_F3, "field": field}), encoding="utf-8")
+    r = run_cli("check", str(p))
+    assert r.returncode == 1
+    assert r.stdout.splitlines() == ["oddcube: NOT a Lie superalgebra", f"  {violation}"]
+
+
 def test_cli_homology_valid_module_file(tmp_path):
     # the adjoint module of heis: H0 = heis/[heis, heis] has dimension (2|0)
     p = _heis_module(tmp_path, "ad", [["x", 0], ["y", 0], ["z", 0]], [
@@ -581,9 +601,15 @@ def _crossed_with(**fields) -> dict:
     (("homology", "@heis", "--hopf"),
      {"name": "g", "generators": [["x", 1.0], ["y", False]], "relators": []},
      "generator must be [label, parity]"),
+    (("homology", "@heis", "--hopf"),
+     {"name": "g", "generators": [["x", 0]], "relators": [{"sum": [{"coeff": "abc", "word": "x"}]}]},
+     "cannot parse scalar 'abc' over Q"),
+    (("homology", "@heis", "--hopf"),
+     {"name": "g", "generators": [["x", 0]], "relators": [{"sum": [{"coeff": None, "word": "x"}]}]},
+     "relator coefficient must be a string or an integer: None"),
 ], ids=["modulus-abc", "modulus-5.9", "generators-5", "duplicate-generators", "sum-5",
         "sum-in-bracket", "sum-empty", "word-one-element", "crossed-m-5", "duplicate-boundary",
-        "basis-parity-true", "generator-parities-float-false"])
+        "basis-parity-true", "generator-parities-float-false", "coeff-abc", "coeff-none"])
 def test_cli_malformed_input_files_exit2(tmp_path, command, obj, message):
     p = tmp_path / "input.json"
     p.write_text(json.dumps(obj), encoding="utf-8")

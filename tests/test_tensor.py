@@ -131,8 +131,8 @@ def test_tensor_props_builds_each_adjoint_square_once(monkeypatch):
         calls.append(args)
         return build(*args)
 
+    # the suite reads tensor.nonabelian_tensor when it runs
     monkeypatch.setattr(tensor, "nonabelian_tensor", counting)
-    monkeypatch.setattr(suites, "nonabelian_tensor", counting)
     # fresh corpus objects, so no tensor memo survives from another test
     monkeypatch.setattr(suites, "lie_algebra", corpus.lie_algebra.__wrapped__)
     rows = suites.run_suite("tensor-props")
