@@ -1,5 +1,13 @@
 """Cyclic homology of associative superalgebras via the Connes complex.
 
+The homology of the Connes complex is H^lambda_n.  It equals the cyclic
+homology HC_n over Q, and over GF(p) for n <= p - 2 (Loday, Cyclic
+Homology, 2.1.5): row q of the cyclic bicomplex CC(A) computes the
+homology of Z/(q + 1) acting on A^{(x)(q+1)}, which is nonzero in positive
+degrees only if p divides q + 1.  Past that bound the two differ (for the
+dual numbers over F3, H^lambda_3 = 0 and HC_3 = 1), so :func:`hc` refuses
+n >= p - 1 over GF(p), and :meth:`ConnesComplex.homology` stays H^lambda_n.
+
 The Hochschild boundary and the signed cyclic operator are
 
   d'_n(a_0 (x) ... (x) a_n) = sum_{i<n} (-1)^i a_0 (x)...(x) a_i a_{i+1} (x)...(x) a_n
@@ -172,7 +180,8 @@ class ConnesComplex(Complex):
     """The Connes complex of A; its boundaries are the induced d_n.  The
     coinvariants are those of the weight-0 block (see the module
     docstring): C_n is the span of the block's basis tuples
-    ``plain_spaces[n]`` modulo Im(1 - t_n)."""
+    ``plain_spaces[n]`` modulo Im(1 - t_n).  Its homology is H^lambda_n,
+    which is HC_n over Q and, over GF(p), for n <= p - 2."""
 
     a: AssocSuperAlgebra
     plain_spaces: list[SuperSpace]           # the block of A^{(x)(n+1)}
@@ -308,7 +317,8 @@ def _induced_boundary(A: AssocSuperAlgebra, n: int, src: _Coinvariants,
 
 def connes(A: AssocSuperAlgebra, max_n: int = 2) -> ConnesComplex:
     """Coinvariant spaces of the weight-0 block and induced boundaries up
-    to degree max_n."""
+    to degree max_n: the complex whose homology is H^lambda_n, HC_n over Q
+    and, over GF(p), for n <= p - 2."""
     if max_n < 1:
         raise ValueError("the complex needs at least degree 1")
     # the weights of the non-central e with diagonal [e, -] (module docstring)
@@ -327,9 +337,15 @@ def connes(A: AssocSuperAlgebra, max_n: int = 2) -> ConnesComplex:
 
 def hc(A: AssocSuperAlgebra, n: int, complex_: ConnesComplex | None = None) -> QuotientSpace:
     """Cyclic homology HC_n from the Connes complex (built for A when given),
-    as :meth:`~superlie.homology.Complex.homology` returns it."""
+    as :meth:`~superlie.homology.Complex.homology` returns it.  Over GF(p)
+    a degree n >= p - 1 is refused: there the complex gives H^lambda_n,
+    which can differ from HC_n (module docstring)."""
     if n < 0:
         raise ValueError(f"no cyclic homology in negative degree {n}")
+    p = A.field.p
+    if p is not None and n >= p - 1:
+        raise ValueError(f"HC_{n} over F{p} is not computed: the Connes complex gives "
+                         f"H^lambda_{n}, which equals HC_{n} over F{p} only for n <= {p - 2}")
     if complex_ is None:
         complex_ = connes(A, n + 1)
     elif complex_.a is not A:

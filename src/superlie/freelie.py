@@ -1,22 +1,26 @@
 """Degree-truncated free Lie superalgebras and presentations.
 
-The free Lie superalgebra on a graded generating set embeds into its
+The free Lie superalgebra on a graded generating set V embeds into its
 tensor superalgebra in characteristic zero, so each degree component is
 realized as the span of left-normed supercommutators inside the tensor
 power, and the truncated bracket table is read off by echelon
-coordinates.  This linear realization is the production path; the
-magma-quotient construction lives in the test suite as an independent
-oracle for the component dimensions.
-"""
+coordinates.  The tensor powers are ``spaces.tensor_power_space(V, k)``,
+and [u, v] = u (x) v - (-1)^{|u||v|} v (x) u is written with
+``spaces.tensor_vec``, so their row-major index and their parities are
+the rules of :mod:`~superlie.spaces`; the field enters only through the
+:class:`~superlie.spaces.SuperSpace` V.  This linear realization is the
+production path; the magma-quotient construction lives in the test suite
+as an independent oracle for the component dimensions."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 
 from .algebras import LieSuperAlgebra
 from .fields import QQ, InputError, MathError
-from .linalg import Echelon, Subspace, vec_clean
-from .spaces import SuperSpace, superspace
+from .linalg import Echelon, Subspace, vec_axpy, vec_clean
+from .spaces import SuperSpace, superspace, tensor_power_space, tensor_vec
 
 
 class DegreeOverflow(ValueError, MathError):
@@ -125,59 +129,37 @@ class FreeTruncation:
             raise TruncationOutOfRange(f"degree must be between 1 and {MAX_DEGREE}")
         self.gens = gens
         self.max_degree = max_degree
-        self.field = field = QQ
         self._algebra = None
-        g = gens.count
-        self.gen_space = superspace(field, list(gens.generators))
-        # tensor-power parities: degree-k slot index is a base-g numeral
-        self._tensor_parity: list[list[int]] = [[]]
-        for k in range(1, max_degree + 1):
-            pars = []
-            for idx in range(g ** k):
-                total = 0
-                rest = idx
-                for _ in range(k):
-                    total += gens.generators[rest % g][1]
-                    rest //= g
-                pars.append(total % 2)
-            self._tensor_parity.append(pars)
+        # V^{(x) k} for k = 0..max_degree, in the row-major basis of
+        # spaces.tensor_space; V is labelled by generator position, since
+        # labels such as "a*b" could make two tensor labels coincide
+        V = superspace(QQ, [(str(i), p) for i, (_, p) in enumerate(gens.generators)])
+        self.field = field = V.field
+        self.powers = [tensor_power_space(V, k) for k in range(max_degree + 1)]
         # degree components inside V^{(x) k}: spans of left-normed commutators
         self.components: list[Subspace] = [Subspace(field, 1, [])]
-        deg1 = [( {i: 1}, gens.generators[i][1]) for i in range(g)]
-        comp1 = Echelon(field, g)
-        for v, _ in deg1:
-            comp1.insert(v)
-        self.components.append(comp1.subspace())
+        deg1 = [({i: 1}, p) for i, p in enumerate(V.parities)]
+        self.components.append(Subspace.full(field, V.dim))
         prev = deg1  # (vector in V^{(x)(k-1)}, parity)
         for k in range(2, max_degree + 1):
-            acc = Echelon(field, g ** k)
+            acc = Echelon(field, self.powers[k].dim)
             new_vs = []
             for w, pw in prev:
-                for i in range(g):
-                    pg = gens.generators[i][1]
-                    v = self._supercommutator(w, pw, {i: 1}, pg, k - 1, 1)
-                    if v and acc.insert(v):
-                        new_vs.append((v, (pw + pg) % 2))
+                for v, pg in deg1:
+                    c = self._supercommutator(w, pw, v, pg, k - 1, 1)
+                    if c and acc.insert(c):
+                        new_vs.append((c, (pw + pg) % 2))
             self.components.append(acc.subspace())
             prev = new_vs
+        # the basis of the truncated algebra: degree k starts at offsets[k]
+        self.offsets = [0, *accumulate(c.dim for c in self.components)]
 
     def _supercommutator(self, u: dict, pu: int, v: dict, pv: int, du: int, dv: int) -> dict:
         """[u, v] = u(x)v - (-1)^{|u||v|} v(x)u inside V^{(x)(du+dv)}."""
-        g = self.gens.count
-        shift_u = g ** dv
-        shift_v = g ** du
-        out: dict = {}
-        for a, ca in u.items():
-            for b, cb in v.items():
-                c = ca * cb
-                if c == 0:
-                    continue
-                k1 = a * shift_u + b
-                out[k1] = out.get(k1, 0) + c
-                k2 = b * shift_v + a
-                s = -1 if not (pu * pv) else 1
-                out[k2] = out.get(k2, 0) + s * c
-        return vec_clean(out)
+        P = self.powers
+        out = tensor_vec(P[du], P[dv], u, v)
+        vec_axpy(out, 1 if pu * pv else -1, tensor_vec(P[dv], P[du], v, u))
+        return out
 
     def dims(self) -> list[int]:
         """Component dimensions for degrees 1..max_degree."""
@@ -185,54 +167,37 @@ class FreeTruncation:
 
     # -- the truncated algebra -----------------------------------------
 
-    def degree_offset(self, k: int) -> int:
-        return sum(self.components[d].dim for d in range(1, k))
-
     def algebra(self) -> LieSuperAlgebra:
         """The free nilpotent quotient of class max_degree (memoized)."""
         if self._algebra is not None:
             return self._algebra
-        field = self.field
         labels: list[str] = []
         parities: list[int] = []
-        basis_info: list[tuple[int, int]] = []  # (degree, index within component)
+        basis: list[tuple[int, dict]] = []  # (degree, vector in V^{(x) degree})
         for k in range(1, self.max_degree + 1):
-            comp = self.components[k]
-            for t, row in enumerate(comp.rows):
-                par = self._tensor_parity[k][min(row)]
-                if k == 1:
-                    labels.append(self.gens.generators[t][0])
-                else:
-                    labels.append(f"w{k}.{t}")
-                parities.append(par)
-                basis_info.append((k, t))
-        sp = SuperSpace(field, tuple(labels), tuple(parities))
+            for t, row in enumerate(self.components[k].rows):
+                labels.append(self.gens.generators[t][0] if k == 1 else f"w{k}.{t}")
+                parities.append(self.powers[k].parities[min(row)])
+                basis.append((k, row))
         # not LieSuperAlgebra.from_bracket: the pairs above the class bound
         # are pruned here before any work, and a call per pair would add up
-        # over the tens of thousands of pairs of a class-4 cover
+        # over the tens of thousands of pairs of a class-5 cover; the
+        # constructor drops the zero brackets
         table: dict[tuple[int, int], dict] = {}
-        n = len(labels)
-        for a in range(n):
-            ka, ta = basis_info[a]
-            row_a = self.components[ka].rows[ta]
-            pa = parities[a]
-            for b in range(a, n):
-                kb, tb = basis_info[b]
-                if a == b and parities[a] == 0:
-                    continue
+        for a, (ka, row_a) in enumerate(basis):
+            for b in range(a + 1 - parities[a], len(basis)):
+                kb, row_b = basis[b]
                 k = ka + kb
                 if k > self.max_degree:
-                    continue
-                row_b = self.components[kb].rows[tb]
-                prod = self._supercommutator(row_a, pa, row_b, parities[b], ka, kb)
+                    break  # the basis is in degree order
+                prod = self._supercommutator(row_a, parities[a], row_b, parities[b], ka, kb)
                 coords = self.components[k].coords(prod)
                 if coords is None:
                     raise RuntimeError("free component is not closed under brackets")
-                off = self.degree_offset(k)
-                v = {off + i: c for i, c in coords.items()}
-                if v:
-                    table[(a, b)] = v
+                off = self.offsets[k]
+                table[(a, b)] = {off + i: c for i, c in coords.items()}
         name = f"free({','.join(l for l, _ in self.gens.generators)};c{self.max_degree})"
+        sp = SuperSpace(self.field, tuple(labels), tuple(parities))
         self._algebra = LieSuperAlgebra(sp, table, name=name)
         return self._algebra
 
@@ -275,7 +240,7 @@ class FreeTruncation:
         coords = self.components[k].coords(v)
         if coords is None:
             raise RuntimeError("word evaluates outside its free component")
-        off = self.degree_offset(k)
+        off = self.offsets[k]
         return {off + i: c for i, c in coords.items()}
 
 
@@ -318,11 +283,5 @@ def miller_truncated_check(gens: GradedGenSet, c: int) -> MillerReport:
 
     trunc = free_truncated(gens, c + 1)
     kernel_dims = h2_via_exterior(FreeTruncation(gens, c).algebra()).dims
-    top = trunc.components[c + 1]
-    d0 = d1 = 0
-    for row in top.rows:
-        if trunc._tensor_parity[c + 1][min(row)] == 0:
-            d0 += 1
-        else:
-            d1 += 1
-    return MillerReport(kernel_dims == (d0, d1), kernel_dims, (d0, d1), c)
+    top = trunc.powers[c + 1].split_dims(trunc.components[c + 1].rows)
+    return MillerReport(kernel_dims == top, kernel_dims, top, c)

@@ -435,7 +435,7 @@ def hopf_formula(pres: Presentation, class_bound: int) -> HopfResult:
             )
         rel_vecs.append(trunc.word_to_algebra_vec(w))
     # R contains gamma_{c+1}: the top-degree component of the cover
-    off = trunc.degree_offset(class_bound + 1)
+    off = trunc.offsets[class_bound + 1]
     gamma_top = [{i: 1} for i in range(off, cover.dim)]
     R = ideal_closure(cover, rel_vecs + gamma_top)
     full = cover.full_subspace()

@@ -479,45 +479,27 @@ def nonabelian_exterior(t: TensorProduct, cm_m: CrossedModule,
     if cm_m.m is not t.m or cm_n.m is not t.n:
         raise CrossedModuleMismatch("crossed modules do not match the tensor factors")
     M, N = t.m, t.n
-    dm, dn = M.dim, N.dim
-    field = M.field
+    dm, field = M.dim, M.field
     # pullback X = {(m, n) : dM(m) = dN(n)} inside M + N
-    cols = []
-    for i in range(dm):
-        cols.append(cm_m.boundary.matrix.cols[i])
-    for j in range(dn):
-        cols.append(vec_scale(cm_n.boundary.matrix.cols[j], -1))
-    pullback = Matrix(field, cm_m.p.dim, cols).kernel_basis()
+    cols = cm_m.boundary.matrix.cols + [vec_scale(c, -1) for c in cm_n.boundary.matrix.cols]
+    rows = Matrix(field, cm_m.p.dim, cols).kernel_basis().rows
+    m_plus_n = SuperSpace(field, tuple(f"m.{l}" for l in M.space.labels)
+                          + tuple(f"n.{l}" for l in N.space.labels),
+                          M.space.parities + N.space.parities)
+    parity_of = [m_plus_n.parity_of_vec(r) for r in rows]
+    if None in parity_of:
+        raise CrossedModuleMismatch("pullback basis is not homogeneous")
+    part_m = [{k: c for k, c in r.items() if k < dm} for r in rows]
+    part_n = [{k - dm: c for k, c in r.items() if k >= dm} for r in rows]
 
-    def part_m(row: dict) -> dict:
-        return {k: c for k, c in row.items() if k < dm}
-
-    def part_n(row: dict) -> dict:
-        return {k - dm: c for k, c in row.items() if k >= dm}
-
-    parity_of = []
-    for row in pullback.rows:
-        par = None
-        for k in row:
-            p = M.space.parities[k] if k < dm else N.space.parities[k - dm]
-            if par is None:
-                par = p
-            elif par != p:
-                raise CrossedModuleMismatch("pullback basis is not homogeneous")
-        parity_of.append(par or 0)
-
+    # m_a (x) n_b + (-1)^{|a||b|} m_b (x) n_a over the pullback rows a <= b:
+    # twice m_a (x) n_a for an even a = b, and 0 for an odd one, left out
     gens = []
-    rows = pullback.rows
     for a in range(len(rows)):
-        for b in range(a, len(rows)):
-            u, v = rows[a], rows[b]
-            g = tensor_vec(M.space, N.space, part_m(u), part_n(v))
+        for b in range(a + parity_of[a], len(rows)):
+            g = tensor_vec(M.space, N.space, part_m[a], part_n[b])
             sgn = -1 if parity_of[a] * parity_of[b] else 1
-            vec_axpy(g, sgn, tensor_vec(M.space, N.space, part_m(v), part_n(u)))
-            if g:
-                gens.append(g)
-        if parity_of[a] == 0:
-            g = tensor_vec(M.space, N.space, part_m(rows[a]), part_n(rows[a]))
+            vec_axpy(g, sgn, tensor_vec(M.space, N.space, part_m[b], part_n[a]))
             if g:
                 gens.append(g)
     square_rows = [t.quotient.reduce(g) for g in gens]

@@ -15,7 +15,7 @@ from superlie.cyclic import (
     milnor_hc1,
     v_algebra,
 )
-from superlie.fields import QQ
+from superlie.fields import QQ, Field
 from superlie.linalg import vec_clean
 
 
@@ -42,6 +42,32 @@ def test_negative_degree_is_refused(algebras):
         with pytest.raises(IndexError, match=f"no boundary at degree {n}"):
             cx.boundary(n)
     assert [cx.boundary(n).source is cx.coinvariants[n].space for n in (1, 2)] == [True, True]
+
+
+def test_hc_refuses_degrees_past_p_minus_2_over_gf_p():
+    """The Connes complex gives H^lambda_n, which is HC_n over GF(p) only for
+    n <= p - 2: for the dual numbers over F3 it reads H^lambda_3 = 0 where
+    the total complex of CC(A) gives HC_3 = 1.  hc refuses those degrees,
+    with a built complex too; the complex's own homology stays H^lambda."""
+    A3 = dual_numbers(Field(3))
+    cx = connes(A3, 4)
+    assert [hc(A3, n, cx).dims for n in (0, 1)] == [(2, 0), (0, 0)]
+    for n in (2, 3):
+        for args in ((), (cx,)):
+            with pytest.raises(ValueError, match=rf"H\^lambda_{n}, which equals HC_{n} over F3 "
+                                                 r"only for n <= 1"):
+                hc(A3, n, *args)
+    assert cx.homology(3).dims == (0, 0)
+    A5 = dual_numbers(Field(5))
+    assert hc(A5, 3).dims == (0, 0)
+    with pytest.raises(ValueError, match=r"H\^lambda_4"):
+        hc(A5, 4)
+
+
+def test_hc_over_q_reaches_every_degree(algebras):
+    A = algebras["dual"]
+    cx = connes(A, 5)
+    assert [hc(A, n, cx).dims for n in range(5)] == [(2, 0), (0, 0), (2, 0), (0, 0), (2, 0)]
 
 
 def test_hc_builds_the_complex_to_degree_n_plus_one(algebras, monkeypatch):

@@ -1,3 +1,5 @@
+from math import comb
+
 import pytest
 
 from oracles import evaluate_relator, magma_quotient_dims
@@ -44,6 +46,57 @@ def test_dims_match_magma_oracle_all_mixes():
             lin = free_truncated(gens, 4).dims()
             oracle = magma_quotient_dims(parities, 4)
             assert lin == oracle, (parities, lin, oracle)
+
+
+def super_witt_dims(even: int, odd: int, top: int) -> dict[tuple[int, int], int]:
+    """The dimensions d_ij, i + j <= top, of the components of the free Lie
+    superalgebra with i even and j odd generator letters, solved degree by
+    degree from the PBW identity
+    1/(1 - even x - odd y) = prod_{j odd} (1 + x^i y^j)^{d_ij} / prod_{j even} (1 - x^i y^j)^{d_ij}
+    (Bahturin-Mikhalev-Petrogradsky-Zaicev, Infinite-Dimensional Lie
+    Superalgebras, 1992): the left side counts the words, and a factor of
+    total degree n adds d_ij x^i y^j and otherwise only terms of degree
+    2n or more."""
+    d: dict[tuple[int, int], int] = {}
+    series = {(0, 0): 1}  # the product of the factors of total degree < n
+    for n in range(1, top + 1):
+        new = [(i, n - i) for i in range(n + 1)]
+        for i, j in new:
+            d[i, j] = comb(n, i) * even ** i * odd ** j - series.get((i, j), 0)
+        for i, j in new:
+            # (1 + t)^d or 1/(1 - t)^d with t = x^i y^j, to total degree top
+            coeffs = [comb(d[i, j], k) if j % 2 else comb(d[i, j] + k - 1, k) if k else 1
+                      for k in range(top // n + 1)]
+            out: dict[tuple[int, int], int] = {}
+            for (u, v), c in series.items():
+                for k, ck in enumerate(coeffs):
+                    if u + v + k * n <= top:
+                        key = (u + k * i, v + k * j)
+                        out[key] = out.get(key, 0) + c * ck
+            series = out
+    return d
+
+
+def test_super_witt_dims_from_pbw():
+    """The (even|odd) split of every component of degree <= 5, read through
+    the parities of the truncated algebra, is the super-Witt count: the
+    component of degree k is the sum of the d_ij with i + j = k, even for
+    even j."""
+    for gens in range(1, 5):
+        for odd in range(gens + 1):
+            parities = [0] * (gens - odd) + [1] * odd
+            F = free_truncated(genset([(f"g{i}", p) for i, p in enumerate(parities)]), 5)
+            par = F.algebra().space.parities
+            d = super_witt_dims(gens - odd, odd, 5)
+            for k in range(1, 6):
+                block = par[F.offsets[k]:F.offsets[k + 1]]
+                want = tuple(sum(d[i, k - i] for i in range(k + 1) if (k - i) % 2 == p)
+                             for p in (0, 1))
+                assert (block.count(0), block.count(1)) == want, (parities, k)
+    assert super_witt_dims(3, 1, 5)[5, 0] == 48  # Witt(3, 5)
+    F = free_truncated(gs(("x", 0), ("y", 0), ("z", 0), ("t", 1)), 5)
+    top = F.algebra().space.parities[F.offsets[5]:]
+    assert (top.count(0), top.count(1)) == (105, 99)
 
 
 def test_free_nilpotent_class2_is_heisenberg():
@@ -126,6 +179,15 @@ def test_miller_all_small_cases():
         for c in (1, 2, 3):
             rep = miller_truncated_check(genset(gens), c)
             assert rep.ok, (gens, c, rep)
+
+
+def test_generator_labels_may_contain_the_tensor_separator():
+    """The tensor powers are labelled by generator position: with labels
+    "a", "b*c", "a*b" and "c", the labels a*(b*c) and (a*b)*c would
+    coincide."""
+    F = free_truncated(gs(("a", 0), ("b*c", 0), ("a*b", 0), ("c", 0)), 2)
+    assert F.dims() == [4, 6]
+    assert F.algebra().space.labels[:4] == ("a", "b*c", "a*b", "c")
 
 
 def test_presentation_validates_labels():

@@ -538,19 +538,25 @@ def test_ideal_sixterm_with_odd_terms(gl11):
     assert rep.dims[5][0] + rep.dims[5][1] >= 1
 
 
-def test_exterior_symmetry(gl11):
-    """The tensor symmetry isomorphism descends to M^N = N^M."""
-    from superlie.actions import crossed_pullback_actions, ideal_crossed, identity_crossed
+def exterior_symmetry_dims(P: LieSuperAlgebra, ideals: bool):
+    """Check that the tensor symmetry isomorphism descends to M^N = N^M, for
+    M = [P, P] and N = P, or with ``ideals`` for M and N two copies of the
+    ideal [P, P]; returns the dims of M (x) N and of M ^ N."""
+    from superlie.actions import crossed_pullback_actions, ideal_crossed, pullback_action
     from superlie.algebras import subalgebra_on
-    from superlie.linalg import vec_clean
+    from superlie.linalg import Matrix, vec_clean
     from superlie.tensor import nonabelian_exterior, nonabelian_tensor, tensor_symmetry_iso
 
-    slpart = gl11.product_subspace(gl11.full_subspace(), gl11.full_subspace())
-    mview = subalgebra_on(gl11, slpart, name="sl")
-    cm_p = identity_crossed(gl11)
-    cm_m = ideal_crossed(gl11, mview)
-    act_pm, act_mp = crossed_pullback_actions(cm_m)
-    t_pm = nonabelian_tensor(gl11, mview.algebra, act_pm, act_mp)
+    slpart = P.product_subspace(P.full_subspace(), P.full_subspace())
+    cm_m = ideal_crossed(P, subalgebra_on(P, slpart, name="sl"))
+    if ideals:
+        cm_p = ideal_crossed(P, subalgebra_on(P, slpart, name="sl'"))
+        t_pm = nonabelian_tensor(cm_p.m, cm_m.m,
+                                 pullback_action(cm_m.action, cm_p.m, cm_p.boundary),
+                                 pullback_action(cm_p.action, cm_m.m, cm_m.boundary))
+    else:
+        cm_p = identity_crossed(P)
+        t_pm = nonabelian_tensor(P, cm_m.m, *crossed_pullback_actions(cm_m))
     e_pm = nonabelian_exterior(t_pm, cm_p, cm_m)
     iso, t_mp = tensor_symmetry_iso(t_pm)
     e_mp = nonabelian_exterior(t_mp, cm_m, cm_p)
@@ -559,7 +565,19 @@ def test_exterior_symmetry(gl11):
     for r in e_pm.square.rows:
         assert e_mp.square.contains_vec(iso.apply(r))
     cols = [vec_clean(e_mp.projection.apply(iso.apply(s))) for s in e_pm.projection.quotient.section]
-    from superlie.linalg import Matrix
-
-    descended = Matrix(gl11.field, e_mp.algebra.dim, cols)
+    descended = Matrix(P.field, e_mp.algebra.dim, cols)
     assert descended.rank() == e_pm.algebra.dim == e_mp.algebra.dim
+    return t_pm.algebra.space.dim_pair, e_pm.algebra.space.dim_pair
+
+
+def test_exterior_symmetry(gl11):
+    assert exterior_symmetry_dims(gl11, ideals=False) == ((1, 2), (1, 2))
+
+
+@pytest.mark.parametrize("p", [None, 5])
+def test_exterior_symmetry_with_odd_pullback(p):
+    """M and N are both sl(1|1) inside gl(1|1): both have odd elements, and
+    so has the pullback, whose odd pairs enter the square ideal with the
+    sign (-1)^{|a||b|} = -1."""
+    P = matrix_gl(1, 1, ground_assoc(Field(p)))
+    assert exterior_symmetry_dims(P, ideals=True) == ((4, 0), (3, 0))
