@@ -156,7 +156,7 @@ class LieSuperAlgebra:
         self._exterior_square = None
 
     @classmethod
-    def from_bracket(cls, space: SuperSpace, bracket, name: str = "") -> "LieSuperAlgebra":
+    def from_bracket(cls, space: SuperSpace, bracket, name: str) -> "LieSuperAlgebra":
         """The algebra on ``space`` whose structure constants are
         ``bracket(a, b)`` on basis indices, evaluated on the stored pairs
         only (a < b, and a = b for odd a); the zero values are dropped."""
@@ -882,6 +882,17 @@ def hom_defects(f: GradedMap, src: LieSuperAlgebra, dst: LieSuperAlgebra, ops=No
     ops = range(src.dim) if ops is None else ops
     return intertwining_defects(src.field, cols, src.bracket_index(),
                                 {i: _spread(cols[i], index) for i in ops}, ops)
+
+
+def iso_fault(f: GradedMap, src: LieSuperAlgebra, dst: LieSuperAlgebra) -> str | None:
+    """Why f: src -> dst is not an isomorphism of Lie superalgebras, the
+    first bracket it breaks in the order of :func:`hom_defects`, or None
+    when it is one."""
+    if src.dim != dst.dim or f.matrix.rank() != src.dim:
+        return "map is not bijective"
+    for a, b, _ in hom_defects(f, src, dst):
+        return f"bracket mismatch at ({a},{b})"
+    return None
 
 
 def quotient_algebra(L: LieSuperAlgebra, I: Subspace, name: str = "") -> tuple[LieSuperAlgebra, Projection]:

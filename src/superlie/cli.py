@@ -43,19 +43,21 @@ def resolve_path(arg: str) -> Path:
     return Path(arg)
 
 
-def _digest(path: Path) -> str:
-    import hashlib  # only the commands that read input files digest them
-
-    return hashlib.sha256(path.read_bytes()).hexdigest()[:16]
-
-
 class Report:
-    def __init__(self, command: str):
+    def __init__(self, command: str, out: str):
         self.data: dict = {"command": command, "inputs": {}, "results": {}, "status": "ok"}
         self.lines: list[str] = []
+        self.out = out
 
-    def add_input(self, path: Path):
-        self.data["inputs"][str(path)] = _digest(path)
+    def read(self, arg: str, load):
+        """``load`` of the file that ``arg`` names (``@name`` for a bundled
+        one), recorded among the inputs with its digest."""
+        import hashlib  # only the commands that read input files digest them
+
+        path = resolve_path(arg)
+        value = load(path)
+        self.data["inputs"][str(path)] = hashlib.sha256(path.read_bytes()).hexdigest()[:16]
+        return value
 
     def line(self, text: str):
         self.lines.append(text)
@@ -63,15 +65,15 @@ class Report:
     def result(self, key: str, value):
         self.data["results"][key] = value
 
-    def refuse(self, out: str, key: str, message: str, cert) -> int:
+    def refuse(self, key: str, message: str, cert) -> int:
         """Report the first violation of a failed certificate and exit 1."""
         self.line(f"{message}: {cert.violations[0]}")
         self.result(key, False)
-        return self.emit(out, 1)
+        return self.emit(1)
 
-    def emit(self, out: str, status_code: int) -> int:
+    def emit(self, status_code: int) -> int:
         self.data["status"] = {0: "ok", 1: "failed", 2: "input-error"}[status_code]
-        if out == "json":
+        if self.out == "json":
             sys.stdout.write(dumps_canonical(self.data))
         else:
             for l in self.lines:
@@ -84,7 +86,7 @@ def _axioms(alg):
     return check_lie_axioms(alg) if isinstance(alg, LieSuperAlgebra) else check_assoc_axioms(alg)
 
 
-def _refuse_uncertified(rep: Report, out: str, *algebras) -> int | None:
+def _refuse_uncertified(rep: Report, *algebras) -> int | None:
     """Refuse, with exit 1 and the first violation, the first algebra that
     fails its axioms; None when all pass.  An algebra given twice is
     checked once."""
@@ -92,15 +94,13 @@ def _refuse_uncertified(rep: Report, out: str, *algebras) -> int | None:
         cert = _axioms(alg)
         if not cert.ok:
             kind = "a Lie superalgebra" if isinstance(alg, LieSuperAlgebra) else "associative"
-            return rep.refuse(out, "certified", f"{alg.name}: NOT {kind}", cert)
+            return rep.refuse("certified", f"{alg.name}: NOT {kind}", cert)
     return None
 
 
 def cmd_check(args) -> int:
-    rep = Report("check")
-    path = resolve_path(args.path)
-    alg = load_algebra(path)
-    rep.add_input(path)
+    rep = Report("check", args.out)
+    alg = rep.read(args.path, load_algebra)
     lie = isinstance(alg, LieSuperAlgebra)
     cert = _axioms(alg)
     rep.result("kind", "lie" if lie else "assoc")
@@ -111,7 +111,7 @@ def cmd_check(args) -> int:
         rep.line(f"{alg.name}: NOT {'a Lie superalgebra' if lie else 'associative'}")
         for v in cert.violations[:8]:
             rep.line(f"  violation: {v}")
-        return rep.emit(args.out, 1)
+        return rep.emit(1)
     if lie:
         s = series(alg)
         cls = "perfect" if s.is_perfect else (
@@ -130,7 +130,7 @@ def cmd_check(args) -> int:
             bits.append("supercommutative")
         rep.result("properties", bits)
         rep.line(f"{alg.name}: {', '.join(bits)}, dim {alg.space}")
-    return rep.emit(args.out, 0)
+    return rep.emit(0)
 
 
 def _load_lie(path: Path) -> LieSuperAlgebra:
@@ -150,37 +150,29 @@ def cmd_tensor(args) -> int:
         raise ParseError("--exterior is supported for the self tensor square (--adjoint)")
     if not (args.adjoint or args.trivial or (args.act_mn and args.act_nm)):
         raise ParseError("provide --act-mn and --act-nm, or --adjoint / --trivial")
-    rep = Report("tensor")
-    path_m = resolve_path(args.m)
-    path_n = resolve_path(args.n)
-    M = _load_lie(path_m)
-    N = _load_lie(path_n)
+    rep = Report("tensor", args.out)
+    M = rep.read(args.m, _load_lie)
+    N = rep.read(args.n, _load_lie)
     if M.field != N.field:
         raise ParseError(f"field mismatch: {M.field} vs {N.field}")
-    rep.add_input(path_m)
-    rep.add_input(path_n)
     if args.adjoint:
         if algebra_fingerprint(M) != algebra_fingerprint(N):
             raise ParseError("--adjoint requires the same algebra on both sides")
         N = M
-    if (code := _refuse_uncertified(rep, args.out, M, N)) is not None:
+    if (code := _refuse_uncertified(rep, M, N)) is not None:
         return code
     if args.trivial:
         amn, anm = trivial_action(M, N), trivial_action(N, M)
     elif not args.adjoint:
-        pa, pb = resolve_path(args.act_mn), resolve_path(args.act_nm)
-        amn = parse_action(load_json(pa), M, N)
-        anm = parse_action(load_json(pb), N, M)
-        rep.add_input(pa)
-        rep.add_input(pb)
+        amn = parse_action(rep.read(args.act_mn, load_json), M, N)
+        anm = parse_action(rep.read(args.act_nm, load_json), N, M)
         for a, label in ((amn, "M on N"), (anm, "N on M")):
             cert = check_action(a)
             if not cert.ok:
-                return rep.refuse(args.out, "action_valid", f"action {label} fails its axioms",
-                                  cert)
+                return rep.refuse("action_valid", f"action {label} fails its axioms", cert)
         cert = check_compatible(amn, anm)
         if not cert.ok:
-            return rep.refuse(args.out, "compatible", "actions are not compatible", cert)
+            return rep.refuse("compatible", "actions are not compatible", cert)
     t = adjoint_tensor_square(M) if args.adjoint else nonabelian_tensor(M, N, amn, anm)
     dims = t.algebra.space.dim_pair
     im_mu, im_nu = M.space.split_dims(t.im_mu.rows), N.space.split_dims(t.im_nu.rows)
@@ -205,7 +197,7 @@ def cmd_tensor(args) -> int:
         ce = uce(M)
         rep.result("uce_kernel", ce.kernel_dims)
         rep.line(f"universal central extension kernel (= H2): dim {format_dims(ce.kernel_dims)}")
-    return rep.emit(args.out, 0)
+    return rep.emit(0)
 
 
 def algebra_fingerprint(alg) -> tuple:
@@ -217,20 +209,18 @@ def cmd_homology(args) -> int:
     from .actions import check_action, check_crossed, identity_crossed
     from .homology import ce_complex, homology, hopf_formula, nh, trivial_module
 
-    rep = Report("homology")
-    path = resolve_path(args.path)
-    P = _load_lie(path)
-    rep.add_input(path)
-    if (code := _refuse_uncertified(rep, args.out, P)) is not None:
+    if args.class_bound is not None and not args.hopf:
+        raise ParseError("--class is the class bound of --hopf, which is not given")
+    rep = Report("homology", args.out)
+    P = rep.read(args.path, _load_lie)
+    if (code := _refuse_uncertified(rep, P)) is not None:
         return code
     module = trivial_module(P)
     if args.module:
-        mp = resolve_path(args.module)
-        module = parse_module(load_json(mp), P)
-        rep.add_input(mp)
+        module = parse_module(rep.read(args.module, load_json), P)
         cert = check_action(module)
         if not cert.ok:
-            return rep.refuse(args.out, "module_valid", "module fails its axioms", cert)
+            return rep.refuse("module_valid", "module fails its axioms", cert)
     max_n = args.degree
     if max_n < 0:
         raise ParseError(f"--degree must be non-negative, got {max_n}")
@@ -243,10 +233,8 @@ def cmd_homology(args) -> int:
     rep.result("homology", dims_table)
     status = 0
     if args.hopf:
-        hp = resolve_path(args.hopf)
-        pres = load_presentation(hp)
-        rep.add_input(hp)
-        hres = hopf_formula(pres, args.class_bound)
+        pres = rep.read(args.hopf, load_presentation)
+        hres = hopf_formula(pres, 2 if args.class_bound is None else args.class_bound)
         chain = homology(hres.presented, None, 2)
         agree = hres.dims == chain.dims
         rep.result("hopf", {"formula": hres.dims, "chain": chain.dims, "agree": agree})
@@ -258,34 +246,29 @@ def cmd_homology(args) -> int:
         if args.nonabelian == "identity":
             cm = identity_crossed(P)
         else:
-            cp = resolve_path(args.nonabelian)
-            cm = load_crossed(cp)
-            rep.add_input(cp)
+            cm = rep.read(args.nonabelian, load_crossed)
             if algebra_fingerprint(cm.p) != algebra_fingerprint(P):
-                raise ParseError(f"crossed module {cp} is over {cm.p.name!r} ({cm.p.field}), "
-                                 f"not over {P.name!r} ({P.field})")
+                raise ParseError(f"crossed module {args.nonabelian} is over {cm.p.name!r} "
+                                 f"({cm.p.field}), not over {P.name!r} ({P.field})")
             cert = check_crossed(cm)
             if not cert.ok:
-                return rep.refuse(args.out, "crossed_valid", "crossed module fails its axioms",
-                                  cert)
+                return rep.refuse("crossed_valid", "crossed module fails its axioms", cert)
         # cm.p is P, or the same algebra parsed again from the crossed module's file
         r = nh(cm.p, cm)
         rep.result("nh0", r.nh0.dims)
         rep.result("nh1", r.nh1.dims)
         rep.line(f"nh0: dim {format_dims(r.nh0.dims)}   nh1: dim {format_dims(r.nh1.dims)}")
-    return rep.emit(args.out, status)
+    return rep.emit(status)
 
 
 def cmd_cyclic(args) -> int:
     from .cyclic import NotUnital, connes, cyclic_sixterm, hc, hc1_kernel_model, milnor_hc1
 
-    rep = Report("cyclic")
-    path = resolve_path(args.path)
-    A = load_algebra(path)
-    rep.add_input(path)
+    rep = Report("cyclic", args.out)
+    A = rep.read(args.path, load_algebra)
     if not isinstance(A, AssocSuperAlgebra):
-        raise ParseError(f"{path} is not an associative superalgebra file")
-    if (code := _refuse_uncertified(rep, args.out, A)) is not None:
+        raise ParseError(f"{args.path} is not an associative superalgebra file")
+    if (code := _refuse_uncertified(rep, A)) is not None:
         return code
     if A.unit is None:
         raise NotUnital("cyclic homology commands require a unital algebra")
@@ -322,11 +305,11 @@ def cmd_cyclic(args) -> int:
             rep.line(f"  {ident}: {'ok' if ok else 'FAIL'}")
         if not st.ok:
             status = 1
-    return rep.emit(args.out, status)
+    return rep.emit(status)
 
 
 def cmd_verify(args) -> int:
-    rep = Report("verify")
+    rep = Report("verify", args.out)
     rows = run_suite(args.suite)
     ok = True
     for name, passed, detail in rows:
@@ -336,25 +319,27 @@ def cmd_verify(args) -> int:
     rep.result("suite", args.suite)
     rep.result("rows", [{"name": n, "ok": p, "detail": d} for n, p, d in rows])
     rep.result("passed", ok)
-    return rep.emit(args.out, 0 if ok else 1)
+    return rep.emit(0 if ok else 1)
 
 
 def cmd_corpus(args) -> int:
-    rep = Report("corpus")
+    rep = Report("corpus", args.out)
     if args.action == "list":
+        if args.dir is not None:
+            raise ParseError(f"corpus list takes no directory, got {args.dir!r}")
         names = corpus.file_names()
         for n in names:
             rep.line(n)
         rep.result("files", names)
-        return rep.emit(args.out, 0)
-    target = Path(args.dir)
+        return rep.emit(0)
+    target = Path("corpus" if args.dir is None else args.dir)
     try:
         copied = corpus.export(target)
     except OSError as exc:
         raise ParseError(f"cannot export the corpus to {target}: {exc}") from exc
     rep.result("exported", copied)
     rep.line(f"exported {len(copied)} files to {target}")
-    return rep.emit(args.out, 0)
+    return rep.emit(0)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -387,8 +372,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-n", "--degree", type=int, default=2)
     p.add_argument("-m", "--module", help="coefficient module file")
     p.add_argument("--hopf", help="presentation file for the Hopf formula")
-    p.add_argument("--class", dest="class_bound", type=int, default=2,
-                   help="nilpotency class bound for --hopf")
+    p.add_argument("--class", dest="class_bound", type=int,
+                   help="nilpotency class bound for --hopf (default 2)")
     p.add_argument("--nonabelian", help="crossed module file, or 'identity'")
     p.set_defaults(func=cmd_homology)
 
@@ -403,7 +388,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("corpus", help="list or export the bundled corpus")
     p.add_argument("action", choices=("list", "export"))
-    p.add_argument("dir", nargs="?", default="corpus")
+    p.add_argument("dir", nargs="?", help="target directory of export (default ./corpus)")
     p.set_defaults(func=cmd_corpus)
     return ap
 

@@ -315,7 +315,7 @@ def _induced_boundary(A: AssocSuperAlgebra, n: int, src: _Coinvariants,
     return induced_map(src, dst, hochschild)
 
 
-def connes(A: AssocSuperAlgebra, max_n: int = 2) -> ConnesComplex:
+def connes(A: AssocSuperAlgebra, max_n: int) -> ConnesComplex:
     """Coinvariant spaces of the weight-0 block and induced boundaries up
     to degree max_n: the complex whose homology is H^lambda_n, HC_n over Q
     and, over GF(p), for n <= p - 2."""
@@ -527,14 +527,9 @@ def cyclic_sixterm(A: AssocSuperAlgebra) -> CyclicSixTerm:
     comm = va.to_a.image()  # [A, A]: alpha maps A (x) A onto the commutators
     cview = subalgebra_on(lie, comm, name="[A,A]")
     cm_n = ideal_crossed(lie, cview)
-    gcols = []
-    for k in range(va.algebra.dim):
-        w = va.to_a.apply({k: 1})
-        coords = comm.coords(w)
-        if coords is None:
-            raise ComplexInconsistent("V(A) does not map onto [A, A]")
-        gcols.append(coords)
-    g = GradedMap.from_columns(va.algebra.space, cview.algebra.space, gcols)
+    # cview's basis is the rows of comm, the image of to_a
+    g = GradedMap.from_columns(va.algebra.space, cview.algebra.space,
+                               [comm.coords(c) for c in va.to_a.matrix.cols])
 
     ses = CrossedSES(lie, cm_l, va.crossed, cm_n, f, g)
     report = snake_sequence(ses)
@@ -548,11 +543,7 @@ def cyclic_sixterm(A: AssocSuperAlgebra) -> CyclicSixTerm:
     h0, h1 = hc1.dims
     ab_hc1 = (d0[0] * h0 + d0[1] * h1, d0[0] * h1 + d0[1] * h0)
     # [A,A]/[A,[A,A]]
-    ca = lie.product_subspace(lie.full_subspace(), comm)
-    ca_in_view = Subspace(field, cview.algebra.dim,
-                          [comm.coords(r) for r in ca.rows])
-    mod_q = quotient_space(cview.algebra.space,
-                           Subspace.full(field, cview.algebra.dim), ca_in_view, "q.")
+    mod_q = quotient_space(A.space, comm, lie.product_subspace(lie.full_subspace(), comm), "q.")
     idents = [
         ("nh0(A,HC1) = HC1", nh0_l == hc1.dims),  # the action is trivial
         ("nh1(A,HC1) = A/[A,A] (x) HC1", nh1_l == ab_hc1),

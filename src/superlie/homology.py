@@ -27,8 +27,9 @@ sl(2|1, Lambda1), has acyclic-looking blocks that carry homology.
 
 The weight-0 chains are enumerated without visiting the rest by
 :func:`~superlie.spaces.weight0_words`, which also enumerates the
-weight-0 tuples of the Connes complex: a chain is a word of canonical
-wedge factors closed by the module index t.
+weight-0 tuples of the Connes complex and the weight-0 generators of the
+adjoint tensor square: a chain is a word of canonical wedge factors
+closed by the module index t.
 
 The complex's ``spaces`` and ``chains`` and the representatives of
 :func:`homology` refer to the kept chains, listed in the order of the
@@ -79,11 +80,11 @@ from .algebras import (
     QuotientSpace,
     _diagonal,
     factored_quotient_algebra,
-    hom_defects,
     ideal_closure,
     induced_map,
     intertwining_defects,
     is_graded_ideal,
+    iso_fault,
     quotient_algebra,
     quotient_space,
     sub_space,
@@ -101,6 +102,7 @@ from .linalg import Subspace, vec_axpy
 from .spaces import (
     GradedMap,
     SuperSpace,
+    tensor_vec,
     wedge_normalize,
     weight0_words,
 )
@@ -123,9 +125,6 @@ class ComplexInconsistent(RuntimeError, MathError):
 
 class ClassExceeded(ValueError, MathError):
     """A presentation's relators cannot be evaluated in the chosen truncation."""
-
-
-DEFAULT_MAX_DEGREE = 3
 
 
 # ---------------------------------------------------------------------------
@@ -276,7 +275,7 @@ def _chain_complex(P: LieSuperAlgebra, M: Action, max_n: int,
     return ChainComplex(boundaries, P, M, spaces, chains)
 
 
-def ce_complex(P: LieSuperAlgebra, M: Action, max_n: int = DEFAULT_MAX_DEGREE) -> ChainComplex:
+def ce_complex(P: LieSuperAlgebra, M: Action, max_n: int) -> ChainComplex:
     """The chain complex of P with coefficients in the P-module M (an action
     of P on M.target) up to degree max_n, on its weight-0 chains (see the
     module docstring)."""
@@ -380,21 +379,16 @@ def d3_lemma_check(P: LieSuperAlgebra) -> D3LemmaReport:
     lhs_dims = lhs.space.dim_pair
 
     # canonical map: the class of x^y goes to the class of x(x)y
-    t = ext.tensor
-
     def to_exterior(v: dict) -> dict:
         out: dict = {}
         for a, c in v.items():
             (i, j), _ = chains2[a]
-            vec_axpy(out, c, t.embed(i, j))
-        return ext.projection.apply(out)
+            vec_axpy(out, c, tensor_vec(P.space, P.space, {i: 1}, {j: 1}))
+        return ext.projection.apply(ext.tensor.quotient.reduce(out))
 
     phi = induced_map(lhs, ext.algebra.space, to_exterior)
-    if lhs.space.dim != ext.algebra.dim or phi.matrix.rank() != lhs.space.dim:
-        return D3LemmaReport(False, lhs_dims, rhs_dims, "map is not bijective")
-    for a, b, _ in hom_defects(phi, wedge_alg, ext.algebra):
-        return D3LemmaReport(False, lhs_dims, rhs_dims, f"bracket mismatch at ({a},{b})")
-    return D3LemmaReport(True, lhs_dims, rhs_dims)
+    fault = iso_fault(phi, wedge_alg, ext.algebra)
+    return D3LemmaReport(fault is None, lhs_dims, rhs_dims, fault or "")
 
 
 def h2_via_exterior(P: LieSuperAlgebra) -> QuotientSpace:
@@ -508,6 +502,15 @@ class CrossedSES:
                 raise ValueError(f"{side} map is not equivariant")
 
 
+def _lift(f: GradedMap, v: dict) -> dict:
+    """Some x with f(x) = v, for the connecting maps; v outside the image
+    of f raises :class:`ComplexInconsistent`."""
+    x = f.matrix.solve(v)
+    if x is None:
+        raise ComplexInconsistent("a connecting element lies outside the image it lifts through")
+    return x
+
+
 def snake_sequence(ses: CrossedSES) -> SequenceReport:
     """The six-term sequence
 
@@ -526,14 +529,8 @@ def snake_sequence(ses: CrossedSES) -> SequenceReport:
     m2 = induced_map(r_m.nh1, r_n.nh1, ind_g.apply)
 
     def connecting(v: dict) -> dict:
-        x = ind_g.matrix.solve(v)
-        if x is None:
-            raise ComplexInconsistent("induced map is not surjective on a kernel class")
-        w = r_m.tensor.nu.apply(x)  # in M, lands in the image of f
-        y = ses.f.matrix.solve(w)
-        if y is None:
-            raise ComplexInconsistent("connecting element does not pull back")
-        return y
+        # nu of a lift of v lies in M, in the image of f
+        return _lift(ses.f, r_m.tensor.nu.apply(_lift(ind_g, v)))
 
     m3 = induced_map(r_n.nh1, r_l.nh0, connecting)
     m4 = induced_map(r_l.nh0, r_m.nh0, ses.f.apply)
@@ -590,10 +587,7 @@ def ideal_sixterm(P: LieSuperAlgebra, M: Subspace) -> SequenceReport:
     m2 = induced_map(h2_p, h2_q, ind_proj.apply)
 
     def connecting(v: dict) -> dict:
-        x = ind_proj.matrix.solve(v)
-        if x is None:
-            raise ComplexInconsistent("exterior projection is not surjective on a kernel class")
-        w = e_pp.nu.apply(x)  # in P; lands in M because v is a kernel class
+        w = e_pp.nu.apply(_lift(ind_proj, v))  # in P; lands in M because v is a kernel class
         if not M.contains_vec(w):
             raise ComplexInconsistent("connecting element escapes the ideal")
         return w

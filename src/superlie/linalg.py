@@ -184,9 +184,9 @@ class Echelon:
     rows share a pivot; over Q the rows are primitive integer rows, not
     pivot-normalized.  :meth:`insert` reduces the new row against the
     stored rows and stores it without touching any other row.
-    :meth:`subspace` back-substitutes once, from the largest pivot down,
-    keeps the fully reduced rows, and returns the canonical pivot-1 form
-    over the field; a second call with no insert in between is free.
+    :meth:`subspace` back-substitutes from the largest pivot down, keeps
+    the fully reduced rows, and returns the canonical pivot-1 form over the
+    field.
     """
 
     def __init__(self, field: Field, ambient: int):
@@ -194,7 +194,6 @@ class Echelon:
         self.ambient = ambient
         self.rows: dict[int, dict] = {}  # pivot -> backend row
         self._ops = _RationalRows if field.p is None else _ResidueRows(field)
-        self._subspace: Subspace | None = None  # memo, cleared by insert
 
     @property
     def rank(self) -> int:
@@ -231,27 +230,24 @@ class Echelon:
             return False
         work = self._ops.normalize(work)
         self.rows[min(work)] = work
-        self._subspace = None
         return True
 
     def contains(self, v: dict) -> bool:
         return not self._reduce(self._ops.row(v))
 
     def subspace(self) -> "Subspace":
-        if self._subspace is None:
-            rows, eliminate = self.rows, self._ops.eliminate
-            pivots = sorted(rows)
-            # Back-substitution from the largest pivot down: the rows to the
-            # right are already fully reduced, so each row needs one pass
-            # over the other pivots it holds.
-            for piv in reversed(pivots):
-                row = rows[piv]
-                for q in (row.keys() & rows.keys()) - {piv}:
-                    row = eliminate(row, rows[q], q)
-                rows[piv] = row
-            canonical = [self._ops.to_field(rows[piv], piv) for piv in pivots]
-            self._subspace = Subspace(self.field, self.ambient, canonical, _canonical=True)
-        return self._subspace
+        rows, eliminate = self.rows, self._ops.eliminate
+        pivots = sorted(rows)
+        # Back-substitution from the largest pivot down: the rows to the
+        # right are already fully reduced, so each row needs one pass over
+        # the other pivots it holds.
+        for piv in reversed(pivots):
+            row = rows[piv]
+            for q in (row.keys() & rows.keys()) - {piv}:
+                row = eliminate(row, rows[q], q)
+            rows[piv] = row
+        canonical = [self._ops.to_field(rows[piv], piv) for piv in pivots]
+        return Subspace(self.field, self.ambient, canonical, _canonical=True)
 
 
 # ---------------------------------------------------------------------------

@@ -216,7 +216,9 @@ def weight0_words(field: Field, lam: list[tuple], nxt: list[int], closing: list[
     the words of canonical wedge monomials, nxt[i] = i + 1 - |x_i| (an odd
     factor may repeat), closed by the module index t; the Connes tuples
     (a_0, ..., a_n) are the words with nxt[i] = 0, closed by the last factor
-    a_n.
+    a_n; and the weight-0 generators of the adjoint tensor square are the
+    words (i, j) with nxt[i] = 0, closed by the basis element c that meets
+    e_i (x) e_j.
 
     The words are enumerated prefix by prefix, the weight of a prefix
     carried as a running sum.  ``live[k][i]`` holds the prefix weights that

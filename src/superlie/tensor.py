@@ -77,7 +77,11 @@ in the field, ad(h_k) acts on T as a derivation, and so every generator
 of (i) and (ii) is homogeneous, of weight lambda(a) + lambda(x) or
 lambda(x) + lambda(b).  So D = (+)_w D_w over the blocks T_w of basis
 tensors, with disjoint coordinates, and D_w is spanned by the
-generators of weight w.  The block of weight 0 streams exactly those.  In
+generators of weight w.  The block of weight 0 streams exactly those: a
+basis tensor e_i(x)e_j against a basis element c with
+lambda(e_i) + lambda(e_j) + lambda(c) = 0, the words (i, j) closed by c
+of :func:`~superlie.spaces.weight0_words`, the one weight-0 enumerator,
+which also lists the chains of the CE and the Connes complexes.  In
 a block w != 0 pick k with w_k != 0.  The generator (i) at a = h_k is
 
     h_k.x - h_k (x) nu(x) = w_k x - h_k (x) nu(x),
@@ -137,10 +141,10 @@ from .algebras import (
     check_lie_axioms,
     engel_degree,
     factored_quotient_algebra,
-    hom_defects,
     induced_action_table,
     induced_map,
     is_engel,
+    iso_fault,
     quotient_algebra,
     quotient_space,
     series,
@@ -155,7 +159,7 @@ from .linalg import (
     vec_axpy,
     vec_scale,
 )
-from .spaces import GradedMap, SuperSpace, tensor_space, tensor_vec
+from .spaces import GradedMap, SuperSpace, tensor_space, tensor_vec, weight0_words
 
 
 class IncompatibleActions(ValueError, MathError):
@@ -187,13 +191,6 @@ class TensorProduct:
     action_n: Action             # induced action of N on the product
     cross_m: CrossedModule
     cross_n: CrossedModule
-
-    def pair_index(self, i: int, j: int) -> int:
-        return i * self.n.dim + j
-
-    def embed(self, i: int, j: int) -> dict:
-        """Class of e_i (x) e_j in product coordinates."""
-        return self.quotient.reduce({self.pair_index(i, j): 1})
 
     @property
     def im_mu(self) -> Subspace:
@@ -228,8 +225,8 @@ def _family_ii(act_n, mu: Matrix, ms: SuperSpace, ns: SuperSpace, pairs):
 
 def _weight_blocks(P: LieSuperAlgebra):
     """The generators of D(P, P) that the weight blocks of the adjoint
-    square need (see the module docstring): the pairs (a, x) of family (i)
-    and (x, b) of family (ii) of total weight 0, and one pair (h_k, x) of
+    square need (see the module docstring): the pairs (c, x) of family (i)
+    and (x, c) of family (ii) of total weight 0, and one pair (h_k, x) of
     family (i) per basis tensor x of nonzero weight w, k the first index
     with w_k != 0, leaving out the x in h_k (x) P, whose generator is 0.
     None when P has no inner grading."""
@@ -238,20 +235,13 @@ def _weight_blocks(P: LieSuperAlgebra):
         return None
     reduce, dim = P.field.reduce, P.dim
     wt = [tuple(lam[i] for _, lam in weights) for i in range(dim)]
-    of_weight: dict[tuple, list[int]] = {}
-    for i, w in enumerate(wt):
-        of_weight.setdefault(w, []).append(i)
-    pairs_i, pairs_ii, spanning = [], [], []
-    for t in range(dim * dim):
-        i, j = divmod(t, dim)
-        w = tuple(reduce(a + b) for a, b in zip(wt[i], wt[j]))
-        partners = of_weight.get(tuple(reduce(-c) for c in w), ())
-        pairs_i += [(a, t) for a in partners]
-        pairs_ii += [(t, b) for b in partners]
-        k = next((k for k, c in enumerate(w) if c), None)
-        if k is not None and weights[k][0] != i:
-            spanning.append((weights[k][0], t))
-    return pairs_i, pairs_ii, spanning
+    # the words (i, j) closed by c: x = e_i (x) e_j row-major, c ascending
+    closed = [(i * dim + j, c) for (i, j), c in weight0_words(P.field, wt, [0] * dim, wt, 2)[2]]
+    # x of nonzero weight against the first h_k with w_k != 0; a pair of
+    # weight 0 gets h = i and is left out, as is x in h_k (x) P
+    spanning = [(h, i * dim + j) for i, j in product(range(dim), repeat=2)
+                if (h := next((h for h, lam in weights if reduce(lam[i] + lam[j])), i)) != i]
+    return [(c, x) for x, c in closed], closed, spanning
 
 
 def nonabelian_tensor(M: LieSuperAlgebra, N: LieSuperAlgebra,
@@ -397,10 +387,8 @@ def tensor_symmetry_iso(t: TensorProduct) -> tuple[GradedMap, TensorProduct]:
         return out
 
     iso = induced_map(t.quotient, swapped.quotient, swap_plain)
-    if iso.matrix.rank() != t.algebra.dim or t.algebra.dim != swapped.algebra.dim:
-        raise BracketNotWellDefined("symmetry map is not bijective")
-    if next(hom_defects(iso, t.algebra, swapped.algebra), None):
-        raise BracketNotWellDefined("symmetry map does not preserve brackets")
+    if fault := iso_fault(iso, t.algebra, swapped.algebra):
+        raise BracketNotWellDefined(f"symmetry {fault}")
     return iso, swapped
 
 

@@ -15,6 +15,7 @@ from superlie.algebras import (
     ground_assoc,
     heisenberg,
     ideal_closure,
+    iso_fault,
     is_engel,
     lie_from_assoc,
     matrix_gl,
@@ -26,7 +27,7 @@ from superlie.algebras import (
 from superlie.cyclic import grassmann_line
 from superlie.fields import Field, QQ
 from superlie.linalg import Subspace
-from superlie.spaces import superspace
+from superlie.spaces import GradedMap, superspace
 
 
 def test_abelian_certified():
@@ -300,3 +301,21 @@ def test_certified_f3_algebras_kill_every_odd_cube(build):
         for coeffs in itertools.product((1, 2), repeat=len(support)):
             x = dict(zip(support, coeffs))
             assert L.bracket(x, L.bracket(x, x)) == {}
+
+
+@pytest.mark.parametrize("p", [None, 3, 5, 7])
+def test_iso_fault_names_a_map_that_is_not_bijective(p):
+    heis = heisenberg(Field(p))
+    assert iso_fault(GradedMap.identity(heis.space), heis, heis) is None
+    assert iso_fault(GradedMap.zero(heis.space, heis.space), heis, heis) == "map is not bijective"
+    ab = abelian(Field(p), 2, 0)
+    assert iso_fault(GradedMap.zero(heis.space, ab.space), heis, ab) == "map is not bijective"
+
+
+@pytest.mark.parametrize("p", [None, 3, 5, 7])
+def test_iso_fault_names_the_first_bracket_a_bijection_breaks(p):
+    """Swapping x and z of heis is bijective, but f[x, y] = f(z) = x while
+    [f x, f y] = [z, y] = 0; the bracket (y, x) breaks too, after (x, y)."""
+    heis = heisenberg(Field(p))
+    swap = GradedMap.from_columns(heis.space, heis.space, [{2: 1}, {1: 1}, {0: 1}])
+    assert iso_fault(swap, heis, heis) == "bracket mismatch at (0,1)"

@@ -30,6 +30,7 @@ from superlie.homology import (
     ComplexInconsistent,
     CrossedSES,
     _chain_complex,
+    _lift,
     ce_complex,
     d3_lemma_check,
     exact_sequence,
@@ -581,3 +582,17 @@ def test_exterior_symmetry_with_odd_pullback(p):
     sign (-1)^{|a||b|} = -1."""
     P = matrix_gl(1, 1, ground_assoc(Field(p)))
     assert exterior_symmetry_dims(P, ideals=True) == ((4, 0), (3, 0))
+
+
+@pytest.mark.parametrize("p", [None, 3, 5, 7])
+def test_lift_solves_or_raises(p):
+    """The connecting maps lift through f with _lift: a vector in the
+    image comes back as a preimage, one outside raises."""
+    F = Field(p)
+    src = superspace(F, [("a", 0), ("b", 0)])
+    dst = superspace(F, [("u", 0), ("v", 0)])
+    f = GradedMap.from_columns(src, dst, [{0: 1}, {0: 2}])  # image: the line of u
+    x = _lift(f, {0: 3})
+    assert F.clean(f.apply(x)) == F.clean({0: 3})
+    with pytest.raises(ComplexInconsistent, match="outside the image"):
+        _lift(f, {1: 1})

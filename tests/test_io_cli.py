@@ -648,3 +648,22 @@ def test_cli_tensor_action_choices_are_exclusive(tmp_path, choice):
     assert "choose one of --adjoint, --trivial" in r.stderr
     assert "Traceback" not in r.stderr
     assert r.stdout == ""
+
+
+def test_cli_class_without_hopf_is_input_error():
+    """--class bounds the class of --hopf only; without it the bound would
+    be ignored."""
+    r = run_cli("homology", "@heis", "--class", "9")
+    assert r.returncode == 2
+    assert r.stderr.startswith("input error: ") and "--class" in r.stderr and "--hopf" in r.stderr
+    assert "Traceback" not in r.stderr
+    assert r.stdout == ""
+
+
+def test_cli_corpus_list_takes_no_directory():
+    """A directory is the target of export; list would ignore it."""
+    r = run_cli("corpus", "list", "/any/dir")
+    assert r.returncode == 2
+    assert r.stderr.startswith("input error: ") and "corpus list takes no directory" in r.stderr
+    assert "Traceback" not in r.stderr
+    assert r.stdout == ""

@@ -15,6 +15,8 @@ and (ii) of the oracle, in an F3 case where a weight vanishes only mod 3
 too, and a non-Lie algebra must be refused before the blocks are used.
 """
 
+from itertools import product
+
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -235,3 +237,43 @@ def test_weight_blocks_cut_the_membership_tests(monkeypatch):
     full = nonabelian_tensor(L, L, adj, adjoint_action(L)).d_generators
     assert by_blocks == full
     assert 0 < 6 * n_blocks < len(calls)
+
+
+def weight_block_pairs_brute_force(L):
+    """The three pair lists of ``tensor._weight_blocks`` by a filter over
+    every (i, j, c), row-major, c the basis element of M or N that meets the
+    basis tensor x = e_i (x) e_j: the pairs of total weight 0, and for x of
+    nonzero weight w the pair (h_k, x), k the first index with w_k != 0,
+    unless e_i is h_k."""
+    reduce, dim = L.field.reduce, L.dim
+    weights = [(h, lam) for h, lam in L.inner_weights() if any(lam)]
+    closed = [(i * dim + j, c) for i, j, c in product(range(dim), repeat=3)
+              if not any(reduce(lam[i] + lam[j] + lam[c]) for _, lam in weights)]
+    spanning = []
+    for i, j in product(range(dim), repeat=2):
+        hs = [h for h, lam in weights if reduce(lam[i] + lam[j])]
+        if hs and hs[0] != i:
+            spanning.append((hs[0], i * dim + j))
+    return [(c, x) for x, c in closed], closed, spanning
+
+
+@pytest.mark.parametrize("p", PRIMES)
+@pytest.mark.parametrize("name", ("gl(2|1)", "gl(1|1, L1)", *GRADED_ALGEBRAS))
+def test_weight_block_pairs_match_brute_force(name, p):
+    """The pairs come from the weight-0 words of spaces.weight0_words; the
+    same pairs in the same order as the filter, so the relation space is
+    accumulated in the same order."""
+    L = standard(name, p)
+    assert tensor._weight_blocks(L) == weight_block_pairs_brute_force(L)
+
+
+def test_weight_block_pairs_keep_a_weight_vanishing_mod_3():
+    """E12 (x) E13 of sl(3) has weight 3 under E11 - E33: a spanning pair
+    over Q, and over F3 a basis tensor of the weight-0 block."""
+    over_q, over_3 = standard("sl(3)", None), standard("sl(3)", 3)
+    labels = over_3.space.labels
+    x = labels.index("E12(1)'") * over_3.dim + labels.index("E13(1)'")
+    pairs_q, pairs_3 = tensor._weight_blocks(over_q), tensor._weight_blocks(over_3)
+    assert x in {y for _, y in pairs_q[2]} and x not in {y for y, _ in pairs_q[1]}
+    assert x in {y for y, _ in pairs_3[1]} and x not in {y for _, y in pairs_3[2]}
+    assert pairs_3 == weight_block_pairs_brute_force(over_3)
