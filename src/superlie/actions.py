@@ -342,15 +342,14 @@ def semidirect(a: Action, name: str = "") -> LieSuperAlgebra:
     dm = M.dim
     labels = tuple(f"m.{l}" for l in M.space.labels) + tuple(f"p.{l}" for l in P.space.labels)
     parities = M.space.parities + P.space.parities
-
-    def bracket(i: int, j: int) -> dict:
-        # the M basis comes first, and from_bracket asks for i <= j only
-        if j < dm:
-            return M.bracket_basis(i, j)
-        if i >= dm:
-            return {dm + k: c for k, c in P.bracket_basis(i - dm, j - dm).items()}
-        # [m, p'] = -(-1)^{|m||p'|} p'.m
-        return vec_scale(a.act_basis(j - dm, i), 1 if parities[i] * parities[j] else -1)
-
-    return LieSuperAlgebra.from_bracket(SuperSpace(M.field, labels, parities), bracket,
+    # the M basis comes first, so row m of M holds [m, m'] and [m, p'] =
+    # -(-1)^{|m||p'|} p'.m, read from the action rows; row p of P holds
+    # [p, p'] only, since from_bracket keeps the pairs i <= j
+    rows = [dict(r) for r in M.bracket_index()]
+    for p, row in enumerate(a.rows):
+        for m, v in row.items():
+            rows[m][dm + p] = vec_scale(v, 1 if parities[m] * parities[dm + p] else -1)
+    rows += [{dm + q: {dm + k: c for k, c in w.items()} for q, w in r.items()}
+             for r in P.bracket_index()]
+    return LieSuperAlgebra.from_bracket(SuperSpace(M.field, labels, parities), rows,
                                         name=name or "semidirect")

@@ -75,7 +75,7 @@ twice the cyclic sum, Jacobi at (a, b, c); only the x_a^3 terms remain.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dfield
-from itertools import combinations_with_replacement, islice, permutations
+from itertools import chain, combinations_with_replacement, islice, permutations
 
 from .fields import Field, MathError
 from .linalg import (
@@ -156,15 +156,21 @@ class LieSuperAlgebra:
         self._exterior_square = None
 
     @classmethod
-    def from_bracket(cls, space: SuperSpace, bracket, name: str) -> "LieSuperAlgebra":
-        """The algebra on ``space`` whose structure constants are
-        ``bracket(a, b)`` on basis indices, evaluated on the stored pairs
-        only (a < b, and a = b for odd a); the zero values are dropped."""
-        par, n = space.parities, space.dim
+    def from_bracket(cls, space: SuperSpace, rows, name: str) -> "LieSuperAlgebra":
+        """The algebra on ``space`` whose structure constants are given by
+        one sparse row per basis index a, ``rows[a] = {b: [e_a, e_b]}``,
+        listing the b whose bracket may be nonzero; a b it leaves out has
+        bracket 0.  Only the stored pairs are kept, b >= a + 1 - |a| (a < b,
+        and a = b for odd a), in ascending b, and the zero values are
+        dropped, so the table is in row-major order whatever order a row
+        lists its entries in, and a row may list the pairs below the
+        diagonal too."""
+        par = space.parities
         table = {}
-        for a in range(n):
-            for b in range(a + 1 - par[a], n):
-                if v := bracket(a, b):
+        for a, row in enumerate(rows):
+            lo = a + 1 - par[a]
+            for b in sorted(row):
+                if b >= lo and (v := row[b]):
                     table[(a, b)] = v
         return cls(space, table, name=name)
 
@@ -538,14 +544,21 @@ def heisenberg(field: Field) -> LieSuperAlgebra:
 
 def lie_from_assoc(A: AssocSuperAlgebra, name: str = "") -> LieSuperAlgebra:
     """The Lie superalgebra on A with the graded commutator bracket
-    [a, b] = ab - (-1)^{|a||b|} ba, which is 2a^2 for odd a = b."""
-    par = A.space.parities
+    [a, b] = ab - (-1)^{|a||b|} ba, which is 2a^2 for odd a = b.  Row a
+    brackets e_a only with the e_b for which ab or ba is a nonzero
+    product, read from :attr:`AssocSuperAlgebra.rows` and its transpose."""
+    par, prod = A.space.parities, A.rows
+    left: list[list[int]] = [[] for _ in range(A.dim)]  # left[b]: the a with ab != 0
+    for a, row in enumerate(prod):
+        for b in row:
+            left[b].append(a)
 
     def bracket(i: int, j: int) -> dict:
         sgn = -1 if par[i] * par[j] else 1
         return vec_sub(A.product_basis(i, j), vec_scale(A.product_basis(j, i), sgn))
 
-    return LieSuperAlgebra.from_bracket(A.space, bracket, name=name or (A.name and f"lie({A.name})"))
+    rows = [{b: bracket(a, b) for b in chain(prod[a], left[a])} for a in range(A.dim)]
+    return LieSuperAlgebra.from_bracket(A.space, rows, name=name or (A.name and f"lie({A.name})"))
 
 
 def ground_assoc(field: Field) -> AssocSuperAlgebra:
@@ -723,15 +736,40 @@ def subalgebra_on(L: LieSuperAlgebra, S: Subspace, name: str = "") -> AlgebraVie
         basis.append((f"{L.space.labels[min(r)]}'", par))
     sp = superspace(L.field, basis)
 
-    def bracket(a: int, b: int) -> dict:
-        v = S.coords(L.bracket(rows[a], rows[b]))
+    def coords(w: dict) -> dict:
+        v = S.coords(w)
         if v is None:
             raise NotAnIdeal("subspace is not closed under the bracket")
         return v
 
-    alg = LieSuperAlgebra.from_bracket(sp, bracket, name=name)
+    alg = LieSuperAlgebra.from_bracket(sp, _span_rows(L, rows, sp.parities, coords), name=name)
     incl = GradedMap.from_columns(sp, L.space, [dict(r) for r in rows])
     return AlgebraView(alg, incl, S)
+
+
+def _span_rows(L: LieSuperAlgebra, basis, parities, coords) -> list[dict[int, dict]]:
+    """The rows of :meth:`LieSuperAlgebra.from_bracket` for the bracket of
+    L on the vectors ``basis`` with ``parities``: row a is
+    {b: coords([x_a, x_b])} over the stored pairs b >= a + 1 - |x_a| whose
+    bracket in L is nonzero.  ad(x_a), {j: [x_a, e_j]}, is spread from the
+    bracket index once, and x_a is paired only with the x_b that hold a
+    coordinate j with [x_a, e_j] != 0, found through a map from each
+    coordinate to the basis vectors holding it: every other bracket is 0."""
+    index, clean = L.bracket_index(), L.field.clean
+    holders: dict[int, list[int]] = {}
+    for b, x in enumerate(basis):
+        for j in x:
+            holders.setdefault(j, []).append(b)
+    rows = []
+    for a, x in enumerate(basis):
+        ad, lo = _spread(x, index), a + 1 - parities[a]
+        partners = {b: basis[b] for j, w in ad.items() if w for b in holders.get(j, ()) if b >= lo}
+        row = {}
+        for b, w in _compose(ad, partners).items():
+            if w := clean(w):
+                row[b] = coords(w)
+        rows.append(row)
+    return rows
 
 
 class QuotientSpace(Subquotient):
@@ -896,14 +934,16 @@ def iso_fault(f: GradedMap, src: LieSuperAlgebra, dst: LieSuperAlgebra) -> str |
 
 
 def quotient_algebra(L: LieSuperAlgebra, I: Subspace, name: str = "") -> tuple[LieSuperAlgebra, Projection]:
-    """Quotient by a graded ideal, with the projection as a graded map."""
+    """Quotient by a graded ideal, with the projection as a graded map.  A
+    bracket of section vectors takes its coordinates through the columns
+    of the projection, which reduce each basis vector of L once."""
     if not is_graded_ideal(L, I):
         raise NotAnIdeal("quotient requires a graded ideal")
     q = QuotientSpace(L.space, L.full_subspace(), I, lambda k, lead: f"[{lead}]")
-    section = q.section
-    alg = LieSuperAlgebra.from_bracket(q.space, lambda a, b: q.reduce(L.bracket(section[a], section[b])),
-                                       name=name or (L.name and f"{L.name}/I"))
-    return alg, Projection(q)
+    proj = Projection(q)
+    rows = _span_rows(L, q.section, q.space.parities, lambda w: dict(sorted(proj.apply(w).items())))
+    alg = LieSuperAlgebra.from_bracket(q.space, rows, name=name or (L.name and f"{L.name}/I"))
+    return alg, proj
 
 
 def abelianization(L: LieSuperAlgebra) -> tuple[LieSuperAlgebra, GradedMap]:

@@ -180,9 +180,9 @@ class FreeTruncation:
                 parities.append(self.powers[k].parities[min(row)])
                 basis.append((k, row))
         # not LieSuperAlgebra.from_bracket: the pairs above the class bound
-        # are pruned here before any work, and a call per pair would add up
-        # over the tens of thousands of pairs of a class-5 cover; the
-        # constructor drops the zero brackets
+        # are pruned here before any work, and the loop already visits the
+        # stored pairs in row-major order; the constructor drops the zero
+        # brackets
         table: dict[tuple[int, int], dict] = {}
         for a, (ka, row_a) in enumerate(basis):
             for b in range(a + 1 - parities[a], len(basis)):

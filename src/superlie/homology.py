@@ -586,13 +586,9 @@ def ideal_sixterm(P: LieSuperAlgebra, M: Subspace) -> SequenceReport:
     m1 = induced_map(ker_pm, h2_p, ind_incl.apply)
     m2 = induced_map(h2_p, h2_q, ind_proj.apply)
 
-    def connecting(v: dict) -> dict:
-        w = e_pp.nu.apply(_lift(ind_proj, v))  # in P; lands in M because v is a kernel class
-        if not M.contains_vec(w):
-            raise ComplexInconsistent("connecting element escapes the ideal")
-        return w
-
-    m3 = induced_map(h2_q, m_mod, connecting)
+    # the bracket of a lift of a kernel class lands in M; induced_map
+    # reduces it in m_mod, whose top is M, and raises ContainmentError if not
+    m3 = induced_map(h2_q, m_mod, lambda v: e_pp.nu.apply(_lift(ind_proj, v)))
     m4 = induced_map(m_mod, h1_p, lambda v: v)
     m5 = induced_map(h1_p, h1_q, proj.apply)
     return exact_sequence(["Ker(P^M->P)", "H2(P)", "H2(P/M)", "M/[P,M]", "H1(P)", "H1(P/M)"],

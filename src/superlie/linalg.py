@@ -327,11 +327,14 @@ class Subspace:
         return out
 
     def intersect(self, other: "Subspace") -> "Subspace":
-        """Canonical basis of the intersection, from the kernel of a stacked system."""
+        """Canonical basis of the intersection: the smaller span when the
+        larger one contains it, and otherwise from the kernel of a stacked
+        system."""
         if self.ambient != other.ambient:
             raise AmbientMismatch(f"{self.ambient} vs {other.ambient}")
-        if self.dim == 0 or other.dim == 0:
-            return Subspace(self.field, self.ambient, [])
+        small, large = (self, other) if self.dim <= other.dim else (other, self)
+        if large.contains(small):
+            return small
         cols = [dict(r) for r in self.rows]
         cols += [{k: -c for k, c in r.items()} for r in other.rows]
         m = Matrix(self.field, self.ambient, cols)

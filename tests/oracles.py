@@ -42,7 +42,12 @@ production code factors it through the commutator map.  The action on a
 tensor product fills each image densely, coefficient by coefficient,
 where the production code reads the nonzero action constants.  Brackets,
 products and actions of vectors are summed over every basis pair, where
-the production code reads one row index; the action tables of an ideal
+the production code reads one row index; a bracket table is evaluated
+on every stored pair of basis indices, where ``from_bracket`` takes sparse
+rows that its callers fill from the nonzero brackets, products and
+actions only; intersections of subspaces come from a dense kernel, where
+the production code returns the smaller span when the larger one
+contains it; the action tables of an ideal
 and of a pullback are filled entry by entry through the public bracket
 and action, where the production code spreads rows.
 The module also holds the helpers that only tests use: algebras in a
@@ -276,6 +281,31 @@ def reduce_all_rows(sub: Subspace, v: dict) -> dict:
                 work[k] = work.get(k, 0) - c * d
             work = clean(work)
     return work
+
+
+def intersect_oracle(a: Subspace, b: Subspace) -> list[dict]:
+    """The RREF rows of the intersection of a and b, by dense Gauss–Jordan
+    elimination: the kernel of the stacked system sum x_j a_j = sum y_k b_k
+    read off its RREF, mapped to the combinations of the rows of a."""
+    field, da = a.field, a.dim
+    cols = [dict(r) for r in a.rows] + [{k: field.neg(c) for k, c in r.items()} for r in b.rows]
+    eqs = [{j: col[i] for j, col in enumerate(cols) if i in col} for i in range(a.ambient)]
+    rref = rref_oracle(field, len(cols), eqs)
+    pivots = [min(r) for r in rref]
+    vectors = []
+    for f in range(len(cols)):
+        if f in pivots:
+            continue
+        x = {f: 1}
+        for piv, r in zip(pivots, rref):
+            if f in r:
+                x[piv] = field.neg(r[f])
+        out: dict = {}
+        for j, c in x.items():
+            if j < da:
+                vec_axpy(out, c, a.rows[j])
+        vectors.append(out)
+    return rref_oracle(field, a.ambient, vectors)
 
 
 def quotient_coords_all_rows(sq: Subquotient, v: dict) -> dict | None:
@@ -1094,6 +1124,20 @@ def lie_table_dense(L) -> dict[tuple[int, int], dict]:
             else:
                 out[(i, j)] = vec_scale(L.table.get((j, i), {}), 1 if par[i] * par[j] else -1)
     return out
+
+
+def from_bracket_all_pairs(space: SuperSpace, bracket, name: str) -> LieSuperAlgebra:
+    """The algebra on ``space`` with structure constants ``bracket(a, b)``
+    on basis indices, evaluated on every stored pair (a < b, and a = b for
+    odd a), zero brackets included, in row-major order; the zero values are
+    dropped."""
+    par, n = space.parities, space.dim
+    table = {}
+    for a in range(n):
+        for b in range(a + 1 - par[a], n):
+            if v := bracket(a, b):
+                table[(a, b)] = v
+    return LieSuperAlgebra(space, table, name=name)
 
 
 def bilinear_dense(field, table, left_dim: int, right_dim: int, u: dict, v: dict) -> dict:

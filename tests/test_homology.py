@@ -539,6 +539,35 @@ def test_ideal_sixterm_with_odd_terms(gl11):
     assert rep.dims[5][0] + rep.dims[5][1] >= 1
 
 
+def test_ideal_sixterm_catches_a_connecting_element_outside_the_ideal(monkeypatch, gl11):
+    """M the center of gl(1|1), H2(P/M) = (1|0): a lift of its class shifted
+    by a wedge whose bracket leaves M sends the connecting element outside
+    M, and the reduction of induced_map into M/[P, M] raises
+    ContainmentError, on which the command line exits 1."""
+    from importlib import import_module
+
+    from superlie import cli, suites
+    from superlie.linalg import ContainmentError, vec_axpy
+    from superlie.tensor import exterior_square
+
+    center = gl11.center()
+    nu = exterior_square(gl11).nu
+    t = next(k for k in range(nu.source.dim) if not center.contains_vec(nu.apply({k: 1})))
+
+    def shifted_lift(f, v):
+        x = dict(_lift(f, v))
+        vec_axpy(x, 1, {t: 1})
+        return x
+
+    # the package binds the name homology to the function, not the module
+    monkeypatch.setattr(import_module("superlie.homology"), "_lift", shifted_lift)
+    with pytest.raises(ContainmentError, match="vector is not in the top subspace"):
+        ideal_sixterm(gl11, center)
+    # the suite's first row is ideal_sixterm(P, center of P), here for P = gl(1|1)
+    monkeypatch.setattr(suites, "lie_algebra", lambda name: gl11)
+    assert cli.main(["verify", "final-sixterm"]) == 1
+
+
 def exterior_symmetry_dims(P: LieSuperAlgebra, ideals: bool):
     """Check that the tensor symmetry isomorphism descends to M^N = N^M, for
     M = [P, P] and N = P, or with ``ideals`` for M and N two copies of the

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 from pathlib import Path
 
@@ -6,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from superlie.fields import Field, QQ
 from superlie.io import load_algebra
-from oracles import quotient_coords_all_rows, reduce_all_rows, rref_oracle
+from oracles import intersect_oracle, quotient_coords_all_rows, reduce_all_rows, rref_oracle
 from superlie.linalg import (
     AmbientMismatch,
     ContainmentError,
@@ -128,6 +129,39 @@ def test_intersect_planes_in_3space():
     i = a.intersect(b)
     assert i.dim == 1
     assert i.contains_vec({1: 1})
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("field", [QQ, F3, F5, F7], ids=str)
+def test_intersect_matches_the_dense_kernel(field, seed):
+    """Nested, equal and crossing spans, the zero and the whole space among
+    them: the intersection is the oracle's, and it is the smaller span
+    itself when the larger one contains it."""
+    rng = random.Random(seed)
+    n = 6
+
+    def span(k):
+        return [{j: rng.randint(-3, 3) for j in rng.sample(range(n), 3)} for _ in range(k)]
+
+    small = span(2)
+    cases = {
+        "nested": (small, small + span(2)),
+        "equal": (small, [vec_sub(small[0], small[1]), small[1]]),
+        "crossing": (small + span(1), small + span(2)),
+        "transverse": (span(3), span(3)),
+        "zero": ([], span(3)),
+        "whole": (span(2), [{j: 1} for j in range(n)]),
+    }
+    for name, (u, v) in cases.items():
+        a, b = Subspace(field, n, u), Subspace(field, n, v)
+        if name == "whole":
+            b = Subspace.full(field, n)
+        for x, y in ((a, b), (b, a)):
+            got = x.intersect(y)
+            assert got.rows == intersect_oracle(x, y), name
+            lo, hi = (x, y) if x.dim <= y.dim else (y, x)
+            if hi.contains(lo):
+                assert got is lo, name
 
 
 def test_ambient_mismatch():
