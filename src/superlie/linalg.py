@@ -34,6 +34,21 @@ ambient space, :meth:`Subspace.full`, is the only span of unit vectors
 and stores no rows: its unit rows are made when read, so the top of a
 quotient of all of it costs nothing, and it contains every subspace with
 no reduction.
+
+Elimination is order-aware in two ways.  A span (:class:`Subspace`,
+:meth:`Matrix.rank`, the rows of :meth:`Matrix.kernel_basis`) is inserted
+sparsest first, in ascending order of nonzero count by a stable sort: the
+early rows are cheap to store, and the later, denser rows are reduced by
+short rows, so fill-in grows more slowly (Davis, *Direct Methods for
+Sparse Linear Systems*, SIAM 2006, ch. 7).  The RREF does not depend on
+the order, so neither does any result.  A kernel is read off one
+elimination, with the columns reversed: a pivot row of that RREF is
+nonzero, besides its pivot, only at free columns left of the pivot in the
+natural order, so the kernel vector of a free column j, e_j minus the
+pivot rows' entries in column j, is 1 at j, zero at the other free
+columns, and nonzero elsewhere only at pivot columns right of j.  Listed
+by ascending j these vectors are already the canonical RREF of the kernel,
+with the free columns as pivots, and they are not eliminated again.
 """
 
 from __future__ import annotations
@@ -266,7 +281,7 @@ class Subspace:
             rows = list(vectors)
         else:
             acc = Echelon(field, ambient)
-            for v in vectors:
+            for v in sorted(vectors, key=len):
                 acc.insert(v)
             rows = acc.subspace().rows
         self.rows: list[dict] = rows
@@ -430,7 +445,7 @@ class Matrix:
 
     def rank(self) -> int:
         acc = Echelon(self.field, self.ncols)
-        for row in self.row_list():
+        for row in sorted(self.row_list(), key=len):
             acc.insert(row)
         return acc.rank
 
@@ -438,21 +453,32 @@ class Matrix:
         return Subspace(self.field, self.nrows, self.cols)
 
     def kernel_basis(self) -> Subspace:
-        """Canonical basis of {v : M v = 0}."""
+        """Canonical basis of {v : M v = 0}, from one elimination.
+
+        The rows, sparsest first, are eliminated with the columns
+        reversed, j -> n - 1 - j.  In the natural order a pivot row of
+        that RREF is then nonzero, besides its pivot q, only at free
+        columns j < q, since an RREF row is zero left of its pivot and at
+        the other pivots.  The kernel vector of a free column j sets x_j = 1
+        and every other free variable to 0, so x_q = -(entry of row q at j)
+        for each pivot q, which is nonzero only if q > j.  The vector is 1
+        at its least index j and zero at every other free column: listed
+        by ascending j, these vectors are the RREF of the kernel, which is
+        unique, so they go to :class:`Subspace` as canonical rows."""
+        last = self.ncols - 1
         acc = Echelon(self.field, self.ncols)
-        for row in self.row_list():
-            acc.insert(row)
+        for row in sorted(self.row_list(), key=len):
+            acc.insert({last - j: c for j, c in row.items()})
         rref = acc.subspace()
-        pivset = set(rref.pivots)
-        # one vector per free column j: e_j minus the RREF entries in column
-        # j, read off each pivot row's own entries (all at free columns)
+        pivset = {last - p for p in rref.pivots}
         kernel = {j: {j: 1} for j in range(self.ncols) if j not in pivset}
         neg = self.field.neg
-        for piv, row in zip(rref.pivots, rref.rows):
-            for j, c in row.items():
-                if j != piv:
-                    kernel[j][piv] = neg(c)
-        return Subspace(self.field, self.ncols, kernel.values())
+        for p, row in zip(rref.pivots, rref.rows):
+            piv = last - p
+            for k, c in row.items():
+                if k != p:
+                    kernel[last - k][piv] = neg(c)
+        return Subspace(self.field, self.ncols, list(kernel.values()), _canonical=True)
 
     def solve(self, b: dict) -> dict | None:
         """Some x with M x = b (free variables set to 0), or None if inconsistent."""

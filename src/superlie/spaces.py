@@ -190,10 +190,12 @@ def exterior_power(v: SuperSpace, n: int) -> tuple[SuperSpace, list[tuple[int, .
     """The n-th super exterior power with its canonical monomial basis, each
     monomial the tuple of its factors: weakly increasing, even ones strict.
 
-    The package builds its chains on the weight-0 monomials instead, but
-    this stays as the documented super exterior power: ``tests/oracles.py``
-    builds the full Chevalley-Eilenberg complex from it, and
-    ``perfbench/spans.py`` times it as a layer of its own."""
+    The package builds its chains on the weight-0 monomials instead
+    (:func:`weight0_words`), so no computation of the package calls this;
+    it stays as the documented super exterior power, from which
+    ``tests/oracles.py`` builds the full Chevalley-Eilenberg complex.  The
+    ``spaces.exterior_power`` layer of ``perfbench/spans.py`` therefore
+    reads 0 calls on every workload."""
     if n < 0:
         raise ValueError("negative exterior power")
     monomials = [m for m in combinations_with_replacement(range(v.dim), n)

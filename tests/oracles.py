@@ -47,9 +47,13 @@ on every stored pair of basis indices, where ``from_bracket`` takes sparse
 rows that its callers fill from the nonzero brackets, products and
 actions only; intersections of subspaces come from a dense kernel, where
 the production code returns the smaller span when the larger one
-contains it; the action tables of an ideal
-and of a pullback are filled entry by entry through the public bracket
-and action, where the production code spreads rows.
+contains it; a kernel is eliminated twice, once in the natural column
+order and once more as the span of the vectors read off that RREF, where
+the production code reverses the columns and reads the canonical kernel
+off one elimination; spans are inserted in the order given, where the
+production code inserts the sparsest vectors first; the action tables of
+an ideal and of a pullback are filled entry by entry through the public
+bracket and action, where the production code spreads rows.
 The module also holds the helpers that only tests use: algebras in a
 permuted, rescaled basis, bracket actions between subalgebra views,
 relators as graded vectors, and the bundled corpus files regenerated from
@@ -259,6 +263,38 @@ def rref_oracle(field, ambient: int, vectors) -> list[dict]:
     return [{j: c for j, c in enumerate(row) if c != 0} for row in m[:r]]
 
 
+def field_normal(field, v: dict) -> bool:
+    """Every value is nonzero and in normal form: a residue 1..p-1, or over
+    Q an int when integral and a Fraction only when not."""
+    if field.p is not None:
+        return all(type(c) is int and 0 < c < field.p for c in v.values())
+    return all(c != 0 and (type(c) is int or type(c) is Fraction and c.denominator != 1)
+               for c in v.values())
+
+
+def span_in_given_order(field, ambient: int, vectors) -> Subspace:
+    """The canonical span of the vectors, inserted into one accumulator in
+    the order given."""
+    acc = Echelon(field, ambient)
+    for v in vectors:
+        acc.insert(v)
+    return acc.subspace()
+
+
+def kernel_two_pass(m) -> Subspace:
+    """The kernel of a Matrix in two eliminations: the rows in the natural
+    column order, one vector per free column j read off that RREF (e_j
+    minus the pivot rows' entries in column j), and then the span of those
+    vectors, inserted in the order read."""
+    rref = span_in_given_order(m.field, m.ncols, m.row_list())
+    kernel = {j: {j: 1} for j in range(m.ncols) if j not in rref.pivots}
+    for piv, row in zip(rref.pivots, rref.rows):
+        for j, c in row.items():
+            if j != piv:
+                kernel[j][piv] = m.field.neg(c)
+    return span_in_given_order(m.field, m.ncols, kernel.values())
+
+
 # ---------------------------------------------------------------------------
 # reduction against a canonical subspace, row by row
 
@@ -283,23 +319,33 @@ def reduce_all_rows(sub: Subspace, v: dict) -> dict:
     return work
 
 
+def kernel_oracle(field, ncols: int, equations) -> list[dict]:
+    """The RREF rows of {x : e . x = 0 for every equation e}, by dense
+    Gauss–Jordan elimination: one vector per free column f of the
+    equations' RREF (x_f = 1, minus the pivot rows' entries in column f),
+    then the RREF of those vectors."""
+    rref = rref_oracle(field, ncols, equations)
+    pivots = [min(r) for r in rref]
+    vectors = []
+    for f in range(ncols):
+        if f not in pivots:
+            x = {f: 1}
+            for piv, r in zip(pivots, rref):
+                if f in r:
+                    x[piv] = field.neg(r[f])
+            vectors.append(x)
+    return rref_oracle(field, ncols, vectors)
+
+
 def intersect_oracle(a: Subspace, b: Subspace) -> list[dict]:
     """The RREF rows of the intersection of a and b, by dense Gauss–Jordan
-    elimination: the kernel of the stacked system sum x_j a_j = sum y_k b_k
-    read off its RREF, mapped to the combinations of the rows of a."""
+    elimination: the kernel of the stacked system sum x_j a_j = sum y_k b_k,
+    mapped to the combinations of the rows of a."""
     field, da = a.field, a.dim
     cols = [dict(r) for r in a.rows] + [{k: field.neg(c) for k, c in r.items()} for r in b.rows]
     eqs = [{j: col[i] for j, col in enumerate(cols) if i in col} for i in range(a.ambient)]
-    rref = rref_oracle(field, len(cols), eqs)
-    pivots = [min(r) for r in rref]
     vectors = []
-    for f in range(len(cols)):
-        if f in pivots:
-            continue
-        x = {f: 1}
-        for piv, r in zip(pivots, rref):
-            if f in r:
-                x[piv] = field.neg(r[f])
+    for x in kernel_oracle(field, len(cols), eqs):
         out: dict = {}
         for j, c in x.items():
             if j < da:

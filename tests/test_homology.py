@@ -302,6 +302,16 @@ def test_gl22_weight0_chain_dims():
     assert [homology(P, None, n, complex_=cx).dim for n in range(5)] == [1, 1, 0, 1, 1]
 
 
+def test_gl32_betti_numbers():
+    """gl(3|2)/Q: H0-H5 are the Betti numbers 1, 1, 0, 1, 1, 1 of gl(3)
+    (Fuks), from the weight-0 chains of degrees 0-6; the kernels of d_1 to
+    d_5 come from one elimination each."""
+    P = matrix_gl(3, 2, ground_assoc(QQ))
+    cx = ce_complex(P, trivial_module(P), 6)
+    assert [s.dim for s in cx.spaces] == [1, 5, 20, 80, 286, 906, 2588]
+    assert [homology(P, None, n, complex_=cx).dim for n in range(6)] == [1, 1, 0, 1, 1, 1]
+
+
 # -- degree-2 comparison ---------------------------------------------------------
 
 def test_d3_lemma(heis, gl11, sl21):

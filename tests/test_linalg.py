@@ -7,7 +7,13 @@ from hypothesis import given, settings, strategies as st
 
 from superlie.fields import Field, QQ
 from superlie.io import load_algebra
-from oracles import intersect_oracle, quotient_coords_all_rows, reduce_all_rows, rref_oracle
+from oracles import (
+    field_normal as _field_normal,
+    intersect_oracle,
+    quotient_coords_all_rows,
+    reduce_all_rows,
+    rref_oracle,
+)
 from superlie.linalg import (
     AmbientMismatch,
     ContainmentError,
@@ -380,15 +386,6 @@ def test_full_space_contains_without_reducing(monkeypatch):
     assert calls == []
     assert not Subspace(QQ, 4, [{0: 1}]).contains(Subspace(QQ, 4, [{1: 1}]))
     assert calls
-
-
-def _field_normal(field, v: dict) -> bool:
-    """Every value is nonzero and in normal form: a residue 1..p-1, or over
-    Q an int when integral and a Fraction only when not."""
-    if field.p is not None:
-        return all(type(c) is int and 0 < c < field.p for c in v.values())
-    return all(c != 0 and (type(c) is int or type(c) is Fraction and c.denominator != 1)
-               for c in v.values())
 
 
 def _integral_fractions(vectors) -> list:
