@@ -40,7 +40,7 @@ from .algebras import (
     is_graded_ideal,
 )
 from .linalg import Subspace, vec_clean, vec_scale
-from .spaces import GradedMap, SuperSpace
+from .spaces import GradedMap, SuperSpace, tensor_index, tensor_pair
 
 
 class ActionInvalid(ValueError):
@@ -99,19 +99,22 @@ def tensor_action(left: Action, right: Action):
     if left.actor is not right.actor:
         raise ValueError("the two actions have different actors")
     rho_m, rho_n = left.rows, right.rows
-    px, pm, dn = left.actor.space.parities, left.target.space.parities, right.target.dim
+    px, pm = left.actor.space.parities, left.target.space.parities
+    dm, dn = left.target.dim, right.target.dim
+    pair = [tensor_pair(dn, t) for t in range(dm * dn)]
+    index = [[tensor_index(dn, i, j) for j in range(dn)] for i in range(dm)]
 
     def act(a: int, v: dict) -> dict:
         out: dict = {}
         ra, sa, odd = rho_m[a], rho_n[a], px[a]
         for t, c in v.items():
-            i, j = divmod(t, dn)
+            i, j = pair[t]
             for k, ck in ra.get(i, {}).items():
-                key = k * dn + j
+                key = index[k][j]
                 out[key] = out.get(key, 0) + c * ck
-            base, c = i * dn, -c if odd and pm[i] else c
+            row, c = index[i], -c if odd and pm[i] else c
             for k, ck in sa.get(j, {}).items():
-                out[base + k] = out.get(base + k, 0) + c * ck
+                out[row[k]] = out.get(row[k], 0) + c * ck
         return out
 
     return act

@@ -75,6 +75,7 @@ twice the cyclic sum, Jacobi at (a, b, c); only the x_a^3 terms remain.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dfield
+from functools import partial
 from itertools import chain, combinations_with_replacement, islice, permutations
 
 from .fields import Field, MathError
@@ -89,7 +90,7 @@ from .linalg import (
     vec_scale,
     vec_sub,
 )
-from .spaces import GradedMap, SuperSpace, superspace
+from .spaces import GradedMap, SuperSpace, superspace, tensor_index
 
 
 MAX_VIOLATIONS = 16
@@ -261,7 +262,7 @@ class LieSuperAlgebra:
         """The kernel of x -> ad(x) as a map into dim x dim matrices: column
         i is row i of :meth:`bracket_index`, flattened."""
         n = self.dim
-        cols = [{j * n + k: c for j, b in row.items() for k, c in b.items()}
+        cols = [{tensor_index(n, j, k): c for j, b in row.items() for k, c in b.items()}
                 for row in self.bracket_index()]
         return Matrix(self.field, n * n, cols).kernel_basis()
 
@@ -567,6 +568,12 @@ def ground_assoc(field: Field) -> AssocSuperAlgebra:
     return AssocSuperAlgebra(sp, {(0, 0): {0: 1}}, unit={0: 1}, name="K")
 
 
+def _matrix_unit(size: int, dimA: int, i: int, j: int, t: int) -> int:
+    """The position of E_ij(a_t) in the basis of :func:`matrix_assoc`: the
+    matrix units row-major, each tensored with the basis of A."""
+    return tensor_index(dimA, tensor_index(size, i, j), t)
+
+
 def matrix_assoc(m: int, n: int, A: AssocSuperAlgebra) -> AssocSuperAlgebra:
     """Matrix superalgebra on (m+n)x(m+n) matrices with entries in unital A;
     the generator with a in slot (i, j) has parity |i| + |j| + |a|."""
@@ -577,10 +584,7 @@ def matrix_assoc(m: int, n: int, A: AssocSuperAlgebra) -> AssocSuperAlgebra:
     size = m + n
     dimA = A.dim
     rowpar = [0 if i < m else 1 for i in range(size)]
-
-    def idx(i, j, t):
-        return (i * size + j) * dimA + t
-
+    idx = partial(_matrix_unit, size, dimA)
     labels = []
     parities = []
     for i in range(size):
@@ -957,15 +961,9 @@ def matrix_sl(m: int, n: int, A: AssocSuperAlgebra) -> AlgebraView:
     if m + n < 3:
         raise SizeError("sl(m, n, A) requires m + n >= 3")
     gl = matrix_gl(m, n, A)
-    size = m + n
-    dimA = A.dim
-    gens = []
-    for i in range(size):
-        for j in range(size):
-            if i == j:
-                continue
-            for t in range(dimA):
-                gens.append({(i * size + j) * dimA + t: 1})
+    size, dimA = m + n, A.dim
+    gens = [{_matrix_unit(size, dimA, i, j, t): 1}
+            for i in range(size) for j in range(size) if i != j for t in range(dimA)]
     S = subalgebra_closure(gl, gens)
     view = subalgebra_on(gl, S, name=f"sl({m},{n},{A.name or '?'})")
     return view

@@ -125,7 +125,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from itertools import product
 
 from .actions import (
     Action,
@@ -164,7 +163,14 @@ from .linalg import (
     vec_scale,
     vec_sub,
 )
-from .spaces import GradedMap, SuperSpace, tensor_power_space, tensor_vec, weight0_words
+from .spaces import (
+    GradedMap,
+    SuperSpace,
+    tensor_pair,
+    tensor_power_space,
+    tensor_vec,
+    weight0_words,
+)
 
 
 class NotUnital(ValueError, MathError):
@@ -362,22 +368,16 @@ def _cyclic_relation_gens(A: AssocSuperAlgebra) -> list[dict]:
     Written apart from :func:`_hochschild_basis`, so that HC_1 from the
     Connes complex and from the kernel model stay two independent codings
     for the cross-path check to compare."""
-    d = A.dim
-    par = A.space.parities
+    d, sp, par = A.dim, A.space, A.space.parities
     gens = []
     for a in range(d):
         for b in range(d):
             ab = A.product_basis(a, b)
             for c in range(d):
-                g: dict = {}
-                for e, cc in ab.items():
-                    g[e * d + c] = g.get(e * d + c, 0) + cc
-                for e, cc in A.product_basis(b, c).items():
-                    g[a * d + e] = g.get(a * d + e, 0) - cc
+                g = tensor_vec(sp, sp, ab, {c: 1})
+                vec_axpy(g, -1, tensor_vec(sp, sp, {a: 1}, A.product_basis(b, c)))
                 s = -1 if (par[c] * ((par[a] + par[b]) % 2)) else 1
-                for e, cc in A.product_basis(c, a).items():
-                    g[e * d + b] = g.get(e * d + b, 0) + s * cc
-                g = vec_clean(g)
+                vec_axpy(g, s, tensor_vec(sp, sp, A.product_basis(c, a), {b: 1}))
                 if g:
                     gens.append(g)
     return gens
@@ -387,8 +387,8 @@ def _relation_gens(A: AssocSuperAlgebra) -> list[dict]:
     """Generators of I(A): the canonical rows of Im(1 - t_1), which span
     the graded-symmetric a (x) b + (-1)^{|a||b|} b (x) a, and the cyclic
     relations."""
-    bottom, _, _ = _rotation_image(A.field, list(product(range(A.dim), repeat=2)),
-                                   A.space.parities)
+    pairs = [tensor_pair(A.dim, t) for t in range(A.dim ** 2)]
+    bottom, _, _ = _rotation_image(A.field, pairs, A.space.parities)
     return bottom.rows + _cyclic_relation_gens(A)
 
 
@@ -413,7 +413,7 @@ def hc1_kernel_model(A: AssocSuperAlgebra) -> HC1KernelModel:
     ideal = relation_ideal(A)
     quot = quotient_space(sp, Subspace.full(A.field, sp.dim), ideal, "v")
     lie, d = lie_from_assoc(A), A.dim
-    alpha = Matrix(A.field, d, [lie.bracket_basis(*divmod(t, d)) for t in range(sp.dim)])
+    alpha = Matrix(A.field, d, [lie.bracket_basis(*tensor_pair(d, t)) for t in range(sp.dim)])
     gmap = induced_map(quot, A.space, alpha.apply)  # certifies that alpha kills I(A)
     ker = gmap.kernel()
     dims = quot.space.split_dims(ker.rows)

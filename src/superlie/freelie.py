@@ -4,10 +4,11 @@ The free Lie superalgebra on a graded generating set V embeds into its
 tensor superalgebra in characteristic zero, so each degree component is
 realized as the span of left-normed supercommutators inside the tensor
 power, and the truncated bracket table is read off by echelon
-coordinates.  The tensor powers are ``spaces.tensor_power_space(V, k)``,
-and [u, v] = u (x) v - (-1)^{|u||v|} v (x) u is written with
-``spaces.tensor_vec``, so their row-major index and their parities are
-the rules of :mod:`~superlie.spaces`; the field enters only through the
+coordinates.  The tensor powers are ``spaces.tensor_power_space(V, k)``
+of V, the generators with their labels, and [u, v] = u (x) v -
+(-1)^{|u||v|} v (x) u is written with ``spaces.tensor_vec``, so their
+row-major index and their parities are the rules of
+:mod:`~superlie.spaces`; the field enters only through the
 :class:`~superlie.spaces.SuperSpace` V.  This linear realization is the
 production path; the magma-quotient construction lives in the test suite
 as an independent oracle for the component dimensions."""
@@ -131,9 +132,8 @@ class FreeTruncation:
         self.max_degree = max_degree
         self._algebra = None
         # V^{(x) k} for k = 0..max_degree, in the row-major basis of
-        # spaces.tensor_space; V is labelled by generator position, since
-        # labels such as "a*b" could make two tensor labels coincide
-        V = superspace(QQ, [(str(i), p) for i, (_, p) in enumerate(gens.generators)])
+        # spaces.tensor_space
+        V = superspace(QQ, gens.generators)
         self.field = field = V.field
         self.powers = [tensor_power_space(V, k) for k in range(max_degree + 1)]
         # degree components inside V^{(x) k}: spans of left-normed commutators

@@ -89,10 +89,9 @@ def _parse_basis(items, field: Field) -> SuperSpace:
             raise ParseError(f"parity must be 0 or 1: {it!r}")
         labels.append(str(label))
         parities.append(par)
-    try:
-        return SuperSpace(field, tuple(labels), tuple(parities))
-    except ValueError as exc:
-        raise ParseError(str(exc)) from exc
+    if len(set(labels)) != len(labels):
+        raise ParseError("duplicate basis labels")
+    return SuperSpace(field, tuple(labels), tuple(parities))
 
 
 def _parse_value(value, space: SuperSpace, field: Field) -> dict:

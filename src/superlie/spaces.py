@@ -19,7 +19,7 @@ from .linalg import Matrix, Subspace, vec_clean
 
 @dataclass(frozen=True)
 class SuperSpace:
-    """An ordered homogeneous basis: labels with parities."""
+    """An ordered homogeneous basis: display labels, which may coincide, with parities."""
 
     field: Field
     labels: tuple[str, ...]
@@ -28,8 +28,6 @@ class SuperSpace:
     def __post_init__(self):
         if len(self.labels) != len(self.parities):
             raise ValueError("labels and parities differ in length")
-        if len(set(self.labels)) != len(self.labels):
-            raise ValueError("duplicate basis labels")
         if any(p not in (0, 1) for p in self.parities):
             raise ValueError("parities must be 0 or 1")
 
@@ -138,6 +136,18 @@ def tensor_space(a: SuperSpace, b: SuperSpace) -> SuperSpace:
             labels.append(f"{la}*{lb}")
             parities.append((pa + pb) % 2)
     return SuperSpace(a.field, tuple(labels), tuple(parities))
+
+
+def tensor_index(n: int, i: int, j: int) -> int:
+    """The position of a_i (x) b_j in the row-major pair basis of
+    :func:`tensor_space`, n being the dimension of b."""
+    return i * n + j
+
+
+def tensor_pair(n: int, t: int) -> tuple[int, int]:
+    """The pair (i, j) at position t of the row-major pair basis, n being
+    the dimension of b: the inverse of :func:`tensor_index`."""
+    return divmod(t, n)
 
 
 def tensor_vec(a: SuperSpace, b: SuperSpace, u: dict, v: dict) -> dict:

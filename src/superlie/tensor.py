@@ -159,7 +159,15 @@ from .linalg import (
     vec_axpy,
     vec_scale,
 )
-from .spaces import GradedMap, SuperSpace, tensor_space, tensor_vec, weight0_words
+from .spaces import (
+    GradedMap,
+    SuperSpace,
+    tensor_index,
+    tensor_pair,
+    tensor_space,
+    tensor_vec,
+    weight0_words,
+)
 
 
 class IncompatibleActions(ValueError, MathError):
@@ -211,14 +219,13 @@ def _family_i(act_m, nu: Matrix, ms: SuperSpace, ns: SuperSpace, pairs):
         yield g
 
 
-def _family_ii(act_n, mu: Matrix, ms: SuperSpace, ns: SuperSpace, pairs):
+def _family_ii(act_n, mu: Matrix, plain: SuperSpace, ms: SuperSpace, ns: SuperSpace, pairs):
     """Generators -(-1)^{|b||x|} b.x - mu(x) (x) b of D(M, N), for the
-    pairs (x, b) of a basis tensor x and a basis element b of N, with act_n
-    the action of N on M (x) N."""
-    pm, pn, dn = ms.parities, ns.parities, ns.dim
+    pairs (x, b) of a basis tensor x of ``plain`` = M (x) N and a basis
+    element b of N, with act_n the action of N on M (x) N."""
+    px, pn = plain.parities, ns.parities
     for t, b in pairs:
-        px = pm[t // dn] ^ pn[t % dn]
-        g = vec_scale(act_n(b, {t: 1}), 1 if px & pn[b] else -1)
+        g = vec_scale(act_n(b, {t: 1}), 1 if px[t] & pn[b] else -1)
         vec_axpy(g, -1, tensor_vec(ms, ns, mu.cols[t], {b: 1}))
         yield g
 
@@ -236,10 +243,11 @@ def _weight_blocks(P: LieSuperAlgebra):
     reduce, dim = P.field.reduce, P.dim
     wt = [tuple(lam[i] for _, lam in weights) for i in range(dim)]
     # the words (i, j) closed by c: x = e_i (x) e_j row-major, c ascending
-    closed = [(i * dim + j, c) for (i, j), c in weight0_words(P.field, wt, [0] * dim, wt, 2)[2]]
+    closed = [(tensor_index(dim, i, j), c)
+              for (i, j), c in weight0_words(P.field, wt, [0] * dim, wt, 2)[2]]
     # x of nonzero weight against the first h_k with w_k != 0; a pair of
     # weight 0 gets h = i and is left out, as is x in h_k (x) P
-    spanning = [(h, i * dim + j) for i, j in product(range(dim), repeat=2)
+    spanning = [(h, x) for x, (i, j) in enumerate(map(partial(tensor_pair, dim), range(dim * dim)))
                 if (h := next((h for h, lam in weights if reduce(lam[i] + lam[j])), i)) != i]
     return [(c, x) for x, c in closed], closed, spanning
 
@@ -260,7 +268,7 @@ def nonabelian_tensor(M: LieSuperAlgebra, N: LieSuperAlgebra,
     pm, pn = ms.parities, ns.parities
     plain = tensor_space(ms, ns)
 
-    pairs = [(i, j) for i in range(dm) for j in range(dn)]
+    pairs = [tensor_pair(dn, t) for t in range(plain.dim)]
     # the edge maps on the plain pair basis: mu(m (x) n) = -(-1)^{|m||n|} n.m
     # and nu(m (x) n) = m.n; the bracket is B(u, v) = mu(u) (x) nu(v)
     mu_plain = Matrix(field, dm, [field.clean(vec_scale(act_nm.act_basis(j, i),
@@ -294,7 +302,7 @@ def nonabelian_tensor(M: LieSuperAlgebra, N: LieSuperAlgebra,
 
     acc = Echelon(field, plain.dim)
     for g in chain(_family_i(act_m, nu_plain, ms, ns, pairs_i),
-                   _family_ii(act_n, mu_plain, ms, ns, pairs_ii)):
+                   _family_ii(act_n, mu_plain, plain, ms, ns, pairs_ii)):
         g = field.clean(g)
         if g and not acc.contains(g):
             acc.insert(g)
@@ -358,7 +366,7 @@ def induced_tensor_map(src: TensorProduct, dst: TensorProduct,
     def plain(v: dict) -> dict:
         out: dict = {}
         for t, c in v.items():
-            i, j = divmod(t, src.n.dim)
+            i, j = tensor_pair(src.n.dim, t)
             vec_axpy(out, c, tensor_vec(dst.m.space, dst.n.space, images_m[i], images_n[j]))
         return out
 
@@ -376,17 +384,11 @@ def tensor_symmetry_iso(t: TensorProduct) -> tuple[GradedMap, TensorProduct]:
         swapped = nonabelian_tensor(t.n, t.m, t.act_nm, t.act_mn)
     dm, dn = t.m.dim, t.n.dim
     pm, pn = t.m.space.parities, t.n.space.parities
-
-    def swap_plain(v: dict) -> dict:
-        out: dict = {}
-        for tt, c in v.items():
-            i, j = divmod(tt, dn)
-            sgn = -1 if not (pm[i] * pn[j]) else 1
-            idx = j * dm + i
-            out[idx] = out.get(idx, 0) + sgn * c
-        return out
-
-    iso = induced_map(t.quotient, swapped.quotient, swap_plain)
+    # m_i (x) n_j -> -(-1)^{|m_i||n_j|} n_j (x) m_i, by position
+    swap = [(tensor_index(dm, j, i), 1 if pm[i] * pn[j] else -1)
+            for i, j in map(partial(tensor_pair, dn), range(dm * dn))]
+    iso = induced_map(t.quotient, swapped.quotient,
+                      lambda v: {swap[x][0]: swap[x][1] * c for x, c in v.items()})
     if fault := iso_fault(iso, t.algebra, swapped.algebra):
         raise BracketNotWellDefined(f"symmetry {fault}")
     return iso, swapped

@@ -607,9 +607,12 @@ def _crossed_with(**fields) -> dict:
     (("homology", "@heis", "--hopf"),
      {"name": "g", "generators": [["x", 0]], "relators": [{"sum": [{"coeff": None, "word": "x"}]}]},
      "relator coefficient must be a string or an integer: None"),
+    (("check",), {**_heis_over({"kind": "Q"}), "basis": [["x", 0], ["y", 0], ["x", 0]]},
+     "duplicate basis labels"),
 ], ids=["modulus-abc", "modulus-5.9", "generators-5", "duplicate-generators", "sum-5",
         "sum-in-bracket", "sum-empty", "word-one-element", "crossed-m-5", "duplicate-boundary",
-        "basis-parity-true", "generator-parities-float-false", "coeff-abc", "coeff-none"])
+        "basis-parity-true", "generator-parities-float-false", "coeff-abc", "coeff-none",
+        "duplicate-basis-labels"])
 def test_cli_malformed_input_files_exit2(tmp_path, command, obj, message):
     p = tmp_path / "input.json"
     p.write_text(json.dumps(obj), encoding="utf-8")
@@ -618,6 +621,27 @@ def test_cli_malformed_input_files_exit2(tmp_path, command, obj, message):
     assert r.stderr.startswith("input error: ") and message in r.stderr
     assert "Traceback" not in r.stderr
     assert r.stdout == ""
+
+
+@pytest.mark.parametrize("labels, command, lines", [
+    (["a", "b*c", "a*b", "c"], ("tensor", "F", "F", "--adjoint", "--exterior"),
+     ["M (x) N: dim (16|0)", "M (^) M: dim (6|0)"]),
+    (["a", "b^c", "a^b", "c"], ("homology", "F", "-n", "3"),
+     ["H0: dim (1|0)", "H1: dim (4|0)", "H2: dim (6|0)", "H3: dim (4|0)"]),
+], ids=["tensor-labels-with-star", "homology-labels-with-wedge"])
+def test_cli_accepts_labels_whose_derived_labels_coincide(tmp_path, labels, command, lines):
+    """The tensor label a*b and the wedge label a^b are for display only:
+    input labels that make two of them coincide are valid.  The abelian
+    algebra on four even labels has M (x) M = (16|0), M (^) M = (6|0) and
+    H_n = Lambda^n of dimension 1, 4, 6, 4."""
+    p = tmp_path / "labels.json"
+    p.write_text(json.dumps({"name": "F", "field": {"kind": "Q"}, "kind": "lie",
+                             "basis": [[label, 0] for label in labels], "table": []}),
+                 encoding="utf-8")
+    r = run_cli(*(str(p) if arg == "F" else arg for arg in command))
+    assert r.returncode == 0, r.stderr
+    for line in lines:
+        assert line in r.stdout
 
 
 def test_field_modulus_is_a_json_integer_or_digit_string():

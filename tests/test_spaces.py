@@ -1,17 +1,20 @@
-from itertools import permutations
+from itertools import permutations, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import count_wedge_monomials, koszul_sign
-from superlie.fields import QQ
+from superlie.fields import QQ, Field
 from superlie.linalg import Matrix
 from superlie.spaces import (
     GradedMap,
     SuperSpace,
     exterior_power,
     superspace,
+    tensor_index,
+    tensor_pair,
     tensor_space,
+    tensor_vec,
     wedge_normalize,
 )
 
@@ -86,6 +89,30 @@ def test_tensor_row_major_order():
     t = tensor_space(a, b)
     assert t.labels == ("e0*e0", "e0*e1", "e1*e0", "e1*e1")
     assert t.parities == (0, 0, 1, 1)
+
+
+FACTOR_PARITIES = [(), (1,), (0, 1), (1, 0, 1)]
+
+
+@pytest.mark.parametrize("p", [None, 3])
+@pytest.mark.parametrize("pb", FACTOR_PARITIES)
+@pytest.mark.parametrize("pa", FACTOR_PARITIES)
+def test_tensor_pair_is_the_index_rule_of_tensor_space(pa, pb, p):
+    """Position t of the pair basis is (i, j) = tensor_pair(dim b, t),
+    row-major: it carries the label a_i*b_j and the parity |a_i| + |b_j|,
+    tensor_index maps the pair back to t, and tensor_vec puts e_i (x) e_j
+    there."""
+    field = QQ if p is None else Field(p)
+    a = superspace(field, [(f"a{i}", q) for i, q in enumerate(pa)])
+    b = superspace(field, [(f"b{j}", q) for j, q in enumerate(pb)])
+    t = tensor_space(a, b)
+    pairs = [tensor_pair(b.dim, x) for x in range(t.dim)]
+    assert pairs == list(product(range(a.dim), range(b.dim)))
+    for x, (i, j) in enumerate(pairs):
+        assert tensor_index(b.dim, i, j) == x
+        assert t.labels[x] == f"a{i}*b{j}"
+        assert t.parities[x] == (pa[i] + pb[j]) % 2
+        assert tensor_vec(a, b, {i: 1}, {j: 1}) == {x: 1}
 
 
 # -- wedge normalization --------------------------------------------------------
