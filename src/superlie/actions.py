@@ -39,7 +39,7 @@ from .algebras import (
     intertwining_defects,
     is_graded_ideal,
 )
-from .linalg import Subspace, vec_clean, vec_scale
+from .linalg import Subspace, vec_scale
 from .spaces import GradedMap, SuperSpace, tensor_index, tensor_pair
 
 
@@ -309,7 +309,7 @@ def check_crossed(c: CrossedModule) -> AxiomReport:
     # induced module structure of Coker(d) on Ker(d): the image must act
     # trivially on the kernel and P must preserve the kernel, which a
     # generating set of P does iff P does
-    if (any(vec_clean(act.act(r, k)) for r in img.rows for k in ker.rows)
+    if (any(act.act(r, k) for r in img.rows for k in ker.rows)
             or not all(ker.contains_vec(act.act({p: 1}, k))
                        for p in _operators(P) for k in ker.rows)):
         violations.append(Violation("kernel-module", (), {}))

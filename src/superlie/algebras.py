@@ -76,7 +76,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dfield
 from functools import partial
-from itertools import chain, combinations_with_replacement, islice, permutations
+from itertools import chain, islice
 
 from .fields import Field, MathError
 from .linalg import (
@@ -86,7 +86,6 @@ from .linalg import (
     Subquotient,
     Subspace,
     vec_axpy,
-    vec_clean,
     vec_scale,
     vec_sub,
 )
@@ -283,7 +282,7 @@ def _normalize(field: Field, table: dict[tuple[int, int], dict]) -> dict[tuple[i
     form of the field and the zero values dropped, in the given order."""
     out = {}
     for key, v in table.items():
-        if v := vec_clean({k: field.of(c) for k, c in v.items()}):
+        if v := field.clean({k: field.of(c) for k, c in v.items()}):
             out[key] = v
     return out
 
@@ -414,7 +413,7 @@ def _lie_violations(L: LieSuperAlgebra, ops):
             sym = dict(L.bracket_basis(i, j))
             if i != j:
                 vec_axpy(sym, 1, L.bracket_basis(j, i))
-            if vec_clean(sym):
+            if L.field.clean(sym):
                 yield Violation("even-square", (i, j), sym)
     # graded Jacobi: ad(e_i) is a derivation of the bracket
     for i, j, k, defect in _derivation_defects(L.bracket_index(), par, L, ops):
@@ -473,7 +472,7 @@ class AssocSuperAlgebra:
         self.field = space.field
         self.table = _normalize(self.field, table)
         self.rows = _row_index(self.table, space.dim)
-        self.unit = vec_clean({k: self.field.of(c) for k, c in (unit or {}).items()}) or None
+        self.unit = self.field.clean({k: self.field.of(c) for k, c in (unit or {}).items()}) or None
 
     @property
     def dim(self) -> int:
@@ -690,21 +689,25 @@ def series(L: LieSuperAlgebra) -> SeriesReport:
 
 
 def is_engel(L: LieSuperAlgebra, n: int) -> bool:
-    """Whether ad(x)^n = 0 for every x, via the symmetrized operator sums of
-    the multilinear expansion.  Exact over Q; over GF(p) this is a
-    sufficient condition only (documented limitation)."""
+    """Whether ad(x)^n = 0 for the generic x = sum t_i e_i, the t_i
+    commuting: the coefficient of t^alpha in ad(x)^n is the symmetrized
+    sum of the products of the ad(e_i), i in the multiset alpha.  Each
+    ad(x)^k e_j is walked once, as {alpha: vector} over its nonzero
+    coefficients, each step reading the brackets [e_i, v] from
+    :meth:`LieSuperAlgebra.left_brackets`.  Exact over Q; over GF(p) this
+    is a sufficient condition only (documented limitation)."""
     if n < 1:
         raise ValueError("Engel degree must be >= 1")
-    dim = L.dim
-    ad = [Matrix(L.field, dim, [row.get(b, {}) for b in range(dim)]) for row in L.bracket_index()]
-    for multiset in combinations_with_replacement(range(dim), n):
-        total = Matrix.zero(L.field, dim, dim)
-        for perm in set(permutations(multiset)):
-            prod = Matrix.identity(L.field, dim)
-            for i in perm:
-                prod = prod.compose(ad[i])
-            total = total.add(prod)
-        if not total.is_zero():
+    clean = L.field.clean
+    for j in range(L.dim):
+        terms = {(): {j: 1}}
+        for _ in range(n):
+            step: dict[tuple, dict] = {}
+            for alpha, v in terms.items():
+                for i, w in L.left_brackets(v).items():
+                    vec_axpy(step.setdefault(tuple(sorted((*alpha, i))), {}), 1, w)
+            terms = {alpha: w for alpha, v in step.items() if (w := clean(v))}
+        if terms:
             return False
     return True
 
@@ -863,24 +866,26 @@ def factored_quotient_algebra(q: QuotientSpace, left: Matrix, right: Matrix, pai
     for d in q.bottom.rows:
         if left.apply(d) or right.apply(d):
             raise BracketNotWellDefined("edge map does not annihilate D(M, N)")
-    # not LieSuperAlgebra.from_bracket: the loop also certifies
-    # 2 B(s_a, s_a) in D for even a, a pair from_bracket never visits, and
-    # evaluates each B(s_a, s_b) once for the certificate and the table
     section, spar = q.section, q.space.parities
-    table: dict[tuple[int, int], dict] = {}
-    for a, u in enumerate(section):
-        for b in range(a, len(section)):
-            g = bracket(u, section[b])
-            swapped = g if a == b else bracket(section[b], u)
-            anti = dict(g)
-            vec_axpy(anti, -1 if spar[a] * spar[b] else 1, swapped)
-            if q.bottom.reduce_vec(anti):
-                raise BracketNotWellDefined("bracket is not antisymmetric on classes")
-            if a != b or spar[a]:
-                v = q.reduce(g)
-                if v:
-                    table[(a, b)] = v
-    alg = LieSuperAlgebra(q.space, table, name=name)
+
+    def rows():
+        # the loop also certifies 2 B(s_a, s_a) in D for even a, a pair
+        # from_bracket drops, and evaluates each B(s_a, s_b) once for the
+        # certificate and the row
+        for a, u in enumerate(section):
+            row = {}
+            for b in range(a, len(section)):
+                g = bracket(u, section[b])
+                swapped = g if a == b else bracket(section[b], u)
+                anti = dict(g)
+                vec_axpy(anti, -1 if spar[a] * spar[b] else 1, swapped)
+                if q.bottom.reduce_vec(anti):
+                    raise BracketNotWellDefined("bracket is not antisymmetric on classes")
+                if a != b or spar[a]:
+                    row[b] = q.reduce(g)
+            yield row
+
+    alg = LieSuperAlgebra.from_bracket(q.space, rows(), name=name)
     rep = check_lie_axioms(alg)
     if not rep.ok:
         raise BracketNotWellDefined(f"product fails Lie axioms: {rep.violations[:3]}")

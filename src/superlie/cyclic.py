@@ -159,7 +159,6 @@ from .linalg import (
     Matrix,
     Subspace,
     vec_axpy,
-    vec_clean,
     vec_scale,
     vec_sub,
 )
@@ -484,7 +483,7 @@ def v_algebra(A: AssocSuperAlgebra) -> VAlgebra:
     # A kills HC_1(A)
     for p in range(d):
         for r in km.kernel.rows:
-            if vec_clean(action_a.act({p: 1}, r)):
+            if action_a.act({p: 1}, r):
                 raise ComplexInconsistent("the action of A does not kill HC_1")
     return VAlgebra(lie, algebra, quot, km.to_commutators, action_a, crossed,
                     sub_space(algebra.space, km.kernel, "hc."))

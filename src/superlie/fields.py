@@ -84,9 +84,6 @@ class Field:
         """Normal form of a scalar (mod p, or exact Fraction/int)."""
         return a if self.p is None else a % self.p
 
-    def is_zero(self, a) -> bool:
-        return a == 0 if self.p is None else a % self.p == 0
-
     def clean(self, v: dict) -> dict:
         """A sparse vector in normal form: scalars reduced, zero entries dropped."""
         if self.p is None:

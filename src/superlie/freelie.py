@@ -20,7 +20,7 @@ from itertools import accumulate
 
 from .algebras import LieSuperAlgebra
 from .fields import QQ, InputError, MathError
-from .linalg import Echelon, Subspace, vec_axpy, vec_clean
+from .linalg import Echelon, Subspace, vec_axpy
 from .spaces import SuperSpace, superspace, tensor_power_space, tensor_vec
 
 
@@ -179,26 +179,27 @@ class FreeTruncation:
                 labels.append(self.gens.generators[t][0] if k == 1 else f"w{k}.{t}")
                 parities.append(self.powers[k].parities[min(row)])
                 basis.append((k, row))
-        # not LieSuperAlgebra.from_bracket: the pairs above the class bound
-        # are pruned here before any work, and the loop already visits the
-        # stored pairs in row-major order; the constructor drops the zero
-        # brackets
-        table: dict[tuple[int, int], dict] = {}
-        for a, (ka, row_a) in enumerate(basis):
-            for b in range(a + 1 - parities[a], len(basis)):
-                kb, row_b = basis[b]
-                k = ka + kb
-                if k > self.max_degree:
-                    break  # the basis is in degree order
-                prod = self._supercommutator(row_a, parities[a], row_b, parities[b], ka, kb)
-                coords = self.components[k].coords(prod)
-                if coords is None:
-                    raise RuntimeError("free component is not closed under brackets")
-                off = self.offsets[k]
-                table[(a, b)] = {off + i: c for i, c in coords.items()}
+
+        def rows():
+            # the pairs above the class bound are pruned before any work
+            for a, (ka, row_a) in enumerate(basis):
+                row = {}
+                for b in range(a + 1 - parities[a], len(basis)):
+                    kb, row_b = basis[b]
+                    k = ka + kb
+                    if k > self.max_degree:
+                        break  # the basis is in degree order
+                    prod = self._supercommutator(row_a, parities[a], row_b, parities[b], ka, kb)
+                    coords = self.components[k].coords(prod)
+                    if coords is None:
+                        raise RuntimeError("free component is not closed under brackets")
+                    off = self.offsets[k]
+                    row[b] = {off + i: c for i, c in coords.items()}
+                yield row
+
         name = f"free({','.join(l for l, _ in self.gens.generators)};c{self.max_degree})"
         sp = SuperSpace(self.field, tuple(labels), tuple(parities))
-        self._algebra = LieSuperAlgebra(sp, table, name=name)
+        self._algebra = LieSuperAlgebra.from_bracket(sp, rows(), name)
         return self._algebra
 
     def evaluate_word(self, word) -> tuple[int, int, dict]:
@@ -233,7 +234,7 @@ class FreeTruncation:
                 c = self.field.parse(str(term["coeff"]))
                 for k, v in self._algebra_vec(term["word"]).items():
                     out[k] = out.get(k, 0) + c * v
-            return vec_clean(out)
+            return self.field.clean(out)
         k, _, v = self._evaluate(word)
         if not v:
             return {}

@@ -480,23 +480,23 @@ class CrossedSES:
     g: GradedMap  # M -> N
 
     def validate(self) -> None:
-        if self.f.kernel().dim != 0:
-            raise ValueError("the left map of the sequence is not injective")
-        if self.g.matrix.rank() != self.n.m.dim:
-            raise ValueError("the right map of the sequence is not surjective")
-        if self.f.image() != self.g.kernel():
-            raise ValueError("the sequence is not exact in the middle")
+        """Raise ValueError unless this is a short exact sequence of
+        crossed modules: 0 -> L -> M -> N -> 0 exact, certified by
+        :func:`exact_sequence` from a zero map out of the zero space, with
+        a message naming the node it fails at; L with zero boundary; and f
+        and g commuting with the boundaries and the actions of P."""
+        zero = SuperSpace(self.p.field, (), ())
+        rep = exact_sequence(["0", "L", "M", "N"],
+                             [GradedMap.zero(zero, self.f.source), self.f, self.g])
+        for label, _, _, ok in rep.nodes:
+            if not ok:
+                raise ValueError(f"the sequence 0 -> L -> M -> N -> 0 is not exact at {label}")
         if not self.l.boundary.is_zero():
             raise ValueError("the left coefficient must have zero boundary")
-        comp = self.m.boundary.compose(self.f)
-        if not comp.is_zero():
-            raise ValueError("boundary of M does not restrict to zero on L")
-        clean = self.p.field.clean
-        if ([clean(c) for c in self.n.boundary.compose(self.g).matrix.cols]
-                != [clean(c) for c in self.m.boundary.matrix.cols]):
-            raise ValueError("boundaries are not compatible with the right map")
         for h, src, dst, side in ((self.f, self.l, self.m, "left"),
                                   (self.g, self.m, self.n, "right")):
+            if dst.boundary.compose(h).matrix.cols != src.boundary.matrix.cols:
+                raise ValueError(f"boundaries are not compatible with the {side} map")
             if next(intertwining_defects(self.p.field, h.matrix.cols, src.action.rows,
                                          dst.action.rows), None):
                 raise ValueError(f"{side} map is not equivariant")

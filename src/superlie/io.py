@@ -18,7 +18,7 @@ from typing import TYPE_CHECKING
 
 from .algebras import AssocSuperAlgebra, LieSuperAlgebra
 from .fields import Field, FieldError, InputError
-from .linalg import Matrix, vec_clean
+from .linalg import Matrix
 from .spaces import GradedMap, SuperSpace
 
 if TYPE_CHECKING:
@@ -33,6 +33,12 @@ class ParseError(InputError):
 def _require_list(value, what: str) -> list:
     if not isinstance(value, list):
         raise ParseError(f"{what} must be a list: {value!r}")
+    return value
+
+
+def _require_str(value, what: str) -> str:
+    if not isinstance(value, str):
+        raise ParseError(f"{what} must be a string: {value!r}")
     return value
 
 
@@ -87,7 +93,7 @@ def _parse_basis(items, field: Field) -> SuperSpace:
         label, par = it
         if not _is_parity(par):
             raise ParseError(f"parity must be 0 or 1: {it!r}")
-        labels.append(str(label))
+        labels.append(_require_str(label, "basis label"))
         parities.append(par)
     if len(set(labels)) != len(labels):
         raise ParseError("duplicate basis labels")
@@ -109,11 +115,12 @@ def _parse_value(value, space: SuperSpace, field: Field) -> dict:
         except FieldError as exc:
             raise ParseError(str(exc)) from exc
         out[idx] = field.of(out.get(idx, 0) + c)
-    return vec_clean(out)
+    return field.clean(out)
 
 
 def parse_algebra(obj: dict, what: str = "algebra") -> LieSuperAlgebra | AssocSuperAlgebra:
     _require_keys(obj, {"name", "field", "kind", "basis", "table"}, {"unit"}, what)
+    name = _require_str(obj["name"], "algebra name")
     field = parse_field(obj["field"])
     space = _parse_basis(obj["basis"], field)
     kind = obj["kind"]
@@ -141,11 +148,11 @@ def parse_algebra(obj: dict, what: str = "algebra") -> LieSuperAlgebra | AssocSu
     if kind == "lie":
         if "unit" in obj:
             raise ParseError("lie algebras take no unit")
-        return LieSuperAlgebra(space, table, name=str(obj["name"]))
+        return LieSuperAlgebra(space, table, name=name)
     unit = None
     if "unit" in obj:
         unit = _parse_value(obj["unit"], space, field)
-    return AssocSuperAlgebra(space, table, unit=unit, name=str(obj["name"]))
+    return AssocSuperAlgebra(space, table, unit=unit, name=name)
 
 
 def algebra_to_json(alg: LieSuperAlgebra | AssocSuperAlgebra) -> dict:
@@ -211,7 +218,8 @@ def parse_module(obj: dict, p: LieSuperAlgebra) -> Action:
     _require_keys(obj, {"name", "algebra", "basis", "entries"}, set(), "module")
     if obj["algebra"] != p.name:
         raise ParseError(f"module is over {obj['algebra']!r}, not {p.name!r}")
-    target = LieSuperAlgebra(_parse_basis(obj["basis"], p.field), {}, name=str(obj["name"]))
+    target = LieSuperAlgebra(_parse_basis(obj["basis"], p.field), {},
+                             name=_require_str(obj["name"], "module name"))
     return parse_action({"actor": p.name, "target": target.name, "entries": obj["entries"]},
                         p, target)
 
@@ -285,7 +293,7 @@ def load_presentation(path: str | Path) -> Presentation:
     for it in _require_list(obj["generators"], "generators"):
         if not (isinstance(it, list) and len(it) == 2 and _is_parity(it[1])):
             raise ParseError(f"generator must be [label, parity]: {it!r}")
-        gens.append((str(it[0]), it[1]))
+        gens.append((_require_str(it[0], "generator label"), it[1]))
     try:
         gg = GradedGenSet(tuple(gens))
     except ValueError as exc:

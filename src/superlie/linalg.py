@@ -74,10 +74,6 @@ class ContainmentError(ValueError, MathError):
 # sparse vector helpers
 
 
-def vec_clean(v: dict) -> dict:
-    return {k: c for k, c in v.items() if c != 0}
-
-
 def vec_axpy(dst: dict, coeff, src: dict) -> None:
     """dst += coeff * src, in place."""
     if coeff == 0:
@@ -402,14 +398,15 @@ class _UnitRows(Sequence):
 
 
 class Matrix:
-    """A linear map stored column-wise: ``cols[j]`` is the image of e_j."""
+    """A linear map stored column-wise: ``cols[j]`` is the image of e_j,
+    kept in the field's normal form."""
 
     __slots__ = ("field", "nrows", "cols")
 
     def __init__(self, field: Field, nrows: int, cols: list[dict]):
         self.field = field
         self.nrows = nrows
-        self.cols = [vec_clean(c) for c in cols]
+        self.cols = [field.clean(c) for c in cols]
 
     @property
     def ncols(self) -> int:
@@ -425,16 +422,8 @@ class Matrix:
         """self ∘ inner."""
         return Matrix(self.field, self.nrows, [self.apply(c) for c in inner.cols])
 
-    def add(self, other: "Matrix") -> "Matrix":
-        cols = []
-        for a, b in zip(self.cols, other.cols):
-            out = dict(a)
-            vec_axpy(out, 1, b)
-            cols.append(out)
-        return Matrix(self.field, self.nrows, cols)
-
     def is_zero(self) -> bool:
-        return not any(self.field.clean(col) for col in self.cols)
+        return not any(self.cols)
 
     def row_list(self) -> list[dict]:
         rows: list[dict] = [dict() for _ in range(self.nrows)]
@@ -481,27 +470,17 @@ class Matrix:
         return Subspace(self.field, self.ncols, list(kernel.values()), _canonical=True)
 
     def solve(self, b: dict) -> dict | None:
-        """Some x with M x = b (free variables set to 0), or None if inconsistent."""
-        n = self.ncols
-        acc = Echelon(self.field, n + 1)
-        for i, row in enumerate(self.row_list()):
-            c = b.get(i)
-            if c is not None and not self.field.is_zero(c):
-                row = dict(row)
-                row[n] = self.field.neg(c)  # equation: sum row[j] x_j - b_i = 0
-            acc.insert(row)
-        rref = acc.subspace()
-        x: dict = {}
-        for piv, row in zip(rref.pivots, rref.rows):
-            if piv == n:
-                return None  # 0 = nonzero
-            # reduced form: entries only at free columns and the constant column;
-            # with free variables 0, x_piv = -row[n]
-            x[piv] = self.field.neg(row.get(n, 0))
-        out = {k: v for k, v in x.items() if not self.field.is_zero(v)}
-        if self.field.clean(vec_sub(self.apply(out), b)):
-            return None
-        return out
+        """Some x with M x = b, or None if b is outside the image, read off
+        the kernel of (M | -b): b lies in the image iff a canonical kernel
+        row has a nonzero last coordinate c, and then x is that row's other
+        coordinates divided by c."""
+        n, field = self.ncols, self.field
+        aug = Matrix(field, self.nrows, [*self.cols, vec_scale(b, -1)])
+        for row in aug.kernel_basis().rows:
+            if c := row.get(n):
+                x = {j: field.of(Fraction(v, c)) for j, v in row.items() if j != n}
+                return None if field.clean(vec_sub(self.apply(x), b)) else x
+        return None
 
     @staticmethod
     def identity(field: Field, n: int) -> "Matrix":

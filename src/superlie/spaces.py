@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from itertools import combinations_with_replacement
 
 from .fields import Field
-from .linalg import Matrix, Subspace, vec_clean
+from .linalg import Matrix, Subspace
 
 
 @dataclass(frozen=True)
@@ -42,7 +42,7 @@ class SuperSpace:
 
     def parity_of_vec(self, v: dict) -> int | None:
         """Parity if v is homogeneous (0 for the zero vector), else None."""
-        ps = {self.parities[i] for i in vec_clean(v)}
+        ps = {self.parities[i] for i in self.field.clean(v)}
         if not ps:
             return 0
         if len(ps) > 1:

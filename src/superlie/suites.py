@@ -185,7 +185,7 @@ def standard_crossed_ses() -> list[tuple[str, CrossedSES]]:
     labels = tuple(P.space.labels) + ("c",)
     parities = P.space.parities + (0,)
     spM = SuperSpace(QQ, labels, parities)
-    Mx = LieSuperAlgebra(spM, {k: dict(v) for k, v in P.table.items()}, name="PxK")
+    Mx = LieSuperAlgebra.from_bracket(spM, P.bracket_index(), "PxK")
     bnd = GradedMap.from_columns(spM, P.space, [{i: 1} for i in range(P.dim)] + [{}])
     Kl = abelian(QQ, 1, 0, prefix="c")
     ses3 = CrossedSES(

@@ -53,7 +53,10 @@ the production code reverses the columns and reads the canonical kernel
 off one elimination; spans are inserted in the order given, where the
 production code inserts the sparsest vectors first; the action tables of
 an ideal and of a pullback are filled entry by entry through the public
-bracket and action, where the production code spreads rows.
+bracket and action, where the production code spreads rows.  The Engel
+condition composes the dense ad matrices for every ordering of every
+multiset of basis indices, where the production code walks ad(x)^n e_j
+once per basis vector for the generic x.
 The module also holds the helpers that only tests use: algebras in a
 permuted, rescaled basis, bracket actions between subalgebra views,
 relators as graded vectors, and the bundled corpus files regenerated from
@@ -65,7 +68,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from itertools import chain, islice, product
+from itertools import chain, combinations_with_replacement, islice, permutations, product
 from pathlib import Path
 
 from superlie.actions import Action, ActionInvalid, CrossedModule, adjoint_action, check_action
@@ -92,7 +95,7 @@ from superlie.cyclic import dual_numbers, grassmann_line, hc1_kernel_model
 from superlie.fields import QQ, Field
 from superlie.homology import ChainComplex
 from superlie.io import action_to_json, algebra_to_json, dump_json
-from superlie.linalg import Echelon, Subquotient, Subspace, vec_axpy, vec_clean, vec_scale, vec_sub
+from superlie.linalg import Echelon, Matrix, Subquotient, Subspace, vec_axpy, vec_scale, vec_sub
 from superlie.spaces import (
     GradedMap,
     SuperSpace,
@@ -217,7 +220,7 @@ def connes_oracle(A: AssocSuperAlgebra, max_n: int, weight0: bool = False):
             g = {i: 1}
             r = position[_flat_index(t[n:] + t[:n], d)]
             g[r] = g.get(r, 0) - (-1 if twist else 1)
-            acc.insert(vec_clean(g))
+            acc.insert(A.field.clean(g))
         top = (Subspace(A.field, sp.dim, [{i: 1} for i in range(sp.dim)]) if weights
                else Subspace.full(A.field, sp.dim))
         coinv.append(quotient_space(sp, top, acc.subspace(), f"c{n}."))
@@ -831,7 +834,7 @@ def _lie_violations_dense(L):
             if par[i] == 0 and par[j] == 0:
                 sym = dict(L.bracket_basis(i, j))
                 vec_axpy(sym, 1, L.bracket_basis(j, i))
-                if vec_clean(sym):
+                if L.field.clean(sym):
                     yield Violation("even-square", (i, j), sym)
     for i in range(L.dim):
         for j in range(L.dim):
@@ -993,7 +996,7 @@ def check_crossed_dense(c: CrossedModule) -> AxiomReport:
         violations.append(Violation("image-not-ideal", (), {}))
     # induced module structure of Coker(d) on Ker(d): the image must act
     # trivially on the kernel and P must preserve the kernel
-    if (any(vec_clean(act.act(r, k)) for r in img.rows for k in ker.rows)
+    if (any(act.field.clean(act.act(r, k)) for r in img.rows for k in ker.rows)
             or not all(ker.contains_vec(act.act({p: 1}, k))
                        for p in range(P.dim) for k in ker.rows)):
         violations.append(Violation("kernel-module", (), {}))
@@ -1078,7 +1081,7 @@ def graded_symmetric_gens(A: AssocSuperAlgebra) -> list[dict]:
             g = {a * d + b: 1}
             s = -1 if par[a] * par[b] else 1
             g[b * d + a] = g.get(b * d + a, 0) + s
-            g = vec_clean(g)
+            g = A.field.clean(g)
             if g:
                 gens.append(g)
     return gens
@@ -1113,7 +1116,7 @@ def milnor_extra_gens(A: AssocSuperAlgebra) -> list[dict]:
                 s = -1 if par[b] * par[c] else 1
                 for e, cc in A.product_basis(c, b).items():
                     g[a * d + e] = g.get(a * d + e, 0) - s * cc
-                g = vec_clean(g)
+                g = A.field.clean(g)
                 if g:
                     gens.append(g)
     return gens
@@ -1152,6 +1155,26 @@ def inner_weights_dense(L) -> list[tuple[int, list]]:
         if all(set(v) <= {i} for i, v in enumerate(images)):
             out.append((h, [L.field.of(v.get(i, 0)) for i, v in enumerate(images)]))
     return out
+
+
+def is_engel_dense(L, n: int) -> bool:
+    """Whether ad(x)^n = 0 for the generic x = sum t_i e_i, the t_i
+    commuting: for each multiset alpha of n basis indices, the sum over the
+    distinct orderings of alpha of the products of the dense ad(e_i)
+    matrices, the coefficient of t^alpha, must vanish."""
+    dim = L.dim
+    ad = [Matrix(L.field, dim, [row.get(b, {}) for b in range(dim)]) for row in L.bracket_index()]
+    for multiset in combinations_with_replacement(range(dim), n):
+        total = [{} for _ in range(dim)]
+        for perm in set(permutations(multiset)):
+            prod = Matrix.identity(L.field, dim)
+            for i in perm:
+                prod = prod.compose(ad[i])
+            for col, c in zip(total, prod.cols):
+                vec_axpy(col, 1, c)
+        if any(L.field.clean(col) for col in total):
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -1296,7 +1319,7 @@ class GradedVector:
 
     @staticmethod
     def of(space: SuperSpace, v: dict) -> "GradedVector":
-        return GradedVector(space, tuple(sorted(vec_clean(v).items())))
+        return GradedVector(space, tuple(sorted(space.field.clean(v).items())))
 
     def as_dict(self) -> dict:
         return dict(self.coords)

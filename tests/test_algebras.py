@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from oracles import explicit_matrix_bracket
+from oracles import explicit_matrix_bracket, is_engel_dense
 from superlie.algebras import (
     LieSuperAlgebra,
     NotAnIdeal,
@@ -24,7 +24,8 @@ from superlie.algebras import (
     series,
     subalgebra_closure,
 )
-from superlie.cyclic import grassmann_line
+from superlie.corpus import lie_algebra
+from superlie.cyclic import dual_numbers, grassmann_line
 from superlie.fields import Field, QQ
 from superlie.linalg import Subspace
 from superlie.spaces import GradedMap, superspace
@@ -165,6 +166,60 @@ def test_engel(heis):
     # monotone: n-Engel implies (n+1)-Engel
     assert is_engel(heis, 3)
     assert engel_degree(heis, 3) == 2
+
+
+def _engel_cases(field: Field) -> dict[str, LieSuperAlgebra]:
+    """The corpus algebras heis, gl11, sl21 and zheis, the free nilpotent
+    algebras of class 3 on x, y and on x and an odd t, and the free 2-Engel
+    algebra on x, y, z, all rebuilt over field from their tables over Q;
+    gl(1|1) over the dual numbers and the tensor square of heis.  The
+    2-Engel algebra is F/I, F free of class 3 on x, y, z and I the ideal of
+    [a, [b, c]] + [b, [a, c]], which [u, [u, v]] = 0 needs of generators a,
+    b, c: over F3 it keeps [x, [y, z]] != 0 and has class 3, so its
+    coefficients of t^alpha in ad(x)^2 vanish only as symmetrized sums
+    (elsewhere 3 [x, [y, z]] = 0 makes it class 2)."""
+    from superlie.freelie import FreeTruncation, GradedGenSet
+    from superlie.tensor import adjoint_tensor_square
+
+    def over(L: LieSuperAlgebra) -> LieSuperAlgebra:
+        return LieSuperAlgebra(superspace(field, list(zip(L.space.labels, L.space.parities))),
+                               L.table, name=L.name)
+
+    free = {f"free(x,{g};c3)": FreeTruncation(GradedGenSet((("x", 0), (g, par))), 3).algebra()
+            for g, par in (("y", 0), ("t", 1))}
+    out = {name: over(L) for name, L in free.items()}
+    out.update((name, over(lie_algebra(name))) for name in ("heis", "gl11", "sl21", "zheis"))
+    xyz = FreeTruncation(GradedGenSet((("x", 0), ("y", 0), ("z", 0))), 3)
+    F = over(xyz.algebra())
+    relators = [xyz.word_to_algebra_vec({"sum": [{"coeff": "1", "word": [a, [b, c]]},
+                                                 {"coeff": "1", "word": [b, [a, c]]}]})
+                for a in "xyz" for b in "xyz" for c in "xyz"]
+    out["engel2(x,y,z)"] = quotient_algebra(F, ideal_closure(F, [field.clean(
+        {k: field.of(c) for k, c in r.items()}) for r in relators]))[0]
+    out["gl(1|1, dual)"] = matrix_gl(1, 1, dual_numbers(field))
+    out["heis (x) heis"] = adjoint_tensor_square(heisenberg(field)).algebra
+    return out
+
+
+@pytest.mark.parametrize("p", [None, 3, 5, 7])
+def test_engel_matches_the_dense_oracle(p):
+    """ad(x)^n e_j walked once per basis vector agrees with the sums of
+    products of dense ad matrices over every ordering of every multiset,
+    for n = 1, 2, 3: 27 cases per field."""
+    got, want = {}, {}
+    cases = _engel_cases(Field(p))
+    for name, L in cases.items():
+        for n in (1, 2, 3):
+            got[name, n] = is_engel(L, n)
+            want[name, n] = is_engel_dense(L, n)
+    assert got == want
+    # both answers occur: heis is 2-Engel and not 1-Engel, the free
+    # algebras of class 3 are 3-Engel and not 2-Engel, gl(1|1) is not 3-Engel
+    assert got["heis", 2] and not got["heis", 1] and not got["gl11", 3]
+    assert all(got[name, 3] and not got[name, 2] for name in ("free(x,y;c3)", "free(x,t;c3)"))
+    engel2 = cases["engel2(x,y,z)"]
+    assert got["engel2(x,y,z)", 2] and not got["engel2(x,y,z)", 1]
+    assert (engel2.dim, series(engel2).nil_class) == ((7, 3) if p == 3 else (6, 2))
 
 
 def test_quotient_algebra(heis, gl11):

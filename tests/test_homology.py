@@ -217,7 +217,7 @@ def diagonal_weights(P: LieSuperAlgebra, M: Action) -> list[tuple[list, list]]:
 
 
 def has_weight_zero(field: Field, weights, mono, t) -> bool:
-    return all(field.is_zero(sum(lam[x] for x in mono) + mu[t])
+    return all(not field.reduce(sum(lam[x] for x in mono) + mu[t])
                for lam, mu in weights)
 
 
@@ -528,6 +528,51 @@ def test_crossed_ses_refuses_boundaries_that_do_not_commute_with_g():
         bad.validate()
 
 
+def _broken_trivial_ses(node: str) -> CrossedSES:
+    """The trivial sequence 0 -> K -> K^2 -> K -> 0 over heis, f = l0 -> m0
+    and g = m1 -> n0, broken at one node: f from K^2 sending l0 and l1 to
+    m0 has kernel l0 - l1 (L); g sending m0 and m1 to n0 has kernel
+    m0 - m1, not the image m0 of f (M); g into K^2 misses n1 (N).  The
+    other two nodes stay exact."""
+    from dataclasses import replace
+
+    _, ses = standard_crossed_ses()[0]
+    assert ses.f.matrix.cols == [{0: 1}] and ses.g.matrix.cols == [{}, {0: 1}]
+    P, M, N = ses.p, ses.m.m, ses.n.m
+    if node == "M":
+        return replace(ses, g=GradedMap.from_columns(M.space, N.space, [{0: 1}, {0: 1}]))
+    K2 = abelian(QQ, 2, 0, prefix="l" if node == "L" else "n")
+    cm = supermodule_crossed(P, K2, trivial_action(P, K2))
+    if node == "L":
+        return replace(ses, l=cm, f=GradedMap.from_columns(K2.space, M.space, [{0: 1}, {0: 1}]))
+    return replace(ses, n=cm, g=GradedMap.from_columns(M.space, K2.space, [{}, {0: 1}]))
+
+
+@pytest.mark.parametrize("node", ["L", "M", "N"])
+def test_crossed_ses_names_the_node_where_exactness_fails(node):
+    ses = _broken_trivial_ses(node)
+    rep = exact_sequence(["0", "L", "M", "N"],
+                         [GradedMap.zero(SuperSpace(QQ, (), ()), ses.f.source), ses.f, ses.g])
+    assert [label for label, _, _, ok in rep.nodes if not ok] == [node]
+    with pytest.raises(ValueError, match=f"0 -> L -> M -> N -> 0 is not exact at {node}$"):
+        ses.validate()
+
+
+def test_crossed_ses_refuses_boundaries_that_do_not_commute_with_f():
+    """The trivial sequence over heis with d_M(m0) = z, central in heis, in
+    place of 0: still a crossed module, exact and equivariant, but
+    d_M . f = (l0 -> z) while L has boundary 0."""
+    from superlie.actions import CrossedModule
+
+    _, ses = standard_crossed_ses()[0]
+    ses.validate()
+    M, h = ses.m.m, ses.p
+    d = GradedMap.from_columns(M.space, h.space, [{2: 1}, {}])
+    bad = CrossedSES(h, ses.l, CrossedModule(M, h, d, trivial_action(h, M)), ses.n, ses.f, ses.g)
+    with pytest.raises(ValueError, match="boundaries are not compatible with the left map"):
+        bad.validate()
+
+
 def test_ideal_sixterm(heis, gl11):
     rep = ideal_sixterm(heis, series(heis).center)
     assert rep.ok
@@ -584,7 +629,7 @@ def exterior_symmetry_dims(P: LieSuperAlgebra, ideals: bool):
     ideal [P, P]; returns the dims of M (x) N and of M ^ N."""
     from superlie.actions import crossed_pullback_actions, ideal_crossed, pullback_action
     from superlie.algebras import subalgebra_on
-    from superlie.linalg import Matrix, vec_clean
+    from superlie.linalg import Matrix
     from superlie.tensor import nonabelian_exterior, nonabelian_tensor, tensor_symmetry_iso
 
     slpart = P.product_subspace(P.full_subspace(), P.full_subspace())
@@ -604,7 +649,7 @@ def exterior_symmetry_dims(P: LieSuperAlgebra, ideals: bool):
     # the square ideal maps into the square ideal, so the iso descends
     for r in e_pm.square.rows:
         assert e_mp.square.contains_vec(iso.apply(r))
-    cols = [vec_clean(e_mp.projection.apply(iso.apply(s))) for s in e_pm.projection.quotient.section]
+    cols = [P.field.clean(e_mp.projection.apply(iso.apply(s))) for s in e_pm.projection.quotient.section]
     descended = Matrix(P.field, e_mp.algebra.dim, cols)
     assert descended.rank() == e_pm.algebra.dim == e_mp.algebra.dim
     return t_pm.algebra.space.dim_pair, e_pm.algebra.space.dim_pair

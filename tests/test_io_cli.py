@@ -609,10 +609,21 @@ def _crossed_with(**fields) -> dict:
      "relator coefficient must be a string or an integer: None"),
     (("check",), {**_heis_over({"kind": "Q"}), "basis": [["x", 0], ["y", 0], ["x", 0]]},
      "duplicate basis labels"),
+    (("check",), {"name": "a", "field": {"kind": "Q"}, "kind": "lie", "basis": [[["x"], 0]],
+                  "table": []},
+     "basis label must be a string: ['x']"),
+    (("check",), {**_heis_over({"kind": "Q"}), "name": {"a": 1}},
+     "algebra name must be a string: {'a': 1}"),
+    (("homology", "@heis", "--hopf"), {"name": "g", "generators": [[["x"], 0]], "relators": []},
+     "generator label must be a string: ['x']"),
+    (("homology", "@heis", "-m"),
+     {"name": ["m"], "algebra": "heis", "basis": [["m0", 0]], "entries": []},
+     "module name must be a string: ['m']"),
 ], ids=["modulus-abc", "modulus-5.9", "generators-5", "duplicate-generators", "sum-5",
         "sum-in-bracket", "sum-empty", "word-one-element", "crossed-m-5", "duplicate-boundary",
         "basis-parity-true", "generator-parities-float-false", "coeff-abc", "coeff-none",
-        "duplicate-basis-labels"])
+        "duplicate-basis-labels", "basis-label-list", "algebra-name-object",
+        "generator-label-list", "module-name-list"])
 def test_cli_malformed_input_files_exit2(tmp_path, command, obj, message):
     p = tmp_path / "input.json"
     p.write_text(json.dumps(obj), encoding="utf-8")

@@ -189,6 +189,39 @@ def test_solve_inconsistent():
     assert m.solve({0: 1, 1: 2}) is None
 
 
+def test_matrix_columns_are_field_normal():
+    """A column entry that is zero in the field, such as 5 over F5, is
+    dropped when the matrix is built, and the others are reduced."""
+    assert Matrix(F5, 1, [{0: 5}]).cols == [{}]
+    assert Matrix(F5, 1, [{0: 5}]).is_zero()
+    assert Matrix(F5, 2, [{0: 7, 1: -1}, {0: 0}]).cols == [{0: 2, 1: 4}, {}]
+    assert Matrix(QQ, 2, [{0: 0, 1: Fraction(1, 2)}]).cols == [{1: Fraction(1, 2)}]
+
+
+@pytest.mark.parametrize("field", [QQ, F3, F5, F7], ids=str)
+def test_solve_finds_a_preimage_exactly_on_the_image(field):
+    """solve returns some x with M x = b when b lies in the image of M, a
+    canonical subspace, and None otherwise: for random sparse matrices, a
+    random b and a b = M y known to be in the image."""
+    rng = random.Random(32)
+    hits = misses = 0
+    for _ in range(60):
+        nrows, ncols = rng.randint(0, 5), rng.randint(0, 5)
+        m = mat(field, nrows, [{i: rng.randint(-2, 2) for i in range(nrows) if rng.random() < 0.5}
+                               for _ in range(ncols)])
+        image = m.image_basis()
+        for b in ({i: rng.randint(-3, 3) for i in range(nrows) if rng.random() < 0.6},
+                  m.apply({j: rng.randint(-2, 2) for j in range(ncols)})):
+            x = m.solve(b)
+            if image.contains_vec(b):
+                assert x is not None and m.apply(x) == field.clean(b)
+                hits += 1
+            else:
+                assert x is None
+                misses += 1
+    assert hits and misses
+
+
 def test_solve_mod_p():
     m = mat(F5, 2, [{0: 2, 1: 1}, {0: 1, 1: 3}])
     b = {0: 4, 1: 2}

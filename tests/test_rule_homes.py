@@ -1,0 +1,84 @@
+"""Each core rule has one home in the package.
+
+A sparse vector is put in the normal form of its field by ``Field.clean``
+only: no module of ``src/superlie`` names ``vec_clean``, a helper that
+dropped exact zeros only and so kept an unreduced zero such as 5 over F5.
+A computed Lie bracket table goes through
+``LieSuperAlgebra.from_bracket``, which applies the storage rule (pairs
+a < b, and a = b for odd a) to sparse rows: a direct
+``LieSuperAlgebra(...)`` call passes a literal table, a dict display.  The
+file parser ``io.parse_algebra`` is the one exception: it builds the table
+of a file entry by entry and refuses an entry against the storage rule
+with a message naming it.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = sorted((ROOT / "src" / "superlie").glob("*.py"))
+TABLE_PARSERS = {"io.py": {"parse_algebra"}}
+
+
+def name_lines(source: str, name: str) -> list[int]:
+    """The lines on which source names ``name``: read, imported, defined or
+    reached as an attribute."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if ((isinstance(node, ast.Name) and node.id == name)
+                or (isinstance(node, ast.Attribute) and node.attr == name)
+                or (isinstance(node, ast.alias) and node.name == name)
+                or (isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name == name)):
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+def computed_table_lines(source: str, exempt=frozenset()) -> list[int]:
+    """The lines of the ``LieSuperAlgebra(...)`` calls whose table, the
+    second argument, is not a dict display, outside the functions named in
+    ``exempt``."""
+    tree = ast.parse(source)
+    skip = {id(n) for f in ast.walk(tree)
+            if isinstance(f, ast.FunctionDef) and f.name in exempt for n in ast.walk(f)}
+    lines = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call) or id(node) in skip:
+            continue
+        func = node.func
+        callee = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+        if callee != "LieSuperAlgebra":
+            continue
+        table = node.args[1] if len(node.args) > 1 else next(
+            (k.value for k in node.keywords if k.arg == "table"), None)
+        if not isinstance(table, ast.Dict):
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
+def test_no_module_names_vec_clean(path):
+    assert name_lines(path.read_text(encoding="utf-8"), "vec_clean") == []
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
+def test_computed_tables_go_through_from_bracket(path):
+    source = path.read_text(encoding="utf-8")
+    assert computed_table_lines(source, TABLE_PARSERS.get(path.name, frozenset())) == []
+
+
+def test_finders_see_each_case():
+    source = ("from .linalg import vec_clean\n"
+              "def vec_clean(v):\n"
+              "    return linalg.vec_clean(v)\n"
+              "w = vec_clean(v)\n"
+              "a = LieSuperAlgebra(sp, {(0, 1): {2: 1}}, name='a')\n"
+              "b = LieSuperAlgebra(sp, table, name='b')\n"
+              "c = algebras.LieSuperAlgebra(sp, table={k: v for k, v in t.items()})\n"
+              "d = LieSuperAlgebra.from_bracket(sp, rows, 'd')\n"
+              "def parse(obj):\n"
+              "    return LieSuperAlgebra(sp, table)\n")
+    assert name_lines(source, "vec_clean") == [1, 2, 3, 4]
+    assert computed_table_lines(source) == [6, 7, 10]
+    assert computed_table_lines(source, {"parse"}) == [6, 7]

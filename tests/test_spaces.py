@@ -187,6 +187,16 @@ def test_graded_map_parity_validation():
         GradedMap(a, b, Matrix(QQ, 2, [{1: 1}, {}]))
 
 
+def test_parity_and_graded_maps_read_the_field_normal_form():
+    """Over F5 the entry 5 is zero: {b: 1, c: 5} is the even vector b, and
+    the column {c: 5} from the even b to the odd c is the zero map."""
+    sp = SuperSpace(Field(5), ("b", "c"), (0, 1))
+    assert sp.parity_of_vec({0: 1, 1: 5}) == 0
+    assert sp.parity_of_vec({1: 10}) == 0
+    f = GradedMap.from_columns(sp, sp, [{1: 5}, {}])
+    assert f.is_zero() and f.matrix.cols == [{}, {}]
+
+
 def test_graded_map_compose():
     a = space(0, 0)
     f = GradedMap(a, a, Matrix(QQ, 2, [{1: 1}, {}]))
