@@ -142,11 +142,13 @@ class LieSuperAlgebra:
         self.space = space
         self.name = name
         self.field = space.field
+        labels = space.labels
         for i, j in table:
             if i > j:
-                raise ValueError("structure constants must be given for i <= j")
+                raise ValueError(f"structure constants are given for ({labels[j]}, {labels[i]}), "
+                                 f"not ({labels[i]}, {labels[j]})")
             if i == j and space.parities[i] == 0:
-                raise ValueError("even diagonal brackets are forced to vanish")
+                raise ValueError(f"even diagonal bracket [{labels[i]}, {labels[i]}] must vanish")
         self.table = _normalize(self.field, table)
         self._bracket_index: list[dict[int, dict]] | None = None
         # the generating set S, set by check_lie_axioms once they pass on S

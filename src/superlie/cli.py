@@ -43,6 +43,14 @@ def resolve_path(arg: str) -> Path:
     return Path(arg)
 
 
+class Refused(Exception):
+    """An input fails its certificate; ``main`` emits ``report``, which
+    records the first violation, with exit 1."""
+
+    def __init__(self, report: Report):
+        self.report = report
+
+
 class Report:
     def __init__(self, command: str, out: str):
         self.data: dict = {"command": command, "inputs": {}, "results": {}, "status": "ok"}
@@ -65,11 +73,13 @@ class Report:
     def result(self, key: str, value):
         self.data["results"][key] = value
 
-    def refuse(self, key: str, message: str, cert) -> int:
-        """Report the first violation of a failed certificate and exit 1."""
-        self.line(f"{message}: {cert.violations[0]}")
-        self.result(key, False)
-        return self.emit(1)
+    def require(self, cert, key: str, message: str) -> None:
+        """Refuse the input when ``cert`` fails: record its first violation
+        under ``message`` and ``key``, and raise :class:`Refused`."""
+        if not cert.ok:
+            self.line(f"{message}: {cert.violations[0]}")
+            self.result(key, False)
+            raise Refused(self)
 
     def emit(self, status_code: int) -> int:
         self.data["status"] = {0: "ok", 1: "failed", 2: "input-error"}[status_code]
@@ -86,16 +96,15 @@ def _axioms(alg):
     return check_lie_axioms(alg) if isinstance(alg, LieSuperAlgebra) else check_assoc_axioms(alg)
 
 
-def _refuse_uncertified(rep: Report, *algebras) -> int | None:
-    """Refuse, with exit 1 and the first violation, the first algebra that
-    fails its axioms; None when all pass.  An algebra given twice is
-    checked once."""
+def _kind(alg) -> str:
+    return "a Lie superalgebra" if isinstance(alg, LieSuperAlgebra) else "associative"
+
+
+def _require_axioms(rep: Report, *algebras) -> None:
+    """Refuse the first algebra that fails its axioms; an algebra given
+    twice is checked once."""
     for alg in dict.fromkeys(algebras):
-        cert = _axioms(alg)
-        if not cert.ok:
-            kind = "a Lie superalgebra" if isinstance(alg, LieSuperAlgebra) else "associative"
-            return rep.refuse("certified", f"{alg.name}: NOT {kind}", cert)
-    return None
+        rep.require(_axioms(alg), "certified", f"{alg.name}: NOT {_kind(alg)}")
 
 
 def cmd_check(args) -> int:
@@ -108,11 +117,10 @@ def cmd_check(args) -> int:
     rep.result("certified", cert.ok)
     if not cert.ok:
         rep.result("violations", [str(v) for v in cert.violations[:8]])
-        rep.line(f"{alg.name}: NOT {'a Lie superalgebra' if lie else 'associative'}")
+        rep.line(f"{alg.name}: NOT {_kind(alg)}")
         for v in cert.violations[:8]:
             rep.line(f"  violation: {v}")
-        return rep.emit(1)
-    if lie:
+    elif lie:
         s = series(alg)
         cls = "perfect" if s.is_perfect else (
             f"class {s.nil_class}" if s.nil_class is not None else
@@ -130,7 +138,7 @@ def cmd_check(args) -> int:
             bits.append("supercommutative")
         rep.result("properties", bits)
         rep.line(f"{alg.name}: {', '.join(bits)}, dim {alg.space}")
-    return rep.emit(0)
+    return rep.emit(0 if cert.ok else 1)
 
 
 def _load_lie(path: Path) -> LieSuperAlgebra:
@@ -159,20 +167,15 @@ def cmd_tensor(args) -> int:
         if algebra_fingerprint(M) != algebra_fingerprint(N):
             raise ParseError("--adjoint requires the same algebra on both sides")
         N = M
-    if (code := _refuse_uncertified(rep, M, N)) is not None:
-        return code
+    _require_axioms(rep, M, N)
     if args.trivial:
         amn, anm = trivial_action(M, N), trivial_action(N, M)
     elif not args.adjoint:
         amn = parse_action(rep.read(args.act_mn, load_json), M, N)
         anm = parse_action(rep.read(args.act_nm, load_json), N, M)
         for a, label in ((amn, "M on N"), (anm, "N on M")):
-            cert = check_action(a)
-            if not cert.ok:
-                return rep.refuse("action_valid", f"action {label} fails its axioms", cert)
-        cert = check_compatible(amn, anm)
-        if not cert.ok:
-            return rep.refuse("compatible", "actions are not compatible", cert)
+            rep.require(check_action(a), "action_valid", f"action {label} fails its axioms")
+        rep.require(check_compatible(amn, anm), "compatible", "actions are not compatible")
     t = adjoint_tensor_square(M) if args.adjoint else nonabelian_tensor(M, N, amn, anm)
     dims = t.algebra.space.dim_pair
     im_mu, im_nu = M.space.split_dims(t.im_mu.rows), N.space.split_dims(t.im_nu.rows)
@@ -213,14 +216,11 @@ def cmd_homology(args) -> int:
         raise ParseError("--class is the class bound of --hopf, which is not given")
     rep = Report("homology", args.out)
     P = rep.read(args.path, _load_lie)
-    if (code := _refuse_uncertified(rep, P)) is not None:
-        return code
+    _require_axioms(rep, P)
     module = trivial_module(P)
     if args.module:
         module = parse_module(rep.read(args.module, load_json), P)
-        cert = check_action(module)
-        if not cert.ok:
-            return rep.refuse("module_valid", "module fails its axioms", cert)
+        rep.require(check_action(module), "module_valid", "module fails its axioms")
     max_n = args.degree
     if max_n < 0:
         raise ParseError(f"--degree must be non-negative, got {max_n}")
@@ -250,9 +250,7 @@ def cmd_homology(args) -> int:
             if algebra_fingerprint(cm.p) != algebra_fingerprint(P):
                 raise ParseError(f"crossed module {args.nonabelian} is over {cm.p.name!r} "
                                  f"({cm.p.field}), not over {P.name!r} ({P.field})")
-            cert = check_crossed(cm)
-            if not cert.ok:
-                return rep.refuse("crossed_valid", "crossed module fails its axioms", cert)
+            rep.require(check_crossed(cm), "crossed_valid", "crossed module fails its axioms")
         # cm.p is P, or the same algebra parsed again from the crossed module's file
         r = nh(cm.p, cm)
         rep.result("nh0", r.nh0.dims)
@@ -268,8 +266,7 @@ def cmd_cyclic(args) -> int:
     A = rep.read(args.path, load_algebra)
     if not isinstance(A, AssocSuperAlgebra):
         raise ParseError(f"{args.path} is not an associative superalgebra file")
-    if (code := _refuse_uncertified(rep, A)) is not None:
-        return code
+    _require_axioms(rep, A)
     if A.unit is None:
         raise NotUnital("cyclic homology commands require a unital algebra")
     cx = connes(A, 2)
@@ -398,6 +395,8 @@ def main(argv: list[str] | None = None) -> int:
     args = ap.parse_args(argv)
     try:
         return args.func(args)
+    except Refused as exc:
+        return exc.report.emit(1)
     except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2

@@ -20,6 +20,7 @@ from itertools import accumulate
 
 from .algebras import LieSuperAlgebra
 from .fields import QQ, InputError, MathError
+from .io import _require_keys
 from .linalg import Echelon, Subspace, vec_axpy
 from .spaces import SuperSpace, superspace, tensor_power_space, tensor_vec
 
@@ -71,27 +72,19 @@ def word_degree(word) -> int:
     return word_degree(a) + word_degree(b)
 
 
-def _check_fields(obj, keys: set, what: str) -> None:
-    """Refuse an obj that is not a dict with exactly the given keys."""
-    if not isinstance(obj, dict):
-        raise ValueError(f"{what} must be an object: {obj!r}")
-    if obj.keys() != keys:
-        raise ValueError(f"{what} must have exactly the fields {sorted(keys)}: {obj!r}")
-
-
 def word_parity(word, gens: GradedGenSet) -> int:
     """The parity of a relator, which it validates: ValueError for a
     malformed shape, a coefficient that is not a rational number or mixed
     parities, KeyError for an unknown label."""
     if isinstance(word, dict):
-        _check_fields(word, {"sum"}, "relator")
+        _require_keys(word, {"sum"}, set(), "relator")
         terms = word["sum"]
         if not isinstance(terms, list):
             raise ValueError(f"relator sum must be a list: {terms!r}")
         if not terms:
             raise ValueError("a sum needs at least one term")
         for t in terms:
-            _check_fields(t, {"coeff", "word"}, "relator term")
+            _require_keys(t, {"coeff", "word"}, set(), "relator term")
             c = t["coeff"]
             if isinstance(c, bool) or not isinstance(c, (int, str)):
                 raise ValueError(f"relator coefficient must be a string or an integer: {c!r}")

@@ -60,8 +60,6 @@ def _require_keys(obj: dict, required: set[str], optional: set[str], what: str) 
 
 
 def parse_field(obj) -> Field:
-    if not isinstance(obj, dict):
-        raise ParseError("field must be an object")
     _require_keys(obj, {"kind"}, {"p"}, "field")
     kind = obj["kind"]
     if kind == "Q":
@@ -100,115 +98,110 @@ def _parse_basis(items, field: Field) -> SuperSpace:
     return SuperSpace(field, tuple(labels), tuple(parities))
 
 
-def _parse_value(value, space: SuperSpace, field: Field) -> dict:
+def _label_index(space: SuperSpace, label) -> int:
+    """The position of ``label`` in the basis of ``space``: the one lookup
+    of a basis label in a file."""
+    try:
+        return space.labels.index(label)
+    except ValueError:
+        raise ParseError(f"unknown basis label {label!r}") from None
+
+
+def _parse_value(value, space: SuperSpace) -> dict:
+    """A vector of ``space`` given as [label, coeff] pairs, each label at
+    most once."""
+    field = space.field
     out = {}
     for pair in _require_list(value, "value"):
         if not (isinstance(pair, list) and len(pair) == 2):
             raise ParseError(f"value entry must be [label, coeff]: {pair!r}")
         label, coeff = pair
+        idx = _label_index(space, label)
+        if idx in out:
+            raise ParseError(f"value repeats basis label {label!r}")
         try:
-            idx = space.labels.index(label)
-        except ValueError:
-            raise ParseError(f"unknown basis label {label!r}") from None
-        try:
-            c = field.parse(str(coeff))
+            out[idx] = field.parse(str(coeff))
         except FieldError as exc:
             raise ParseError(str(exc)) from exc
-        out[idx] = field.of(out.get(idx, 0) + c)
     return field.clean(out)
+
+
+def _read_table(entries: list, what: str, keys: dict[str, SuperSpace],
+                space: SuperSpace) -> dict[tuple[int, ...], dict]:
+    """The one reader of a sparse table: each entry is an object with one
+    basis label of ``keys[k]`` under each key k and a ``value`` in
+    ``space``.  It returns {(index, ...): vector} in file order, zero
+    vectors included, and refuses a repeated key."""
+    table: dict[tuple[int, ...], dict] = {}
+    for entry in entries:
+        _require_keys(entry, {*keys, "value"}, set(), what)
+        key = tuple(_label_index(sp, entry[k]) for k, sp in keys.items())
+        if key in table:
+            raise ParseError(f"duplicate {what} for {', '.join(entry[k] for k in keys)}")
+        table[key] = _parse_value(entry["value"], space)
+    return table
+
+
+def _value_to_json(v: dict, space: SuperSpace) -> list:
+    return [[space.labels[k], space.field.format(c)] for k, c in sorted(v.items())]
 
 
 def parse_algebra(obj: dict, what: str = "algebra") -> LieSuperAlgebra | AssocSuperAlgebra:
     _require_keys(obj, {"name", "field", "kind", "basis", "table"}, {"unit"}, what)
     name = _require_str(obj["name"], "algebra name")
-    field = parse_field(obj["field"])
-    space = _parse_basis(obj["basis"], field)
+    space = _parse_basis(obj["basis"], parse_field(obj["field"]))
     kind = obj["kind"]
     if kind not in ("lie", "assoc"):
         raise ParseError(f"kind must be 'lie' or 'assoc', got {kind!r}")
-    table: dict[tuple[int, int], dict] = {}
-    for entry in _require_list(obj["table"], "table"):
-        _require_keys(entry, {"left", "right", "value"}, set(), "table entry")
-        try:
-            i = space.labels.index(entry["left"])
-            j = space.labels.index(entry["right"])
-        except ValueError:
-            raise ParseError(f"unknown label in table entry {entry!r}") from None
-        if (i, j) in table:
-            raise ParseError(f"duplicate table entry for ({entry['left']}, {entry['right']})")
-        v = _parse_value(entry["value"], space, field)
-        if kind == "lie":
-            if i > j:
-                raise ParseError(
-                    f"lie tables are given for left <= right; saw ({entry['left']}, {entry['right']})")
-            if i == j and space.parities[i] == 0:
-                raise ParseError(f"even diagonal bracket [{entry['left']},{entry['left']}] must vanish")
-        if v:
-            table[(i, j)] = v
-    if kind == "lie":
-        if "unit" in obj:
-            raise ParseError("lie algebras take no unit")
-        return LieSuperAlgebra(space, table, name=name)
-    unit = None
+    table = _read_table(_require_list(obj["table"], "table"), "table entry",
+                        {"left": space, "right": space}, space)
+    if kind == "assoc":
+        unit = _parse_value(obj["unit"], space) if "unit" in obj else None
+        return AssocSuperAlgebra(space, table, unit=unit, name=name)
     if "unit" in obj:
-        unit = _parse_value(obj["unit"], space, field)
-    return AssocSuperAlgebra(space, table, unit=unit, name=name)
+        raise ParseError("lie algebras take no unit")
+    try:
+        return LieSuperAlgebra(space, table, name=name)
+    except ValueError as exc:  # the storage rule of Lie tables
+        raise ParseError(str(exc)) from exc
 
 
 def algebra_to_json(alg: LieSuperAlgebra | AssocSuperAlgebra) -> dict:
     space = alg.space
-    field = alg.field
-    table = []
-    for (i, j), v in sorted(alg.table.items()):
-        table.append({
-            "left": space.labels[i],
-            "right": space.labels[j],
-            "value": [[space.labels[k], field.format(c)] for k, c in sorted(v.items())],
-        })
     out = {
         "name": alg.name,
-        "field": field_to_json(field),
+        "field": field_to_json(alg.field),
         "kind": "lie" if isinstance(alg, LieSuperAlgebra) else "assoc",
         "basis": [[l, p] for l, p in zip(space.labels, space.parities)],
-        "table": table,
+        "table": [{"left": space.labels[i], "right": space.labels[j],
+                   "value": _value_to_json(v, space)} for (i, j), v in sorted(alg.table.items())],
     }
     if isinstance(alg, AssocSuperAlgebra) and alg.unit is not None:
-        out["unit"] = [[space.labels[k], field.format(c)] for k, c in sorted(alg.unit.items())]
+        out["unit"] = _value_to_json(alg.unit, space)
     return out
 
 
-def parse_action(obj: dict, actor: LieSuperAlgebra, target: LieSuperAlgebra) -> Action:
+def _read_action(entries, actor: LieSuperAlgebra, target: LieSuperAlgebra) -> Action:
+    """The action of ``actor`` on ``target`` whose constants are the
+    {"p", "m", "value"} objects of ``entries``."""
     from .actions import Action
 
+    return Action(actor, target, _read_table(_require_list(entries, "entries"), "action entry",
+                                             {"p": actor.space, "m": target.space}, target.space))
+
+
+def parse_action(obj: dict, actor: LieSuperAlgebra, target: LieSuperAlgebra) -> Action:
     _require_keys(obj, {"actor", "target", "entries"}, set(), "action")
     if obj["actor"] != actor.name:
         raise ParseError(f"action actor {obj['actor']!r} does not match algebra {actor.name!r}")
     if obj["target"] != target.name:
         raise ParseError(f"action target {obj['target']!r} does not match algebra {target.name!r}")
-    table: dict[tuple[int, int], dict] = {}
-    for entry in _require_list(obj["entries"], "entries"):
-        _require_keys(entry, {"p", "m", "value"}, set(), "action entry")
-        try:
-            p = actor.space.labels.index(entry["p"])
-            m = target.space.labels.index(entry["m"])
-        except ValueError:
-            raise ParseError(f"unknown label in action entry {entry!r}") from None
-        if (p, m) in table:
-            raise ParseError(f"duplicate action entry ({entry['p']}, {entry['m']})")
-        v = _parse_value(entry["value"], target.space, target.field)
-        if v:
-            table[(p, m)] = v
-    return Action(actor, target, table)
+    return _read_action(obj["entries"], actor, target)
 
 
 def action_to_json(a: Action) -> dict:
-    entries = []
-    for (p, m), v in sorted(a.table.items()):
-        entries.append({
-            "p": a.actor.space.labels[p],
-            "m": a.target.space.labels[m],
-            "value": [[a.target.space.labels[k], a.field.format(c)] for k, c in sorted(v.items())],
-        })
+    entries = [{"p": a.actor.space.labels[p], "m": a.target.space.labels[m],
+                "value": _value_to_json(v, a.target.space)} for (p, m), v in sorted(a.table.items())]
     return {"actor": a.actor.name, "target": a.target.name, "entries": entries}
 
 
@@ -220,23 +213,13 @@ def parse_module(obj: dict, p: LieSuperAlgebra) -> Action:
         raise ParseError(f"module is over {obj['algebra']!r}, not {p.name!r}")
     target = LieSuperAlgebra(_parse_basis(obj["basis"], p.field), {},
                              name=_require_str(obj["name"], "module name"))
-    return parse_action({"actor": p.name, "target": target.name, "entries": obj["entries"]},
-                        p, target)
+    return _read_action(obj["entries"], p, target)
 
 
 def parse_boundary(items, m_alg: LieSuperAlgebra, p_alg: LieSuperAlgebra) -> GradedMap:
-    cols = [dict() for _ in range(m_alg.dim)]
-    seen = set()
-    for entry in _require_list(items, "boundary"):
-        _require_keys(entry, {"from", "value"}, set(), "boundary entry")
-        try:
-            i = m_alg.space.labels.index(entry["from"])
-        except ValueError:
-            raise ParseError(f"unknown label in boundary entry {entry!r}") from None
-        if i in seen:
-            raise ParseError(f"duplicate boundary entry for {entry['from']}")
-        seen.add(i)
-        cols[i] = _parse_value(entry["value"], p_alg.space, p_alg.field)
+    table = _read_table(_require_list(items, "boundary"), "boundary entry",
+                        {"from": m_alg.space}, p_alg.space)
+    cols = [table.get((i,), {}) for i in range(m_alg.dim)]
     try:
         return GradedMap(m_alg.space, p_alg.space, Matrix(p_alg.field, p_alg.dim, cols))
     except ValueError as exc:
@@ -246,10 +229,12 @@ def parse_boundary(items, m_alg: LieSuperAlgebra, p_alg: LieSuperAlgebra) -> Gra
 def load_json(path: str | Path) -> dict:
     try:
         with open(path, encoding="utf-8") as fh:
-            return json.load(fh)
-    except OSError as exc:
+            text = fh.read()
+    except (OSError, ValueError) as exc:  # ValueError: a NUL in the path, or not UTF-8
         raise ParseError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:  # RecursionError: nested too deep
         raise ParseError(f"{path} is not valid JSON: {exc}") from exc
 
 
@@ -277,11 +262,8 @@ def load_crossed(path: str | Path) -> CrossedModule:
         raise ParseError("crossed modules are between Lie superalgebras")
     if m_alg.field != p_alg.field:
         raise ParseError(f"field mismatch: {m_alg.field} vs {p_alg.field}")
-    boundary = parse_boundary(obj["boundary"], m_alg, p_alg)
-    action = parse_action(
-        {"actor": p_alg.name, "target": m_alg.name, "entries": obj["action"]},
-        p_alg, m_alg)
-    return CrossedModule(m_alg, p_alg, boundary, action)
+    return CrossedModule(m_alg, p_alg, parse_boundary(obj["boundary"], m_alg, p_alg),
+                         _read_action(obj["action"], p_alg, m_alg))
 
 
 def load_presentation(path: str | Path) -> Presentation:
@@ -289,6 +271,7 @@ def load_presentation(path: str | Path) -> Presentation:
 
     obj = load_json(path)
     _require_keys(obj, {"name", "generators", "relators"}, set(), str(path))
+    _require_str(obj["name"], "presentation name")
     gens = []
     for it in _require_list(obj["generators"], "generators"):
         if not (isinstance(it, list) and len(it) == 2 and _is_parity(it[1])):

@@ -75,6 +75,12 @@ def test_lie_storage_conventions_enforced():
     obj2["table"] = [{"left": "x", "right": "x", "value": [["z", "1"]]}]
     with pytest.raises(ParseError):
         parse_algebra(obj2)
+    # the rule is about the stored pairs, so an entry with a zero value breaks it too
+    for left, right in (("y", "x"), ("x", "x")):
+        obj3 = algebra_to_json(lie_algebra("heis"))
+        obj3["table"].append({"left": left, "right": right, "value": []})
+        with pytest.raises(ParseError):
+            parse_algebra(obj3)
 
 
 def test_lie_unit_rejected():
@@ -619,11 +625,18 @@ def _crossed_with(**fields) -> dict:
     (("homology", "@heis", "-m"),
      {"name": ["m"], "algebra": "heis", "basis": [["m0", 0]], "entries": []},
      "module name must be a string: ['m']"),
+    (("check",), {**_heis_over({"kind": "Q"}),
+                  "table": [{"left": "x", "right": "y", "value": [["z", "1"], ["z", "2"]]}]},
+     "value repeats basis label 'z'"),
+    (("homology", "@heis", "--hopf"), {"name": {"a": 1}, "generators": [["x", 0]], "relators": []},
+     "presentation name must be a string: {'a': 1}"),
+    (("homology", "@heis", "--nonabelian"), _crossed_with(m="zheis\x00.json"), "embedded null byte"),
 ], ids=["modulus-abc", "modulus-5.9", "generators-5", "duplicate-generators", "sum-5",
         "sum-in-bracket", "sum-empty", "word-one-element", "crossed-m-5", "duplicate-boundary",
         "basis-parity-true", "generator-parities-float-false", "coeff-abc", "coeff-none",
         "duplicate-basis-labels", "basis-label-list", "algebra-name-object",
-        "generator-label-list", "module-name-list"])
+        "generator-label-list", "module-name-list", "value-repeated-label",
+        "presentation-name-object", "crossed-m-nul"])
 def test_cli_malformed_input_files_exit2(tmp_path, command, obj, message):
     p = tmp_path / "input.json"
     p.write_text(json.dumps(obj), encoding="utf-8")
@@ -700,5 +713,21 @@ def test_cli_corpus_list_takes_no_directory():
     r = run_cli("corpus", "list", "/any/dir")
     assert r.returncode == 2
     assert r.stderr.startswith("input error: ") and "corpus list takes no directory" in r.stderr
+    assert "Traceback" not in r.stderr
+    assert r.stdout == ""
+
+
+@pytest.mark.parametrize("content, message", [
+    (b'{"name": "\xff"}', "'utf-8' codec can't decode byte 0xff"),
+    (b"[" * 100000, "is not valid JSON"),
+], ids=["not-utf8", "nested-too-deep"])
+def test_cli_unreadable_json_is_input_error(tmp_path, content, message):
+    """A file that is not UTF-8 and JSON nested deeper than the decoder
+    recurses are input errors, not tracebacks."""
+    p = tmp_path / "input.json"
+    p.write_bytes(content)
+    r = run_cli("check", str(p))
+    assert r.returncode == 2
+    assert r.stderr.startswith("input error: ") and message in r.stderr
     assert "Traceback" not in r.stderr
     assert r.stdout == ""

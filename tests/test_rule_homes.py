@@ -7,9 +7,9 @@ A computed Lie bracket table goes through
 ``LieSuperAlgebra.from_bracket``, which applies the storage rule (pairs
 a < b, and a = b for odd a) to sparse rows: a direct
 ``LieSuperAlgebra(...)`` call passes a literal table, a dict display.  The
-file parser ``io.parse_algebra`` is the one exception: it builds the table
-of a file entry by entry and refuses an entry against the storage rule
-with a message naming it.
+file parser ``io.parse_algebra`` is the one exception: it passes the table
+of a file as read, zero values included, so that the constructor refuses
+an entry against the storage rule with a message naming it.
 """
 
 import ast
