@@ -18,7 +18,6 @@ identity (d(m).m' = [m, m']).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import partial
 
 from .algebras import (
@@ -39,6 +38,7 @@ from .algebras import (
     intertwining_defects,
     is_graded_ideal,
 )
+from .fields import record
 from .linalg import Subspace, vec_scale
 from .spaces import GradedMap, SuperSpace, tensor_index, tensor_pair
 
@@ -223,7 +223,7 @@ def _compatibility_violations(a_mn: Action, a_nm: Action):
                     yield Violation(kind, (m, n, k), defect)
 
 
-@dataclass
+@record
 class CrossedModule:
     """(M, P, boundary, action): boundary an even Lie homomorphism M -> P,
     the action an action of P on M."""

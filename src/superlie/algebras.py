@@ -74,11 +74,10 @@ twice the cyclic sum, Jacobi at (a, b, c); only the x_a^3 terms remain.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dfield
 from functools import partial
 from itertools import chain, islice
 
-from .fields import Field, MathError
+from .fields import Field, MathError, record
 from .linalg import (
     ContainmentError,
     Echelon,
@@ -109,7 +108,7 @@ class BracketNotWellDefined(RuntimeError, MathError):
     there: a construction bug, never a property of valid inputs."""
 
 
-@dataclass
+@record
 class Violation:
     kind: str
     witness: tuple
@@ -119,10 +118,10 @@ class Violation:
         return f"{self.kind} at {self.witness}: defect {self.defect}"
 
 
-@dataclass
+@record
 class AxiomReport:
     ok: bool
-    violations: list[Violation] = dfield(default_factory=list)
+    violations: list[Violation] = []
 
     def __bool__(self):
         return self.ok
@@ -654,7 +653,7 @@ def is_graded_ideal(L: LieSuperAlgebra, I: Subspace) -> bool:
     return True
 
 
-@dataclass
+@record
 class SeriesReport:
     lower_central: list[Subspace]
     derived: list[Subspace]
@@ -725,7 +724,7 @@ def engel_degree(L: LieSuperAlgebra, bound: int) -> int | None:
 # subalgebras on subspaces, quotients
 
 
-@dataclass
+@record
 class AlgebraView:
     """A Lie superalgebra living on a subspace of another one."""
 

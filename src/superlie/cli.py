@@ -11,7 +11,8 @@ The corpus is the JSON files bundled inside the package (see
 
 Start-up imports the file parsers and the axiom checks only; each command
 imports the modules it computes with when it runs, so ``check`` never
-loads the tensor product, the homology or the free Lie algebras.
+loads the tensor product, the homology or the free Lie algebras, and only
+``verify`` loads the suite table, which also refuses an unknown suite.
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ from .algebras import (
 from .fields import InputError, MathError
 from .io import ParseError, dumps_canonical, load_algebra, load_crossed, load_json, load_presentation, parse_action, parse_module
 from .spaces import format_dims
-from .suites import SUITES, run_suite
 
 
 def resolve_path(arg: str) -> Path:
@@ -209,11 +209,15 @@ def algebra_fingerprint(alg) -> tuple:
 
 
 def cmd_homology(args) -> int:
+    if args.class_bound is not None and not args.hopf:
+        raise ParseError("--class is the class bound of --hopf, which is not given")
+    max_n = args.degree
+    if max_n < 0:
+        raise ParseError(f"--degree must be non-negative, got {max_n}")
+
     from .actions import check_action, check_crossed, identity_crossed
     from .homology import ce_complex, homology, hopf_formula, nh, trivial_module
 
-    if args.class_bound is not None and not args.hopf:
-        raise ParseError("--class is the class bound of --hopf, which is not given")
     rep = Report("homology", args.out)
     P = rep.read(args.path, _load_lie)
     _require_axioms(rep, P)
@@ -221,9 +225,6 @@ def cmd_homology(args) -> int:
     if args.module:
         module = parse_module(rep.read(args.module, load_json), P)
         rep.require(check_action(module), "module_valid", "module fails its axioms")
-    max_n = args.degree
-    if max_n < 0:
-        raise ParseError(f"--degree must be non-negative, got {max_n}")
     cx = ce_complex(P, module, max_n + 1)
     dims_table = []
     for n in range(max_n + 1):
@@ -306,6 +307,8 @@ def cmd_cyclic(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from .suites import run_suite
+
     rep = Report("verify", args.out)
     rows = run_suite(args.suite)
     ok = True
@@ -380,7 +383,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_cyclic)
 
     p = sub.add_parser("verify", help="run a named verification suite")
-    p.add_argument("suite", choices=sorted(SUITES))
+    p.add_argument("suite", help="suite name; an unknown name lists the suites")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("corpus", help="list or export the bundled corpus")

@@ -8,15 +8,13 @@ object are shared by every suite that asks for it.
 
 from __future__ import annotations
 
-import shutil
 from functools import lru_cache
-from importlib import resources
 from pathlib import Path
 
 from .algebras import AssocSuperAlgebra, LieSuperAlgebra
 from .io import ParseError, load_algebra
 
-DATA = Path(str(resources.files("superlie").joinpath("data")))
+DATA = Path(__file__).parent / "data"
 
 
 def bundled_path(name: str) -> Path:
@@ -36,7 +34,7 @@ def export(target: Path) -> list[str]:
     target.mkdir(parents=True, exist_ok=True)
     names = file_names()
     for name in names:
-        shutil.copyfile(DATA / name, target / name)
+        (target / name).write_bytes((DATA / name).read_bytes())
     return names
 
 

@@ -123,7 +123,6 @@ checked to equal the class of a (x) alpha(x (x) y) = a (x) [x, y].
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import partial
 
 from .actions import (
@@ -147,7 +146,7 @@ from .algebras import (
     sub_space,
     subalgebra_on,
 )
-from .fields import MathError
+from .fields import MathError, record
 from .homology import (
     Complex,
     ComplexInconsistent,
@@ -180,7 +179,7 @@ class NotUnital(ValueError, MathError):
 # the Connes complex
 
 
-@dataclass
+@record
 class ConnesComplex(Complex):
     """The Connes complex of A; its boundaries are the induced d_n.  The
     coinvariants are those of the weight-0 block (see the module
@@ -396,7 +395,7 @@ def relation_ideal(A: AssocSuperAlgebra) -> Subspace:
     return Subspace(A.field, A.dim ** 2, _relation_gens(A))
 
 
-@dataclass
+@record
 class HC1KernelModel:
     lie: LieSuperAlgebra           # A with the graded commutator bracket
     quotient: QuotientSpace        # (A (x) A)/I(A)
@@ -436,7 +435,7 @@ def milnor_hc1(A: AssocSuperAlgebra) -> QuotientSpace:
 # the bracket algebra V(A)
 
 
-@dataclass
+@record
 class VAlgebra:
     a_lie: LieSuperAlgebra
     algebra: LieSuperAlgebra       # on (A (x) A)/I(A)
@@ -493,7 +492,7 @@ def v_algebra(A: AssocSuperAlgebra) -> VAlgebra:
 # the six-term sequence relating HC_1, Milnor HC_1 and non-abelian homology
 
 
-@dataclass
+@record
 class CyclicSixTerm:
     ok: bool
     report: SequenceReport

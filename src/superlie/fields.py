@@ -10,12 +10,17 @@ give ``Fraction(n, 1)``, which equals and formats as ``n``.  A
 :class:`Field` value carries the choice and provides parsing, formatting
 and the few operations that are not just ``+``/``*`` (negation,
 canonicalization of scalars and of sparse vectors).
+
+:func:`record` and :func:`frozen_record` declare the package's value
+classes, :class:`Field` among them.  They replace ``dataclasses``, whose
+import (it loads ``inspect`` and ``ast``) and generated methods took more
+of each command-line process than some commands compute.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from operator import attrgetter
 
 
 class InputError(ValueError):
@@ -30,6 +35,65 @@ class MathError(Exception):
 
 class FieldError(InputError):
     """Invalid field specification or a scalar that does not parse in it."""
+
+
+def record(cls):
+    """Make cls a record of its annotated fields, those of its bases first,
+    as ``@dataclass`` would: a constructor that takes them by position or
+    keyword and then calls ``__post_init__`` if the class has one, ``==``
+    field by field between instances of one class, and a repr.  A field's
+    class attribute is its default; a list default is copied for each
+    instance.  Records are not hashable; ``__match_args__`` names the fields."""
+    names = tuple(dict.fromkeys(name for c in reversed(cls.__mro__)
+                                for name in vars(c).get("__annotations__", ())))
+    required = frozenset(names)
+    defaults = {name: getattr(cls, name) for name in names if hasattr(cls, name)}
+    values = attrgetter(*names)
+    post_init = getattr(cls, "__post_init__", None)
+    set_field = object.__setattr__
+
+    def __init__(self, *args, **kwargs):
+        given = dict(zip(names, args))
+        if len(args) > len(names) or given.keys() & kwargs.keys():
+            raise TypeError(f"{cls.__name__}() takes the fields {names}, "
+                            f"got {len(args)} positional and {sorted(kwargs)}")
+        given.update(kwargs)
+        for name, default in defaults.items():
+            if name not in given:
+                given[name] = list(default) if isinstance(default, list) else default
+        if given.keys() != required:
+            raise TypeError(f"{cls.__name__}() takes the fields {names}, got {sorted(given)}")
+        for name in names:  # in field order, so instances share one key table
+            set_field(self, name, given[name])
+        if post_init is not None:
+            post_init(self)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return values(self) == values(other)
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in names)
+        return f"{type(self).__qualname__}({fields})"
+
+    cls.__init__, cls.__eq__, cls.__repr__, cls.__hash__ = __init__, __eq__, __repr__, None
+    cls.__match_args__ = names
+    return cls
+
+
+def frozen_record(cls):
+    """A :func:`record` whose attributes cannot be assigned or deleted,
+    hashed by its fields."""
+    record(cls)
+    values = attrgetter(*cls.__match_args__)
+
+    def forbid(self, name, *value):
+        raise AttributeError(f"cannot assign to {name!r}: {type(self).__name__} is frozen")
+
+    cls.__hash__ = lambda self: hash(values(self))
+    cls.__setattr__ = cls.__delattr__ = forbid
+    return cls
 
 
 def _rational(value: Fraction) -> Fraction | int:
@@ -50,7 +114,7 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
+@frozen_record
 class Field:
     """The ground field: the rationals (``p is None``) or GF(p), p an odd prime."""
 

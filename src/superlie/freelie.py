@@ -15,11 +15,10 @@ as an independent oracle for the component dimensions."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import accumulate
 
 from .algebras import LieSuperAlgebra
-from .fields import QQ, InputError, MathError
+from .fields import QQ, InputError, MathError, frozen_record, record
 from .io import _require_keys
 from .linalg import Echelon, Subspace, vec_axpy
 from .spaces import SuperSpace, superspace, tensor_power_space, tensor_vec
@@ -38,7 +37,7 @@ MAX_GENERATORS = 4
 MAX_DEGREE = 5
 
 
-@dataclass(frozen=True)
+@frozen_record
 class GradedGenSet:
     generators: tuple[tuple[str, int], ...]
 
@@ -246,7 +245,7 @@ def free_nilpotent(gens: GradedGenSet, c: int) -> LieSuperAlgebra:
     return FreeTruncation(gens, c).algebra()
 
 
-@dataclass
+@record
 class Presentation:
     """Generators with parities and relator bracket words (each parity
     homogeneous); presents the class-bounded quotient F/(relators + gamma_{c+1})."""
@@ -259,7 +258,7 @@ class Presentation:
             word_parity(w, self.gens)  # validates shapes, coefficients, labels and homogeneity
 
 
-@dataclass
+@record
 class MillerReport:
     ok: bool
     kernel_dims: tuple[int, int]

@@ -62,7 +62,7 @@ raises :class:`~superlie.linalg.ContainmentError` otherwise.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from .actions import (
     Action,
@@ -90,14 +90,7 @@ from .algebras import (
     sub_space,
     subalgebra_on,
 )
-from .fields import MathError
-from .freelie import (
-    MAX_DEGREE,
-    Presentation,
-    TruncationOutOfRange,
-    free_truncated,
-    word_degree,
-)
+from .fields import MathError, record
 from .linalg import Subspace, vec_axpy
 from .spaces import (
     GradedMap,
@@ -114,6 +107,9 @@ from .tensor import (
     nonabelian_exterior,
     nonabelian_tensor,
 )
+
+if TYPE_CHECKING:
+    from .freelie import Presentation
 
 
 class ComplexInconsistent(RuntimeError, MathError):
@@ -141,7 +137,7 @@ def trivial_module(P: LieSuperAlgebra) -> Action:
 # chain complexes
 
 
-@dataclass
+@record
 class Complex:
     """A chain complex given by its boundaries d_n: C_n -> C_{n-1},
     ``boundaries[n]`` for n >= 1 (``boundaries[0]`` is None).  d.d = 0 is
@@ -170,7 +166,7 @@ class Complex:
         return quotient_space(space, ker, self.boundary(n + 1).image(), f"h{n}.")
 
 
-@dataclass
+@record
 class ChainComplex(Complex):
     """The chain complex of P with coefficients in M on its weight-0 chains:
     for every even basis element h of P with ad(h) diagonal on P's basis
@@ -308,7 +304,7 @@ def homology(P: LieSuperAlgebra, M: Action | None, n: int,
 # exact sequences
 
 
-@dataclass
+@record
 class SequenceReport:
     ok: bool
     labels: list[str]
@@ -339,7 +335,7 @@ def exact_sequence(labels: list[str], maps: list[GradedMap]) -> SequenceReport:
 # the comparison lemma for degree 2
 
 
-@dataclass
+@record
 class D3LemmaReport:
     ok: bool
     lhs_dims: tuple[int, int]
@@ -402,7 +398,7 @@ def h2_via_exterior(P: LieSuperAlgebra) -> QuotientSpace:
 # Hopf formula via free nilpotent covers
 
 
-@dataclass
+@record
 class HopfResult:
     dims: tuple[int, int]
     presented: LieSuperAlgebra
@@ -416,6 +412,9 @@ def hopf_formula(pres: Presentation, class_bound: int) -> HopfResult:
     the quotient already lives in F/gamma_{c+2} because gamma_{c+2} =
     [F, gamma_{c+1}] is contained in [F, R].
     """
+    # loaded here, so that the other homology commands start without it
+    from .freelie import MAX_DEGREE, TruncationOutOfRange, free_truncated, word_degree
+
     if not 0 <= class_bound < MAX_DEGREE:
         raise TruncationOutOfRange(
             f"class bound {class_bound} is outside the supported range 0..{MAX_DEGREE - 1}")
@@ -444,7 +443,7 @@ def hopf_formula(pres: Presentation, class_bound: int) -> HopfResult:
 # non-abelian homology
 
 
-@dataclass
+@record
 class NHResult:
     nh0: QuotientSpace
     nh1: QuotientSpace
@@ -468,7 +467,7 @@ def nh(P: LieSuperAlgebra, cm: CrossedModule) -> NHResult:
 # the connecting six-term sequence for short exact sequences of crossed modules
 
 
-@dataclass
+@record
 class CrossedSES:
     """0 -> (L, 0) -> (M, d) -> (N, d') -> 0 over a common P."""
 

@@ -10,14 +10,13 @@ nonzero even element).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations_with_replacement
 
-from .fields import Field
+from .fields import Field, frozen_record
 from .linalg import Matrix, Subspace
 
 
-@dataclass(frozen=True)
+@frozen_record
 class SuperSpace:
     """An ordered homogeneous basis: display labels, which may coincide, with parities."""
 

@@ -2,8 +2,10 @@
 
 Each suite returns a list of (check name, passed, detail) rows; the CLI
 prints one row per line, and the acceptance tests assert every row.  A
-suite imports the modules it computes with when it runs, so the command
-line starts without them.
+suite imports the modules it computes with when it runs, and the command
+line imports this module only for ``superlie verify``, so it starts
+without either; :func:`run_suite` refuses an unknown name as an input
+error (exit 2).
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from .algebras import (
     subalgebra_on,
 )
 from .corpus import assoc_algebra, lie_algebra
-from .fields import QQ
+from .fields import QQ, InputError
 from .linalg import Subspace
 from .spaces import GradedMap, SuperSpace, format_dims
 
@@ -293,5 +295,5 @@ SUITES = {
 
 def run_suite(name: str) -> list[Row]:
     if name not in SUITES:
-        raise KeyError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
+        raise InputError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
     return SUITES[name]()

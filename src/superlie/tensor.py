@@ -119,7 +119,6 @@ wrong product silently.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import partial
 from itertools import chain, product
 
@@ -151,7 +150,7 @@ from .algebras import (
     subalgebra_on,
     abelianization,
 )
-from .fields import MathError
+from .fields import MathError, record
 from .linalg import (
     Echelon,
     Matrix,
@@ -182,7 +181,7 @@ class CrossedModuleMismatch(ValueError):
     """Exterior product inputs are not crossed modules over a common base."""
 
 
-@dataclass
+@record
 class TensorProduct:
     """The non-abelian tensor product together with its certified structure."""
 
@@ -401,7 +400,7 @@ def trivial_action_tensor(M: LieSuperAlgebra, N: LieSuperAlgebra) -> SuperSpace:
     return tensor_space(mab.space, nab.space)
 
 
-@dataclass
+@record
 class NilpotencyBoundsReport:
     ok: bool
     checks: list[tuple[str, bool]]
@@ -450,7 +449,7 @@ def nilpotency_bounds_check(M: LieSuperAlgebra, N: LieSuperAlgebra,
 # exterior product
 
 
-@dataclass
+@record
 class ExteriorProduct:
     tensor: TensorProduct
     square: Subspace             # M square N, in product coordinates
@@ -518,7 +517,7 @@ def exterior_square(P: LieSuperAlgebra) -> ExteriorProduct:
 # universal central extensions
 
 
-@dataclass
+@record
 class CentralExtension:
     total: LieSuperAlgebra
     base: LieSuperAlgebra

@@ -14,9 +14,10 @@ read as an attribute outside its own body, such as ``m.apply(v)`` or
 ``cls.`` inside a class body or ``Matrix.`` for a package class, counts
 only for that class and the package classes it inherits from or that
 inherit from it: ``Matrix.zero(...)`` does not keep ``Field.zero`` alive.
-A field of a package dataclass counts as used by the same rule, when its
-name is read as an attribute: building the dataclass or assigning to the
-field does not read it.
+A field of a package record (a class decorated with ``record`` or
+``frozen_record`` of ``superlie.fields``, or with ``dataclass``) counts as
+used by the same rule, when its name is read as an attribute: building the
+record or assigning to the field does not read it.
 """
 
 import ast
@@ -56,12 +57,15 @@ def attributes_read(node: ast.AST, owner: str | None, classes) -> set[tuple[str 
     return out
 
 
+RECORD_DECORATORS = ("record", "frozen_record", "dataclass")
+
+
 def is_dataclass(cls: ast.ClassDef) -> bool:
-    """Whether cls is decorated with ``dataclass``, called or not."""
+    """Whether cls is decorated with one of ``RECORD_DECORATORS``, called or not."""
     for dec in cls.decorator_list:
         if isinstance(dec, ast.Call):
             dec = dec.func
-        if (dec.id if isinstance(dec, ast.Name) else getattr(dec, "attr", None)) == "dataclass":
+        if (dec.id if isinstance(dec, ast.Name) else getattr(dec, "attr", None)) in RECORD_DECORATORS:
             return True
     return False
 
@@ -90,7 +94,7 @@ def dead_definitions(package: dict[str, str], readers: dict[str, str]) -> list[s
     then ``"file: Class.member"`` for each method or property of a package
     class whose name no statement outside its body reads as an attribute
     of an unknown receiver or of a related class, and for each field of a
-    package dataclass whose name no statement reads that way."""
+    package record whose name no statement reads that way."""
     trees = {name: ast.parse(source) for name, source in {**package, **readers}.items()}
     related = related_classes(trees[name] for name in package)
     statements = []  # (file, top-level statement, names it reads)
@@ -157,6 +161,10 @@ def test_no_dead_definition():
               "    def f(self):\n        return self.x\n"},
      {"t.py": "C(1).f()\n"}, []),
     ({"a.py": "class C:\n    x: int\n"}, {"t.py": "C()\n"}, []),
+    ({"a.py": "from .fields import record\n@record\nclass C:\n    x: int\n    y: int\n"},
+     {"t.py": "C(1, 2).y\n"}, ["a.py: C.x"]),
+    ({"a.py": "from . import fields\n@fields.frozen_record\nclass C:\n    x: int\n"},
+     {"t.py": "C(1)\n"}, ["a.py: C.x"]),
 ])
 def test_dead_definitions_finder(package, readers, found):
     assert dead_definitions(package, readers) == found

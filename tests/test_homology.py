@@ -534,18 +534,19 @@ def _broken_trivial_ses(node: str) -> CrossedSES:
     m0 has kernel l0 - l1 (L); g sending m0 and m1 to n0 has kernel
     m0 - m1, not the image m0 of f (M); g into K^2 misses n1 (N).  The
     other two nodes stay exact."""
-    from dataclasses import replace
-
     _, ses = standard_crossed_ses()[0]
     assert ses.f.matrix.cols == [{0: 1}] and ses.g.matrix.cols == [{}, {0: 1}]
     P, M, N = ses.p, ses.m.m, ses.n.m
     if node == "M":
-        return replace(ses, g=GradedMap.from_columns(M.space, N.space, [{0: 1}, {0: 1}]))
+        return CrossedSES(P, ses.l, ses.m, ses.n, ses.f,
+                          GradedMap.from_columns(M.space, N.space, [{0: 1}, {0: 1}]))
     K2 = abelian(QQ, 2, 0, prefix="l" if node == "L" else "n")
     cm = supermodule_crossed(P, K2, trivial_action(P, K2))
     if node == "L":
-        return replace(ses, l=cm, f=GradedMap.from_columns(K2.space, M.space, [{0: 1}, {0: 1}]))
-    return replace(ses, n=cm, g=GradedMap.from_columns(M.space, K2.space, [{}, {0: 1}]))
+        return CrossedSES(P, cm, ses.m, ses.n,
+                          GradedMap.from_columns(K2.space, M.space, [{0: 1}, {0: 1}]), ses.g)
+    return CrossedSES(P, ses.l, ses.m, cm, ses.f,
+                      GradedMap.from_columns(M.space, K2.space, [{}, {0: 1}]))
 
 
 @pytest.mark.parametrize("node", ["L", "M", "N"])

@@ -349,6 +349,16 @@ def test_cli_verify_suite():
     assert r.stdout.count("[pass]") == 4
 
 
+def test_cli_unknown_suite_is_input_error(capsys):
+    from superlie.cli import main
+
+    assert main(["verify", "no-such-suite"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("input error: unknown suite 'no-such-suite'; choose from [")
+    assert "'d3-lemma'" in err
+
+
 def test_cli_corpus_export(tmp_path):
     r = run_cli("corpus", "export", str(tmp_path / "out"))
     assert r.returncode == 0

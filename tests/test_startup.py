@@ -1,7 +1,9 @@
 """Start-up: ``import superlie`` loads no submodule, the command line loads
 only what a command needs, and the lazily resolved public names are the
 names the package has always exported.  Each check runs in a fresh
-interpreter, since this test session has long loaded every module.
+interpreter, since this test session has long loaded every module, and
+without the ``site`` module (``python -S``), whose hooks may import
+standard modules such as ``importlib.resources`` before the package does.
 """
 
 import json
@@ -25,6 +27,9 @@ from superlie.tensor import IncompatibleActions, NotPerfect
 SRC = Path(__file__).resolve().parent.parent / "src"
 HEAVY = ("superlie.actions", "superlie.tensor", "superlie.homology", "superlie.cyclic",
          "superlie.freelie")
+# standard modules that cost a command-line process more to import than
+# some commands take to compute
+SLOW_STDLIB = ("dataclasses", "inspect", "importlib.resources")
 
 # the names ``from superlie import *`` bound when __init__ imported every
 # submodule eagerly: the public names of the submodules and the submodules
@@ -52,7 +57,7 @@ v_algebra wedge_normalize
 
 def run_fresh(code: str):
     """Run code in a new interpreter on this checkout; it prints one JSON value."""
-    r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+    r = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
                        env={**os.environ, "PYTHONPATH": str(SRC)})
     assert r.returncode == 0, r.stderr
     return json.loads(r.stdout.splitlines()[-1])
@@ -78,6 +83,37 @@ print(json.dumps([code, after_import, {LOADED}]))
     for loaded in (after_import, after_check):
         assert "superlie.cli" in loaded
         assert not set(HEAVY) & set(loaded)
+
+
+@pytest.mark.parametrize("argv, unloaded", [
+    (None, ("superlie.suites",)),
+    (["check", "@heis"], ("superlie.suites",)),
+    (["homology", "@heis", "-n", "2"], ("superlie.suites", "superlie.freelie")),
+], ids=["import", "check", "homology"])
+def test_cli_loads_no_slow_stdlib_module_and_no_unused_one_of_its_own(argv, unloaded):
+    code = f"""
+import contextlib, io, json, sys
+import superlie.cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = 0 if {argv!r} is None else superlie.cli.main({argv!r})
+print(json.dumps([code, {LOADED}, sorted(sys.modules)]))
+"""
+    code, package, loaded = run_fresh(code)
+    assert code == 0 and "superlie.cli" in package
+    assert not set(SLOW_STDLIB + unloaded) & set(loaded)
+
+
+def test_negative_degree_is_refused_before_any_heavy_module_loads():
+    code = f"""
+import contextlib, io, json, sys
+import superlie.cli
+with contextlib.redirect_stderr(io.StringIO()) as err:
+    code = superlie.cli.main(["homology", "@heis", "-n", "-1"])
+print(json.dumps([code, err.getvalue(), {LOADED}]))
+"""
+    code, err, loaded = run_fresh(code)
+    assert (code, err) == (2, "input error: --degree must be non-negative, got -1\n")
+    assert not set(HEAVY) & set(loaded)
 
 
 def test_every_exported_name_resolves_and_star_binds_the_eager_set():
