@@ -338,9 +338,7 @@ def semidirect(a: Action, name: str = "") -> LieSuperAlgebra:
     """The semidirect product M x| P of an action of P on M, on M + P with
 
     [(m,p),(m',p')] = ([m,m'] + p.m' - (-1)^{|m||p'|} p'.m, [p,p'])."""
-    rep = check_action(a)
-    if not rep.ok:
-        raise ActionInvalid(f"action fails its axioms: {rep.violations[:3]}")
+    check_action(a).require(ActionInvalid, "action fails its axioms")
     M, P = a.target, a.actor
     dm = M.dim
     labels = tuple(f"m.{l}" for l in M.space.labels) + tuple(f"p.{l}" for l in P.space.labels)

@@ -126,6 +126,12 @@ class AxiomReport:
     def __bool__(self):
         return self.ok
 
+    def require(self, error: type[Exception], message: str) -> None:
+        """Raise ``error`` with ``message`` and the first three violations
+        when the report failed."""
+        if not self.ok:
+            raise error(f"{message}: {self.violations[:3]}")
+
 
 def _first_violations(violations) -> AxiomReport:
     """The report of a search that yields its violations in order: the
@@ -845,39 +851,33 @@ def induced_action_table(q: QuotientSpace, actor_dim: int, act) -> dict[tuple[in
     return table
 
 
-def factored_quotient_algebra(q: QuotientSpace, left: Matrix, right: Matrix, pair,
+def factored_quotient_algebra(q: QuotientSpace, left: GradedMap, right: GradedMap, pair,
                               name: str = "") -> LieSuperAlgebra:
     """The Lie superalgebra on q = W/D with the bracket
 
-        B(u, v) = pair(left u, right v),
+        B(e_a, e_b) = pair(left e_a, right e_b),
 
-    ``left`` and ``right`` linear maps on W and ``pair`` bilinear into W.
-    It certifies, raising :class:`BracketNotWellDefined`, that left and
-    right kill every row of D, so B descends in both slots; that
-    B(s_a, s_b) + (-1)^{|a||b|} B(s_b, s_a) lies in D on the section, which
-    the structure constants assume when they infer the pairs a > b (for
-    a = b this tests 2 B(s_a, s_a), and the characteristic is never 2);
-    and the Lie axioms.  Each B(s_a, s_b), a <= b, is evaluated once and
-    serves both the certificate and the table, and B(s_b, s_a) once more
+    ``left`` and ``right`` graded maps out of q.space, each built by
+    :func:`induced_map`, which has certified that its map on W kills D, so
+    B descends in both slots; ``pair`` is bilinear into W.  It certifies,
+    raising :class:`BracketNotWellDefined`, that
+    B(e_a, e_b) + (-1)^{|a||b|} B(e_b, e_a) lies in D, which the structure
+    constants assume when they infer the pairs a > b (for a = b this tests
+    2 B(e_a, e_a), and the characteristic is never 2); and the Lie axioms.
+    Each B(e_a, e_b), a <= b, is evaluated once from the columns and
+    serves both the certificate and the table, and B(e_b, e_a) once more
     for a < b."""
-
-    def bracket(u: dict, v: dict) -> dict:
-        return pair(left.apply(u), right.apply(v))
-
-    for d in q.bottom.rows:
-        if left.apply(d) or right.apply(d):
-            raise BracketNotWellDefined("edge map does not annihilate D(M, N)")
-    section, spar = q.section, q.space.parities
+    lcols, rcols, spar = left.matrix.cols, right.matrix.cols, q.space.parities
 
     def rows():
-        # the loop also certifies 2 B(s_a, s_a) in D for even a, a pair
-        # from_bracket drops, and evaluates each B(s_a, s_b) once for the
+        # the loop also certifies 2 B(e_a, e_a) in D for even a, a pair
+        # from_bracket drops, and evaluates each B(e_a, e_b) once for the
         # certificate and the row
-        for a, u in enumerate(section):
+        for a, u in enumerate(lcols):
             row = {}
-            for b in range(a, len(section)):
-                g = bracket(u, section[b])
-                swapped = g if a == b else bracket(section[b], u)
+            for b in range(a, len(lcols)):
+                g = pair(u, rcols[b])
+                swapped = g if a == b else pair(lcols[b], rcols[a])
                 anti = dict(g)
                 vec_axpy(anti, -1 if spar[a] * spar[b] else 1, swapped)
                 if q.bottom.reduce_vec(anti):
@@ -887,9 +887,7 @@ def factored_quotient_algebra(q: QuotientSpace, left: Matrix, right: Matrix, pai
             yield row
 
     alg = LieSuperAlgebra.from_bracket(q.space, rows(), name=name)
-    rep = check_lie_axioms(alg)
-    if not rep.ok:
-        raise BracketNotWellDefined(f"product fails Lie axioms: {rep.violations[:3]}")
+    check_lie_axioms(alg).require(BracketNotWellDefined, "product fails Lie axioms")
     return alg
 
 

@@ -82,7 +82,7 @@ class Report:
             raise Refused(self)
 
     def emit(self, status_code: int) -> int:
-        self.data["status"] = {0: "ok", 1: "failed", 2: "input-error"}[status_code]
+        self.data["status"] = {0: "ok", 1: "failed"}[status_code]
         if self.out == "json":
             sys.stdout.write(dumps_canonical(self.data))
         else:

@@ -110,10 +110,13 @@ alpha(a (x) b) = [a, b], the edge map of the crossed module:
 
   [u, v] = alpha(u) (x) alpha(v),  so  [a (x) b, a' (x) b'] = [a, b] (x) [a', b'].
 
-alpha kills I(A), so the bracket descends in both slots.  It is built by
-:func:`~superlie.algebras.factored_quotient_algebra`, which certifies that
-alpha kills I(A), that the bracket is antisymmetric on classes, and the
-Lie axioms.  A acts on V(A) by the adjoint action on both factors,
+alpha kills I(A), so the bracket descends in both slots:
+:func:`hc1_kernel_model` induces alpha on the quotient with
+:func:`~superlie.algebras.induced_map`, which certifies that.  The
+bracket is built from that induced map by
+:func:`~superlie.algebras.factored_quotient_algebra`, which certifies
+that it is antisymmetric on classes, and the Lie axioms.  A acts on V(A)
+by the adjoint action on both factors,
 
   a.(x (x) y) = [a, x] (x) y + (-1)^{|a||x|} x (x) [a, y],
 
@@ -451,14 +454,14 @@ def v_algebra(A: AssocSuperAlgebra) -> VAlgebra:
     [a (x) b, a' (x) b'] = [a,b] (x) [a',b'], certified as a crossed module
     over A with the action a.(x (x) y) = a (x) [x, y].  The bracket is
     alpha(u) (x) alpha(v) for the commutator map alpha(a (x) b) = [a, b],
-    which kills I(A), built by
+    induced on the quotient by :func:`hc1_kernel_model`, built by
     :func:`~superlie.algebras.factored_quotient_algebra`."""
     if A.unit is None:
         raise NotUnital("V(A) requires a unital algebra")
     d = A.dim
     km = hc1_kernel_model(A)
     lie, quot = km.lie, km.quotient
-    algebra = factored_quotient_algebra(quot, km.commutator, km.commutator,
+    algebra = factored_quotient_algebra(quot, km.to_commutators, km.to_commutators,
                                         partial(tensor_vec, A.space, A.space),
                                         name=f"V({A.name or 'A'})")
 
@@ -475,9 +478,7 @@ def v_algebra(A: AssocSuperAlgebra) -> VAlgebra:
 
     action_a = Action(lie, algebra, induced_action_table(quot, d, act))
     crossed = CrossedModule(algebra, lie, km.to_commutators, action_a)
-    crep = check_crossed(crossed)
-    if not crep.ok:
-        raise ComplexInconsistent(f"(V(A), mu) fails the crossed module axioms: {crep.violations[:3]}")
+    check_crossed(crossed).require(ComplexInconsistent, "(V(A), mu) fails the crossed module axioms")
 
     # A kills HC_1(A)
     for p in range(d):

@@ -101,16 +101,32 @@ def _rational(value: Fraction) -> Fraction | int:
     return value.numerator if value.denominator == 1 else value
 
 
+# Miller-Rabin with the prime bases up to 41 is exact below _PRIME_BOUND,
+# the least composite that is a strong pseudoprime to all of them
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_PRIME_BOUND = 3317044064679887385961981
+
+
 def _is_prime(n: int) -> bool:
+    """Whether n < _PRIME_BOUND is prime, by deterministic Miller-Rabin."""
     if n < 2:
         return False
-    if n % 2 == 0:
-        return n == 2
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
+    for b in _PRIME_BASES:
+        if n % b == 0:
+            return n == b
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for b in _PRIME_BASES:
+        x = pow(b, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 
@@ -122,6 +138,8 @@ class Field:
 
     def __post_init__(self):
         if self.p is not None:
+            if self.p >= _PRIME_BOUND:
+                raise FieldError(f"modulus must be below {_PRIME_BOUND}, where the primality test is exact")
             if not _is_prime(self.p):
                 raise FieldError(f"modulus {self.p} is not prime")
             if self.p == 2:

@@ -46,10 +46,12 @@ monomial, so d_2 is the edge map of the bracket of Lambda^2 P / Im d_3:
 
 the two signs cancelling.  Im d_3 lies in Ker d_2 because d.d = 0 is
 certified, so the bracket descends in both slots.
-:func:`d3_lemma_check` builds it with
-:func:`~superlie.algebras.factored_quotient_algebra`, which certifies the
-annihilation, antisymmetry on classes and the Lie axioms, and compares it
-with the non-abelian exterior square P ^ P.
+:func:`d3_lemma_check` induces d_2 on Lambda^2 P / Im d_3 with
+:func:`~superlie.algebras.induced_map`, which certifies the annihilation,
+builds the bracket with
+:func:`~superlie.algebras.factored_quotient_algebra`, which certifies
+antisymmetry on classes and the Lie axioms, and compares it with the
+non-abelian exterior square P ^ P.
 
 Induced maps.  Every map between quotients here, the comparison map
 x^y -> x(^)y, the maps of both six-term sequences (the connecting maps
@@ -61,8 +63,6 @@ raises :class:`~superlie.linalg.ContainmentError` otherwise.
 """
 
 from __future__ import annotations
-
-from typing import TYPE_CHECKING
 
 from .actions import (
     Action,
@@ -107,9 +107,6 @@ from .tensor import (
     nonabelian_exterior,
     nonabelian_tensor,
 )
-
-if TYPE_CHECKING:
-    from .freelie import Presentation
 
 
 class ComplexInconsistent(RuntimeError, MathError):
@@ -368,7 +365,7 @@ def d3_lemma_check(P: LieSuperAlgebra) -> D3LemmaReport:
         return out
 
     lhs = quotient_space(c2, Subspace.full(P.field, c2.dim), cx.boundary(3).image(), "w")
-    d2 = cx.boundary(2).matrix
+    d2 = induced_map(lhs, cx.spaces[1], cx.boundary(2).apply)  # certifies that d_2 kills Im d_3
     wedge_alg = factored_quotient_algebra(lhs, d2, d2, wedge)
     ext = exterior_square(P)
     rhs_dims = ext.algebra.space.dim_pair

@@ -14,16 +14,11 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import TYPE_CHECKING
 
 from .algebras import AssocSuperAlgebra, LieSuperAlgebra
-from .fields import Field, FieldError, InputError
+from .fields import _PRIME_BOUND, Field, FieldError, InputError
 from .linalg import Matrix
 from .spaces import GradedMap, SuperSpace
-
-if TYPE_CHECKING:
-    from .actions import Action, CrossedModule
-    from .freelie import Presentation
 
 
 class ParseError(InputError):
@@ -72,6 +67,9 @@ def parse_field(obj) -> Field:
         p = obj["p"]
         if type(p) is not int and not (isinstance(p, str) and p.isascii() and p.isdigit()):
             raise ParseError(f"field modulus must be an integer: {p!r}")
+        # int() refuses a string of more than 4300 digits
+        if isinstance(p, str) and len(p.lstrip("0")) > len(str(_PRIME_BOUND)):
+            raise ParseError(f"modulus must be below {_PRIME_BOUND}, where the primality test is exact")
         try:
             return Field(int(p))
         except FieldError as exc:

@@ -10,8 +10,6 @@ error (exit 2).
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
-
 from .algebras import (
     LieSuperAlgebra,
     abelian,
@@ -24,9 +22,6 @@ from .corpus import assoc_algebra, lie_algebra
 from .fields import QQ, InputError
 from .linalg import Subspace
 from .spaces import GradedMap, SuperSpace, format_dims
-
-if TYPE_CHECKING:
-    from .homology import CrossedSES
 
 Row = tuple[str, bool, str]
 

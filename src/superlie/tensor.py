@@ -101,20 +101,23 @@ the block path first certifies the Lie axioms of P and raises
 adjoint square of a P with such an h; heis, and every other M (x) N, keep
 the full stream of (i) and (ii).
 
-The construction certifies, not assumes, the result.  The bracket is
-built by :func:`~superlie.algebras.factored_quotient_algebra`, the one
-construction of a bracket that factors through edge maps: both edge maps
-must annihilate D(M, N), so B, which factors through them, is well defined
-on classes; B must be antisymmetric on classes, which puts (iii) and (iv)
-in D(M, N); and the product must satisfy the Lie axioms on every basis
-triple, which puts (v) in D(M, N).  Both edge maps must be crossed
-modules.  On the adjoint square mu = nu, since
+The construction certifies, not assumes, the result.  Both edge maps are
+built by :func:`~superlie.algebras.induced_map`, which certifies that
+each annihilates D(M, N), so B, which factors through them, is well
+defined on classes.  On the adjoint square mu = nu, since
 -(-1)^{|m||n|}[n, m] = [m, n], and M and N act on M (x) N by the same
-operators, so the columns of mu and nu are compared and the one crossed
-module is certified once.  A failure raises
-:class:`BracketNotWellDefined`; it indicates a transcription bug, never
-a property of compatible inputs, and the construction cannot return a
-wrong product silently.
+operators, so the columns of mu and nu on the plain product are compared
+and one induced map serves both.  The bracket is built by
+:func:`~superlie.algebras.factored_quotient_algebra`, the one construction
+of a bracket that factors through edge maps: B must be antisymmetric on
+classes, which puts (iii) and (iv) in D(M, N); and the product must
+satisfy the Lie axioms on every basis triple, which puts (v) in D(M, N).
+Both edge maps must be crossed modules; on the adjoint square the one
+crossed module is certified once.  An edge map that does not descend
+raises :class:`~superlie.linalg.ContainmentError`, any other failure
+:class:`BracketNotWellDefined`; either indicates a transcription bug,
+never a property of compatible inputs, and the construction cannot
+return a wrong product silently.
 """
 
 from __future__ import annotations
@@ -257,9 +260,7 @@ def nonabelian_tensor(M: LieSuperAlgebra, N: LieSuperAlgebra,
     act_nm of N on M, on these very objects (ValueError otherwise)."""
     if act_mn.actor is not M or act_mn.target is not N:
         raise ValueError("actions are not between the same pair of algebras")
-    comp = check_compatible(act_mn, act_nm)
-    if not comp.ok:
-        raise IncompatibleActions(f"actions are not compatible: {comp.violations[:3]}")
+    check_compatible(act_mn, act_nm).require(IncompatibleActions, "actions are not compatible")
 
     field = M.field
     dm, dn = M.dim, N.dim
@@ -293,10 +294,8 @@ def nonabelian_tensor(M: LieSuperAlgebra, N: LieSuperAlgebra,
         spanning = ()
     else:
         # the blocks rest on D(P, P) in Ker mu, which is graded Jacobi
-        rep = check_lie_axioms(M)
-        if not rep.ok:
-            raise BracketNotWellDefined(
-                f"the weight blocks of D(P, P) need the Lie axioms: {rep.violations[:3]}")
+        check_lie_axioms(M).require(BracketNotWellDefined,
+                                    "the weight blocks of D(P, P) need the Lie axioms")
         pairs_i, pairs_ii, spanning = blocks
 
     acc = Echelon(field, plain.dim)
@@ -313,29 +312,24 @@ def nonabelian_tensor(M: LieSuperAlgebra, N: LieSuperAlgebra,
     del acc  # its semi-reduced rows are not read again; free them before the certificates
     quot = quotient_space(plain, Subspace.full(field, plain.dim), d_sub, "t")
 
-    algebra = factored_quotient_algebra(quot, mu_plain, nu_plain, partial(tensor_vec, ms, ns),
+    mu = induced_map(quot, ms, mu_plain.apply)
+    if adjoint and mu_plain.cols != nu_plain.cols:
+        raise BracketNotWellDefined("mu and nu differ on the adjoint square")
+    nu = mu if adjoint else induced_map(quot, ns, nu_plain.apply)
+    algebra = factored_quotient_algebra(quot, mu, nu, partial(tensor_vec, ms, ns),
                                         name=f"{M.name or 'M'}(x){N.name or 'N'}")
-    # factored_quotient_algebra has certified that mu_plain and nu_plain kill
-    # D(M, N), so induced_map would only repeat that check on this hot path
-    mu = GradedMap.from_columns(quot.space, ms, [mu_plain.apply(s) for s in quot.section])
     action_m = Action(M, algebra, induced_action_table(quot, dm, act_m))
     cross_m = CrossedModule(algebra, M, mu, action_m)
     if adjoint:
-        if mu_plain.cols != nu_plain.cols:
-            raise BracketNotWellDefined("mu and nu differ on the adjoint square")
-        nu, action_n, cross_n = mu, action_m, cross_m
+        action_n, cross_n = action_m, cross_m
         crossed = ((cross_m, "mu = nu"),)
     else:
-        nu = GradedMap.from_columns(quot.space, ns, [nu_plain.apply(s) for s in quot.section])
         action_n = Action(N, algebra, induced_action_table(quot, dn, act_n))
         cross_n = CrossedModule(algebra, N, nu, action_n)
         crossed = ((cross_m, "mu"), (cross_n, "nu"))
     for cr, label in crossed:
-        rep = check_crossed(cr)
-        if not rep.ok:
-            raise BracketNotWellDefined(
-                f"({label}) fails the crossed module certificate: {rep.violations[:3]}"
-            )
+        check_crossed(cr).require(BracketNotWellDefined,
+                                  f"({label}) fails the crossed module certificate")
 
     return TensorProduct(
         m=M, n=N, act_mn=act_mn, act_nm=act_nm,

@@ -35,7 +35,10 @@ boundary-hom, equivariance and Peiffer certificates of a crossed module
 evaluate every basis pair through the public bracket and action, where
 the production code reads one intertwining defect per operator row.
 [A, A] is the span of the commutators, where the production code takes
-the image of the commutator map of the HC_1 kernel model.  The
+the image of the commutator map of the HC_1 kernel model.  The edge maps
+of a tensor product are summed from the actions over every basis pair
+and applied to each section vector, where the production code induces
+them from sparse columns on the plain product.  The
 bracket of V(A) is summed slot by slot and checked to preserve I(A) by
 bracketing every row of I(A) with every basis tensor, where the
 production code factors it through the commutator map.  The action on a
@@ -638,6 +641,31 @@ def tensor_relations_oracle(M, N, act_mn, act_nm, families=FAMILIES) -> Subspace
                                 ten(M.bracket(nm[a], nm[b]), mn[c]))
                     feed(g)
     return acc.subspace()
+
+
+# ---------------------------------------------------------------------------
+# the edge maps of a tensor product, from the actions
+
+
+def tensor_edge_maps_oracle(t) -> tuple[list[dict], list[dict]]:
+    """The columns of mu and nu of the tensor product t on the section of
+    its quotient: mu(m (x) n) = -(-1)^{|m||n|} n.m and nu(m (x) n) = m.n,
+    summed over every basis pair (i, j) of the plain M (x) N, position
+    i * dim N + j, through the public ``act`` of t's actions."""
+    M, N = t.m, t.n
+    pm, pn, dn = M.space.parities, N.space.parities, N.dim
+    mu_cols, nu_cols = [], []
+    for s in t.quotient.section:
+        mu: dict = {}
+        nu: dict = {}
+        for i in range(M.dim):
+            for j in range(dn):
+                c = s.get(i * dn + j, 0)
+                vec_axpy(mu, c if pm[i] and pn[j] else -c, t.act_nm.act({j: 1}, {i: 1}))
+                vec_axpy(nu, c, t.act_mn.act({i: 1}, {j: 1}))
+        mu_cols.append(M.field.clean(mu))
+        nu_cols.append(M.field.clean(nu))
+    return mu_cols, nu_cols
 
 
 # ---------------------------------------------------------------------------

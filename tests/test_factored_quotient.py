@@ -2,25 +2,32 @@
 through edge maps, :func:`superlie.algebras.factored_quotient_algebra`.
 
 Its three callers are the non-abelian tensor product, V(A) and the
-degree-2 comparison lemma.  V(A) is compared with the slot-by-slot oracle
-over Q, F3, F5 and F7; the helper rebuilds ordinary quotient algebras;
-and two mutations must trip its certificates: a left edge map that misses
-one row of the bottom, and a symmetric pair.
+degree-2 comparison lemma.  Each passes edge maps built by
+:func:`superlie.algebras.induced_map`, the one check that a map kills a
+quotient's bottom.  V(A) is compared with the slot-by-slot oracle over Q,
+F3, F5 and F7; the helper rebuilds ordinary quotient algebras; and a
+symmetric pair must trip its antisymmetry certificate.
 
-The matching construction for linear maps, :func:`superlie.algebras.induced_map`,
-must refuse a map that misses one row of the bottom, into a quotient and
-into a plain space, and :func:`superlie.tensor.induced_tensor_map` must
-refuse a pair of maps that does not preserve the actions.
+:func:`superlie.algebras.induced_map` must refuse a map that misses one
+row of the bottom, into a quotient and into a plain space (the plain case
+is an edge map that does not descend), and
+:func:`superlie.tensor.induced_tensor_map` must refuse a pair of maps that
+does not preserve the actions.  The edge maps mu and nu of the tensor
+product, induced that way, are compared column by column with an oracle
+that rebuilds them from the actions; on an adjoint square they are one
+map.
 """
 
 from functools import partial
 
 import pytest
 
-from oracles import v_algebra_table_oracle
+from oracles import tensor_edge_maps_oracle, v_algebra_table_oracle
+from superlie.actions import trivial_action
 from superlie.algebras import (
     BracketNotWellDefined,
     LieSuperAlgebra,
+    abelian,
     factored_quotient_algebra,
     ground_assoc,
     heisenberg,
@@ -32,11 +39,14 @@ from superlie.algebras import (
     quotient_algebra,
     series,
 )
+from superlie.corpus import bundled_path
 from superlie.cyclic import dual_numbers, grassmann_line, hc1_kernel_model, v_algebra
 from superlie.fields import Field
+from superlie.io import load_json, parse_action
 from superlie.linalg import ContainmentError, Matrix, Subquotient, Subspace, vec_axpy
 from superlie.spaces import GradedMap, tensor_vec
-from superlie.tensor import adjoint_tensor_square, induced_tensor_map
+from superlie.tensor import adjoint_tensor_square, induced_tensor_map, nonabelian_tensor
+from test_tensor_relations import ideal_pair
 
 PRIMES = (None, 3, 5, 7)
 ASSOC = {
@@ -53,6 +63,38 @@ ASSOC = {
 def test_v_algebra_matches_the_slot_by_slot_oracle(name, p):
     A = ASSOC[name](Field(p))
     assert v_algebra(A).algebra.table == v_algebra_table_oracle(A)
+
+
+def tensor_products(name: str, p):
+    """(the tensor product, whether it is an adjoint square)."""
+    F = Field(p)
+    squares = {"heis": heisenberg, "gl(1|1)": lambda F: matrix_gl(1, 1, ground_assoc(F)),
+               "sl(2|1, L1)": lambda F: matrix_sl(2, 1, grassmann_line(F)).algebra}
+    if name in squares:
+        return adjoint_tensor_square(squares[name](F)), True
+    if name == "heis, file actions":
+        # two parsed actions, as the command line reads --act-mn and --act-nm
+        heis, obj = heisenberg(F), load_json(bundled_path("heis_adjoint"))
+        return nonabelian_tensor(heis, heis, parse_action(obj, heis, heis),
+                                 parse_action(obj, heis, heis)), False
+    if name == "gl(1|1) (x) its derived algebra":
+        L = matrix_gl(1, 1, ground_assoc(F))
+        K, act_lk, act_kl = ideal_pair(L, "derived")
+        return nonabelian_tensor(L, K, act_lk, act_kl), False
+    A, B = abelian(F, 1, 1), abelian(F, 2, 1, "b")
+    return nonabelian_tensor(A, B, trivial_action(A, B), trivial_action(B, A)), False
+
+
+@pytest.mark.parametrize("p", PRIMES)
+@pytest.mark.parametrize("name", ("heis", "gl(1|1)", "sl(2|1, L1)", "heis, file actions",
+                                  "abelian(1|1) (x) abelian(2|1)", "gl(1|1) (x) its derived algebra"))
+def test_tensor_edge_maps_match_the_oracle(name, p):
+    t, adjoint = tensor_products(name, p)
+    mu_cols, nu_cols = tensor_edge_maps_oracle(t)
+    assert t.mu.matrix.cols == mu_cols
+    assert t.nu.matrix.cols == nu_cols
+    if adjoint:
+        assert t.mu is t.nu
 
 
 def section_projection(field, dim: int, rows: list[dict]) -> Matrix:
@@ -78,7 +120,8 @@ def test_quotient_algebras_are_factored_quotients(p):
     pair L's bracket is the quotient algebra."""
     for L, I in ideals(p):
         Q, proj = quotient_algebra(L, I)
-        edge = section_projection(L.field, L.dim, I.rows)
+        section = section_projection(L.field, L.dim, I.rows)
+        edge = induced_map(proj.quotient, L.space, section.apply)
         assert factored_quotient_algebra(proj.quotient, edge, edge, L.bracket).table == Q.table
 
 
@@ -118,23 +161,9 @@ def one_row_functional(q):
 
 @pytest.mark.parametrize("name, p", CASES)
 def test_edge_maps_rebuild_the_production_bracket(name, p):
-    q, edge, pair, algebra, _ = quotients(name, p)
+    q, edge, pair, algebra, space = quotients(name, p)
+    edge = induced_map(q, space, edge.apply)
     assert factored_quotient_algebra(q, edge, edge, pair).table == algebra.table
-
-
-@pytest.mark.parametrize("name, p", CASES)
-def test_a_left_edge_map_that_misses_one_row_is_refused(name, p):
-    """left = alpha + phi(-) e_0, phi a functional that kills every row of
-    the bottom but the last: left kills all rows of D except one."""
-    q, edge, pair, _, _ = quotients(name, p)
-    phi = one_row_functional(q)
-    cols = []
-    for t, col in enumerate(edge.cols):
-        col = dict(col)
-        vec_axpy(col, phi({t: 1}), {0: 1})
-        cols.append(col)
-    with pytest.raises(BracketNotWellDefined, match="edge map does not annihilate"):
-        factored_quotient_algebra(q, Matrix(q.field, edge.nrows, cols), edge, pair)
 
 
 @pytest.mark.parametrize("target", ("quotient", "plain"))
@@ -187,7 +216,8 @@ def test_a_symmetric_pair_is_refused(p):
     L = lie_from_assoc(A)
     center = series(L).center
     _, proj = quotient_algebra(L, center)
-    edge = section_projection(L.field, L.dim, center.rows)
+    section = section_projection(L.field, L.dim, center.rows)
+    edge = induced_map(proj.quotient, L.space, section.apply)
     par = A.space.parities
 
     def symmetric(u: dict, v: dict) -> dict:

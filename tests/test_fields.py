@@ -1,8 +1,9 @@
+import time
 from fractions import Fraction
 
 import pytest
 
-from superlie.fields import Field, FieldError, QQ
+from superlie.fields import _PRIME_BOUND, Field, FieldError, QQ, _is_prime
 
 
 def test_rationals_parse_format_roundtrip():
@@ -32,6 +33,39 @@ def test_field_validation():
         Field(2)
     Field(3)
     Field(97)
+
+
+def _trial_division(n: int) -> bool:
+    return n >= 2 and all(n % d for d in range(2, int(n ** 0.5) + 1))
+
+
+def test_primality_agrees_with_trial_division_below_100000():
+    assert [n for n in range(10 ** 5) if _is_prime(n)] == \
+        [n for n in range(10 ** 5) if _trial_division(n)]
+
+
+@pytest.mark.parametrize("n, factor", [(3215031751, 151), (2152302898747, 6763),
+                                       (10 ** 18 + 1, 101)])
+def test_strong_pseudoprimes_to_small_bases_are_composite(n, factor):
+    """3215031751 is a strong pseudoprime to the bases 2, 3, 5 and 7, and
+    2152302898747 to the bases 2 to 11; 10^18 + 1 is 101 * 9901 * ..."""
+    assert n % factor == 0 and not _is_prime(n)
+    with pytest.raises(FieldError, match="is not prime"):
+        Field(n)
+
+
+def test_large_prime_moduli_are_accepted_in_bounded_time():
+    start = time.perf_counter()
+    assert Field(10 ** 18 + 3).p == 10 ** 18 + 3
+    assert time.perf_counter() - start < 0.5
+
+
+@pytest.mark.parametrize("p", [_PRIME_BOUND, _PRIME_BOUND + 2, 10 ** 4000])
+def test_moduli_at_or_above_the_exact_bound_are_refused(p):
+    """The bound is the least strong pseudoprime to every base the test
+    uses, so it is refused as out of range, not accepted as prime."""
+    with pytest.raises(FieldError, match=f"modulus must be below {_PRIME_BOUND}"):
+        Field(p)
 
 
 def test_parse_errors():

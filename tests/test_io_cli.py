@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -641,12 +642,18 @@ def _crossed_with(**fields) -> dict:
     (("homology", "@heis", "--hopf"), {"name": {"a": 1}, "generators": [["x", 0]], "relators": []},
      "presentation name must be a string: {'a': 1}"),
     (("homology", "@heis", "--nonabelian"), _crossed_with(m="zheis\x00.json"), "embedded null byte"),
+    (("check",), _heis_over({"kind": "Fp", "p": "9" * 5000}),
+     "modulus must be below 3317044064679887385961981"),
+    (("check",), _heis_over({"kind": "Fp", "p": 3317044064679887385961981}), "modulus must be below"),
+    (("check",), _heis_over({"kind": "Fp", "p": str(10 ** 18 + 1)}),
+     "modulus 1000000000000000001 is not prime"),
 ], ids=["modulus-abc", "modulus-5.9", "generators-5", "duplicate-generators", "sum-5",
         "sum-in-bracket", "sum-empty", "word-one-element", "crossed-m-5", "duplicate-boundary",
         "basis-parity-true", "generator-parities-float-false", "coeff-abc", "coeff-none",
         "duplicate-basis-labels", "basis-label-list", "algebra-name-object",
         "generator-label-list", "module-name-list", "value-repeated-label",
-        "presentation-name-object", "crossed-m-nul"])
+        "presentation-name-object", "crossed-m-nul", "modulus-5000-digits", "modulus-at-bound",
+        "modulus-1e18+1"])
 def test_cli_malformed_input_files_exit2(tmp_path, command, obj, message):
     p = tmp_path / "input.json"
     p.write_text(json.dumps(obj), encoding="utf-8")
@@ -655,6 +662,16 @@ def test_cli_malformed_input_files_exit2(tmp_path, command, obj, message):
     assert r.stderr.startswith("input error: ") and message in r.stderr
     assert "Traceback" not in r.stderr
     assert r.stdout == ""
+
+
+def test_cli_accepts_a_large_prime_modulus_in_bounded_time(tmp_path):
+    """10^18 + 3 is prime, and the primality test takes bounded time on it."""
+    p = tmp_path / "heis.json"
+    p.write_text(json.dumps(_heis_over({"kind": "Fp", "p": str(10 ** 18 + 3)})), encoding="utf-8")
+    start = time.perf_counter()
+    r = run_cli("check", str(p))
+    assert r.returncode == 0 and r.stderr == ""
+    assert time.perf_counter() - start < 5
 
 
 @pytest.mark.parametrize("labels, command, lines", [

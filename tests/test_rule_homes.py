@@ -9,7 +9,9 @@ a < b, and a = b for odd a) to sparse rows: a direct
 ``LieSuperAlgebra(...)`` call passes a literal table, a dict display.  The
 file parser ``io.parse_algebra`` is the one exception: it passes the table
 of a file as read, zero values included, so that the constructor refuses
-an entry against the storage rule with a message naming it.
+an entry against the storage rule with a message naming it.  A failed
+certificate raises through ``AxiomReport.require`` only: no other
+``raise`` formats a report's ``.violations``.
 """
 
 import ast
@@ -57,6 +59,19 @@ def computed_table_lines(source: str, exempt=frozenset()) -> list[int]:
     return sorted(lines)
 
 
+def violation_raise_lines(source: str) -> list[int]:
+    """The lines of the ``raise`` statements that read an attribute
+    ``violations``, outside the method ``require`` of ``AxiomReport``."""
+    tree = ast.parse(source)
+    skip = {id(n) for c in ast.walk(tree) if isinstance(c, ast.ClassDef) and c.name == "AxiomReport"
+            for f in c.body if isinstance(f, ast.FunctionDef) and f.name == "require"
+            for n in ast.walk(f)}
+    return sorted(node.lineno for node in ast.walk(tree)
+                  if isinstance(node, ast.Raise) and id(node) not in skip
+                  and any(isinstance(n, ast.Attribute) and n.attr == "violations"
+                          for n in ast.walk(node)))
+
+
 @pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
 def test_no_module_names_vec_clean(path):
     assert name_lines(path.read_text(encoding="utf-8"), "vec_clean") == []
@@ -66,6 +81,11 @@ def test_no_module_names_vec_clean(path):
 def test_computed_tables_go_through_from_bracket(path):
     source = path.read_text(encoding="utf-8")
     assert computed_table_lines(source, TABLE_PARSERS.get(path.name, frozenset())) == []
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
+def test_failed_certificates_raise_through_require(path):
+    assert violation_raise_lines(path.read_text(encoding="utf-8")) == []
 
 
 def test_finders_see_each_case():
@@ -82,3 +102,15 @@ def test_finders_see_each_case():
     assert name_lines(source, "vec_clean") == [1, 2, 3, 4]
     assert computed_table_lines(source) == [6, 7, 10]
     assert computed_table_lines(source, {"parse"}) == [6, 7]
+    source = ("class AxiomReport:\n"
+              "    def require(self, error, message):\n"
+              "        if not self.ok:\n"
+              "            raise error(f'{message}: {self.violations[:3]}')\n"
+              "rep = check(a)\n"
+              "if not rep.ok:\n"
+              "    raise E(f'bad: {rep.violations[:3]}')\n"
+              "def require(rep):\n"
+              "    raise E(str(rep.violations))\n"
+              "check(a).require(E, 'bad')\n"
+              "raise E(f'{len(violations)} found')\n")
+    assert violation_raise_lines(source) == [7, 9]

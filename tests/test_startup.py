@@ -29,7 +29,7 @@ HEAVY = ("superlie.actions", "superlie.tensor", "superlie.homology", "superlie.c
          "superlie.freelie")
 # standard modules that cost a command-line process more to import than
 # some commands take to compute
-SLOW_STDLIB = ("dataclasses", "inspect", "importlib.resources")
+SLOW_STDLIB = ("dataclasses", "inspect", "importlib.resources", "typing")
 
 # the names ``from superlie import *`` bound when __init__ imported every
 # submodule eagerly: the public names of the submodules and the submodules

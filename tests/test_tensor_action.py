@@ -21,9 +21,9 @@ from superlie.algebras import ground_assoc, matrix_assoc, matrix_gl
 from superlie.cyclic import grassmann_line, v_algebra
 from superlie.fields import Field
 from superlie.homology import ComplexInconsistent
-from superlie.linalg import vec_axpy
+from superlie.linalg import ContainmentError, vec_axpy
 from superlie.spaces import tensor_vec
-from superlie.tensor import BracketNotWellDefined, nonabelian_tensor
+from superlie.tensor import nonabelian_tensor
 from test_tensor_relations import IDEAL_ALGEBRAS, PRIMES, ideal_pair, rebased_algebras, standard
 
 ASSOC = {
@@ -127,7 +127,7 @@ def test_tensor_product_refuses_an_unsigned_tensor_action(monkeypatch, p):
     L = matrix_gl(1, 1, ground_assoc(Field(p)))
     adj = adjoint_action(L)
     monkeypatch.setattr(tensor, "tensor_action", unsigned_tensor_action)
-    with pytest.raises(BracketNotWellDefined, match="edge map does not annihilate"):
+    with pytest.raises(ContainmentError, match="does not carry the bottom"):
         nonabelian_tensor(L, L, adj, adj)
 
 
