@@ -216,21 +216,26 @@ class LieSuperAlgebra:
             self._bracket_index = [rows.get(i, empty) for i in range(self.dim)]
         return self._bracket_index
 
-    def inner_weights(self) -> list[tuple[int, list]]:
-        """The pairs (h, lambda) over the even basis elements h whose ad(h)
-        is diagonal on the basis, [h, e_i] = lambda[i] e_i, h ascending,
-        read from :meth:`bracket_index`; an h with every weight 0 (a
-        central h) is included.  Only basis elements of the algebra itself
-        count: a grading that is not inner, such as the Grassmann degree of
-        sl(2|1, Lambda1), is not found here."""
-        index, reduce = self.bracket_index(), self.field.reduce
-        out = []
+    def inner_torus(self, module) -> tuple[list[int], list[tuple], list[tuple]]:
+        """The one inner grading (hs, lam, mu): hs, ascending, are the even
+        basis elements h with ad(h) diagonal on the basis, [h, e_i] =
+        lam[i] e_i, and diagonal on the basis of ``module``, an action of
+        this algebra, h.e_t = mu[t] e_t, but for an h whose weights all
+        vanish; lam[i] and mu[t] are tuples over hs.  A grading that is not
+        inner, such as the Grassmann degree of sl(2|1, Lambda1), is not
+        found here."""
+        index, reduce, dm = self.bracket_index(), self.field.reduce, module.target.dim
+        hs, lams, mus = [], [], []
         for h in range(self.dim):
-            if not self.space.parities[h]:
-                lam = _diagonal(index[h], self.dim, reduce)
-                if lam is not None:
-                    out.append((h, lam))
-        return out
+            if self.space.parities[h] or (lam := _diagonal(index[h], self.dim, reduce)) is None:
+                continue
+            mu = _diagonal(module.rows[h], dm, reduce)
+            if mu is not None and (any(lam) or any(mu)):
+                hs.append(h)
+                lams.append(lam)
+                mus.append(mu)
+        return (hs, [tuple(w[i] for w in lams) for i in range(self.dim)],
+                [tuple(w[t] for w in mus) for t in range(dm)])
 
     def left_brackets(self, v: dict) -> dict[int, dict]:
         """{i: [e_i, v]} over the basis elements whose bracket with v is
@@ -479,7 +484,9 @@ class AssocSuperAlgebra:
         self.field = space.field
         self.table = _normalize(self.field, table)
         self.rows = _row_index(self.table, space.dim)
-        self.unit = self.field.clean({k: self.field.of(c) for k, c in (unit or {}).items()}) or None
+        # a declared unit that cleans to 0 stays declared: 1 = 0 is certified, not dropped
+        self.unit = None if unit is None else self.field.clean(
+            {k: self.field.of(c) for k, c in unit.items()})
 
     @property
     def dim(self) -> int:

@@ -44,9 +44,9 @@ leaves every other entry alone.  What remains lies on the reps, and its
 entry at a rep is that rep's coordinate.
 
 Weight-0 block.  Let e be an even basis element of A for which [e, -]
-is diagonal on the basis, [e, a] = lambda(a) a, as
-:meth:`~superlie.algebras.LieSuperAlgebra.inner_weights` of
-``lie_from_assoc(A)`` reads it; a central e (every lambda 0) is dropped.
+is diagonal on the basis, [e, a] = lambda(a) a, and not central, as
+:meth:`~superlie.algebras.LieSuperAlgebra.inner_torus` reads it from
+``lie_from_assoc(A)`` and its adjoint action.
 The weight of a basis tuple (a_0, ..., a_n) is lambda(a_0) + ... +
 lambda(a_n), reduced in the field.
 
@@ -329,8 +329,8 @@ def connes(A: AssocSuperAlgebra, max_n: int) -> ConnesComplex:
     if max_n < 1:
         raise ValueError("the complex needs at least degree 1")
     # the weights of the non-central e with diagonal [e, -] (module docstring)
-    lams = [lam for _, lam in lie_from_assoc(A).inner_weights() if any(lam)]
-    lam = [tuple(w[a] for w in lams) for a in range(A.dim)]
+    lie = lie_from_assoc(A)
+    _, lam, _ = lie.inner_torus(adjoint_action(lie))
     # tensor words: any factor follows any, closed by the last factor a_n
     words = weight0_words(A.field, lam, [0] * A.dim, lam, max_n)
     coinv = [_Coinvariants(A.space, [f + (a,) for f, a in level], f"c{n}.")

@@ -20,7 +20,8 @@ makes h act by 0 on homology; so every block of chains whose weight is
 nonzero in the field is acyclic (Hochschild-Serre, Ann. of Math. 57,
 1953; Fuks, Cohomology of Infinite-Dimensional Lie Algebras, 1986,
 ch. 1).  :func:`ce_complex` builds only the chains of weight 0 under
-every such h (all chains when there is none, as for heis), and their
+every such h, as :meth:`~superlie.algebras.LieSuperAlgebra.inner_torus`
+reads them (all chains when there is none, as for heis), and their
 homology is H_*(P, M).  Only basis elements with diagonal ad are used: a
 grading that is not inner, such as the Grassmann degree of
 sl(2|1, Lambda1), has acyclic-looking blocks that carry homology.
@@ -78,7 +79,6 @@ from .algebras import (
     LieSuperAlgebra,
     NotAnIdeal,
     QuotientSpace,
-    _diagonal,
     factored_quotient_algebra,
     ideal_closure,
     induced_map,
@@ -167,11 +167,11 @@ class Complex:
 class ChainComplex(Complex):
     """The chain complex of P with coefficients in M on its weight-0 chains:
     for every even basis element h of P with ad(h) diagonal on P's basis
-    and a diagonal action on M's basis, only the chains on which h acts by
-    0 are kept; the other blocks are acyclic by Cartan's formula
-    (Hochschild-Serre, Ann. of Math. 57, 1953; Fuks, Cohomology of
-    Infinite-Dimensional Lie Algebras, 1986, ch. 1).  With no such h every
-    chain is kept.
+    and a diagonal action on M's basis, read by ``P.inner_torus(M)``, only
+    the chains on which h acts by 0 are kept; the other blocks are acyclic
+    by Cartan's formula (Hochschild-Serre, Ann. of Math. 57, 1953; Fuks,
+    Cohomology of Infinite-Dimensional Lie Algebras, 1986, ch. 1).  With
+    no such h every chain is kept.
 
     Chain i of degree n is ``x_1^...^x_k (x) t`` for the pair
     ``chains[n][i] = ((x_1, ..., x_k), t)`` of canonical wedge factors and
@@ -186,31 +186,18 @@ class ChainComplex(Complex):
     chains: list[list[tuple[tuple[int, ...], int]]]
 
 
-def _cartan_weights(P: LieSuperAlgebra, M: Action) -> list[tuple[list, list]]:
-    """The weights (lambda on P's basis, mu on M's basis) of every h of
-    :meth:`~superlie.algebras.LieSuperAlgebra.inner_weights` whose action is
-    diagonal on M's basis; an h whose weights all vanish is left out."""
-    out = []
-    for h, lam in P.inner_weights():
-        mu = _diagonal(M.rows[h], M.target.dim, P.field.reduce)
-        if mu is not None and (any(lam) or any(mu)):
-            out.append((lam, mu))
-    return out
-
-
 def _chain_complex(P: LieSuperAlgebra, M: Action, max_n: int,
-                   weights: list[tuple[list, list]]) -> ChainComplex:
-    """The one construction loop: the chains of weight 0 under weights
-    (every chain when weights is empty), their labels and boundaries."""
+                   lam: list[tuple], mu: list[tuple]) -> ChainComplex:
+    """The one construction loop: the chains of weight 0 under the weight
+    tuples lam and mu of P's and M's basis (every chain when they are
+    empty), their labels and boundaries."""
     field = P.field
     par = P.space.parities
     plabels = P.space.labels
     msp = M.target.space
     ground = msp.dim == 1 and msp.labels[0] == "1"
     # canonical wedge monomials, an odd factor may repeat, closed by the module index
-    chains = weight0_words(field, [tuple(w[0][i] for w in weights) for i in range(P.dim)],
-                           [i + 1 - par[i] for i in range(P.dim)],
-                           [tuple(w[1][t] for w in weights) for t in range(msp.dim)], max_n)
+    chains = weight0_words(field, lam, [i + 1 - par[i] for i in range(P.dim)], mu, max_n)
     index, rows = P.bracket_index(), M.rows
     spaces: list[SuperSpace] = []
     index_of: list[dict[tuple[tuple[int, ...], int], int]] = []
@@ -274,7 +261,8 @@ def ce_complex(P: LieSuperAlgebra, M: Action, max_n: int) -> ChainComplex:
     module docstring)."""
     if M.actor is not P:
         raise ValueError("the module is an action of another algebra object than P")
-    return _chain_complex(P, M, max_n, _cartan_weights(P, M))
+    _, lam, mu = P.inner_torus(M)
+    return _chain_complex(P, M, max_n, lam, mu)
 
 
 def homology(P: LieSuperAlgebra, M: Action | None, n: int,
@@ -347,7 +335,7 @@ def d3_lemma_check(P: LieSuperAlgebra) -> D3LemmaReport:
     d_2(u) ^ d_2(v), built by
     :func:`~superlie.algebras.factored_quotient_algebra` (see the module
     docstring)."""
-    cx = _chain_complex(P, trivial_module(P), 3, [])  # all of C_2
+    cx = _chain_complex(P, trivial_module(P), 3, [()] * P.dim, [()])  # all of C_2
     c2 = cx.spaces[2]
     chains2 = cx.chains[2]
     index2 = {f: i for i, (f, _) in enumerate(chains2)}

@@ -69,14 +69,14 @@ raises :class:`BracketNotWellDefined` and is never returned.
 
 Weight blocks of the adjoint square.  For M = N = P with one adjoint
 action on both sides, mu(m(x)n) = nu(m(x)n) = [m, n].  Let h_1, ..., h_r
-be the even basis elements of P whose ad is diagonal on P's basis,
-[h_k, e_i] = lambda_k(e_i) e_i
-(:meth:`~superlie.algebras.LieSuperAlgebra.inner_weights`).  Then
-e_i(x)e_j has the weight vector lambda(e_i) + lambda(e_j), with entries
-in the field, ad(h_k) acts on T as a derivation, and so every generator
-of (i) and (ii) is homogeneous, of weight lambda(a) + lambda(x) or
-lambda(x) + lambda(b).  So D = (+)_w D_w over the blocks T_w of basis
-tensors, with disjoint coordinates, and D_w is spanned by the
+be the non-central even basis elements of P whose ad is diagonal on
+P's basis, [h_k, e_i] = lambda_k(e_i) e_i (``P.inner_torus`` of the
+adjoint action).  Then e_i(x)e_j has the weight vector
+lambda(e_i) + lambda(e_j), with entries in the field, ad(h_k) acts on T
+as a derivation, and so every generator of (i) and (ii) is homogeneous,
+of weight lambda(a) + lambda(x) or lambda(x) + lambda(b).  So
+D = (+)_w D_w over the blocks T_w of basis tensors, with disjoint
+coordinates, and D_w is spanned by the
 generators of weight w.  The block of weight 0 streams exactly those: a
 basis tensor e_i(x)e_j against a basis element c with
 lambda(e_i) + lambda(e_j) + lambda(c) = 0, the words (i, j) closed by c
@@ -116,8 +116,11 @@ Both edge maps must be crossed modules; on the adjoint square the one
 crossed module is certified once.  An edge map that does not descend
 raises :class:`~superlie.linalg.ContainmentError`, any other failure
 :class:`BracketNotWellDefined`; either indicates a transcription bug,
-never a property of compatible inputs, and the construction cannot
-return a wrong product silently.
+never a property of compatible inputs.  The certificates do not fix the
+scale of an edge map, though: on an abelian product, such as heis (x)
+heis, every certificate is homogeneous in nu, so a nu scaled by a
+constant passes them all.  There the comparison of both edge maps with
+the oracle in ``tests/test_factored_quotient.py`` is the guard.
 """
 
 from __future__ import annotations
@@ -232,25 +235,24 @@ def _family_ii(act_n, mu: Matrix, plain: SuperSpace, ms: SuperSpace, ns: SuperSp
         yield g
 
 
-def _weight_blocks(P: LieSuperAlgebra):
+def _weight_blocks(P: LieSuperAlgebra, adj: Action):
     """The generators of D(P, P) that the weight blocks of the adjoint
     square need (see the module docstring): the pairs (c, x) of family (i)
     and (x, c) of family (ii) of total weight 0, and one pair (h_k, x) of
     family (i) per basis tensor x of nonzero weight w, k the first index
     with w_k != 0, leaving out the x in h_k (x) P, whose generator is 0.
-    None when P has no inner grading."""
-    weights = [(h, lam) for h, lam in P.inner_weights() if any(lam)]
-    if not weights:
+    None when P has no inner grading; adj is the adjoint action of P."""
+    hs, wt, _ = P.inner_torus(adj)
+    if not hs:
         return None
     reduce, dim = P.field.reduce, P.dim
-    wt = [tuple(lam[i] for _, lam in weights) for i in range(dim)]
     # the words (i, j) closed by c: x = e_i (x) e_j row-major, c ascending
     closed = [(tensor_index(dim, i, j), c)
               for (i, j), c in weight0_words(P.field, wt, [0] * dim, wt, 2)[2]]
     # x of nonzero weight against the first h_k with w_k != 0; a pair of
     # weight 0 gets h = i and is left out, as is x in h_k (x) P
     spanning = [(h, x) for x, (i, j) in enumerate(map(partial(tensor_pair, dim), range(dim * dim)))
-                if (h := next((h for h, lam in weights if reduce(lam[i] + lam[j])), i)) != i]
+                if (h := next((h for h, a, b in zip(hs, wt[i], wt[j]) if reduce(a + b)), i)) != i]
     return [(c, x) for x, c in closed], closed, spanning
 
 
@@ -287,7 +289,7 @@ def nonabelian_tensor(M: LieSuperAlgebra, N: LieSuperAlgebra,
     else:
         act_n = tensor_action(act_nm, adj_m if N is M else adjoint_action(N))
 
-    blocks = _weight_blocks(M) if adjoint else None
+    blocks = _weight_blocks(M, adj_m) if adjoint else None
     if blocks is None:
         pairs_i = product(range(dm), range(len(pairs)))
         pairs_ii = product(range(len(pairs)), range(dn))

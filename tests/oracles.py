@@ -13,7 +13,7 @@ directly instead of from the Connes complex, the Connes complex takes
 Im(1 - t_n) by elimination over every basis tuple instead of from the
 rotation orbits (its weight-0 block filtered from every basis tuple by
 weights read densely from the products of basis vectors, instead of
-enumerated from ``inner_weights``, and its top by elimination of the
+enumerated from ``inner_torus``, and its top by elimination of the
 block's unit vectors), and the Chevalley–Eilenberg
 complex is built on every chain instead of the weight-0 chains only; its
 weight-0 chains are also enumerated from every canonical monomial,
@@ -766,18 +766,18 @@ def ce_complex_full(P, M, max_n: int):
     return ChainComplex(boundaries, P, M, spaces, chains)
 
 
-def weight0_chains_oracle(P, dm: int, max_n: int, weights) -> list[list[tuple[tuple[int, ...], int]]]:
-    """The chains (factors, t) of weight 0 per degree, in the order of the
-    full complex, from every canonical monomial up to max_n: each weight is
-    carried as a prefix sum and looked up once the monomial is complete,
-    with no pruning of prefixes."""
+def weight0_chains_oracle(P, max_n: int, lam, mu) -> list[list[tuple[tuple[int, ...], int]]]:
+    """The chains (factors, t) of weight 0 per degree under the weight
+    tuples lam[i] of P's basis and mu[t] of the module's, in the order of
+    the full complex, from every canonical monomial up to max_n: each
+    weight is carried as a prefix sum and looked up once the monomial is
+    complete, with no pruning of prefixes."""
     reduce = P.field.reduce
     par = P.space.parities
-    lam = [tuple(w[0][i] for w in weights) for i in range(P.dim)]
     wanted: dict[tuple, list[int]] = {}
-    for t in range(dm):
-        wanted.setdefault(tuple(reduce(-w[1][t]) for w in weights), []).append(t)
-    level = [((), tuple(0 for _ in weights))]
+    for t, w in enumerate(mu):
+        wanted.setdefault(tuple(reduce(-c) for c in w), []).append(t)
+    level = [((), tuple(0 for _ in mu[0]) if mu else ())]
     chains = []
     for n in range(max_n + 1):
         chains.append([(f, t) for f, w in level for t in wanted.get(w, ())])

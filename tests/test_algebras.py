@@ -267,6 +267,22 @@ def test_assoc_axioms(m11):
     assert not check_assoc_axioms(bad).ok
 
 
+@pytest.mark.parametrize("p, unit", [(None, {}), (None, {0: 0}), (5, {0: 5})])
+def test_a_declared_zero_unit_is_kept(p, unit):
+    """Only a unit that is not given is None: a unit that cleans to 0 is
+    kept as {} and certified, so K with it fails the unit axioms, and the
+    zero algebra is unital with 1 = 0."""
+    from superlie.algebras import AssocSuperAlgebra
+    F = Field(p)
+    K = superspace(F, [("1", 0)])
+    assert AssocSuperAlgebra(K, {(0, 0): {0: 1}}).unit is None
+    A = AssocSuperAlgebra(K, {(0, 0): {0: 1}}, unit=unit)
+    assert A.unit == {}
+    assert [v.kind for v in check_assoc_axioms(A).violations] == ["unit-left", "unit-right"]
+    zero = AssocSuperAlgebra(superspace(F, []), {}, unit={})
+    assert zero.unit == {} and check_assoc_axioms(zero).ok
+
+
 def test_lie_from_assoc_odd_diagonal():
     g = grassmann_line(QQ)
     lie = lie_from_assoc(g)

@@ -260,8 +260,26 @@ def test_outer_grading_trap_sl21_grassmann():
     assert [homology(P, None, n).dims for n in range(4)] \
         == [(1, 0), (0, 0), (1, 0), (2, 1)]
     degree = [int("(t)" in label) for label in P.space.labels]
-    outer = _chain_complex(P, trivial_module(P), 4, [(degree, [0])])
+    outer = _chain_complex(P, trivial_module(P), 4, [(d,) for d in degree], [(0,)])
     assert [homology(P, None, n, complex_=outer).dim for n in range(4)] == [1, 0, 0, 1]
+
+
+@pytest.mark.parametrize("p", (None, 3, 5, 7))
+def test_a_weight_on_the_module_alone_cuts_the_chains(p):
+    """h spans the abelian P, so ad(h) = 0, and acts on K by 1: only its
+    weight on the module is nonzero, every chain has weight 1, and the
+    weight-0 complex is empty where the full one has dims 1, 1, 0, 0.
+    Neither has homology."""
+    F = Field(p)
+    P = abelian(F, 1, 0)
+    M = Action(P, abelian(F, 1, 0, "m"), {(0, 0): {0: 1}})
+    assert check_action(M).ok
+    cx, full = ce_complex(P, M, 3), ce_complex_full(P, M, 3)
+    assert [s.dim for s in cx.spaces] == [0, 0, 0, 0]
+    assert [s.dim for s in full.spaces] == [1, 1, 0, 0]
+    for n in range(3):
+        assert homology(P, M, n, complex_=cx).dims == (0, 0)
+        assert homology(P, M, n, complex_=full).dims == (0, 0)
 
 
 # gl(1|1) in two bases in which no basis element has diagonal ad

@@ -215,6 +215,72 @@ def test_cli_check_tampered(tmp_path):
     assert "violation" in r.stdout
 
 
+def write_json(tmp_path, name: str, obj: dict) -> str:
+    p = tmp_path / f"{name}.json"
+    p.write_text(json.dumps(obj), encoding="utf-8")
+    return str(p)
+
+
+def ground_with_unit(field: dict, unit: list) -> dict:
+    return {"name": "K", "field": field, "kind": "assoc", "basis": [["1", 0]],
+            "table": [{"left": "1", "right": "1", "value": [["1", "1"]]}], "unit": unit}
+
+
+ZERO_LIE = {"name": "zero", "field": {"kind": "Q"}, "kind": "lie", "basis": [], "table": []}
+ZERO_ASSOC = {"name": "zero", "field": {"kind": "Q"}, "kind": "assoc", "basis": [],
+              "table": [], "unit": []}
+
+
+@pytest.mark.parametrize("field, unit", [
+    ({"kind": "Q"}, []),
+    ({"kind": "Fp", "p": 5}, [["1", "5"]]),
+], ids=("Q-empty", "F5-five"))
+def test_cli_check_refuses_a_declared_unit_that_is_zero(tmp_path, field, unit):
+    """A unit that cleans to 0 is still declared, so K with it fails the
+    unit axioms, as a unit of 2 does; it is not read as "no unit"."""
+    r = run_cli("--out", "json", "check", write_json(tmp_path, "k", ground_with_unit(field, unit)))
+    assert r.returncode == 1
+    report = json.loads(r.stdout)["results"]
+    assert not report["certified"]
+    assert [v.split(" at ")[0] for v in report["violations"]] == ["unit-left", "unit-right"]
+
+
+def dim_pairs(value) -> list:
+    """Every [even, odd] dimension pair in a JSON report's results."""
+    if isinstance(value, dict):
+        return [d for v in value.values() for d in dim_pairs(v)]
+    if isinstance(value, list):
+        if len(value) == 2 and all(type(c) is int for c in value):
+            return [value]
+        return [d for v in value for d in dim_pairs(v)]
+    return []
+
+
+@pytest.mark.parametrize("data, args", [
+    (ZERO_LIE, ("check", "{0}")),
+    (ZERO_LIE, ("homology", "{0}", "-n", "3")),
+    (ZERO_LIE, ("homology", "{0}", "--nonabelian", "identity")),
+    (ZERO_LIE, ("tensor", "{0}", "{0}", "--adjoint", "--uce", "--exterior")),
+    (ZERO_LIE, ("tensor", "{0}", "{0}", "--trivial")),
+    (ZERO_ASSOC, ("check", "{0}")),
+    (ZERO_ASSOC, ("cyclic", "{0}")),
+    (ZERO_ASSOC, ("cyclic", "{0}", "--sixterm")),
+], ids=lambda v: " ".join(a for a in v if a != "{0}") if isinstance(v, tuple) else v["kind"])
+def test_cli_runs_every_command_on_a_zero_algebra(tmp_path, data, args):
+    """Every dimension of the zero algebra is (0|0), but H0 with trivial
+    coefficients, which is K; the zero associative algebra is unital, with
+    1 = 0."""
+    path = write_json(tmp_path, "zero", data)
+    r = run_cli("--out", "json", *(a.format(path) for a in args))
+    assert r.returncode == 0, r.stdout + r.stderr
+    results = json.loads(r.stdout)["results"]
+    if args[0] == "homology":
+        assert results["homology"][0] == [1, 0]
+        results["homology"] = results["homology"][1:]
+    pairs = dim_pairs(results)
+    assert pairs and all(d == [0, 0] for d in pairs)
+
+
 def test_cli_parse_error_exit2(tmp_path):
     p = tmp_path / "broken.json"
     p.write_text("{not json", encoding="utf-8")

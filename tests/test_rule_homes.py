@@ -11,7 +11,10 @@ file parser ``io.parse_algebra`` is the one exception: it passes the table
 of a file as read, zero values included, so that the constructor refuses
 an entry against the storage rule with a message naming it.  A failed
 certificate raises through ``AxiomReport.require`` only: no other
-``raise`` formats a report's ``.violations``.
+``raise`` formats a report's ``.violations``.  The inner grading is read
+by ``LieSuperAlgebra.inner_torus`` only: no module but ``algebras.py``
+names the diagonal reader ``_diagonal``, and none names the
+``inner_weights`` it replaced.
 """
 
 import ast
@@ -78,6 +81,14 @@ def test_no_module_names_vec_clean(path):
 
 
 @pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
+def test_inner_grading_is_read_by_inner_torus_only(path):
+    source = path.read_text(encoding="utf-8")
+    assert name_lines(source, "inner_weights") == []
+    if path.name != "algebras.py":
+        assert name_lines(source, "_diagonal") == []
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
 def test_computed_tables_go_through_from_bracket(path):
     source = path.read_text(encoding="utf-8")
     assert computed_table_lines(source, TABLE_PARSERS.get(path.name, frozenset())) == []
@@ -114,3 +125,10 @@ def test_finders_see_each_case():
               "check(a).require(E, 'bad')\n"
               "raise E(f'{len(violations)} found')\n")
     assert violation_raise_lines(source) == [7, 9]
+    source = ("from .algebras import LieSuperAlgebra, _diagonal\n"
+              "mu = _diagonal(M.rows[h], M.target.dim, reduce)\n"
+              "pairs = P.inner_weights()\n"
+              "hs, lam, mu = P.inner_torus(M)\n"
+              "diagonal = _diagonal_of(row)\n")
+    assert name_lines(source, "_diagonal") == [1, 2]
+    assert name_lines(source, "inner_weights") == [3]

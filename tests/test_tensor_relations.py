@@ -165,13 +165,18 @@ def test_antisymmetry_certificate_refuses_a_missing_family(monkeypatch, family, 
 @example(standard("heis", 3))
 @example(standard("sl(3)", 3))
 def test_inner_weights_match_a_dense_diagonal_check(L):
-    assert L.inner_weights() == inner_weights_dense(L)
+    """inner_torus of the adjoint action against the dense check: the h
+    with a nonzero weight, and their weights on L as the module too."""
+    want = [(h, lam) for h, lam in inner_weights_dense(L) if any(lam)]
+    hs, lam, mu = L.inner_torus(adjoint_action(L))
+    assert hs == [h for h, _ in want]
+    assert lam == mu == [tuple(w[i] for _, w in want) for i in range(L.dim)]
 
 
 def tensor_weights(L):
     """The weight vector of each basis tensor, in the pair basis."""
-    lams = [lam for _, lam in L.inner_weights()]
-    return [tuple(L.field.reduce(lam[i] + lam[j]) for lam in lams)
+    _, lam, _ = L.inner_torus(adjoint_action(L))
+    return [tuple(L.field.reduce(a + b) for a, b in zip(lam[i], lam[j]))
             for i in range(L.dim) for j in range(L.dim)]
 
 
@@ -185,8 +190,8 @@ def test_weight_blocks_match_the_full_families(L):
     """The weight blocks against the oracle's full stream of families (i)
     and (ii), which spans D by the tests above (the five families of the
     oracle take seconds on sl(2|1, Lambda1))."""
-    assert tensor._weight_blocks(L) is not None
     adj = adjoint_action(L)
+    assert tensor._weight_blocks(L, adj) is not None
     t = nonabelian_tensor(L, L, adj, adj)
     assert t.d_generators == tensor_relations_oracle(L, L, adj, adj, families=("i", "ii"))
 
@@ -211,8 +216,8 @@ def test_weight_blocks_refuse_an_algebra_that_fails_jacobi(p):
     F = Field(p)
     sp = superspace(F, [("h", 0), ("x", 0), ("y", 0), ("z", 0)])
     P = LieSuperAlgebra(sp, {(0, 1): {1: 1}, (0, 2): {2: 1}, (1, 2): {3: 1}})
-    assert P.inner_weights() == [(0, [0, 1, 1, 0]), (3, [0, 0, 0, 0])]
     adj = adjoint_action(P)
+    assert P.inner_torus(adj) == ([0], [(0,), (1,), (1,), (0,)], [(0,), (1,), (1,), (0,)])
     with pytest.raises(BracketNotWellDefined, match="weight blocks .* need the Lie axioms"):
         nonabelian_tensor(P, P, adj, adj)
 
@@ -246,14 +251,14 @@ def weight_block_pairs_brute_force(L):
     nonzero weight w the pair (h_k, x), k the first index with w_k != 0,
     unless e_i is h_k."""
     reduce, dim = L.field.reduce, L.dim
-    weights = [(h, lam) for h, lam in L.inner_weights() if any(lam)]
+    hs, lam, _ = L.inner_torus(adjoint_action(L))
     closed = [(i * dim + j, c) for i, j, c in product(range(dim), repeat=3)
-              if not any(reduce(lam[i] + lam[j] + lam[c]) for _, lam in weights)]
+              if not any(reduce(a + b + d) for a, b, d in zip(lam[i], lam[j], lam[c]))]
     spanning = []
     for i, j in product(range(dim), repeat=2):
-        hs = [h for h, lam in weights if reduce(lam[i] + lam[j])]
-        if hs and hs[0] != i:
-            spanning.append((hs[0], i * dim + j))
+        first = [h for h, a, b in zip(hs, lam[i], lam[j]) if reduce(a + b)]
+        if first and first[0] != i:
+            spanning.append((first[0], i * dim + j))
     return [(c, x) for x, c in closed], closed, spanning
 
 
@@ -264,7 +269,7 @@ def test_weight_block_pairs_match_brute_force(name, p):
     same pairs in the same order as the filter, so the relation space is
     accumulated in the same order."""
     L = standard(name, p)
-    assert tensor._weight_blocks(L) == weight_block_pairs_brute_force(L)
+    assert tensor._weight_blocks(L, adjoint_action(L)) == weight_block_pairs_brute_force(L)
 
 
 def test_weight_block_pairs_keep_a_weight_vanishing_mod_3():
@@ -273,7 +278,8 @@ def test_weight_block_pairs_keep_a_weight_vanishing_mod_3():
     over_q, over_3 = standard("sl(3)", None), standard("sl(3)", 3)
     labels = over_3.space.labels
     x = labels.index("E12(1)'") * over_3.dim + labels.index("E13(1)'")
-    pairs_q, pairs_3 = tensor._weight_blocks(over_q), tensor._weight_blocks(over_3)
+    pairs_q = tensor._weight_blocks(over_q, adjoint_action(over_q))
+    pairs_3 = tensor._weight_blocks(over_3, adjoint_action(over_3))
     assert x in {y for _, y in pairs_q[2]} and x not in {y for y, _ in pairs_q[1]}
     assert x in {y for y, _ in pairs_3[1]} and x not in {y for _, y in pairs_3[2]}
     assert pairs_3 == weight_block_pairs_brute_force(over_3)

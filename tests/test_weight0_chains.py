@@ -47,21 +47,17 @@ def seeded(name: str, p):
     return rebase(L, perm, [rng.choice(units) for _ in range(L.dim)])
 
 
-def ce_words(P, dm: int, max_n: int, weights):
+def ce_words(P, max_n: int, lam, mu):
     """weight0_words under the Chevalley–Eilenberg rule, as
     ``homology.ce_complex`` calls it: factor i is followed by indices from
     i + 1 - |x_i| on, and the closing index is the module index."""
     par = P.space.parities
-    return weight0_words(P.field, [tuple(w[0][i] for w in weights) for i in range(P.dim)],
-                         [i + 1 - par[i] for i in range(P.dim)],
-                         [tuple(w[1][t] for w in weights) for t in range(dm)], max_n)
+    return weight0_words(P.field, lam, [i + 1 - par[i] for i in range(P.dim)], mu, max_n)
 
 
 def both_enumerations(P, M, max_n: int):
-    weights = homology._cartan_weights(P, M)
-    dm = M.target.dim
-    return (ce_words(P, dm, max_n, weights),
-            weight0_chains_oracle(P, dm, max_n, weights))
+    _, lam, mu = P.inner_torus(M)
+    return ce_words(P, max_n, lam, mu), weight0_chains_oracle(P, max_n, lam, mu)
 
 
 @pytest.mark.parametrize("p", PRIMES)
@@ -96,13 +92,13 @@ def test_pruning_computes_fewer_prefix_weights(monkeypatch):
     visits every canonical monomial."""
     P = matrix_gl(2, 2, ground_assoc(QQ))
     M = homology.trivial_module(P)
-    weights = homology._cartan_weights(P, M)
+    _, lam, mu = P.inner_torus(M)
     calls = []
     reduce = Field.reduce
     monkeypatch.setattr(Field, "reduce", lambda self, a: calls.append(a) or reduce(self, a))
-    pruned = ce_words(P, 1, 5, weights)
+    pruned = ce_words(P, 5, lam, mu)
     n_pruned = len(calls)
-    full = weight0_chains_oracle(P, 1, 5, weights)
+    full = weight0_chains_oracle(P, 5, lam, mu)
     n_full = len(calls) - n_pruned
     assert pruned == full
     assert 3 * n_pruned < n_full
