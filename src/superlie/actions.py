@@ -26,9 +26,9 @@ from .algebras import (
     Violation,
     _bilinear,
     _compose,
-    _defects,
     _derivation_defects,
     _first_violations,
+    _group_defects,
     _normalize,
     _parity_violations,
     _row_index,
@@ -163,8 +163,8 @@ def _representation_defects(a: Action, actors):
         rp = rho[p]
         for q, rq in enumerate(rho):
             sign = 1 if par[p] * par[q] else -1
-            for m, defect in _defects(a.field, _spread(index[p].get(q, {}), rho),
-                                      _compose(rp, rq), _compose(rq, rp), sign):
+            for m, defect in _group_defects(a.field, (_spread, index[p].get(q, {}), rho),
+                                            (_compose, rp, rq), (_compose, rq, rp), sign):
                 yield p, q, m, defect
 
 
@@ -216,10 +216,10 @@ def _compatibility_violations(a_mn: Action, a_nm: Action):
                 continue
             sign = 1 if pm[m] * pn[n] else -1
             for kind, lhs, bracket in (
-                ("compat-i", _spread(nm, rho_mn), _spread(mn, n_index)),
-                ("compat-ii", _spread(mn, rho_nm), _spread(nm, m_index)),
+                ("compat-i", (_spread, nm, rho_mn), (_spread, mn, n_index)),
+                ("compat-ii", (_spread, mn, rho_nm), (_spread, nm, m_index)),
             ):
-                for k, defect in _defects(M.field, lhs, {}, bracket, sign):
+                for k, defect in _group_defects(M.field, lhs, None, bracket, sign):
                     yield Violation(kind, (m, n, k), defect)
 
 

@@ -60,6 +60,11 @@ over every basis index, so a report with violations (kind, witness,
 defect, order and the cut-off of MAX_VIOLATIONS) is that of the full
 check.
 
+One zero test per group.  Each identity above, lhs - a - sign b, is
+tested one group at a time by one fused sum of :mod:`~superlie.linalg`
+(:func:`_group_defects`); :func:`_defects` only writes the report of a
+group whose sum is nonzero, so reports are those of the full evaluation.
+
 (e) The odd cube.  A Lie superalgebra satisfies [x, [x, x]] = 0 for odd
 x.  Jacobi at (a, a, a) gives 3[a, [a, a]] = 0, so outside characteristic
 3 the identity follows from Jacobi, but in characteristic 3 it does not:
@@ -84,6 +89,9 @@ from .linalg import (
     Matrix,
     Subquotient,
     Subspace,
+    add_composed,
+    add_spread,
+    sum_is_zero,
     vec_axpy,
     vec_scale,
     vec_sub,
@@ -360,10 +368,11 @@ def _compose(outer: dict[int, dict], inner: dict[int, dict]) -> dict[int, dict]:
 
 def _defects(field: Field, lhs: dict, a: dict, b: dict, sign: int):
     """Yield (j, lhs[j] - a[j] - sign b[j]) for the nonzero values, j
-    ascending; a j absent from all three has value 0.  Each value is tested
-    with one normalization; a nonzero one is recomputed with each part
-    normalized as an evaluation one j at a time would normalize it, which
-    fixes the order of its entries."""
+    ascending; a j absent from all three has value 0.  This writes the
+    report of a group that :func:`_group_defects` found nonzero: each value
+    is tested with one normalization, and a nonzero one is recomputed with
+    each part normalized as an evaluation one j at a time would normalize
+    it, which fixes the order of its entries."""
     clean = field.clean
     for j in sorted(lhs.keys() | a.keys() | b.keys()):
         lj, aj, bj = lhs.get(j, {}), a.get(j, {}), b.get(j, {})
@@ -374,6 +383,24 @@ def _defects(field: Field, lhs: dict, a: dict, b: dict, sign: int):
             rhs = clean(aj)
             vec_axpy(rhs, sign, clean(bj))
             yield j, clean(vec_sub(clean(lj), rhs))
+
+
+_FUSED = {_spread: add_spread, _compose: add_composed}
+
+
+def _group_defects(field: Field, lhs, a, b, sign: int):
+    """The defects of one group of lhs - a - sign b, each part a deferred
+    call (_spread or _compose, x, y) or None for 0: one fused zero test,
+    then :func:`_defects` on the built parts only when the sum is nonzero."""
+    acc: dict = {}
+    for part, coeff in ((lhs, 1), (a, -1), (b, -sign)):
+        if part is not None:
+            fn, x, y = part
+            _FUSED[fn](acc, coeff, x, y)
+    if sum_is_zero(field, acc):
+        return ()
+    return _defects(field, *({} if part is None else part[0](*part[1:]) for part in (lhs, a, b)),
+                    sign)
 
 
 def _derivation_defects(rho: list[dict[int, dict]], actor_par, M: LieSuperAlgebra, actors):
@@ -390,9 +417,9 @@ def _derivation_defects(rho: list[dict[int, dict]], actor_par, M: LieSuperAlgebr
             continue
         for m, brackets in enumerate(index):
             sign = -1 if actor_par[p] * par[m] else 1
-            for m2, defect in _defects(M.field, _compose(rp, brackets),
-                                       _spread(rp.get(m, {}), index),
-                                       _compose(brackets, rp), sign):
+            for m2, defect in _group_defects(M.field, (_compose, rp, brackets),
+                                             (_spread, rp.get(m, {}), index),
+                                             (_compose, brackets, rp), sign):
                 yield p, m, m2, defect
 
 
@@ -527,8 +554,8 @@ def _assoc_violations(A: AssocSuperAlgebra):
         if not row:
             continue  # e_i times anything is 0
         for j in range(A.dim):
-            for k, defect in _defects(A.field, _spread(row.get(j, {}), rows),
-                                      _compose(row, rows[j]), {}, 1):
+            for k, defect in _group_defects(A.field, (_spread, row.get(j, {}), rows),
+                                            (_compose, row, rows[j]), None, 1):
                 yield Violation("assoc", (i, j, k), defect)
     if A.unit is not None:
         for i in range(A.dim):
@@ -923,7 +950,8 @@ def intertwining_defects(field: Field, h: list[dict], src, dst, ops=None):
     Each side is summed from the nonzero entries only."""
     cols = dict(enumerate(h))
     for p in range(len(src)) if ops is None else ops:
-        for i, defect in _defects(field, _compose(cols, src[p]), _compose(dst[p], cols), {}, 1):
+        for i, defect in _group_defects(field, (_compose, cols, src[p]),
+                                        (_compose, dst[p], cols), None, 1):
             yield p, i, defect
 
 

@@ -98,6 +98,39 @@ def vec_sub(a: dict, b: dict) -> dict:
     return out
 
 
+# Fused sums: a sum of spread and composed rows accumulated into one flat
+# dict keyed (j, t), entries unreduced and zeros kept, for one zero test.
+
+
+def add_spread(acc: dict, coeff, vec: dict, rows: list[dict[int, dict]]) -> None:
+    """acc[(j, t)] += coeff c rows[x][j][t] over the entries x: c of vec."""
+    for x, c in vec.items():
+        c *= coeff
+        for j, w in rows[x].items():
+            for t, d in w.items():
+                acc[j, t] = acc.get((j, t), 0) + c * d
+
+
+def add_composed(acc: dict, coeff, outer: dict[int, dict], inner: dict[int, dict]) -> None:
+    """acc[(j, t)] += coeff c outer[k][t] over each j: {k: c} of inner and
+    the k with a nonzero outer[k]."""
+    for j, v in inner.items():
+        for k, c in v.items():
+            w = outer.get(k)
+            if w:
+                c *= coeff
+                for t, d in w.items():
+                    acc[j, t] = acc.get((j, t), 0) + c * d
+
+
+def sum_is_zero(field: Field, acc: dict) -> bool:
+    """Whether every unreduced entry of a fused sum is 0 in the field."""
+    p = field.p
+    if p is None:
+        return not any(acc.values())
+    return not any(c % p for c in acc.values())
+
+
 # ---------------------------------------------------------------------------
 # elimination backends: integer rows over Q, residue rows over GF(p)
 
