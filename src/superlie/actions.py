@@ -51,7 +51,10 @@ class Action:
     """Bilinear action constants of ``actor`` on ``target``: ``table`` maps
     (p, m) to p.e_m, and ``rows[p]`` is {m: p.e_m}, both over the nonzero
     constants only and sharing their vectors, which callers must not
-    mutate."""
+    mutate.  ``_checked`` records that :func:`check_action` passed, and
+    ``_compatible_with`` the action of target on actor with which
+    :func:`check_compatible` passed, as ``_generators`` records the Lie
+    axioms on the algebra."""
 
     def __init__(self, actor: LieSuperAlgebra, target: LieSuperAlgebra,
                  table: dict[tuple[int, int], dict]):
@@ -60,6 +63,8 @@ class Action:
         self.field = actor.field
         self.table = _normalize(self.field, table)
         self.rows = _row_index(self.table, actor.dim)
+        self._checked = False
+        self._compatible_with: Action | None = None
 
     def act_basis(self, p: int, m: int) -> dict:
         return self.rows[p].get(m, {})
@@ -177,8 +182,10 @@ def check_action(a: Action) -> AxiomReport:
     others are computed.  For a certified actor both axioms are proved on
     its generating set, by (b) of the :mod:`~superlie.algebras` docstring.
     Violations come in basis order, at most MAX_VIOLATIONS of them, from
-    the loop over every basis index."""
-    return _certify(partial(_action_violations, a), a.actor)
+    the loop over every basis index.  A pass is recorded on ``a``."""
+    rep = _certify(partial(_action_violations, a), a.actor)
+    a._checked = rep.ok
+    return rep
 
 
 def _action_violations(a: Action, actors):
@@ -196,11 +203,17 @@ def check_compatible(a_mn: Action, a_nm: Action) -> AxiomReport:
     (n.m).n' = -(-1)^{|m||n|} [m.n, n'] (compat-i) and (m.n).m' =
     -(-1)^{|m||n|} [n.m, m'] (compat-ii), evaluated from the nonzero
     constants; a pair on which both n.m and m.n vanish has defect 0.
-    Violations come in basis order, at most MAX_VIOLATIONS of them.
+    Violations come in basis order, at most MAX_VIOLATIONS of them.  A
+    pass is recorded on a_mn, and the loop runs once per pair of actions.
     Raises ValueError unless a_nm is an action of N on M, the same objects."""
     if a_nm.actor is not a_mn.target or a_nm.target is not a_mn.actor:
         raise ValueError("actions are not between the same pair of algebras")
-    return _first_violations(_compatibility_violations(a_mn, a_nm))
+    if a_mn._compatible_with is a_nm:
+        return AxiomReport(True)
+    rep = _first_violations(_compatibility_violations(a_mn, a_nm))
+    if rep.ok:
+        a_mn._compatible_with = a_nm
+    return rep
 
 
 def _compatibility_violations(a_mn: Action, a_nm: Action):

@@ -98,8 +98,29 @@ p = 0 and D_w = S_w: one generator per basis tensor spans the block, and
 no membership test is needed.  Since the argument needs graded Jacobi of P,
 the block path first certifies the Lie axioms of P and raises
 :class:`BracketNotWellDefined` when they fail.  It is taken only for the
-adjoint square of a P with such an h; heis, and every other M (x) N, keep
-the full stream of (i) and (ii).
+adjoint square of a P with such an h; every other M (x) N streams (i) and
+(ii) over all basis tensors x, from generating sets where it may.
+
+Generating sets.  Write g(a, x) = a.x - a (x) nu(x) for the generator
+(i).  M acts on T by a Lie action, which needs Jacobi in M and action
+axiom (i) of M on N, and that axiom is also nu(a.x) = a.nu(x).  So for
+homogeneous a1, a2 and s = (-1)^{|a1||a2|}
+
+    g([a1, a2], x) = g(a1, a2.x) - s g(a2, a1.x) - g(a1, a2 (x) nu(x)),
+
+and the a with g(a, T) in span g(S_M, T) form a subalgebra.  It contains
+the generating set S_M of M that
+:func:`~superlie.algebras.check_lie_axioms` certifies and memoizes, so it
+is all of M: family (i) needs only a in S_M.  Family (ii) is the mirror
+image, with N, the action of N on M and mu, and needs only b in S_N.  No
+division is used, so this holds in every characteristic.  Each c in S is
+a basis vector of one weight, so the weight-0 block is spanned by its
+generators with c in S.  The generating set of a factor is used only
+where these hypotheses are certified: on the adjoint square once the Lie
+axioms of P pass, and otherwise for a factor L that passed
+check_lie_axioms and whose action on the other factor passed
+:func:`~superlie.actions.check_action`, both memoized, so no certificate
+runs for it here.  Any other factor streams every basis element.
 
 The construction certifies, not assumes, the result.  Both edge maps are
 built by :func:`~superlie.algebras.induced_map`, which certifies that
@@ -131,6 +152,7 @@ from itertools import chain, product
 from .actions import (
     Action,
     CrossedModule,
+    _certified_generators,
     check_compatible,
     check_crossed,
     adjoint_action,
@@ -237,11 +259,12 @@ def _family_ii(act_n, mu: Matrix, plain: SuperSpace, ms: SuperSpace, ns: SuperSp
 
 def _weight_blocks(P: LieSuperAlgebra, adj: Action):
     """The generators of D(P, P) that the weight blocks of the adjoint
-    square need (see the module docstring): the pairs (c, x) of family (i)
-    and (x, c) of family (ii) of total weight 0, and one pair (h_k, x) of
-    family (i) per basis tensor x of nonzero weight w, k the first index
-    with w_k != 0, leaving out the x in h_k (x) P, whose generator is 0.
-    None when P has no inner grading; adj is the adjoint action of P."""
+    square need (see the module docstring): the pairs (x, c) of a basis
+    tensor x and a basis element c of total weight 0, which give family
+    (ii) and, reversed, family (i), and one pair (h_k, x) of family (i) per
+    basis tensor x of nonzero weight w, k the first index with w_k != 0,
+    leaving out the x in h_k (x) P, whose generator is 0.  None when P has
+    no inner grading; adj is the adjoint action of P."""
     hs, wt, _ = P.inner_torus(adj)
     if not hs:
         return None
@@ -253,13 +276,28 @@ def _weight_blocks(P: LieSuperAlgebra, adj: Action):
     # weight 0 gets h = i and is left out, as is x in h_k (x) P
     spanning = [(h, x) for x, (i, j) in enumerate(map(partial(tensor_pair, dim), range(dim * dim)))
                 if (h := next((h for h, a, b in zip(hs, wt[i], wt[j]) if reduce(a + b)), i)) != i]
-    return [(c, x) for x, c in closed], closed, spanning
+    return closed, spanning
+
+
+def _streamed(L: LieSuperAlgebra, a: Action, adjoint: bool):
+    """The basis elements of L that stream the relation family of its
+    action ``a`` on the other factor: the generating set of L when L
+    satisfies the Lie axioms and ``a`` is certified, every basis element
+    otherwise (see the module docstring).  On the adjoint square ``a`` is
+    ad, certified with L; any other ``a`` must have passed
+    :func:`~superlie.actions.check_action`, and no certificate is run here."""
+    gens = _certified_generators(L) if adjoint else a._checked and L._generators
+    return gens or range(L.dim)
 
 
 def nonabelian_tensor(M: LieSuperAlgebra, N: LieSuperAlgebra,
                       act_mn: Action, act_nm: Action) -> TensorProduct:
     """Construct M (x) N from compatible mutual actions: act_mn of M on N,
-    act_nm of N on M, on these very objects (ValueError otherwise)."""
+    act_nm of N on M, on these very objects (ValueError otherwise).
+    Family (i) streams a over the generating set of M when M passed
+    check_lie_axioms and act_mn passed check_action, and family (ii) b
+    over that of N likewise with act_nm; on the adjoint square both need
+    only the Lie axioms of P.  Otherwise every basis element streams."""
     if act_mn.actor is not M or act_mn.target is not N:
         raise ValueError("actions are not between the same pair of algebras")
     check_compatible(act_mn, act_nm).require(IncompatibleActions, "actions are not compatible")
@@ -291,14 +329,18 @@ def nonabelian_tensor(M: LieSuperAlgebra, N: LieSuperAlgebra,
 
     blocks = _weight_blocks(M, adj_m) if adjoint else None
     if blocks is None:
-        pairs_i = product(range(dm), range(len(pairs)))
-        pairs_ii = product(range(len(pairs)), range(dn))
-        spanning = ()
+        s_m = _streamed(M, act_mn, adjoint)
+        s_n = s_m if adjoint else _streamed(N, act_nm, False)
+        xs = range(len(pairs))
+        pairs_i, pairs_ii, spanning = product(s_m, xs), product(xs, s_n), ()
     else:
         # the blocks rest on D(P, P) in Ker mu, which is graded Jacobi
         check_lie_axioms(M).require(BracketNotWellDefined,
                                     "the weight blocks of D(P, P) need the Lie axioms")
-        pairs_i, pairs_ii, spanning = blocks
+        closed, spanning = blocks
+        gens = set(M._generators)
+        pairs_ii = [(x, c) for x, c in closed if c in gens]
+        pairs_i = [(c, x) for x, c in pairs_ii]
 
     acc = Echelon(field, plain.dim)
     for g in chain(_family_i(act_m, nu_plain, ms, ns, pairs_i),

@@ -73,6 +73,7 @@ from fractions import Fraction
 from functools import partial
 from itertools import chain, combinations_with_replacement, islice, permutations, product
 from pathlib import Path
+from random import Random
 
 from superlie.actions import Action, ActionInvalid, CrossedModule, adjoint_action, check_action
 from superlie.algebras import (
@@ -1299,6 +1300,37 @@ def rebase(L, perm: list[int], scale: list[int]):
                 table[(a, b)] = {where[e]: scale[a] * scale[b] * c * inverse[where[e]]
                                  for e, c in w.items()}
     return LieSuperAlgebra(superspace(L.field, basis), table, name=L.name)
+
+
+def rebase_unitriangular(L, seed: int):
+    """L in the basis f_k = e_k + sum of +-e_j over two j > k of the parity
+    of e_k (fewer near the end), chosen by ``seed``: a unitriangular change
+    of basis, which in general leaves no basis element with diagonal ad."""
+    rng = Random(seed)
+    par = L.space.parities
+    basis = []
+    for k in range(L.dim):
+        later = [j for j in range(k + 1, L.dim) if par[j] == par[k]]
+        f = {k: 1}
+        for j in rng.sample(later, min(2, len(later))):
+            f[j] = rng.choice((1, -1))
+        basis.append(f)
+
+    def coords(w: dict) -> dict:
+        # peel f_k off the lowest index up: f_k is e_k plus later e_j
+        w, out = dict(w), {}
+        for k, f in enumerate(basis):
+            if c := L.field.reduce(w.get(k, 0)):
+                out[k] = c
+                vec_axpy(w, -c, f)
+        return out
+
+    table = {}
+    for a in range(L.dim):
+        for b in range(a, L.dim):
+            if w := L.bracket(basis[a], basis[b]):
+                table[(a, b)] = coords(w)
+    return LieSuperAlgebra(L.space, table, name=L.name)
 
 
 def rebase_assoc(A, perm: list[int], scale: list):

@@ -1,0 +1,227 @@
+"""Relation families (i) and (ii) of M (x) N streamed from generating sets.
+
+``nonabelian_tensor`` takes a in the generating set S_M in family (i) and b
+in S_N in family (ii) wherever the tensor module docstring proves that the
+spans are unchanged: on the adjoint square of a P that passes the Lie
+axioms, and for a factor that passed ``check_lie_axioms`` whose action
+passed ``check_action``.  The relation space is compared with the full
+stream of the oracle over Q, F3, F5 and F7: adjoint squares in
+unitriangular bases (no inner torus, so the full-stream path), and
+non-adjoint pairs whose actions are certified; the weight blocks of
+permuted and rescaled bases are compared in ``test_tensor_relations``.
+Guards pin that an uncertified algebra or action still
+streams every basis element, and that a generating set with a member
+dropped is refused by a certificate.  The CLI runs the compatibility
+loop once per ``tensor`` command.
+"""
+
+import contextlib
+import io
+import json
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from oracles import rebase, rebase_unitriangular, tensor_relations_oracle
+from superlie import actions, tensor
+from superlie.actions import adjoint_action, check_action, trivial_action
+from superlie.algebras import (
+    LieSuperAlgebra,
+    _generating_set,
+    check_lie_axioms,
+    ground_assoc,
+    heisenberg,
+    matrix_gl,
+)
+from superlie.cli import main
+from superlie.corpus import bundled_path, lie_algebra
+from superlie.fields import Field
+from superlie.io import action_to_json, load_json, parse_action
+from superlie.linalg import ContainmentError, Echelon
+from superlie.spaces import superspace
+from superlie.tensor import BracketNotWellDefined, nonabelian_tensor
+from test_tensor_relations import CATALOGUE, IDEAL_ALGEBRAS, PRIMES, ideal_pair
+
+UNITRIANGULAR = {**CATALOGUE, "gl(2|2)": lambda F: matrix_gl(2, 2, ground_assoc(F))}
+
+
+def full_stream(M, N, act_mn, act_nm):
+    return tensor_relations_oracle(M, N, act_mn, act_nm, families=("i", "ii"))
+
+
+@pytest.fixture
+def contains_calls(monkeypatch):
+    """The number of ``Echelon.contains`` calls made so far, as a list."""
+    calls = [0]
+    contains = Echelon.contains
+
+    def counting(self, v):
+        calls[0] += 1
+        return contains(self, v)
+
+    monkeypatch.setattr(Echelon, "contains", counting)
+    return calls
+
+
+UNITRIANGULAR_CASES = [("gl(2|1)", p, 1 + k % 2) for k, p in enumerate(PRIMES)] + [
+    ("heis", p, 1 + k % 2) for k, p in enumerate(PRIMES)] + [
+    ("gl(2|2)", 7, 2), ("sl(2|1, L1)", 3, 2)]
+
+
+@pytest.mark.parametrize("name, p, seed", UNITRIANGULAR_CASES)
+def test_unitriangular_adjoint_square_matches_the_full_stream(name, p, seed):
+    """A unitriangular basis finds no inner torus, so the full-stream path
+    runs, with a over the generating set in (i) and b over it in (ii)."""
+    L = rebase_unitriangular(UNITRIANGULAR[name](Field(p)), seed)
+    adj = adjoint_action(L)
+    assert tensor._weight_blocks(L, adj) is None
+    t = nonabelian_tensor(L, L, adj, adj)
+    assert list(tensor._streamed(L, adj, True)) == L._generators
+    assert len(L._generators) < L.dim
+    assert t.d_generators == full_stream(L, L, adj, adj)
+
+
+@pytest.mark.parametrize("which", ["derived", "center"])
+@settings(max_examples=4, deadline=None)
+@given(name=st.sampled_from(IDEAL_ALGEBRAS), p=st.sampled_from(PRIMES), data=st.data())
+def test_certified_ideal_pairs_match_the_full_stream(which, name, p, data):
+    """Ideal pairs whose actions passed check_action stream from the
+    generating sets of both factors, in either order."""
+    L = CATALOGUE[name](Field(p))
+    units = (1, -1) if p is None else (1, -1, 2, -2)
+    L = rebase(L, data.draw(st.permutations(range(L.dim))),
+               data.draw(st.lists(st.sampled_from(units), min_size=L.dim, max_size=L.dim)))
+    kalg, act_lk, act_kl = ideal_pair(L, which)
+    assert check_action(act_lk) and check_action(act_kl)
+    assert list(tensor._streamed(L, act_lk, False)) == L._generators
+    assert list(tensor._streamed(kalg, act_kl, False)) == kalg._generators
+    for M, N, act_mn, act_nm in ((kalg, L, act_kl, act_lk), (L, kalg, act_lk, act_kl)):
+        assert nonabelian_tensor(M, N, act_mn, act_nm).d_generators == full_stream(M, N, act_mn, act_nm)
+
+
+def heis_actions(heis):
+    """The two actions of the bundled heis_adjoint file on heis, as the CLI
+    reads them: distinct objects, so not the adjoint square."""
+    obj = load_json(bundled_path("heis_adjoint"))
+    return parse_action(obj, heis, heis), parse_action(obj, heis, heis)
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_heis_action_files_stream_from_generators_once_checked(contains_calls, p):
+    """heis with its action files over Q, and with two adjoint actions over
+    F3, F5 and F7: every a and b until the actions pass check_action, then
+    S = {x, y} only, and the same relation space."""
+    heis = lie_algebra("heis") if p is None else heisenberg(Field(p))
+    if p is None:
+        amn, anm = heis_actions(heis)
+    else:
+        amn, anm = adjoint_action(heis), adjoint_action(heis)
+    assert check_lie_axioms(heis) and len(heis._generators) < heis.dim
+    unchecked = nonabelian_tensor(heis, heis, amn, anm).d_generators
+    full = contains_calls[0]
+    assert check_action(amn) and check_action(anm)
+    contains_calls[0] = 0
+    checked = nonabelian_tensor(heis, heis, amn, anm).d_generators
+    assert unchecked == checked == full_stream(heis, heis, amn, anm)
+    assert 0 < contains_calls[0] < full
+
+
+def test_an_unchecked_action_streams_every_element(contains_calls):
+    """One certified action is not enough for the other family: with only
+    the action of M checked, family (ii) still streams every b of N."""
+    L = CATALOGUE["gl(2|1)"](Field(None))
+    amn, anm = adjoint_action(L), adjoint_action(L)
+    assert check_action(amn)
+    assert list(tensor._streamed(L, amn, False)) == L._generators
+    assert tensor._streamed(L, anm, False) == range(L.dim)
+    one = nonabelian_tensor(L, L, amn, anm).d_generators
+    n_one = contains_calls[0]
+    contains_calls[0] = 0
+    assert check_action(anm)
+    assert nonabelian_tensor(L, L, amn, anm).d_generators == one
+    assert contains_calls[0] < n_one
+
+
+def non_lie_without_torus(p):
+    """Even h, x, y, z with [h, x] = x, [h, y] = y, [x, y] = z and
+    [h, z] = 0, which breaks Jacobi at (h, x, y), in a unitriangular basis
+    that has no basis element with diagonal ad."""
+    F = Field(p)
+    sp = superspace(F, [("h", 0), ("x", 0), ("y", 0), ("z", 0)])
+    return rebase_unitriangular(LieSuperAlgebra(sp, {(0, 1): {1: 1}, (0, 2): {2: 1}, (1, 2): {3: 1}}), 1)
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_an_algebra_that_fails_jacobi_streams_every_element(contains_calls, p):
+    """An adjoint square of a P that fails Jacobi takes the membership tests
+    of the full stream of two distinct, unchecked adjoint actions, plus
+    those of the generating-set walk of the failing Lie-axiom certificate,
+    though P has a proper generating set; the edge map then fails to descend."""
+    P = non_lie_without_torus(p)
+    adj = adjoint_action(P)
+    assert P.inner_torus(adj)[0] == []
+    assert len(_generating_set(P)) < P.dim
+    contains_calls[0] = 0
+    assert not check_lie_axioms(P) and P._generators is None
+    walk = contains_calls[0]
+    contains_calls[0] = 0
+    with pytest.raises(ContainmentError):
+        nonabelian_tensor(P, P, adj, adj)
+    square = contains_calls[0]
+    contains_calls[0] = 0
+    with pytest.raises(ContainmentError):
+        nonabelian_tensor(P, P, adj, adjoint_action(P))
+    assert square - walk == contains_calls[0] > 0
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_a_dropped_generator_is_refused_by_the_antisymmetry_certificate(p):
+    """Mutation: with the third member of the certified generating set of
+    gl(2|1) in this unitriangular basis dropped, D shrinks, and the
+    bracket on classes is no longer antisymmetric."""
+    L = rebase_unitriangular(CATALOGUE["gl(2|1)"](Field(p)), 1)
+    adj = adjoint_action(L)
+    assert check_lie_axioms(L) and len(L._generators) == 3
+    del L._generators[2]
+    with pytest.raises(BracketNotWellDefined, match="not antisymmetric on classes"):
+        nonabelian_tensor(L, L, adj, adj)
+
+
+def run_tensor(*argv) -> tuple[int, dict]:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(["--out", "json", "tensor", *argv])
+    return code, json.loads(out.getvalue())
+
+
+@pytest.fixture
+def compatibility_loops(monkeypatch):
+    """The number of runs of the compatibility loop, as a list."""
+    runs = [0]
+    loop = actions._compatibility_violations
+
+    def counting(*args):
+        runs[0] += 1
+        return loop(*args)
+
+    monkeypatch.setattr(actions, "_compatibility_violations", counting)
+    return runs
+
+
+def test_cli_tensor_runs_the_compatibility_loop_once(compatibility_loops):
+    code, report = run_tensor("@heis", "@heis", "--act-mn", "@heis_adjoint",
+                              "--act-nm", "@heis_adjoint")
+    assert code == 0 and report["status"] == "ok"
+    assert compatibility_loops == [1]
+
+
+def test_cli_tensor_refuses_incompatible_actions_after_one_loop(tmp_path, compatibility_loops):
+    """The adjoint action and the trivial one each pass check_action, but
+    not the compatibility identities."""
+    gl = lie_algebra("gl11")
+    path = tmp_path / "trivial.json"
+    path.write_text(json.dumps(action_to_json(trivial_action(gl, gl))), encoding="utf-8")
+    code, report = run_tensor("@gl11", "@gl11", "--act-mn", "@gl11_adjoint", "--act-nm", str(path))
+    assert code == 1 and report["status"] == "failed"
+    assert report["results"]["compatible"] is False
+    assert compatibility_loops == [1]

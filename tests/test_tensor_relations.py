@@ -245,7 +245,7 @@ def test_weight_blocks_cut_the_membership_tests(monkeypatch):
 
 
 def weight_block_pairs_brute_force(L):
-    """The three pair lists of ``tensor._weight_blocks`` by a filter over
+    """The two pair lists of ``tensor._weight_blocks`` by a filter over
     every (i, j, c), row-major, c the basis element of M or N that meets the
     basis tensor x = e_i (x) e_j: the pairs of total weight 0, and for x of
     nonzero weight w the pair (h_k, x), k the first index with w_k != 0,
@@ -259,7 +259,7 @@ def weight_block_pairs_brute_force(L):
         first = [h for h, a, b in zip(hs, lam[i], lam[j]) if reduce(a + b)]
         if first and first[0] != i:
             spanning.append((first[0], i * dim + j))
-    return [(c, x) for x, c in closed], closed, spanning
+    return closed, spanning
 
 
 @pytest.mark.parametrize("p", PRIMES)
@@ -280,6 +280,6 @@ def test_weight_block_pairs_keep_a_weight_vanishing_mod_3():
     x = labels.index("E12(1)'") * over_3.dim + labels.index("E13(1)'")
     pairs_q = tensor._weight_blocks(over_q, adjoint_action(over_q))
     pairs_3 = tensor._weight_blocks(over_3, adjoint_action(over_3))
-    assert x in {y for _, y in pairs_q[2]} and x not in {y for y, _ in pairs_q[1]}
-    assert x in {y for y, _ in pairs_3[1]} and x not in {y for _, y in pairs_3[2]}
+    assert x in {y for _, y in pairs_q[1]} and x not in {y for y, _ in pairs_q[0]}
+    assert x in {y for y, _ in pairs_3[0]} and x not in {y for _, y in pairs_3[1]}
     assert pairs_3 == weight_block_pairs_brute_force(over_3)
