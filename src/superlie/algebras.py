@@ -47,11 +47,11 @@ so it needs p in S_P.  Peiffer d(m).m' = [m, m'] spreads from m1, m2 to
 [m1, m2] since d and rho are homomorphisms and M satisfies Jacobi, so it
 needs m in S_M.
 
-(d) Consequences.  The centralizer of a subspace is a subalgebra by
+(d) Centrality.  The centralizer of a subspace is a subalgebra by
 Jacobi, so a subspace is central iff it brackets to 0 with every e_s, s in
-S (:func:`~superlie.actions.is_central`).  The stabilizer {p : p.K in K}
-of a subspace K is a subalgebra by (i), so P preserves Ker d iff every
-e_s, s in S_P, does.
+S (:func:`~superlie.actions.is_central`).  The consequences of (c), such
+as Ker d central, are theorems of the axioms, proved in
+:func:`~superlie.actions.check_crossed`, and are not checked again.
 
 The fast path is taken only when the algebras an identity rests on are
 certified, with S memoized on each of them by :func:`check_lie_axioms`,
@@ -424,14 +424,18 @@ def _derivation_defects(rho: list[dict[int, dict]], actor_par, M: LieSuperAlgebr
 
 
 def check_lie_axioms(L: LieSuperAlgebra) -> AxiomReport:
-    """Certify parity consistency, graded antisymmetry (structural), the
-    vanishing of [x, x] for general even x, the graded Jacobi identity on
-    all basis triples, the last proved on the generating set S of L by (a)
-    of the module docstring, and over F3 the odd cube of (e); S is
-    memoized on L when this passes.  Each identity is evaluated from the
-    nonzero structure constants: a triple with a zero factor in every term
-    has defect 0, so only the others are computed.  Violations come in
-    basis order, Jacobi triples after the rest and odd cubes last, at most
+    """Certify parity consistency, the graded Jacobi identity on all basis
+    triples, proved on the generating set S of L by (a) of the module
+    docstring, and over F3 the odd cube of (e); S is memoized on L when
+    this passes.  Graded antisymmetry and [x, x] = 0 for even x hold by
+    the storage rule, so they are not checked: the constructor refuses an
+    even diagonal, :meth:`LieSuperAlgebra.from_bracket` drops one, and
+    :meth:`LieSuperAlgebra.bracket_index` derives [e_j, e_i] from
+    [e_i, e_j], so for even x = sum x_i e_i the coefficients of [x, x]
+    cancel in pairs.  Each identity is evaluated from the nonzero
+    structure constants: a triple with a zero factor in every term has
+    defect 0, so only the others are computed.  Violations come in basis
+    order, parities first, Jacobi triples next and odd cubes last, at most
     MAX_VIOLATIONS of them, from the loop over every basis index."""
     gens = L._generators if L._generators is not None else _generating_set(L)
     if next(_lie_violations(L, gens), None) is None:
@@ -443,17 +447,6 @@ def check_lie_axioms(L: LieSuperAlgebra) -> AxiomReport:
 def _lie_violations(L: LieSuperAlgebra, ops):
     par = L.space.parities
     yield from _parity_violations(L.table, par, par, "parity")
-    # [x0, x0] = 0 for general even x0: expanding over even basis pairs the
-    # coefficient of a_i a_j is c_ij + c_ji (i < j) and c_ii on the diagonal;
-    # both vanish under the storage convention, re-derived here explicitly
-    # for the pairs with a nonzero constant.
-    for i, j in sorted(L.table):
-        if par[i] == 0 and par[j] == 0:
-            sym = dict(L.bracket_basis(i, j))
-            if i != j:
-                vec_axpy(sym, 1, L.bracket_basis(j, i))
-            if L.field.clean(sym):
-                yield Violation("even-square", (i, j), sym)
     # graded Jacobi: ad(e_i) is a derivation of the bracket
     for i, j, k, defect in _derivation_defects(L.bracket_index(), par, L, ops):
         yield Violation("jacobi", (i, j, k), defect)

@@ -96,10 +96,11 @@ in Ker mu.  Take d in D_w and write d = s + h_k (x) p with s in
 S_w and p in P_w.  Then 0 = mu(d) = mu(h_k (x) p) = [h_k, p] = w_k p, so
 p = 0 and D_w = S_w: one generator per basis tensor spans the block, and
 no membership test is needed.  Since the argument needs graded Jacobi of P,
-the block path first certifies the Lie axioms of P and raises
-:class:`BracketNotWellDefined` when they fail.  It is taken only for the
-adjoint square of a P with such an h; every other M (x) N streams (i) and
-(ii) over all basis tensors x, from generating sets where it may.
+the adjoint square first certifies the Lie axioms of P, on either path, and
+raises :class:`BracketNotWellDefined` when they fail.  The block path is
+taken only for the adjoint square of a P with such an h; every other
+M (x) N streams (i) and (ii) over all basis tensors x, from generating
+sets where it may.
 
 Generating sets.  Write g(a, x) = a.x - a (x) nu(x) for the generator
 (i).  M acts on T by a Lie action, which needs Jacobi in M and action
@@ -125,10 +126,11 @@ runs for it here.  Any other factor streams every basis element.
 The construction certifies, not assumes, the result.  Both edge maps are
 built by :func:`~superlie.algebras.induced_map`, which certifies that
 each annihilates D(M, N), so B, which factors through them, is well
-defined on classes.  On the adjoint square mu = nu, since
--(-1)^{|m||n|}[n, m] = [m, n], and M and N act on M (x) N by the same
-operators, so the columns of mu and nu on the plain product are compared
-and one induced map serves both.  The bracket is built by
+defined on classes.  On the adjoint square both edge maps read one bracket
+index, which stores [e_j, e_i] = -(-1)^{|i||j|} [e_i, e_j], so
+mu(e_i (x) e_j) = -(-1)^{|i||j|} [e_j, e_i] = [e_i, e_j] = nu(e_i (x) e_j);
+M and N act on M (x) N by the same operators, and one induced map serves
+both.  The bracket is built by
 :func:`~superlie.algebras.factored_quotient_algebra`, the one construction
 of a bracket that factors through edge maps: B must be antisymmetric on
 classes, which puts (iii) and (iv) in D(M, N); and the product must
@@ -152,7 +154,6 @@ from itertools import chain, product
 from .actions import (
     Action,
     CrossedModule,
-    _certified_generators,
     check_compatible,
     check_crossed,
     adjoint_action,
@@ -284,9 +285,10 @@ def _streamed(L: LieSuperAlgebra, a: Action, adjoint: bool):
     action ``a`` on the other factor: the generating set of L when L
     satisfies the Lie axioms and ``a`` is certified, every basis element
     otherwise (see the module docstring).  On the adjoint square ``a`` is
-    ad, certified with L; any other ``a`` must have passed
-    :func:`~superlie.actions.check_action`, and no certificate is run here."""
-    gens = _certified_generators(L) if adjoint else a._checked and L._generators
+    ad, and the Lie axioms of L have passed; any other ``a`` must have
+    passed :func:`~superlie.actions.check_action`, and no certificate is
+    run here."""
+    gens = (adjoint or a._checked) and L._generators
     return gens or range(L.dim)
 
 
@@ -327,6 +329,11 @@ def nonabelian_tensor(M: LieSuperAlgebra, N: LieSuperAlgebra,
     else:
         act_n = tensor_action(act_nm, adj_m if N is M else adjoint_action(N))
 
+    if adjoint:
+        # the weight blocks rest on D(P, P) in Ker mu, and the generating
+        # sets on the Lie action of P on T: both are graded Jacobi
+        check_lie_axioms(M).require(BracketNotWellDefined, "the weight blocks and "
+                                    "generating sets of D(P, P) need the Lie axioms of P")
     blocks = _weight_blocks(M, adj_m) if adjoint else None
     if blocks is None:
         s_m = _streamed(M, act_mn, adjoint)
@@ -334,9 +341,6 @@ def nonabelian_tensor(M: LieSuperAlgebra, N: LieSuperAlgebra,
         xs = range(len(pairs))
         pairs_i, pairs_ii, spanning = product(s_m, xs), product(xs, s_n), ()
     else:
-        # the blocks rest on D(P, P) in Ker mu, which is graded Jacobi
-        check_lie_axioms(M).require(BracketNotWellDefined,
-                                    "the weight blocks of D(P, P) need the Lie axioms")
         closed, spanning = blocks
         gens = set(M._generators)
         pairs_ii = [(x, c) for x, c in closed if c in gens]
@@ -357,8 +361,6 @@ def nonabelian_tensor(M: LieSuperAlgebra, N: LieSuperAlgebra,
     quot = quotient_space(plain, Subspace.full(field, plain.dim), d_sub, "t")
 
     mu = induced_map(quot, ms, mu_plain.apply)
-    if adjoint and mu_plain.cols != nu_plain.cols:
-        raise BracketNotWellDefined("mu and nu differ on the adjoint square")
     nu = mu if adjoint else induced_map(quot, ns, nu_plain.apply)
     algebra = factored_quotient_algebra(quot, mu, nu, partial(tensor_vec, ms, ns),
                                         name=f"{M.name or 'M'}(x){N.name or 'N'}")
@@ -581,7 +583,8 @@ def uce(P: LieSuperAlgebra) -> CentralExtension:
     if proj.matrix.rank() != P.dim:
         raise BracketNotWellDefined("central extension map is not surjective")
     # Ker nu is central: on the adjoint square nu is mu, the boundary of
-    # t.cross_m, whose kernel-not-central certificate check_crossed has run
+    # t.cross_m, and k in Ker mu gives [k, x] = mu(k).x = 0 by the Peiffer
+    # identity that check_crossed has certified
     ker = proj.kernel()
     if not _is_perfect(t.algebra):
         raise BracketNotWellDefined("tensor square of a perfect algebra must be perfect")

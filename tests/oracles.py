@@ -33,7 +33,10 @@ code takes Im(1 - t_1) from the rotation orbits and A (x) [A, A] from the
 commutators of the stored products.  The
 boundary-hom, equivariance and Peiffer certificates of a crossed module
 evaluate every basis pair through the public bracket and action, where
-the production code reads one intertwining defect per operator row.
+the production code reads one intertwining defect per operator row; the
+crossed-module oracle also evaluates the consequences of the axioms (Ker d
+central, Im d a graded ideal, Ker d a Coker d-module), which the
+production code proves instead of checking.
 [A, A] is the span of the commutators, where the production code takes
 the image of the commutator map of the HC_1 kernel model.  The edge maps
 of a tensor product are summed from the actions over every basis pair
@@ -1010,12 +1013,20 @@ def check_crossed_dense(c: CrossedModule) -> AxiomReport:
     """check_crossed with the boundary-hom, equivariance and Peiffer
     identities evaluated on every basis pair through the public bracket,
     action and boundary."""
-    M, P, d, act = c.m, c.p, c.boundary, c.action
-    rep = first_violations(chain(check_action(act).violations, _crossed_violations_dense(c)))
+    rep = first_violations(chain(check_action(c.action).violations, _crossed_violations_dense(c)))
     if not rep.ok:
         return rep
+    violations = crossed_consequences_dense(c)
+    return AxiomReport(not violations, violations)
 
-    # consequences
+
+def crossed_consequences_dense(c: CrossedModule) -> list[Violation]:
+    """The structural consequences of the crossed module axioms, evaluated
+    whether or not the axioms hold: Ker d is central (else a
+    ``kernel-not-central`` violation), Im d is a graded ideal
+    (``image-not-ideal``), and Ker d is a module over Coker d
+    (``kernel-module``), with every basis element of P acting."""
+    M, P, d, act = c.m, c.p, c.boundary, c.action
     violations: list[Violation] = []
     ker = d.kernel()
     if not M.center().contains(ker):
@@ -1029,7 +1040,7 @@ def check_crossed_dense(c: CrossedModule) -> AxiomReport:
             or not all(ker.contains_vec(act.act({p: 1}, k))
                        for p in range(P.dim) for k in ker.rows)):
         violations.append(Violation("kernel-module", (), {}))
-    return AxiomReport(not violations, violations)
+    return violations
 
 
 def _crossed_violations_dense(c: CrossedModule):

@@ -23,8 +23,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import rebase, rebase_unitriangular, tensor_relations_oracle
-from superlie import actions, tensor
-from superlie.actions import adjoint_action, check_action, trivial_action
+from superlie import actions, corpus, suites, tensor
+from superlie.actions import adjoint_action, check_action, check_compatible, trivial_action
 from superlie.algebras import (
     LieSuperAlgebra,
     _generating_set,
@@ -153,10 +153,12 @@ def non_lie_without_torus(p):
 
 @pytest.mark.parametrize("p", PRIMES)
 def test_an_algebra_that_fails_jacobi_streams_every_element(contains_calls, p):
-    """An adjoint square of a P that fails Jacobi takes the membership tests
-    of the full stream of two distinct, unchecked adjoint actions, plus
-    those of the generating-set walk of the failing Lie-axiom certificate,
-    though P has a proper generating set; the edge map then fails to descend."""
+    """An adjoint square of a P that fails Jacobi, with no inner torus, is
+    refused by the Lie-axiom certificate before any relation is streamed:
+    it takes only the membership tests of the certificate's generating-set
+    walk.  Two distinct, unchecked adjoint actions stream every element,
+    though P has a proper generating set, and the edge map then fails to
+    descend."""
     P = non_lie_without_torus(p)
     adj = adjoint_action(P)
     assert P.inner_torus(adj)[0] == []
@@ -165,13 +167,13 @@ def test_an_algebra_that_fails_jacobi_streams_every_element(contains_calls, p):
     assert not check_lie_axioms(P) and P._generators is None
     walk = contains_calls[0]
     contains_calls[0] = 0
-    with pytest.raises(ContainmentError):
+    with pytest.raises(BracketNotWellDefined, match="need the Lie axioms of P"):
         nonabelian_tensor(P, P, adj, adj)
-    square = contains_calls[0]
+    assert contains_calls[0] == walk > 0
     contains_calls[0] = 0
     with pytest.raises(ContainmentError):
         nonabelian_tensor(P, P, adj, adjoint_action(P))
-    assert square - walk == contains_calls[0] > 0
+    assert contains_calls[0] > walk
 
 
 @pytest.mark.parametrize("p", PRIMES)
@@ -213,6 +215,25 @@ def test_cli_tensor_runs_the_compatibility_loop_once(compatibility_loops):
                               "--act-nm", "@heis_adjoint")
     assert code == 0 and report["status"] == "ok"
     assert compatibility_loops == [1]
+
+
+def test_a_compatibility_pass_covers_both_orders(compatibility_loops):
+    """check_compatible(b, a) checks the identities of check_compatible(a, b)
+    with the roles swapped, so a pass in one order serves the other."""
+    L = lie_algebra.__wrapped__("gl11")
+    a, b = adjoint_action(L), adjoint_action(L)
+    assert check_compatible(a, b) and check_compatible(b, a)
+    assert compatibility_loops == [1]
+
+
+def test_tensor_props_runs_the_compatibility_loop_once_per_pair(monkeypatch, compatibility_loops):
+    """The four adjoint squares run the loop once each, and so does each of
+    the two trivial products: its symmetry iso builds N (x) M from the same
+    two actions in the other order."""
+    monkeypatch.setattr(suites, "lie_algebra", corpus.lie_algebra.__wrapped__)
+    rows = suites.run_suite("tensor-props")
+    assert rows and all(ok for _, ok, _ in rows)
+    assert compatibility_loops == [6]
 
 
 def test_cli_tensor_refuses_incompatible_actions_after_one_loop(tmp_path, compatibility_loops):
