@@ -329,9 +329,10 @@ def nonabelian_tensor(M: LieSuperAlgebra, N: LieSuperAlgebra,
     else:
         act_n = tensor_action(act_nm, adj_m if N is M else adjoint_action(N))
 
-    if adjoint:
+    if adjoint and M._generators is None:
         # the weight blocks rest on D(P, P) in Ker mu, and the generating
-        # sets on the Lie action of P on T: both are graded Jacobi
+        # sets on the Lie action of P on T: both are graded Jacobi, which a
+        # memoized generating set has already certified
         check_lie_axioms(M).require(BracketNotWellDefined, "the weight blocks and "
                                     "generating sets of D(P, P) need the Lie axioms of P")
     blocks = _weight_blocks(M, adj_m) if adjoint else None

@@ -18,6 +18,7 @@ loop once per ``tensor`` command.
 import contextlib
 import io
 import json
+from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -151,16 +152,35 @@ def non_lie_without_torus(p):
     return rebase_unitriangular(LieSuperAlgebra(sp, {(0, 1): {1: 1}, (0, 2): {2: 1}, (1, 2): {3: 1}}), 1)
 
 
+@pytest.fixture
+def streamed(monkeypatch):
+    """The pairs that ``nonabelian_tensor`` passes to relation families (i)
+    and (ii), and the generators they yield, by family."""
+    seen = {"i": ([], []), "ii": ([], [])}
+    for key in seen:
+        family = getattr(tensor, f"_family_{key}")
+
+        def recording(*args, family=family, key=key):
+            pairs = list(args[-1])
+            seen[key][0].extend(pairs)
+            for g in family(*args[:-1], pairs):
+                seen[key][1].append(g)
+                yield g
+
+        monkeypatch.setattr(tensor, f"_family_{key}", recording)
+    return seen
+
+
 @pytest.mark.parametrize("p", PRIMES)
-def test_an_algebra_that_fails_jacobi_streams_every_element(contains_calls, p):
+def test_an_algebra_that_fails_jacobi_streams_every_element(contains_calls, streamed, p):
     """An adjoint square of a P that fails Jacobi, with no inner torus, is
     refused by the Lie-axiom certificate before any relation is streamed:
     it takes only the membership tests of the certificate's generating-set
     walk.  Two distinct, unchecked adjoint actions stream every element,
-    though P has a proper generating set, and the edge map then fails to
-    descend."""
+    though P has a proper generating set, with one membership test per
+    nonzero generator, and the edge map then fails to descend."""
     P = non_lie_without_torus(p)
-    adj = adjoint_action(P)
+    adj, other = adjoint_action(P), adjoint_action(P)
     assert P.inner_torus(adj)[0] == []
     assert len(_generating_set(P)) < P.dim
     contains_calls[0] = 0
@@ -170,10 +190,16 @@ def test_an_algebra_that_fails_jacobi_streams_every_element(contains_calls, p):
     with pytest.raises(BracketNotWellDefined, match="need the Lie axioms of P"):
         nonabelian_tensor(P, P, adj, adj)
     assert contains_calls[0] == walk > 0
+    assert streamed == {"i": ([], []), "ii": ([], [])}
+    assert tensor._streamed(P, adj, False) == tensor._streamed(P, other, False) == range(P.dim)
     contains_calls[0] = 0
     with pytest.raises(ContainmentError):
-        nonabelian_tensor(P, P, adj, adjoint_action(P))
-    assert contains_calls[0] > walk
+        nonabelian_tensor(P, P, adj, other)
+    xs = range(P.dim * P.dim)
+    assert streamed["i"][0] == list(product(range(P.dim), xs))
+    assert streamed["ii"][0] == list(product(xs, range(P.dim)))
+    nonzero = sum(1 for key in streamed for g in streamed[key][1] if P.field.clean(g))
+    assert contains_calls[0] == nonzero > 0
 
 
 @pytest.mark.parametrize("p", PRIMES)
