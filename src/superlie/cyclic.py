@@ -195,13 +195,6 @@ class ConnesComplex(Complex):
     coinvariants: list[QuotientSpace]        # C_n(A)
 
 
-def _cyclic_sign(t: tuple, par) -> int:
-    """The parity n + |a_n| sum_{k<n} |a_k| of the sign of t_n on the basis
-    tuple t = (a_0, ..., a_n), which is also the sign of its last face."""
-    n = len(t) - 1
-    return (n + par[t[n]] * sum(par[k] for k in t[:n])) % 2
-
-
 def _rotation_image(field, tuples: list[tuple],
                     par) -> tuple[Subspace, list[tuple], dict[tuple, int]]:
     """The canonical basis of Im(1 - t_n) on the span of ``tuples``, basis
@@ -220,12 +213,15 @@ def _rotation_image(field, tuples: list[tuple],
     for x, t in enumerate(tuples):
         if orbit_of[x] is not None:
             continue
-        # members (index, sign s of t_n^i e_t = s e_y), walking t_n
+        # members (index, sign s of t_n^i e_t = s e_y), walking t_n; a step's
+        # sign parity n + |a_n| sum_{k<n} |a_k| is n for an even a_n, and
+        # n + S - 1 for an odd one, S the total parity, which rotations keep
         n = len(t) - 1
+        flip = (n % 2, (n + sum(par[k] for k in t) - 1) % 2)
         orbit, sign, y = [], 1, t
         while True:
             orbit.append((position[y], sign))
-            if _cyclic_sign(y, par):
+            if flip[par[y[n]]]:
                 sign = -sign
             y = y[n:] + y[:n]
             if y == t:
@@ -279,15 +275,16 @@ class _Coinvariants(QuotientSpace):
 def _hochschild_basis(A: AssocSuperAlgebra, t: tuple) -> dict:
     """d'_n of the basis tuple t = (a_0, ..., a_n), keyed by the basis
     tuples of A^{(x)n}: the face that multiplies a_i a_{i+1}, and the last
-    one, a_n a_0 followed by a_1, ..., a_{n-1}."""
-    n = len(t) - 1
+    one, a_n a_0 followed by a_1, ..., a_{n-1}, with the sign parity
+    n + |a_n| sum_{k<n} |a_k| of t_n, read as in :func:`_rotation_image`."""
+    n, rows, par = len(t) - 1, A.rows, A.space.parities
     out: dict = {}
     for i in range(n + 1):
-        prod = A.product_basis(t[i], t[i + 1] if i < n else t[0])
+        prod = rows[t[i]].get(t[i + 1] if i < n else t[0])
         if not prod:
             continue
-        odd, head, tail = ((i % 2, t[:i], t[i + 2:]) if i < n
-                           else (_cyclic_sign(t, A.space.parities), (), t[1:n]))
+        odd, head, tail = ((i % 2, t[:i], t[i + 2:]) if i < n else
+                           ((n + sum(par[k] for k in t) - 1 if par[t[n]] else n) % 2, (), t[1:n]))
         for e, c in prod.items():
             f = (*head, e, *tail)
             out[f] = out.get(f, 0) + (-c if odd else c)

@@ -24,13 +24,8 @@ every such h, as :meth:`~superlie.algebras.LieSuperAlgebra.inner_torus`
 reads them (all chains when there is none, as for heis), and their
 homology is H_*(P, M).  Only basis elements with diagonal ad are used: a
 grading that is not inner, such as the Grassmann degree of
-sl(2|1, Lambda1), has acyclic-looking blocks that carry homology.
-
-The weight-0 chains are enumerated without visiting the rest by
-:func:`~superlie.spaces.weight0_words`, which also enumerates the
-weight-0 tuples of the Connes complex and the weight-0 generators of the
-adjoint tensor square: a chain is a word of canonical wedge factors
-closed by the module index t.
+sl(2|1, Lambda1), has acyclic-looking blocks that carry homology.  The
+weight-0 chains are the words of :func:`~superlie.spaces.weight0_words`.
 
 The complex's ``spaces`` and ``chains`` and the representatives of
 :func:`homology` refer to the kept chains, listed in the order of the
@@ -65,6 +60,8 @@ raises :class:`~superlie.linalg.ContainmentError` otherwise.
 
 from __future__ import annotations
 
+from itertools import accumulate
+
 from .actions import (
     Action,
     CrossedModule,
@@ -91,11 +88,12 @@ from .algebras import (
     subalgebra_on,
 )
 from .fields import MathError, record
-from .linalg import Subspace, vec_axpy
+from .linalg import Subspace, add_composed, sum_is_zero, vec_axpy
 from .spaces import (
     GradedMap,
     SuperSpace,
     tensor_vec,
+    wedge_insert,
     wedge_normalize,
     weight0_words,
 )
@@ -138,13 +136,20 @@ def trivial_module(P: LieSuperAlgebra) -> Action:
 class Complex:
     """A chain complex given by its boundaries d_n: C_n -> C_{n-1},
     ``boundaries[n]`` for n >= 1 (``boundaries[0]`` is None).  d.d = 0 is
-    certified when the complex is built, so no complex exists uncertified."""
+    certified when the complex is built, so no complex exists uncertified:
+    the columns of d_{n-1} d_n are added unreduced into one fused sum,
+    tested once, and the composed map is never built."""
 
     boundaries: list[GradedMap | None]
 
     def __post_init__(self):
         for n in range(2, len(self.boundaries)):
-            if not self.boundaries[n - 1].compose(self.boundaries[n]).is_zero():
+            outer, inner = self.boundaries[n - 1], self.boundaries[n]
+            if inner.target != outer.source:
+                raise ValueError("maps are not composable")
+            acc: dict = {}
+            add_composed(acc, 1, dict(enumerate(outer.matrix.cols)), dict(enumerate(inner.matrix.cols)))
+            if not sum_is_zero(outer.source.field, acc):
                 raise ComplexInconsistent(f"d_{n-1} . d_{n} != 0")
 
     def boundary(self, n: int) -> GradedMap:
@@ -165,20 +170,12 @@ class Complex:
 
 @record
 class ChainComplex(Complex):
-    """The chain complex of P with coefficients in M on its weight-0 chains:
-    for every even basis element h of P with ad(h) diagonal on P's basis
-    and a diagonal action on M's basis, read by ``P.inner_torus(M)``, only
-    the chains on which h acts by 0 are kept; the other blocks are acyclic
-    by Cartan's formula (Hochschild-Serre, Ann. of Math. 57, 1953; Fuks,
-    Cohomology of Infinite-Dimensional Lie Algebras, 1986, ch. 1).  With
-    no such h every chain is kept.
-
-    Chain i of degree n is ``x_1^...^x_k (x) t`` for the pair
-    ``chains[n][i] = ((x_1, ..., x_k), t)`` of canonical wedge factors and
-    a basis index t of M.  ``spaces``, ``chains`` and the sections of
-    :func:`homology` refer to the kept chains, listed in the order of
-    the full complex; a chain's label is its label in the full complex.
-    """
+    """The chain complex of P with coefficients in M on its chains of
+    weight 0 under ``P.inner_torus(M)``, every chain when there is none;
+    the other blocks are acyclic (module docstring).  Chain i of degree n
+    is ``x_1^...^x_k (x) t`` for ``chains[n][i] = ((x_1, ..., x_k), t)``,
+    canonical wedge factors and a basis index t of M, labelled as in the
+    full complex and listed in its order."""
 
     p: LieSuperAlgebra
     module: Action
@@ -190,7 +187,11 @@ def _chain_complex(P: LieSuperAlgebra, M: Action, max_n: int,
                    lam: list[tuple], mu: list[tuple]) -> ChainComplex:
     """The one construction loop: the chains of weight 0 under the weight
     tuples lam and mu of P's and M's basis (every chain when they are
-    empty), their labels and boundaries."""
+    empty), their labels and boundaries.  The parity sums of a chain's
+    prefixes give every sign, a factor with no nonzero bracket is skipped,
+    and a bracket value enters the canonical rest by
+    :func:`~superlie.spaces.wedge_insert`; :class:`GradedMap` cleans the
+    columns."""
     field = P.field
     par = P.space.parities
     plabels = P.space.labels
@@ -202,12 +203,9 @@ def _chain_complex(P: LieSuperAlgebra, M: Action, max_n: int,
     spaces: list[SuperSpace] = []
     index_of: list[dict[tuple[tuple[int, ...], int], int]] = []
     for level in chains:
-        labels = []
-        parities = []
-        for f, t in level:
-            wedge = "^".join(plabels[i] for i in f) if f else "1"
-            labels.append(wedge if ground else f"{wedge}(x){msp.labels[t]}")
-            parities.append((sum(par[i] for i in f) + msp.parities[t]) % 2)
+        wedges = ["^".join(plabels[i] for i in f) if f else "1" for f, _ in level]
+        labels = wedges if ground else [f"{w}(x){msp.labels[t]}" for w, (_, t) in zip(wedges, level)]
+        parities = [(sum(par[i] for i in f) + msp.parities[t]) % 2 for f, t in level]
         spaces.append(SuperSpace(field, tuple(labels), tuple(parities)))
         index_of.append({c: i for i, c in enumerate(level)})
 
@@ -216,33 +214,33 @@ def _chain_complex(P: LieSuperAlgebra, M: Action, max_n: int,
         below = index_of[n - 1]
         cols: list[dict] = []
         for xs, t in chains[n]:
-            pre_par = [par[x] for x in xs]
+            pp = [par[x] for x in xs]
+            head = list(accumulate(pp, initial=0))  # head[k]: odd factors before x_k
             col: dict = {}
             try:
                 # module-action terms
                 for i in range(n):
                     acted = rows[xs[i]].get(t)
                     if acted:
-                        tail = sum(pre_par[k] for k in range(i + 1, n))
-                        s = -1 if ((i + 1) + pre_par[i] * tail) % 2 else 1
+                        s = -1 if (i + 1 + pp[i] * (head[n] - head[i + 1])) % 2 else 1
                         rest = xs[:i] + xs[i + 1:]
                         for t2, c in acted.items():
                             key = below[(rest, t2)]
                             col[key] = col.get(key, 0) + s * c
-                # bracket terms
+                # bracket terms: [x_i, x_j] moves into the canonical rest
                 for i in range(n):
+                    bracket = index[xs[i]]
+                    if not bracket:
+                        continue
                     for j in range(i + 1, n):
-                        br = index[xs[i]].get(xs[j])
+                        br = bracket.get(xs[j])
                         if not br:
                             continue
-                        head_i = sum(pre_par[k] for k in range(i))
-                        head_j = sum(pre_par[l] for l in range(j))
-                        exp = (i + 1) + (j + 1) + pre_par[i] * head_i \
-                            + pre_par[j] * head_j + pre_par[i] * pre_par[j]
+                        exp = i + j + pp[i] * head[i] + pp[j] * head[j] + pp[i] * pp[j]
                         s = -1 if exp % 2 else 1
-                        rest = tuple(x for k, x in enumerate(xs) if k not in (i, j))
+                        rest = xs[:i] + xs[i + 1:j] + xs[j + 1:]
                         for e, c in br.items():
-                            s2, mono = wedge_normalize([e, *rest], par)
+                            s2, mono = wedge_insert(e, rest, par)
                             if mono is None:
                                 continue
                             key = below[(mono, t)]
@@ -250,7 +248,7 @@ def _chain_complex(P: LieSuperAlgebra, M: Action, max_n: int,
             except KeyError:
                 raise ComplexInconsistent(
                     f"d_{n} leaves the weight-0 chains at {spaces[n].labels[len(cols)]}") from None
-            cols.append(field.clean(col))
+            cols.append(col)
         boundaries.append(GradedMap.from_columns(spaces[n], spaces[n - 1], cols))
     return ChainComplex(boundaries, P, M, spaces, chains)
 

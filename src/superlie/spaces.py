@@ -10,7 +10,9 @@ nonzero even element).
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from itertools import combinations_with_replacement
+from operator import add
 
 from .fields import Field, frozen_record
 from .linalg import Matrix, Subspace
@@ -42,24 +44,14 @@ class SuperSpace:
     def parity_of_vec(self, v: dict) -> int | None:
         """Parity if v is homogeneous (0 for the zero vector), else None."""
         ps = {self.parities[i] for i in self.field.clean(v)}
-        if not ps:
-            return 0
-        if len(ps) > 1:
-            return None
-        return ps.pop()
+        return None if len(ps) > 1 else max(ps, default=0)
 
     def split_dims(self, rows: list[dict]) -> tuple[int, int]:
         """(even, odd) counts of a homogeneous family of vectors."""
-        d0 = d1 = 0
-        for r in rows:
-            par = self.parity_of_vec(r)
-            if par is None:
-                raise ValueError("vector is not parity homogeneous")
-            if par == 0:
-                d0 += 1
-            else:
-                d1 += 1
-        return (d0, d1)
+        pars = [self.parity_of_vec(r) for r in rows]
+        if None in pars:
+            raise ValueError("vector is not parity homogeneous")
+        return (pars.count(0), pars.count(1))
 
     def __str__(self):
         return format_dims(self.dim_pair)
@@ -128,13 +120,8 @@ def tensor_space(a: SuperSpace, b: SuperSpace) -> SuperSpace:
     """Row-major pairs (a_i, b_j) with parity |a_i| + |b_j|."""
     if a.field != b.field:
         raise ValueError("tensor factors over different fields")
-    labels = []
-    parities = []
-    for la, pa in zip(a.labels, a.parities):
-        for lb, pb in zip(b.labels, b.parities):
-            labels.append(f"{la}*{lb}")
-            parities.append((pa + pb) % 2)
-    return SuperSpace(a.field, tuple(labels), tuple(parities))
+    return SuperSpace(a.field, tuple(f"{la}*{lb}" for la in a.labels for lb in b.labels),
+                      tuple((pa + pb) % 2 for pa in a.parities for pb in b.parities))
 
 
 def tensor_index(n: int, i: int, j: int) -> int:
@@ -195,6 +182,18 @@ def wedge_normalize(factors: list[int], parities_of: list[int] | tuple[int, ...]
     return sign, tuple(fs)
 
 
+def wedge_insert(e: int, rest: tuple[int, ...], parities_of) -> tuple[int, tuple | None]:
+    """:func:`wedge_normalize` of (e, *rest) for canonical ``rest``: e passes
+    the pos = bisect_left(rest, e) smaller factors, each swap costing -1
+    unless both are odd; an even e repeats if rest[pos] = e."""
+    pos = flips = bisect_left(rest, e)
+    if parities_of[e]:
+        flips -= sum(parities_of[x] for x in rest[:pos])
+    elif pos < len(rest) and rest[pos] == e:
+        return 0, None
+    return (-1 if flips % 2 else 1), rest[:pos] + (e,) + rest[pos:]
+
+
 def exterior_power(v: SuperSpace, n: int) -> tuple[SuperSpace, list[tuple[int, ...]]]:
     """The n-th super exterior power with its canonical monomial basis, each
     monomial the tuple of its factors: weakly increasing, even ones strict.
@@ -218,6 +217,13 @@ def exterior_power(v: SuperSpace, n: int) -> tuple[SuperSpace, list[tuple[int, .
 # weight-0 words
 
 
+def _weight_adder(field: Field):
+    """The reduced sum of two reduced weight tuples: one ``% p`` pass over GF(p)."""
+    p = field.p
+    return (lambda w, l: tuple(map(add, w, l))) if p is None else \
+        (lambda w, l: tuple(map(p.__rmod__, map(add, w, l))))
+
+
 def weight0_words(field: Field, lam: list[tuple], nxt: list[int], closing: list[tuple],
                   max_n: int) -> list[list[tuple[tuple[int, ...], int]]]:
     """Per length n = 0, ..., max_n, the words (factors, t) of n factors,
@@ -231,14 +237,17 @@ def weight0_words(field: Field, lam: list[tuple], nxt: list[int], closing: list[
     words (i, j) with nxt[i] = 0, closed by the basis element c that meets
     e_i (x) e_j.
 
-    The words are enumerated prefix by prefix, the weight of a prefix
-    carried as a running sum.  ``live[k][i]`` holds the prefix weights that
-    at most k more factors, the first of index >= i, can complete to a
-    wanted weight -closing[t]; a prefix of n factors is extended by factor
-    i only when the new weight lies in live[max_n - n - 1][nxt[i]].  Every
-    prefix of a kept word passes, so the words and their order are those
-    of the unpruned enumeration, which the tests keep as oracles."""
-    reduce = field.reduce
+    The words are enumerated prefix by prefix, the reduced weight of a
+    prefix carried as a running sum, one :func:`_weight_adder` sum each.
+    ``live[k][i]`` holds the prefix weights that at most k more factors,
+    the first of index >= i, can complete to a wanted weight -closing[t]; a
+    prefix of n factors is extended by factor i only when the new weight
+    lies in live[max_n - n - 1][nxt[i]].  Every prefix of a kept word
+    passes, so the words and their order are those of the unpruned
+    enumeration, which the tests keep as oracles."""
+    reduce, plus = field.reduce, _weight_adder(field)
+    lam = [tuple(map(reduce, w)) for w in lam]
+    minus = [tuple(reduce(-c) for c in w) for w in lam]
     dim = len(lam)
     wanted: dict[tuple, list[int]] = {}  # prefix weight -> the t that close it
     for t, w in enumerate(closing):
@@ -250,8 +259,7 @@ def weight0_words(field: Field, lam: list[tuple], nxt: list[int], closing: list[
     for k in range(1, max_n):
         row = [done] * (dim + 1)
         for i in range(dim - 1, -1, -1):
-            row[i] = row[i + 1] | {tuple(reduce(a - b) for a, b in zip(w, lam[i]))
-                                   for w in live[k - 1][nxt[i]]}
+            row[i] = row[i + 1].union([plus(w, minus[i]) for w in live[k - 1][nxt[i]]])
         live.append(row)
     level = [((), tuple(0 for _ in next(iter(lam + closing), ())))]  # the empty prefix
     words = []
@@ -262,6 +270,5 @@ def weight0_words(field: Field, lam: list[tuple], nxt: list[int], closing: list[
             level = [(f + (i,), w2)
                      for f, w in level
                      for i in range(nxt[f[-1]] if f else 0, dim)
-                     if (w2 := tuple(reduce(a + b) for a, b in zip(w, lam[i])))
-                     in reach[nxt[i]]]
+                     if (w2 := plus(w, lam[i])) in reach[nxt[i]]]
     return words

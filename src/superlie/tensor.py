@@ -80,9 +80,8 @@ coordinates, and D_w is spanned by the
 generators of weight w.  The block of weight 0 streams exactly those: a
 basis tensor e_i(x)e_j against a basis element c with
 lambda(e_i) + lambda(e_j) + lambda(c) = 0, the words (i, j) closed by c
-of :func:`~superlie.spaces.weight0_words`, the one weight-0 enumerator,
-which also lists the chains of the CE and the Connes complexes.  In
-a block w != 0 pick k with w_k != 0.  The generator (i) at a = h_k is
+of :func:`~superlie.spaces.weight0_words`.  In a block w != 0 pick k
+with w_k != 0.  The generator (i) at a = h_k is
 
     h_k.x - h_k (x) nu(x) = w_k x - h_k (x) nu(x),
 
@@ -130,7 +129,12 @@ defined on classes.  On the adjoint square both edge maps read one bracket
 index, which stores [e_j, e_i] = -(-1)^{|i||j|} [e_i, e_j], so
 mu(e_i (x) e_j) = -(-1)^{|i||j|} [e_j, e_i] = [e_i, e_j] = nu(e_i (x) e_j);
 M and N act on M (x) N by the same operators, and one induced map serves
-both.  The bracket is built by
+both.  The same rule, with no even diagonal bracket, makes one adjoint
+action compatible with itself for any table, Jacobi or not, exactly:
+compat-i and compat-ii of :func:`~superlie.actions.check_compatible` both
+read [[n, m], n'] = -(-1)^{|m||n|} [[m, n], n'], which the stored
+[n, m] = -(-1)^{|m||n|} [m, n] gives.  So the adjoint square runs no
+compatibility loop.  The bracket is built by
 :func:`~superlie.algebras.factored_quotient_algebra`, the one construction
 of a bracket that factors through edge maps: B must be antisymmetric on
 classes, which puts (iii) and (iv) in D(M, N); and the product must
@@ -302,7 +306,6 @@ def nonabelian_tensor(M: LieSuperAlgebra, N: LieSuperAlgebra,
     only the Lie axioms of P.  Otherwise every basis element streams."""
     if act_mn.actor is not M or act_mn.target is not N:
         raise ValueError("actions are not between the same pair of algebras")
-    check_compatible(act_mn, act_nm).require(IncompatibleActions, "actions are not compatible")
 
     field = M.field
     dm, dn = M.dim, N.dim
@@ -321,13 +324,13 @@ def nonabelian_tensor(M: LieSuperAlgebra, N: LieSuperAlgebra,
     # the relation families and the actions on classes
     adj_m = adjoint_action(M)
     # the adjoint square: one adjoint action serves both sides, so mu = nu
-    # and M and N act on M (x) N by the same operators
+    # and M and N act on M (x) N by the same operators, and the actions are
+    # compatible by the storage rule alone (module docstring)
     adjoint = M is N and act_mn is act_nm and act_mn.table == adj_m.table
+    if not adjoint:
+        check_compatible(act_mn, act_nm).require(IncompatibleActions, "actions are not compatible")
     act_m = tensor_action(adj_m, act_mn)
-    if adjoint:
-        act_n = act_m
-    else:
-        act_n = tensor_action(act_nm, adj_m if N is M else adjoint_action(N))
+    act_n = act_m if adjoint else tensor_action(act_nm, adj_m if N is M else adjoint_action(N))
 
     if adjoint and M._generators is None:
         # the weight blocks rest on D(P, P) in Ker mu, and the generating
@@ -378,13 +381,9 @@ def nonabelian_tensor(M: LieSuperAlgebra, N: LieSuperAlgebra,
         check_crossed(cr).require(BracketNotWellDefined,
                                   f"({label}) fails the crossed module certificate")
 
-    return TensorProduct(
-        m=M, n=N, act_mn=act_mn, act_nm=act_nm,
-        d_generators=d_sub, quotient=quot,
-        algebra=algebra, mu=mu, nu=nu,
-        action_m=action_m, action_n=action_n,
-        cross_m=cross_m, cross_n=cross_n,
-    )
+    return TensorProduct(m=M, n=N, act_mn=act_mn, act_nm=act_nm, d_generators=d_sub,
+                         quotient=quot, algebra=algebra, mu=mu, nu=nu, action_m=action_m,
+                         action_n=action_n, cross_m=cross_m, cross_n=cross_n)
 
 
 def adjoint_tensor_square(P: LieSuperAlgebra) -> TensorProduct:
@@ -418,10 +417,8 @@ def tensor_symmetry_iso(t: TensorProduct) -> tuple[GradedMap, TensorProduct]:
     verified to descend, bijective and bracket preserving.  When M is N with
     one action on both sides, N (x) M is the construction of t itself, and
     the isomorphism is the graded swap induced on t's quotient."""
-    if t.m is t.n and t.act_mn is t.act_nm:
-        swapped = t
-    else:
-        swapped = nonabelian_tensor(t.n, t.m, t.act_nm, t.act_mn)
+    one = t.m is t.n and t.act_mn is t.act_nm
+    swapped = t if one else nonabelian_tensor(t.n, t.m, t.act_nm, t.act_mn)
     dm, dn = t.m.dim, t.n.dim
     pm, pn = t.m.space.parities, t.n.space.parities
     # m_i (x) n_j -> -(-1)^{|m_i||n_j|} n_j (x) m_i, by position

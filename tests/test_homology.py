@@ -1,3 +1,4 @@
+import importlib
 import random
 
 import pytest
@@ -17,16 +18,19 @@ from superlie.algebras import (
     check_lie_axioms,
     ground_assoc,
     heisenberg,
+    matrix_assoc,
     matrix_gl,
     matrix_sl,
     series,
 )
-from superlie.cyclic import grassmann_line
+from superlie import spaces
+from superlie.cyclic import connes, grassmann_line
 from superlie.fields import QQ, Field
 from superlie.freelie import Presentation, genset
 from superlie.homology import (
     ChainComplex,
     ClassExceeded,
+    Complex,
     ComplexInconsistent,
     CrossedSES,
     _chain_complex,
@@ -42,8 +46,11 @@ from superlie.homology import (
     snake_sequence,
     trivial_module,
 )
+from superlie.linalg import Matrix
 from superlie.spaces import GradedMap, SuperSpace, superspace
 from superlie.suites import standard_crossed_ses
+
+homology_module = importlib.import_module("superlie.homology")
 
 
 # -- the chain complex ---------------------------------------------------------
@@ -225,9 +232,24 @@ def labeled(space: SuperSpace, v: dict) -> dict:
     return {space.labels[i]: c for i, c in v.items()}
 
 
+def assert_same_boundary_columns(cx: ChainComplex, full: ChainComplex, max_n: int):
+    """Every column of the weight-0 boundary d_n equals, entry by entry,
+    the column of the same chain in the full complex, whose rows are read
+    through the chains of degree n - 1: the weight-0 block of d_n is all
+    of d_n on a weight-0 chain."""
+    for n in range(1, max_n + 1):
+        at = {c: i for i, c in enumerate(full.chains[n])}
+        below = {c: i for i, c in enumerate(full.chains[n - 1])}
+        full_cols = full.boundary(n).matrix.cols
+        for c, col in zip(cx.chains[n], cx.boundary(n).matrix.cols):
+            assert {below[cx.chains[n - 1][k]]: v for k, v in col.items()} \
+                == full_cols[at[c]], (n, c)
+
+
 def assert_matches_full_complex(P: LieSuperAlgebra, M: Action, max_n: int):
     cx = ce_complex(P, M, max_n)
     full = ce_complex_full(P, M, max_n)
+    assert_same_boundary_columns(cx, full, max_n)
     weights = diagonal_weights(P, M)
     for n in range(max_n + 1):
         kept = [full.spaces[n].labels[i]
@@ -247,9 +269,69 @@ def assert_matches_full_complex(P: LieSuperAlgebra, M: Action, max_n: int):
 @pytest.mark.parametrize("p", (None, 3, 5, 7))
 @pytest.mark.parametrize("name", tuple(DIFFERENTIAL_ALGEBRAS))
 def test_weight0_complex_matches_full_complex(name, p):
+    """Labels, boundary columns, dimensions and representatives of the
+    weight-0 complex against the full complex of the oracle, which places
+    each bracket value by ``wedge_normalize``, in seeded permuted and
+    rescaled bases."""
     P = seeded_rebase(DIFFERENTIAL_ALGEBRAS[name](Field(p)), f"{name}:{p}")
     assert_matches_full_complex(P, trivial_module(P), 4)
     assert_matches_full_complex(P, adjoint_action(P), 3)
+
+
+def test_ce_complex_places_bracket_values_without_wedge_normalize(monkeypatch):
+    """The boundary inserts each bracket value into the canonical rest of
+    the chain by bisection (``spaces.wedge_insert``); it never sorts a
+    monomial with ``wedge_normalize``."""
+    calls = []
+    original = spaces.wedge_normalize
+    for module in (spaces, homology_module):
+        monkeypatch.setattr(module, "wedge_normalize",
+                            lambda *args: calls.append(args) or original(*args))
+    P = matrix_gl(2, 2, ground_assoc(QQ))
+    cx = ce_complex(P, trivial_module(P), 5)
+    assert [s.dim for s in cx.spaces] == [1, 4, 12, 36, 94, 212] and calls == []
+
+
+def test_building_a_complex_composes_no_matrix(monkeypatch):
+    """d.d = 0 is certified by one fused sum per degree: no composed
+    Matrix is built, for a Chevalley-Eilenberg or a Connes complex."""
+    calls = []
+    compose = Matrix.compose
+    monkeypatch.setattr(Matrix, "compose", lambda self, inner: calls.append(inner) or
+                        compose(self, inner))
+    P = matrix_gl(2, 1, ground_assoc(QQ))
+    ce_complex(P, adjoint_action(P), 4)
+    connes(matrix_assoc(1, 1, grassmann_line(QQ)), 3)
+    assert calls == []
+
+
+@pytest.mark.parametrize("p", (None, 5))
+def test_one_flipped_boundary_entry_fails_the_certificate(p):
+    """Negating one entry of d_n at a row whose column of d_{n-1} is nonzero
+    changes d_{n-1} d_n by twice that column: the fused sum is nonzero,
+    over Q and mod 5, and the complex is refused."""
+    P = matrix_gl(2, 1, ground_assoc(Field(p)))
+    cx = ce_complex(P, adjoint_action(P), 3)
+    for n in (2, 3):
+        lower = cx.boundary(n - 1).matrix.cols
+        cols = [dict(c) for c in cx.boundary(n).matrix.cols]
+        j, k = next((j, k) for j, c in enumerate(cols) for k in c if lower[k])
+        cols[j][k] = P.field.neg(cols[j][k])
+        bad = list(cx.boundaries)
+        bad[n] = GradedMap.from_columns(cx.spaces[n], cx.spaces[n - 1], cols)
+        with pytest.raises(ComplexInconsistent, match=rf"d_{n - 1} \. d_{n} != 0"):
+            Complex(bad)
+
+
+def test_a_boundary_face_outside_the_kept_chains_raises():
+    """Weights that are not a grading (1 on one basis element of gl(2|1),
+    0 on the rest) keep chains whose boundary has a face of weight 1: it
+    has no coordinate among the kept chains of degree n - 1, and the
+    construction raises instead of reading it as 0."""
+    P = matrix_gl(2, 1, ground_assoc(QQ))
+    lam = [(1,)] + [(0,)] * (P.dim - 1)
+    with pytest.raises(ComplexInconsistent, match="leaves the weight-0 chains"):
+        _chain_complex(P, trivial_module(P), 3, lam, [(0,)])
 
 
 def test_outer_grading_trap_sl21_grassmann():

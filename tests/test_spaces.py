@@ -15,6 +15,7 @@ from superlie.spaces import (
     tensor_pair,
     tensor_space,
     tensor_vec,
+    wedge_insert,
     wedge_normalize,
 )
 
@@ -130,6 +131,20 @@ def test_wedge_repeated_odd_survives():
 def test_wedge_repeated_even_dies():
     sign, mono = wedge_normalize([0, 0], (0,))
     assert sign == 0 and mono is None
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(0, 1), min_size=1, max_size=6).flatmap(
+    lambda par: st.tuples(st.just(tuple(par)), st.integers(0, len(par) - 1),
+                          st.lists(st.integers(0, len(par) - 1), max_size=6))))
+def test_wedge_insert_matches_wedge_normalize(case):
+    """Placing e in canonical factors by bisection gives the sign and the
+    monomial of sorting (e, *rest) by swaps, repeated odd factors, even
+    factors that vanish and odd e among even factors included."""
+    par, e, factors = case
+    _, rest = wedge_normalize(factors, par)
+    if rest is not None:
+        assert wedge_insert(e, rest, par) == wedge_normalize([e, *rest], par)
 
 
 def test_wedge_normalize_idempotent():

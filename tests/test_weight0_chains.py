@@ -24,9 +24,10 @@ from superlie.actions import adjoint_action
 from superlie.algebras import ground_assoc, matrix_assoc, matrix_gl, matrix_sl
 from superlie.cyclic import connes, dual_numbers, grassmann_line
 from superlie.fields import QQ, Field
-from superlie.spaces import weight0_words
+from superlie.spaces import exterior_power, weight0_words
 
 homology = importlib.import_module("superlie.homology")
+spaces = importlib.import_module("superlie.spaces")
 
 ALGEBRAS = {
     "gl(2|2)": lambda F: matrix_gl(2, 2, ground_assoc(F)),
@@ -86,22 +87,34 @@ def test_weight_vanishing_mod_3():
 
 
 def test_pruning_computes_fewer_prefix_weights(monkeypatch):
-    """Each prefix costs one field reduction per Cartan element.  For
-    gl(2|2) at degree 5 the pruned enumerator, its reach table included,
-    computes fewer than a third of the reductions of the oracle, which
-    visits every canonical monomial."""
+    """For gl(2|2) at degree 5 the pruned enumerator computes fewer than a
+    third of the prefix weights of the oracle, its reach table included.
+    The enumerator computes each prefix weight by one call of the sum that
+    ``spaces._weight_adder`` returns; the oracle computes one per canonical
+    monomial of 1 to 5 factors, each by one field reduction per Cartan
+    element, besides one per Cartan element and module index for the
+    weights it looks for."""
     P = matrix_gl(2, 2, ground_assoc(QQ))
     M = homology.trivial_module(P)
     _, lam, mu = P.inner_torus(M)
-    calls = []
-    reduce = Field.reduce
-    monkeypatch.setattr(Field, "reduce", lambda self, a: calls.append(a) or reduce(self, a))
+    sums = []
+    adder = spaces._weight_adder
+
+    def counting(field):
+        plus = adder(field)
+        return lambda w, l: sums.append(w) or plus(w, l)
+
+    monkeypatch.setattr(spaces, "_weight_adder", counting)
     pruned = ce_words(P, 5, lam, mu)
-    n_pruned = len(calls)
+    n_pruned = len(sums)
+    reductions = []
+    reduce = Field.reduce
+    monkeypatch.setattr(Field, "reduce", lambda self, a: reductions.append(a) or reduce(self, a))
     full = weight0_chains_oracle(P, 5, lam, mu)
-    n_full = len(calls) - n_pruned
+    n_full = sum(len(exterior_power(P.space, n)[1]) for n in range(1, 6))
+    assert len(reductions) == len(lam[0]) * (n_full + len(mu))
     assert pruned == full
-    assert 3 * n_pruned < n_full
+    assert 0 < 3 * n_pruned < n_full
 
 
 ASSOC = {
