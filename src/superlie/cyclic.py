@@ -314,7 +314,7 @@ def _induced_boundary(A: AssocSuperAlgebra, n: int, src: _Coinvariants,
                     raise ComplexInconsistent(
                         f"d'_{n} leaves the weight-0 block at {src.parent.labels[x]}") from None
             vec_axpy(out, c, image)
-        return A.field.clean(out)
+        return out  # dst.reduce puts each coordinate in normal form
 
     return induced_map(src, dst, hochschild)
 

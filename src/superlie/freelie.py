@@ -1,27 +1,58 @@
 """Degree-truncated free Lie superalgebras and presentations.
 
-The free Lie superalgebra on a graded generating set V embeds into its
-tensor superalgebra in characteristic zero, so each degree component is
-realized as the span of left-normed supercommutators inside the tensor
-power, and the truncated bracket table is read off by echelon
-coordinates.  The tensor powers are ``spaces.tensor_power_space(V, k)``
-of V, the generators with their labels, and [u, v] = u (x) v -
-(-1)^{|u||v|} v (x) u is written with ``spaces.tensor_vec``, so their
-row-major index and their parities are the rules of
-:mod:`~superlie.spaces`; the field enters only through the
-:class:`~superlie.spaces.SuperSpace` V.  This linear realization is the
-production path; the magma-quotient construction lives in the test suite
-as an independent oracle for the component dimensions."""
+The free Lie superalgebra F on a graded generating set V = <x_0 < ... <
+x_{n-1}> embeds into its tensor superalgebra in characteristic zero, so
+F is the Lie subalgebra of T(V) generated by V, with [u, v] = u (x) v -
+(-1)^{|u||v|} v (x) u, and its degree-k component F_k lives in V^{(x) k},
+whose basis words are indexed row-major as ``spaces.tensor_index`` reads
+them: on words of one length, index order is lex order.
+
+Basis.  The degree-k basis is the super-Lyndon words of length k: the
+Lyndon words, enumerated by Duval's algorithm (J. Algorithms 4, 1983),
+and the squares ww of the odd Lyndon words w (Reutenauer, Free Lie
+Algebras, 1993; Bahturin, Mikhalev, Petrogradsky and Zaicev,
+Infinite-Dimensional Lie Superalgebras, 1992), in lex order.  The
+element of a Lyndon word w of length >= 2 is P_w = [P_u, P_v] over its
+standard factorization w = uv, v the longest proper Lyndon suffix (u is
+then Lyndon and u < v); that of a square is P_ww = [P_w, P_w] = 2 P_w
+P_w.  The least word of P_w is w (P_u P_v leads with 1 uv, and uv < vu,
+the least word of P_v P_u), so P_w is w plus greater words of its length.
+
+Bracket table.  [e_u, e_v] = e_w over the factorization of each basis
+word w, so those pairs are read off the definitions (with the sign of
+graded antisymmetry when the factors are stored in the other order:
+290 of the 485 pairs of the class-5 cover on four even generators).
+Every other pair, and every relator, is formed in V^{(x) k} and reduced
+on leading words: subtract c P_t while the remainder leads with the word
+t of a basis element.
+
+Certificate.  Two runtime checks certify the cover, without the basis
+theorem: every P_w built is checked to lead with w, and a reduction
+whose remainder leads with a word that is no basis word raises ``free
+component is not closed under brackets``.  Independence: the leading
+words of one degree are distinct, so the P_w are triangular on them.
+Span: let S_k be the span of the degree-k basis, so S_k <= F_k, each P_w
+being a bracket of generators.  F_1 = V = S_1, and F_k is spanned by the
+[g, y] with g a generator and y in F_{k-1} = S_{k-1}; each stored pair
+[e_g, e_b] is a definition or a reduction that ended at 0, so it lies in
+S_k, and F_k = S_k by induction.  The stored brackets are then the
+structure constants of F in this basis, and dropping the pairs above the
+class bound gives F/gamma_{c+1}.  An oracle in the test suite builds the
+same cover by elimination of left-normed commutators in V^{(x) k}, and
+another the component dimensions by a magma quotient.  The field enters
+only as Q."""
 
 from __future__ import annotations
 
+from fractions import Fraction
+from functools import reduce
 from itertools import accumulate
 
 from .algebras import LieSuperAlgebra
 from .fields import QQ, InputError, MathError, frozen_record, record
 from .io import _require_keys
-from .linalg import Echelon, Subspace, vec_axpy
-from .spaces import SuperSpace, superspace, tensor_power_space, tensor_vec
+from .linalg import vec_axpy
+from .spaces import SuperSpace
 
 
 class DegreeOverflow(ValueError, MathError):
@@ -111,8 +142,9 @@ def _bracket_parity(word, gens: GradedGenSet) -> int:
 
 class FreeTruncation:
     """Components of the free Lie superalgebra over Q up to a degree bound,
-    with the structure constants of the corresponding free nilpotent
-    quotient."""
+    on the super-Lyndon basis ``words`` (degree k from ``offsets[k]``), with
+    the structure constants of the free nilpotent quotient; a P_w is built
+    only when the table or a relator needs it (module docstring)."""
 
     def __init__(self, gens: GradedGenSet, max_degree: int):
         if gens.count > MAX_GENERATORS:
@@ -122,35 +154,66 @@ class FreeTruncation:
             raise TruncationOutOfRange(f"degree must be between 1 and {MAX_DEGREE}")
         self.gens = gens
         self.max_degree = max_degree
+        self.field = QQ
         self._algebra = None
-        # V^{(x) k} for k = 0..max_degree, in the row-major basis of
-        # spaces.tensor_space
-        V = superspace(QQ, gens.generators)
-        self.field = field = V.field
-        self.powers = [tensor_power_space(V, k) for k in range(max_degree + 1)]
-        # degree components inside V^{(x) k}: spans of left-normed commutators
-        self.components: list[Subspace] = [Subspace(field, 1, [])]
-        deg1 = [({i: 1}, p) for i, p in enumerate(V.parities)]
-        self.components.append(Subspace.full(field, V.dim))
-        prev = deg1  # (vector in V^{(x)(k-1)}, parity)
-        for k in range(2, max_degree + 1):
-            acc = Echelon(field, self.powers[k].dim)
-            new_vs = []
-            for w, pw in prev:
-                for v, pg in deg1:
-                    c = self._supercommutator(w, pw, v, pg, k - 1, 1)
-                    if c and acc.insert(c):
-                        new_vs.append((c, (pw + pg) % 2))
-            self.components.append(acc.subspace())
-            prev = new_vs
-        # the basis of the truncated algebra: degree k starts at offsets[k]
-        self.offsets = [0, *accumulate(c.dim for c in self.components)]
+        n, par = gens.count, [p for _, p in gens.generators]
+        parity = lambda w: sum(par[i] for i in w) % 2  # noqa: E731
+        lyndon = set(_lyndon_words(n, max_degree))
+        # (length, lex) order: on one length, lex order is the row-major order
+        self.words = sorted(lyndon | {w + w for w in lyndon if parity(w) and 2 * len(w) <= max_degree},
+                            key=lambda w: (len(w), w))
+        self._parity = [parity(w) for w in self.words]
+        self.offsets = [0, *accumulate(sum(len(w) == k for w in self.words) for k in range(max_degree + 1))]
+        labels = [gens.generators[w[0]][0] if len(w) == 1 else f"w{len(w)}.{i - self.offsets[len(w)]}"
+                  for i, w in enumerate(self.words)]
+        self.components = [SuperSpace(QQ, tuple(labels[a:b]), tuple(self._parity[a:b]))
+                           for a, b in zip(self.offsets, self.offsets[1:])]
+        index = {w: i for i, w in enumerate(self.words)}
+        # (u, v) with P_w = [P_u, P_v]: the standard factorization, v the
+        # longest proper Lyndon suffix, or u = v for a square
+        self._factors = [None if len(w) == 1 else
+                         (index[w[:len(w) // 2]],) * 2 if w not in lyndon else
+                         next((index[w[:j]], index[w[j:]]) for j in range(1, len(w)) if w[j:] in lyndon)
+                         for w in self.words]
+        # per degree k, the row-major index of each basis word in V^{(x) k} -> its basis index
+        self._lead = [{reduce(lambda t, letter: t * n + letter, self.words[i], 0): i for i in range(a, b)}
+                      for a, b in zip(self.offsets, self.offsets[1:])]
+        self._tensors = {g: {g: 1} for g in range(n)}
 
     def _supercommutator(self, u: dict, pu: int, v: dict, pv: int, du: int, dv: int) -> dict:
-        """[u, v] = u(x)v - (-1)^{|u||v|} v(x)u inside V^{(x)(du+dv)}."""
-        P = self.powers
-        out = tensor_vec(P[du], P[dv], u, v)
-        vec_axpy(out, 1 if pu * pv else -1, tensor_vec(P[dv], P[du], v, u))
+        """[u, v] = u(x)v - (-1)^{|u||v|} v(x)u inside V^{(x)(du+dv)}, the
+        word index row-major as in ``spaces.tensor_index``."""
+        nu, nv = self.gens.count ** du, self.gens.count ** dv
+        out = {i * nv + j: a * b for i, a in u.items() for j, b in v.items()}
+        vec_axpy(out, 1 if pu * pv else -1, {j * nu + i: b * a for j, b in v.items() for i, a in u.items()})
+        return out
+
+    def _tensor(self, i: int) -> dict:
+        """P_w for the basis word w = words[i] (memoized), certified to
+        have w as its least word."""
+        P = self._tensors.get(i)
+        if P is None:
+            a, b = self._factors[i]
+            wa, wb = self.words[a], self.words[b]
+            P = self._supercommutator(self._tensor(a), self._parity[a], self._tensor(b),
+                                      self._parity[b], len(wa), len(wb))
+            if self._lead[len(wa) + len(wb)].get(min(P, default=None)) != i:
+                raise RuntimeError(f"the bracket of basis word {self.words[i]} does not lead with it")
+            self._tensors[i] = P
+        return P
+
+    def _coords(self, v: dict, k: int) -> dict:
+        """The coordinates of v in V^{(x) k}, which it consumes, read off
+        leading words; RuntimeError when the remainder leads with no basis word."""
+        lead, out = self._lead[k], {}
+        while v:
+            m = min(v)
+            i = lead.get(m)
+            if i is None:
+                raise RuntimeError("free component is not closed under brackets")
+            P = self._tensor(i)
+            out[i] = c = QQ.of(v[m] if P[m] == 1 else Fraction(v[m], P[m]))
+            vec_axpy(v, -c, P)
         return out
 
     def dims(self) -> list[int]:
@@ -163,34 +226,25 @@ class FreeTruncation:
         """The free nilpotent quotient of class max_degree (memoized)."""
         if self._algebra is not None:
             return self._algebra
-        labels: list[str] = []
-        parities: list[int] = []
-        basis: list[tuple[int, dict]] = []  # (degree, vector in V^{(x) degree})
-        for k in range(1, self.max_degree + 1):
-            for t, row in enumerate(self.components[k].rows):
-                labels.append(self.gens.generators[t][0] if k == 1 else f"w{k}.{t}")
-                parities.append(self.powers[k].parities[min(row)])
-                basis.append((k, row))
+        par, degree, top = self._parity, [len(w) for w in self.words], self.max_degree
+        # [e_u, e_v] = e_w, stored at (v, u) with the sign of antisymmetry when v < u
+        defined = {(min(f), max(f)): {w: 1 if f[0] <= f[1] or par[f[0]] * par[f[1]] else -1}
+                   for w, f in enumerate(self._factors) if f is not None}
 
         def rows():
             # the pairs above the class bound are pruned before any work
-            for a, (ka, row_a) in enumerate(basis):
+            for a in range(len(self.words)):
                 row = {}
-                for b in range(a + 1 - parities[a], len(basis)):
-                    kb, row_b = basis[b]
-                    k = ka + kb
-                    if k > self.max_degree:
+                for b in range(a + 1 - par[a], len(self.words)):
+                    k = degree[a] + degree[b]
+                    if k > top:
                         break  # the basis is in degree order
-                    prod = self._supercommutator(row_a, parities[a], row_b, parities[b], ka, kb)
-                    coords = self.components[k].coords(prod)
-                    if coords is None:
-                        raise RuntimeError("free component is not closed under brackets")
-                    off = self.offsets[k]
-                    row[b] = {off + i: c for i, c in coords.items()}
+                    row[b] = defined.get((a, b)) or self._coords(self._supercommutator(
+                        self._tensor(a), par[a], self._tensor(b), par[b], degree[a], degree[b]), k)
                 yield row
 
-        name = f"free({','.join(l for l, _ in self.gens.generators)};c{self.max_degree})"
-        sp = SuperSpace(self.field, tuple(labels), tuple(parities))
+        name = f"free({','.join(l for l, _ in self.gens.generators)};c{top})"
+        sp = SuperSpace(QQ, tuple(l for c in self.components for l in c.labels), tuple(par))
         self._algebra = LieSuperAlgebra.from_bracket(sp, rows(), name)
         return self._algebra
 
@@ -228,13 +282,20 @@ class FreeTruncation:
                     out[k] = out.get(k, 0) + c * v
             return self.field.clean(out)
         k, _, v = self._evaluate(word)
-        if not v:
-            return {}
-        coords = self.components[k].coords(v)
-        if coords is None:
-            raise RuntimeError("word evaluates outside its free component")
-        off = self.offsets[k]
-        return {off + i: c for i, c in coords.items()}
+        return self._coords(v, k)
+
+
+def _lyndon_words(n: int, top: int):
+    """The Lyndon words over 0..n-1 of length at most top, by Duval's algorithm."""
+    w = [-1] if n else []
+    while w:
+        w[-1] += 1
+        yield tuple(w)
+        m = len(w)
+        while len(w) < top:
+            w.append(w[-m])
+        while w and w[-1] == n - 1:
+            w.pop()
 
 
 def free_truncated(gens: GradedGenSet, d: int) -> FreeTruncation:
@@ -276,5 +337,5 @@ def miller_truncated_check(gens: GradedGenSet, c: int) -> MillerReport:
 
     trunc = free_truncated(gens, c + 1)
     kernel_dims = h2_via_exterior(FreeTruncation(gens, c).algebra()).dims
-    top = trunc.powers[c + 1].split_dims(trunc.components[c + 1].rows)
+    top = trunc.components[c + 1].dim_pair
     return MillerReport(kernel_dims == top, kernel_dims, top, c)

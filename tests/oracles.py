@@ -1,7 +1,10 @@
 """Independent oracles used by the tests.
 
 These deliberately avoid the production code paths: the free Lie
-superalgebra dimensions come from a magma-quotient construction, the
+superalgebra dimensions come from a magma-quotient construction, and its
+components and free nilpotent quotients from the elimination of
+left-normed supercommutators in the tensor powers, where the production
+code reads a triangular basis off super-Lyndon words; the
 matrix superalgebra bracket is recomputed by multiplying explicit
 matrices entry by entry, the canonical row echelon form comes from dense
 Gauss–Jordan elimination, reductions against a canonical subspace walk
@@ -74,7 +77,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from itertools import chain, combinations_with_replacement, islice, permutations, product
+from itertools import accumulate, chain, combinations_with_replacement, islice, permutations, product
 from pathlib import Path
 from random import Random
 
@@ -394,6 +397,50 @@ def _tree_parity(t, parities):
     if isinstance(t, int):
         return parities[t]
     return (_tree_parity(t[0], parities) + _tree_parity(t[1], parities)) % 2
+
+
+def echelon_free_cover(gens, max_degree: int) -> tuple[list[Subspace], LieSuperAlgebra]:
+    """The degree components of the free Lie superalgebra on ``gens`` inside
+    ``tensor_power_space(V, k)``, as spans of left-normed supercommutators
+    eliminated to echelon form, and the free nilpotent quotient of class
+    max_degree on the echelon rows, its brackets read off by echelon
+    coordinates."""
+    V = superspace(QQ, gens.generators)
+    powers = [tensor_power_space(V, k) for k in range(max_degree + 1)]
+
+    def supercommutator(u, pu, v, pv, du, dv):
+        out = tensor_vec(powers[du], powers[dv], u, v)
+        vec_axpy(out, 1 if pu * pv else -1, tensor_vec(powers[dv], powers[du], v, u))
+        return out
+
+    components = [Subspace(QQ, 1, []), Subspace.full(QQ, V.dim)]
+    deg1 = [({i: 1}, p) for i, p in enumerate(V.parities)]
+    prev = deg1
+    for k in range(2, max_degree + 1):
+        acc, new_vs = Echelon(QQ, powers[k].dim), []
+        for w, pw in prev:
+            for v, pg in deg1:
+                c = supercommutator(w, pw, v, pg, k - 1, 1)
+                if c and acc.insert(c):
+                    new_vs.append((c, (pw + pg) % 2))
+        components.append(acc.subspace())
+        prev = new_vs
+    offsets = [0, *accumulate(c.dim for c in components)]
+    basis = [(k, row) for k in range(1, max_degree + 1) for row in components[k].rows]
+    parities = [powers[k].parities[min(row)] for k, row in basis]
+    table = {}
+    for a, (ka, row_a) in enumerate(basis):
+        for b in range(a + 1 - parities[a], len(basis)):
+            kb, row_b = basis[b]
+            if ka + kb <= max_degree:
+                prod = supercommutator(row_a, parities[a], row_b, parities[b], ka, kb)
+                coords = components[ka + kb].coords(prod)
+                if coords is None:
+                    raise RuntimeError("free component is not closed under brackets")
+                if coords:
+                    table[(a, b)] = {offsets[ka + kb] + i: c for i, c in coords.items()}
+    labels = tuple(f"e{i}" for i in range(len(basis)))
+    return components, LieSuperAlgebra(SuperSpace(QQ, labels, tuple(parities)), table, "echelon")
 
 
 def magma_quotient_dims(parities: list[int], max_degree: int) -> list[int]:

@@ -1,11 +1,14 @@
+from itertools import accumulate
 from math import comb
 
 import pytest
 
-from oracles import evaluate_relator, magma_quotient_dims
-from superlie.algebras import check_lie_axioms, series
+from oracles import echelon_free_cover, evaluate_relator, magma_quotient_dims
+from superlie import linalg
+from superlie.algebras import LieSuperAlgebra, check_lie_axioms, iso_fault, series
 from superlie.freelie import (
     DegreeOverflow,
+    FreeTruncation,
     Presentation,
     free_nilpotent,
     free_truncated,
@@ -14,6 +17,7 @@ from superlie.freelie import (
     word_parity,
 )
 from superlie.homology import homology
+from superlie.spaces import GradedMap
 
 
 def gs(*pairs):
@@ -32,6 +36,11 @@ def test_one_odd_generator():
     assert v
     alg = F.algebra()
     assert alg.space.parities[next(iter(v))] == 0
+
+
+def test_no_generators():
+    F = free_truncated(gs(), 3)
+    assert (F.dims(), F.algebra().dim, F.words) == ([0, 0, 0], 0, [])
 
 
 def test_two_even_generators_witt():
@@ -283,3 +292,89 @@ def test_presentation_refuses_a_coefficient_that_is_not_rational(coeff, message)
 def test_presentation_accepts_rational_coefficients():
     for coeff in ("3/4", "-2", 5):
         assert Presentation(gs(("x", 0)), ({"sum": [{"coeff": coeff, "word": "x"}]},))
+
+
+# ---------------------------------------------------------------------------
+# the super-Lyndon cover against the echelon construction in T(V)
+
+
+def against_echelon(gens, degree):
+    """The Lyndon cover, the echelon oracle's cover and the map e_w -> P_w
+    between them, P_w read in the oracle's echelon coordinates."""
+    F = free_truncated(gens, degree)
+    L = F.algebra()
+    components, E = echelon_free_cover(gens, degree)
+    off = [0, *accumulate(c.dim for c in components)]
+    cols = [{off[len(w)] + t: c for t, c in components[len(w)].coords(F._tensor(i)).items()}
+            for i, w in enumerate(F.words)]
+    return F, L, E, GradedMap.from_columns(L.space, E.space, cols)
+
+
+PARITY_MIXES = [[(bits >> i) & 1 for i in range(g)] for g in range(1, 5) for bits in range(2 ** g)]
+
+
+@pytest.mark.parametrize("parities", PARITY_MIXES, ids=lambda p: "".join(map(str, p)))
+def test_lyndon_cover_is_isomorphic_to_the_echelon_cover(parities):
+    """For every parity mix of 1-4 generators, P_w sends the Lyndon basis
+    onto a basis of the oracle's components, degree by degree, and
+    intertwines the two bracket tables up to degree 5."""
+    gens = genset([(f"g{i}", p) for i, p in enumerate(parities)])
+    _, L, E, f = against_echelon(gens, 5)
+    assert iso_fault(f, L, E) is None
+
+
+def test_a_flipped_sign_on_reversed_factorizations_fails_the_differential():
+    """The entries [e_v, e_u] = -(-1)^{|u||v|} e_w stored for a factorization
+    w = uv with v before u: negating them breaks the isomorphism."""
+    F, L, E, f = against_echelon(genset([("x", 0), ("t", 1)]), 4)
+    flipped = {(v, u) for u, v in filter(None, F._factors) if v < u}
+    assert flipped and flipped <= set(L.table)
+    table = {k: {w: -c for w, c in v.items()} if k in flipped else v for k, v in L.table.items()}
+    assert iso_fault(f, LieSuperAlgebra(L.space, table, "flipped"), E) is not None
+
+
+def test_a_corrupted_leading_word_raises(monkeypatch):
+    """A P_w whose least word is not w (here x^k added to every bracket) is
+    refused as it is built."""
+    corrupt = FreeTruncation._supercommutator
+    monkeypatch.setattr(FreeTruncation, "_supercommutator",
+                        lambda self, *args: {**corrupt(self, *args), 0: 1})
+    with pytest.raises(RuntimeError, match="does not lead with it"):
+        free_truncated(gs(("x", 0), ("y", 0), ("z", 0)), 3).algebra()
+
+
+def test_a_bracket_outside_the_span_raises(monkeypatch):
+    """A bracket formed in T(V) whose remainder leads with a word that no
+    basis element leads with (x^k, for even x) fails the closure check."""
+    coords = FreeTruncation._coords
+    monkeypatch.setattr(FreeTruncation, "_coords", lambda self, v, k: coords(self, {**v, 0: 1}, k))
+    with pytest.raises(RuntimeError, match="free component is not closed under brackets"):
+        free_truncated(gs(("x", 0), ("y", 0), ("z", 0)), 3).algebra()
+
+
+def test_class_5_cover_on_four_even_generators_forms_195_brackets_and_no_echelon(monkeypatch):
+    """Of the 485 stored pairs of the class-5 cover on four even generators,
+    the 290 standard factorizations of the Lyndon words of length 2-5
+    (6 + 20 + 60 + 204) are read off the definitions, and only the other
+    195 are formed in V^{(x) k} and reduced; nothing is eliminated."""
+    formed, echelons = [], []
+    coords, init = FreeTruncation._coords, linalg.Echelon.__init__
+    monkeypatch.setattr(FreeTruncation, "_coords",
+                        lambda self, v, k: formed.append(k) or coords(self, v, k))
+    monkeypatch.setattr(linalg.Echelon, "__init__",
+                        lambda self, *args: echelons.append(args) or init(self, *args))
+    L = free_truncated(genset([(f"x{i}", 0) for i in range(4)]), 5).algebra()
+    assert (L.dim, len(L.table), len(formed), len(echelons)) == (294, 485, 195, 0)
+
+
+def test_truncation_builds_no_tensor_until_a_bracket_needs_it(monkeypatch):
+    """The components, their (even|odd) splits and the Miller check's top
+    degree come from the basis words alone."""
+    calls = []
+    commutator = FreeTruncation._supercommutator
+    monkeypatch.setattr(FreeTruncation, "_supercommutator",
+                        lambda self, *args: calls.append(args) or commutator(self, *args))
+    F = free_truncated(gs(("x", 0), ("y", 0), ("z", 0), ("t", 1)), 5)
+    assert (F.components[5].dim_pair, sum(c.dim for c in F.components), calls) == ((105, 99), 298, [])
+    assert F.word_to_algebra_vec(["x", "t"]) == {4 + 2: 1}  # [x, t] = e_{xt}, the third of degree 2
+    assert len(calls) == 2  # the relator and the P_w it is reduced on
