@@ -13,6 +13,8 @@ Start-up imports the file parsers and the axiom checks only; each command
 imports the modules it computes with when it runs, so ``check`` never
 loads the tensor product, the homology or the free Lie algebras, and only
 ``verify`` loads the suite table, which also refuses an unknown suite.
+Input files are digested with the interpreter's built-in SHA-256 module,
+not ``hashlib``, whose OpenSSL binding adds about 3 MB to a process.
 """
 
 from __future__ import annotations
@@ -59,12 +61,19 @@ class Report:
 
     def read(self, arg: str, load):
         """``load`` of the file that ``arg`` names (``@name`` for a bundled
-        one), recorded among the inputs with its digest."""
-        import hashlib  # only the commands that read input files digest them
+        one), recorded among the inputs with the first 16 hex digits of
+        the SHA-256 of its bytes."""
+        try:  # the interpreter's own SHA-256: hashlib would load OpenSSL
+            from _sha256 import sha256
+        except ImportError:
+            try:
+                from _sha2 import sha256  # the module's name from Python 3.12 on
+            except ImportError:
+                from hashlib import sha256
 
         path = resolve_path(arg)
         value = load(path)
-        self.data["inputs"][str(path)] = hashlib.sha256(path.read_bytes()).hexdigest()[:16]
+        self.data["inputs"][str(path)] = sha256(path.read_bytes()).hexdigest()[:16]
         return value
 
     def line(self, text: str):

@@ -272,11 +272,13 @@ class _Coinvariants(QuotientSpace):
         return {k: c for k in sorted(out) if (c := of(out[k]))}
 
 
-def _hochschild_basis(A: AssocSuperAlgebra, t: tuple) -> dict:
-    """d'_n of the basis tuple t = (a_0, ..., a_n), keyed by the basis
-    tuples of A^{(x)n}: the face that multiplies a_i a_{i+1}, and the last
-    one, a_n a_0 followed by a_1, ..., a_{n-1}, with the sign parity
-    n + |a_n| sum_{k<n} |a_k| of t_n, read as in :func:`_rotation_image`."""
+def _hochschild_basis(A: AssocSuperAlgebra, t: tuple, position: dict[tuple, int]) -> dict:
+    """d'_n of the basis tuple t = (a_0, ..., a_n), keyed by the positions
+    ``position`` gives the basis tuples of A^{(x)n} in the target block (a
+    KeyError on a face outside it): the face that multiplies a_i a_{i+1},
+    and the last one, a_n a_0 followed by a_1, ..., a_{n-1}, with the sign
+    parity n + |a_n| sum_{k<n} |a_k| of t_n, read as in
+    :func:`_rotation_image`.  Coefficients are left unreduced."""
     n, rows, par = len(t) - 1, A.rows, A.space.parities
     out: dict = {}
     for i in range(n + 1):
@@ -286,9 +288,9 @@ def _hochschild_basis(A: AssocSuperAlgebra, t: tuple) -> dict:
         odd, head, tail = ((i % 2, t[:i], t[i + 2:]) if i < n else
                            ((n + sum(par[k] for k in t) - 1 if par[t[n]] else n) % 2, (), t[1:n]))
         for e, c in prod.items():
-            f = (*head, e, *tail)
+            f = position[(*head, e, *tail)]
             out[f] = out.get(f, 0) + (-c if odd else c)
-    return A.field.clean(out)
+    return out
 
 
 def _induced_boundary(A: AssocSuperAlgebra, n: int, src: _Coinvariants,
@@ -307,9 +309,8 @@ def _induced_boundary(A: AssocSuperAlgebra, n: int, src: _Coinvariants,
         for x, c in v.items():
             image = images.get(x)
             if image is None:
-                faces = _hochschild_basis(A, tuples[x])
                 try:
-                    image = images[x] = {position[f]: e for f, e in faces.items()}
+                    image = images[x] = _hochschild_basis(A, tuples[x], position)
                 except KeyError:
                     raise ComplexInconsistent(
                         f"d'_{n} leaves the weight-0 block at {src.parent.labels[x]}") from None

@@ -142,7 +142,7 @@ def test_hochschild_images_stay_in_the_block(monkeypatch):
     calls = []
     original = cyclic._hochschild_basis
     monkeypatch.setattr(cyclic, "_hochschild_basis",
-                        lambda A, t: calls.append(t) or original(A, t))
+                        lambda A, t, position: calls.append(t) or original(A, t, position))
     connes(assoc("M(1|1, L1)", None), 3)
     assert len(calls) <= 1304
 
@@ -153,7 +153,8 @@ def test_a_face_leaving_the_block_raises(monkeypatch):
     Chevalley-Eilenberg complex, instead of being read as 0."""
     A = assoc("m11", None)  # [E11, -] has weights 0, 1, -1, 0
     assert (1,) not in connes(A, 1).coinvariants[0].position
-    monkeypatch.setattr(cyclic, "_hochschild_basis", lambda A, t: {(1,): 1})  # E12, weight 1
+    monkeypatch.setattr(cyclic, "_hochschild_basis",
+                        lambda A, t, position: {position[(1,)]: 1})  # E12, weight 1
     with pytest.raises(ComplexInconsistent, match="leaves the weight-0 block"):
         connes(A, 1)
 
@@ -227,7 +228,7 @@ def test_boundary_certificates_still_run(monkeypatch):
     its d.d = 0 check."""
     original = cyclic._hochschild_basis
     # drop the last factor: sends the dead 1 (x) 1 to 1, outside Im(1 - t_0) = 0
-    monkeypatch.setattr(cyclic, "_hochschild_basis", lambda A, t: {t[:-1]: 1})
+    monkeypatch.setattr(cyclic, "_hochschild_basis", lambda A, t, position: {position[t[:-1]]: 1})
     with pytest.raises(ContainmentError):
         connes(ground_assoc(QQ), 1)
     monkeypatch.setattr(cyclic, "_hochschild_basis", original)

@@ -1,7 +1,9 @@
+import hashlib
 import json
 import subprocess
 import sys
 import time
+import types
 from pathlib import Path
 
 import pytest
@@ -408,6 +410,48 @@ def test_cli_json_output_parses():
     data = json.loads(r.stdout)
     assert data["results"]["homology"] == [[1, 0], [2, 0], [2, 0]]
     assert data["status"] == "ok"
+
+
+def recorded_digest(path: Path) -> str:
+    """The digest that ``Report.read`` records for the file ``path``."""
+    from superlie.cli import Report
+
+    rep = Report("check", "json")
+    rep.read(str(path), lambda p: None)
+    return rep.data["inputs"][str(path)]
+
+
+def test_recorded_digest_is_the_sha256_prefix(tmp_path):
+    """Every bundled file and an arbitrary byte string are recorded with
+    the first 16 hex digits of their SHA-256, as hashlib computes it."""
+    arbitrary = tmp_path / "bytes"
+    arbitrary.write_bytes(bytes(range(256)) * 3 + b"\x00superlie\xff")
+    for path in [*sorted(DATA.glob("*.json")), arbitrary]:
+        assert recorded_digest(path) == hashlib.sha256(path.read_bytes()).hexdigest()[:16], path
+
+
+@pytest.mark.parametrize("missing, used", [(("_sha256",), "_sha2"),
+                                           (("_sha256", "_sha2"), "hashlib")],
+                         ids=["sha2", "hashlib"])
+def test_recorded_digest_falls_back(tmp_path, monkeypatch, missing, used):
+    """Without ``_sha256`` the digest comes from ``_sha2`` (its name from
+    Python 3.12 on), and without either from hashlib: the same digest."""
+    path = tmp_path / "bytes"
+    path.write_bytes(b"[e, f] = h\n" * 40)
+    expected = hashlib.sha256(path.read_bytes()).hexdigest()[:16]
+    calls = []
+
+    def recording(name, real=hashlib.sha256):
+        return lambda data: calls.append(name) or real(data)
+
+    stand_in = types.ModuleType("_sha2")
+    stand_in.sha256 = recording("_sha2")
+    monkeypatch.setitem(sys.modules, "_sha2", stand_in)
+    monkeypatch.setattr(hashlib, "sha256", recording("hashlib"))
+    for name in missing:
+        monkeypatch.setitem(sys.modules, name, None)  # its import raises ImportError
+    assert recorded_digest(path) == expected
+    assert calls == [used]
 
 
 def test_cli_verify_suite():

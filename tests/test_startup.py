@@ -6,6 +6,7 @@ without the ``site`` module (``python -S``), whose hooks may import
 standard modules such as ``importlib.resources`` before the package does.
 """
 
+import hashlib
 import json
 import os
 import subprocess
@@ -101,6 +102,28 @@ print(json.dumps([code, {LOADED}, sorted(sys.modules)]))
     code, package, loaded = run_fresh(code)
     assert code == 0 and "superlie.cli" in package
     assert not set(SLOW_STDLIB + unloaded) & set(loaded)
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "@heis"],
+    ["homology", "@heis", "-n", "2"],
+    ["cyclic", "@m11", "--sixterm"],
+], ids=["check", "homology", "cyclic"])
+def test_cli_digests_its_inputs_without_hashlib(argv):
+    """The input digests come from the interpreter's built-in SHA-256:
+    hashlib and its OpenSSL binding ``_hashlib`` stay unloaded."""
+    code = f"""
+import contextlib, io, json, sys
+import superlie.cli
+with contextlib.redirect_stdout(io.StringIO()) as out:
+    code = superlie.cli.main(["--out", "json", *{argv!r}])
+print(json.dumps([code, json.loads(out.getvalue())["inputs"], sorted(sys.modules)]))
+"""
+    code, inputs, loaded = run_fresh(code)
+    path = SRC / "superlie" / "data" / f"{argv[1][1:]}.json"
+    assert code == 0
+    assert inputs == {str(path): hashlib.sha256(path.read_bytes()).hexdigest()[:16]}
+    assert not {"hashlib", "_hashlib"} & set(loaded)
 
 
 def test_negative_degree_is_refused_before_any_heavy_module_loads():
