@@ -288,8 +288,7 @@ def load_presentation(path: str | Path) -> Presentation:
 
 def dump_json(obj: dict, path: str | Path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, indent=1, sort_keys=True, ensure_ascii=False)
-        fh.write("\n")
+        fh.write(dumps_canonical(obj))
 
 
 def dumps_canonical(obj) -> str:

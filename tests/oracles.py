@@ -66,14 +66,22 @@ bracket and action, where the production code spreads rows.  The Engel
 condition composes the dense ad matrices for every ordering of every
 multiset of basis indices, where the production code walks ad(x)^n e_j
 once per basis vector for the generic x.
-The module also holds the helpers that only tests use: algebras in a
-permuted, rescaled basis, bracket actions between subalgebra views,
-relators as graded vectors, and the bundled corpus files regenerated from
-the public constructors.
+The module also holds what the test modules share, since none imports
+another: the catalogue of the differential tests (``PRIMES``, the fields
+Q, F3, F5 and F7, and ``LIE`` and ``ASSOC``, constructors of fresh
+algebras by name); the one change of basis, ``change_basis``, for a Lie or
+an associative superalgebra and any invertible matrix of homogeneous
+columns, which the tests draw by ``monomial_basis`` (a Hypothesis
+strategy for a permuted, rescaled basis) or ``seeded_basis`` (a seeded
+permuted, rescaled or unitriangular one); generated subalgebras of
+gl(2|1) and generated presentations; ideal pairs, bracket actions between
+subalgebra views, relators as graded vectors, and the bundled corpus
+files regenerated from the public constructors.
 """
 
 from __future__ import annotations
 
+import ast
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
@@ -81,7 +89,16 @@ from itertools import accumulate, chain, combinations_with_replacement, islice, 
 from pathlib import Path
 from random import Random
 
-from superlie.actions import Action, ActionInvalid, CrossedModule, adjoint_action, check_action
+from hypothesis import strategies as st
+
+from superlie.actions import (
+    Action,
+    ActionInvalid,
+    CrossedModule,
+    adjoint_action,
+    check_action,
+    ideal_crossed,
+)
 from superlie.algebras import (
     MAX_VIOLATIONS,
     AssocSuperAlgebra,
@@ -99,10 +116,12 @@ from superlie.algebras import (
     matrix_sl,
     quotient_space,
     series,
+    subalgebra_closure,
     subalgebra_on,
 )
 from superlie.cyclic import dual_numbers, grassmann_line, hc1_kernel_model
 from superlie.fields import QQ, Field
+from superlie.freelie import Presentation, genset
 from superlie.homology import ChainComplex
 from superlie.io import action_to_json, algebra_to_json, dump_json
 from superlie.linalg import Echelon, Matrix, Subquotient, Subspace, vec_axpy, vec_scale, vec_sub
@@ -1341,74 +1360,213 @@ def pullback_action_dense(a: Action, source, f: GradedMap) -> dict[tuple[int, in
 
 
 # ---------------------------------------------------------------------------
-# algebras in a permuted, rescaled basis
+# the catalogue of the differential tests, and one change of basis
 
 
-def rebase(L, perm: list[int], scale: list[int]):
-    """L in the basis f_a = scale[a] * e_{perm[a]}, scale[a] a unit of the
-    field given as an integer (a sign over Q keeps the constants integral)."""
-    inverse = [L.field.of(Fraction(1, c)) for c in scale]
-    where = {e: a for a, e in enumerate(perm)}
-    basis = [(L.space.labels[e], L.space.parities[e]) for e in perm]
-    table = {}
-    for a in range(L.dim):
-        for b in range(a, L.dim):
-            w = L.bracket_basis(perm[a], perm[b])
-            if w:
-                table[(a, b)] = {where[e]: scale[a] * scale[b] * c * inverse[where[e]]
-                                 for e, c in w.items()}
-    return LieSuperAlgebra(superspace(L.field, basis), table, name=L.name)
+PRIMES = (None, 3, 5, 7)
+"""The fields of every differential test: Q (None), F3, F5 and F7."""
 
 
-def rebase_unitriangular(L, seed: int):
-    """L in the basis f_k = e_k + sum of +-e_j over two j > k of the parity
-    of e_k (fewer near the end), chosen by ``seed``: a unitriangular change
-    of basis, which in general leaves no basis element with diagonal ad."""
-    rng = Random(seed)
-    par = L.space.parities
-    basis = []
-    for k in range(L.dim):
-        later = [j for j in range(k + 1, L.dim) if par[j] == par[k]]
-        f = {k: 1}
-        for j in rng.sample(later, min(2, len(later))):
-            f[j] = rng.choice((1, -1))
-        basis.append(f)
+def zero_product(field: Field) -> AssocSuperAlgebra:
+    """The (1|1) superalgebra with every product zero and no unit: I(A) is
+    then Im(1 - t_1) alone, spanned by e (x) e, whose orbit is dead, and
+    e (x) t + t (x) e."""
+    return AssocSuperAlgebra(superspace(field, [("e", 0), ("t", 1)]), {}, name="zero(1|1)")
+
+
+LIE = {
+    "heis": heisenberg,
+    "abelian(1|1)": lambda F: abelian(F, 1, 1),
+    "abelian(2|1)": lambda F: abelian(F, 2, 1),
+    "gl(1|1)": lambda F: matrix_gl(1, 1, ground_assoc(F)),
+    "gl(2|1)": lambda F: matrix_gl(2, 1, ground_assoc(F)),
+    "gl(1|2)": lambda F: matrix_gl(1, 2, ground_assoc(F)),
+    "gl(2|2)": lambda F: matrix_gl(2, 2, ground_assoc(F)),
+    "sl(2|1)": lambda F: matrix_sl(2, 1, ground_assoc(F)).algebra,
+    "sl(3)": lambda F: matrix_sl(3, 0, ground_assoc(F)).algebra,
+    "gl(1|1, L1)": lambda F: matrix_gl(1, 1, grassmann_line(F)),
+    "sl(2|1, L1)": lambda F: matrix_sl(2, 1, grassmann_line(F)).algebra,
+}
+"""Constructors of the Lie superalgebras of the differential tests, by
+name, from a field; each call builds a fresh algebra, so no memo of one
+test module reaches another."""
+
+ASSOC = {
+    "q": ground_assoc,
+    "dual": dual_numbers,
+    "grassmann": grassmann_line,
+    "m11": lambda F: matrix_assoc(1, 1, ground_assoc(F)),
+    "M(1|1, L1)": lambda F: matrix_assoc(1, 1, grassmann_line(F)),
+    "M(2|1, K)": lambda F: matrix_assoc(2, 1, ground_assoc(F)),
+    "zero(1|1)": zero_product,
+}
+"""Constructors of the associative superalgebras, likewise."""
+
+IDEAL_ALGEBRAS = ("heis", "gl(1|1)", "gl(1|1, L1)")
+"""The algebras of LIE whose derived algebra and center make ideal pairs."""
+
+
+def change_basis(obj, cols: list[dict]):
+    """The Lie or associative superalgebra ``obj`` in the basis
+    f_a = sum_i cols[a][i] e_i, for an invertible matrix of homogeneous
+    columns; f_a takes the label and the parity of the least index of
+    cols[a].  The constants are the coordinates, through the inverse
+    matrix and in ascending order, of [f_a, f_b] for a <= b, or of f_a f_b
+    for every pair and of the unit."""
+    field, n = obj.field, obj.dim
+    cols = Matrix(field, n, cols).cols
+    # the kernel of (-I | C) has the canonical rows (e_j, C^-1 e_j)
+    kernel = Matrix(field, n, [{i: -1} for i in range(n)] + cols).kernel_basis()
+    if kernel.pivots != list(range(n)):
+        raise ValueError("the columns are not a basis")
+    inverse = [{k - n: c for k, c in row.items() if k >= n} for row in kernel.rows]
 
     def coords(w: dict) -> dict:
-        # peel f_k off the lowest index up: f_k is e_k plus later e_j
-        w, out = dict(w), {}
-        for k, f in enumerate(basis):
-            if c := L.field.reduce(w.get(k, 0)):
-                out[k] = c
-                vec_axpy(w, -c, f)
-        return out
+        out: dict = {}
+        for j, c in w.items():
+            vec_axpy(out, c, inverse[j])
+        return dict(sorted(field.clean(out).items()))
 
-    table = {}
-    for a in range(L.dim):
-        for b in range(a, L.dim):
-            if w := L.bracket(basis[a], basis[b]):
-                table[(a, b)] = coords(w)
-    return LieSuperAlgebra(L.space, table, name=L.name)
+    space = superspace(field, [(obj.space.labels[min(f)], obj.space.parities[min(f)]) for f in cols])
+    if isinstance(obj, AssocSuperAlgebra):
+        table = {(a, b): coords(w) for a in range(n) for b in range(n)
+                 if (w := obj.product(cols[a], cols[b]))}
+        unit = None if obj.unit is None else coords(obj.unit)
+        return AssocSuperAlgebra(space, table, unit=unit, name=obj.name)
+    table = {(a, b): coords(w) for a in range(n) for b in range(a, n)
+             if (w := obj.bracket(cols[a], cols[b]))}
+    return LieSuperAlgebra(space, table, name=obj.name)
 
 
-def rebase_assoc(A, perm: list[int], scale: list):
-    """The associative superalgebra A in the basis f_a = scale[a] * e_{perm[a]}."""
-    inverse = [A.field.of(Fraction(1, c)) for c in scale]
-    where = {e: a for a, e in enumerate(perm)}
-    basis = [(A.space.labels[e], A.space.parities[e]) for e in perm]
-    table = {}
-    for a in range(A.dim):
-        for b in range(A.dim):
-            w = A.product_basis(perm[a], perm[b])
-            if w:
-                table[(a, b)] = {where[e]: scale[a] * scale[b] * c * inverse[where[e]]
-                                 for e, c in w.items()}
-    unit = A.unit and {where[e]: c * inverse[where[e]] for e, c in A.unit.items()}
-    return AssocSuperAlgebra(superspace(A.field, basis), table, unit=unit, name=A.name)
+def _units(obj, units) -> tuple:
+    """``units``, or by default the signs over Q and +-1, +-2 over GF(p)."""
+    return units or ((1, -1) if obj.field.p is None else (1, -1, 2, -2))
+
+
+def monomial_basis(obj, units=None):
+    """A Hypothesis strategy for the columns {perm[a]: s_a} of a permuted,
+    rescaled basis of ``obj``: a drawn permutation, then one drawn unit s_a
+    per basis vector."""
+    n = obj.dim
+    return st.tuples(st.permutations(range(n)),
+                     st.lists(st.sampled_from(_units(obj, units)), min_size=n, max_size=n)
+                     ).map(lambda drawn: [{e: s} for e, s in zip(*drawn)])
+
+
+def seeded_basis(obj, seed, kind: str = "shuffle", units=None) -> list[dict]:
+    """The columns of a basis of ``obj`` drawn by ``Random(seed)``.  For
+    ``kind`` "unitriangular", f_k = e_k plus +-e_j for two j > k of the
+    parity of e_k (fewer near the end), which in general leaves no basis
+    element with diagonal ad; for "shuffle" or "sample", f_a = s_a e_perm[a]
+    with perm drawn by that method of ``Random`` and then one unit s_a per
+    basis vector."""
+    rng, par, n = Random(seed), obj.space.parities, obj.dim
+    if kind == "unitriangular":
+        cols = []
+        for k in range(n):
+            later = [j for j in range(k + 1, n) if par[j] == par[k]]
+            f = {k: 1}
+            for j in rng.sample(later, min(2, len(later))):
+                f[j] = rng.choice((1, -1))
+            cols.append(f)
+        return cols
+    if kind == "sample":
+        perm = rng.sample(range(n), n)
+    else:
+        perm = list(range(n))
+        rng.shuffle(perm)
+    units = _units(obj, units)
+    return [{e: rng.choice(units)} for e in perm]
+
+
+@st.composite
+def catalogue_algebras(draw, catalogue: dict, names):
+    """A Hypothesis strategy: an algebra of ``catalogue`` named in
+    ``names``, over a field of PRIMES, in a permuted, rescaled basis."""
+    p = draw(st.sampled_from(PRIMES))
+    obj = catalogue[draw(st.sampled_from(names))](Field(p))
+    return change_basis(obj, draw(monomial_basis(obj)))
+
+
+# ---------------------------------------------------------------------------
+# generated inputs
+
+
+@st.composite
+def gl21_subalgebras(draw, p):
+    """A Hypothesis strategy: the subalgebra of gl(2|1) over Q (p None) or
+    GF(p) generated by two or three drawn homogeneous elements, each with
+    one to three entries in {+-1, +-2}, in a drawn unitriangular basis."""
+    L = LIE["gl(2|1)"](Field(p))
+    par = L.space.parities
+    gens = []
+    for _ in range(draw(st.integers(2, 3))):
+        parity = draw(st.integers(0, 1))
+        support = draw(st.lists(st.sampled_from([i for i in range(L.dim) if par[i] == parity]),
+                                min_size=1, max_size=3, unique=True))
+        gens.append({i: L.field.of(draw(st.sampled_from((1, -1, 2, -2)))) for i in support})
+    R = subalgebra_on(L, subalgebra_closure(L, gens)).algebra
+    return change_basis(R, seeded_basis(R, draw(st.integers(0, 2 ** 16)), "unitriangular"))
+
+
+@st.composite
+def presentations(draw):
+    """A Hypothesis strategy for a presentation and its class bound c (2 or
+    3): two or three generators, each even or odd, and up to three
+    relators, random bracket words of degree 2 to c + 1."""
+    gens = [(f"g{i}", draw(st.integers(0, 1))) for i in range(draw(st.integers(2, 3)))]
+    c = draw(st.integers(2, 3))
+
+    def word(degree: int):
+        if degree == 1:
+            return draw(st.sampled_from(gens))[0]
+        left = draw(st.integers(1, degree - 1))
+        return [word(left), word(degree - left)]
+
+    relators = tuple(word(draw(st.integers(2, c + 1))) for _ in range(draw(st.integers(0, 3))))
+    return Presentation(genset(gens), relators), c
 
 
 # ---------------------------------------------------------------------------
 # helpers that only tests use
+
+
+def ideal_pair(L: LieSuperAlgebra, which: str):
+    """The derived algebra or the center of L as an algebra K, with the
+    mutual bracket actions of K and L."""
+    full = L.full_subspace()
+    K = L.product_subspace(full, full) if which == "derived" else L.center()
+    view = subalgebra_on(L, K, name="K")
+    act_lk = ideal_crossed(L, view).action
+    table = {}
+    for a, col in enumerate(view.inclusion.matrix.cols):
+        for i in range(L.dim):
+            w = L.bracket(col, {i: 1})
+            if w:
+                table[(a, i)] = w
+    return view.algebra, act_lk, Action(view.algebra, L, table)
+
+
+def perturbed(table: dict) -> dict:
+    """A copy of a table of constants with its first entry raised by 1."""
+    table = {key: dict(v) for key, v in table.items()}
+    key = min(table)
+    k = min(table[key])
+    table[key][k] += 1
+    return table
+
+
+def name_lines(source: str, name: str) -> list[int]:
+    """The lines on which source names ``name``: read, imported, defined or
+    reached as an attribute."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if ((isinstance(node, ast.Name) and node.id == name)
+                or (isinstance(node, ast.Attribute) and node.attr == name)
+                or (isinstance(node, ast.alias) and node.name == name)
+                or (isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name == name)):
+            lines.append(node.lineno)
+    return sorted(lines)
 
 
 def subspace_bracket_action(L, actor_view, target_view):

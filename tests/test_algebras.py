@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from oracles import explicit_matrix_bracket, is_engel_dense
+from oracles import PRIMES, explicit_matrix_bracket, is_engel_dense
 from superlie.algebras import (
     LieSuperAlgebra,
     NotAnIdeal,
@@ -201,7 +201,7 @@ def _engel_cases(field: Field) -> dict[str, LieSuperAlgebra]:
     return out
 
 
-@pytest.mark.parametrize("p", [None, 3, 5, 7])
+@pytest.mark.parametrize("p", PRIMES)
 def test_engel_matches_the_dense_oracle(p):
     """ad(x)^n e_j walked once per basis vector agrees with the sums of
     products of dense ad matrices over every ordering of every multiset,
@@ -374,7 +374,7 @@ def test_certified_f3_algebras_kill_every_odd_cube(build):
             assert L.bracket(x, L.bracket(x, x)) == {}
 
 
-@pytest.mark.parametrize("p", [None, 3, 5, 7])
+@pytest.mark.parametrize("p", PRIMES)
 def test_iso_fault_names_a_map_that_is_not_bijective(p):
     heis = heisenberg(Field(p))
     assert iso_fault(GradedMap.identity(heis.space), heis, heis) is None
@@ -383,7 +383,7 @@ def test_iso_fault_names_a_map_that_is_not_bijective(p):
     assert iso_fault(GradedMap.zero(heis.space, ab.space), heis, ab) == "map is not bijective"
 
 
-@pytest.mark.parametrize("p", [None, 3, 5, 7])
+@pytest.mark.parametrize("p", PRIMES)
 def test_iso_fault_names_the_first_bracket_a_bijection_breaks(p):
     """Swapping x and z of heis is bijective, but f[x, y] = f(z) = x while
     [f x, f y] = [z, y] = 0; the bracket (y, x) breaks too, after (x, y)."""

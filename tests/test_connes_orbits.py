@@ -20,7 +20,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import superlie.cyclic as cyclic
-from oracles import connes_oracle, quotient_coords_all_rows, rebase_assoc
+from oracles import ASSOC, PRIMES, change_basis, connes_oracle, monomial_basis, quotient_coords_all_rows
 from superlie.algebras import ground_assoc, matrix_assoc
 from superlie.cyclic import connes, dual_numbers, grassmann_line
 from superlie.fields import QQ, Field
@@ -28,16 +28,8 @@ from superlie.homology import Complex, ComplexInconsistent
 from superlie.linalg import ContainmentError, Echelon, Subquotient, Subspace
 from superlie.spaces import GradedMap
 
-ASSOC = {
-    "q": ground_assoc,
-    "dual": dual_numbers,
-    "grassmann": grassmann_line,
-    "m11": lambda F: matrix_assoc(1, 1, ground_assoc(F)),
-    "M(1|1, L1)": lambda F: matrix_assoc(1, 1, grassmann_line(F)),
-    "M(2|1, K)": lambda F: matrix_assoc(2, 1, ground_assoc(F)),
-}
+NAMES = ("M(1|1, L1)", "M(2|1, K)", "dual", "grassmann", "m11", "q")
 UNGRADED = ("q", "dual", "grassmann")  # no inner grading: the full complex
-PRIMES = (None, 3, 5, 7)
 
 
 @lru_cache(maxsize=None)
@@ -59,15 +51,6 @@ def full_hc(name: str, p, max_n: int) -> list[tuple[int, int]]:
     return [cx.homology(n).dims for n in range(max_n)]
 
 
-def drawn_basis(data, name: str, p):
-    """assoc(name, p) in a drawn permuted basis, each vector rescaled by a unit."""
-    base = assoc(name, p)
-    perm = data.draw(st.permutations(range(base.dim)))
-    units = (1, -1) if p is None else (1, -1, 2, -2)
-    scale = data.draw(st.lists(st.sampled_from(units), min_size=base.dim, max_size=base.dim))
-    return rebase_assoc(base, perm, scale)
-
-
 def check_block_matches_oracle(A, max_n: int, want_hc: list) -> None:
     """connes(A, max_n) against the oracle's weight-0 block: bottoms,
     labels and boundary columns, and its homology against want_hc."""
@@ -84,11 +67,11 @@ def check_block_matches_oracle(A, max_n: int, want_hc: list) -> None:
 
 
 @pytest.mark.parametrize("p", PRIMES)
-@pytest.mark.parametrize("name", sorted(ASSOC))
+@pytest.mark.parametrize("name", NAMES)
 @settings(max_examples=2, deadline=None)
 @given(data=st.data())
 def test_orbit_complex_matches_elimination(data, name, p):
-    A = drawn_basis(data, name, p)
+    A = change_basis(assoc(name, p), data.draw(monomial_basis(assoc(name, p))))
     max_n = top_degree(name)
     check_block_matches_oracle(A, max_n, full_hc(name, p, max_n))
 
@@ -168,7 +151,7 @@ def test_orbit_reduce_matches_echelon_reduction(data, name, p):
     row by row against the oracle's bottom gives, on drawn sparse vectors
     of the block with coefficients in and out of the orbit
     representatives."""
-    A = drawn_basis(data, name, p)
+    A = change_basis(assoc(name, p), data.draw(monomial_basis(assoc(name, p))))
     max_n = 3 if A.dim <= 4 else 2
     cx = connes(A, max_n)
     coinv, _ = connes_oracle(A, max_n, weight0=True)

@@ -15,7 +15,7 @@ module whose parts do not fit together is refused with ``ValueError``.
 
 import pytest
 
-from oracles import crossed_consequences_dense
+from oracles import PRIMES, crossed_consequences_dense
 from superlie.actions import (
     Action,
     CrossedModule,
@@ -40,8 +40,6 @@ from superlie.linalg import Matrix
 from superlie.spaces import GradedMap
 from superlie.suites import standard_crossed_ses
 from superlie.tensor import adjoint_tensor_square
-
-PRIMES = [None, 3, 5, 7]
 
 
 def crossed_modules(F: Field):

@@ -260,17 +260,12 @@ def test_morita_invariance_m11_lambda1_over_q():
     permuted, rescaled basis.  The full complex has the coinvariant
     dimensions of the elimination oracle, and ``connes`` keeps those of
     its weight-0 block under [E11(1), -]."""
-    import random
-
-    from oracles import connes_oracle, rebase_assoc
+    from oracles import change_basis, connes_oracle, seeded_basis
     from superlie.algebras import matrix_assoc
 
     lam = grassmann_line(QQ)
     m = matrix_assoc(1, 1, lam)
-    rng = random.Random(7)
-    perm = rng.sample(range(m.dim), m.dim)
-    scale = [rng.choice([1, -1, 2, Fraction(-1, 3)]) for _ in range(m.dim)]
-    a = rebase_assoc(m, perm, scale)
+    a = change_basis(m, seeded_basis(m, 7, "sample", [1, -1, 2, Fraction(-1, 3)]))
     assert check_assoc_axioms(a).ok
     coinv, _ = connes_oracle(a, 3)
     assert [c.space.dim for c in coinv] == [8, 32, 176, 1024]

@@ -22,7 +22,7 @@ from functools import partial
 
 import pytest
 
-from oracles import tensor_edge_maps_oracle, v_algebra_table_oracle
+from oracles import ASSOC, LIE, PRIMES, ideal_pair, tensor_edge_maps_oracle, v_algebra_table_oracle
 from superlie.actions import trivial_action
 from superlie.algebras import (
     BracketNotWellDefined,
@@ -40,26 +40,17 @@ from superlie.algebras import (
     series,
 )
 from superlie.corpus import bundled_path
-from superlie.cyclic import dual_numbers, grassmann_line, hc1_kernel_model, v_algebra
+from superlie.cyclic import grassmann_line, hc1_kernel_model, v_algebra
 from superlie.fields import Field
 from superlie.io import load_json, parse_action
 from superlie.linalg import ContainmentError, Matrix, Subquotient, Subspace, vec_axpy
 from superlie.spaces import GradedMap, tensor_vec
 from superlie.tensor import adjoint_tensor_square, induced_tensor_map, nonabelian_tensor
-from test_tensor_relations import ideal_pair
 
-PRIMES = (None, 3, 5, 7)
-ASSOC = {
-    "q": ground_assoc,
-    "dual": dual_numbers,
-    "grassmann": grassmann_line,
-    "m11": lambda F: matrix_assoc(1, 1, ground_assoc(F)),
-    "M(1|1, L1)": lambda F: matrix_assoc(1, 1, grassmann_line(F)),
-}
 
 
 @pytest.mark.parametrize("p", PRIMES)
-@pytest.mark.parametrize("name", tuple(ASSOC))
+@pytest.mark.parametrize("name", ("q", "dual", "grassmann", "m11", "M(1|1, L1)"))
 def test_v_algebra_matches_the_slot_by_slot_oracle(name, p):
     A = ASSOC[name](Field(p))
     assert v_algebra(A).algebra.table == v_algebra_table_oracle(A)
@@ -68,10 +59,8 @@ def test_v_algebra_matches_the_slot_by_slot_oracle(name, p):
 def tensor_products(name: str, p):
     """(the tensor product, whether it is an adjoint square)."""
     F = Field(p)
-    squares = {"heis": heisenberg, "gl(1|1)": lambda F: matrix_gl(1, 1, ground_assoc(F)),
-               "sl(2|1, L1)": lambda F: matrix_sl(2, 1, grassmann_line(F)).algebra}
-    if name in squares:
-        return adjoint_tensor_square(squares[name](F)), True
+    if name in ("heis", "gl(1|1)", "sl(2|1, L1)"):
+        return adjoint_tensor_square(LIE[name](F)), True
     if name == "heis, file actions":
         # two parsed actions, as the command line reads --act-mn and --act-nm
         heis, obj = heisenberg(F), load_json(bundled_path("heis_adjoint"))

@@ -15,44 +15,29 @@ from functools import lru_cache
 
 import pytest
 
-from oracles import from_bracket_all_pairs, rebase, rebase_assoc
+from oracles import ASSOC, LIE, PRIMES, change_basis, from_bracket_all_pairs, seeded_basis
 from superlie import algebras
 from superlie.actions import adjoint_action, ideal_crossed, semidirect
 from superlie.algebras import (
     LieSuperAlgebra,
     NotAnIdeal,
     QuotientSpace,
-    ground_assoc,
-    heisenberg,
     ideal_closure,
     lie_from_assoc,
-    matrix_assoc,
-    matrix_gl,
-    matrix_sl,
     quotient_algebra,
     subalgebra_closure,
     subalgebra_on,
 )
-from superlie.cyclic import dual_numbers, grassmann_line
 from superlie.fields import QQ, Field
 from superlie.freelie import free_truncated, genset
 from superlie.linalg import Subspace, vec_scale, vec_sub
 from superlie.spaces import superspace
 
-LIE = {
-    "heis": heisenberg,
-    "gl(1|1)": lambda F: matrix_gl(1, 1, ground_assoc(F)),
-    "sl(2|1)": lambda F: matrix_sl(2, 1, ground_assoc(F)).algebra,
-    "sl(2|1, L1)": lambda F: matrix_sl(2, 1, grassmann_line(F)).algebra,
-}
-ASSOC = {
-    "K[e]": dual_numbers,
-    "L1": grassmann_line,
-    "M(1|1, L1)": lambda F: matrix_assoc(1, 1, grassmann_line(F)),
-    "M(2|1)": lambda F: matrix_assoc(2, 1, ground_assoc(F)),
-}
-PRIMES = (None, 3, 5, 7)
+LIE_NAMES = ("heis", "gl(1|1)", "sl(2|1)", "sl(2|1, L1)")
+# the names of this module's test IDs and seeds for algebras of the catalogue
+ASSOC_NAMES = {"K[e]": "dual", "L1": "grassmann", "M(1|1, L1)": "M(1|1, L1)", "M(2|1)": "M(2|1, K)"}
 SEEDS = (1, 2, 3)
+Q_UNITS = (1, -1, 2, -3)
 
 
 @lru_cache(maxsize=None)
@@ -62,21 +47,7 @@ def lie(name: str, p):
     return LIE[name](Field(p))
 
 
-def basis_change(name: str, dim: int, p, seed: int):
-    """A seeded permutation of the basis and a seeded unit per basis vector."""
-    rng = random.Random(f"{name}:{p}:{seed}")
-    perm = list(range(dim))
-    rng.shuffle(perm)
-    units = (1, -1, 2, -3) if p is None else (1, -1, 2, -2)
-    return perm, [rng.choice(units) for _ in range(dim)]
-
-
-def seeded_lie(name: str, p, seed: int) -> LieSuperAlgebra:
-    L = lie(name, p)
-    return rebase(L, *basis_change(name, L.dim, p, seed))
-
-
-LIE_CASES = [(name, p) for name in LIE for p in PRIMES] + [("free(x,y,z;c4)", None)]
+LIE_CASES = [(name, p) for name in LIE_NAMES for p in PRIMES] + [("free(x,y,z;c4)", None)]
 
 
 def listing(L: LieSuperAlgebra) -> list:
@@ -122,7 +93,8 @@ def subalgebra_oracle(L: LieSuperAlgebra, S: Subspace, space) -> LieSuperAlgebra
 @pytest.mark.parametrize("seed", SEEDS)
 @pytest.mark.parametrize("name,p", LIE_CASES)
 def test_quotients_and_subalgebras_match_all_pairs(name, p, seed):
-    L = seeded_lie(name, p, seed)
+    L = lie(name, p)
+    L = change_basis(L, seeded_basis(L, f"{name}:{p}:{seed}", units=Q_UNITS if p is None else None))
     for label, I in subspaces(L, seed).items():
         Q, proj = quotient_algebra(L, I)
         assert listing(Q) == listing(quotient_oracle(L, I)), label
@@ -140,7 +112,8 @@ def test_quotients_and_subalgebras_match_all_pairs(name, p, seed):
 @pytest.mark.parametrize("p", PRIMES)
 def test_subalgebra_on_a_subspace_that_is_not_closed_raises(p, seed):
     """span(e_i, e_j) with [e_i, e_j] outside it, in sl(2|1)."""
-    L = seeded_lie("sl(2|1)", p, seed)
+    L = lie("sl(2|1)", p)
+    L = change_basis(L, seeded_basis(L, f"sl(2|1):{p}:{seed}", units=Q_UNITS if p is None else None))
     pairs = [(i, j) for (i, j), w in L.table.items() if w.keys() - {i, j}]
     i, j = random.Random(seed).choice(pairs)
     S = Subspace(L.field, L.dim, [{i: 1}, {j: 1}])
@@ -153,10 +126,10 @@ def test_subalgebra_on_a_subspace_that_is_not_closed_raises(p, seed):
 
 @pytest.mark.parametrize("seed", SEEDS)
 @pytest.mark.parametrize("p", PRIMES)
-@pytest.mark.parametrize("name", sorted(ASSOC))
+@pytest.mark.parametrize("name", sorted(ASSOC_NAMES))
 def test_lie_from_assoc_matches_all_pairs(name, p, seed):
-    A0 = ASSOC[name](Field(p))
-    A = rebase_assoc(A0, *basis_change(name, A0.dim, p, seed))
+    A = ASSOC[ASSOC_NAMES[name]](Field(p))
+    A = change_basis(A, seeded_basis(A, f"{name}:{p}:{seed}", units=Q_UNITS if p is None else None))
     par = A.space.parities
 
     def bracket(i: int, j: int) -> dict:
@@ -168,10 +141,11 @@ def test_lie_from_assoc_matches_all_pairs(name, p, seed):
 
 @pytest.mark.parametrize("seed", SEEDS)
 @pytest.mark.parametrize("p", PRIMES)
-@pytest.mark.parametrize("name", sorted(LIE))
+@pytest.mark.parametrize("name", sorted(LIE_NAMES))
 def test_semidirect_matches_all_pairs(name, p, seed):
     """L on itself, and L on its derived algebra, in a seeded basis."""
-    L = seeded_lie(name, p, seed)
+    L = lie(name, p)
+    L = change_basis(L, seeded_basis(L, f"{name}:{p}:{seed}", units=Q_UNITS if p is None else None))
     derived = subalgebra_on(L, L.product_subspace(L.full_subspace(), L.full_subspace()))
     for a in (adjoint_action(L), ideal_crossed(L, derived).action):
         M, P = a.target, a.actor

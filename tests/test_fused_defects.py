@@ -15,13 +15,15 @@ group calls it once and no other group does.
 import pytest
 
 from oracles import (
+    LIE,
+    PRIMES,
+    change_basis,
     check_action_dense,
     check_assoc_axioms_dense,
     check_compatible_dense,
     check_crossed_dense,
     check_lie_axioms_dense,
-    rebase,
-    rebase_assoc,
+    perturbed,
 )
 import superlie.algebras as algebras_module
 from superlie.actions import (
@@ -43,40 +45,26 @@ from superlie.algebras import (
     check_assoc_axioms,
     check_lie_axioms,
     ground_assoc,
-    heisenberg,
     matrix_assoc,
-    matrix_gl,
-    matrix_sl,
 )
-from superlie.cyclic import grassmann_line
 from superlie.fields import Field
 from superlie.spaces import GradedMap
 from superlie.tensor import adjoint_tensor_square
 
-CONSTRUCTORS = {
-    "heis": heisenberg,
-    "gl(2|1)": lambda F: matrix_gl(2, 1, ground_assoc(F)),
-    "sl(2|1, L1)": lambda F: matrix_sl(2, 1, grassmann_line(F)).algebra,
-}
-PRIMES = (None, 3, 5, 7)
+NAMES = ("heis", "gl(2|1)", "sl(2|1, L1)")
 FUSED_KINDS = {"jacobi", "action-i", "action-ii", "compat-i", "compat-ii", "assoc",
                "boundary-hom", "equivariance", "peiffer"}
 """The violation kinds that _defects reports; the group of such a
 violation is its kind and its witness less the last index."""
 
 
-def rescaling(dim: int) -> tuple[list[int], list[int]]:
-    """The reversed basis, scaled by 2 and -2 in turn."""
-    return list(range(dim))[::-1], [2 if a % 2 else -2 for a in range(dim)]
-
-
-def rescaled(L: LieSuperAlgebra) -> LieSuperAlgebra:
-    return rebase(L, *rescaling(L.dim))
+def rescaled(obj):
+    """obj in the reversed basis, scaled by 2 and -2 in turn."""
+    return change_basis(obj, [{obj.dim - 1 - a: 2 if a % 2 else -2} for a in range(obj.dim)])
 
 
 def rescaled_m11(F: Field) -> AssocSuperAlgebra:
-    A = matrix_assoc(1, 1, ground_assoc(F))
-    return rebase_assoc(A, *rescaling(A.dim))
+    return rescaled(matrix_assoc(1, 1, ground_assoc(F)))
 
 
 @pytest.fixture
@@ -100,8 +88,8 @@ def test_certified_inputs_write_no_report(defect_calls, p):
     """Neither the checkers, nor their loops over every basis index, nor
     the construction of the adjoint tensor squares call _defects."""
     F = Field(p)
-    for build in CONSTRUCTORS.values():
-        L = rescaled(build(F))
+    for name in NAMES:
+        L = rescaled(LIE[name](F))
         adj = adjoint_action(L)
         assert check_lie_axioms(L).ok and check_action(adj).ok and check_compatible(adj, adj).ok
         every = range(L.dim)
@@ -112,15 +100,6 @@ def test_certified_inputs_write_no_report(defect_calls, p):
     A = rescaled_m11(F)
     assert check_assoc_axioms(A).ok and not list(_assoc_violations(A))
     assert defect_calls == []
-
-
-def perturbed(table: dict) -> dict:
-    """A copy of a table of constants with its first entry raised by 1."""
-    table = {key: dict(v) for key, v in table.items()}
-    key = min(table)
-    k = min(table[key])
-    table[key][k] += 1
-    return table
 
 
 def assert_one_call_per_failing_group(calls: list, violations) -> None:
@@ -143,7 +122,7 @@ def test_corrupted_inputs_report_only_their_failing_groups(defect_calls, p):
     M(1|1, K): each report equals the dense oracle's, and _defects runs
     for the failing groups only."""
     F = Field(p)
-    L = rescaled(CONSTRUCTORS["gl(2|1)"](F))
+    L = rescaled(LIE["gl(2|1)"](F))
     every = range(L.dim)
     bad = LieSuperAlgebra(L.space, perturbed(L.table), name=L.name)
     assert listing(check_lie_axioms(bad)) == listing(check_lie_axioms_dense(bad))

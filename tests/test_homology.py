@@ -1,9 +1,8 @@
 import importlib
-import random
 
 import pytest
 
-from oracles import ce_complex_full, rebase
+from oracles import LIE, PRIMES, ce_complex_full, change_basis, seeded_basis
 from superlie.actions import (
     Action,
     adjoint_action,
@@ -17,7 +16,6 @@ from superlie.algebras import (
     abelian,
     check_lie_axioms,
     ground_assoc,
-    heisenberg,
     matrix_assoc,
     matrix_gl,
     matrix_sl,
@@ -191,22 +189,6 @@ def test_boundary_certificate_runs_when_the_complex_is_built():
 
 # -- the weight-0 subcomplex against the full complex -----------------------------
 
-DIFFERENTIAL_ALGEBRAS = {
-    "gl(1|1)": lambda F: matrix_gl(1, 1, ground_assoc(F)),
-    "gl(2|1)": lambda F: matrix_gl(2, 1, ground_assoc(F)),
-    "sl(2|1, L1)": lambda F: matrix_sl(2, 1, grassmann_line(F)).algebra,
-    "heis": heisenberg,
-}
-
-
-def seeded_rebase(L: LieSuperAlgebra, seed: str) -> LieSuperAlgebra:
-    """L in a seeded permuted basis, each vector rescaled by 1, -1 or 2."""
-    rng = random.Random(seed)
-    perm = list(range(L.dim))
-    rng.shuffle(perm)
-    return rebase(L, perm, [rng.choice((1, -1, 2)) for _ in range(L.dim)])
-
-
 def diagonal_weights(P: LieSuperAlgebra, M: Action) -> list[tuple[list, list]]:
     """(lambda, mu) of each even basis element with diagonal ad on P and a
     diagonal action on M, read off the structure and action constants."""
@@ -266,14 +248,15 @@ def assert_matches_full_complex(P: LieSuperAlgebra, M: Action, max_n: int):
             == [labeled(full.spaces[n], r) for r in want.section], n
 
 
-@pytest.mark.parametrize("p", (None, 3, 5, 7))
-@pytest.mark.parametrize("name", tuple(DIFFERENTIAL_ALGEBRAS))
+@pytest.mark.parametrize("p", PRIMES)
+@pytest.mark.parametrize("name", ("gl(1|1)", "gl(2|1)", "sl(2|1, L1)", "heis"))
 def test_weight0_complex_matches_full_complex(name, p):
     """Labels, boundary columns, dimensions and representatives of the
     weight-0 complex against the full complex of the oracle, which places
-    each bracket value by ``wedge_normalize``, in seeded permuted and
-    rescaled bases."""
-    P = seeded_rebase(DIFFERENTIAL_ALGEBRAS[name](Field(p)), f"{name}:{p}")
+    each bracket value by ``wedge_normalize``, in seeded permuted bases,
+    each vector rescaled by 1, -1 or 2."""
+    P = LIE[name](Field(p))
+    P = change_basis(P, seeded_basis(P, f"{name}:{p}", units=(1, -1, 2)))
     assert_matches_full_complex(P, trivial_module(P), 4)
     assert_matches_full_complex(P, adjoint_action(P), 3)
 
@@ -346,7 +329,7 @@ def test_outer_grading_trap_sl21_grassmann():
     assert [homology(P, None, n, complex_=outer).dim for n in range(4)] == [1, 0, 0, 1]
 
 
-@pytest.mark.parametrize("p", (None, 3, 5, 7))
+@pytest.mark.parametrize("p", PRIMES)
 def test_a_weight_on_the_module_alone_cuts_the_chains(p):
     """h spans the abelian P, so ad(h) = 0, and acts on K by 1: only its
     weight on the module is nonzero, every chain has weight 1, and the
@@ -382,7 +365,7 @@ GL11_MIXED_BASES = {
 @pytest.mark.parametrize("odd_basis", tuple(GL11_MIXED_BASES))
 def test_no_diagonal_ad_gives_the_full_complex(odd_basis, gl11):
     basis, table = GL11_MIXED_BASES[odd_basis]
-    for p in (None, 3, 5, 7):
+    for p in PRIMES:
         P = LieSuperAlgebra(superspace(Field(p), basis), table, name="gl(1|1)")
         assert check_lie_axioms(P).ok
         for M in (trivial_module(P), adjoint_action(P)):
@@ -396,7 +379,8 @@ def test_no_diagonal_ad_gives_the_full_complex(odd_basis, gl11):
 def test_gl22_weight0_chain_dims():
     """gl(2|2)/Q in a seeded basis: the weight-0 chains of degrees 0-5 and
     H0-H4, the Betti numbers 1, 1, 0, 1, 1 of gl(2) (Fuks)."""
-    P = seeded_rebase(matrix_gl(2, 2, ground_assoc(QQ)), "gl(2|2)")
+    P = matrix_gl(2, 2, ground_assoc(QQ))
+    P = change_basis(P, seeded_basis(P, "gl(2|2)", units=(1, -1, 2)))
     cx = ce_complex(P, trivial_module(P), 5)
     assert [s.dim for s in cx.spaces] == [1, 4, 12, 36, 94, 212]
     assert [homology(P, None, n, complex_=cx).dim for n in range(5)] == [1, 1, 0, 1, 1]
@@ -769,7 +753,7 @@ def test_exterior_symmetry_with_odd_pullback(p):
     assert exterior_symmetry_dims(P, ideals=True) == ((4, 0), (3, 0))
 
 
-@pytest.mark.parametrize("p", [None, 3, 5, 7])
+@pytest.mark.parametrize("p", PRIMES)
 def test_lift_solves_or_raises(p):
     """The connecting maps lift through f with _lift: a vector in the
     image comes back as a preimage, one outside raises."""

@@ -15,23 +15,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import (
+    LIE,
+    PRIMES,
+    change_basis,
     ideal_closure_rounds,
     is_graded_ideal_all_brackets,
     missing_brackets,
+    monomial_basis,
     product_subspace_pairs,
-    rebase,
 )
-from superlie.algebras import (
-    LieSuperAlgebra,
-    check_lie_axioms,
-    ground_assoc,
-    heisenberg,
-    ideal_closure,
-    is_graded_ideal,
-    matrix_gl,
-    matrix_sl,
-)
-from superlie.cyclic import grassmann_line
+from superlie.algebras import LieSuperAlgebra, check_lie_axioms, ideal_closure, is_graded_ideal
 from superlie.fields import Field
 from superlie.freelie import free_truncated, genset
 from superlie.linalg import Subspace
@@ -51,35 +44,23 @@ def free_cover(p) -> LieSuperAlgebra:
     return L
 
 
-ALGEBRAS = {
-    "heis": heisenberg,
-    "gl(1|1)": lambda F: matrix_gl(1, 1, ground_assoc(F)),
-    "gl(2|1)": lambda F: matrix_gl(2, 1, ground_assoc(F)),
-    "sl(2|1, L1)": lambda F: matrix_sl(2, 1, grassmann_line(F)).algebra,
-    "free cover": lambda F: free_cover(F.p),
-}
+NAMES = ("heis", "gl(1|1)", "gl(2|1)", "sl(2|1, L1)", "free cover")
 # Algebras with a subspace that misses exactly one nonzero [e_i, r].  No
 # span of basis vectors of gl(2|1) or of sl(2|1, L1) misses exactly one,
 # by a search over all of them.
 ONE_MISSING = ("heis", "gl(1|1)", "free cover")
-PRIMES = (None, 3, 5, 7)
 
 
-def rebased_with_seeds(data, L: LieSuperAlgebra):
-    """L in a drawn permuted, rescaled basis and one to three seed vectors:
-    basis vectors, or sums of two (which need not be homogeneous)."""
-    perm = data.draw(st.permutations(range(L.dim)))
-    units = (1, -1) if L.field.p is None else (1, -1, 2, -2)
-    L = rebase(L, perm, data.draw(st.lists(st.sampled_from(units), min_size=L.dim,
-                                           max_size=L.dim)))
+def drawn_seeds(data, L: LieSuperAlgebra) -> list[dict]:
+    """One to three seed vectors: basis vectors, or sums of two (which
+    need not be homogeneous)."""
     index = st.integers(min_value=0, max_value=L.dim - 1)
     coeff = st.sampled_from((1, -1, 2))
-    seeds = data.draw(st.lists(
+    return data.draw(st.lists(
         st.one_of(index.map(lambda i: {i: 1}),
                   st.tuples(index, coeff, index, coeff).map(
                       lambda t: L.field.clean({t[0]: t[1], t[2]: t[3]}) or {t[0]: 1})),
         min_size=1, max_size=3))
-    return L, seeds
 
 
 def one_missing_bracket(L: LieSuperAlgebra) -> Subspace | None:
@@ -103,11 +84,13 @@ def one_missing_bracket(L: LieSuperAlgebra) -> Subspace | None:
 
 
 @pytest.mark.parametrize("p", PRIMES)
-@pytest.mark.parametrize("name", tuple(ALGEBRAS))
+@pytest.mark.parametrize("name", NAMES)
 @settings(max_examples=12, deadline=None)
 @given(data=st.data())
 def test_left_bracket_paths_match_all_bracket_oracles(name, p, data):
-    L, seeds = rebased_with_seeds(data, ALGEBRAS[name](Field(p)))
+    L = free_cover(p) if name == "free cover" else LIE[name](Field(p))
+    L = change_basis(L, data.draw(monomial_basis(L)))
+    seeds = drawn_seeds(data, L)
     full = L.full_subspace()
     I = ideal_closure(L, seeds)
     assert I == ideal_closure_rounds(L, seeds)

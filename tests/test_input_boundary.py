@@ -17,7 +17,7 @@ from pathlib import Path
 
 import pytest
 
-from test_rule_homes import name_lines
+from oracles import name_lines
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = sorted((ROOT / "src" / "superlie").glob("*.py"))

@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import field_normal, kernel_oracle, kernel_two_pass, rref_oracle, span_in_given_order
+from oracles import PRIMES, field_normal, kernel_oracle, kernel_two_pass, rref_oracle, span_in_given_order
 from superlie.algebras import ground_assoc, matrix_assoc, matrix_gl
 from superlie.cyclic import connes, grassmann_line, hc
 from superlie.fields import QQ, Field
@@ -17,7 +17,7 @@ from superlie.homology import ce_complex, homology, trivial_module
 from superlie.linalg import Echelon, Matrix, Subspace
 from superlie.tensor import adjoint_tensor_square, exterior_square
 
-FIELDS = [QQ, Field(3), Field(5), Field(7)]
+FIELDS = [Field(p) for p in PRIMES]
 
 
 def _entry(rng, field):

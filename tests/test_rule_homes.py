@@ -15,6 +15,11 @@ certificate raises through ``AxiomReport.require`` only: no other
 by ``LieSuperAlgebra.inner_torus`` only: no module but ``algebras.py``
 names the diagonal reader ``_diagonal``, and none names the
 ``inner_weights`` it replaced.
+
+The tests share one module, ``tests/oracles.py``: no test module imports
+another, and only the oracles assign the catalogue of algebras and fields
+(``PRIMES``, ``LIE`` and ``ASSOC``) or draw a permutation of the basis of
+an algebra, ``range(<algebra>.dim)``, for a change of basis.
 """
 
 import ast
@@ -22,22 +27,18 @@ from pathlib import Path
 
 import pytest
 
+from oracles import name_lines
+
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = sorted((ROOT / "src" / "superlie").glob("*.py"))
+TESTS = sorted((ROOT / "tests").glob("*.py"))
 TABLE_PARSERS = {"io.py": {"parse_algebra"}}
+CATALOGUE = {"PRIMES", "LIE", "ASSOC"}
 
 
-def name_lines(source: str, name: str) -> list[int]:
-    """The lines on which source names ``name``: read, imported, defined or
-    reached as an attribute."""
-    lines = []
-    for node in ast.walk(ast.parse(source)):
-        if ((isinstance(node, ast.Name) and node.id == name)
-                or (isinstance(node, ast.Attribute) and node.attr == name)
-                or (isinstance(node, ast.alias) and node.name == name)
-                or (isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name == name)):
-            lines.append(node.lineno)
-    return sorted(lines)
+def callee(call: ast.Call) -> str | None:
+    func = call.func
+    return func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
 
 
 def computed_table_lines(source: str, exempt=frozenset()) -> list[int]:
@@ -51,9 +52,7 @@ def computed_table_lines(source: str, exempt=frozenset()) -> list[int]:
     for node in ast.walk(tree):
         if not isinstance(node, ast.Call) or id(node) in skip:
             continue
-        func = node.func
-        callee = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
-        if callee != "LieSuperAlgebra":
+        if callee(node) != "LieSuperAlgebra":
             continue
         table = node.args[1] if len(node.args) > 1 else next(
             (k.value for k in node.keywords if k.arg == "table"), None)
@@ -73,6 +72,66 @@ def violation_raise_lines(source: str) -> list[int]:
                   if isinstance(node, ast.Raise) and id(node) not in skip
                   and any(isinstance(n, ast.Attribute) and n.attr == "violations"
                           for n in ast.walk(node)))
+
+
+def cross_import_lines(tree: ast.AST) -> list[int]:
+    """The lines that import a module ``test_*``: ``import test_x``,
+    ``from test_x import ...``, ``from tests.test_x import ...`` or
+    ``from tests import test_x``."""
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [node.module or ""]
+            if node.module in (None, "tests"):
+                names += [a.name for a in node.names]
+        else:
+            continue
+        if any(name.split(".")[-1].startswith("test_") for name in names):
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+def catalogue_lines(tree: ast.AST) -> list[int]:
+    """The lines that assign a name of the catalogue, at any level."""
+    lines = []
+    for node in ast.walk(tree):
+        targets = node.targets if isinstance(node, ast.Assign) else (
+            [node.target] if isinstance(node, ast.AnnAssign) else [])
+        if any(isinstance(t, ast.Name) and t.id in CATALOGUE for t in targets):
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+def is_dim(node) -> bool:
+    return isinstance(node, ast.Attribute) and node.attr == "dim"
+
+
+def is_dim_range(node) -> bool:
+    """Whether node is ``range(<expr>.dim)``."""
+    return (isinstance(node, ast.Call) and callee(node) == "range"
+            and len(node.args) == 1 and is_dim(node.args[0]))
+
+
+def basis_permutation_lines(tree: ast.AST) -> list[int]:
+    """The lines that draw a permutation of ``range(<expr>.dim)``: its
+    ``permutations``, a ``sample`` of all of it, or a ``shuffle`` of a name
+    bound to ``list`` of it."""
+    listed = {t.id for node in ast.walk(tree) if isinstance(node, ast.Assign)
+              and isinstance(node.value, ast.Call) and callee(node.value) == "list"
+              and node.value.args and is_dim_range(node.value.args[0])
+              for t in node.targets if isinstance(t, ast.Name)}
+    lines = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call) or not node.args:
+            continue
+        name, args = callee(node), node.args
+        if ((name == "permutations" and is_dim_range(args[0]))
+                or (name == "sample" and is_dim_range(args[0]) and len(args) == 2 and is_dim(args[1]))
+                or (name == "shuffle" and isinstance(args[0], ast.Name) and args[0].id in listed)):
+            lines.append(node.lineno)
+    return sorted(lines)
 
 
 @pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
@@ -132,3 +191,36 @@ def test_finders_see_each_case():
               "diagonal = _diagonal_of(row)\n")
     assert name_lines(source, "_diagonal") == [1, 2]
     assert name_lines(source, "inner_weights") == [3]
+
+
+@pytest.mark.parametrize("path", TESTS, ids=lambda p: p.name)
+def test_tests_share_only_the_oracles(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    assert cross_import_lines(tree) == []
+    if path.name != "oracles.py":
+        assert catalogue_lines(tree) == []
+        assert basis_permutation_lines(tree) == []
+
+
+def test_sharing_finders_see_each_case():
+    source = ("import test_a\n"
+              "from test_b import f\n"
+              "from tests.test_c import g\n"
+              "from tests import test_d\n"
+              "from oracles import test_vectors\n"
+              "import oracles, testing\n")
+    assert cross_import_lines(ast.parse(source)) == [1, 2, 3, 4]
+    source = ("PRIMES = (None, 3)\n"
+              "LIE: dict = {}\n"
+              "def f():\n"
+              "    ASSOC = {}\n"
+              "FIELDS = [Field(p) for p in PRIMES]\n")
+    assert catalogue_lines(ast.parse(source)) == [1, 2, 4]
+    source = ("perm = data.draw(st.permutations(range(L.dim)))\n"
+              "perm = rng.sample(range(m.dim), m.dim)\n"
+              "order = list(range(L.dim))\n"
+              "rng.shuffle(order)\n"
+              "i, j = rng.sample(range(L.dim), 2)\n"
+              "rng.shuffle(rows)\n"
+              "perm = draw(st.permutations(range(n)))\n")
+    assert basis_permutation_lines(ast.parse(source)) == [1, 2, 4]

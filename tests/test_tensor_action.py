@@ -12,9 +12,17 @@ and by V(M(1|1, Lambda1)).
 """
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import example, given, settings
 
-from oracles import rebase_assoc, tensor_action_oracle
+from oracles import (
+    ASSOC,
+    IDEAL_ALGEBRAS,
+    LIE,
+    PRIMES,
+    catalogue_algebras,
+    ideal_pair,
+    tensor_action_oracle,
+)
 from superlie import cyclic, tensor
 from superlie.actions import adjoint_action, tensor_action
 from superlie.algebras import ground_assoc, matrix_assoc, matrix_gl
@@ -24,12 +32,8 @@ from superlie.homology import ComplexInconsistent
 from superlie.linalg import ContainmentError, vec_axpy
 from superlie.spaces import tensor_vec
 from superlie.tensor import nonabelian_tensor
-from test_tensor_relations import IDEAL_ALGEBRAS, PRIMES, ideal_pair, rebased_algebras, standard
 
-ASSOC = {
-    "m11": lambda F: matrix_assoc(1, 1, ground_assoc(F)),
-    "grassmann": grassmann_line,
-}
+SQUARES = ("heis", "abelian(1|1)", "abelian(2|1)", "gl(1|1)", "gl(2|1)", "gl(1|2)", "gl(1|1, L1)")
 
 
 def induced_oracle(plain: dict, actor_dim: int, q) -> dict[tuple[int, int], dict]:
@@ -64,13 +68,13 @@ def assert_tensor_actions_match(M, N, act_mn, act_nm):
 
 
 @settings(max_examples=6, deadline=None)
-@given(rebased_algebras())
-@example(standard("heis", None))
-@example(standard("abelian(1|1)", 3))
-@example(standard("gl(1|1)", 7))
-@example(standard("gl(2|1)", 3))
-@example(standard("gl(1|2)", 5))
-@example(standard("gl(1|1, L1)", 5))
+@given(catalogue_algebras(LIE, SQUARES))
+@example(LIE["heis"](Field(None)))
+@example(LIE["abelian(1|1)"](Field(3)))
+@example(LIE["gl(1|1)"](Field(7)))
+@example(LIE["gl(2|1)"](Field(3)))
+@example(LIE["gl(1|2)"](Field(5)))
+@example(LIE["gl(1|1, L1)"](Field(5)))
 def test_adjoint_square_actions_match_the_oracle(L):
     adj = adjoint_action(L)
     assert_tensor_actions_match(L, L, adj, adj)
@@ -78,25 +82,15 @@ def test_adjoint_square_actions_match_the_oracle(L):
 
 @pytest.mark.parametrize("which", ["derived", "center"])
 @settings(max_examples=4, deadline=None)
-@given(L=rebased_algebras(IDEAL_ALGEBRAS))
+@given(L=catalogue_algebras(LIE, IDEAL_ALGEBRAS))
 def test_ideal_pair_actions_match_the_oracle(which, L):
     kalg, act_lk, act_kl = ideal_pair(L, which)
     assert_tensor_actions_match(kalg, L, act_kl, act_lk)
     assert_tensor_actions_match(L, kalg, act_lk, act_kl)
 
 
-@st.composite
-def rebased_assoc(draw):
-    p = draw(st.sampled_from(PRIMES))
-    A = ASSOC[draw(st.sampled_from(tuple(ASSOC)))](Field(p))
-    perm = draw(st.permutations(range(A.dim)))
-    units = (1, -1) if p is None else (1, -1, 2, -2)
-    scale = draw(st.lists(st.sampled_from(units), min_size=A.dim, max_size=A.dim))
-    return rebase_assoc(A, perm, scale)
-
-
 @settings(max_examples=6, deadline=None)
-@given(rebased_assoc())
+@given(catalogue_algebras(ASSOC, ("m11", "grassmann")))
 @example(ASSOC["m11"](Field(None)))
 @example(ASSOC["m11"](Field(3)))
 @example(ASSOC["grassmann"](Field(5)))

@@ -23,7 +23,18 @@ from itertools import product
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from oracles import check_compatible_dense, rebase, rebase_unitriangular, tensor_relations_oracle
+from oracles import (
+    IDEAL_ALGEBRAS,
+    LIE,
+    PRIMES,
+    change_basis,
+    check_compatible_dense,
+    ideal_pair,
+    monomial_basis,
+    perturbed,
+    seeded_basis,
+    tensor_relations_oracle,
+)
 from superlie import actions, corpus, suites, tensor
 from superlie.actions import (
     Action,
@@ -36,9 +47,7 @@ from superlie.algebras import (
     LieSuperAlgebra,
     _generating_set,
     check_lie_axioms,
-    ground_assoc,
     heisenberg,
-    matrix_gl,
 )
 from superlie.cli import main
 from superlie.corpus import bundled_path, lie_algebra
@@ -47,11 +56,6 @@ from superlie.io import action_to_json, load_json, parse_action
 from superlie.linalg import ContainmentError, Echelon
 from superlie.spaces import superspace
 from superlie.tensor import BracketNotWellDefined, IncompatibleActions, nonabelian_tensor
-from test_fused_defects import perturbed
-from test_tensor_relations import CATALOGUE, IDEAL_ALGEBRAS, PRIMES, ideal_pair
-
-UNITRIANGULAR = {**CATALOGUE, "gl(2|2)": lambda F: matrix_gl(2, 2, ground_assoc(F))}
-
 
 def full_stream(M, N, act_mn, act_nm):
     return tensor_relations_oracle(M, N, act_mn, act_nm, families=("i", "ii"))
@@ -80,7 +84,8 @@ UNITRIANGULAR_CASES = [("gl(2|1)", p, 1 + k % 2) for k, p in enumerate(PRIMES)] 
 def test_unitriangular_adjoint_square_matches_the_full_stream(name, p, seed):
     """A unitriangular basis finds no inner torus, so the full-stream path
     runs, with a over the generating set in (i) and b over it in (ii)."""
-    L = rebase_unitriangular(UNITRIANGULAR[name](Field(p)), seed)
+    L = LIE[name](Field(p))
+    L = change_basis(L, seeded_basis(L, seed, "unitriangular"))
     adj = adjoint_action(L)
     assert tensor._weight_blocks(L, adj) is None
     t = nonabelian_tensor(L, L, adj, adj)
@@ -95,10 +100,8 @@ def test_unitriangular_adjoint_square_matches_the_full_stream(name, p, seed):
 def test_certified_ideal_pairs_match_the_full_stream(which, name, p, data):
     """Ideal pairs whose actions passed check_action stream from the
     generating sets of both factors, in either order."""
-    L = CATALOGUE[name](Field(p))
-    units = (1, -1) if p is None else (1, -1, 2, -2)
-    L = rebase(L, data.draw(st.permutations(range(L.dim))),
-               data.draw(st.lists(st.sampled_from(units), min_size=L.dim, max_size=L.dim)))
+    L = LIE[name](Field(p))
+    L = change_basis(L, data.draw(monomial_basis(L)))
     kalg, act_lk, act_kl = ideal_pair(L, which)
     assert check_action(act_lk) and check_action(act_kl)
     assert list(tensor._streamed(L, act_lk, False)) == L._generators
@@ -137,7 +140,7 @@ def test_heis_action_files_stream_from_generators_once_checked(contains_calls, p
 def test_an_unchecked_action_streams_every_element(contains_calls):
     """One certified action is not enough for the other family: with only
     the action of M checked, family (ii) still streams every b of N."""
-    L = CATALOGUE["gl(2|1)"](Field(None))
+    L = LIE["gl(2|1)"](Field(None))
     amn, anm = adjoint_action(L), adjoint_action(L)
     assert check_action(amn)
     assert list(tensor._streamed(L, amn, False)) == L._generators
@@ -156,7 +159,8 @@ def non_lie_without_torus(p):
     that has no basis element with diagonal ad."""
     F = Field(p)
     sp = superspace(F, [("h", 0), ("x", 0), ("y", 0), ("z", 0)])
-    return rebase_unitriangular(LieSuperAlgebra(sp, {(0, 1): {1: 1}, (0, 2): {2: 1}, (1, 2): {3: 1}}), 1)
+    P = LieSuperAlgebra(sp, {(0, 1): {1: 1}, (0, 2): {2: 1}, (1, 2): {3: 1}})
+    return change_basis(P, seeded_basis(P, 1, "unitriangular"))
 
 
 @pytest.fixture
@@ -214,7 +218,8 @@ def test_a_dropped_generator_is_refused_by_the_antisymmetry_certificate(p):
     """Mutation: with the third member of the certified generating set of
     gl(2|1) in this unitriangular basis dropped, D shrinks, and the
     bracket on classes is no longer antisymmetric."""
-    L = rebase_unitriangular(CATALOGUE["gl(2|1)"](Field(p)), 1)
+    L = LIE["gl(2|1)"](Field(p))
+    L = change_basis(L, seeded_basis(L, 1, "unitriangular"))
     adj = adjoint_action(L)
     assert check_lie_axioms(L) and len(L._generators) == 3
     del L._generators[2]
@@ -306,7 +311,7 @@ def test_only_one_adjoint_action_skips_the_compatibility_loop(p, compatibility_l
     """The adjoint square runs no loop; two adjoint action objects run it
     once, and one action object whose table has a perturbed constant runs
     it and is refused."""
-    L = CATALOGUE["gl(2|1)"](Field(p))
+    L = LIE["gl(2|1)"](Field(p))
     adj = adjoint_action(L)
     nonabelian_tensor(L, L, adj, adj)
     assert compatibility_loops == [0]

@@ -18,53 +18,29 @@ too, and a non-Lie algebra must be refused before the blocks are used.
 from itertools import product
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import example, given, settings
 
-from oracles import inner_weights_dense, rebase, tensor_relations_oracle
-from superlie import tensor
-from superlie.actions import Action, adjoint_action, ideal_crossed
-from superlie.algebras import (
-    LieSuperAlgebra,
-    abelian,
-    ground_assoc,
-    heisenberg,
-    matrix_gl,
-    matrix_sl,
-    subalgebra_on,
+from oracles import (
+    IDEAL_ALGEBRAS,
+    LIE,
+    PRIMES,
+    catalogue_algebras,
+    ideal_pair,
+    inner_weights_dense,
+    tensor_relations_oracle,
 )
+from superlie import tensor
+from superlie.actions import adjoint_action
+from superlie.algebras import LieSuperAlgebra, matrix_sl
 from superlie.cyclic import grassmann_line
 from superlie.fields import Field
 from superlie.linalg import Echelon
 from superlie.spaces import superspace
 from superlie.tensor import BracketNotWellDefined, nonabelian_tensor
 
-ALGEBRAS = {
-    "heis": heisenberg,
-    "abelian(1|1)": lambda F: abelian(F, 1, 1),
-    "abelian(2|1)": lambda F: abelian(F, 2, 1),
-    "gl(1|1)": lambda F: matrix_gl(1, 1, ground_assoc(F)),
-    "gl(2|1)": lambda F: matrix_gl(2, 1, ground_assoc(F)),
-    "gl(1|2)": lambda F: matrix_gl(1, 2, ground_assoc(F)),
-    "gl(1|1, L1)": lambda F: matrix_gl(1, 1, grassmann_line(F)),
-}
-# algebras with an inner grading, beyond ALGEBRAS, for the weight blocks
-GRADED_ALGEBRAS = {
-    "sl(3)": lambda F: matrix_sl(3, 0, ground_assoc(F)).algebra,
-    "sl(2|1, L1)": lambda F: matrix_sl(2, 1, grassmann_line(F)).algebra,
-}
-CATALOGUE = {**ALGEBRAS, **GRADED_ALGEBRAS}
-PRIMES = (None, 3, 5, 7)
-IDEAL_ALGEBRAS = ("heis", "gl(1|1)", "gl(1|1, L1)")
-
-
-@st.composite
-def rebased_algebras(draw, names=tuple(ALGEBRAS)):
-    p = draw(st.sampled_from(PRIMES))
-    L = CATALOGUE[draw(st.sampled_from(names))](Field(p))
-    perm = draw(st.permutations(range(L.dim)))
-    units = (1, -1) if p is None else (1, -1, 2, -2)
-    scale = draw(st.lists(st.sampled_from(units), min_size=L.dim, max_size=L.dim))
-    return rebase(L, perm, scale)
+NAMES = ("heis", "abelian(1|1)", "abelian(2|1)", "gl(1|1)", "gl(2|1)", "gl(1|2)", "gl(1|1, L1)")
+# algebras with an inner grading, beyond NAMES, for the weight blocks
+GRADED_NAMES = ("sl(3)", "sl(2|1, L1)")
 
 
 def assert_relations_match(M, N, act_mn, act_nm):
@@ -73,11 +49,11 @@ def assert_relations_match(M, N, act_mn, act_nm):
 
 
 def standard(name, p):
-    return CATALOGUE[name](Field(p))
+    return LIE[name](Field(p))
 
 
 @settings(max_examples=6, deadline=None)
-@given(rebased_algebras())
+@given(catalogue_algebras(LIE, NAMES))
 @example(standard("heis", None))
 @example(standard("abelian(1|1)", 3))
 @example(standard("abelian(2|1)", 5))
@@ -90,25 +66,9 @@ def test_adjoint_square_relations_match_five_family_oracle(L):
     assert_relations_match(L, L, adj, adj)
 
 
-def ideal_pair(L: LieSuperAlgebra, which: str):
-    """The derived algebra or the center of L as an algebra K, with the
-    mutual bracket actions of K and L."""
-    full = L.full_subspace()
-    K = L.product_subspace(full, full) if which == "derived" else L.center()
-    view = subalgebra_on(L, K, name="K")
-    act_lk = ideal_crossed(L, view).action
-    table = {}
-    for a, col in enumerate(view.inclusion.matrix.cols):
-        for i in range(L.dim):
-            w = L.bracket(col, {i: 1})
-            if w:
-                table[(a, i)] = w
-    return view.algebra, act_lk, Action(view.algebra, L, table)
-
-
 @pytest.mark.parametrize("which", ["derived", "center"])
 @settings(max_examples=4, deadline=None)
-@given(L=rebased_algebras(IDEAL_ALGEBRAS))
+@given(L=catalogue_algebras(LIE, IDEAL_ALGEBRAS))
 def test_ideal_pair_relations_match_five_family_oracle(which, L):
     kalg, act_lk, act_kl = ideal_pair(L, which)
     assert_relations_match(kalg, L, act_kl, act_lk)
@@ -131,7 +91,7 @@ def test_families_iii_and_iv_lie_in_families_i_and_ii(p):
     families (iii) and (iv) in span(i) + span(ii), for every adjoint square
     and every ideal pair above."""
     cases = []
-    for name in ALGEBRAS:
+    for name in NAMES:
         L = standard(name, p)
         adj = adjoint_action(L)
         cases.append((L, L, adj, adj))
@@ -161,7 +121,7 @@ def test_antisymmetry_certificate_refuses_a_missing_family(monkeypatch, family, 
 
 
 @settings(max_examples=10, deadline=None)
-@given(rebased_algebras(tuple(CATALOGUE)))
+@given(catalogue_algebras(LIE, NAMES + GRADED_NAMES))
 @example(standard("heis", 3))
 @example(standard("sl(3)", 3))
 def test_inner_weights_match_a_dense_diagonal_check(L):
@@ -181,7 +141,7 @@ def tensor_weights(L):
 
 
 @settings(max_examples=6, deadline=None)
-@given(rebased_algebras(("gl(2|1)", *GRADED_ALGEBRAS)))
+@given(catalogue_algebras(LIE, ("gl(2|1)", *GRADED_NAMES)))
 @example(standard("gl(2|1)", 7))
 @example(standard("sl(3)", 3))
 @example(standard("sl(2|1, L1)", None))
@@ -263,7 +223,7 @@ def weight_block_pairs_brute_force(L):
 
 
 @pytest.mark.parametrize("p", PRIMES)
-@pytest.mark.parametrize("name", ("gl(2|1)", "gl(1|1, L1)", *GRADED_ALGEBRAS))
+@pytest.mark.parametrize("name", ("gl(2|1)", "gl(1|1, L1)", *GRADED_NAMES))
 def test_weight_block_pairs_match_brute_force(name, p):
     """The pairs come from the weight-0 words of spaces.weight0_words; the
     same pairs in the same order as the filter, so the relation space is

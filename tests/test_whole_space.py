@@ -9,14 +9,13 @@ every unit row.
 
 import pytest
 
+from oracles import PRIMES
 from superlie.algebras import QuotientSpace, ground_assoc, matrix_gl, quotient_space
 from superlie.cyclic import grassmann_line, hc1_kernel_model, milnor_hc1, v_algebra
 from superlie.fields import QQ, Field
 from superlie.homology import homology
 from superlie.linalg import Subquotient, Subspace
 from superlie.tensor import adjoint_tensor_square
-
-PRIMES = (None, 3, 5, 7)
 
 
 def unit_rows(field, ambient: int) -> Subspace:
