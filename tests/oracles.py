@@ -1402,6 +1402,10 @@ ASSOC = {
 }
 """Constructors of the associative superalgebras, likewise."""
 
+SQUARE_ALGEBRAS = ("heis", "abelian(1|1)", "abelian(2|1)", "gl(1|1)", "gl(2|1)", "gl(1|2)",
+                   "gl(1|1, L1)")
+"""The algebras of LIE whose adjoint squares the tensor tests compare."""
+
 IDEAL_ALGEBRAS = ("heis", "gl(1|1)", "gl(1|1, L1)")
 """The algebras of LIE whose derived algebra and center make ideal pairs."""
 

@@ -19,6 +19,7 @@ from oracles import (
     IDEAL_ALGEBRAS,
     LIE,
     PRIMES,
+    SQUARE_ALGEBRAS,
     catalogue_algebras,
     ideal_pair,
     tensor_action_oracle,
@@ -32,8 +33,6 @@ from superlie.homology import ComplexInconsistent
 from superlie.linalg import ContainmentError, vec_axpy
 from superlie.spaces import tensor_vec
 from superlie.tensor import nonabelian_tensor
-
-SQUARES = ("heis", "abelian(1|1)", "abelian(2|1)", "gl(1|1)", "gl(2|1)", "gl(1|2)", "gl(1|1, L1)")
 
 
 def induced_oracle(plain: dict, actor_dim: int, q) -> dict[tuple[int, int], dict]:
@@ -68,7 +67,7 @@ def assert_tensor_actions_match(M, N, act_mn, act_nm):
 
 
 @settings(max_examples=6, deadline=None)
-@given(catalogue_algebras(LIE, SQUARES))
+@given(catalogue_algebras(LIE, SQUARE_ALGEBRAS))
 @example(LIE["heis"](Field(None)))
 @example(LIE["abelian(1|1)"](Field(3)))
 @example(LIE["gl(1|1)"](Field(7)))

@@ -24,6 +24,7 @@ from oracles import (
     IDEAL_ALGEBRAS,
     LIE,
     PRIMES,
+    SQUARE_ALGEBRAS,
     catalogue_algebras,
     ideal_pair,
     inner_weights_dense,
@@ -38,8 +39,7 @@ from superlie.linalg import Echelon
 from superlie.spaces import superspace
 from superlie.tensor import BracketNotWellDefined, nonabelian_tensor
 
-NAMES = ("heis", "abelian(1|1)", "abelian(2|1)", "gl(1|1)", "gl(2|1)", "gl(1|2)", "gl(1|1, L1)")
-# algebras with an inner grading, beyond NAMES, for the weight blocks
+# algebras with an inner grading, beyond SQUARE_ALGEBRAS, for the weight blocks
 GRADED_NAMES = ("sl(3)", "sl(2|1, L1)")
 
 
@@ -53,7 +53,7 @@ def standard(name, p):
 
 
 @settings(max_examples=6, deadline=None)
-@given(catalogue_algebras(LIE, NAMES))
+@given(catalogue_algebras(LIE, SQUARE_ALGEBRAS))
 @example(standard("heis", None))
 @example(standard("abelian(1|1)", 3))
 @example(standard("abelian(2|1)", 5))
@@ -91,7 +91,7 @@ def test_families_iii_and_iv_lie_in_families_i_and_ii(p):
     families (iii) and (iv) in span(i) + span(ii), for every adjoint square
     and every ideal pair above."""
     cases = []
-    for name in NAMES:
+    for name in SQUARE_ALGEBRAS:
         L = standard(name, p)
         adj = adjoint_action(L)
         cases.append((L, L, adj, adj))
@@ -121,7 +121,7 @@ def test_antisymmetry_certificate_refuses_a_missing_family(monkeypatch, family, 
 
 
 @settings(max_examples=10, deadline=None)
-@given(catalogue_algebras(LIE, NAMES + GRADED_NAMES))
+@given(catalogue_algebras(LIE, SQUARE_ALGEBRAS + GRADED_NAMES))
 @example(standard("heis", 3))
 @example(standard("sl(3)", 3))
 def test_inner_weights_match_a_dense_diagonal_check(L):
