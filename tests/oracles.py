@@ -1461,9 +1461,8 @@ def seeded_basis(obj, seed, kind: str = "shuffle", units=None) -> list[dict]:
     """The columns of a basis of ``obj`` drawn by ``Random(seed)``.  For
     ``kind`` "unitriangular", f_k = e_k plus +-e_j for two j > k of the
     parity of e_k (fewer near the end), which in general leaves no basis
-    element with diagonal ad; for "shuffle" or "sample", f_a = s_a e_perm[a]
-    with perm drawn by that method of ``Random`` and then one unit s_a per
-    basis vector."""
+    element with diagonal ad; for "shuffle", f_a = s_a e_perm[a] with perm
+    shuffled and then one unit s_a drawn per basis vector."""
     rng, par, n = Random(seed), obj.space.parities, obj.dim
     if kind == "unitriangular":
         cols = []
@@ -1474,11 +1473,8 @@ def seeded_basis(obj, seed, kind: str = "shuffle", units=None) -> list[dict]:
                 f[j] = rng.choice((1, -1))
             cols.append(f)
         return cols
-    if kind == "sample":
-        perm = rng.sample(range(n), n)
-    else:
-        perm = list(range(n))
-        rng.shuffle(perm)
+    perm = list(range(n))
+    rng.shuffle(perm)
     units = _units(obj, units)
     return [{e: rng.choice(units)} for e in perm]
 

@@ -265,7 +265,7 @@ def test_morita_invariance_m11_lambda1_over_q():
 
     lam = grassmann_line(QQ)
     m = matrix_assoc(1, 1, lam)
-    a = change_basis(m, seeded_basis(m, 7, "sample", [1, -1, 2, Fraction(-1, 3)]))
+    a = change_basis(m, seeded_basis(m, 7, units=[1, -1, 2, Fraction(-1, 3)]))
     assert check_assoc_axioms(a).ok
     coinv, _ = connes_oracle(a, 3)
     assert [c.space.dim for c in coinv] == [8, 32, 176, 1024]

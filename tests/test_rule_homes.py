@@ -18,8 +18,7 @@ names the diagonal reader ``_diagonal``, and none names the
 
 The tests share one module, ``tests/oracles.py``: no test module imports
 another, and only the oracles assign the catalogue of algebras and fields
-(``PRIMES``, ``LIE`` and ``ASSOC``) or draw a permutation of the basis of
-an algebra, ``range(<algebra>.dim)``, for a change of basis.
+(``PRIMES``, ``LIE`` and ``ASSOC``).
 """
 
 import ast
@@ -104,36 +103,6 @@ def catalogue_lines(tree: ast.AST) -> list[int]:
     return sorted(lines)
 
 
-def is_dim(node) -> bool:
-    return isinstance(node, ast.Attribute) and node.attr == "dim"
-
-
-def is_dim_range(node) -> bool:
-    """Whether node is ``range(<expr>.dim)``."""
-    return (isinstance(node, ast.Call) and callee(node) == "range"
-            and len(node.args) == 1 and is_dim(node.args[0]))
-
-
-def basis_permutation_lines(tree: ast.AST) -> list[int]:
-    """The lines that draw a permutation of ``range(<expr>.dim)``: its
-    ``permutations``, a ``sample`` of all of it, or a ``shuffle`` of a name
-    bound to ``list`` of it."""
-    listed = {t.id for node in ast.walk(tree) if isinstance(node, ast.Assign)
-              and isinstance(node.value, ast.Call) and callee(node.value) == "list"
-              and node.value.args and is_dim_range(node.value.args[0])
-              for t in node.targets if isinstance(t, ast.Name)}
-    lines = []
-    for node in ast.walk(tree):
-        if not isinstance(node, ast.Call) or not node.args:
-            continue
-        name, args = callee(node), node.args
-        if ((name == "permutations" and is_dim_range(args[0]))
-                or (name == "sample" and is_dim_range(args[0]) and len(args) == 2 and is_dim(args[1]))
-                or (name == "shuffle" and isinstance(args[0], ast.Name) and args[0].id in listed)):
-            lines.append(node.lineno)
-    return sorted(lines)
-
-
 @pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
 def test_no_module_names_vec_clean(path):
     assert name_lines(path.read_text(encoding="utf-8"), "vec_clean") == []
@@ -199,7 +168,6 @@ def test_tests_share_only_the_oracles(path):
     assert cross_import_lines(tree) == []
     if path.name != "oracles.py":
         assert catalogue_lines(tree) == []
-        assert basis_permutation_lines(tree) == []
 
 
 def test_sharing_finders_see_each_case():
@@ -216,11 +184,3 @@ def test_sharing_finders_see_each_case():
               "    ASSOC = {}\n"
               "FIELDS = [Field(p) for p in PRIMES]\n")
     assert catalogue_lines(ast.parse(source)) == [1, 2, 4]
-    source = ("perm = data.draw(st.permutations(range(L.dim)))\n"
-              "perm = rng.sample(range(m.dim), m.dim)\n"
-              "order = list(range(L.dim))\n"
-              "rng.shuffle(order)\n"
-              "i, j = rng.sample(range(L.dim), 2)\n"
-              "rng.shuffle(rows)\n"
-              "perm = draw(st.permutations(range(n)))\n")
-    assert basis_permutation_lines(ast.parse(source)) == [1, 2, 4]

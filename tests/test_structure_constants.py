@@ -39,9 +39,9 @@ from superlie.fields import Field
 from superlie.tensor import nonabelian_tensor
 
 LIE_NAMES = ("gl(1|1)", "heis", "sl(2|1)", "sl(2|1, L1)")
-# the names of this module's test IDs for algebras of the catalogue
-ASSOC_NAMES = {"K": "q", "K[e]": "dual", "L1": "grassmann", "M(1|1, L1)": "M(1|1, L1)",
-               "M(2|1)": "M(2|1, K)"}
+ASSOC_NAMES = ("M(1|1, L1)", "M(2|1, K)", "dual", "grassmann", "q")
+# the test IDs of the catalogue names, as these tests have always been named
+ASSOC_IDS = {"q": "K", "dual": "K[e]", "grassmann": "L1", "M(2|1, K)": "M(2|1)"}
 COEFFS = (0, 1, -1, 2, 3, Fraction(1, 2), Fraction(-4, 11))
 
 
@@ -52,7 +52,7 @@ def lie(name: str, p):
 
 @lru_cache(maxsize=None)
 def assoc(name: str, p):
-    return ASSOC[ASSOC_NAMES[name]](Field(p))
+    return ASSOC[name](Field(p))
 
 
 def vector(data, field, dim: int) -> dict:
@@ -85,7 +85,7 @@ def test_bracket_and_actions_match_dense_sums(data, name, p):
 
 
 @pytest.mark.parametrize("p", PRIMES)
-@pytest.mark.parametrize("name", sorted(ASSOC_NAMES))
+@pytest.mark.parametrize("name", ASSOC_NAMES, ids=lambda n: ASSOC_IDS.get(n, n))
 @settings(max_examples=3, deadline=None)
 @given(data=st.data())
 def test_product_matches_dense_sum(data, name, p):
@@ -122,7 +122,7 @@ def corrupted(data, A):
 
 
 @pytest.mark.parametrize("p", PRIMES)
-@pytest.mark.parametrize("name", sorted(ASSOC_NAMES))
+@pytest.mark.parametrize("name", ASSOC_NAMES, ids=lambda n: ASSOC_IDS.get(n, n))
 @settings(max_examples=8, deadline=None)
 @given(data=st.data())
 def test_assoc_certificates_match_dense_loops(data, name, p):
