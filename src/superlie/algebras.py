@@ -826,7 +826,7 @@ class QuotientSpace(Subquotient):
         super().__init__(top, bottom)
         labels, parities = [], []
         for k, s in enumerate(self.section):
-            par = parent.parity_of_vec(s)
+            par = parent.parities[min(s)] if len(s) == 1 else parent.parity_of_vec(s)
             if par is None:
                 raise NotAnIdeal("section is not parity homogeneous")
             labels.append(label(k, parent.labels[min(s)]))
@@ -851,14 +851,14 @@ def sub_space(parent: SuperSpace, top: Subspace, prefix: str) -> QuotientSpace:
 
 
 class Projection(GradedMap):
-    """The projection of a space onto a quotient of all of it; keeps the quotient."""
+    """The projection of a space onto a quotient of all of it, by
+    ``reduce_basis``, which refuses any other; keeps the quotient."""
 
     __slots__ = ("quotient",)
 
     def __init__(self, quotient: QuotientSpace):
-        cols = [quotient.reduce({i: 1}) for i in range(quotient.parent.dim)]
-        super().__init__(quotient.parent, quotient.space,
-                         Matrix(quotient.parent.field, quotient.space.dim, cols))
+        super().__init__(quotient.parent, quotient.space, Matrix(
+            quotient.parent.field, quotient.space.dim, quotient.reduce_basis()))
         self.quotient = quotient
 
 
@@ -970,14 +970,14 @@ def iso_fault(f: GradedMap, src: LieSuperAlgebra, dst: LieSuperAlgebra) -> str |
 
 
 def quotient_algebra(L: LieSuperAlgebra, I: Subspace, name: str = "") -> tuple[LieSuperAlgebra, Projection]:
-    """Quotient by a graded ideal, with the projection as a graded map.  A
-    bracket of section vectors takes its coordinates through the columns
-    of the projection, which reduce each basis vector of L once."""
+    """Quotient by a graded ideal, with the projection as a graded map; each
+    nonzero [e_a, e_b], e_a and e_b off the pivots of I, is projected."""
     if not is_graded_ideal(L, I):
         raise NotAnIdeal("quotient requires a graded ideal")
     q = QuotientSpace(L.space, L.full_subspace(), I, lambda k, lead: f"[{lead}]")
-    proj = Projection(q)
-    rows = _span_rows(L, q.section, q.space.parities, lambda w: dict(sorted(proj.apply(w).items())))
+    proj, at, index, par = Projection(q), q._index, L.bracket_index(), q.space.parities
+    rows = [{b: dict(sorted(proj.apply(w).items())) for j, w in index[i].items()
+             if (b := at.get(j, -1)) >= a + 1 - par[a]} for i, a in at.items()]
     alg = LieSuperAlgebra.from_bracket(q.space, rows, name=name or (L.name and f"{L.name}/I"))
     return alg, proj
 

@@ -242,18 +242,26 @@ def _rotation_image(field, tuples: list[tuple],
 
 
 class _Coinvariants(QuotientSpace):
-    """C_n = (span of the basis tuples ``tuples``)/Im(1 - t_n), on the
-    tuples' positions, each labelled ``a0*a1*...`` as in the tensor power
-    and the section labelled as :func:`quotient_space` labels it; its
+    """C_n = (span of the basis tuples)/Im(1 - t_n), on the tuples'
+    positions, the tuples given as ``words`` (f, a_n) with the tuples of
+    one prefix f consecutive, each labelled ``a0*a1*...`` as in the tensor
+    power, its label and parity built once per prefix, and the section
+    labelled as :func:`quotient_space` labels it; its
     :meth:`reduce` is a lookup in the rotation orbits (see the module
     docstring) instead of a reduction by the bottom rows."""
 
     __slots__ = ("tuples", "position", "_orbit_of")
 
-    def __init__(self, space: SuperSpace, tuples: list[tuple], prefix: str):
+    def __init__(self, space: SuperSpace, words: list[tuple[tuple, int]], prefix: str):
         labels, par = space.labels, space.parities
-        parent = SuperSpace(space.field, tuple("*".join(labels[k] for k in t) for t in tuples),
-                            tuple(sum(par[k] for k in t) % 2 for t in tuples))
+        names, parities, last = [], [], None
+        for f, a in words:
+            if f != last:  # the words of one prefix are consecutive
+                head, odd, last = "".join(labels[k] + "*" for k in f), sum(par[k] for k in f), f
+            names.append(head + labels[a])
+            parities.append((odd + par[a]) % 2)
+        tuples = [f + (a,) for f, a in words]
+        parent = SuperSpace(space.field, tuple(names), tuple(parities))
         bottom, self._orbit_of, self.position = _rotation_image(space.field, tuples, par)
         super().__init__(parent, Subspace.full(space.field, len(tuples)), bottom,
                          lambda k, lead: f"{prefix}{k}:{lead}")
@@ -331,7 +339,7 @@ def connes(A: AssocSuperAlgebra, max_n: int) -> ConnesComplex:
     _, lam, _ = lie.inner_torus(adjoint_action(lie))
     # tensor words: any factor follows any, closed by the last factor a_n
     words = weight0_words(A.field, lam, [0] * A.dim, lam, max_n)
-    coinv = [_Coinvariants(A.space, [f + (a,) for f, a in level], f"c{n}.")
+    coinv = [_Coinvariants(A.space, level, f"c{n}.")
              for n, level in enumerate(words)]
 
     # the boundary descends: induced_map certifies d'((1 - t_n) x) dies in C_{n-1}

@@ -35,6 +35,13 @@ and stores no rows: its unit rows are made when read, so the top of a
 quotient of all of it costs nothing, and it contains every subspace with
 no reduction.
 
+A quotient of the whole space, :class:`Subquotient` with a top of full
+rank, has the unit vectors at the coordinates that are not pivots of
+bottom as its section.  Reducing a vector by bottom clears every bottom
+pivot, so what is left is the vector's quotient coordinates and no
+residual test is needed; and e_i at a bottom pivot i reduces to
+-(row_i - e_i), read off the canonical bottom row with no reduction.
+
 Elimination is order-aware in two ways.  A span (:class:`Subspace`,
 :meth:`Matrix.rank`, the rows of :meth:`Matrix.kernel_basis`) is inserted
 sparsest first, in ascending order of nonzero count by a stable sort: the
@@ -532,9 +539,11 @@ class Subquotient:
     """top/bottom with a section: representatives are the canonical top rows
     whose pivots are not pivots of bottom.  ``reduce`` maps an ambient vector
     of top to its coordinates ``{k: c}`` on the section, ``lift`` is the
-    linear section."""
+    linear section.  When top is the whole ambient space (``whole``), the
+    section is the unit vectors at the coordinates that are not pivots of
+    bottom, and :meth:`reduce_basis` gives the projection."""
 
-    __slots__ = ("field", "ambient", "top", "bottom", "section", "_index")
+    __slots__ = ("field", "ambient", "top", "bottom", "section", "whole", "_index")
 
     def __init__(self, top: Subspace, bottom: Subspace):
         if top.ambient != bottom.ambient:
@@ -548,6 +557,7 @@ class Subquotient:
         bot_pivs = set(bottom.pivots)
         pivots = [p for p in top.pivots if p not in bot_pivs]
         self.section = [top._row_at[p] for p in pivots]
+        self.whole = top.dim == self.ambient
         self._index = {p: k for k, p in enumerate(pivots)}  # section pivot -> coordinate
 
     @property
@@ -560,9 +570,14 @@ class Subquotient:
         The pivots of bottom are pivots of top, so after reducing by bottom
         one pass over the section pivots present reduces by all of top; a
         section row is zero at every other section pivot, so each
-        coordinate is the reduced vector's entry at its pivot."""
+        coordinate is the reduced vector's entry at its pivot.  For a
+        quotient of the whole space every coordinate left after the bottom
+        is a section pivot and its section row a unit vector, so the
+        entries are the coordinates and nothing remains."""
         r = self.bottom.reduce_vec(v)
         index, of = self._index, self.field.of
+        if self.whole:
+            return {index[p]: of(r[p]) for p in sorted(r)}
         coords = {}
         for piv in sorted(p for p in r if p in index):
             k = index[piv]
@@ -571,6 +586,19 @@ class Subquotient:
         if self.field.clean(r):
             raise ContainmentError("vector is not in the top subspace")
         return coords
+
+    def reduce_basis(self) -> list[dict]:
+        """reduce(e_i) for every coordinate i of a quotient of the whole
+        space: the unit coordinate at a section pivot; at a pivot i of
+        bottom, e_i is e_i - row_i modulo bottom, so its coordinates are
+        minus the entries of the canonical bottom row_i off its pivot,
+        which all lie at section pivots."""
+        if not self.whole:
+            raise ContainmentError("only a quotient of the whole space reduces every basis vector")
+        index, neg, rows = self._index, self.field.neg, self.bottom._row_at
+        return [{index[i]: 1} if i in index else
+                {index[j]: neg(c) for j, c in sorted(rows[i].items()) if j != i}
+                for i in range(self.ambient)]
 
     def lift(self, coords: dict) -> dict:
         out: dict = {}

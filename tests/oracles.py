@@ -62,7 +62,13 @@ the production code reverses the columns and reads the canonical kernel
 off one elimination; spans are inserted in the order given, where the
 production code inserts the sparsest vectors first; the action tables of
 an ideal and of a pullback are filled entry by entry through the public
-bracket and action, where the production code spreads rows.  The Engel
+bracket and action, where the production code spreads rows.  On a
+quotient of the whole space, coordinates come from the loop for any top
+(each section pivot cleared with its section row, then a residual test),
+the projection from reducing each unit vector, and the quotient bracket
+from ad of each section vector spread through the helper of
+``subalgebra_on``, where the production code reads all three off the
+canonical bottom rows and the bracket index.  The Engel
 condition composes the dense ad matrices for every ordering of every
 multiset of basis indices, where the production code walks ad(x)^n e_j
 once per basis vector for the generic x.
@@ -105,6 +111,7 @@ from superlie.algebras import (
     AxiomReport,
     LieSuperAlgebra,
     Violation,
+    _span_rows,
     abelian,
     ground_assoc,
     heisenberg,
@@ -394,6 +401,35 @@ def quotient_coords_all_rows(sq: Subquotient, v: dict) -> dict | None:
         return None
     r = reduce_all_rows(sq.bottom, v)
     return {k: r[min(s)] for k, s in enumerate(sq.section) if min(s) in r}
+
+
+def reduce_on_section(sq: Subquotient, v: dict) -> dict | None:
+    """Section coordinates of v by the loop for any top, or None if v is
+    outside top: reduce by bottom, then clear each section pivot present
+    with its section row, and test the residual."""
+    pivots = {min(s): k for k, s in enumerate(sq.section)}
+    r, of = sq.bottom.reduce_vec(v), sq.field.of
+    coords = {}
+    for piv in sorted(p for p in r if p in pivots):
+        k = pivots[piv]
+        coords[k] = c = of(r[piv])
+        vec_axpy(r, -c, sq.section[k])
+    return None if sq.field.clean(r) else coords
+
+
+def projection_columns(sq: Subquotient) -> list[dict]:
+    """The columns of the projection onto a quotient of the whole space:
+    :func:`reduce_on_section` of each unit vector."""
+    return [reduce_on_section(sq, {i: 1}) for i in range(sq.ambient)]
+
+
+def quotient_rows_spread(L: LieSuperAlgebra, q: Subquotient, space: SuperSpace) -> list[dict]:
+    """The rows of ``from_bracket`` for L/bottom on the section of q,
+    labelled ``space``: ad of each section vector spread from the bracket
+    index by the helper of ``subalgebra_on``, with coordinates through
+    :func:`projection_columns`."""
+    proj = Matrix(L.field, q.dim, projection_columns(q))
+    return _span_rows(L, q.section, space.parities, lambda w: dict(sorted(proj.apply(w).items())))
 
 
 # ---------------------------------------------------------------------------
@@ -1477,6 +1513,25 @@ def seeded_basis(obj, seed, kind: str = "shuffle", units=None) -> list[dict]:
     rng.shuffle(perm)
     units = _units(obj, units)
     return [{e: rng.choice(units)} for e in perm]
+
+
+def rescaled(field: Field, v: dict, perm, scales) -> dict:
+    """v in a permuted, rescaled basis: entry i moves to perm[i], times
+    scales[i]."""
+    return {perm[i]: field.of(scales[i] * c) for i, c in v.items()}
+
+
+def seeded_matrix(field: Field, nrows: int, cols: list[dict], rng: Random, scalar) -> Matrix:
+    """The matrix with columns ``cols`` in seeded permuted, rescaled bases
+    of source and target, the matrix counterpart of :func:`seeded_basis`:
+    the rows and then the columns reordered by ``rng.sample``, and each row
+    and then each column multiplied by a nonzero ``scalar()``."""
+    row_perm = rng.sample(range(nrows), nrows)
+    col_perm = rng.sample(range(len(cols)), len(cols))
+    row_scale = [scalar() for _ in range(nrows)]
+    col_scale = [scalar() for _ in cols]
+    return Matrix(field, nrows, [rescaled(field, vec_scale(cols[j], col_scale[j]), row_perm, row_scale)
+                                 for j in col_perm])
 
 
 @st.composite

@@ -93,3 +93,31 @@ def test_traced_worker_round_is_correct(workload, tmp_path):
     with open(spans, "rb") as fh:
         header = json.loads(fh.read(int.from_bytes(fh.read(8), "little")))
     assert header["n"] > 0
+
+
+FIRST_IMPORTS = """
+import json, sys
+sys.path[:0] = [{perfbench!r}, {src!r}]
+import worker
+import superlie as S
+import superlie.io
+x = worker.build_inputs(S, {workload!r}, 1, 0)
+ops = (worker.tensor_squares_ops if {workload!r} == "tensor-squares" else worker.complexes_ops)(S, x)
+before = set(sys.modules)
+for _, op in ops:
+    op()
+print(json.dumps(sorted(m for m in set(sys.modules) - before if m.split(".")[0] == "superlie")))
+"""
+
+
+@pytest.mark.parametrize("workload", ["tensor-squares", "complexes"])
+def test_timed_operations_import_no_superlie_module(workload):
+    """In a fresh interpreter without site packages, the worker's
+    ``build_inputs`` loads every ``superlie`` module that the workload's
+    operations use, so ``wall_s`` never times the compile of one."""
+    code = FIRST_IMPORTS.format(perfbench=str(PERFBENCH), src=str(PERFBENCH.parent / "src"),
+                                workload=workload)
+    r = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
+                       timeout=300)
+    assert r.returncode == 0, r.stderr
+    assert json.loads(r.stdout.splitlines()[-1]) == []

@@ -6,10 +6,19 @@ Gauss-Jordan elimination; and a guard that every row list handed to
 
 import random
 from fractions import Fraction
+from functools import partial
 
 import pytest
 
-from oracles import PRIMES, field_normal, kernel_oracle, kernel_two_pass, rref_oracle, span_in_given_order
+from oracles import (
+    PRIMES,
+    field_normal,
+    kernel_oracle,
+    kernel_two_pass,
+    rref_oracle,
+    seeded_matrix,
+    span_in_given_order,
+)
 from superlie.algebras import ground_assoc, matrix_assoc, matrix_gl
 from superlie.cyclic import connes, grassmann_line, hc
 from superlie.fields import QQ, Field
@@ -63,18 +72,6 @@ SHAPES = {
 }
 
 
-def _rebased(rng, field, nrows, cols) -> Matrix:
-    """The matrix in seeded permuted, rescaled bases of source and target:
-    columns and rows reordered, each multiplied by a nonzero scalar."""
-    row_perm = rng.sample(range(nrows), nrows)
-    col_perm = rng.sample(range(len(cols)), len(cols))
-    row_scale = [_entry(rng, field) for _ in range(nrows)]
-    col_scale = [_entry(rng, field) for _ in cols]
-    out = [{row_perm[i]: field.of(row_scale[i] * col_scale[j] * c) for i, c in cols[j].items()}
-           for j in col_perm]
-    return Matrix(field, nrows, out)
-
-
 @pytest.mark.parametrize("seed", range(3))
 @pytest.mark.parametrize("shape", tuple(SHAPES))
 @pytest.mark.parametrize("field", FIELDS, ids=str)
@@ -84,7 +81,7 @@ def test_elimination_matches_the_oracles(field, shape, seed):
     every kernel row is normal and is annihilated by the matrix."""
     rng = random.Random(f"{field}-{shape}-{seed}")
     nrows, cols = SHAPES[shape](rng, field)
-    m = _rebased(rng, field, nrows, cols)
+    m = seeded_matrix(field, nrows, cols, rng, partial(_entry, rng, field))
     rows = m.row_list()
 
     kernel = m.kernel_basis()
@@ -110,7 +107,7 @@ def test_kernel_takes_one_elimination(field, monkeypatch):
     vector: one insert per row, where the two-pass kernel also inserts one
     per free column."""
     rng = random.Random(f"one-pass-{field}")
-    m = _rebased(rng, field, 5, _low_rank(rng, field, 5, 9, 3))
+    m = seeded_matrix(field, 5, _low_rank(rng, field, 5, 9, 3), rng, partial(_entry, rng, field))
     calls = []
     insert = Echelon.insert
     monkeypatch.setattr(Echelon, "insert", lambda self, v: calls.append(v) or insert(self, v))

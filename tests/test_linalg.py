@@ -12,6 +12,7 @@ from oracles import (
     intersect_oracle,
     quotient_coords_all_rows,
     reduce_all_rows,
+    rescaled,
     rref_oracle,
 )
 from superlie.linalg import (
@@ -319,6 +320,15 @@ def test_lift_reduce_differs_by_bottom(m):
         assert ker.contains_vec(diff)
 
 
+def _drawn_rescaling(draw, field, n: int) -> tuple[list, list]:
+    """A drawn permutation of range(n), then one drawn nonzero scale per
+    coordinate, for :func:`oracles.rescaled`."""
+    perm = draw(st.permutations(range(n)))
+    if field.p is None:
+        return perm, [draw(st.sampled_from([1, -1, 2, -3, Fraction(1, 2)])) for _ in range(n)]
+    return perm, [draw(st.integers(min_value=1, max_value=field.p - 1)) for _ in range(n)]
+
+
 @st.composite
 def spans_and_probes(draw):
     """A field, rows spanning a subspace written in a permuted, rescaled
@@ -327,16 +337,8 @@ def spans_and_probes(draw):
     field = draw(st.sampled_from([QQ, F3, F5, F7]))
     m = _matrix_strategy(draw, field)
     n = m.ncols
-    perm = draw(st.permutations(range(n)))
-    if field.p is None:
-        scales = [draw(st.sampled_from([1, -1, 2, -3, Fraction(1, 2)])) for _ in range(n)]
-    else:
-        scales = [draw(st.integers(min_value=1, max_value=field.p - 1)) for _ in range(n)]
-
-    def rebase(v: dict) -> dict:
-        return {perm[j]: field.of(scales[j] * c) for j, c in v.items()}
-
-    rows = [rebase(r) for r in m.row_list()]
+    perm, scales = _drawn_rescaling(draw, field, n)
+    rows = [rescaled(field, r, perm, scales) for r in m.row_list()]
     inside = []
     for _ in range(draw(st.integers(min_value=0, max_value=3))):
         v: dict = {}
@@ -434,11 +436,7 @@ def echelon_sessions(draw):
     raise the rank."""
     field = draw(st.sampled_from([QQ, F3, F5, F7]))
     n = draw(st.integers(min_value=1, max_value=6))
-    perm = draw(st.permutations(range(n)))
-    if field.p is None:
-        scales = [draw(st.sampled_from([1, -1, 2, -3, Fraction(1, 2)])) for _ in range(n)]
-    else:
-        scales = [draw(st.integers(min_value=1, max_value=field.p - 1)) for _ in range(n)]
+    perm, scales = _drawn_rescaling(draw, field, n)
     ops, drawn = [], []
     for _ in range(draw(st.integers(min_value=0, max_value=14))):
         kind = draw(st.sampled_from(["insert", "insert", "contains", "subspace"]))
@@ -451,8 +449,7 @@ def echelon_sessions(draw):
                 vec_axpy(v, draw(small_scalar), u)
             v = field.clean(v)
         else:
-            v = {perm[j]: field.of(scales[j] * c)
-                 for j in range(n) if (c := draw(small_scalar))}
+            v = rescaled(field, {j: c for j in range(n) if (c := draw(small_scalar))}, perm, scales)
         drawn.append(v)
         ops.append((kind, v))
     return field, n, ops
