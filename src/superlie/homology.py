@@ -11,6 +11,24 @@ the boundary
 and d.d = 0 is asserted on every constructed complex: it is the global
 sentinel for the sign conventions shared across the package.
 
+Divided powers.  An odd factor may repeat in a chain, and the formula
+above, read on monomials, sums over positions: on x^x^x for odd x the
+three pairs give 3 [x, x]^x, which vanishes mod 3.  The homology of P is
+Tor over its enveloping algebra, whose Koszul complex has the divided
+powers of the odd part, not its symmetric powers, and the two differ
+once an odd factor repeats p times.  Over GF(p) the chain whose odd
+factors repeat a_u times therefore stands for the monomial over p^v,
+v = v_p(prod a_u!), and each boundary column is rescaled from the
+monomials, entry times p^(v' - v) for a target of valuation v'.  That is
+the divided power basis x^(a) = x^a / a! up to units, the formula above
+has integer coefficients on it, and so every rescaled entry is an
+integer, which the construction checks.  Below degree p every v is 0 and
+nothing changes, and over Q nothing changes at all.  Over F3 the chain
+x^x^x stands for x^3 / 3 and has the boundary -[x, x]^x, where the
+monomial has -3 [x, x]^x, so on the free Lie superalgebra on one odd
+generator x, spanned by x and [x, x], H_2 is 0 as in every other
+characteristic.
+
 Weight-0 reduction.  Let h be an even basis element of P with ad(h)
 diagonal on P's basis, ad(h) x = lambda(x) x, that also acts diagonally
 on M's basis, h.t = mu(t) t.  Then h acts on the chain x_1^...^x_n (x) t
@@ -183,6 +201,37 @@ class ChainComplex(Complex):
     chains: list[list[tuple[tuple[int, ...], int]]]
 
 
+def _divided_valuation(xs: tuple[int, ...], p: int) -> int:
+    """v_p(prod a_u!) over the multiplicities a_u of the factors of the
+    canonical monomial xs, in which equal factors are adjacent."""
+    v, start = 0, 0
+    for i in range(1, len(xs) + 1):
+        if i == len(xs) or xs[i] != xs[start]:
+            a = (i - start) // p
+            while a:
+                v += a
+                a //= p
+            start = i
+    return v
+
+
+def _divided(col: dict, v: int, below: list[int], p: int, label: str) -> dict:
+    """The boundary column of a monomial of valuation v, with its integer
+    entries on the monomials of valuations ``below``, rescaled to the
+    divided powers: the entry at key times p^(below[key] - v), which is an
+    integer (module docstring)."""
+    out = {}
+    for key, c in col.items():
+        shift = below[key] - v
+        if shift < 0:
+            if c % p ** -shift:
+                raise ComplexInconsistent(f"the boundary of {label} is not integral "
+                                          "on divided powers")
+            c //= p ** -shift
+        out[key] = c * p ** max(shift, 0)
+    return out
+
+
 def _chain_complex(P: LieSuperAlgebra, M: Action, max_n: int,
                    lam: list[tuple], mu: list[tuple]) -> ChainComplex:
     """The one construction loop: the chains of weight 0 under the weight
@@ -209,11 +258,17 @@ def _chain_complex(P: LieSuperAlgebra, M: Action, max_n: int,
         spaces.append(SuperSpace(field, tuple(labels), tuple(parities)))
         index_of.append({c: i for i, c in enumerate(level)})
 
+    # over GF(p) a chain whose odd factors repeat a_u times stands for the
+    # monomial over p^v, v = v_p(prod a_u!): the divided powers of the
+    # module docstring; v = 0 below degree p
+    p = field.p if field.p and field.p <= max_n else None
+    vals = p and [[_divided_valuation(xs, p) if len(xs) >= p else 0 for xs, _ in level]
+                  for level in chains]
     boundaries: list[GradedMap | None] = [None]
     for n in range(1, max_n + 1):
         below = index_of[n - 1]
         cols: list[dict] = []
-        for xs, t in chains[n]:
+        for src, (xs, t) in enumerate(chains[n]):
             pp = [par[x] for x in xs]
             head = list(accumulate(pp, initial=0))  # head[k]: odd factors before x_k
             col: dict = {}
@@ -248,6 +303,8 @@ def _chain_complex(P: LieSuperAlgebra, M: Action, max_n: int,
             except KeyError:
                 raise ComplexInconsistent(
                     f"d_{n} leaves the weight-0 chains at {spaces[n].labels[len(cols)]}") from None
+            if p and (vals[n][src] or any(vals[n - 1][key] for key in col)):
+                col = _divided(col, vals[n][src], vals[n - 1], p, spaces[n].labels[src])
             cols.append(col)
         boundaries.append(GradedMap.from_columns(spaces[n], spaces[n - 1], cols))
     return ChainComplex(boundaries, P, M, spaces, chains)

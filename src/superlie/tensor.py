@@ -60,12 +60,33 @@ modulo span(i).  A(u, v) lies in span(iv) for all u, v, and
 mu(A(u, v)) = 0, so B(A(u, v), -) = 0.  Rewriting the cyclic sum (v) with
 A turns it into -(-1)^{|x||z|} times the Leibniz Jacobiator plus terms
 A(x, B(y,z)), A(y, B(x,z)) and B(A(x,z), y), all in span(i) + span(iv).
-No division is used here.  In characteristic 3 the identity [x,[x,x]] = 0
-for odd x does not follow from graded Jacobi; family (v) never imposed it
-either, since its diagonal generator is three equal rotations and
-vanishes mod 3.  The Lie-axiom certificate of the product checks it over
-F3 (:func:`~superlie.algebras.check_lie_axioms`), so a product without it
-raises :class:`BracketNotWellDefined` and is never returned.
+No division is used here.
+
+Characteristic 3.  There a Lie superalgebra also satisfies [x,[x,x]] = 0
+for odd x, which does not follow from graded Jacobi; family (v) never
+imposes it, since its diagonal generator is three equal rotations and
+vanishes mod 3.  So over F3 :func:`nonabelian_tensor` adds the family
+
+    (vi)  B(x, B(x, x))    for the odd basis tensors x outside the pivots of (i), (ii),
+
+the product being the Lie superalgebra generated by the m(x)n subject to
+the relations.  The cubes lie in Ker mu, since mu(B(x, y)) = [mu x, mu y]
+and M satisfies the identity, so they are central and span the ideal they
+generate.  Modulo (i)-(v) the product satisfies Jacobi, so the cube of
+x = sum x_a a is sum x_a^3 [a, [a, a]] (the odd cube paragraph of
+:mod:`~superlie.algebras`), and these x, whose classes are a basis of
+the product, suffice.  A derivation of either parity kills every cube, by
+Jacobi at (x, x, d x), so the actions of M and N descend.  The Lie-axiom
+certificate of the product checks the identity over F3
+(:func:`~superlie.algebras.check_lie_axioms`).  The exterior product
+needs one more relation there: under a presentation P = F/R the class of
+x ^ [x, x] goes to [x, [x, x]] = 0 in F, while its relations give only
+3 x ^ [x, x] = 0.  So over F3 :func:`nonabelian_exterior` also kills
+m (x) m.n for odd (m, n) in the pullback, a cubic form in (m, n), through
+its polarizations: for each triple of odd pullback rows, the sum over
+its distinct orders.  It lies in Ker mu, which makes it central, and
+x ^ [x, x] = 0 is what makes the kernel of the bracket on P ^ P agree
+with H_2 on divided powers (:mod:`~superlie.homology`).
 
 Weight blocks of the adjoint square.  For M = N = P with one adjoint
 action on both sides, mu(m(x)n) = nu(m(x)n) = [m, n].  Let h_1, ..., h_r
@@ -153,7 +174,7 @@ the oracle in ``tests/test_factored_quotient.py`` is the guard.
 from __future__ import annotations
 
 from functools import partial
-from itertools import chain, product
+from itertools import chain, combinations_with_replacement, permutations, product
 
 from .actions import (
     Action,
@@ -262,6 +283,17 @@ def _family_ii(act_n, mu: Matrix, plain: SuperSpace, ms: SuperSpace, ns: SuperSp
         yield g
 
 
+def _odd_cubes(mu: Matrix, nu: Matrix, plain: SuperSpace, ms: SuperSpace, ns: SuperSpace,
+               pivots):
+    """The odd cubes B(x, B(x, x)) of the odd basis tensors x that are not
+    ``pivots`` of the relations so far, the relation family (vi) that
+    characteristic 3 needs (see the module docstring)."""
+    px = plain.parities
+    for t in [t for t in range(plain.dim) if px[t] and t not in pivots]:
+        m = mu.cols[t]
+        yield tensor_vec(ms, ns, m, nu.apply(tensor_vec(ms, ns, m, nu.cols[t])))
+
+
 def _weight_blocks(P: LieSuperAlgebra, adj: Action):
     """The generators of D(P, P) that the weight blocks of the adjoint
     square need (see the module docstring): the pairs (x, c) of a basis
@@ -360,6 +392,9 @@ def nonabelian_tensor(M: LieSuperAlgebra, N: LieSuperAlgebra,
     # membership test is needed
     for g in _family_i(act_m, nu_plain, ms, ns, spanning):
         acc.insert(g)
+    if field.p == 3:
+        for g in _odd_cubes(mu_plain, nu_plain, plain, ms, ns, acc.rows):
+            acc.insert(field.clean(g))
     d_sub = acc.subspace()
     del acc  # its semi-reduced rows are not read again; free them before the certificates
     quot = quotient_space(plain, Subspace.full(field, plain.dim), d_sub, "t")
@@ -500,7 +535,9 @@ class ExteriorProduct:
 def nonabelian_exterior(t: TensorProduct, cm_m: CrossedModule,
                         cm_n: CrossedModule) -> ExteriorProduct:
     """Quotient of the tensor product by the central graded ideal spanned by
-    the pullback coincidence generators of the two crossed modules."""
+    the pullback coincidence generators of the two crossed modules, and
+    over F3 by the polarized cubes m (x) m.n of the odd pullback (module
+    docstring)."""
     if cm_m.p is not cm_n.p:
         raise CrossedModuleMismatch("crossed modules are over different bases")
     if cm_m.m is not t.m or cm_n.m is not t.n:
@@ -528,6 +565,17 @@ def nonabelian_exterior(t: TensorProduct, cm_m: CrossedModule,
             sgn = -1 if parity_of[a] * parity_of[b] else 1
             vec_axpy(g, sgn, tensor_vec(M.space, N.space, part_m[b], part_n[a]))
             if g:
+                gens.append(g)
+    if field.p == 3:
+        # m (x) m.n for odd (m, n) in the pullback, polarized: the sum over
+        # the distinct orders of each triple of odd rows (module docstring)
+        odd = [a for a in range(len(rows)) if parity_of[a]]
+        for triple in combinations_with_replacement(odd, 3):
+            g = {}
+            for i, j, k in sorted(set(permutations(triple))):
+                vec_axpy(g, 1, tensor_vec(M.space, N.space, part_m[i],
+                                          t.act_mn.act(part_m[j], part_n[k])))
+            if g := field.clean(g):
                 gens.append(g)
     square_rows = [t.quotient.reduce(g) for g in gens]
     square = Subspace(field, t.algebra.dim, [r for r in square_rows if r])

@@ -88,6 +88,7 @@ files regenerated from the public constructors.
 from __future__ import annotations
 
 import ast
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
@@ -809,7 +810,10 @@ def tensor_action_oracle(left, right) -> dict[tuple[int, int], dict]:
 def ce_complex_full(P, M, max_n: int):
     """The chain complex of P with coefficients in the P-module M up to
     degree max_n on every chain of the exterior powers: the construction
-    loop as it was before the weight-0 reduction, kept as the oracle."""
+    loop as it was before the weight-0 reduction, kept as the oracle.  Over
+    GF(p) each column is rescaled to the divided powers by exact fractions,
+    the entry at a monomial times its scale over the source's scale
+    (:func:`divided_scale`)."""
     field = P.field
     par = P.space.parities
     msp = M.target.space
@@ -866,10 +870,25 @@ def ce_complex_full(P, M, max_n: int):
                                 continue
                             key = index_of[n - 1][mono] * dm + t
                             col[key] = col.get(key, 0) + s * s2 * c
+                if field.p:
+                    below = monos[n - 1]
+                    col = {key: field.of(Fraction(c * divided_scale(below[key // dm], field.p),
+                                                  divided_scale(xs, field.p)))
+                           for key, c in col.items()}
                 cols.append(field.clean(col))
         boundaries.append(GradedMap.from_columns(spaces[n], spaces[n - 1], cols))
     chains = [[(m, t) for m in level for t in range(dm)] for level in monos]
     return ChainComplex(boundaries, P, M, spaces, chains)
+
+
+def divided_scale(xs, p: int) -> int:
+    """p^v, v = v_p(prod a!) over the multiplicities a of the factors of
+    the monomial xs, by Legendre's formula v_p(a!) = (a - s_p(a)) / (p - 1),
+    s_p the sum of the base-p digits."""
+    def digits(a):
+        return a % p + digits(a // p) if a else 0
+
+    return p ** sum((a - digits(a)) // (p - 1) for a in Counter(xs).values())
 
 
 def weight0_chains_oracle(P, max_n: int, lam, mu) -> list[list[tuple[tuple[int, ...], int]]]:
