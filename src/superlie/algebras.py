@@ -13,12 +13,14 @@ lists its entries of the wrong parity.
 
 Certificates on a generating set.  :func:`check_lie_axioms` certifies the
 graded Jacobi identity on all basis triples, and proves it by checking
-only the operators e_s, s in a set S of basis indices that generates L.  S is built greedily, i ascending: e_i
-joins S unless it lies in the subalgebra that the earlier members
-generate, and that span is closed by a worklist, so S generates L by
-construction, which the helper asserts.  Each identity below is linear in
-the operator p; the set of p that satisfy it contains S and is a
-subalgebra, hence it is all of L.  The arguments use bilinearity and the
+only the operators e_s, s in a set S of basis indices that generates L.
+S is built greedily by :func:`~superlie.closure.generating_set`, which
+takes next the e_i whose brackets reach furthest outside the span so far,
+skips an e_i already in it, and closes the span by a worklist after each
+pick, so S generates L by construction, which the walk asserts.  Each
+identity below is linear in the operator p; the set of p that satisfy it
+contains S and is a subalgebra, hence it is all of L.  The arguments use
+bilinearity and the
 graded antisymmetry that the bracket index stores, and no division, so
 they hold in every characteristic.  Parities come first in every checker:
 S and all brackets of its members are homogeneous once they pass.
@@ -82,6 +84,7 @@ from __future__ import annotations
 from functools import partial
 from itertools import chain, islice
 
+from .closure import close_span, generating_set
 from .fields import Field, MathError, record
 from .linalg import (
     ContainmentError,
@@ -437,7 +440,7 @@ def check_lie_axioms(L: LieSuperAlgebra) -> AxiomReport:
     defect 0, so only the others are computed.  Violations come in basis
     order, parities first, Jacobi triples next and odd cubes last, at most
     MAX_VIOLATIONS of them, from the loop over every basis index."""
-    gens = L._generators if L._generators is not None else _generating_set(L)
+    gens = L._generators if L._generators is not None else generating_set(L)
     if next(_lie_violations(L, gens), None) is None:
         L._generators = gens
         return AxiomReport(True)
@@ -458,38 +461,6 @@ def _lie_violations(L: LieSuperAlgebra, ops):
                 cube = L.bracket({i: 1}, L.table[(i, i)])
                 if cube:
                     yield Violation("odd-cube", (i,), cube)
-
-
-def _close(L: LieSuperAlgebra, acc: Echelon, spanned: list[dict], work: list[dict]) -> None:
-    """Close the span of ``acc`` under the bracket, where ``spanned`` and
-    ``work`` together span it and every pair in ``spanned`` has been
-    bracketed.  Each vector of the worklist is bracketed once with itself
-    and with each vector of ``spanned``, then joins it, and each bracket
-    that grows the span joins the worklist; when the worklist is empty the
-    span is closed, by bilinearity."""
-    while work:
-        v = work.pop()
-        spanned.append(v)
-        for u in spanned:
-            w = L.bracket(u, v)
-            if w and acc.insert(w):
-                work.append(w)
-
-
-def _generating_set(L: LieSuperAlgebra) -> list[int]:
-    """The indices of the e_i, i ascending, that do not lie in the
-    subalgebra generated by the earlier ones, each closed in by
-    :func:`_close`; the span contains every e_i, which is asserted."""
-    acc, spanned, gens = Echelon(L.field, L.dim), [], []
-    for i in range(L.dim):
-        if acc.contains({i: 1}):
-            continue
-        gens.append(i)
-        acc.insert({i: 1})
-        _close(L, acc, spanned, [{i: 1}])
-    if acc.rank != L.dim:
-        raise RuntimeError("the generating set does not generate the algebra")
-    return gens
 
 
 class AssocSuperAlgebra:
@@ -654,7 +625,7 @@ def matrix_gl(m: int, n: int, A: AssocSuperAlgebra) -> LieSuperAlgebra:
 def subalgebra_closure(L: LieSuperAlgebra, vectors: list[dict]) -> Subspace:
     """Smallest subspace containing the vectors and closed under the bracket."""
     acc = Echelon(L.field, L.dim)
-    _close(L, acc, [], [v for v in vectors if acc.insert(v)])
+    close_span(L, acc, [], [v for v in vectors if acc.insert(v)])
     return acc.subspace()
 
 

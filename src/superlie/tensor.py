@@ -162,9 +162,12 @@ classes, which puts (iii) and (iv) in D(M, N); and the product must
 satisfy the Lie axioms on every basis triple, which puts (v) in D(M, N).
 Both edge maps must be crossed modules; on the adjoint square the one
 crossed module is certified once.  An edge map that does not descend
-raises :class:`~superlie.linalg.ContainmentError`, any other failure
-:class:`BracketNotWellDefined`; either indicates a transcription bug,
-never a property of compatible inputs.  The certificates do not fix the
+raises :class:`BracketNotWellDefined` naming the Lie axioms when M or N
+fails them, which is checked then and only then, and
+:class:`~superlie.linalg.ContainmentError` otherwise; any other failure
+raises :class:`BracketNotWellDefined`.  On factors that satisfy the Lie
+axioms, either indicates a transcription bug, never a property of
+compatible inputs.  The certificates do not fix the
 scale of an edge map, though: on an abelian product, such as heis (x)
 heis, every certificate is homogeneous in nu, so a nu scaled by a
 constant passes them all.  There the comparison of both edge maps with
@@ -206,6 +209,7 @@ from .algebras import (
 )
 from .fields import MathError, record
 from .linalg import (
+    ContainmentError,
     Echelon,
     Matrix,
     Subspace,
@@ -399,8 +403,15 @@ def nonabelian_tensor(M: LieSuperAlgebra, N: LieSuperAlgebra,
     del acc  # its semi-reduced rows are not read again; free them before the certificates
     quot = quotient_space(plain, Subspace.full(field, plain.dim), d_sub, "t")
 
-    mu = induced_map(quot, ms, mu_plain.apply)
-    nu = mu if adjoint else induced_map(quot, ns, nu_plain.apply)
+    try:
+        mu = induced_map(quot, ms, mu_plain.apply)
+        nu = mu if adjoint else induced_map(quot, ns, nu_plain.apply)
+    except ContainmentError:
+        # only now, as the edge maps need Jacobi in M and N to descend
+        for L in (M,) if N is M else (M, N):
+            check_lie_axioms(L).require(BracketNotWellDefined,
+                                        "the edge maps of M (x) N need the Lie axioms of M and N")
+        raise
     algebra = factored_quotient_algebra(quot, mu, nu, partial(tensor_vec, ms, ns),
                                         name=f"{M.name or 'M'}(x){N.name or 'N'}")
     action_m = Action(M, algebra, induced_action_table(quot, dm, act_m))

@@ -71,7 +71,11 @@ from ad of each section vector spread through the helper of
 canonical bottom rows and the bracket index.  The Engel
 condition composes the dense ad matrices for every ordering of every
 multiset of basis indices, where the production code walks ad(x)^n e_j
-once per basis vector for the generic x.
+once per basis vector for the generic x.  The generating set of the
+certificates is walked in index order, each e_i joining it unless the
+subalgebra generated by the earlier members, recomputed each time,
+holds it, where the production code picks greedily by the brackets each
+e_i adds and closes one span incrementally.
 The module also holds what the test modules share, since none imports
 another: the catalogue of the differential tests (``PRIMES``, the fields
 Q, F3, F5 and F7, and ``LIE`` and ``ASSOC``, constructors of fresh
@@ -911,6 +915,22 @@ def weight0_chains_oracle(P, max_n: int, lam, mu) -> list[list[tuple[tuple[int, 
                      for f, w in level
                      for i in range(f[-1] + 1 - par[f[-1]] if f else 0, P.dim)]
     return chains
+
+
+# ---------------------------------------------------------------------------
+# the generating set of the certificates, in index order
+
+
+def generating_set_by_index(L) -> list[int]:
+    """The indices of the e_i, i ascending, that do not lie in the
+    subalgebra generated by the earlier ones, that subalgebra recomputed by
+    ``subalgebra_closure`` after each pick."""
+    gens, span = [], Subspace(L.field, L.dim, [])
+    for i in range(L.dim):
+        if not span.contains_vec({i: 1}):
+            gens.append(i)
+            span = subalgebra_closure(L, [{s: 1} for s in gens])
+    return gens
 
 
 # ---------------------------------------------------------------------------

@@ -121,3 +121,22 @@ def test_timed_operations_import_no_superlie_module(workload):
                        timeout=300)
     assert r.returncode == 0, r.stderr
     assert json.loads(r.stdout.splitlines()[-1]) == []
+
+
+def test_tensor_squares_inputs_certify_on_small_generating_sets(monkeypatch):
+    """The certificates and the relation stream of ``tensor-squares`` run
+    over the generating sets S that ``check_lie_axioms`` memoizes, so their
+    cost follows |S|.  Over rounds 0-9 of seed 1, on sl(2|1, Lambda1)/Q,
+    gl(2|2)/F5 and their adjoint squares, in the worker's own seeded bases,
+    each round's four sets hold at most 8 basis elements and 6 on average.
+    The worker's file is read, not changed."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    spec = importlib.util.spec_from_file_location("perfbench_worker", PERFBENCH / "worker.py")
+    worker = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(worker)
+    for round_ in range(10):
+        x = worker.build_inputs(superlie, "tensor-squares", 1, round_)
+        algebras = [x["sl"], x["gl"]]
+        algebras += [superlie.adjoint_tensor_square(P).algebra for P in algebras]
+        sizes = [len(L._generators) for L in algebras]
+        assert max(sizes) <= 8 and sum(sizes) <= 6 * len(sizes), (round_, sizes)

@@ -61,7 +61,6 @@ from superlie.algebras import (
     abelian,
     check_assoc_axioms,
     check_lie_axioms,
-    _generating_set,
     ground_assoc,
     heisenberg,
     hom_defects,
@@ -69,6 +68,7 @@ from superlie.algebras import (
     matrix_sl,
     subalgebra_closure,
 )
+from superlie.closure import generating_set
 from superlie.cyclic import grassmann_line
 from superlie.fields import QQ, Field
 from superlie.linalg import Echelon, Matrix
@@ -325,11 +325,13 @@ def test_generator_path_matches_dense_oracles(data, name, p):
 @settings(max_examples=3, deadline=None)
 @given(data=st.data())
 def test_generator_path_with_one_even_index_outside_the_generators(data):
-    """gl(2|1)/F3 in the basis permuted by [0, 8, 2, 4, 5, 3, 6, 7, 1] with
-    unit scales: S is [0..7], and the one index outside it, 8, is even."""
-    L = change_basis(algebra("gl(2|1)", 3), [{e: 1} for e in (0, 8, 2, 4, 5, 3, 6, 7, 1)])
+    """gl(1|1)/F3 in the basis permuted by [2, 0, 1, 3] with unit scales: S
+    is [0, 1, 2], and the one index outside it, 3, is even.  The walk
+    picked four or five of the nine elements of gl(2|1) in each of 300
+    seeded permuted bases, so that algebra no longer serves here."""
+    L = change_basis(algebra("gl(1|1)", 3), [{e: 1} for e in (2, 0, 1, 3)])
     assert check_lie_axioms(L).ok
-    assert L._generators == list(range(8)) and L.space.parities[8] == 0
+    assert L._generators == [0, 1, 2] and L.space.parities[3] == 0
     assert_generator_path_matches_dense_oracles(data, L)
 
 
@@ -345,7 +347,7 @@ def test_actor_failing_jacobi_takes_the_full_loop():
     g = LieSuperAlgebra(sp, {(0, 1): {2: 1}, (0, 2): {3: 1}})
     P = LieSuperAlgebra(sp, {(0, 1): {2: 1}, (0, 2): {3: 1}, (2, 3): {0: 1}})
     a = Action(P, g, adjoint_action(g).table)
-    assert _generating_set(P) == [0, 1]
+    assert generating_set(P) == [0, 1]
     assert next(_action_violations(a, [0, 1]), None) is None
     action_i = [("action-i", (2, 3, 1), [(2, 1)]), ("action-i", (2, 3, 2), [(3, 1)]),
                 ("action-i", (3, 2, 1), [(2, -1)]), ("action-i", (3, 2, 2), [(3, -1)])]
@@ -364,7 +366,7 @@ def test_generating_set_that_does_not_generate_is_refused(monkeypatch):
     whose closure is span(e0): the helper refuses it, and no generating
     set is memoized."""
     L = heisenberg(QQ)
-    assert _generating_set(L) == [0, 1]
+    assert generating_set(L) == [0, 1]
     contains = Echelon.contains
     monkeypatch.setattr(Echelon, "contains", lambda self, v: v == {1: 1} or contains(self, v))
     with pytest.raises(RuntimeError, match="does not generate"):
@@ -385,7 +387,7 @@ def test_generating_sets_are_smaller_than_the_basis(build, monkeypatch):
     t = adjoint_tensor_square(P)
     for L in (P, t.algebra):
         S = L._generators
-        assert S == _generating_set(L) and len(S) < L.dim
+        assert S == generating_set(L) and len(S) < L.dim
         assert subalgebra_closure(L, [{s: 1} for s in S]).dim == L.dim
     visited = []
     representation = actions_module._representation_defects

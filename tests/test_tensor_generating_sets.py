@@ -45,15 +45,15 @@ from superlie.actions import (
 )
 from superlie.algebras import (
     LieSuperAlgebra,
-    _generating_set,
     check_lie_axioms,
     heisenberg,
 )
 from superlie.cli import main
+from superlie.closure import generating_set
 from superlie.corpus import bundled_path, lie_algebra
 from superlie.fields import Field
 from superlie.io import action_to_json, load_json, parse_action
-from superlie.linalg import ContainmentError, Echelon
+from superlie.linalg import Echelon, Subspace
 from superlie.spaces import superspace
 from superlie.tensor import BracketNotWellDefined, IncompatibleActions, nonabelian_tensor
 
@@ -189,11 +189,12 @@ def test_an_algebra_that_fails_jacobi_streams_every_element(contains_calls, stre
     it takes only the membership tests of the certificate's generating-set
     walk.  Two distinct, unchecked adjoint actions stream every element,
     though P has a proper generating set, with one membership test per
-    nonzero generator, and the edge map then fails to descend."""
+    nonzero generator; the edge map then fails to descend, and only then
+    does the Lie-axiom certificate run, which names the axioms."""
     P = non_lie_without_torus(p)
     adj, other = adjoint_action(P), adjoint_action(P)
     assert P.inner_torus(adj)[0] == []
-    assert len(_generating_set(P)) < P.dim
+    assert len(generating_set(P)) < P.dim
     contains_calls[0] = 0
     assert not check_lie_axioms(P) and P._generators is None
     walk = contains_calls[0]
@@ -204,27 +205,31 @@ def test_an_algebra_that_fails_jacobi_streams_every_element(contains_calls, stre
     assert streamed == {"i": ([], []), "ii": ([], [])}
     assert tensor._streamed(P, adj, False) == tensor._streamed(P, other, False) == range(P.dim)
     contains_calls[0] = 0
-    with pytest.raises(ContainmentError):
+    with pytest.raises(BracketNotWellDefined, match="need the Lie axioms of M and N"):
         nonabelian_tensor(P, P, adj, other)
     xs = range(P.dim * P.dim)
     assert streamed["i"][0] == list(product(range(P.dim), xs))
     assert streamed["ii"][0] == list(product(xs, range(P.dim)))
     nonzero = sum(1 for key in streamed for g in streamed[key][1] if P.field.clean(g))
-    assert contains_calls[0] == nonzero > 0
+    assert contains_calls[0] == nonzero + walk and nonzero > 0
 
 
 @pytest.mark.parametrize("p", PRIMES)
-def test_a_dropped_generator_is_refused_by_the_antisymmetry_certificate(p):
-    """Mutation: with the third member of the certified generating set of
-    gl(2|1) in this unitriangular basis dropped, D shrinks, and the
-    bracket on classes is no longer antisymmetric."""
+def test_a_dropped_generator_is_refused_by_the_antisymmetry_certificate(streamed, p):
+    """Mutation: the certified generating set of gl(2|1) in this
+    unitriangular basis is [1, 2, 5], and any two of its members stream all
+    of D.  With the last two dropped, D shrinks, and the bracket on classes
+    is no longer antisymmetric."""
     L = LIE["gl(2|1)"](Field(p))
     L = change_basis(L, seeded_basis(L, 1, "unitriangular"))
     adj = adjoint_action(L)
-    assert check_lie_axioms(L) and len(L._generators) == 3
-    del L._generators[2]
+    assert check_lie_axioms(L) and L._generators == [1, 2, 5]
+    del L._generators[1:]
     with pytest.raises(BracketNotWellDefined, match="not antisymmetric on classes"):
         nonabelian_tensor(L, L, adj, adj)
+    kept = Subspace(L.field, L.dim * L.dim, [L.field.clean(g) for key in streamed
+                                             for g in streamed[key][1]])
+    assert kept.dim < full_stream(L, L, adj, adj).dim
 
 
 def run_tensor(*argv) -> tuple[int, dict]:
