@@ -51,7 +51,7 @@ from itertools import accumulate
 from .algebras import LieSuperAlgebra
 from .fields import QQ, InputError, MathError, frozen_record, record
 from .io import _require_keys
-from .linalg import vec_axpy
+from .linalg import Subspace, vec_axpy
 from .spaces import SuperSpace
 
 
@@ -219,6 +219,13 @@ class FreeTruncation:
     def dims(self) -> list[int]:
         """Component dimensions for degrees 1..max_degree."""
         return [self.components[k].dim for k in range(1, self.max_degree + 1)]
+
+    def derived_subspace(self) -> Subspace:
+        """[F, F] in the free nilpotent quotient: the span of the basis
+        words of length >= 2, as canonical unit rows, with no elimination
+        (the reason is in :func:`homology.hopf_formula`)."""
+        dim = self.offsets[-1]
+        return Subspace(QQ, dim, [{i: 1} for i in range(self.offsets[2], dim)], _canonical=True)
 
     # -- the truncated algebra -----------------------------------------
 

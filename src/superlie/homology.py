@@ -451,6 +451,14 @@ def hopf_formula(pres: Presentation, class_bound: int) -> HopfResult:
     The cover is faithful: with R containing gamma_{c+1}, every term of
     the quotient already lives in F/gamma_{c+2} because gamma_{c+2} =
     [F, gamma_{c+1}] is contained in [F, R].
+
+    [F, F] is read off the grading (``FreeTruncation.derived_subspace``),
+    not eliminated from the brackets of all basis pairs: the cover is
+    graded by word length, so no bracket has a component of length 1, and
+    each basis word of length >= 2 is itself a bracket of basis words,
+    [P_u, P_v] over its standard factorization or [P_w, P_w] for the
+    square of an odd w.  [F, F] is therefore the span of the basis words
+    of length >= 2, and their unit rows are its canonical basis.
     """
     # loaded here, so that the other homology commands start without it
     from .freelie import MAX_DEGREE, TruncationOutOfRange, free_truncated, word_degree
@@ -471,10 +479,8 @@ def hopf_formula(pres: Presentation, class_bound: int) -> HopfResult:
     off = trunc.offsets[class_bound + 1]
     gamma_top = [{i: 1} for i in range(off, cover.dim)]
     R = ideal_closure(cover, rel_vecs + gamma_top)
-    full = cover.full_subspace()
-    commutator = cover.product_subspace(full, full)
-    FR = cover.product_subspace(full, R)
-    h2 = quotient_space(cover.space, R.intersect(commutator), FR, "h2.")
+    FR = cover.product_subspace(cover.full_subspace(), R)
+    h2 = quotient_space(cover.space, R.intersect(trunc.derived_subspace()), FR, "h2.")
     presented, _ = quotient_algebra(cover, R, name="presented")
     return HopfResult(h2.dims, presented)
 

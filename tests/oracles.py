@@ -60,9 +60,11 @@ contains it; a kernel is eliminated twice, once in the natural column
 order and once more as the span of the vectors read off that RREF, where
 the production code reverses the columns and reads the canonical kernel
 off one elimination; spans are inserted in the order given, where the
-production code inserts the sparsest vectors first; the action tables of
-an ideal and of a pullback are filled entry by entry through the public
-bracket and action, where the production code spreads rows.  On a
+production code inserts them by descending leading index; [F, F] of a
+free nilpotent cover is the span of the brackets of every pair of basis
+rows, where the production code reads it off the grading; the action
+tables of an ideal and of a pullback are filled entry by entry through
+the public bracket and action, where the production code spreads rows.  On a
 quotient of the whole space, coordinates come from the loop for any top
 (each section pivot cleared with its section row, then a residual test),
 the projection from reducing each unit vector, and the quotient bracket

@@ -16,6 +16,7 @@ import pytest
 
 import superlie
 import superlie.io  # noqa: F401  (the worker imports it for S.io)
+from superlie import linalg
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -123,6 +124,16 @@ def test_timed_operations_import_no_superlie_module(workload):
     assert json.loads(r.stdout.splitlines()[-1]) == []
 
 
+def _worker(monkeypatch):
+    """``perfbench/worker.py`` as a module, loaded from its file, which it
+    reads and does not change."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    spec = importlib.util.spec_from_file_location("perfbench_worker", PERFBENCH / "worker.py")
+    worker = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(worker)
+    return worker
+
+
 def test_tensor_squares_inputs_certify_on_small_generating_sets(monkeypatch):
     """The certificates and the relation stream of ``tensor-squares`` run
     over the generating sets S that ``check_lie_axioms`` memoizes, so their
@@ -130,13 +141,47 @@ def test_tensor_squares_inputs_certify_on_small_generating_sets(monkeypatch):
     gl(2|2)/F5 and their adjoint squares, in the worker's own seeded bases,
     each round's four sets hold at most 8 basis elements and 6 on average.
     The worker's file is read, not changed."""
-    monkeypatch.syspath_prepend(str(PERFBENCH))
-    spec = importlib.util.spec_from_file_location("perfbench_worker", PERFBENCH / "worker.py")
-    worker = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(worker)
+    worker = _worker(monkeypatch)
     for round_ in range(10):
         x = worker.build_inputs(superlie, "tensor-squares", 1, round_)
         algebras = [x["sl"], x["gl"]]
         algebras += [superlie.adjoint_tensor_square(P).algebra for P in algebras]
         sizes = [len(L._generators) for L in algebras]
         assert max(sizes) <= 8 and sum(sizes) <= 6 * len(sizes), (round_, sizes)
+
+
+def test_complexes_image_of_d5_takes_few_elimination_steps(monkeypatch):
+    """Spans are inserted by descending leading index, which cuts the
+    elimination steps of the boundary images that ``complexes`` spends its
+    time on.  For Im d_5 of gl(2|2)/Q in the worker's basis of round 0 of
+    seed 1, the backend takes 573 steps, where inserting sparsest first
+    took 851; the count must stay in that range."""
+    x = _worker(monkeypatch).build_inputs(superlie, "complexes", 1, 0)
+    gl = x["gl"]
+    d5 = superlie.ce_complex(gl, superlie.trivial_module(gl), 5).boundary(5)
+    steps = []
+    eliminate = linalg._RationalRows.eliminate
+    monkeypatch.setattr(linalg._RationalRows, "eliminate",
+                        staticmethod(lambda work, row, piv, *rest:
+                                     steps.append(piv) or eliminate(work, row, piv, *rest)))
+    assert d5.image().dim == 67
+    assert 573 <= len(steps) < 851, len(steps)
+
+
+def test_hopf_formula_reads_the_commutator_off_the_grading(monkeypatch):
+    """``hopf_formula`` on four even generators at class 4, the ``hopf``
+    operation of ``complexes``, takes [F, F] from the grading of the cover:
+    it inserts 204 vectors into echelon accumulators, 485 fewer than the
+    689 it took when it eliminated [F, F] from the brackets of all pairs,
+    which alone insert 485 on that cover."""
+    inserts = []
+    insert = linalg.Echelon.insert
+    monkeypatch.setattr(linalg.Echelon, "insert", lambda self, v: inserts.append(v) or insert(self, v))
+    pres = superlie.Presentation(superlie.genset([("a", 0), ("b", 0), ("c", 0), ("d", 0)]), ())
+    assert superlie.hopf_formula(pres, 4).dims == (204, 0)
+    assert len(inserts) == 204
+    cover = superlie.free_truncated(pres.gens, 5).algebra()
+    full = cover.full_subspace()
+    inserts.clear()
+    assert cover.product_subspace(full, full) == superlie.free_truncated(pres.gens, 5).derived_subspace()
+    assert len(inserts) == 485

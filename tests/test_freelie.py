@@ -1,9 +1,9 @@
-from itertools import accumulate
+from itertools import accumulate, product
 from math import comb
 
 import pytest
 
-from oracles import echelon_free_cover, evaluate_relator, magma_quotient_dims
+from oracles import echelon_free_cover, evaluate_relator, magma_quotient_dims, product_subspace_pairs
 from superlie import linalg
 from superlie.algebras import LieSuperAlgebra, check_lie_axioms, iso_fault, series
 from superlie.freelie import (
@@ -180,6 +180,22 @@ def test_h2_of_free_nilpotent_equals_next_degree():
         h2 = homology(alg, None, 2)
         top = free_truncated(gg, c + 1).dims()[c]
         assert h2.dim == top, (gens, c)
+
+
+@pytest.mark.parametrize("parities", [p for n in (1, 2, 3) for p in product((0, 1), repeat=n)],
+                         ids=lambda p: "".join(map(str, p)))
+def test_derived_subspace_is_the_span_of_all_brackets(parities):
+    """[F, F] read off the grading, the unit rows of the words of length
+    >= 2, is the span of the brackets of every pair of basis elements of
+    the free nilpotent cover of class c + 1, for the class bounds c = 0..4
+    of ``hopf_formula``; with odd generators it holds their squares."""
+    gens = genset([(f"g{i}", p) for i, p in enumerate(parities)])
+    for c in range(5):
+        trunc = free_truncated(gens, c + 1)
+        cover = trunc.algebra()
+        full = cover.full_subspace()
+        assert trunc.derived_subspace() == product_subspace_pairs(cover, full, full), c
+    assert any(parities) == any(len(set(w)) == 1 for w in trunc.words if len(w) == 2)
 
 
 def test_miller_all_small_cases():
