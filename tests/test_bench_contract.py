@@ -180,8 +180,8 @@ def test_hopf_formula_reads_the_commutator_off_the_grading(monkeypatch):
     pres = superlie.Presentation(superlie.genset([("a", 0), ("b", 0), ("c", 0), ("d", 0)]), ())
     assert superlie.hopf_formula(pres, 4).dims == (204, 0)
     assert len(inserts) == 204
-    cover = superlie.free_truncated(pres.gens, 5).algebra()
-    full = cover.full_subspace()
+    trunc = superlie.free_truncated(pres.gens, 5)
+    full = trunc.algebra().full_subspace()
     inserts.clear()
-    assert cover.product_subspace(full, full) == superlie.free_truncated(pres.gens, 5).derived_subspace()
+    assert trunc.algebra().product_subspace(full, full) == trunc.derived_subspace()
     assert len(inserts) == 485
