@@ -695,33 +695,36 @@ def series(L: LieSuperAlgebra) -> SeriesReport:
 
 def is_engel(L: LieSuperAlgebra, n: int) -> bool:
     """Whether ad(x)^n = 0 for the generic x = sum t_i e_i, the t_i
-    commuting: the coefficient of t^alpha in ad(x)^n is the symmetrized
-    sum of the products of the ad(e_i), i in the multiset alpha.  Each
-    ad(x)^k e_j is walked once, as {alpha: vector} over its nonzero
-    coefficients, each step reading the brackets [e_i, v] from
-    :meth:`LieSuperAlgebra.left_brackets`.  Exact over Q; over GF(p) this
+    commuting (see :func:`engel_degree`).  Exact over Q; over GF(p) this
     is a sufficient condition only (documented limitation)."""
     if n < 1:
         raise ValueError("Engel degree must be >= 1")
+    return engel_degree(L, n) is not None
+
+
+def engel_degree(L: LieSuperAlgebra, bound: int) -> int | None:
+    """The least n >= 1 with ad(x)^n = 0 for the generic x, or None when
+    it exceeds ``bound``.  The coefficient of t^alpha in ad(x)^k is the
+    symmetrized sum of the products of the ad(e_i), i in the multiset
+    alpha.  Each ad(x)^k e_j is walked once, as {alpha: vector} over its
+    nonzero coefficients, each step reading the brackets [e_i, v] from
+    :meth:`LieSuperAlgebra.left_brackets`, until it vanishes; the degree
+    is the most steps any e_j takes to vanish, and at least 1."""
     clean = L.field.clean
+    degree = 1
     for j in range(L.dim):
-        terms = {(): {j: 1}}
-        for _ in range(n):
+        terms, k = {(): {j: 1}}, 0
+        while terms:
+            if k == bound:
+                return None
             step: dict[tuple, dict] = {}
             for alpha, v in terms.items():
                 for i, w in L.left_brackets(v).items():
                     vec_axpy(step.setdefault(tuple(sorted((*alpha, i))), {}), 1, w)
             terms = {alpha: w for alpha, v in step.items() if (w := clean(v))}
-        if terms:
-            return False
-    return True
-
-
-def engel_degree(L: LieSuperAlgebra, bound: int) -> int | None:
-    for n in range(1, bound + 1):
-        if is_engel(L, n):
-            return n
-    return None
+            k += 1
+        degree = max(degree, k)
+    return degree if degree <= bound else None
 
 
 # ---------------------------------------------------------------------------

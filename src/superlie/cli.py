@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from functools import partial
 from pathlib import Path
 
 from . import corpus
@@ -150,11 +151,18 @@ def cmd_check(args) -> int:
     return rep.emit(0 if cert.ok else 1)
 
 
-def _load_lie(path: Path) -> LieSuperAlgebra:
+def _load_kind(cls, path: Path):
+    """The algebra file at ``path``, refused unless it holds a ``cls``;
+    passed to :meth:`Report.read`, so the message names the resolved path."""
     alg = load_algebra(path)
-    if not isinstance(alg, LieSuperAlgebra):
-        raise ParseError(f"{path} is not a Lie superalgebra file")
+    if not isinstance(alg, cls):
+        kind = "a Lie" if cls is LieSuperAlgebra else "an associative"
+        raise ParseError(f"{path} is not {kind} superalgebra file")
     return alg
+
+
+_load_lie = partial(_load_kind, LieSuperAlgebra)
+_load_assoc = partial(_load_kind, AssocSuperAlgebra)
 
 
 def cmd_tensor(args) -> int:
@@ -273,9 +281,7 @@ def cmd_cyclic(args) -> int:
     from .cyclic import NotUnital, connes, cyclic_sixterm, hc, hc1_kernel_model, milnor_hc1
 
     rep = Report("cyclic", args.out)
-    A = rep.read(args.path, load_algebra)
-    if not isinstance(A, AssocSuperAlgebra):
-        raise ParseError(f"{args.path} is not an associative superalgebra file")
+    A = rep.read(args.path, _load_assoc)
     _require_axioms(rep, A)
     if A.unit is None:
         raise NotUnital("cyclic homology commands require a unital algebra")

@@ -377,9 +377,6 @@ class Subspace:
             and self._key() == other._key()
         )
 
-    def __hash__(self):
-        return hash((self.ambient, self._key()))
-
     def __repr__(self):
         return f"Subspace(dim {self.dim} of {self.ambient} over {self.field})"
 

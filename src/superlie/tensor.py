@@ -561,9 +561,12 @@ def nonabelian_exterior(t: TensorProduct, cm_m: CrossedModule,
     m_plus_n = SuperSpace(field, tuple(f"m.{l}" for l in M.space.labels)
                           + tuple(f"n.{l}" for l in N.space.labels),
                           M.space.parities + N.space.parities)
+    # every row is homogeneous: both boundaries are even GradedMaps, so the
+    # stacked map M + N -> P is even and its kernel is a graded subspace.  A
+    # canonical row of a graded subspace whose pivot is even has its even
+    # part in the subspace, with the same pivot entry and zero at the other
+    # pivots, so it equals that even part (and likewise for an odd pivot)
     parity_of = [m_plus_n.parity_of_vec(r) for r in rows]
-    if None in parity_of:
-        raise CrossedModuleMismatch("pullback basis is not homogeneous")
     part_m = [{k: c for k, c in r.items() if k < dm} for r in rows]
     part_n = [{k - dm: c for k, c in r.items() if k >= dm} for r in rows]
 
@@ -637,13 +640,15 @@ def uce(P: LieSuperAlgebra) -> CentralExtension:
         raise NotPerfect("universal central extensions require a perfect algebra")
     t = adjoint_tensor_square(P)
     proj = t.nu  # p (x) p' -> p.p' = [p, p'] under the adjoint actions
-    if proj.matrix.rank() != P.dim:
-        raise BracketNotWellDefined("central extension map is not surjective")
+    # nu is onto: its columns reduce the plain map m (x) n -> [m, n] on the
+    # section, and that map kills D (induced_map certified it), so Im nu is
+    # the span of every [e_i, e_j], which is [P, P] = P by _is_perfect above.
+    # P (x) P is perfect: mu = nu is onto, so every m (x) n is mu(u) (x) nu(v)
+    # = [u, v] in the product, and the stored brackets span every bracket by
+    # the antisymmetry that factored_quotient_algebra certified.
     # Ker nu is central: on the adjoint square nu is mu, the boundary of
     # t.cross_m, and k in Ker mu gives [k, x] = mu(k).x = 0 by the Peiffer
     # identity that check_crossed has certified
     ker = proj.kernel()
-    if not _is_perfect(t.algebra):
-        raise BracketNotWellDefined("tensor square of a perfect algebra must be perfect")
     dims = t.algebra.space.split_dims(ker.rows)
     return CentralExtension(t.algebra, P, proj, ker, dims, t)

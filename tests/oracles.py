@@ -94,6 +94,8 @@ files regenerated from the public constructors.
 from __future__ import annotations
 
 import ast
+import contextlib
+import io
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -101,6 +103,7 @@ from functools import partial
 from itertools import accumulate, chain, combinations_with_replacement, islice, permutations, product
 from pathlib import Path
 from random import Random
+from typing import NamedTuple
 
 from hypothesis import strategies as st
 
@@ -1762,3 +1765,29 @@ def write_bundle(directory: Path) -> list[str]:
     for name, obj in files.items():
         dump_json(obj, directory / name)
     return sorted(files)
+
+
+# ---------------------------------------------------------------------------
+# the command line, run in this process
+
+
+class CliRun(NamedTuple):
+    returncode: int
+    stdout: str
+    stderr: str
+
+
+def run_cli(*args) -> CliRun:
+    """``superlie.cli.main`` on ``args`` in this process, with the fields of
+    ``subprocess.run(..., capture_output=True, text=True)``.  argparse's
+    ``SystemExit`` becomes the return code; any other exception propagates
+    and fails the test, as a traceback would fail a command."""
+    from superlie.cli import main
+
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main([str(a) for a in args])
+        except SystemExit as exc:
+            code = 0 if exc.code is None else exc.code
+    return CliRun(code, out.getvalue(), err.getvalue())

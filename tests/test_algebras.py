@@ -205,13 +205,18 @@ def _engel_cases(field: Field) -> dict[str, LieSuperAlgebra]:
 def test_engel_matches_the_dense_oracle(p):
     """ad(x)^n e_j walked once per basis vector agrees with the sums of
     products of dense ad matrices over every ordering of every multiset,
-    for n = 1, 2, 3: 27 cases per field."""
+    for n = 1, 2, 3: 27 cases per field.  The Engel degree, read off one
+    walk, is the least such n, or None when no n <= bound is one."""
     got, want = {}, {}
     cases = _engel_cases(Field(p))
     for name, L in cases.items():
         for n in (1, 2, 3):
             got[name, n] = is_engel(L, n)
             want[name, n] = is_engel_dense(L, n)
+        for bound in (0, 1, 2, 3):
+            got[name, "degree", bound] = engel_degree(L, bound)
+            want[name, "degree", bound] = next(
+                (n for n in range(1, bound + 1) if want[name, n]), None)
     assert got == want
     # both answers occur: heis is 2-Engel and not 1-Engel, the free
     # algebras of class 3 are 3-Engel and not 2-Engel, gl(1|1) is not 3-Engel

@@ -8,15 +8,13 @@ directory before comparing.  After an intended change of a report,
 rewrite the recorded copy with ``PYTHONPATH=src python tests/test_cli_reports.py``.
 """
 
-import contextlib
-import io
 import json
 from pathlib import Path
 
 import pytest
 
 import superlie
-from superlie.cli import main
+from oracles import run_cli
 from superlie.io import dumps_canonical
 from superlie.suites import SUITES
 
@@ -37,10 +35,7 @@ COMMANDS = README_COMMANDS + tuple(f"verify {s}" for s in sorted(SUITES))
 
 def run_report(command: str) -> dict:
     """Exit code and canonical JSON report of one in-process CLI run."""
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
-        code = main(["--out", "json", *command.split()])
-    raw = out.getvalue()
+    code, raw, _ = run_cli("--out", "json", *command.split())
     data = json.loads(raw)
     assert dumps_canonical(data) == raw, "report is not in canonical form"
     pkg = Path(superlie.__file__).parent

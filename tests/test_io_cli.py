@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from oracles import ASSOC_NAMES, LIE_NAMES, write_bundle
+from oracles import ASSOC_NAMES, LIE_NAMES, run_cli, write_bundle
 from superlie.algebras import AssocSuperAlgebra, LieSuperAlgebra, check_lie_axioms
 from superlie.corpus import assoc_algebra, lie_algebra
 from superlie.io import (
@@ -28,7 +28,9 @@ from superlie.homology import nh
 DATA = Path(__file__).parent.parent / "src" / "superlie" / "data"
 
 
-def run_cli(*args):
+def run_module(*args):
+    """``python -m superlie.cli`` in a fresh process: for the tests whose
+    subject is the process itself (its exit code and its output bytes)."""
     return subprocess.run([sys.executable, "-m", "superlie.cli", *args],
                           capture_output=True, text=True)
 
@@ -177,7 +179,7 @@ def test_load_presentation_bundled():
 # -- CLI --------------------------------------------------------------------------
 
 def test_cli_check_certified():
-    r = run_cli("check", "@heis")
+    r = run_module("check", "@heis")
     assert r.returncode == 0
     assert "certified" in r.stdout
     assert "class 2" in r.stdout
@@ -212,7 +214,7 @@ def test_cli_check_tampered(tmp_path):
             break
     p = tmp_path / "bad.json"
     p.write_text(json.dumps(obj), encoding="utf-8")
-    r = run_cli("check", str(p))
+    r = run_module("check", str(p))
     assert r.returncode == 1
     assert "violation" in r.stdout
 
@@ -396,12 +398,18 @@ def test_cli_cyclic_sixterm():
 
 
 def test_cli_deterministic_output():
+    """A run in a fresh process and two in this one, where the corpus
+    cache that the suites read and the memos on its algebras outlive each
+    run, print the same bytes and exit with the same code."""
     for args in (["check", "@sl21"], ["homology", "@heis", "-n", "2"],
-                 ["cyclic", "@grassmann"], ["--out", "json", "check", "@heis"]):
-        a = run_cli(*args)
+                 ["cyclic", "@grassmann"], ["--out", "json", "check", "@heis"],
+                 ["tensor", "@sl21", "@sl21", "--adjoint", "--uce", "--exterior"],
+                 ["verify", "uce"]):
+        a = subprocess.run([sys.executable, "-m", "superlie.cli", *args], capture_output=True)
         b = run_cli(*args)
-        assert a.stdout == b.stdout
-        assert a.returncode == b.returncode
+        c = run_cli(*args)
+        assert a.stdout == b.stdout.encode("utf-8") == c.stdout.encode("utf-8")
+        assert a.returncode == b.returncode == c.returncode
 
 
 def test_cli_json_output_parses():
@@ -539,7 +547,7 @@ def test_reports_round_trip_quotients(tmp_path):
 
 
 def test_cli_negative_degree_is_input_error():
-    r = run_cli("homology", "@heis", "-n", "-1")
+    r = run_module("homology", "@heis", "-n", "-1")
     assert r.returncode == 2
     assert "--degree" in r.stderr
     assert "Traceback" not in r.stderr

@@ -153,6 +153,13 @@ print(json.dumps([missing, uncached, sorted(n for n in ns if n != "__builtins__"
     assert set(star) == STAR_NAMES == set(superlie.__all__)
 
 
+def test_a_submodule_is_read_through_the_package_before_it_is_bound(monkeypatch):
+    """A submodule the package has not bound yet is resolved by the lazy
+    lookup: the module that the import system holds."""
+    monkeypatch.delitem(vars(superlie), "spaces")
+    assert superlie.spaces is sys.modules["superlie.spaces"]
+
+
 def test_unknown_name_is_an_attribute_error():
     with pytest.raises(AttributeError, match="no attribute 'nonexistent'"):
         superlie.nonexistent  # noqa: B018
