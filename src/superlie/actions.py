@@ -50,10 +50,11 @@ class Action:
     """Bilinear action constants of ``actor`` on ``target``: ``table`` maps
     (p, m) to p.e_m, and ``rows[p]`` is {m: p.e_m}, both over the nonzero
     constants only and sharing their vectors, which callers must not
-    mutate.  ``_checked`` records that :func:`check_action` passed, and
-    ``_compatible_with`` the action of target on actor with which
-    :func:`check_compatible` passed, in either order, as ``_generators``
-    records the Lie axioms on the algebra."""
+    mutate.  ``_checked`` records that :func:`check_action` or
+    :func:`check_crossed` passed, and ``_compatible_with`` the action of
+    target on actor with which :func:`check_compatible` passed, in either
+    order, as ``_generators`` records the Lie axioms on the algebra; only
+    those certificates read them."""
 
     def __init__(self, actor: LieSuperAlgebra, target: LieSuperAlgebra,
                  table: dict[tuple[int, int], dict]):
@@ -176,7 +177,10 @@ def check_action(a: Action) -> AxiomReport:
     others are computed.  For a certified actor both axioms are proved on
     its generating set, by (b) of the :mod:`~superlie.algebras` docstring.
     Violations come in basis order, at most MAX_VIOLATIONS of them, from
-    the loop over every basis index.  A pass is recorded on ``a``."""
+    the loop over every basis index.  A pass is recorded on ``a``, and a
+    recorded pass, here or by :func:`check_crossed`, returns at once."""
+    if a._checked:
+        return AxiomReport(True)
     rep = _certify(partial(_action_violations, a), a.actor)
     a._checked = rep.ok
     return rep
@@ -309,12 +313,15 @@ def check_crossed(c: CrossedModule) -> AxiomReport:
     is even, and the canonical rows of a graded subspace are homogeneous.
     For k in Ker d, d(m).k = [m, k] = 0 and d(p.k) = [p, d k] = 0, so
     Ker d is a module over Coker d.  No division is used, so this holds in
-    every characteristic."""
+    every characteristic.  The axioms include those of the action, so a
+    pass is recorded on it, as :func:`check_action` would."""
     if c.action.actor is not c.p or c.action.target is not c.m:
         raise ValueError("the action is not an action of P on M")
     if c.boundary.source != c.m.space or c.boundary.target != c.p.space:
         raise ValueError("the boundary does not map M to P")
-    return _certify(partial(_crossed_violations, c), c.p, c.m)
+    rep = _certify(partial(_crossed_violations, c), c.p, c.m)
+    c.action._checked |= rep.ok
+    return rep
 
 
 def _crossed_violations(c: CrossedModule, ps, ms):

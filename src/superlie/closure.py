@@ -1,9 +1,12 @@
 """Spans closed under the bracket, and the generating set S of the
 certificates.
 
-:func:`close_span` is the one worklist that closes a span under the
-bracket: :func:`~superlie.algebras.subalgebra_closure` and the walk of
-:func:`generating_set` both run it.
+:func:`close_span` closes a span under the bracket, for
+:func:`~superlie.algebras.subalgebra_closure`.  The walk of
+:func:`generating_set` closes the span of its picks S under ad(S) only:
+that closure lies in the subalgebra S generates, Jacobi or not, and
+equals it under Jacobi, so it proves that S generates in about dim |S|
+brackets, where the full closure takes about dim^2.
 
 The certificates of :mod:`~superlie.algebras` need only that S generates L,
 so the walk picks S to be small.  It is lazy and greedy: the score of a
@@ -79,13 +82,19 @@ def _picks(L, acc: Echelon):
 def generating_set(L) -> list[int]:
     """The indices, ascending, of a set S of basis elements that generates
     L.  The walk only proposes the members; S is exactly the picks whose
-    span is closed here by :func:`close_span`, and that it is all of L is
+    span is closed here under ad(S), a new pick against all spanned so far
+    and a new vector against the picks, and that it is all of L is
     asserted, so no choice of the walk can make S fail to generate."""
     acc, spanned, gens = Echelon(L.field, L.dim), [], []
     for i in _picks(L, acc):
         gens.append(i)
         acc.insert({i: 1})
-        close_span(L, acc, spanned, [{i: 1}])
+        spanned.append({i: 1})
+        work = [w for u in spanned if (w := L.bracket(u, {i: 1})) and acc.insert(w)]
+        while work and acc.rank < L.dim:
+            v = work.pop()
+            spanned.append(v)
+            work += [w for s in gens if (w := L.bracket({s: 1}, v)) and acc.insert(w)]
     if acc.rank != L.dim:
         raise RuntimeError("the generating set does not generate the algebra")
     return sorted(gens)

@@ -667,7 +667,7 @@ def right_exactness_check(M: LieSuperAlgebra, K: Subspace) -> SequenceReport:
 
     # the printed left node is the semidirect product of M(x)K acting on K(x)M
     # through nu: M(x)K -> K, included in M
-    sd_action = pullback_action(t_km.action_m, t_mk.algebra, incl.compose(t_mk.nu))
+    sd_action = pullback_action(t_km.action_n, t_mk.algebra, incl.compose(t_mk.nu))
     sd = semidirect(sd_action, name="(K(x)M) x| (M(x)K)")
     alpha = GradedMap.from_columns(sd.space, t_mm.algebra.space,
                                    f_km.matrix.cols + f_mk.matrix.cols)

@@ -115,12 +115,10 @@ to [a, mu x] - [a, nu x] = 0 and (ii) to
 in Ker mu.  Take d in D_w and write d = s + h_k (x) p with s in
 S_w and p in P_w.  Then 0 = mu(d) = mu(h_k (x) p) = [h_k, p] = w_k p, so
 p = 0 and D_w = S_w: one generator per basis tensor spans the block, and
-no membership test is needed.  Since the argument needs graded Jacobi of P,
-the adjoint square first certifies the Lie axioms of P, on either path, and
-raises :class:`BracketNotWellDefined` when they fail.  The block path is
-taken only for the adjoint square of a P with such an h; every other
-M (x) N streams (i) and (ii) over all basis tensors x, from generating
-sets where it may.
+no membership test is needed.  The argument needs graded Jacobi of P,
+which every product certifies at entry (below).  The block path is taken
+only for the adjoint square of a P with such an h; every other M (x) N
+streams (i) and (ii) over all basis tensors x.
 
 Generating sets.  Write g(a, x) = a.x - a (x) nu(x) for the generator
 (i).  M acts on T by a Lie action, which needs Jacobi in M and action
@@ -136,12 +134,12 @@ is all of M: family (i) needs only a in S_M.  Family (ii) is the mirror
 image, with N, the action of N on M and mu, and needs only b in S_N.  No
 division is used, so this holds in every characteristic.  Each c in S is
 a basis vector of one weight, so the weight-0 block is spanned by its
-generators with c in S.  The generating set of a factor is used only
-where these hypotheses are certified: on the adjoint square once the Lie
-axioms of P pass, and otherwise for a factor L that passed
-check_lie_axioms and whose action on the other factor passed
-:func:`~superlie.actions.check_action`, both memoized, so no certificate
-runs for it here.  Any other factor streams every basis element.
+generators with c in S.  :func:`nonabelian_tensor` certifies these
+hypotheses at entry, each memoized: compatibility, the Lie axioms of M
+and N, and each action; it refuses an input that fails one before any
+relation is streamed.  The adjoint square needs the Lie axioms of P
+only: its actions are compatible by the storage rule (below), and the
+axioms of ad are graded Jacobi.
 
 The construction certifies, not assumes, the result.  Both edge maps are
 built by :func:`~superlie.algebras.induced_map`, which certifies that
@@ -162,15 +160,12 @@ classes, which puts (iii) and (iv) in D(M, N); and the product must
 satisfy the Lie axioms on every basis triple, which puts (v) in D(M, N).
 Both edge maps must be crossed modules; on the adjoint square the one
 crossed module is certified once.  An edge map that does not descend
-raises :class:`BracketNotWellDefined` naming the Lie axioms when M or N
-fails them, which is checked then and only then, and
-:class:`~superlie.linalg.ContainmentError` otherwise; any other failure
-raises :class:`BracketNotWellDefined`.  On factors that satisfy the Lie
-axioms, either indicates a transcription bug, never a property of
-compatible inputs.  The certificates do not fix the
-scale of an edge map, though: on an abelian product, such as heis (x)
-heis, every certificate is homogeneous in nu, so a nu scaled by a
-constant passes them all.  There the comparison of both edge maps with
+raises :class:`~superlie.linalg.ContainmentError`, and any other failure
+:class:`BracketNotWellDefined`; on certified inputs either indicates a
+transcription bug, never a property of the inputs.  The certificates do
+not fix the scale of an edge map, though: on an abelian product, such as
+heis (x) heis, every certificate is homogeneous in nu, so a nu scaled by
+a constant passes them all.  There the comparison of both edge maps with
 the oracle in ``tests/test_factored_quotient.py`` is the guard.
 """
 
@@ -181,7 +176,9 @@ from itertools import chain, combinations_with_replacement, permutations, produc
 
 from .actions import (
     Action,
+    ActionInvalid,
     CrossedModule,
+    check_action,
     check_compatible,
     check_crossed,
     adjoint_action,
@@ -209,7 +206,6 @@ from .algebras import (
 )
 from .fields import MathError, record
 from .linalg import (
-    ContainmentError,
     Echelon,
     Matrix,
     Subspace,
@@ -320,26 +316,13 @@ def _weight_blocks(P: LieSuperAlgebra, adj: Action):
     return closed, spanning
 
 
-def _streamed(L: LieSuperAlgebra, a: Action, adjoint: bool):
-    """The basis elements of L that stream the relation family of its
-    action ``a`` on the other factor: the generating set of L when L
-    satisfies the Lie axioms and ``a`` is certified, every basis element
-    otherwise (see the module docstring).  On the adjoint square ``a`` is
-    ad, and the Lie axioms of L have passed; any other ``a`` must have
-    passed :func:`~superlie.actions.check_action`, and no certificate is
-    run here."""
-    gens = (adjoint or a._checked) and L._generators
-    return gens or range(L.dim)
-
-
 def nonabelian_tensor(M: LieSuperAlgebra, N: LieSuperAlgebra,
                       act_mn: Action, act_nm: Action) -> TensorProduct:
     """Construct M (x) N from compatible mutual actions: act_mn of M on N,
-    act_nm of N on M, on these very objects (ValueError otherwise).
-    Family (i) streams a over the generating set of M when M passed
-    check_lie_axioms and act_mn passed check_action, and family (ii) b
-    over that of N likewise with act_nm; on the adjoint square both need
-    only the Lie axioms of P.  Otherwise every basis element streams."""
+    act_nm of N on M, on these very objects (ValueError otherwise).  The
+    inputs are certified at entry (module docstring): compatibility, the
+    Lie axioms of M and N, then each action.  Family (i) then streams a
+    over the generating set of M and family (ii) b over that of N."""
     if act_mn.actor is not M or act_mn.target is not N:
         raise ValueError("actions are not between the same pair of algebras")
 
@@ -365,21 +348,20 @@ def nonabelian_tensor(M: LieSuperAlgebra, N: LieSuperAlgebra,
     adjoint = M is N and act_mn is act_nm and act_mn.table == adj_m.table
     if not adjoint:
         check_compatible(act_mn, act_nm).require(IncompatibleActions, "actions are not compatible")
+    for L in (M,) if N is M else (M, N):
+        if L._generators is None:
+            check_lie_axioms(L).require(BracketNotWellDefined,
+                                        "M (x) N needs the Lie axioms of M and N")
+    if not adjoint:
+        for a, label in ((act_mn, "M on N"), (act_nm, "N on M")):
+            check_action(a).require(ActionInvalid, f"the action of {label} fails its axioms")
     act_m = tensor_action(adj_m, act_mn)
     act_n = act_m if adjoint else tensor_action(act_nm, adj_m if N is M else adjoint_action(N))
 
-    if adjoint and M._generators is None:
-        # the weight blocks rest on D(P, P) in Ker mu, and the generating
-        # sets on the Lie action of P on T: both are graded Jacobi, which a
-        # memoized generating set has already certified
-        check_lie_axioms(M).require(BracketNotWellDefined, "the weight blocks and "
-                                    "generating sets of D(P, P) need the Lie axioms of P")
     blocks = _weight_blocks(M, adj_m) if adjoint else None
     if blocks is None:
-        s_m = _streamed(M, act_mn, adjoint)
-        s_n = s_m if adjoint else _streamed(N, act_nm, False)
         xs = range(len(pairs))
-        pairs_i, pairs_ii, spanning = product(s_m, xs), product(xs, s_n), ()
+        pairs_i, pairs_ii, spanning = product(M._generators, xs), product(xs, N._generators), ()
     else:
         closed, spanning = blocks
         gens = set(M._generators)
@@ -403,15 +385,8 @@ def nonabelian_tensor(M: LieSuperAlgebra, N: LieSuperAlgebra,
     del acc  # its semi-reduced rows are not read again; free them before the certificates
     quot = quotient_space(plain, Subspace.full(field, plain.dim), d_sub, "t")
 
-    try:
-        mu = induced_map(quot, ms, mu_plain.apply)
-        nu = mu if adjoint else induced_map(quot, ns, nu_plain.apply)
-    except ContainmentError:
-        # only now, as the edge maps need Jacobi in M and N to descend
-        for L in (M,) if N is M else (M, N):
-            check_lie_axioms(L).require(BracketNotWellDefined,
-                                        "the edge maps of M (x) N need the Lie axioms of M and N")
-        raise
+    mu = induced_map(quot, ms, mu_plain.apply)
+    nu = mu if adjoint else induced_map(quot, ns, nu_plain.apply)
     algebra = factored_quotient_algebra(quot, mu, nu, partial(tensor_vec, ms, ns),
                                         name=f"{M.name or 'M'}(x){N.name or 'N'}")
     action_m = Action(M, algebra, induced_action_table(quot, dm, act_m))
@@ -548,11 +523,18 @@ def nonabelian_exterior(t: TensorProduct, cm_m: CrossedModule,
     """Quotient of the tensor product by the central graded ideal spanned by
     the pullback coincidence generators of the two crossed modules, and
     over F3 by the polarized cubes m (x) m.n of the odd pullback (module
-    docstring)."""
+    docstring), certified at entry to be crossed modules over one base."""
     if cm_m.p is not cm_n.p:
         raise CrossedModuleMismatch("crossed modules are over different bases")
     if cm_m.m is not t.m or cm_n.m is not t.n:
         raise CrossedModuleMismatch("crossed modules do not match the tensor factors")
+    for cm in (cm_m,) if cm_n is cm_m else (cm_m, cm_n):
+        check_crossed(cm).require(CrossedModuleMismatch, "input fails the crossed module axioms")
+    return _exterior(t, cm_m, cm_n)
+
+
+def _exterior(t: TensorProduct, cm_m: CrossedModule, cm_n: CrossedModule) -> ExteriorProduct:
+    """:func:`nonabelian_exterior` of crossed modules known to be such."""
     M, N = t.m, t.n
     dm, field = M.dim, M.field
     # pullback X = {(m, n) : dM(m) = dN(n)} inside M + N
@@ -606,10 +588,11 @@ def nonabelian_exterior(t: TensorProduct, cm_m: CrossedModule,
 
 
 def exterior_square(P: LieSuperAlgebra) -> ExteriorProduct:
-    """P (^) P via the identity crossed module (memoized on P)."""
+    """P (^) P via the identity crossed module, whose axioms are the Lie
+    axioms that the adjoint square certified (memoized on P)."""
     if P._exterior_square is None:
         cid = identity_crossed(P)
-        P._exterior_square = nonabelian_exterior(adjoint_tensor_square(P), cid, cid)
+        P._exterior_square = _exterior(adjoint_tensor_square(P), cid, cid)
     return P._exterior_square
 
 

@@ -1,4 +1,5 @@
 import random
+from importlib import import_module
 
 import pytest
 
@@ -29,6 +30,8 @@ from superlie.fields import QQ
 from superlie.linalg import Matrix
 from superlie.spaces import GradedMap
 
+actions_module = import_module("superlie.actions")
+
 
 def test_trivial_action_certified(heis):
     assert check_action(trivial_action(heis, heis)).ok
@@ -37,6 +40,24 @@ def test_trivial_action_certified(heis):
 def test_adjoint_action_certified(heis, gl11, sl21):
     for alg in (heis, gl11, sl21):
         assert check_action(adjoint_action(alg)).ok
+
+
+def test_a_crossed_module_pass_certifies_its_action(heis, monkeypatch):
+    """The crossed module axioms include those of the action, so after
+    check_crossed passes, check_action runs no loop on that action; a
+    crossed module that fails, here with its boundary doubled on x,
+    records nothing on its action."""
+    cm = identity_crossed(heis)
+    doubled = GradedMap.from_columns(heis.space, heis.space,
+                                     [{i: 2 if i == 0 else 1} for i in range(heis.dim)])
+    bad = CrossedModule(heis, heis, doubled, adjoint_action(heis))
+    assert check_crossed(cm) and not check_crossed(bad)
+    loops = []
+    violations = actions_module._action_violations
+    monkeypatch.setattr(actions_module, "_action_violations",
+                        lambda *args: loops.append(args) or violations(*args))
+    assert check_action(cm.action) and loops == []
+    assert check_action(bad.action) and len(loops) == 1
 
 
 def test_bracket_action_on_ideal(heis):

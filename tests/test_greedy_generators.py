@@ -7,7 +7,9 @@ catalogue and on generated subalgebras of gl(2|1), in seeded shuffled and
 unitriangular bases over Q, F3, F5 and F7, both walks give sets that
 generate, and the adjoint square built with either one memoized has the
 same relation space and the same certificate reports.  A walk that drops
-its last pick is refused.
+its last pick is refused.  The walk closes the span of its picks under
+ad(S) only, and picks what the walk that closes it under the whole
+bracket with ``close_span`` picks.
 """
 
 import pytest
@@ -28,8 +30,9 @@ from oracles import (
 )
 from superlie.actions import Action, check_action, check_crossed
 from superlie.algebras import LieSuperAlgebra, check_lie_axioms, subalgebra_closure
-from superlie.closure import generating_set
+from superlie.closure import close_span, generating_set
 from superlie.fields import QQ, Field
+from superlie.linalg import Echelon
 from superlie.tensor import adjoint_tensor_square
 
 
@@ -125,3 +128,33 @@ def test_a_walk_that_drops_its_last_pick_is_refused(monkeypatch, name):
     with pytest.raises(RuntimeError, match="does not generate"):
         check_lie_axioms(L)
     assert L._generators is None
+
+
+def close_span_walk(L):
+    """The picks, ascending, of the walk of ``closure`` when the span is
+    closed under the whole bracket after each pick, and the rank reached."""
+    acc, spanned, gens = Echelon(L.field, L.dim), [], []
+    for i in closure._picks(L, acc):
+        gens.append(i)
+        acc.insert({i: 1})
+        close_span(L, acc, spanned, [{i: 1}])
+    return sorted(gens), acc.rank
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_the_ad_s_walk_picks_what_the_full_closure_picks(p):
+    """On the catalogue in its standard bases, closing under ad(S) only
+    gives the picks of the full closure, and both reach the whole space."""
+    for name in sorted(LIE):
+        L = LIE[name](Field(p))
+        assert close_span_walk(L) == (generating_set(L), L.dim), name
+
+
+@pytest.mark.parametrize("p", PRIMES)
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_the_ad_s_walk_picks_what_the_full_closure_picks_in_drawn_bases(p, data):
+    """Likewise in shuffled and unitriangular bases, and on generated
+    subalgebras of gl(2|1)."""
+    L = data.draw(drawn(p))
+    assert close_span_walk(L) == (generating_set(L), L.dim)

@@ -69,6 +69,7 @@ from superlie.linalg import AmbientMismatch, Subquotient, Subspace, vec_scale
 from superlie.spaces import GradedMap, SuperSpace, exterior_power, superspace, tensor_space
 from superlie.tensor import (
     CrossedModuleMismatch,
+    _exterior,
     adjoint_tensor_square,
     nilpotency_bounds_check,
     nonabelian_exterior,
@@ -96,8 +97,8 @@ def exact_but_l_has_a_boundary() -> CrossedSES:
 
 def boundary_doubled_at_0(P: LieSuperAlgebra) -> CrossedModule:
     """The identity crossed module of P with its boundary doubled on e_0:
-    not a homomorphism, so the pullback pairs it gives do not span a
-    central ideal of P (x) P."""
+    not a homomorphism, so not a crossed module, and on gl(1|1) the
+    pullback pairs it gives do not span a central ideal of P (x) P."""
     cols = [{i: 2 if i == 0 else 1} for i in range(P.dim)]
     return CrossedModule(P, P, GradedMap.from_columns(P.space, P.space, cols), adjoint_action(P))
 
@@ -181,6 +182,13 @@ CALLS = {
                                                        identity_crossed(heisenberg(QQ))),
                        CrossedModuleMismatch, "crossed modules are over different bases"),
     "exterior-not-a-crossed-module": (lambda tmp: nonabelian_exterior(
+        adjoint_tensor_square(lie_algebra("gl11")), identity_crossed(lie_algebra("gl11")),
+        boundary_doubled_at_0(lie_algebra("gl11"))),
+        CrossedModuleMismatch, "input fails the crossed module axioms"),
+    "exterior-heis-not-a-crossed-module": (lambda tmp: nonabelian_exterior(
+        adjoint_tensor_square(HEIS), identity_crossed(HEIS), boundary_doubled_at_0(HEIS)),
+        CrossedModuleMismatch, "input fails the crossed module axioms"),
+    "exterior-square-not-central": (lambda tmp: _exterior(
         adjoint_tensor_square(lie_algebra("gl11")), identity_crossed(lie_algebra("gl11")),
         boundary_doubled_at_0(lie_algebra("gl11"))),
         BracketNotWellDefined, "square ideal is not central in the product"),

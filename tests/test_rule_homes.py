@@ -14,7 +14,10 @@ certificate raises through ``AxiomReport.require`` only: no other
 ``raise`` formats a report's ``.violations``.  The inner grading is read
 by ``LieSuperAlgebra.inner_torus`` only: no module but ``algebras.py``
 names the diagonal reader ``_diagonal``, and none names the
-``inner_weights`` it replaced.
+``inner_weights`` it replaced.  The certification memos of an action,
+``_checked`` and ``_compatible_with``, are read in ``actions.py`` only:
+a construction calls the certificate, which returns at once on a recorded
+pass, and never branches on what its caller happened to certify.
 
 The tests share one module, ``tests/oracles.py``: no test module imports
 another, and only the oracles assign the catalogue of algebras and fields
@@ -114,6 +117,13 @@ def test_inner_grading_is_read_by_inner_torus_only(path):
     assert name_lines(source, "inner_weights") == []
     if path.name != "algebras.py":
         assert name_lines(source, "_diagonal") == []
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
+def test_action_memos_are_read_by_the_certificates_only(path):
+    if path.name != "actions.py":
+        source = path.read_text(encoding="utf-8")
+        assert name_lines(source, "_checked") == name_lines(source, "_compatible_with") == []
 
 
 @pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)

@@ -1,24 +1,25 @@
 """Relation families (i) and (ii) of M (x) N streamed from generating sets.
 
-``nonabelian_tensor`` takes a in the generating set S_M in family (i) and b
-in S_N in family (ii) wherever the tensor module docstring proves that the
-spans are unchanged: on the adjoint square of a P that passes the Lie
-axioms, and for a factor that passed ``check_lie_axioms`` whose action
-passed ``check_action``.  The relation space is compared with the full
-stream of the oracle over Q, F3, F5 and F7: adjoint squares in
-unitriangular bases (no inner torus, so the full-stream path), and
-non-adjoint pairs whose actions are certified; the weight blocks of
+``nonabelian_tensor`` certifies its inputs at entry: the compatibility of
+the actions, the Lie axioms of M and N and the axioms of each action, the
+adjoint square the Lie axioms of P only.  It then takes a in the
+generating set S_M in family (i) and b in S_N in family (ii), as the tensor
+module docstring proves it may, whether or not the caller certified
+anything before.  The relation space is compared with the full stream of
+the oracle over Q, F3, F5 and F7: adjoint squares in unitriangular bases
+(no inner torus, so no weight blocks), non-adjoint pairs of ideals, and
+every non-adjoint product the package builds itself; the weight blocks of
 permuted and rescaled bases are compared in ``test_tensor_relations``.
-Guards pin that an uncertified algebra or action still
-streams every basis element, and that a generating set with a member
-dropped is refused by a certificate.  The CLI runs the compatibility
-loop once per ``tensor`` command.
+Guards pin that a non-Lie factor, an invalid action and an incompatible
+pair are refused before any relation is streamed, and that a generating
+set with a member dropped is refused by a certificate.  The CLI runs the
+compatibility loop once per ``tensor`` command.
 """
 
 import contextlib
+import importlib
 import io
 import json
-from itertools import product
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -38,24 +39,32 @@ from oracles import (
 from superlie import actions, corpus, suites, tensor
 from superlie.actions import (
     Action,
+    ActionInvalid,
     adjoint_action,
     check_action,
     check_compatible,
+    identity_crossed,
     trivial_action,
 )
 from superlie.algebras import (
     LieSuperAlgebra,
+    abelian,
     check_lie_axioms,
     heisenberg,
+    series,
 )
 from superlie.cli import main
 from superlie.closure import generating_set
 from superlie.corpus import bundled_path, lie_algebra
+from superlie.cyclic import cyclic_sixterm, dual_numbers, grassmann_line
 from superlie.fields import Field
 from superlie.io import action_to_json, load_json, parse_action
 from superlie.linalg import Echelon, Subspace
 from superlie.spaces import superspace
 from superlie.tensor import BracketNotWellDefined, IncompatibleActions, nonabelian_tensor
+
+homology = importlib.import_module("superlie.homology")
+
 
 def full_stream(M, N, act_mn, act_nm):
     return tensor_relations_oracle(M, N, act_mn, act_nm, families=("i", "ii"))
@@ -75,21 +84,53 @@ def contains_calls(monkeypatch):
     return calls
 
 
+@contextlib.contextmanager
+def recorded_streams():
+    """The pairs that ``nonabelian_tensor`` passes to relation families (i)
+    and (ii), and the generators they yield, by family, while the context
+    is open."""
+    seen = {"i": ([], []), "ii": ([], [])}
+    with pytest.MonkeyPatch.context() as mp:
+        for key in seen:
+            family = getattr(tensor, f"_family_{key}")
+
+            def recording(*args, family=family, key=key):
+                pairs = list(args[-1])
+                seen[key][0].extend(pairs)
+                for g in family(*args[:-1], pairs):
+                    seen[key][1].append(g)
+                    yield g
+
+            mp.setattr(tensor, f"_family_{key}", recording)
+        yield seen
+
+
+@pytest.fixture
+def streamed():
+    with recorded_streams() as seen:
+        yield seen
+
+
+def actors(seen) -> tuple[set, set]:
+    """The a streamed in family (i) and the b streamed in family (ii)."""
+    return {a for a, _ in seen["i"][0]}, {b for _, b in seen["ii"][0]}
+
+
 UNITRIANGULAR_CASES = [("gl(2|1)", p, 1 + k % 2) for k, p in enumerate(PRIMES)] + [
     ("heis", p, 1 + k % 2) for k, p in enumerate(PRIMES)] + [
     ("gl(2|2)", 7, 2), ("sl(2|1, L1)", 3, 2)]
 
 
 @pytest.mark.parametrize("name, p, seed", UNITRIANGULAR_CASES)
-def test_unitriangular_adjoint_square_matches_the_full_stream(name, p, seed):
-    """A unitriangular basis finds no inner torus, so the full-stream path
-    runs, with a over the generating set in (i) and b over it in (ii)."""
+def test_unitriangular_adjoint_square_matches_the_full_stream(streamed, name, p, seed):
+    """A unitriangular basis finds no inner torus, so no weight blocks, and
+    a runs over the generating set in (i) and b over it in (ii)."""
     L = LIE[name](Field(p))
     L = change_basis(L, seeded_basis(L, seed, "unitriangular"))
     adj = adjoint_action(L)
     assert tensor._weight_blocks(L, adj) is None
     t = nonabelian_tensor(L, L, adj, adj)
-    assert list(tensor._streamed(L, adj, True)) == L._generators
+    assert actors(streamed) == (set(L._generators), set(L._generators))
     assert len(L._generators) < L.dim
     assert t.d_generators == full_stream(L, L, adj, adj)
 
@@ -98,16 +139,20 @@ def test_unitriangular_adjoint_square_matches_the_full_stream(name, p, seed):
 @settings(max_examples=4, deadline=None)
 @given(name=st.sampled_from(IDEAL_ALGEBRAS), p=st.sampled_from(PRIMES), data=st.data())
 def test_certified_ideal_pairs_match_the_full_stream(which, name, p, data):
-    """Ideal pairs whose actions passed check_action stream from the
-    generating sets of both factors, in either order."""
+    """Ideal pairs whose actions nobody certified before the call are
+    certified at entry, and stream from the generating sets of both
+    factors, in either order."""
     L = LIE[name](Field(p))
     L = change_basis(L, data.draw(monomial_basis(L)))
     kalg, act_lk, act_kl = ideal_pair(L, which)
-    assert check_action(act_lk) and check_action(act_kl)
-    assert list(tensor._streamed(L, act_lk, False)) == L._generators
-    assert list(tensor._streamed(kalg, act_kl, False)) == kalg._generators
+    assert not (act_lk._checked or act_kl._checked)
     for M, N, act_mn, act_nm in ((kalg, L, act_kl, act_lk), (L, kalg, act_lk, act_kl)):
-        assert nonabelian_tensor(M, N, act_mn, act_nm).d_generators == full_stream(M, N, act_mn, act_nm)
+        with recorded_streams() as seen:
+            d = nonabelian_tensor(M, N, act_mn, act_nm).d_generators
+        a_s, b_s = actors(seen)
+        assert a_s <= set(M._generators) and b_s <= set(N._generators)
+        assert d == full_stream(M, N, act_mn, act_nm)
+    assert act_lk._checked and act_kl._checked
 
 
 def heis_actions(heis):
@@ -118,39 +163,34 @@ def heis_actions(heis):
 
 
 @pytest.mark.parametrize("p", PRIMES)
-def test_heis_action_files_stream_from_generators_once_checked(contains_calls, p):
+def test_heis_action_files_stream_from_generators_once_checked(streamed, p):
     """heis with its action files over Q, and with two adjoint actions over
-    F3, F5 and F7: every a and b until the actions pass check_action, then
-    S = {x, y} only, and the same relation space."""
-    heis = lie_algebra("heis") if p is None else heisenberg(Field(p))
+    F3, F5 and F7: nonabelian_tensor checks the actions itself, streams
+    S = {x, y} only, and gives the relation space of the full stream."""
+    heis = lie_algebra.__wrapped__("heis") if p is None else heisenberg(Field(p))
     if p is None:
         amn, anm = heis_actions(heis)
     else:
         amn, anm = adjoint_action(heis), adjoint_action(heis)
-    assert check_lie_axioms(heis) and len(heis._generators) < heis.dim
-    unchecked = nonabelian_tensor(heis, heis, amn, anm).d_generators
-    full = contains_calls[0]
-    assert check_action(amn) and check_action(anm)
-    contains_calls[0] = 0
-    checked = nonabelian_tensor(heis, heis, amn, anm).d_generators
-    assert unchecked == checked == full_stream(heis, heis, amn, anm)
-    assert 0 < contains_calls[0] < full
+    assert heis._generators is None and not (amn._checked or anm._checked)
+    d = nonabelian_tensor(heis, heis, amn, anm).d_generators
+    assert amn._checked and anm._checked
+    assert len(heis._generators) < heis.dim
+    assert actors(streamed) == (set(heis._generators), set(heis._generators))
+    assert d == full_stream(heis, heis, amn, anm)
 
 
-def test_an_unchecked_action_streams_every_element(contains_calls):
-    """One certified action is not enough for the other family: with only
-    the action of M checked, family (ii) still streams every b of N."""
+def test_an_unchecked_action_is_certified_at_entry(streamed):
+    """One certified action is enough for neither family: with only the
+    action of M checked, the action of N is checked at entry, and family
+    (ii) too streams b over the generating set of N only."""
     L = LIE["gl(2|1)"](Field(None))
     amn, anm = adjoint_action(L), adjoint_action(L)
-    assert check_action(amn)
-    assert list(tensor._streamed(L, amn, False)) == L._generators
-    assert tensor._streamed(L, anm, False) == range(L.dim)
-    one = nonabelian_tensor(L, L, amn, anm).d_generators
-    n_one = contains_calls[0]
-    contains_calls[0] = 0
-    assert check_action(anm)
-    assert nonabelian_tensor(L, L, amn, anm).d_generators == one
-    assert contains_calls[0] < n_one
+    assert check_action(amn) and not anm._checked
+    d = nonabelian_tensor(L, L, amn, anm).d_generators
+    assert anm._checked
+    assert actors(streamed) == (set(L._generators), set(L._generators))
+    assert d == full_stream(L, L, amn, anm)
 
 
 def non_lie_without_torus(p):
@@ -163,34 +203,14 @@ def non_lie_without_torus(p):
     return change_basis(P, seeded_basis(P, 1, "unitriangular"))
 
 
-@pytest.fixture
-def streamed(monkeypatch):
-    """The pairs that ``nonabelian_tensor`` passes to relation families (i)
-    and (ii), and the generators they yield, by family."""
-    seen = {"i": ([], []), "ii": ([], [])}
-    for key in seen:
-        family = getattr(tensor, f"_family_{key}")
-
-        def recording(*args, family=family, key=key):
-            pairs = list(args[-1])
-            seen[key][0].extend(pairs)
-            for g in family(*args[:-1], pairs):
-                seen[key][1].append(g)
-                yield g
-
-        monkeypatch.setattr(tensor, f"_family_{key}", recording)
-    return seen
-
-
 @pytest.mark.parametrize("p", PRIMES)
-def test_an_algebra_that_fails_jacobi_streams_every_element(contains_calls, streamed, p):
-    """An adjoint square of a P that fails Jacobi, with no inner torus, is
-    refused by the Lie-axiom certificate before any relation is streamed:
-    it takes only the membership tests of the certificate's generating-set
-    walk.  Two distinct, unchecked adjoint actions stream every element,
-    though P has a proper generating set, with one membership test per
-    nonzero generator; the edge map then fails to descend, and only then
-    does the Lie-axiom certificate run, which names the axioms."""
+def test_a_non_lie_factor_is_refused_before_streaming(contains_calls, streamed, p):
+    """An adjoint square of a P that fails Jacobi, with no inner torus, and
+    a product of two distinct adjoint actions on it, which are compatible
+    by the storage rule, are both refused by the Lie-axiom certificate at
+    entry, naming the axioms: each takes only the membership tests of the
+    certificate's generating-set walk, streams no relation and checks no
+    action."""
     P = non_lie_without_torus(p)
     adj, other = adjoint_action(P), adjoint_action(P)
     assert P.inner_torus(adj)[0] == []
@@ -198,20 +218,77 @@ def test_an_algebra_that_fails_jacobi_streams_every_element(contains_calls, stre
     contains_calls[0] = 0
     assert not check_lie_axioms(P) and P._generators is None
     walk = contains_calls[0]
-    contains_calls[0] = 0
-    with pytest.raises(BracketNotWellDefined, match="need the Lie axioms of P"):
-        nonabelian_tensor(P, P, adj, adj)
-    assert contains_calls[0] == walk > 0
+    for amn, anm in ((adj, adj), (adj, other)):
+        contains_calls[0] = 0
+        with pytest.raises(BracketNotWellDefined, match="needs the Lie axioms of M and N"):
+            nonabelian_tensor(P, P, amn, anm)
+        assert contains_calls[0] == walk > 0
+    assert adj._compatible_with is other
     assert streamed == {"i": ([], []), "ii": ([], [])}
-    assert tensor._streamed(P, adj, False) == tensor._streamed(P, other, False) == range(P.dim)
-    contains_calls[0] = 0
-    with pytest.raises(BracketNotWellDefined, match="need the Lie axioms of M and N"):
-        nonabelian_tensor(P, P, adj, other)
-    xs = range(P.dim * P.dim)
-    assert streamed["i"][0] == list(product(range(P.dim), xs))
-    assert streamed["ii"][0] == list(product(xs, range(P.dim)))
-    nonzero = sum(1 for key in streamed for g in streamed[key][1] if P.field.clean(g))
-    assert contains_calls[0] == nonzero + walk and nonzero > 0
+    assert not (adj._checked or other._checked)
+
+
+def noncommuting_action(p):
+    """abelian(2|0) acting on abelian(2|0) by E12 and E21, which do not
+    commute though [a, b] = 0: action axiom (i) fails.  With the trivial
+    action back, both compatibility identities read 0 = 0."""
+    F = Field(p)
+    M, N = abelian(F, 2, 0), abelian(F, 2, 0)
+    return M, N, Action(M, N, {(0, 1): {0: 1}, (1, 0): {1: 1}}), trivial_action(N, M)
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_invalid_actions_are_refused_before_streaming(streamed, p):
+    """An action that fails its axioms, on compatible actions, is refused
+    by check_action, and an incompatible pair by check_compatible, both at
+    entry and before any relation is streamed."""
+    M, N, amn, anm = noncommuting_action(p)
+    assert check_compatible(amn, anm) and not check_action(Action(M, N, amn.table))
+    with pytest.raises(ActionInvalid, match="the action of M on N fails its axioms"):
+        nonabelian_tensor(M, N, amn, anm)
+    L = LIE["gl(2|1)"](Field(p))
+    bad = Action(L, L, perturbed(adjoint_action(L).table))
+    with pytest.raises(IncompatibleActions, match="actions are not compatible"):
+        nonabelian_tensor(L, L, bad, bad)
+    assert streamed == {"i": ([], []), "ii": ([], [])}
+
+
+@pytest.fixture
+def built_products(monkeypatch):
+    """The non-adjoint products that ``superlie.homology`` builds, as
+    (M, N, act_mn, act_nm, relation space)."""
+    built = []
+    construct = homology.nonabelian_tensor
+
+    def recording(M, N, act_mn, act_nm):
+        t = construct(M, N, act_mn, act_nm)
+        built.append((M, N, act_mn, act_nm, t.d_generators))
+        return t
+
+    monkeypatch.setattr(homology, "nonabelian_tensor", recording)
+    return built
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_products_the_package_builds_match_the_oracle(built_products, p):
+    """nh of the identity crossed module, the P (x) M of ideal_sixterm, the
+    K (x) M and M (x) K of right_exactness_check and the V(A) products of
+    the cyclic snake, each streamed from generating sets, against the
+    five-family oracle."""
+    F = Field(p)
+    for name in ("heis", "gl(1|1)"):
+        P = LIE[name](F)
+        homology.nh(P, identity_crossed(P))
+        center, full = series(P).center, P.full_subspace()
+        for K in (center, P.product_subspace(full, full)):
+            assert homology.ideal_sixterm(P, K).ok
+            assert homology.right_exactness_check(P, K).ok
+    for A in (dual_numbers(F), grassmann_line(F)):
+        assert cyclic_sixterm(A).ok
+    assert len(built_products) == 2 * (1 + 2 * 3) + 2 * 3
+    for M, N, act_mn, act_nm, d in built_products:
+        assert act_mn._checked and act_nm._checked
+        assert d == tensor_relations_oracle(M, N, act_mn, act_nm)
 
 
 @pytest.mark.parametrize("p", PRIMES)
