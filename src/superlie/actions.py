@@ -128,8 +128,7 @@ def tensor_action(left: Action, right: Action):
 def _certified_generators(L: LieSuperAlgebra) -> list[int] | None:
     """The generating set of L once L passes :func:`check_lie_axioms`, or
     None when it fails."""
-    if L._generators is None:
-        check_lie_axioms(L)
+    check_lie_axioms(L)
     return L._generators
 
 

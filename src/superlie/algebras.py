@@ -439,8 +439,12 @@ def check_lie_axioms(L: LieSuperAlgebra) -> AxiomReport:
     structure constants: a triple with a zero factor in every term has
     defect 0, so only the others are computed.  Violations come in basis
     order, parities first, Jacobi triples next and odd cubes last, at most
-    MAX_VIOLATIONS of them, from the loop over every basis index."""
-    gens = L._generators if L._generators is not None else generating_set(L)
+    MAX_VIOLATIONS of them, from the loop over every basis index.  A
+    recorded pass returns at once, as in ``check_action`` and
+    ``check_compatible``."""
+    if L._generators is not None:
+        return AxiomReport(True)
+    gens = generating_set(L)
     if next(_lie_violations(L, gens), None) is None:
         L._generators = gens
         return AxiomReport(True)
@@ -825,14 +829,17 @@ def sub_space(parent: SuperSpace, top: Subspace, prefix: str) -> QuotientSpace:
 
 
 class Projection(GradedMap):
-    """The projection of a space onto a quotient of all of it, by
-    ``reduce_basis``, which refuses any other; keeps the quotient."""
+    """The projection of a space onto a quotient of all of it, column i the
+    reduction of e_i; any other quotient is refused.  Keeps the quotient."""
 
     __slots__ = ("quotient",)
 
     def __init__(self, quotient: QuotientSpace):
+        if not quotient.whole:
+            raise ContainmentError("only a quotient of the whole space has a projection")
         super().__init__(quotient.parent, quotient.space, Matrix(
-            quotient.parent.field, quotient.space.dim, quotient.reduce_basis()))
+            quotient.parent.field, quotient.space.dim,
+            [quotient.reduce({i: 1}) for i in range(quotient.ambient)]))
         self.quotient = quotient
 
 

@@ -34,14 +34,12 @@ s_k for its length k.
   coinvariant, and its rows are the unit vectors e_x.  1 (x) 1 in degree 1
   is one: t_1 = -1 on it.
 
-Reduction in C_n is a lookup: e_x is s_x s_rep e_rep modulo Im(1 - t_n)
-for a member x of a live orbit, and 0 for a member of a dead orbit.  It
-equals the canonical reduction by the bottom rows.  The row of a non-rep
-x has pivot x, since rep is the largest index of its orbit, and the
-section is the unit vectors at the reps.  Clearing the pivot x of a
-vector therefore moves its entry, times s_x s_rep, onto e_rep, and
-leaves every other entry alone.  What remains lies on the reps, and its
-entry at a rep is that rep's coordinate.
+The row of a non-rep x has pivot x, since rep is the largest index of
+its orbit, so the section is the unit vectors at the reps, and C_n is
+reduced by the one rule for quotients of the whole space
+(:meth:`~superlie.linalg.Subquotient.reduce`): e_x is s_x s_rep e_rep
+modulo Im(1 - t_n) for a member x of a live orbit, and 0 for a member of
+a dead orbit, read off its bottom row.
 
 Weight-0 block.  Let e be an even basis element of A for which [e, -]
 is diagonal on the basis, [e, a] = lambda(a) a, and not central, as
@@ -195,23 +193,19 @@ class ConnesComplex(Complex):
     coinvariants: list[QuotientSpace]        # C_n(A)
 
 
-def _rotation_image(field, tuples: list[tuple],
-                    par) -> tuple[Subspace, list[tuple], dict[tuple, int]]:
+def _rotation_image(field, tuples: list[tuple], par) -> tuple[Subspace, dict[tuple, int]]:
     """The canonical basis of Im(1 - t_n) on the span of ``tuples``, basis
     tuples of one degree closed under rotation, in row-major order and
     indexed by position, written orbit by orbit (see the module
     docstring): a live orbit gives e_x - s_x s_rep e_rep for its members x
     other than its largest index rep, a dead orbit the unit vector of each
-    member.  Also the lookup x -> (rep, s_x s_rep) over the members of the
-    live orbits, rep included, and x -> (None, 0) over those of the dead
-    ones, e_x being s_x s_rep e_rep modulo Im(1 - t_n); and the position of
-    each tuple."""
+    member.  Also the position of each tuple."""
     minus_one = field.of(-1)
     position = {t: x for x, t in enumerate(tuples)}
     rows: dict[int, dict] = {}
-    orbit_of: list = [None] * len(tuples)
+    seen = [False] * len(tuples)
     for x, t in enumerate(tuples):
-        if orbit_of[x] is not None:
+        if seen[x]:
             continue
         # members (index, sign s of t_n^i e_t = s e_y), walking t_n; a step's
         # sign parity n + |a_n| sum_{k<n} |a_k| is n for an even a_n, and
@@ -220,7 +214,9 @@ def _rotation_image(field, tuples: list[tuple],
         flip = (n % 2, (n + sum(par[k] for k in t) - 1) % 2)
         orbit, sign, y = [], 1, t
         while True:
-            orbit.append((position[y], sign))
+            i = position[y]
+            seen[i] = True
+            orbit.append((i, sign))
             if flip[par[y[n]]]:
                 sign = -sign
             y = y[n:] + y[:n]
@@ -229,16 +225,13 @@ def _rotation_image(field, tuples: list[tuple],
         if sign == 1:
             rep, s_rep = max(orbit)
             for i, s in orbit:
-                sigma = 1 if s == s_rep else -1
-                orbit_of[i] = (rep, sigma)
                 if i != rep:
-                    rows[i] = {i: 1, rep: minus_one if sigma == 1 else 1}
+                    rows[i] = {i: 1, rep: minus_one if s == s_rep else 1}
         else:
             for i, _ in orbit:
-                orbit_of[i] = (None, 0)
                 rows[i] = {i: 1}
     bottom = Subspace(field, len(tuples), [rows[i] for i in sorted(rows)], _canonical=True)
-    return bottom, orbit_of, position
+    return bottom, position
 
 
 class _Coinvariants(QuotientSpace):
@@ -246,11 +239,11 @@ class _Coinvariants(QuotientSpace):
     positions, the tuples given as ``words`` (f, a_n) with the tuples of
     one prefix f consecutive, each labelled ``a0*a1*...`` as in the tensor
     power, its label and parity built once per prefix, and the section
-    labelled as :func:`quotient_space` labels it; its
-    :meth:`reduce` is a lookup in the rotation orbits (see the module
-    docstring) instead of a reduction by the bottom rows."""
+    labelled as :func:`quotient_space` labels it.  It keeps the basis
+    ``tuples`` and their ``position``, which the Hochschild boundary
+    reads."""
 
-    __slots__ = ("tuples", "position", "_orbit_of")
+    __slots__ = ("tuples", "position")
 
     def __init__(self, space: SuperSpace, words: list[tuple[tuple, int]], prefix: str):
         labels, par = space.labels, space.parities
@@ -262,22 +255,10 @@ class _Coinvariants(QuotientSpace):
             parities.append((odd + par[a]) % 2)
         tuples = [f + (a,) for f, a in words]
         parent = SuperSpace(space.field, tuple(names), tuple(parities))
-        bottom, self._orbit_of, self.position = _rotation_image(space.field, tuples, par)
+        bottom, self.position = _rotation_image(space.field, tuples, par)
         super().__init__(parent, Subspace.full(space.field, len(tuples)), bottom,
                          lambda k, lead: f"{prefix}{k}:{lead}")
         self.tuples = tuples
-
-    def reduce(self, v: dict) -> dict:
-        """Section coordinates of v: each e_x of a live orbit counts
-        s_x s_rep at the coordinate of its orbit's rep, a dead e_x nothing."""
-        index, orbit_of, of = self._index, self._orbit_of, self.field.of
-        out: dict = {}
-        for x, c in v.items():
-            rep, sigma = orbit_of[x]
-            if sigma:
-                k = index[rep]
-                out[k] = out.get(k, 0) + sigma * c
-        return {k: c for k in sorted(out) if (c := of(out[k]))}
 
 
 def _hochschild_basis(A: AssocSuperAlgebra, t: tuple, position: dict[tuple, int]) -> dict:
@@ -395,7 +376,7 @@ def _relation_gens(A: AssocSuperAlgebra) -> list[dict]:
     the graded-symmetric a (x) b + (-1)^{|a||b|} b (x) a, and the cyclic
     relations."""
     pairs = [tensor_pair(A.dim, t) for t in range(A.dim ** 2)]
-    bottom, _, _ = _rotation_image(A.field, pairs, A.space.parities)
+    bottom, _ = _rotation_image(A.field, pairs, A.space.parities)
     return bottom.rows + _cyclic_relation_gens(A)
 
 

@@ -37,10 +37,13 @@ no reduction.
 
 A quotient of the whole space, :class:`Subquotient` with a top of full
 rank, has the unit vectors at the coordinates that are not pivots of
-bottom as its section.  Reducing a vector by bottom clears every bottom
-pivot, so what is left is the vector's quotient coordinates and no
-residual test is needed; and e_i at a bottom pivot i reduces to
--(row_i - e_i), read off the canonical bottom row with no reduction.
+bottom as its section.  Every coordinate i is a section pivot or a
+bottom pivot, and e_i at a bottom pivot i is -(row_i - e_i) modulo
+bottom, read off the canonical bottom row: a vector's quotient
+coordinates are summed in one pass over its entries, with no reduction
+and no residual test.  This one rule reduces the tensor product, V(A),
+Lambda^2 P/Im d_3 and the Connes coinvariants, and gives the columns of
+the projection onto each.
 
 Elimination is order-aware in two ways.  A span (:class:`Subspace`,
 :meth:`Matrix.rank`, the column-reversed rows of
@@ -580,7 +583,7 @@ class Subquotient:
     of top to its coordinates ``{k: c}`` on the section, ``lift`` is the
     linear section.  When top is the whole ambient space (``whole``), the
     section is the unit vectors at the coordinates that are not pivots of
-    bottom, and :meth:`reduce_basis` gives the projection."""
+    bottom, and ``reduce`` reads the coordinates off the bottom rows."""
 
     __slots__ = ("field", "ambient", "top", "bottom", "section", "whole", "_index")
 
@@ -606,17 +609,29 @@ class Subquotient:
     def reduce(self, v: dict) -> dict:
         """Quotient coordinates of an ambient vector (must lie in top).
 
-        The pivots of bottom are pivots of top, so after reducing by bottom
-        one pass over the section pivots present reduces by all of top; a
+        For a quotient of the whole space every coordinate i is a section
+        pivot or a pivot of bottom, whose canonical row is 1 at i and off
+        it nonzero only at section pivots, so e_i is e_i - row_i modulo
+        bottom: v is summed in one pass onto the section pivots, unreduced,
+        and each coordinate is put in normal form once.  Otherwise the
+        pivots of bottom are pivots of top, so after reducing by bottom one
+        pass over the section pivots present reduces by all of top; a
         section row is zero at every other section pivot, so each
-        coordinate is the reduced vector's entry at its pivot.  For a
-        quotient of the whole space every coordinate left after the bottom
-        is a section pivot and its section row a unit vector, so the
-        entries are the coordinates and nothing remains."""
-        r = self.bottom.reduce_vec(v)
+        coordinate is the reduced vector's entry at its pivot."""
         index, of = self._index, self.field.of
         if self.whole:
-            return {index[p]: of(r[p]) for p in sorted(r)}
+            rows, out = self.bottom._row_at, {}
+            for i, c in v.items():
+                k = index.get(i)
+                if k is not None:
+                    out[k] = out.get(k, 0) + c
+                else:
+                    for j, d in rows[i].items():
+                        if j != i:
+                            k = index[j]
+                            out[k] = out.get(k, 0) - c * d
+            return {k: c for k in sorted(out) if (c := of(out[k]))}
+        r = self.bottom.reduce_vec(v)
         coords = {}
         for piv in sorted(p for p in r if p in index):
             k = index[piv]
@@ -625,19 +640,6 @@ class Subquotient:
         if self.field.clean(r):
             raise ContainmentError("vector is not in the top subspace")
         return coords
-
-    def reduce_basis(self) -> list[dict]:
-        """reduce(e_i) for every coordinate i of a quotient of the whole
-        space: the unit coordinate at a section pivot; at a pivot i of
-        bottom, e_i is e_i - row_i modulo bottom, so its coordinates are
-        minus the entries of the canonical bottom row_i off its pivot,
-        which all lie at section pivots."""
-        if not self.whole:
-            raise ContainmentError("only a quotient of the whole space reduces every basis vector")
-        index, neg, rows = self._index, self.field.neg, self.bottom._row_at
-        return [{index[i]: 1} if i in index else
-                {index[j]: neg(c) for j, c in sorted(rows[i].items()) if j != i}
-                for i in range(self.ambient)]
 
     def lift(self, coords: dict) -> dict:
         out: dict = {}

@@ -349,9 +349,7 @@ def nonabelian_tensor(M: LieSuperAlgebra, N: LieSuperAlgebra,
     if not adjoint:
         check_compatible(act_mn, act_nm).require(IncompatibleActions, "actions are not compatible")
     for L in (M,) if N is M else (M, N):
-        if L._generators is None:
-            check_lie_axioms(L).require(BracketNotWellDefined,
-                                        "M (x) N needs the Lie axioms of M and N")
+        check_lie_axioms(L).require(BracketNotWellDefined, "M (x) N needs the Lie axioms of M and N")
     if not adjoint:
         for a, label in ((act_mn, "M on N"), (act_nm, "N on M")):
             check_action(a).require(ActionInvalid, f"the action of {label} fails its axioms")

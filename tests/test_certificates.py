@@ -42,6 +42,7 @@ from oracles import (
     monomial_basis,
 )
 import superlie.actions as actions_module
+import superlie.algebras as algebras_module
 from superlie.actions import (
     Action,
     CrossedModule,
@@ -372,6 +373,22 @@ def test_generating_set_that_does_not_generate_is_refused(monkeypatch):
     with pytest.raises(RuntimeError, match="does not generate"):
         check_lie_axioms(L)
     assert L._generators is None
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_a_recorded_lie_pass_returns_at_once(p, monkeypatch):
+    """After check_lie_axioms passes, a second call neither builds the
+    generating set again nor evaluates a Jacobi defect, as check_action
+    and check_compatible return at once on their own records."""
+    L = matrix_gl(2, 1, ground_assoc(Field(p)))
+    assert check_lie_axioms(L).ok and L._generators is not None
+    calls = []
+    for name in ("generating_set", "_derivation_defects"):
+        original = getattr(algebras_module, name)
+        monkeypatch.setattr(algebras_module, name,
+                            lambda *args, f=original: calls.append(f) or f(*args))
+    assert check_lie_axioms(L).ok
+    assert calls == []
 
 
 @pytest.mark.parametrize("build", [

@@ -15,9 +15,14 @@ certificate raises through ``AxiomReport.require`` only: no other
 by ``LieSuperAlgebra.inner_torus`` only: no module but ``algebras.py``
 names the diagonal reader ``_diagonal``, and none names the
 ``inner_weights`` it replaced.  The certification memos of an action,
-``_checked`` and ``_compatible_with``, are read in ``actions.py`` only:
-a construction calls the certificate, which returns at once on a recorded
-pass, and never branches on what its caller happened to certify.
+``_checked`` and ``_compatible_with``, are read in ``actions.py`` only,
+and the memo of the Lie axioms, ``_generators``, is compared with None
+in ``algebras.py`` only: a construction calls the certificate, which
+returns at once on a recorded pass, and never branches on what its
+caller happened to certify.  A quotient is reduced by
+``Subquotient.reduce`` only: no subclass defines its own ``reduce``, so
+the tracer's count of it is complete, and no module names the
+``reduce_basis`` and ``_orbit_of`` it replaced.
 
 The tests share one module, ``tests/oracles.py``: no test module imports
 another, and only the oracles assign the catalogue of algebras and fields
@@ -25,11 +30,13 @@ another, and only the oracles assign the catalogue of algebras and fields
 """
 
 import ast
+from importlib import import_module
 from pathlib import Path
 
 import pytest
 
 from oracles import name_lines
+from superlie.linalg import Subquotient
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = sorted((ROOT / "src" / "superlie").glob("*.py"))
@@ -74,6 +81,23 @@ def violation_raise_lines(source: str) -> list[int]:
                   if isinstance(node, ast.Raise) and id(node) not in skip
                   and any(isinstance(n, ast.Attribute) and n.attr == "violations"
                           for n in ast.walk(node)))
+
+
+def none_comparison_lines(source: str, attr: str) -> list[int]:
+    """The lines that compare an attribute ``attr`` with None."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Compare):
+            sides = [node.left, *node.comparators]
+            if (any(isinstance(n, ast.Attribute) and n.attr == attr for n in sides)
+                    and any(isinstance(n, ast.Constant) and n.value is None for n in sides)):
+                lines.append(node.lineno)
+    return sorted(lines)
+
+
+def subclasses(cls: type) -> list[type]:
+    """Every subclass of cls, at any depth."""
+    return [sub for c in cls.__subclasses__() for sub in (c, *subclasses(c))]
 
 
 def cross_import_lines(tree: ast.AST) -> list[int]:
@@ -127,6 +151,26 @@ def test_action_memos_are_read_by_the_certificates_only(path):
 
 
 @pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
+def test_the_lie_memo_is_read_by_its_certificate_only(path):
+    if path.name != "algebras.py":
+        assert none_comparison_lines(path.read_text(encoding="utf-8"), "_generators") == []
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
+def test_no_module_names_a_second_reduction(path):
+    source = path.read_text(encoding="utf-8")
+    assert name_lines(source, "reduce_basis") == name_lines(source, "_orbit_of") == []
+
+
+def test_no_subquotient_overrides_reduce():
+    for path in PACKAGE:
+        import_module("superlie" if path.stem == "__init__" else f"superlie.{path.stem}")
+    found = subclasses(Subquotient)
+    assert found
+    assert [c.__qualname__ for c in found if "reduce" in vars(c)] == []
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
 def test_computed_tables_go_through_from_bracket(path):
     source = path.read_text(encoding="utf-8")
     assert computed_table_lines(source, TABLE_PARSERS.get(path.name, frozenset())) == []
@@ -170,6 +214,12 @@ def test_finders_see_each_case():
               "diagonal = _diagonal_of(row)\n")
     assert name_lines(source, "_diagonal") == [1, 2]
     assert name_lines(source, "inner_weights") == [3]
+    source = ("if L._generators is None:\n"
+              "    pass\n"
+              "gens = L._generators\n"
+              "ok = None is not M._generators\n"
+              "ok = L.generators is None\n")
+    assert none_comparison_lines(source, "_generators") == [1, 4]
 
 
 @pytest.mark.parametrize("path", TESTS, ids=lambda p: p.name)

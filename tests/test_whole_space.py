@@ -7,13 +7,18 @@ labels and reductions that the same quotient has on a top that holds
 every unit row.
 
 On a quotient of the whole space the section is the unit vectors at the
-non-pivots of the bottom: ``Subquotient.reduce`` and ``reduce_basis`` read
-the coordinates off the canonical bottom rows, and ``quotient_algebra``
-reads each bracket off the bracket index.  They must equal the loop for
-any top, the projection by reducing each unit vector and the bracket
-spread from the section vectors, entry by entry, over Q, F3, F5 and F7 in
-seeded permuted and unitriangular bases.
+non-pivots of the bottom: ``Subquotient.reduce`` sums the coordinates of
+a vector in one pass off the canonical bottom rows, normalizing each once,
+``Projection`` takes its columns from it, and ``quotient_algebra`` reads
+each bracket off the bracket index.  They must equal the loop for any
+top, the projection by reducing each unit vector and the bracket spread
+from the section vectors, entry by entry, over Q, F3, F5 and F7 in
+seeded permuted and unitriangular bases, and on unnormalized input with
+unreduced and zero entries.
 """
+
+from fractions import Fraction
+from random import Random
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -38,7 +43,7 @@ from superlie.algebras import (
     quotient_algebra,
     quotient_space,
 )
-from superlie.cyclic import grassmann_line, hc1_kernel_model, milnor_hc1, v_algebra
+from superlie.cyclic import connes, grassmann_line, hc1_kernel_model, milnor_hc1, v_algebra
 from superlie.fields import QQ, Field
 from superlie.homology import homology
 from superlie.linalg import Subquotient, Subspace
@@ -131,8 +136,8 @@ def test_whole_space_quotient_matches_the_general_loop(p, name, kind, seed, idea
     Q, proj = quotient_algebra(L, IDEALS[ideal](L, seed))
     q, field = proj.quotient, L.field
     assert q.whole
-    cols = q.reduce_basis()
-    assert cols == proj.matrix.cols == projection_columns(q)
+    cols = proj.matrix.cols
+    assert cols == projection_columns(q)
     spread = LieSuperAlgebra.from_bracket(q.space, quotient_rows_spread(L, q, q.space), "")
     assert Q.table == spread.table
     probes = [{i % L.dim: c for i, c in v} for v in drawn]
@@ -164,3 +169,41 @@ def test_projection_refuses_a_quotient_of_a_proper_top():
     assert not q.whole
     with pytest.raises(ValueError, match="whole space"):
         Projection(q)
+
+
+def unnormalized(rng: Random, field, ambient: int) -> list[dict]:
+    """Sparse vectors outside the field's normal form: over GF(p) residues
+    drawn in -2p..2p, over Q ints and halves or thirds, integral ones
+    included, each vector with an explicit zero entry."""
+    p = field.p
+    if p is None:
+        def draw():
+            return rng.choice((rng.randint(-4, 4), Fraction(rng.randint(-6, 6), rng.choice((2, 3)))))
+    else:
+        def draw():
+            return rng.randint(-2 * p, 2 * p)
+    vectors = []
+    for _ in range(24):
+        v = {rng.randrange(ambient): draw() for _ in range(rng.randint(1, 8))}
+        v[rng.randrange(ambient)] = 0
+        vectors.append(v)
+    return vectors
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_one_pass_reduce_normalizes_once(p):
+    """Production reduces unreduced sums, the Hochschild images of the
+    Connes boundary and the bracket values of a factored quotient: on the
+    whole-space quotients above and on C_1-C_3 of the Grassmann line, the
+    one-pass reduction of such a vector equals the loop for any top on the
+    cleaned vector, in normal form and ascending order."""
+    F = Field(p)
+    quotients = [q for q, _ in whole_space_quotients(p)]
+    quotients += connes(grassmann_line(F), 3).coinvariants[1:]
+    rng = Random(f"one-pass:{p}")
+    for q in quotients:
+        assert q.whole
+        for v in unnormalized(rng, F, q.ambient):
+            got = q.reduce(v)
+            assert got == reduce_on_section(q, F.clean(v))
+            assert field_normal(F, got) and list(got) == sorted(got)
