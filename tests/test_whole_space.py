@@ -190,20 +190,30 @@ def unnormalized(rng: Random, field, ambient: int) -> list[dict]:
     return vectors
 
 
+def refuse(*args):
+    raise AssertionError("a whole-space reduction reduced or cleaned a vector")
+
+
 @pytest.mark.parametrize("p", PRIMES)
-def test_one_pass_reduce_normalizes_once(p):
+def test_one_pass_reduce_normalizes_once(p, monkeypatch):
     """Production reduces unreduced sums, the Hochschild images of the
     Connes boundary and the bracket values of a factored quotient: on the
     whole-space quotients above and on C_1-C_3 of the Grassmann line, the
-    one-pass reduction of such a vector equals the loop for any top on the
-    cleaned vector, in normal form and ascending order."""
+    one-pass reduction of such a vector, which calls neither
+    ``Subspace.reduce_vec`` nor ``Field.clean``, equals the loop for any
+    top on the cleaned vector, in normal form and ascending order."""
     F = Field(p)
     quotients = [q for q, _ in whole_space_quotients(p)]
     quotients += connes(grassmann_line(F), 3).coinvariants[1:]
     rng = Random(f"one-pass:{p}")
     for q in quotients:
         assert q.whole
-        for v in unnormalized(rng, F, q.ambient):
-            got = q.reduce(v)
-            assert got == reduce_on_section(q, F.clean(v))
-            assert field_normal(F, got) and list(got) == sorted(got)
+        vectors = unnormalized(rng, F, q.ambient)
+        want = [reduce_on_section(q, F.clean(v)) for v in vectors]
+        with monkeypatch.context() as patch:
+            patch.setattr(Subspace, "reduce_vec", refuse)
+            patch.setattr(Field, "clean", refuse)
+            got = [q.reduce(v) for v in vectors]
+        assert got == want
+        for v in got:
+            assert field_normal(F, v) and list(v) == sorted(v)
