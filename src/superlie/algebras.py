@@ -869,9 +869,10 @@ def factored_quotient_algebra(q: QuotientSpace, left: GradedMap, right: GradedMa
     :func:`induced_map`, which has certified that its map on W kills D, so
     B descends in both slots; ``pair`` is bilinear into W.  It certifies,
     raising :class:`BracketNotWellDefined`, that
-    B(e_a, e_b) + (-1)^{|a||b|} B(e_b, e_a) lies in D, which the structure
-    constants assume when they infer the pairs a > b (for a = b this tests
-    2 B(e_a, e_a), and the characteristic is never 2); and the Lie axioms.
+    B(e_a, e_b) + (-1)^{|a||b|} B(e_b, e_a) lies in D (``q.reduce`` sends
+    it to 0), which the structure constants assume when they infer the
+    pairs a > b (for a = b this tests 2 B(e_a, e_a), and the
+    characteristic is never 2); and the Lie axioms.
     Each B(e_a, e_b), a <= b, is evaluated once from the columns and
     serves both the certificate and the table, and B(e_b, e_a) once more
     for a < b."""
@@ -888,7 +889,7 @@ def factored_quotient_algebra(q: QuotientSpace, left: GradedMap, right: GradedMa
                 swapped = g if a == b else pair(lcols[b], rcols[a])
                 anti = dict(g)
                 vec_axpy(anti, -1 if spar[a] * spar[b] else 1, swapped)
-                if q.bottom.reduce_vec(anti):
+                if q.reduce(anti):
                     raise BracketNotWellDefined("bracket is not antisymmetric on classes")
                 if a != b or spar[a]:
                     row[b] = q.reduce(g)

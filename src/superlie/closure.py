@@ -12,13 +12,14 @@ The certificates of :mod:`~superlie.algebras` need only that S generates L,
 so the walk picks S to be small.  It is lazy and greedy: the score of a
 candidate e_i counts the partners j of its bracket-index row whose bracket
 [e_i, e_j] has support outside ``covered`` and {i, j}, where ``covered``
-is the set of pivots of the single-entry rows of the span, the basis
-elements the span already holds.  ``Echelon.insert`` never rewrites a
-stored row, so ``covered`` only grows and scores only fall: a score in the
-heap bounds the fresh one from above.  A popped candidate is re-scored
-and taken only when (fresh score, index) still sorts first; otherwise it
-goes back into the heap.  A candidate already in the span is skipped, and
-the span is closed after each pick.
+is the set of basis elements the span holds.  Such an e_k has least index
+k, so k is a pivot, and only pivots are tested; ``covered`` depends on the
+span alone, not on the order its vectors came in.  The span only grows,
+so ``covered`` only grows and scores only fall: a score in the heap bounds
+the fresh one from above.  A popped candidate is re-scored and taken only
+when (fresh score, index) still sorts first; otherwise it goes back into
+the heap.  A candidate already in the span is skipped, and the span is
+closed after each pick.
 """
 
 from __future__ import annotations
@@ -76,7 +77,7 @@ def _picks(L, acc: Echelon):
             heappush(heap, key)
             continue
         yield i
-        covered = {p for p, row in acc.rows.items() if len(row) == 1}
+        covered |= {k for k in acc.rows if k not in covered and acc.contains({k: 1})}
 
 
 def generating_set(L) -> list[int]:

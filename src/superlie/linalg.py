@@ -35,15 +35,15 @@ and stores no rows: its unit rows are made when read, so the top of a
 quotient of all of it costs nothing, and it contains every subspace with
 no reduction.
 
-A quotient of the whole space, :class:`Subquotient` with a top of full
-rank, has the unit vectors at the coordinates that are not pivots of
-bottom as its section.  Every coordinate i is a section pivot or a
-bottom pivot, and e_i at a bottom pivot i is -(row_i - e_i) modulo
-bottom, read off the canonical bottom row: a vector's quotient
-coordinates are summed in one pass over its entries, with no reduction
-and no residual test.  This one rule reduces the tensor product, V(A),
-Lambda^2 P/Im d_3 and the Connes coinvariants, and gives the columns of
-the projection onto each.
+A :class:`Subquotient` top/bottom takes the top rows at the pivots of
+top that are not pivots of bottom as its section.  Modulo bottom, the top
+row at a bottom pivot q is minus the section entries of the canonical
+bottom row at q, so a vector's quotient coordinates are summed in one
+pass over its entries at the top pivots, with no reduction and no
+residual test; only a top that is not the whole space tests membership
+first.  This one rule reduces the tensor product, V(A), Lambda^2 P/Im
+d_3, the Connes coinvariants and every homology group, and gives the
+columns of the projection onto a quotient of the whole space.
 
 Elimination is order-aware in two ways.  A span (:class:`Subspace`,
 :meth:`Matrix.rank`, the column-reversed rows of
@@ -580,10 +580,11 @@ class Matrix:
 class Subquotient:
     """top/bottom with a section: representatives are the canonical top rows
     whose pivots are not pivots of bottom.  ``reduce`` maps an ambient vector
-    of top to its coordinates ``{k: c}`` on the section, ``lift`` is the
-    linear section.  When top is the whole ambient space (``whole``), the
-    section is the unit vectors at the coordinates that are not pivots of
-    bottom, and ``reduce`` reads the coordinates off the bottom rows."""
+    of top to its coordinates ``{k: c}`` on the section, read off the
+    canonical bottom rows, and ``lift`` is the linear section.  When top is
+    the whole ambient space (``whole``), the section is the unit vectors at
+    the coordinates that are not pivots of bottom, and ``reduce`` skips the
+    membership test."""
 
     __slots__ = ("field", "ambient", "top", "bottom", "section", "whole", "_index")
 
@@ -609,37 +610,29 @@ class Subquotient:
     def reduce(self, v: dict) -> dict:
         """Quotient coordinates of an ambient vector (must lie in top).
 
-        For a quotient of the whole space every coordinate i is a section
-        pivot or a pivot of bottom, whose canonical row is 1 at i and off
-        it nonzero only at section pivots, so e_i is e_i - row_i modulo
-        bottom: v is summed in one pass onto the section pivots, unreduced,
-        and each coordinate is put in normal form once.  Otherwise the
-        pivots of bottom are pivots of top, so after reducing by bottom one
-        pass over the section pivots present reduces by all of top; a
-        section row is zero at every other section pivot, so each
-        coordinate is the reduced vector's entry at its pivot."""
-        index, of = self._index, self.field.of
-        if self.whole:
-            rows, out = self.bottom._row_at, {}
-            for i, c in v.items():
-                k = index.get(i)
-                if k is not None:
-                    out[k] = out.get(k, 0) + c
-                else:
-                    for j, d in rows[i].items():
-                        if j != i:
-                            k = index[j]
-                            out[k] = out.get(k, 0) - c * d
-            return {k: c for k in sorted(out) if (c := of(out[k]))}
-        r = self.bottom.reduce_vec(v)
-        coords = {}
-        for piv in sorted(p for p in r if p in index):
-            k = index[piv]
-            coords[k] = c = of(r[piv])
-            vec_axpy(r, -c, self.section[k])
-        if self.field.clean(r):
-            raise ContainmentError("vector is not in the top subspace")
-        return coords
+        The bottom pivots are top pivots, and the canonical bottom row b_q
+        is 1 at q and 0 at the other bottom pivots, so b_q = t_q + sum
+        b_q[p] t_p over the section pivots p (t_p the top row at p): t_q is
+        minus that sum modulo bottom.  A v in top is sum v[p] t_p over the
+        top pivots p, so one pass over those entries sums the coordinates,
+        unreduced, and each is put in normal form once.  For a whole top
+        every entry of b_q off q is at a section pivot, so no membership
+        test and no restriction runs."""
+        index, rows, of = self._index, self.bottom._row_at, self.field.of
+        if not self.whole:
+            if not self.top.contains_vec(v):
+                raise ContainmentError("vector is not in the top subspace")
+            v = {i: c for i, c in v.items() if i in self.top._row_at}
+        out = {}
+        for i, c in v.items():
+            k = index.get(i)
+            if k is not None:
+                out[k] = out.get(k, 0) + c
+            else:
+                for j, d in rows[i].items():
+                    if (k := index.get(j)) is not None:
+                        out[k] = out.get(k, 0) - c * d
+        return {k: c for k in sorted(out) if (c := of(out[k]))}
 
     def lift(self, coords: dict) -> dict:
         out: dict = {}

@@ -9,6 +9,14 @@ result, since many mutations keep it valid, but any exception other than
 an ``InputError`` (exit 2 on the command line) fails the test: it would
 end a command in a traceback.  The crossed module and the presentation
 are read from files, as the command line reads them.
+
+The command line reads the mutants from files too, run in process: an
+algebra by ``check``, ``tensor F F --adjoint --uce``, ``tensor F F
+--trivial``, ``homology F -n 2`` and ``cyclic F``, an action of heis on
+itself by ``tensor --act-mn`` and ``--act-nm``, a coefficient module by
+``homology -m``, a crossed module by ``homology --nonabelian`` and a
+presentation by ``homology --hopf``.  Every run must exit 0, 1 or 2 and
+raise nothing, and an exit 2 must explain itself on stderr.
 """
 
 import copy
@@ -19,6 +27,7 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from oracles import run_cli
 from superlie.actions import adjoint_action
 from superlie.corpus import assoc_algebra, lie_algebra
 from superlie.fields import InputError
@@ -138,5 +147,36 @@ def test_one_mutated_node_parses_or_is_an_input_error(kind):
     @given(mutants(seeds))
     def run(obj):
         accepted_or_refused(parse, obj)
+
+    run()
+
+
+def cli_runs(kind: str, path: str) -> list[list[str]]:
+    """The command lines that read a mutant of ``kind`` from ``path``."""
+    if kind == "algebra":
+        return [["check", path], ["tensor", path, path, "--adjoint", "--uce"],
+                ["tensor", path, path, "--trivial"], ["homology", path, "-n", "2"], ["cyclic", path]]
+    if kind == "action":
+        return [["tensor", "@heis", "@heis", "--act-mn", path, "--act-nm", "@heis_adjoint"],
+                ["tensor", "@heis", "@heis", "--act-mn", "@heis_adjoint", "--act-nm", path]]
+    flag = {"module": "-m", "crossed": "--nonabelian", "presentation": "--hopf"}[kind]
+    return [["homology", "@heis", "-n", "2", flag, path]]
+
+
+@pytest.mark.parametrize("kind", sorted(CASES))
+def test_the_command_line_reads_a_mutated_file_or_explains_exit_2(kind):
+    seeds = CASES[kind][0]
+
+    @settings(max_examples=50, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(mutants(seeds))
+    def run(obj):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "input.json"
+            path.write_text(json.dumps(obj), encoding="utf-8")
+            for argv in cli_runs(kind, str(path)):
+                r = run_cli(*argv)
+                assert r.returncode in (0, 1, 2), (argv, obj, r)
+                if r.returncode == 2:
+                    assert r.stderr.startswith("input error: "), (argv, obj, r)
 
     run()

@@ -158,3 +158,14 @@ def test_the_ad_s_walk_picks_what_the_full_closure_picks_in_drawn_bases(p, data)
     subalgebras of gl(2|1)."""
     L = data.draw(drawn(p))
     assert close_span_walk(L) == (generating_set(L), L.dim)
+
+
+def test_covered_depends_on_the_span_alone():
+    """sl(2|1, L1) over F3 in the seed-22 unitriangular basis: the two walks
+    reach the same span by different insertions, and a ``covered`` read off
+    the single-entry rows of the echelon scored e_9 and e_10 differently in
+    each, so they picked [1, 4, 10] and [1, 4, 9].  With ``covered`` the
+    basis elements in the span, both pick [1, 4, 10]."""
+    L = LIE["sl(2|1, L1)"](Field(3))
+    L = change_basis(L, seeded_basis(L, 22, "unitriangular"))
+    assert close_span_walk(L) == (generating_set(L), L.dim) == ([1, 4, 10], 16)

@@ -22,7 +22,10 @@ returns at once on a recorded pass, and never branches on what its
 caller happened to certify.  A quotient is reduced by
 ``Subquotient.reduce`` only: no subclass defines its own ``reduce``, so
 the tracer's count of it is complete, and no module names the
-``reduce_basis`` and ``_orbit_of`` it replaced.
+``reduce_basis`` and ``_orbit_of`` it replaced.  It has one loop for
+every top: it reads no ``section`` and calls no ``vec_axpy``, and no
+module but ``linalg.py`` reduces against a quotient's bottom, by
+``reduce_vec``, ``contains_vec`` or ``coords`` called on a ``.bottom``.
 
 The tests share one module, ``tests/oracles.py``: no test module imports
 another, and only the oracles assign the catalogue of algebras and fields
@@ -95,6 +98,22 @@ def none_comparison_lines(source: str, attr: str) -> list[int]:
     return sorted(lines)
 
 
+def bottom_reduction_lines(source: str) -> list[int]:
+    """The lines of the calls of ``reduce_vec``, ``contains_vec`` or
+    ``coords`` on an attribute ``bottom``."""
+    return sorted(node.lineno for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                  and node.func.attr in ("reduce_vec", "contains_vec", "coords")
+                  and isinstance(node.func.value, ast.Attribute) and node.func.value.attr == "bottom")
+
+
+def method_source(source: str, cls: str, name: str) -> str:
+    """The source of the method ``name`` of the class ``cls``."""
+    node = next(f for c in ast.walk(ast.parse(source)) if isinstance(c, ast.ClassDef) and c.name == cls
+                for f in c.body if isinstance(f, ast.FunctionDef) and f.name == name)
+    return ast.unparse(node)
+
+
 def subclasses(cls: type) -> list[type]:
     """Every subclass of cls, at any depth."""
     return [sub for c in cls.__subclasses__() for sub in (c, *subclasses(c))]
@@ -162,6 +181,18 @@ def test_no_module_names_a_second_reduction(path):
     assert name_lines(source, "reduce_basis") == name_lines(source, "_orbit_of") == []
 
 
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
+def test_no_module_reduces_against_a_bottom_but_linalg(path):
+    if path.name != "linalg.py":
+        assert bottom_reduction_lines(path.read_text(encoding="utf-8")) == []
+
+
+def test_subquotient_reduce_has_one_loop():
+    body = method_source((ROOT / "src" / "superlie" / "linalg.py").read_text(encoding="utf-8"),
+                         "Subquotient", "reduce")
+    assert name_lines(body, "section") == name_lines(body, "vec_axpy") == []
+
+
 def test_no_subquotient_overrides_reduce():
     for path in PACKAGE:
         import_module("superlie" if path.stem == "__init__" else f"superlie.{path.stem}")
@@ -220,6 +251,22 @@ def test_finders_see_each_case():
               "ok = None is not M._generators\n"
               "ok = L.generators is None\n")
     assert none_comparison_lines(source, "_generators") == [1, 4]
+    source = ("if q.bottom.reduce_vec(v):\n"
+              "    pass\n"
+              "ok = self.bottom.contains_vec(v)\n"
+              "c = sq.bottom.coords(v)\n"
+              "r = q.reduce(v)\n"
+              "c = q.top.coords(v)\n"
+              "rows = q.bottom.rows\n")
+    assert bottom_reduction_lines(source) == [1, 3, 4]
+    source = ("class Subquotient:\n"
+              "    def lift(self, coords):\n"
+              "        return self.section\n"
+              "    def reduce(self, v):\n"
+              "        vec_axpy(r, -c, self.section[k])\n")
+    assert method_source(source, "Subquotient", "lift") == "def lift(self, coords):\n    return self.section"
+    body = method_source(source, "Subquotient", "reduce")
+    assert name_lines(body, "section") == name_lines(body, "vec_axpy") == [2]
 
 
 @pytest.mark.parametrize("path", TESTS, ids=lambda p: p.name)

@@ -15,6 +15,12 @@ top, the projection by reducing each unit vector and the bracket spread
 from the section vectors, entry by entry, over Q, F3, F5 and F7 in
 seeded permuted and unitriangular bases, and on unnormalized input with
 unreduced and zero entries.
+
+A quotient of a proper top, a homology group, M/[P, M] or the exterior
+H_2, is reduced by the same pass, run on a vector's entries at the top
+pivots after a membership test: on unnormalized combinations of the top
+rows it must equal the loop for any top, and a vector outside top must
+be refused.
 """
 
 from fractions import Fraction
@@ -33,6 +39,7 @@ from oracles import (
     reduce_on_section,
     seeded_basis,
 )
+from superlie.actions import adjoint_action
 from superlie.algebras import (
     LieSuperAlgebra,
     Projection,
@@ -45,8 +52,8 @@ from superlie.algebras import (
 )
 from superlie.cyclic import connes, grassmann_line, hc1_kernel_model, milnor_hc1, v_algebra
 from superlie.fields import QQ, Field
-from superlie.homology import homology
-from superlie.linalg import Subquotient, Subspace
+from superlie.homology import ce_complex, h2_via_exterior, homology, trivial_module
+from superlie.linalg import ContainmentError, Subquotient, Subspace
 from superlie.tensor import adjoint_tensor_square
 
 
@@ -217,3 +224,64 @@ def test_one_pass_reduce_normalizes_once(p, monkeypatch):
         assert got == want
         for v in got:
             assert field_normal(F, v) and list(v) == sorted(v)
+
+
+def proper_top_quotients(p) -> list[Subquotient]:
+    """Quotients of a proper top: H_1 and H_2 of catalogue algebras in
+    seeded bases, with trivial and adjoint coefficients, and H_2 of each
+    as the exterior kernel, and M/[P, M] for P = gl(2|1) and M = [P, P].
+    Every top is nonzero."""
+    F = Field(p)
+    out = []
+    for name, kind, seed, adjoint in (("gl(2|1)", "unitriangular", 1, False),
+                                      ("heis", "shuffle", 2, True),
+                                      ("gl(1|1, L1)", "unitriangular", 4, False),
+                                      ("gl(1|1)", "shuffle", 5, True)):
+        L = LIE[name](F)
+        L = change_basis(L, seeded_basis(L, seed, kind))
+        cx = ce_complex(L, adjoint_action(L) if adjoint else trivial_module(L), 3)
+        out += [cx.homology(n) for n in (1, 2)] + [h2_via_exterior(L)]
+    P = LIE["gl(2|1)"](F)
+    full = Subspace.full(F, P.dim)
+    M = P.product_subspace(full, full)
+    out.append(quotient_space(P.space, M, P.product_subspace(full, M), "m."))
+    return [q for q in out if not q.whole and q.top.dim]
+
+
+def top_combinations(rng: Random, q: Subquotient) -> list[dict]:
+    """Unnormalized combinations of the top rows, with the scalars of
+    :func:`unnormalized`: entries that cancel stay as explicit zeros, and
+    each vector gets one more zero entry off its support."""
+    field = q.field
+    vectors = []
+    for coeffs in unnormalized(rng, field, q.top.dim):
+        v: dict = {}
+        for r, c in coeffs.items():
+            for j, d in q.top.rows[r].items():
+                v[j] = v.get(j, 0) + c * d
+        if absent := [i for i in range(q.ambient) if i not in v]:
+            v[rng.choice(absent)] = 0
+        vectors.append(v)
+    return vectors
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_a_proper_top_is_read_at_its_own_pivots(p):
+    """On quotients of a proper top the one pass, run on the entries at the
+    top pivots, equals the loop for any top on the cleaned vector, in
+    normal form and ascending order; among them are quotients with bottom
+    rows nonzero off the top pivots.  A vector outside top is refused."""
+    F = Field(p)
+    quotients = proper_top_quotients(p)
+    assert any(any(j not in q.top._row_at for r in q.bottom.rows for j in r) for q in quotients)
+    rng = Random(f"proper-top:{p}")
+    for q in quotients:
+        for v in top_combinations(rng, q):
+            got = q.reduce(v)
+            assert got == reduce_on_section(q, F.clean(v))
+            assert field_normal(F, got) and list(got) == sorted(got)
+        outside = next(i for i in range(q.ambient) if not q.top.contains_vec({i: 1}))
+        for v in top_combinations(rng, q)[:4]:
+            v[outside] = v.get(outside, 0) + 1
+            with pytest.raises(ContainmentError, match="^vector is not in the top subspace$"):
+                q.reduce(v)
